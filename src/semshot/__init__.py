@@ -10,13 +10,11 @@ balanced k-shot fine-tune after novel classes are registered.
 
 from .embeddings import BACKGROUND, ClassRegistry, EmbeddingMatrix
 from .head import Head, HeadConfig, HeadMode, build_head
-from .kernels import BACKEND
 from .relation import GraphMode, RelationParams
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BACKGROUND",
     "ClassRegistry",
     "EmbeddingMatrix",

@@ -763,7 +763,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(opts, ns)
         return fn(cfg)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -278,16 +278,6 @@ def cross_entropy_cols(logits: Tensor, labels) -> Tensor:
     return out
 
 
-def cross_entropy_from_logits(logits: Tensor, label: int) -> Tensor:
-    """Cross-entropy of a single (1, n) logit row against an integer label."""
-    if logits.value.shape[0] != 1:
-        raise ValueError(f"expected a (1, n) logit row, got {logits.value.shape}")
-    n = logits.value.shape[1]
-    if not 0 <= label < n:
-        raise ValueError(f"label {label} out of range for {n} classes")
-    return cross_entropy_cols(transpose(logits), [label])
-
-
 def squared_error_cols(pred: Tensor, target) -> Tensor:
     """Mean over columns of the squared L2 distance to a fixed target matrix."""
     tv = as_matrix(target)

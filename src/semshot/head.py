@@ -517,9 +517,20 @@ def head_from_state(state: dict) -> Head:
         )
         if we.content_hash() != state["we"]["hash"]:
             raise ValueError("embedding matrix hash mismatch in checkpoint")
+    found = {name: np.array(values) for name, values in state["params"].items()}
+    # the shapes a freshly built head of this config has are the only valid ones
+    expected = {name: p.value.shape for name, p in build_head(cfg, registry, we).params.items()}
+    for name in sorted(expected.keys() | found.keys()):
+        want = expected.get(name)
+        got = found[name].shape if name in found else None
+        if want != got:
+            raise ValueError(
+                f"checkpoint parameter {name!r}: expected {_shape_text(want)}, "
+                f"found {_shape_text(got)}"
+            )
     params = {
-        name: Param(name, np.array(values), trainable=state["trainable"][name])
-        for name, values in state["params"].items()
+        name: Param(name, value, trainable=state["trainable"][name])
+        for name, value in found.items()
     }
     relation_params = None
     if {"t_f", "t_g", "t_h", "t_l"} <= set(params):
@@ -529,8 +540,18 @@ def head_from_state(state: dict) -> Head:
         )
     head = Head(cfg=cfg, registry=registry, we=we, params=params, relation=relation_params)
     if state.get("g_heur") is not None:
-        head.g_heur = np.array(state["g_heur"])
+        g_heur = np.array(state["g_heur"])
+        if g_heur.shape != (registry.n, registry.n):
+            raise ValueError(
+                f"checkpoint heuristic graph: expected shape {(registry.n, registry.n)}, "
+                f"found shape {g_heur.shape}"
+            )
+        head.g_heur = g_heur
     return head
+
+
+def _shape_text(shape) -> str:
+    return "no such parameter" if shape is None else f"shape {shape}"
 
 
 def save_head(head: Head, path):

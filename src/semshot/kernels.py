@@ -1,29 +1,20 @@
-"""Hot numeric kernels, jitted with numba when available.
+"""Hot numeric kernels, one numpy implementation each.
 
-Two interchangeable implementation families live here: a pure-numpy one and a
-numba ``@njit`` one.  The module-level names (``row_softmax``, ``ce_cols`` and
-friends) are bound to one family at import time; set ``SEMSHOT_NUMBA=0`` in the
-environment to force the numpy fallback (numba is then never imported).  Both
-families stay importable through ``IMPLEMENTATIONS`` so tests and the benchmark
-can compare them on identical inputs.
+Callers reach every kernel through the module (``kernels.matmul(...)``), so a
+profiler can wrap the module-level names from outside.
 
 Reductions that feed permutation-equivariance guarantees (the softmax
 denominator, the mixing matmul) sum their terms in sorted order, so the result
 is a function of the value multiset and not of row ordering.
 """
 
-import os
-
 import numpy as np
 
-USE_NUMBA = os.environ.get("SEMSHOT_NUMBA", "1") != "0"
+# Reported in benchmark environment blocks; numpy is the only backend.
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def _np_row_softmax(m):
+def row_softmax(m):
     shifted = m - m.max(axis=1, keepdims=True)
     ex = np.exp(shifted)
     # Sorted summation: the denominator must not depend on column order.
@@ -31,12 +22,12 @@ def _np_row_softmax(m):
     return ex / denom
 
 
-def _np_row_softmax_grad(soft, grad):
+def row_softmax_grad(soft, grad):
     inner = (soft * grad).sum(axis=1, keepdims=True)
     return soft * (grad - inner)
 
 
-def _np_ce_cols(logits, labels):
+def ce_cols(logits, labels):
     n, b = logits.shape
     shifted = logits - logits.max(axis=0, keepdims=True)
     ex = np.exp(shifted)
@@ -47,30 +38,36 @@ def _np_ce_cols(logits, labels):
     return loss, probs
 
 
-def _np_ce_cols_grad(probs, labels, gscale):
+def ce_cols_grad(probs, labels, gscale):
     b = probs.shape[1]
     out = probs * (gscale / b)
     out[labels, np.arange(b)] -= gscale / b
     return out
 
 
-def _np_relu(m):
+def relu(m):
     return np.maximum(m, 0.0)
 
 
-def _np_relu_grad(out, grad):
+def relu_grad(out, grad):
     return grad * (out > 0.0)
 
 
-def _np_matmul(a, b):
+def matmul(a, b):
     # Matrix product whose per-cell reduction order depends only on the
-    # contraction length, never on the output position or the row count.
-    # BLAS gemm lacks that guarantee, and the heads rely on it: class rows
-    # must score identically before and after unrelated rows are inserted.
-    return (a[:, :, None] * b[None, :, :]).sum(axis=1)
+    # contraction length, never on the output position, the row count or the
+    # column count. BLAS gemm lacks that guarantee, and the heads rely on it:
+    # class rows must score identically before and after unrelated rows are
+    # inserted, and a record must score the same alone as inside a batch.
+    # No ``optimize=``: that would hand the product to BLAS. With two or more
+    # columns einsum sums each cell in plain k order; a lone column would take
+    # a vectorised, reordered dot loop instead, so it is widened to two.
+    if b.shape[1] == 1:
+        return np.einsum("ik,kj->ij", a, np.repeat(b, 2, axis=1))[:, :1].copy()
+    return np.einsum("ik,kj->ij", a, b)
 
 
-def _np_mix_matmul(a, b):
+def mix_matmul(a, b):
     # Products over the contraction axis are sorted before summation, so each
     # output entry is invariant to any permutation of that axis.
     prod = a[:, :, None] * b[None, :, :]
@@ -78,199 +75,8 @@ def _np_mix_matmul(a, b):
     return prod.sum(axis=1)
 
 
-def _np_sgd_update(param, grad, vel, lr, momentum, weight_decay):
+def sgd_update(param, grad, vel, lr, momentum, weight_decay):
     vel *= momentum
     vel += grad
     vel += weight_decay * param
     param -= lr * vel
-
-
-NUMPY_IMPLS = {
-    "row_softmax": _np_row_softmax,
-    "row_softmax_grad": _np_row_softmax_grad,
-    "ce_cols": _np_ce_cols,
-    "ce_cols_grad": _np_ce_cols_grad,
-    "relu": _np_relu,
-    "relu_grad": _np_relu_grad,
-    "matmul": _np_matmul,
-    "mix_matmul": _np_mix_matmul,
-    "sgd_update": _np_sgd_update,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:
-        USE_NUMBA = False
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_row_softmax(m):
-        n, k = m.shape
-        out = np.empty_like(m)
-        for i in range(n):
-            mx = m[i, 0]
-            for j in range(1, k):
-                if m[i, j] > mx:
-                    mx = m[i, j]
-            for j in range(k):
-                out[i, j] = np.exp(m[i, j] - mx)
-            row = np.sort(out[i, :].copy())
-            s = 0.0
-            for j in range(k):
-                s += row[j]
-            for j in range(k):
-                out[i, j] /= s
-        return out
-
-    @njit(cache=True)
-    def _nb_row_softmax_grad(soft, grad):
-        n, k = soft.shape
-        out = np.empty_like(soft)
-        for i in range(n):
-            inner = 0.0
-            for j in range(k):
-                inner += soft[i, j] * grad[i, j]
-            for j in range(k):
-                out[i, j] = soft[i, j] * (grad[i, j] - inner)
-        return out
-
-    @njit(cache=True)
-    def _nb_ce_cols(logits, labels):
-        n, b = logits.shape
-        probs = np.empty_like(logits)
-        loss = 0.0
-        for j in range(b):
-            mx = logits[0, j]
-            for i in range(1, n):
-                if logits[i, j] > mx:
-                    mx = logits[i, j]
-            s = 0.0
-            for i in range(n):
-                e = np.exp(logits[i, j] - mx)
-                probs[i, j] = e
-                s += e
-            for i in range(n):
-                probs[i, j] /= s
-            loss += np.log(s) - (logits[labels[j], j] - mx)
-        return loss / b, probs
-
-    @njit(cache=True)
-    def _nb_ce_cols_grad(probs, labels, gscale):
-        n, b = probs.shape
-        out = np.empty_like(probs)
-        f = gscale / b
-        for j in range(b):
-            for i in range(n):
-                out[i, j] = probs[i, j] * f
-            out[labels[j], j] -= f
-        return out
-
-    @njit(cache=True)
-    def _nb_relu(m):
-        n, k = m.shape
-        out = np.empty_like(m)
-        for i in range(n):
-            for j in range(k):
-                v = m[i, j]
-                out[i, j] = v if v > 0.0 else 0.0
-        return out
-
-    @njit(cache=True)
-    def _nb_relu_grad(out, grad):
-        n, k = out.shape
-        res = np.empty_like(grad)
-        for i in range(n):
-            for j in range(k):
-                res[i, j] = grad[i, j] if out[i, j] > 0.0 else 0.0
-        return res
-
-    @njit(cache=True)
-    def _nb_matmul(a, b):
-        n, k = a.shape
-        m = b.shape[1]
-        out = np.empty((n, m))
-        for i in range(n):
-            for j in range(m):
-                s = 0.0
-                for t in range(k):
-                    s += a[i, t] * b[t, j]
-                out[i, j] = s
-        return out
-
-    @njit(cache=True)
-    def _nb_mix_matmul(a, b):
-        n, k = a.shape
-        m = b.shape[1]
-        out = np.empty((n, m))
-        buf = np.empty(k)
-        for i in range(n):
-            for j in range(m):
-                for t in range(k):
-                    buf[t] = a[i, t] * b[t, j]
-                row = np.sort(buf)
-                s = 0.0
-                for t in range(k):
-                    s += row[t]
-                out[i, j] = s
-        return out
-
-    @njit(cache=True)
-    def _nb_sgd_update(param, grad, vel, lr, momentum, weight_decay):
-        p = param.ravel()
-        g = grad.ravel()
-        v = vel.ravel()
-        for i in range(p.size):
-            v[i] = momentum * v[i] + g[i] + weight_decay * p[i]
-            p[i] -= lr * v[i]
-
-    NUMBA_IMPLS = {
-        "row_softmax": _nb_row_softmax,
-        "row_softmax_grad": _nb_row_softmax_grad,
-        "ce_cols": _nb_ce_cols,
-        "ce_cols_grad": _nb_ce_cols_grad,
-        "relu": _nb_relu,
-        "relu_grad": _nb_relu_grad,
-        "matmul": _nb_matmul,
-        "mix_matmul": _nb_mix_matmul,
-        "sgd_update": _nb_sgd_update,
-    }
-
-    IMPLEMENTATIONS = {"numpy": NUMPY_IMPLS, "numba": NUMBA_IMPLS}
-    BACKEND = "numba"
-    _active = NUMBA_IMPLS
-else:
-    IMPLEMENTATIONS = {"numpy": NUMPY_IMPLS}
-    BACKEND = "numpy"
-    _active = NUMPY_IMPLS
-
-
-row_softmax = _active["row_softmax"]
-row_softmax_grad = _active["row_softmax_grad"]
-ce_cols = _active["ce_cols"]
-ce_cols_grad = _active["ce_cols_grad"]
-relu = _active["relu"]
-relu_grad = _active["relu_grad"]
-matmul = _active["matmul"]
-mix_matmul = _active["mix_matmul"]
-sgd_update = _active["sgd_update"]
-
-
-def warmup():
-    """Trigger jit compilation of every kernel on tiny inputs."""
-    m = np.array([[0.1, -0.2], [0.3, 0.4]])
-    labels = np.zeros(2, dtype=np.int64)
-    s = row_softmax(m)
-    row_softmax_grad(s, m)
-    _, probs = ce_cols(m, labels)
-    ce_cols_grad(probs, labels, 1.0)
-    r = relu(m)
-    relu_grad(r, m)
-    matmul(m, m)
-    mix_matmul(m, m)
-    sgd_update(m.copy(), m, np.zeros_like(m), 0.1, 0.9, 0.0)

@@ -236,15 +236,36 @@ def _collect_grads(head: Head) -> dict:
     return {name: p.grad for name, p in head.params.items() if p.trainable}
 
 
+def _divergence_cause(head: Head) -> str:
+    """Name the first non-finite trainable parameter, or else the largest one
+    (finite parameters can still overflow the forward pass)."""
+    largest, peak = None, -1.0
+    for name, p in head.params.items():
+        if not p.trainable:
+            continue
+        if not np.isfinite(p.value).all():
+            return f"trainable parameter {name!r} holds a non-finite value"
+        m = float(np.abs(p.value).max(initial=0.0))
+        if m > peak:
+            largest, peak = name, m
+    return f"all trainable parameters are finite; the largest is {largest!r} (|max| {peak:.3g})"
+
+
 def _step(head: Head, batch, cfg: TrainConfig, state: OptState, lr: float,
-          use_graph: bool) -> TraceRow:
+          use_graph: bool, phase: str) -> TraceRow:
     result = batch_forward(head, batch, reg_weight=cfg.reg_weight, use_graph=use_graph)
+    loss = result.loss.item()
+    if not math.isfinite(loss):
+        raise FloatingPointError(
+            f"{phase}: loss is {loss} at step {state.step + 1} (lr {lr:g}); "
+            + _divergence_cause(head)
+        )
     result.loss.backward()
     sgd_step(head.param_list(), _collect_grads(head), state, cfg, lr=lr)
     return TraceRow(
         step=state.step,
         lr=lr,
-        loss=result.loss.item(),
+        loss=loss,
         loss_cls=result.loss_cls.item() if result.loss_cls is not None else 0.0,
         loss_reg=result.loss_reg.item() if result.loss_reg is not None else 0.0,
     )
@@ -288,7 +309,8 @@ def base_train(head: Head, base_data, cfg: TrainConfig) -> TrainResult:
     for step in range(cfg.steps):
         idx = rng.integers(0, len(base_data), size=cfg.batch_size)
         batch = [base_data[i] for i in idx]
-        trace.append(_step(head, batch, cfg, state, lr_at(cfg, step, cfg.steps), use_graph))
+        trace.append(_step(head, batch, cfg, state, lr_at(cfg, step, cfg.steps), use_graph,
+                           "base_train"))
     we_after = head.we_hash()
     if we_before != we_after:
         raise RuntimeError("embedding matrix changed during base training")
@@ -338,7 +360,7 @@ def finetune(head: Head, episode: Episode, cfg: TrainConfig) -> TrainResult:
     trace = []
     for step in range(steps):
         trace.append(_step(head, next(batches), cfg, state,
-                           lr_at(cfg, step, steps), use_graph=True))
+                           lr_at(cfg, step, steps), use_graph=True, phase="finetune"))
     we_after = head.we_hash()
     frozen_after = head.param_hash(frozen)
     if we_before != we_after:

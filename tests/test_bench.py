@@ -1,32 +1,31 @@
-"""Benchmark harness sanity: both backends timed on every hot kernel."""
+"""Smoke test of the system benchmark in ``perfbench/``.
 
-from semshot import bench, kernels
+The tracer skips a name it cannot find instead of failing, so a rename in
+``semshot`` would silently drop a per-layer metric. One traced repeat of the
+``paired_k1`` workload must run clean, match its untraced re-run byte for
+byte and wrap every name the benchmark expects.
+"""
 
+import json
+import subprocess
+import sys
+from pathlib import Path
 
-def test_run_times_every_kernel_on_every_backend():
-    rows = bench.run(repeat=2, n_classes=6, d_e=16, batch=4, d=8)
-    names = [name for name, _ in rows]
-    assert set(names) == {
-        "row_softmax", "row_softmax_grad", "ce_cols", "ce_cols_grad",
-        "relu", "relu_grad", "mix_matmul", "sgd_update",
-    }
-    for name, timings in rows:
-        assert set(timings) == set(kernels.IMPLEMENTATIONS)
-        for backend, seconds in timings.items():
-            assert seconds > 0, f"{name}/{backend} reported a non-positive time"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_main_prints_a_table(capsys):
-    assert bench.main(["--repeat", "2", "--classes", "5", "--embed-dim", "12",
-                       "--batch", "3", "--proj-dim", "6"]) == 0
-    out = capsys.readouterr().out
-    assert f"active backend: {kernels.BACKEND}" in out
-    assert "row_softmax" in out and "sgd_update" in out
-    if "numba" in kernels.IMPLEMENTATIONS:
-        assert "speedup" in out
-
-
-def test_numpy_backend_always_registered():
-    assert "numpy" in kernels.IMPLEMENTATIONS
-    for name in kernels.NUMPY_IMPLS:
-        assert name in kernels.IMPLEMENTATIONS["numpy"]
+def test_perfbench_paired_k1_traced_run_is_correct_and_fully_wrapped():
+    # --seconds must be positive; the window always runs at least one repeat
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "paired_k1",
+         "--seed", "0", "--seconds", "0.1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    details_line, result_line = proc.stdout.strip().splitlines()[-2:]
+    result = json.loads(result_line)
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    details = json.loads(details_line)["detail"]
+    assert details["traced_equals_untraced"] is True
+    assert details["unwrapped"] == []

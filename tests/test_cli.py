@@ -107,6 +107,24 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert "unknown config keys ['nope']" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_diverging_training_exits_1_and_names_the_step(corpus, tmp_path, capsys):
+    out = tmp_path / "diverged"
+    code = run(
+        "train", "--out-dir", out,
+        "--data", corpus / "base_train.jsonl",
+        "--registry", corpus / "registry_base.json",
+        "--embeddings", corpus / "embeddings.txt",
+        "--mode", "ssp", "--proj-dim", 8, "--steps", 12, "--batch-size", 8,
+        "--seed", 1, "--lr", 50,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: base_train: loss is inf at step 5 (lr 50)")
+    assert not (out / "head.json").exists()
+
+
 def test_missing_required_options_fail(capsys):
     assert run("train") == 1
     err = capsys.readouterr().err

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from semshot.embeddings import ClassRegistry
+from semshot import evaluation
+from semshot.embeddings import ClassRegistry, random_embeddings
 from semshot.evaluation import (
     ForgettingReport,
     MetricsReport,
@@ -41,6 +42,23 @@ def one_hot_record(idx, label, d_in=6, rid="r"):
     feat = np.zeros(d_in)
     feat[idx] = 1.0
     return FeatureRecord(id=rid, label=label, feat=feat)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "ssp", "srr"])
+def test_record_logits_do_not_depend_on_its_batch(mode):
+    # evaluate() and predict() score through _logits_only; a record must get
+    # the same logit bits alone as in the middle of a batch
+    registry = ClassRegistry(base=("cat", "dog", "cow", "pig"), novel=("fox", "owl"))
+    we = random_embeddings(registry, dim=40, seed=2)
+    head = make_head(mode, registry, we, d_in=24, d=16, r=4)
+    rng = np.random.default_rng(3)
+    labels = registry.base + registry.novel
+    records = [FeatureRecord(id=f"r{i}", label=labels[i % len(labels)],
+                             feat=rng.standard_normal(24)) for i in range(9)]
+    batched = evaluation._logits_only(head, records)
+    for j, rec in enumerate(records):
+        alone = evaluation._logits_only(head, [rec])
+        assert np.array_equal(alone[:, 0], batched[:, j]), f"record {rec.id} scored differently alone"
 
 
 def test_predict_argmax_with_lowest_index_ties():

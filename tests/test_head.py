@@ -244,3 +244,33 @@ def test_state_dict_rejects_unknown_format(base_reg):
     state["format"] = "something-else"
     with pytest.raises(ValueError, match="format"):
         head_from_state(state)
+
+
+def test_checkpoint_rejects_truncated_projection(base_reg):
+    we = random_embeddings(base_reg, dim=6, seed=12)
+    state = head_state(make_head("ssp", base_reg, we, d=8))
+    state["params"]["P"] = state["params"]["P"][:3]
+    with pytest.raises(ValueError, match=r"'P': expected shape \(6, 8\), found shape \(3, 8\)"):
+        head_from_state(state)
+
+
+def test_checkpoint_rejects_extra_and_missing_parameters(base_reg):
+    we = random_embeddings(base_reg, dim=6, seed=13)
+    state = head_state(make_head("srr", base_reg, we, d=8, r=4))
+    state["params"]["bogus"] = [[0.0, 1.0]]
+    state["trainable"]["bogus"] = True
+    with pytest.raises(ValueError, match=r"'bogus': expected no such parameter, found shape \(1, 2\)"):
+        head_from_state(state)
+    del state["params"]["bogus"], state["params"]["t_l"]
+    with pytest.raises(ValueError, match=r"'t_l': expected shape \(4, 6\), found no such parameter"):
+        head_from_state(state)
+
+
+def test_checkpoint_rejects_heuristic_graph_of_wrong_size(base_reg):
+    we = random_embeddings(base_reg, dim=6, seed=14)
+    head = make_head("srr", base_reg, we, graph_mode="heuristic", d=8)
+    attach_heuristic_graph(head, np.full((4, 4), 0.25))
+    state = head_state(head)
+    state["g_heur"] = [row[:3] for row in state["g_heur"][:3]]
+    with pytest.raises(ValueError, match=r"expected shape \(4, 4\), found shape \(3, 3\)"):
+        head_from_state(state)

@@ -1,9 +1,6 @@
-"""Both kernel families must agree numerically and honor their ordering
-guarantees (sorted reductions that make results row-order independent)."""
-
-import os
-import subprocess
-import sys
+"""The kernels honor their ordering guarantees: sorted reductions that make
+results row-order independent, and a matmul whose cells do not depend on the
+shape of the batch they sit in."""
 
 import numpy as np
 import pytest
@@ -14,64 +11,16 @@ from semshot import kernels
 def _inputs(seed=0, n=9, b=6):
     rng = np.random.default_rng(seed)
     scores = rng.standard_normal((n, n)) * 3
-    soft = kernels.NUMPY_IMPLS["row_softmax"](scores)
+    soft = kernels.row_softmax(scores)
     logits = rng.standard_normal((n, b)) * 2
     labels = rng.integers(0, n, size=b).astype(np.int64)
-    _, probs = kernels.NUMPY_IMPLS["ce_cols"](logits, labels)
+    _, probs = kernels.ce_cols(logits, labels)
     pre = rng.standard_normal((5, b))
     graph = np.abs(rng.standard_normal((n, n)))
     graph /= graph.sum(axis=1, keepdims=True)
     rows = rng.standard_normal((n, 7))
     return dict(scores=scores, soft=soft, logits=logits, labels=labels,
                 probs=probs, pre=pre, graph=graph, rows=rows, rng=rng)
-
-
-has_numba = "numba" in kernels.IMPLEMENTATIONS
-needs_numba = pytest.mark.skipif(not has_numba, reason="numba backend not active")
-
-
-@needs_numba
-@pytest.mark.parametrize("name", sorted(kernels.NUMPY_IMPLS))
-def test_backends_agree(name):
-    d = _inputs()
-    np_impl = kernels.NUMPY_IMPLS[name]
-    nb_impl = kernels.NUMBA_IMPLS[name]
-    if name == "row_softmax":
-        args = [(d["scores"],)]
-    elif name == "row_softmax_grad":
-        args = [(d["soft"], d["scores"])]
-    elif name == "ce_cols":
-        args = [(d["logits"], d["labels"])]
-    elif name == "ce_cols_grad":
-        args = [(d["probs"], d["labels"], 0.7)]
-    elif name == "relu":
-        args = [(d["pre"],)]
-    elif name == "relu_grad":
-        args = [(np.maximum(d["pre"], 0.0), d["pre"])]
-    elif name == "matmul":
-        args = [(d["graph"], d["rows"])]
-    elif name == "mix_matmul":
-        args = [(d["graph"], d["rows"])]
-    elif name == "sgd_update":
-        p = d["rows"].copy()
-        g = d["rng"].standard_normal(p.shape)
-        v = np.zeros_like(p)
-        p2, v2 = p.copy(), v.copy()
-        np_impl(p, g, v, 0.02, 0.9, 1e-4)
-        nb_impl(p2, g, v2, 0.02, 0.9, 1e-4)
-        np.testing.assert_allclose(p, p2, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(v, v2, rtol=0, atol=1e-14)
-        return
-    else:  # pragma: no cover - new kernel without a parity case
-        pytest.fail(f"no parity inputs for kernel {name!r}")
-    for a in args:
-        got_np = np_impl(*a)
-        got_nb = nb_impl(*a)
-        if name == "ce_cols":
-            assert got_np[0] == pytest.approx(got_nb[0], abs=1e-12)
-            np.testing.assert_allclose(got_np[1], got_nb[1], atol=1e-13)
-        else:
-            np.testing.assert_allclose(got_np, got_nb, atol=1e-13)
 
 
 def test_row_softmax_rows_sum_to_one():
@@ -96,6 +45,33 @@ def test_matmul_rows_score_independent_of_other_rows():
     a, b = d["graph"], d["rows"]
     bigger = np.vstack([a, a[:2] * 1.7])
     assert np.array_equal(kernels.matmul(a, b), kernels.matmul(bigger, b)[: a.shape[0]])
+
+
+@pytest.mark.parametrize("n,k,m", [
+    (1, 1, 1), (3, 5, 1), (7, 64, 1), (21, 300, 1), (5, 300, 16),
+    (16, 64, 16), (21, 300, 64), (4, 9, 3), (2, 1000, 2),
+])
+def test_matmul_cells_independent_of_batch_shape(n, k, m):
+    # Each output cell must come out bit-identical however many rows and
+    # columns surround it: rows inserted into ``a`` and a column computed on
+    # its own (m=1, a single record) leave every cell unchanged.
+    rng = np.random.default_rng([n, k, m])
+    a = rng.standard_normal((n, k))
+    b = rng.standard_normal((k, m))
+    full = kernels.matmul(a, b)
+    extra = rng.standard_normal((3, k))
+    bigger = kernels.matmul(np.vstack([extra[:1], a, extra[1:]]), b)
+    assert np.array_equal(full, bigger[1:n + 1])
+    for j in range(m):
+        alone = kernels.matmul(a, np.ascontiguousarray(b[:, j:j + 1]))
+        assert np.array_equal(full[:, j:j + 1], alone), f"column {j} changed when computed alone"
+    for i in range(n):
+        assert np.array_equal(full[i:i + 1], kernels.matmul(a[i:i + 1], b))
+    # reference: every cell is the plain left-to-right sum over k
+    ref = a[:, :1] * b[:1]
+    for t in range(1, k):
+        ref = ref + a[:, t:t + 1] * b[t:t + 1]
+    assert np.array_equal(full, ref)
 
 
 def test_mix_matmul_contraction_is_permutation_invariant():
@@ -129,16 +105,3 @@ def test_sgd_update_matches_momentum_weight_decay_recurrence():
     kernels.sgd_update(p2, g, v2, lr, mom, wd)
     np.testing.assert_allclose(v2, v_ref, atol=1e-14)
     np.testing.assert_allclose(p2, p_ref, atol=1e-14)
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, SEMSHOT_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", "from semshot import kernels; print(kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_warmup_runs_every_kernel():
-    kernels.warmup()

@@ -112,3 +112,16 @@ def test_shot_sweep_shapes_and_validation():
         shot_sweep(cfg, shots=[], seeds=[0])
     with pytest.raises(ValueError, match="at least one"):
         shot_sweep(cfg, shots=[1], seeds=[])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_diverging_base_lr_fails_loudly():
+    # at base_lr=50 the forward pass overflows while every parameter is still
+    # finite; the cell must stop rather than report a novel accuracy of 0.0
+    cfg = bundled_benchmark(mode="ssp", base_lr=50)
+    with pytest.raises(
+        FloatingPointError,
+        match=r"^base_train: loss is nan at step 6 \(lr 50\); .* the largest is 'trunk_b1'",
+    ):
+        run_cell(cfg, 1, 0)
