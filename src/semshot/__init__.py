@@ -10,7 +10,7 @@ balanced k-shot fine-tune after novel classes are registered.
 
 from .embeddings import BACKGROUND, ClassRegistry, EmbeddingMatrix
 from .head import Head, HeadConfig, HeadMode, build_head
-from .relation import GraphMode, RelationParams
+from .relation import GraphMode
 
 __version__ = "0.1.0"
 
@@ -22,7 +22,6 @@ __all__ = [
     "Head",
     "HeadConfig",
     "HeadMode",
-    "RelationParams",
     "build_head",
     "__version__",
 ]

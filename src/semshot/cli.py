@@ -11,7 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +32,13 @@ from .head import (
     HeadMode,
     attach_heuristic_graph,
     build_head,
+    class_rows,
     decouple_trunks,
     expand_baseline,
     expand_classes,
     forward_pass,
     load_head,
+    relation_graph,
     save_head,
 )
 from .pipeline import bundled_benchmark, clustered_embeddings, shot_sweep
@@ -110,10 +112,16 @@ def _coerce(opt: Opt, value, source: str):
     if opt.type is int:
         if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise ValueError(f"{source}: key {opt.key!r} expects an integer")
-        return int(value)
-    if opt.type is float:
-        return float(value)
-    return str(value)
+        value = int(value)
+    elif opt.type is float:
+        value = float(value)
+    else:
+        value = str(value)
+    if opt.choices is not None and value not in opt.choices:
+        raise ValueError(
+            f"{source}: key {opt.key!r} expects one of {list(opt.choices)}, got {value!r}"
+        )
+    return value
 
 
 def _resolve(opts, ns: argparse.Namespace) -> dict:
@@ -252,12 +260,9 @@ TRAIN_OPTS = [
 
 
 def _head_cfg_from(cfg: dict, mode: HeadMode, d_in: int) -> HeadConfig:
-    graph = cfg.get("graph.mode")
-    if graph is None:
-        graph = "dynamic" if mode is HeadMode.SRR else "none"
     return HeadConfig(
         mode=mode,
-        graph_mode=graph,
+        graph_mode=cfg.get("graph.mode"),
         d_in=d_in,
         d=cfg["proj.dim"],
         r=cfg["reduced.dim"],
@@ -329,8 +334,6 @@ FINETUNE_OPTS = [
 
 
 def _switch_graph_mode(head, requested: str, cfg: dict):
-    from dataclasses import replace
-
     target = rel.GraphMode(requested)
     if head.cfg.mode is HeadMode.SRR:
         if target is head.cfg.graph_mode:
@@ -345,17 +348,10 @@ def _switch_graph_mode(head, requested: str, cfg: dict):
         return
     # ssp -> srr upgrade: attach a fresh identity-initialized relation stage
     head.cfg = replace(head.cfg, mode=HeadMode.SRR, graph_mode=target)
-    if target in (rel.GraphMode.DYNAMIC, rel.GraphMode.TRAINABLE_TRANSFORM):
-        rp = rel.RelationParams.initialize(
-            head.we.dim, head.cfg.r, seed=cfg["seed"], scaled=head.cfg.scaled_attention
-        )
-        if target is rel.GraphMode.TRAINABLE_TRANSFORM:
-            head.params["t_h"] = rp.t_h
-            head.params["t_l"] = rp.t_l
-        else:
-            for p in rp.params():
-                head.params[p.name] = p
-            head.relation = rp
+    head.params.update(rel.init_maps(
+        target, head.we.dim, head.cfg.r, seed=cfg["seed"],
+        scaled=head.cfg.scaled_attention, gain=head.cfg.attention_gain,
+    ))
 
 
 def _trainable_groups(cfg: dict, head) -> tuple | None:
@@ -459,12 +455,8 @@ SWEEP_OPTS = [
 
 def cmd_sweep(cfg: dict) -> int:
     out = _out_dir(cfg)
-    mode = HeadMode(cfg["mode"])
-    graph = cfg.get("graph.mode")
-    if graph is None:
-        graph = "dynamic" if mode is HeadMode.SRR else "none"
     pcfg = bundled_benchmark(
-        mode=mode, graph_mode=graph, alpha=cfg["alpha"],
+        mode=cfg["mode"], graph_mode=cfg.get("graph.mode"), alpha=cfg["alpha"],
         n_base=cfg["base.classes"], n_novel=cfg["novel.classes"],
     )
     shots = _parse_int_list(cfg["shots"], "--shots")
@@ -534,7 +526,6 @@ def run_gradcheck(mode: str, cfg: dict):
     head_mode = HeadMode(mode)
     head_cfg = HeadConfig(
         mode=head_mode,
-        graph_mode="dynamic" if head_mode is HeadMode.SRR else "none",
         d_in=cfg["feat.dim"], d=cfg["proj.dim"], r=cfg["reduced.dim"],
         seed=cfg["seed"],
     )
@@ -593,35 +584,19 @@ EXPORT_OPTS = [
 ]
 
 
-def _effective_rows(head) -> np.ndarray:
-    from .diffmath import Tape
-    from .head import _effective_rows_t
-
-    return _effective_rows_t(Tape(), head).value
-
-
 def cmd_export(cfg: dict) -> int:
     out = _out_dir(cfg)
     head = load_head(cfg["checkpoint"])
     names = head.registry.names
 
     if cfg["kind"] == "graph":
-        if head.g_heur is not None:
-            graph = head.g_heur
-        elif head.relation is not None and head.cfg.graph_mode is rel.GraphMode.DYNAMIC:
-            graph = rel.extract_graph(head.we, head.relation)
-        else:
-            raise ValueError(
-                f"head mode {head.mode.value!r} with graph mode "
-                f"{head.cfg.graph_mode.value!r} has no relation graph to export"
-            )
-        _write_matrix_csv(out / "graph.csv", graph, names, names)
+        _write_matrix_csv(out / "graph.csv", relation_graph(head), names, names)
         _write_meta(out, "export", cfg, [out / "graph.csv"])
         return 0
 
     if head.we is None:
         raise ValueError("baseline heads have no embedding rows to correlate")
-    cm = correlation_map(head.we.matrix, _effective_rows(head), head.registry)
+    cm = correlation_map(head.we.matrix, class_rows(head), head.registry)
     base = list(cm.base_names)
     novel = list(cm.novel_names)
     _write_matrix_csv(out / "correlate_before.csv", cm.before, novel, base)

@@ -208,6 +208,8 @@ def parse_embedding_file(stream, registry: ClassRegistry, background_seed: int =
                 vocab[token] = np.array([float(v) for v in fields[1:]])
             except ValueError:
                 raise ValueError(f"line {lineno}: non-numeric value for token {fields[0]!r}") from None
+            if not np.isfinite(vocab[token]).all():
+                raise ValueError(f"line {lineno}: non-finite value for token {fields[0]!r}")
     if count != declared_count:
         raise ValueError(f"header declares {declared_count} tokens but stream has {count}")
 
@@ -231,7 +233,10 @@ def parse_embedding_file(stream, registry: ClassRegistry, background_seed: int =
 
 def load_embedding_file(path, registry: ClassRegistry, background_seed: int = 0):
     with open(path, encoding="utf-8") as fh:
-        return parse_embedding_file(fh, registry, background_seed)
+        try:
+            return parse_embedding_file(fh, registry, background_seed)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def save_embedding_file(path, names, matrix):

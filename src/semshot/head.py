@@ -25,9 +25,7 @@ from . import diffmath as dm
 from . import relation as rel
 from .diffmath import Param, Tape
 from .embeddings import ClassRegistry, EmbeddingMatrix
-from .records import batch_features
-
-REG_DIM = 4
+from .records import REG_DIM, batch_features
 
 
 class HeadMode(enum.Enum):
@@ -39,7 +37,7 @@ class HeadMode(enum.Enum):
 @dataclass
 class HeadConfig:
     mode: HeadMode = HeadMode.SSP
-    graph_mode: rel.GraphMode = rel.GraphMode.NONE
+    graph_mode: rel.GraphMode | None = None  # None: dynamic for srr, else none
     d_in: int = 32
     d: int = 64
     r: int = rel.DEFAULT_REDUCED_DIM
@@ -54,6 +52,8 @@ class HeadConfig:
             self.mode = HeadMode(self.mode)
         if isinstance(self.graph_mode, str):
             self.graph_mode = rel.GraphMode(self.graph_mode)
+        if self.graph_mode is None:
+            self.graph_mode = rel.GraphMode.NONE
         if self.mode is HeadMode.SRR and self.graph_mode is rel.GraphMode.NONE:
             self.graph_mode = rel.GraphMode.DYNAMIC
         if self.mode is not HeadMode.SRR and self.graph_mode is not rel.GraphMode.NONE:
@@ -70,7 +70,6 @@ class Head:
     we: EmbeddingMatrix | None
     params: dict
     g_heur: np.ndarray | None = None
-    relation: rel.RelationParams | None = None
 
     @property
     def mode(self) -> HeadMode:
@@ -95,9 +94,9 @@ class Head:
         else:
             groups["P"] = ["P"]
         groups["b"] = ["b"]
-        relation_names = [n for n in ("t_f", "t_g", "t_h", "t_l") if n in self.params]
+        relation_names = rel.map_names(self.cfg.graph_mode)
         if relation_names:
-            groups["relation"] = relation_names
+            groups["relation"] = list(relation_names)
         if self.cfg.decoupled:
             groups["cls_trunk"] = self.trunk_names("cls")
             groups["reg_trunk"] = self.trunk_names("reg")
@@ -157,7 +156,6 @@ def build_head(cfg: HeadConfig, registry: ClassRegistry,
     rng = np.random.default_rng([cfg.seed, 0x4D])
     n = registry.n
     params = {}
-    relation_params = None
 
     if cfg.mode is HeadMode.BASELINE:
         params["W"] = Param("W", rng.normal(0.0, 1.0 / np.sqrt(cfg.d), (n, cfg.d)))
@@ -170,18 +168,10 @@ def build_head(cfg: HeadConfig, registry: ClassRegistry,
                 f"embedding rows ({we.n}) do not match registry size ({n})"
             )
         params["P"] = Param("P", rng.normal(0.0, 1.0 / np.sqrt(cfg.d), (we.dim, cfg.d)))
-        if cfg.mode is HeadMode.SRR and cfg.graph_mode is not rel.GraphMode.HEURISTIC:
-            relation_params = rel.RelationParams.initialize(
-                we.dim, cfg.r, seed=cfg.seed, scaled=cfg.scaled_attention,
-                gain=cfg.attention_gain,
-            )
-            if cfg.graph_mode is rel.GraphMode.TRAINABLE_TRANSFORM:
-                # the per-row ablation has no attention maps to train
-                params["t_h"] = relation_params.t_h
-                params["t_l"] = relation_params.t_l
-            else:
-                for p in relation_params.params():
-                    params[p.name] = p
+        params.update(rel.init_maps(
+            cfg.graph_mode, we.dim, cfg.r, seed=cfg.seed, scaled=cfg.scaled_attention,
+            gain=cfg.attention_gain,
+        ))
 
     params["b"] = Param("b", np.zeros((n, 1)))
     if cfg.decoupled:
@@ -192,11 +182,8 @@ def build_head(cfg: HeadConfig, registry: ClassRegistry,
     params["reg_w"] = Param("reg_w", rng.normal(0.0, 1.0 / np.sqrt(cfg.d), (REG_DIM, cfg.d)))
     params["reg_b"] = Param("reg_b", np.zeros((REG_DIM, 1)))
 
-    head = Head(cfg=cfg, registry=registry, we=we, params=params, relation=relation_params)
-    if cfg.graph_mode is rel.GraphMode.HEURISTIC:
-        # caller attaches the co-occurrence graph afterwards
-        head.g_heur = None
-    return head
+    # a heuristic stage's co-occurrence graph is attached by the caller
+    return Head(cfg=cfg, registry=registry, we=we, params=params)
 
 
 def attach_heuristic_graph(head: Head, graph: np.ndarray):
@@ -228,6 +215,10 @@ def _trunk_t(tape: Tape, head: Head, branch: str, x_t):
     return dm.add_bias(dm.matmul(w2, h), b2)
 
 
+def _maps_t(tape: Tape, head: Head) -> dict:
+    return {n: tape.param(head.params[n]) for n in rel.map_names(head.cfg.graph_mode)}
+
+
 def _effective_rows_t(tape: Tape, head: Head):
     """Class rows on the tape: W, raw We, or relation-refined We."""
     if head.mode is HeadMode.BASELINE:
@@ -236,17 +227,14 @@ def _effective_rows_t(tape: Tape, head: Head):
     if head.mode is HeadMode.SSP:
         return we_t
     gm = head.cfg.graph_mode
-    if gm is rel.GraphMode.DYNAMIC:
-        rp_t = {n: tape.param(head.params[n]) for n in ("t_f", "t_g", "t_h", "t_l")}
-        return rel.relation_forward_t(we_t, rp_t, head.cfg.scaled_attention)
-    if gm is rel.GraphMode.TRAINABLE_TRANSFORM:
-        rp_t = {n: tape.param(head.params[n]) for n in ("t_h", "t_l")}
-        return rel.trainable_transform_t(we_t, rp_t)
     if gm is rel.GraphMode.HEURISTIC:
         if head.g_heur is None:
             raise ValueError("heuristic graph mode without an attached co-occurrence graph")
         return dm.matmul(tape.leaf(head.g_heur), we_t)
-    raise ValueError(f"unsupported graph mode {gm!r}")
+    maps_t = _maps_t(tape, head)
+    if gm is rel.GraphMode.TRAINABLE_TRANSFORM:
+        return rel.trainable_transform_t(we_t, maps_t)
+    return rel.relation_forward_t(we_t, maps_t, head.cfg.scaled_attention)
 
 
 def _class_scores_t(tape: Tape, head: Head, v_t, use_graph: bool = True):
@@ -313,52 +301,37 @@ def batch_forward(head: Head, records, reg_weight: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# single-vector conveniences (post-trunk feature -> logits)
+# array-level questions about a head
 
 
-def _single_scores(head: Head, v, expected_mode, use_graph: bool = True) -> np.ndarray:
-    if head.mode is not expected_mode:
-        raise ValueError(
-            f"head mode is {head.mode.value!r}, this entry point needs "
-            f"{expected_mode.value!r}"
-        )
+def class_scores(head: Head, v) -> np.ndarray:
+    """Class scores of one post-trunk feature vector ``v`` (length d)."""
     v = dm.as_matrix(v)
     if v.shape != (head.cfg.d, 1):
         raise ValueError(f"expected a ({head.cfg.d},) feature vector, got shape {v.shape}")
     tape = Tape()
     v_t = tape.leaf(v)
-    return _class_scores_t(tape, head, v_t, use_graph=use_graph).value.reshape(-1)
+    return _class_scores_t(tape, head, v_t).value.reshape(-1)
 
 
-def logits_baseline(head: Head, v) -> np.ndarray:
-    return _single_scores(head, v, HeadMode.BASELINE)
+def class_rows(head: Head) -> np.ndarray:
+    """The class score rows after the relation stage: W, We, or refined We."""
+    return _effective_rows_t(Tape(), head).value
 
 
-def logits_ssp(head: Head, v) -> np.ndarray:
-    return _single_scores(head, v, HeadMode.SSP)
-
-
-def logits_srr(head: Head, v) -> np.ndarray:
-    return _single_scores(head, v, HeadMode.SRR)
-
-
-def trunk_forward(head: Head, raw, branch: str = "cls") -> np.ndarray:
-    """Map a raw d_in feature vector through one trunk branch."""
-    if branch not in ("cls", "reg"):
-        raise ValueError(f"branch must be 'cls' or 'reg', got {branch!r}")
-    x = dm.as_matrix(raw)
-    if x.shape != (head.cfg.d_in, 1):
-        raise ValueError(f"expected a ({head.cfg.d_in},) raw vector, got shape {x.shape}")
+def relation_graph(head: Head) -> np.ndarray:
+    """The row-stochastic class graph of the relation stage: the attached
+    heuristic graph, or the dynamic stage's attention graph."""
+    if head.g_heur is not None:
+        return head.g_heur
+    if head.cfg.graph_mode is not rel.GraphMode.DYNAMIC:
+        raise ValueError(
+            f"head mode {head.mode.value!r} with graph mode "
+            f"{head.cfg.graph_mode.value!r} has no relation graph to export"
+        )
     tape = Tape()
-    return _trunk_t(tape, head, branch, tape.leaf(x)).value.reshape(-1)
-
-
-def regression_forward(head: Head, v) -> np.ndarray:
-    """Linear regression outputs from a post-trunk feature vector."""
-    v = dm.as_matrix(v)
-    if v.shape != (head.cfg.d, 1):
-        raise ValueError(f"expected a ({head.cfg.d},) feature vector, got shape {v.shape}")
-    return (head.params["reg_w"].value @ v + head.params["reg_b"].value).reshape(-1)
+    we_t = tape.leaf(head.we.matrix)
+    return rel.extract_graph_t(we_t, _maps_t(tape, head), head.cfg.scaled_attention).value
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +505,7 @@ def head_from_state(state: dict) -> Head:
         name: Param(name, value, trainable=state["trainable"][name])
         for name, value in found.items()
     }
-    relation_params = None
-    if {"t_f", "t_g", "t_h", "t_l"} <= set(params):
-        relation_params = rel.RelationParams(
-            t_f=params["t_f"], t_g=params["t_g"], t_h=params["t_h"], t_l=params["t_l"],
-            scaled=cfg.scaled_attention,
-        )
-    head = Head(cfg=cfg, registry=registry, we=we, params=params, relation=relation_params)
+    head = Head(cfg=cfg, registry=registry, we=we, params=params)
     if state.get("g_heur") is not None:
         g_heur = np.array(state["g_heur"])
         if g_heur.shape != (registry.n, registry.n):

@@ -74,7 +74,7 @@ def clustered_embeddings(registry: ClassRegistry, dim: int, n_clusters: int,
 @dataclass
 class PipelineConfig:
     mode: HeadMode = HeadMode.SRR
-    graph_mode: rel.GraphMode = rel.GraphMode.DYNAMIC
+    graph_mode: rel.GraphMode | None = None  # None: the head's default
     n_base: int = 15
     n_novel: int = 5
     d_e: int = 24
@@ -105,10 +105,9 @@ class PipelineConfig:
     def __post_init__(self):
         if isinstance(self.mode, str):
             self.mode = HeadMode(self.mode)
-        if isinstance(self.graph_mode, str):
-            self.graph_mode = rel.GraphMode(self.graph_mode)
-        if self.mode is not HeadMode.SRR:
-            self.graph_mode = rel.GraphMode.NONE
+        # heads without a relation stage ignore the requested graph mode
+        graph = self.graph_mode if self.mode is HeadMode.SRR else None
+        self.graph_mode = HeadConfig(mode=self.mode, graph_mode=graph).graph_mode
 
     def registry(self) -> ClassRegistry:
         return ClassRegistry(
@@ -117,7 +116,7 @@ class PipelineConfig:
         )
 
 
-def bundled_benchmark(mode="srr", graph_mode="dynamic", alpha: float = 0.9,
+def bundled_benchmark(mode="srr", graph_mode=None, alpha: float = 0.9,
                       **overrides) -> PipelineConfig:
     """The stock 15-base / 5-novel configuration the acceptance runs use."""
     return PipelineConfig(mode=mode, graph_mode=graph_mode, alpha=alpha, **overrides)

@@ -2,13 +2,15 @@
 
 One record per line: ``{"id": str, "label": str, "feat": [floats], "reg":
 [floats]?}``.  ``feat`` is the raw input feature vector; ``reg`` is an
-optional regression target (box-style, 4 values by convention).
+optional regression target (box-style, ``REG_DIM`` values).
 """
 
 import json
 from dataclasses import dataclass
 
 import numpy as np
+
+REG_DIM = 4
 
 
 @dataclass
@@ -31,9 +33,12 @@ class FeatureRecord:
 
 
 def load_records(path) -> list:
-    """Read a JSONL feature file; malformed lines raise with their line number."""
+    """Read a JSONL feature file.  A malformed line, a non-finite value, a
+    ``reg`` that is not ``REG_DIM`` long and a repeated id each raise,
+    naming ``path:line``."""
     out = []
     dim = None
+    first_line = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -46,12 +51,27 @@ def load_records(path) -> list:
             missing = {"id", "label", "feat"} - set(obj)
             if missing:
                 raise ValueError(f"{path}:{lineno}: missing fields {sorted(missing)}")
-            rec = FeatureRecord(
-                id=str(obj["id"]),
-                label=str(obj["label"]),
-                feat=obj["feat"],
-                reg=obj.get("reg"),
-            )
+            try:
+                rec = FeatureRecord(
+                    id=str(obj["id"]),
+                    label=str(obj["label"]),
+                    feat=obj["feat"],
+                    reg=obj.get("reg"),
+                )
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: non-numeric feat or reg ({exc})") from None
+            for key, values in (("feat", rec.feat), ("reg", rec.reg)):
+                if values is not None and not np.isfinite(values).all():
+                    raise ValueError(f"{path}:{lineno}: non-finite value in {key!r}")
+            if rec.reg is not None and rec.reg.size != REG_DIM:
+                raise ValueError(
+                    f"{path}:{lineno}: reg has {rec.reg.size} values, expected {REG_DIM}"
+                )
+            if rec.id in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate id {rec.id!r} (first on line {first_line[rec.id]})"
+                )
+            first_line[rec.id] = lineno
             if dim is None:
                 dim = rec.feat.size
             elif rec.feat.size != dim:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffmath as dm
-from .diffmath import Param, Tape
-from .embeddings import ClassRegistry, EmbeddingMatrix
+from .diffmath import Param
+from .embeddings import ClassRegistry
 
 DEFAULT_REDUCED_DIM = 32
 DEFAULT_ATTENTION_GAIN = 16.0
@@ -30,69 +30,50 @@ class GraphMode(enum.Enum):
     TRAINABLE_TRANSFORM = "tt"
 
 
-@dataclass
-class RelationParams:
-    """The four trainable maps of the relation module."""
-
-    t_f: Param
-    t_g: Param
-    t_h: Param
-    t_l: Param
-    scaled: bool = True
-
-    @classmethod
-    def initialize(cls, d_e: int, r: int = DEFAULT_REDUCED_DIM, seed: int = 0,
-                   scaled: bool = True,
-                   gain: float = DEFAULT_ATTENTION_GAIN) -> "RelationParams":
-        """Identity-module init with a semantic warm start.
-
-        t_l = 0 makes the refinement an exact identity.  The attention maps
-        start tied (t_f = t_g), so initial scores are the PSD kernel
-        We t_f t_fᵀ Weᵀ ≈ gain · cos(e_i, e_j): the graph opens as a soft
-        similarity neighborhood over classes instead of uniform mixing, which
-        would cancel in the softmax.  ``gain`` sets the initial sharpness.
-        """
-        rng = np.random.default_rng([seed, 0x5E])
-        # tied maps with entry variance s^2 give scores ~ s^2 r cos(e_i, e_j)
-        # (before the sqrt(r) division); solve for the requested gain
-        s = math.sqrt(gain / math.sqrt(r)) if scaled else math.sqrt(gain / r)
-        tied = rng.standard_normal((d_e, r)) * s
-        return cls(
-            t_f=Param("t_f", tied.copy()),
-            t_g=Param("t_g", tied.copy()),
-            t_h=Param("t_h", rng.normal(0.0, 1.0 / math.sqrt(d_e), (d_e, r))),
-            t_l=Param("t_l", np.zeros((r, d_e))),
-            scaled=scaled,
-        )
-
-    @property
-    def d_e(self) -> int:
-        return self.t_f.value.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.t_f.value.shape[1]
-
-    def validate(self):
-        d_e, r = self.t_f.value.shape
-        expect = {"t_f": (d_e, r), "t_g": (d_e, r), "t_h": (d_e, r), "t_l": (r, d_e)}
-        for name, shape in expect.items():
-            actual = getattr(self, name).value.shape
-            if actual != shape:
-                raise ValueError(f"{name} has shape {actual}, expected {shape}")
-
-    def params(self) -> list:
-        return [self.t_f, self.t_g, self.t_h, self.t_l]
+# the trainable maps each relation stage owns, in checkpoint order
+_MAPS = {
+    GraphMode.DYNAMIC: ("t_f", "t_g", "t_h", "t_l"),
+    GraphMode.TRAINABLE_TRANSFORM: ("t_h", "t_l"),
+}
 
 
-def _matrix_of(we) -> np.ndarray:
-    if isinstance(we, EmbeddingMatrix):
-        return we.matrix
-    return dm.as_matrix(we)
+def map_names(mode: GraphMode) -> tuple:
+    """Names of the trainable maps the relation stage ``mode`` owns."""
+    return _MAPS.get(mode, ())
+
+
+def init_maps(mode: GraphMode, d_e: int, r: int = DEFAULT_REDUCED_DIM, seed: int = 0,
+              scaled: bool = True, gain: float = DEFAULT_ATTENTION_GAIN) -> dict:
+    """Identity-module init with a semantic warm start: name -> Param for
+    the maps ``mode`` owns, in ``map_names`` order.
+
+    t_l = 0 makes the refinement an exact identity.  The attention maps
+    start tied (t_f = t_g), so initial scores are the PSD kernel
+    We t_f t_fᵀ Weᵀ ≈ gain · cos(e_i, e_j): the graph opens as a soft
+    similarity neighborhood over classes instead of uniform mixing, which
+    would cancel in the softmax.  ``gain`` sets the initial sharpness.
+    """
+    names = map_names(mode)
+    if not names:
+        return {}
+    rng = np.random.default_rng([seed, 0x5E])
+    # tied maps with entry variance s^2 give scores ~ s^2 r cos(e_i, e_j)
+    # (before the sqrt(r) division); solve for the requested gain
+    s = math.sqrt(gain / math.sqrt(r)) if scaled else math.sqrt(gain / r)
+    # every mode draws the tied maps first, so t_h holds the same bits in each
+    tied = rng.standard_normal((d_e, r)) * s
+    values = {
+        "t_f": tied.copy(),
+        "t_g": tied,
+        "t_h": rng.normal(0.0, 1.0 / math.sqrt(d_e), (d_e, r)),
+        "t_l": np.zeros((r, d_e)),
+    }
+    return {name: Param(name, values[name]) for name in names}
 
 
 # ---------------------------------------------------------------------------
-# tape-level builders (used inside head forward passes)
+# tape-level builders (used inside head forward passes); ``maps_t`` maps the
+# relation map names to tensors
 
 
 def attention_scores_t(we_t, t_f, t_g, scaled: bool):
@@ -105,61 +86,27 @@ def attention_scores_t(we_t, t_f, t_g, scaled: bool):
     return scores
 
 
-def extract_graph_t(we_t, t_f, t_g, scaled: bool):
-    return dm.row_softmax(attention_scores_t(we_t, t_f, t_g, scaled))
+def extract_graph_t(we_t, maps_t, scaled: bool):
+    """The row-stochastic attention graph over classes (rows sum to 1)."""
+    return dm.row_softmax(attention_scores_t(we_t, maps_t["t_f"], maps_t["t_g"], scaled))
 
 
-def relation_forward_t(we_t, rp_t, scaled: bool):
+def relation_forward_t(we_t, maps_t, scaled: bool):
     """Refined embeddings G (We Th Tl) + We on the tape.
 
-    ``rp_t`` maps the four relation param names to tensors.  The mixing matmul
-    sums in sorted order, which makes the whole refinement exactly equivariant
-    to row permutations of We.
+    The mixing matmul sums in sorted order, which makes the whole refinement
+    exactly equivariant to row permutations of We.
     """
-    graph = extract_graph_t(we_t, rp_t["t_f"], rp_t["t_g"], scaled)
-    transformed = dm.matmul(dm.matmul(we_t, rp_t["t_h"]), rp_t["t_l"])
+    graph = extract_graph_t(we_t, maps_t, scaled)
+    transformed = dm.matmul(dm.matmul(we_t, maps_t["t_h"]), maps_t["t_l"])
     mixed = dm.mix_matmul(graph, transformed)
     return dm.add(mixed, we_t)
 
 
-def trainable_transform_t(we_t, rp_t):
+def trainable_transform_t(we_t, maps_t):
     """Ablation: per-row transform We Th Tl + We, no cross-row mixing."""
-    transformed = dm.matmul(dm.matmul(we_t, rp_t["t_h"]), rp_t["t_l"])
+    transformed = dm.matmul(dm.matmul(we_t, maps_t["t_h"]), maps_t["t_l"])
     return dm.add(transformed, we_t)
-
-
-def _run_detached(builder, we, rp: RelationParams):
-    tape = Tape()
-    we_t = tape.leaf(_matrix_of(we))
-    rp_t = {p.name: tape.leaf(p.value) for p in rp.params()}
-    return builder(we_t, rp_t)
-
-
-# ---------------------------------------------------------------------------
-# array-level interface
-
-
-def relation_forward(we, rp: RelationParams) -> np.ndarray:
-    """Refined embedding matrix for fixed parameter values."""
-    rp.validate()
-    return _run_detached(
-        lambda we_t, rp_t: relation_forward_t(we_t, rp_t, rp.scaled), we, rp
-    ).value
-
-
-def extract_graph(we, rp: RelationParams) -> np.ndarray:
-    """The row-stochastic attention graph over classes (rows sum to 1)."""
-    rp.validate()
-    return _run_detached(
-        lambda we_t, rp_t: extract_graph_t(we_t, rp_t["t_f"], rp_t["t_g"], rp.scaled),
-        we,
-        rp,
-    ).value
-
-
-def trainable_transform(we, rp: RelationParams) -> np.ndarray:
-    rp.validate()
-    return _run_detached(trainable_transform_t, we, rp).value
 
 
 def cooccurrence_graph(label_sets, registry: ClassRegistry) -> np.ndarray:
@@ -214,8 +161,8 @@ def _cosine_block(rows_a, rows_b) -> np.ndarray:
 
 def correlation_map(we_before, we_after, registry: ClassRegistry) -> CorrelationMaps:
     """How the relation stage moved each novel row relative to the base rows."""
-    before = _matrix_of(we_before)
-    after = _matrix_of(we_after)
+    before = dm.as_matrix(we_before)
+    after = dm.as_matrix(we_after)
     if before.shape != after.shape:
         raise ValueError(f"shape mismatch: {before.shape} vs {after.shape}")
     if before.shape[0] != registry.n:

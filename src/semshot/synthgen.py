@@ -17,14 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import ClassRegistry, EmbeddingMatrix
-from .records import FeatureRecord
+from .records import REG_DIM, FeatureRecord
 
 _STREAM_MAP = 1
 _STREAM_UNIT = 2
 _STREAM_NOISE = 3
 _STREAM_REG = 4
 
-REG_DIM = 4
 
 
 @dataclass

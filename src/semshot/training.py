@@ -297,7 +297,7 @@ def base_train(head: Head, base_data, cfg: TrainConfig) -> TrainResult:
     use_graph = head.cfg.graph_in_base
     trainable = set(head.params)
     if not use_graph:
-        trainable -= {"t_f", "t_g", "t_h", "t_l"}
+        trainable -= set(head.param_groups().get("relation", ()))
     if cfg.trainable is not None:
         trainable = head.resolve_groups(cfg.trainable)
     head.set_trainable(trainable)

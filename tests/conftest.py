@@ -24,11 +24,7 @@ def embeddings(registry):
 
 def make_head(mode, registry, we=None, graph_mode=None, d_in=10, d=8, r=4,
               seed=0, **kw):
-    cfg = HeadConfig(
-        mode=mode,
-        graph_mode=graph_mode or ("dynamic" if mode == "srr" else "none"),
-        d_in=d_in, d=d, r=r, seed=seed, **kw,
-    )
+    cfg = HeadConfig(mode=mode, graph_mode=graph_mode, d_in=d_in, d=d, r=r, seed=seed, **kw)
     return build_head(cfg, registry, we if HeadMode(mode) is not HeadMode.BASELINE else None)
 
 

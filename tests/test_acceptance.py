@@ -14,15 +14,16 @@ import pytest
 import semshot.cli as cli
 from semshot import relation as rel
 from semshot.cli import main as cli_main, run_gradcheck
-from semshot.embeddings import ClassRegistry, random_embeddings
+from semshot.embeddings import ClassRegistry, EmbeddingMatrix, random_embeddings
 from semshot.evaluation import paired_onesided_pvalue
 from semshot.head import (
     HeadConfig,
     build_head,
+    class_rows,
+    class_scores,
     expand_classes,
     forward_pass,
-    logits_srr,
-    logits_ssp,
+    relation_graph,
 )
 from semshot.pipeline import bundled_benchmark, run_cell
 from semshot.training import (
@@ -42,11 +43,7 @@ SEEDS = range(20)
 def _small_instance(seed=0, mode="ssp", graph_mode=None):
     registry = ClassRegistry(base=("b0", "b1", "b2"), novel=("n0", "n1"))
     we = random_embeddings(registry, dim=16, seed=seed)
-    cfg = HeadConfig(
-        mode=mode,
-        graph_mode=graph_mode or ("dynamic" if mode == "srr" else "none"),
-        d_in=10, d=8, r=4, seed=seed,
-    )
+    cfg = HeadConfig(mode=mode, graph_mode=graph_mode, d_in=10, d=8, r=4, seed=seed)
     return registry, we, build_head(cfg, registry, we)
 
 
@@ -82,7 +79,7 @@ def test_criterion_02_relation_stage_is_identity_at_init():
     worst = 0.0
     for _ in range(1000):
         v = rng.standard_normal((8, 1))
-        diff = np.abs(logits_srr(srr, v) - logits_ssp(ssp, v)).max()
+        diff = np.abs(class_scores(srr, v) - class_scores(ssp, v)).max()
         worst = max(worst, diff)
     assert worst < 1e-12, f"max |srr - ssp| = {worst:.3e} >= 1e-12"
     print(f"criterion 2: max |srr - ssp| over 1000 vectors = {worst:.3e}")
@@ -110,7 +107,7 @@ def test_criterion_03_composed_path_matches_expanded_algebra():
         v = rng.standard_normal((8, 1))
         want = (g @ w @ th @ tl @ (p @ v) + w @ (p @ v) + b).reshape(-1)
 
-        got = logits_srr(head, v)
+        got = class_scores(head, v)
         worst = max(worst, np.abs(got - want).max())
     assert worst < 1e-10, f"max composed-vs-expanded gap {worst:.3e} >= 1e-10"
     print(f"criterion 3: max gap over 100 instances = {worst:.3e}")
@@ -118,23 +115,29 @@ def test_criterion_03_composed_path_matches_expanded_algebra():
 
 def test_criterion_04_graph_rows_stochastic_and_permutation_equivariant():
     """Extracted relation graphs are row-stochastic to 1e-12, and refining a
-    row-permuted embedding matrix equals permuting the refined rows, bitwise."""
+    row-permuted embedding matrix equals permuting the refined rows, bitwise.
+    Both run through the dynamic head's own relation stage."""
     rng = np.random.default_rng(40)
     worst_rowsum = 0.0
     for i in range(20):
         n = int(rng.integers(3, 12))
         rows = rng.standard_normal((n, 12))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        rp = rel.RelationParams.initialize(12, 4, seed=i)
-        for p in (rp.t_f, rp.t_g, rp.t_h, rp.t_l):
+        registry = ClassRegistry(base=tuple(f"c{j}" for j in range(n - 1)))
+        head = build_head(
+            HeadConfig(mode="srr", d_in=10, d=8, r=4, seed=i), registry, EmbeddingMatrix(rows)
+        )
+        for name in ("t_f", "t_g", "t_h", "t_l"):
+            p = head.params[name]
             p.value[:] = rng.normal(0.0, 0.6, p.value.shape)
-        graph = rel.extract_graph(rows, rp)
+        graph = relation_graph(head)
         worst_rowsum = max(worst_rowsum, np.abs(graph.sum(axis=1) - 1.0).max())
-        refined = rel.relation_forward(rows, rp)
+        refined = class_rows(head)
         for _ in range(5):  # 20 matrices x 5 permutations = 100 checks
             perm = rng.permutation(n)
+            head.we = EmbeddingMatrix(rows[perm])
             assert np.array_equal(
-                rel.relation_forward(rows[perm], rp), refined[perm]
+                class_rows(head), refined[perm]
             ), "row permutation did not commute exactly with the relation stage"
     assert worst_rowsum < 1e-12, f"row sums off by {worst_rowsum:.3e} >= 1e-12"
     print(f"criterion 4: worst row-sum deviation {worst_rowsum:.3e}, "
@@ -157,9 +160,9 @@ def test_criterion_05_projection_head_expansion_leaves_base_scores_untouched():
             base_only, we_full.select_rows(keep),
         )
         v = np.random.default_rng([i, 5]).standard_normal((8, 1))
-        before = logits_ssp(head, v)
+        before = class_scores(head, v)
         expand_classes(head, full, we_full.matrix[full.novel_indices()])
-        after = logits_ssp(head, v)
+        after = class_scores(head, v)
         assert np.array_equal(before[:3], after[:3]), f"instance {i}: base scores moved"
         assert np.array_equal(before[3], after[5])  # background row, now last
 
@@ -171,9 +174,9 @@ def test_criterion_05_projection_head_expansion_leaves_base_scores_untouched():
     )
     srr.params["t_l"].value[:] = np.random.default_rng(8).normal(0.0, 0.5, (4, 16))
     v = np.random.default_rng(9).standard_normal((8, 1))
-    before = logits_srr(srr, v)
+    before = class_scores(srr, v)
     expand_classes(srr, full, we_full.matrix[full.novel_indices()])
-    after = logits_srr(srr, v)
+    after = class_scores(srr, v)
     shift = np.abs(after[:3] - before[:3]).max()
     assert shift > 1e-6, "expected attention renormalization to move base scores"
     print(f"criterion 5: 100/100 projection expansions bit-identical; "

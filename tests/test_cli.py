@@ -125,6 +125,17 @@ def test_diverging_training_exits_1_and_names_the_step(corpus, tmp_path, capsys)
     assert not (out / "head.json").exists()
 
 
+def test_config_file_value_outside_choices_fails(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"embeddings": "bogus"}))
+    out = tmp_path / "x"
+    code = run("synth", "--config", cfg_file, "--out-dir", out)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{cfg_file}: key 'embeddings' expects one of ['clustered', 'random'], got 'bogus'" in err
+    assert not (out / "meta.json").exists()
+
+
 def test_missing_required_options_fail(capsys):
     assert run("train") == 1
     err = capsys.readouterr().err
@@ -162,6 +173,43 @@ def test_finetune_expands_and_freezes(corpus, trained, tmp_path, capsys):
     assert set(metrics["class_names"]) >= {"base00", "novel01"}
     confusion = (scored / "confusion.csv").read_text().splitlines()
     assert len(confusion) == 1 + 6  # header + 5 classes + background
+
+
+@pytest.mark.parametrize("graph,trainable", [
+    ("dynamic", ["P", "b", "t_f", "t_g", "t_h", "t_l"]),
+    ("tt", ["P", "b", "t_h", "t_l"]),
+])
+def test_finetune_upgrades_ssp_checkpoint_to_relation_stage(
+        corpus, trained, tmp_path, capsys, graph, trainable):
+    out = tmp_path / f"ft_{graph}"
+    code = run(
+        "finetune", "--out-dir", out,
+        "--checkpoint", trained / "head.json",
+        "--registry", corpus / "registry.json",
+        "--embeddings", corpus / "embeddings.txt",
+        "--base-data", corpus / "base_train.jsonl",
+        "--novel-data", corpus / "novel_train.jsonl",
+        "--graph-mode", graph,
+        "--k", 2, "--base-shots", 3, "--steps", 8, "--seed", 1,
+    )
+    assert code == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["run"]["trainable"] == trainable
+    head = json.loads((out / "head.json").read_text())
+    assert (head["mode"], head["graph_mode"]) == ("srr", graph)
+
+    exported = tmp_path / f"graph_{graph}"
+    code = run("export", "graph", "--out-dir", exported, "--checkpoint", out / "head.json")
+    if graph == "tt":
+        assert code == 1
+        assert "no relation graph to export" in capsys.readouterr().err
+        return
+    assert code == 0
+    lines = (exported / "graph.csv").read_text().splitlines()
+    assert len(lines) == 1 + 6  # header + 5 classes + background
+    for line in lines[1:]:
+        row = [float(v) for v in line.split(",")[1:]]
+        assert sum(row) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_finetune_freeze_all_moves_nothing(corpus, trained, tmp_path):

@@ -1,6 +1,7 @@
 """Class registry ordering rules and word2vec-text embedding parsing."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,16 @@ def test_parse_embedding_file_errors():
         parse_embedding_file(_w2v(["1 2", "cat 1.0"]), reg)
     with pytest.raises(ValueError, match="cat"):
         parse_embedding_file(_w2v(["1 2", "dog 1.0 0.0"]), reg)
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match="line 2: non-finite value for token 'cat'"):
+            parse_embedding_file(_w2v(["1 3", f"cat {bad} 1 2"]), reg)
+
+
+def test_load_embedding_file_names_the_file(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("2 2\ncat 1.0 0.0\ndog 0.0 NaN\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: non-finite value for token 'dog'")):
+        load_embedding_file(path, ClassRegistry(base=("cat", "dog")))
 
 
 def test_background_row_is_seeded_and_independent_of_classes():

@@ -1,4 +1,4 @@
-"""Head construction, logits formulas, class expansion, and checkpoints."""
+"""Head construction, class-score formulas, class expansion, and checkpoints."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ from semshot.head import (
     HeadMode,
     attach_heuristic_graph,
     build_head,
+    class_rows,
+    class_scores,
     decouple_trunks,
     expand_baseline,
     expand_classes,
@@ -17,12 +19,8 @@ from semshot.head import (
     head_from_state,
     head_state,
     load_head,
-    logits_baseline,
-    logits_srr,
-    logits_ssp,
-    regression_forward,
+    relation_graph,
     save_head,
-    trunk_forward,
 )
 
 from conftest import make_head
@@ -49,25 +47,28 @@ def test_build_head_validation(base_reg):
         HeadConfig(mode="ssp", graph_mode="dynamic")
     # srr defaults its graph stage to dynamic
     assert HeadConfig(mode="srr").graph_mode is rel.GraphMode.DYNAMIC
+    assert HeadConfig(mode="ssp").graph_mode is rel.GraphMode.NONE
 
 
 def test_baseline_logits_are_linear_scores(base_reg):
     head = make_head("baseline", base_reg, d=8)
     v = np.random.default_rng(0).standard_normal((8, 1))
-    got = logits_baseline(head, v)
+    got = class_scores(head, v)
     want = (head.params["W"].value @ v + head.params["b"].value).reshape(-1)
     np.testing.assert_allclose(got, want, atol=1e-12)
-    with pytest.raises(ValueError, match="needs 'ssp'"):
-        logits_ssp(head, v)
+    np.testing.assert_array_equal(class_scores(head, v.reshape(-1)), got)
+    with pytest.raises(ValueError, match=r"expected a \(8,\) feature vector, got shape \(7, 1\)"):
+        class_scores(head, v[:7])
 
 
 def test_ssp_logits_project_into_embedding_space(base_reg):
     we = random_embeddings(base_reg, dim=6, seed=1)
     head = make_head("ssp", base_reg, we, d=8)
     v = np.random.default_rng(1).standard_normal((8, 1))
-    got = logits_ssp(head, v)
+    got = class_scores(head, v)
     want = (we.matrix @ head.params["P"].value @ v + head.params["b"].value).reshape(-1)
     np.testing.assert_allclose(got, want, atol=1e-12)
+    np.testing.assert_array_equal(class_rows(head), we.matrix)
 
 
 def test_srr_logits_use_refined_rows(base_reg):
@@ -77,13 +78,14 @@ def test_srr_logits_use_refined_rows(base_reg):
     for name in ("t_f", "t_g", "t_h", "t_l"):
         head.params[name].value[:] = rng.standard_normal(head.params[name].value.shape)
     v = rng.standard_normal((8, 1))
-    got = logits_srr(head, v)
-    rp = rel.RelationParams(
-        t_f=head.params["t_f"], t_g=head.params["t_g"],
-        t_h=head.params["t_h"], t_l=head.params["t_l"],
-        scaled=head.cfg.scaled_attention,
-    )
-    refined = rel.relation_forward(we, rp)
+    got = class_scores(head, v)
+    w = we.matrix
+    tf, tg, th, tl = (head.params[n].value for n in ("t_f", "t_g", "t_h", "t_l"))
+    scores = (w @ tf) @ (w @ tg).T / 2.0  # sqrt(r) = 2
+    g = np.exp(scores - scores.max(axis=1, keepdims=True))
+    g /= g.sum(axis=1, keepdims=True)
+    refined = g @ (w @ th @ tl) + w
+    np.testing.assert_allclose(class_rows(head), refined, atol=1e-10)
     want = (refined @ head.params["P"].value @ v + head.params["b"].value).reshape(-1)
     np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -93,10 +95,13 @@ def test_heuristic_graph_mode_mixes_rows_with_fixed_graph(base_reg):
     head = make_head("srr", base_reg, we, graph_mode="heuristic", d=8)
     v = np.random.default_rng(3).standard_normal((8, 1))
     with pytest.raises(ValueError, match="without an attached"):
-        logits_srr(head, v)
+        class_scores(head, v)
+    with pytest.raises(ValueError, match="no relation graph"):
+        relation_graph(head)
     g = np.full((4, 4), 0.25)
     attach_heuristic_graph(head, g)
-    got = logits_srr(head, v)
+    assert relation_graph(head) is head.g_heur
+    got = class_scores(head, v)
     want = (g @ we.matrix @ head.params["P"].value @ v + head.params["b"].value).reshape(-1)
     np.testing.assert_allclose(got, want, atol=1e-12)
     with pytest.raises(ValueError, match="does not match"):
@@ -116,9 +121,9 @@ def test_ssp_expansion_keeps_base_scores_bit_identical(base_reg, full_reg):
     head = make_head("ssp", base_reg, we_full.select_rows(base_rows), d=8)
     rng = np.random.default_rng(5)
     vs = rng.standard_normal((8, 20))
-    before = np.stack([logits_ssp(head, vs[:, [i]]) for i in range(20)])
+    before = np.stack([class_scores(head, vs[:, [i]]) for i in range(20)])
     expand_classes(head, full_reg, we_full.matrix[full_reg.novel_indices()])
-    after = np.stack([logits_ssp(head, vs[:, [i]]) for i in range(20)])
+    after = np.stack([class_scores(head, vs[:, [i]]) for i in range(20)])
     assert head.n_classes == 6
     assert np.array_equal(before[:, :3], after[:, :3])
     # the background score is also untouched, it just moved to the last slot
@@ -186,18 +191,6 @@ def test_decouple_splits_trunks_and_group_names(base_reg):
         decouple_trunks(head)
 
 
-def test_trunk_and_regression_forward_shapes(base_reg):
-    head = make_head("ssp", base_reg, random_embeddings(base_reg, dim=6, seed=0),
-                     d_in=10, d=8)
-    raw = np.random.default_rng(0).standard_normal(10)
-    v = trunk_forward(head, raw)
-    assert v.shape == (8,)
-    pred = regression_forward(head, v)
-    assert pred.shape == (4,)
-    with pytest.raises(ValueError, match="branch"):
-        trunk_forward(head, raw, branch="both")
-
-
 def test_forward_pass_rejects_wrong_feature_dim(base_reg):
     head = make_head("baseline", base_reg, d_in=10)
     with pytest.raises(ValueError, match="d_in"):
@@ -221,7 +214,7 @@ def test_checkpoint_round_trip_is_bit_exact(base_reg, tmp_path, mode, graph):
     assert back.param_hash() == head.param_hash()
     assert back.we_hash() == head.we_hash()
     if mode == "srr" and graph == "dynamic":
-        assert back.relation is not None
+        np.testing.assert_array_equal(relation_graph(back), relation_graph(head))
         x = rng.standard_normal((10, 2))
         np.testing.assert_array_equal(
             forward_pass(back, x).logits.value, forward_pass(head, x).logits.value

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from semshot import relation as rel
-from semshot.embeddings import ClassRegistry, random_embeddings
+from semshot.embeddings import ClassRegistry, EmbeddingMatrix, random_embeddings
+from semshot.head import HeadConfig, build_head, class_rows, relation_graph
 
 
 @pytest.fixture
@@ -14,42 +15,55 @@ def we():
     return random_embeddings(reg, dim=10, seed=1)
 
 
+def _srr(we, graph_mode="dynamic", seed=0, **kw):
+    """An srr head over ``we``; the relation stage is what the tests probe."""
+    reg = ClassRegistry(base=("a", "b", "c"), novel=("d",))
+    cfg = HeadConfig(mode="srr", graph_mode=graph_mode, d_in=6, d=4, r=4, seed=seed, **kw)
+    return build_head(cfg, reg, we)
+
+
 def test_initialize_shapes_and_warm_start(we):
-    rp = rel.RelationParams.initialize(d_e=10, r=4, seed=0)
-    rp.validate()
-    assert rp.t_f.value.shape == (10, 4)
-    assert rp.t_g.value.shape == (10, 4)
-    assert rp.t_h.value.shape == (10, 4)
-    assert rp.t_l.value.shape == (4, 10)
+    maps = rel.init_maps(rel.GraphMode.DYNAMIC, d_e=10, r=4, seed=0)
+    assert list(maps) == ["t_f", "t_g", "t_h", "t_l"]
+    assert maps["t_f"].value.shape == (10, 4)
+    assert maps["t_g"].value.shape == (10, 4)
+    assert maps["t_h"].value.shape == (10, 4)
+    assert maps["t_l"].value.shape == (4, 10)
     # attention maps start tied, the low-rank output map starts at zero
-    np.testing.assert_array_equal(rp.t_f.value, rp.t_g.value)
-    assert not np.shares_memory(rp.t_f.value, rp.t_g.value)
-    np.testing.assert_array_equal(rp.t_l.value, 0.0)
+    np.testing.assert_array_equal(maps["t_f"].value, maps["t_g"].value)
+    assert not np.shares_memory(maps["t_f"].value, maps["t_g"].value)
+    np.testing.assert_array_equal(maps["t_l"].value, 0.0)
+    # the per-row ablation owns only t_h and t_l, drawn with the same bits
+    tt = rel.init_maps(rel.GraphMode.TRAINABLE_TRANSFORM, d_e=10, r=4, seed=0)
+    assert list(tt) == ["t_h", "t_l"]
+    np.testing.assert_array_equal(tt["t_h"].value, maps["t_h"].value)
+    for mode in (rel.GraphMode.NONE, rel.GraphMode.HEURISTIC):
+        assert rel.init_maps(mode, d_e=10, r=4) == {}
 
 
 def test_refinement_is_identity_while_t_l_is_zero(we):
-    rp = rel.RelationParams.initialize(d_e=10, r=4, seed=3)
-    np.testing.assert_array_equal(rel.relation_forward(we, rp), we.matrix)
+    np.testing.assert_array_equal(class_rows(_srr(we, seed=3)), we.matrix)
 
 
 def test_tied_init_scores_are_gain_times_cosine(we):
     gain = 16.0
-    rp = rel.RelationParams.initialize(d_e=300, r=32, seed=0, gain=gain)
+    maps = rel.init_maps(rel.GraphMode.DYNAMIC, d_e=300, r=32, seed=0, gain=gain)
     # with tied maps of entry variance s^2, the scaled score for a row against
     # itself concentrates at gain * |e|^2 = gain; check the expectation holds
     reg = ClassRegistry(base=tuple(f"c{i}" for i in range(40)))
     big = random_embeddings(reg, dim=300, seed=5)
-    scores = (big.matrix @ rp.t_f.value) @ (big.matrix @ rp.t_g.value).T / np.sqrt(32)
+    scores = (big.matrix @ maps["t_f"].value) @ (big.matrix @ maps["t_g"].value).T / np.sqrt(32)
     diag = np.diag(scores)[:-1]  # real classes only
     assert abs(diag.mean() - gain) / gain < 0.25
 
 
 def test_extract_graph_rows_sum_to_one(we):
-    rp = rel.RelationParams.initialize(d_e=10, r=4, seed=2)
+    head = _srr(we, seed=2)
     rng = np.random.default_rng(0)
-    for p in (rp.t_f, rp.t_g):
+    for name in ("t_f", "t_g"):
+        p = head.params[name]
         p.value[:] = rng.standard_normal(p.value.shape)
-    g = rel.extract_graph(we, rp)
+    g = relation_graph(head)
     assert g.shape == (we.n, we.n)
     np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-12)
     assert (g > 0).all()
@@ -59,15 +73,16 @@ def test_scaled_flag_divides_scores_by_sqrt_r(we):
     rng = np.random.default_rng(4)
     maps = {n: rng.standard_normal((10, 4)) for n in ("t_f", "t_g", "t_h")}
 
-    def params(scaled):
-        rp = rel.RelationParams.initialize(d_e=10, r=4, seed=0, scaled=scaled)
+    def head(scaled):
+        h = _srr(we, scaled_attention=scaled)
         for name, value in maps.items():
-            getattr(rp, name).value[:] = value
-        rp.t_l.value[:] = rng.standard_normal((4, 10)) if scaled else rp.t_l.value
-        return rp
+            h.params[name].value[:] = value
+        if scaled:  # the graph must not depend on the return map
+            h.params["t_l"].value[:] = rng.standard_normal((4, 10))
+        return h
 
-    g_scaled = rel.extract_graph(we, params(True))
-    g_raw = rel.extract_graph(we, params(False))
+    g_scaled = relation_graph(head(True))
+    g_raw = relation_graph(head(False))
     q = we.matrix @ maps["t_f"]
     k = we.matrix @ maps["t_g"]
     want_scaled = np.exp((q @ k.T) / 2.0)  # sqrt(r) = 2
@@ -79,28 +94,31 @@ def test_scaled_flag_divides_scores_by_sqrt_r(we):
 
 
 def test_relation_forward_matches_manual_composition(we):
-    rp = rel.RelationParams.initialize(d_e=10, r=4, seed=6)
+    head = _srr(we, seed=6)
     rng = np.random.default_rng(6)
-    for p in rp.params():
+    for name in ("t_f", "t_g", "t_h", "t_l"):
+        p = head.params[name]
         p.value[:] = rng.standard_normal(p.value.shape)
-    got = rel.relation_forward(we, rp)
-    g = rel.extract_graph(we, rp)
-    want = g @ (we.matrix @ rp.t_h.value @ rp.t_l.value) + we.matrix
+    got = class_rows(head)
+    g = relation_graph(head)
+    want = g @ (we.matrix @ head.params["t_h"].value @ head.params["t_l"].value) + we.matrix
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 def test_trainable_transform_has_no_cross_row_mixing(we):
-    rp = rel.RelationParams.initialize(d_e=10, r=4, seed=7)
+    head = _srr(we, graph_mode="tt", seed=7)
     rng = np.random.default_rng(7)
-    rp.t_h.value[:] = rng.standard_normal(rp.t_h.value.shape)
-    rp.t_l.value[:] = rng.standard_normal(rp.t_l.value.shape)
-    got = rel.trainable_transform(we, rp)
-    want = we.matrix @ rp.t_h.value @ rp.t_l.value + we.matrix
+    th, tl = head.params["t_h"].value, head.params["t_l"].value
+    th[:] = rng.standard_normal(th.shape)
+    tl[:] = rng.standard_normal(tl.shape)
+    got = class_rows(head)
+    want = we.matrix @ th @ tl + we.matrix
     np.testing.assert_allclose(got, want, atol=1e-12)
     # changing one input row must not move any other output row
     bumped = we.matrix.copy()
     bumped[2] += 0.5
-    got2 = rel.trainable_transform(bumped, rp)
+    head.we = EmbeddingMatrix(bumped)
+    got2 = class_rows(head)
     others = [i for i in range(we.n) if i != 2]
     np.testing.assert_array_equal(got[others], got2[others])
 

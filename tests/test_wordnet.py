@@ -4,6 +4,7 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semshot.wordnet import (
     RemovalManifest,
@@ -121,3 +122,23 @@ def test_bundled_manifest_covers_the_standard_holdout():
     text = emit_removal_list(m, fmt="text")
     assert "cow: n02403003, n02408429, n02410509\n" in text
     assert text.endswith("sofa: n04344873\n")
+
+
+_synsets = st.integers(0, 12).map(lambda i: f"n{i:08d}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_synsets, _synsets).filter(lambda e: e[0] != e[1]), max_size=30),
+       st.data())
+def test_parse_returns_exactly_the_deduplicated_edges(edges, data):
+    lines = []
+    for parent, child in edges:
+        # comments and blank lines may sit anywhere and carry no edges
+        lines.append(data.draw(st.sampled_from(["", "# note", "   "])))
+        lines.append(f"{parent}\t{child}")
+    g = graph_of("\n".join(lines) + "\n")
+    want = {}
+    for parent, child in dict.fromkeys(edges):
+        want.setdefault(parent, []).append(child)
+    assert g.children == {p: tuple(c) for p, c in want.items()}
+    assert g.nodes == {n for e in edges for n in e}
