@@ -11,7 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +34,12 @@ from .head import (
     build_head,
     class_rows,
     decouple_trunks,
-    expand_baseline,
     expand_classes,
     forward_pass,
     load_head,
     relation_graph,
     save_head,
+    switch_graph_mode,
 )
 from .pipeline import bundled_benchmark, clustered_embeddings, shot_sweep
 from .records import feature_dim, load_records, save_records
@@ -333,27 +333,6 @@ FINETUNE_OPTS = [
 ]
 
 
-def _switch_graph_mode(head, requested: str, cfg: dict):
-    target = rel.GraphMode(requested)
-    if head.cfg.mode is HeadMode.SRR:
-        if target is head.cfg.graph_mode:
-            return
-        raise ValueError(
-            f"head already has relation stage {head.cfg.graph_mode.value!r}; "
-            "build a new head to change it"
-        )
-    if head.cfg.mode is HeadMode.BASELINE:
-        raise ValueError("baseline heads have no relation stage to switch on")
-    if target is rel.GraphMode.NONE:
-        return
-    # ssp -> srr upgrade: attach a fresh identity-initialized relation stage
-    head.cfg = replace(head.cfg, mode=HeadMode.SRR, graph_mode=target)
-    head.params.update(rel.init_maps(
-        target, head.we.dim, head.cfg.r, seed=cfg["seed"],
-        scaled=head.cfg.scaled_attention, gain=head.cfg.attention_gain,
-    ))
-
-
 def _trainable_groups(cfg: dict, head) -> tuple | None:
     trainable = cfg.get("trainable")
     freeze = cfg.get("freeze")
@@ -381,21 +360,13 @@ def cmd_finetune(cfg: dict) -> int:
     novel_data = load_records(cfg["novel.data"])
 
     if cfg.get("graph.mode"):
-        _switch_graph_mode(head, cfg["graph.mode"], cfg)
+        switch_graph_mode(head, cfg["graph.mode"], seed=cfg["seed"])
 
     if cfg.get("registry"):
         full = load_registry(cfg["registry"])
-        added = full.novel[len(head.registry.novel):]
-        if full.base != head.registry.base or \
-                full.novel[: len(head.registry.novel)] != head.registry.novel:
-            raise ValueError("--registry must extend the checkpoint registry")
-        if added:
-            if head.mode is HeadMode.BASELINE:
-                expand_baseline(head, full, seed=cfg["seed"])
-            else:
-                we_full = _load_embeddings(cfg, full)
-                idx = [full.index(name) for name in added]
-                expand_classes(head, full, we_full.matrix[idx])
+        # only heads with embedding rows read the embeddings
+        we_full = _load_embeddings(cfg, full) if head.we is not None else None
+        expand_classes(head, full, we_full, seed=cfg["seed"])
 
     if head.cfg.graph_mode is rel.GraphMode.HEURISTIC and head.g_heur is None:
         if not cfg.get("cooccurrence"):
@@ -454,6 +425,7 @@ SWEEP_OPTS = [
 
 
 def cmd_sweep(cfg: dict) -> int:
+    HeadConfig(mode=cfg["mode"], graph_mode=cfg.get("graph.mode"))  # reject a bad pair
     out = _out_dir(cfg)
     pcfg = bundled_benchmark(
         mode=cfg["mode"], graph_mode=cfg.get("graph.mode"), alpha=cfg["alpha"],
@@ -523,18 +495,17 @@ def run_gradcheck(mode: str, cfg: dict):
         novel=tuple(f"n{i}" for i in range(cfg["novel.classes"])),
     )
     we = random_embeddings(registry, cfg["embed.dim"], cfg["seed"])
-    head_mode = HeadMode(mode)
     head_cfg = HeadConfig(
-        mode=head_mode,
+        mode=mode,
         d_in=cfg["feat.dim"], d=cfg["proj.dim"], r=cfg["reduced.dim"],
         seed=cfg["seed"],
     )
-    head = build_head(head_cfg, registry, None if head_mode is HeadMode.BASELINE else we)
+    head = build_head(head_cfg, registry, we)
 
     # gradients must be live everywhere: move every param (t_l included) off
     # its init point, and keep relu pre-activations away from the kink
     rng = np.random.default_rng([cfg["seed"], 0x6C])
-    for p in head.params.values():
+    for p in head.param_list():
         p.value[:] = rng.normal(0.0, 0.3, p.value.shape)
         p.trainable = True
 

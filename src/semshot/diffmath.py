@@ -133,11 +133,12 @@ def _check_same_tape(*tensors: Tensor):
 # primitive ops
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _product(a: Tensor, b: Tensor, kernel, name: str) -> Tensor:
+    """``kernel(a, b)`` on the tape, with the backward of a plain matrix product."""
     _check_same_tape(a, b)
     if a.value.shape[1] != b.value.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.value.shape} @ {b.value.shape}")
-    out = a.tape._result(kernels.matmul(a.value, b.value), a, b)
+        raise ValueError(f"{name} shape mismatch: {a.value.shape} @ {b.value.shape}")
+    out = a.tape._result(kernel(a.value, b.value), a, b)
     if out.needs_grad:
         av, bv = a.value, b.value
 
@@ -149,25 +150,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         a.tape._record(bw)
     return out
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    return _product(a, b, kernels.matmul, "matmul")
 
 
 def mix_matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product whose contraction sums in sorted order (see kernels)."""
-    _check_same_tape(a, b)
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ValueError(f"mix_matmul shape mismatch: {a.value.shape} @ {b.value.shape}")
-    out = a.tape._result(kernels.mix_matmul(a.value, b.value), a, b)
-    if out.needs_grad:
-        av, bv = a.value, b.value
-
-        def bw():
-            if a.needs_grad:
-                a.grad += out.grad @ bv.T
-            if b.needs_grad:
-                b.grad += av.T @ out.grad
-
-        a.tape._record(bw)
-    return out
+    return _product(a, b, kernels.mix_matmul, "mix_matmul")
 
 
 def transpose(a: Tensor) -> Tensor:

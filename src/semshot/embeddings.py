@@ -83,14 +83,6 @@ class ClassRegistry:
             return self.tokens[key]
         return tuple(key.split())
 
-    def expand(self, new_novel, tokens=None) -> "ClassRegistry":
-        merged_tokens = dict(self.tokens)
-        if tokens:
-            merged_tokens.update({_canon(k): tuple(v) for k, v in tokens.items()})
-        return ClassRegistry(
-            base=self.base, novel=self.novel + tuple(new_novel), tokens=merged_tokens
-        )
-
     def to_json(self) -> dict:
         out = {"base": list(self.base), "novel": list(self.novel)}
         if self.tokens:

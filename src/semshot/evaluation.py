@@ -1,4 +1,4 @@
-"""Accuracy reporting, shot sweeps and the forgetting check.
+"""Accuracy reporting, paired tests and shot-sweep bookkeeping.
 
 Predictions are argmax over class logits; ties resolve to the lowest class
 index so evaluation is deterministic.  Reports split accuracy into base and
@@ -82,39 +82,6 @@ def evaluate(head: Head, records) -> MetricsReport:
         overall_accuracy=float((preds == labels).mean()),
         confusion=confusion,
         record_count=len(records),
-    )
-
-
-@dataclass
-class ForgettingReport:
-    per_class_delta: dict
-    mean_delta: float
-    worst_delta: float
-
-    def max_drop(self) -> float:
-        """Largest accuracy decrease (positive number) across base classes."""
-        return max(0.0, -self.worst_delta)
-
-
-def forgetting_check(before: MetricsReport, after: MetricsReport) -> ForgettingReport:
-    """Per-base-class accuracy change from the pre-expansion report to the
-    post-fine-tune one.  Positive delta means the class improved."""
-    common = [
-        name
-        for name in before.per_class_accuracy
-        if name in after.per_class_accuracy
-    ]
-    if not common:
-        raise ValueError("no shared classes between the two reports")
-    deltas = {
-        name: after.per_class_accuracy[name] - before.per_class_accuracy[name]
-        for name in common
-    }
-    values = list(deltas.values())
-    return ForgettingReport(
-        per_class_delta=deltas,
-        mean_delta=float(np.mean(values)),
-        worst_delta=float(min(values)),
     )
 
 

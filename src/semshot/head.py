@@ -52,11 +52,13 @@ class HeadConfig:
             self.mode = HeadMode(self.mode)
         if isinstance(self.graph_mode, str):
             self.graph_mode = rel.GraphMode(self.graph_mode)
+        srr = self.mode is HeadMode.SRR
         if self.graph_mode is None:
-            self.graph_mode = rel.GraphMode.NONE
-        if self.mode is HeadMode.SRR and self.graph_mode is rel.GraphMode.NONE:
-            self.graph_mode = rel.GraphMode.DYNAMIC
-        if self.mode is not HeadMode.SRR and self.graph_mode is not rel.GraphMode.NONE:
+            self.graph_mode = rel.GraphMode.DYNAMIC if srr else rel.GraphMode.NONE
+        if srr and self.graph_mode is rel.GraphMode.NONE:
+            raise ValueError("graph mode 'none' conflicts with mode 'srr', "
+                             "which needs a relation stage")
+        if not srr and self.graph_mode is not rel.GraphMode.NONE:
             raise ValueError(f"graph mode {self.graph_mode.value!r} requires mode 'srr'")
 
 
@@ -338,24 +340,23 @@ def relation_graph(head: Head) -> np.ndarray:
 # structural edits
 
 
-def _class_bias_mean(b: np.ndarray, background_index: int) -> float:
-    """Average bias of the real (non-background) classes already present."""
-    return float(b[:background_index].mean()) if background_index else 0.0
+def expand_classes(head: Head, new_registry: ClassRegistry,
+                   we_full: EmbeddingMatrix | None = None, seed: int = 0) -> Head:
+    """Grow a head to ``new_registry``, which appends novel classes to its own.
 
-
-def expand_classes(head: Head, new_registry: ClassRegistry, novel_rows,
-                   provenance=None) -> Head:
-    """Register new novel classes on an SSP/SRR head.
-
-    New embedding rows (unit-normalized here) slide in just before the
-    background row; biases for the new classes start at the mean of the base
-    biases, so a fresh class enters with the average class prior rather than
-    an artificially depressed one.  Every existing parameter is untouched, so
-    base-class scores shift only through whatever the relation graph now
-    mixes in.
+    The added classes slide in at the old background index, and the
+    background row moves to the end.  An SSP/SRR head takes their embedding
+    rows (unit-normalized here) from ``we_full``, which is aligned with
+    ``new_registry``.  A baseline head draws fresh W rows (rng ``[seed,
+    0xE1]``) at the RMS magnitude of the trained rows, so comparisons against
+    embedding-anchored heads measure what the anchor *directions* are worth
+    rather than a head start in row norm.  Biases for the added classes start
+    at the mean of the base biases, so a fresh class enters with the average
+    class prior rather than an artificially depressed one.  Every existing
+    parameter is untouched, so base-class scores shift only through whatever
+    the relation graph now mixes in.  A registry that adds nothing leaves
+    the head as it is.
     """
-    if head.mode is HeadMode.BASELINE:
-        raise ValueError("baseline heads learn W rows per class; use expand_baseline")
     if new_registry.base != head.registry.base:
         raise ValueError("expanded registry must keep the same base classes")
     old_novel = head.registry.novel
@@ -363,62 +364,38 @@ def expand_classes(head: Head, new_registry: ClassRegistry, novel_rows,
         raise ValueError("expanded registry must keep existing novel classes in order")
     added = new_registry.novel[len(old_novel):]
     if not added:
-        raise ValueError("no new classes to add")
-    rows = dm.as_matrix(novel_rows)
-    if rows.shape != (len(added), head.we.dim):
-        raise ValueError(
-            f"novel rows shape {rows.shape}, expected ({len(added)}, {head.we.dim})"
-        )
-    rows = dm.l2_normalize_rows(rows)
-
+        return head
     bg = head.registry.background_index
-    matrix = np.vstack([head.we.matrix[:bg], rows, head.we.matrix[bg:]])
-    prov = None
-    if head.we.provenance:
-        extra = tuple(provenance) if provenance else tuple(f"expanded:{n}" for n in added)
-        prov = head.we.provenance[:bg] + extra + head.we.provenance[bg:]
-    head.we = EmbeddingMatrix(matrix, prov or ())
-
+    if head.mode is HeadMode.BASELINE:
+        w = head.params["W"].value
+        std = float(np.sqrt((w[:bg] ** 2).mean())) if bg else 0.01
+        rows = np.random.default_rng([seed, 0xE1]).normal(0.0, std, (len(added), head.cfg.d))
+        head.params["W"] = Param("W", _insert_rows(w, bg, rows))
+    else:
+        want = (new_registry.n, head.we.dim)
+        if we_full is None or we_full.matrix.shape != want:
+            got = "none" if we_full is None else f"shape {we_full.matrix.shape}"
+            raise ValueError(
+                f"mode {head.mode.value!r} needs an embedding matrix of shape {want} "
+                f"for the expanded registry, got {got}"
+            )
+        rows = dm.l2_normalize_rows(we_full.matrix[bg: bg + len(added)])
+        prov = head.we.provenance
+        if prov:
+            prov = prov[:bg] + tuple(f"expanded:{n}" for n in added) + prov[bg:]
+        head.we = EmbeddingMatrix(_insert_rows(head.we.matrix, bg, rows), prov)
     b = head.params["b"].value
-    fill = np.full((len(added), 1), _class_bias_mean(b, bg))
-    head.params["b"] = Param("b", np.vstack([b[:bg], fill, b[bg:]]))
+    fill = np.full((len(added), 1), float(b[:bg].mean()) if bg else 0.0)
+    head.params["b"] = Param("b", _insert_rows(b, bg, fill))
     head.registry = new_registry
     # a heuristic graph no longer matches the class count; force a re-attach
     head.g_heur = None
     return head
 
 
-def expand_baseline(head: Head, new_registry: ClassRegistry, seed: int = 0,
-                    init_std: float | None = None) -> Head:
-    """Grow a baseline head: fresh Gaussian W rows and mean-prior biases for
-    the added classes, existing rows copied bit-for-bit.
-
-    By default the new rows are drawn at the RMS magnitude of the trained
-    rows, so comparisons against embedding-anchored heads measure what the
-    anchor *directions* are worth rather than a head start in row norm.
-    Pass an explicit ``init_std`` to override."""
-    if head.mode is not HeadMode.BASELINE:
-        raise ValueError("expand_baseline only applies to baseline heads")
-    if new_registry.base != head.registry.base:
-        raise ValueError("expanded registry must keep the same base classes")
-    old_novel = head.registry.novel
-    if new_registry.novel[: len(old_novel)] != old_novel:
-        raise ValueError("expanded registry must keep existing novel classes in order")
-    added = new_registry.novel[len(old_novel):]
-    if not added:
-        raise ValueError("no new classes to add")
-    rng = np.random.default_rng([seed, 0xE1])
-    bg = head.registry.background_index
-    w = head.params["W"].value
-    if init_std is None:
-        init_std = float(np.sqrt((w[:bg] ** 2).mean())) if bg else 0.01
-    new_rows = rng.normal(0.0, init_std, (len(added), head.cfg.d))
-    head.params["W"] = Param("W", np.vstack([w[:bg], new_rows, w[bg:]]))
-    b = head.params["b"].value
-    fill = np.full((len(added), 1), _class_bias_mean(b, bg))
-    head.params["b"] = Param("b", np.vstack([b[:bg], fill, b[bg:]]))
-    head.registry = new_registry
-    return head
+def _insert_rows(rows: np.ndarray, at: int, new: np.ndarray) -> np.ndarray:
+    """``rows`` with ``new`` inserted before row ``at``."""
+    return np.vstack([rows[:at], new, rows[at:]])
 
 
 def decouple_trunks(head: Head) -> Head:
@@ -432,6 +409,34 @@ def decouple_trunks(head: Head) -> Head:
             name = f"{branch}_trunk_{s}"
             head.params[name] = Param(name, shared[s].value.copy())
     head.cfg = replace(head.cfg, decoupled=True)
+    return head
+
+
+def switch_graph_mode(head: Head, graph_mode, seed: int = 0) -> Head:
+    """Give an SSP head the relation stage ``graph_mode``, making it SRR.
+
+    The new maps start at the identity-module init of ``rel.init_maps``
+    (drawn with ``seed`` and the head's attention settings) and are appended
+    after the existing parameters.  Asking a head for the stage it already
+    has, or an SSP head for none, leaves it as it is.
+    """
+    target = rel.GraphMode(graph_mode)
+    if head.mode is HeadMode.SRR:
+        if target is head.cfg.graph_mode:
+            return head
+        raise ValueError(
+            f"head already has relation stage {head.cfg.graph_mode.value!r}; "
+            "build a new head to change it"
+        )
+    if head.mode is HeadMode.BASELINE:
+        raise ValueError("baseline heads have no relation stage to switch on")
+    if target is rel.GraphMode.NONE:
+        return head
+    head.cfg = replace(head.cfg, mode=HeadMode.SRR, graph_mode=target)
+    head.params.update(rel.init_maps(
+        target, head.we.dim, head.cfg.r, seed=seed,
+        scaled=head.cfg.scaled_attention, gain=head.cfg.attention_gain,
+    ))
     return head
 
 

@@ -15,7 +15,7 @@ from . import relation as rel
 from .diffmath import l2_normalize_rows
 from .embeddings import ClassRegistry, EmbeddingMatrix, compose_background_row
 from .evaluation import MetricsReport, SweepResult, SweepRow, evaluate
-from .head import Head, HeadConfig, HeadMode, build_head, expand_baseline, expand_classes
+from .head import Head, HeadConfig, HeadMode, build_head, decouple_trunks, expand_classes
 from .synthgen import SynthConfig, generate
 from .training import (
     Episode,
@@ -105,7 +105,7 @@ class PipelineConfig:
     def __post_init__(self):
         if isinstance(self.mode, str):
             self.mode = HeadMode(self.mode)
-        # heads without a relation stage ignore the requested graph mode
+        # drop a non-srr head's graph mode: perfbench/workloads.py passes "dynamic" for all
         graph = self.graph_mode if self.mode is HeadMode.SRR else None
         self.graph_mode = HeadConfig(mode=self.mode, graph_mode=graph).graph_mode
 
@@ -186,8 +186,7 @@ def run_cell(cfg: PipelineConfig, k: int, seed: int) -> CellResult:
         graph_in_base=cfg.graph_in_base,
         seed=seed,
     )
-    we_arg = None if cfg.mode is HeadMode.BASELINE else we_base
-    head = build_head(head_cfg, base_registry, we_arg)
+    head = build_head(head_cfg, base_registry, we_base)  # a baseline head ignores we_base
     if cfg.graph_mode is rel.GraphMode.HEURISTIC:
         # co-occurrence over single-label records degenerates to identity;
         # use embedding-neighborhood counts instead
@@ -203,16 +202,10 @@ def run_cell(cfg: PipelineConfig, k: int, seed: int) -> CellResult:
     )
     report_before = evaluate(head, test_base)
 
-    novel_idx = full_registry.novel_indices()
-    if cfg.mode is HeadMode.BASELINE:
-        expand_baseline(head, full_registry, seed=seed)
-    else:
-        expand_classes(head, full_registry, we_full.matrix[novel_idx])
-        if cfg.graph_mode is rel.GraphMode.HEURISTIC:
-            head.g_heur = _similarity_graph(head.we.matrix)
+    expand_classes(head, full_registry, we_full, seed=seed)
+    if cfg.graph_mode is rel.GraphMode.HEURISTIC:
+        head.g_heur = _similarity_graph(head.we.matrix)
     if cfg.decouple:
-        from .head import decouple_trunks
-
         decouple_trunks(head)
 
     episode = sample_episode(

@@ -55,12 +55,6 @@ class SynthDataset:
     sigma: float
     min_margin: float
 
-    def train_by_label(self) -> dict:
-        out = {}
-        for rec in self.train:
-            out.setdefault(rec.label, []).append(rec)
-        return out
-
 
 def embedding_map(d_in: int, d_e: int, seed: int) -> np.ndarray:
     """The fixed seeded map M from embedding space into feature space.

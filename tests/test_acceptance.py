@@ -161,7 +161,7 @@ def test_criterion_05_projection_head_expansion_leaves_base_scores_untouched():
         )
         v = np.random.default_rng([i, 5]).standard_normal((8, 1))
         before = class_scores(head, v)
-        expand_classes(head, full, we_full.matrix[full.novel_indices()])
+        expand_classes(head, full, we_full)
         after = class_scores(head, v)
         assert np.array_equal(before[:3], after[:3]), f"instance {i}: base scores moved"
         assert np.array_equal(before[3], after[5])  # background row, now last
@@ -175,7 +175,7 @@ def test_criterion_05_projection_head_expansion_leaves_base_scores_untouched():
     srr.params["t_l"].value[:] = np.random.default_rng(8).normal(0.0, 0.5, (4, 16))
     v = np.random.default_rng(9).standard_normal((8, 1))
     before = class_scores(srr, v)
-    expand_classes(srr, full, we_full.matrix[full.novel_indices()])
+    expand_classes(srr, full, we_full)
     after = class_scores(srr, v)
     shift = np.abs(after[:3] - before[:3]).max()
     assert shift > 1e-6, "expected attention renormalization to move base scores"

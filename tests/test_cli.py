@@ -2,9 +2,12 @@
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semshot.cli import main
 from semshot.embeddings import ClassRegistry, load_registry, save_registry
@@ -83,6 +86,42 @@ def test_meta_json_replays_a_run_byte_for_byte(corpus, trained, tmp_path):
     assert sha(replay / "trace.csv") == sha(trained / "trace.csv")
 
 
+_SYNTH_FLAGS = st.fixed_dictionaries(
+    {
+        "--seed": st.integers(0, 2**31 - 1),
+        "--alpha": st.floats(0.0, 1.0),
+        "--margin-scale": st.floats(0.05, 2.0),
+        "--base-classes": st.integers(2, 4),
+        "--novel-classes": st.integers(0, 3),
+        "--embed-dim": st.integers(2, 8),
+        "--feat-dim": st.integers(1, 8),
+        "--train-per-class": st.integers(1, 3),
+        "--test-per-class": st.integers(1, 2),
+        "--embeddings": st.sampled_from(["clustered", "random"]),
+        "--clusters": st.integers(1, 3),
+        "--spread": st.floats(0.0, 1.0),
+    },
+    optional={"--sigma": st.floats(0.01, 2.0)},
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_SYNTH_FLAGS)
+def test_meta_json_replay_reproduces_every_synth_output(flags):
+    argv = [str(a) for pair in flags.items() for a in pair]
+    with tempfile.TemporaryDirectory() as tmp:
+        first, replay = Path(tmp) / "first", Path(tmp) / "replay"
+        assert run("synth", "--out-dir", first, *argv) == 0
+        assert run("synth", "--config", first / "meta.json", "--out-dir", replay) == 0
+        want = json.loads((first / "meta.json").read_text())
+        got = json.loads((replay / "meta.json").read_text())
+        assert got["outputs"] == want["outputs"]
+        assert {**got["config"], "out.dir": None} == {**want["config"], "out.dir": None}
+        assert got["run"] == want["run"]
+        for name, digest in want["outputs"].items():
+            assert sha(replay / name) == digest
+
+
 def test_flags_override_config_file(corpus, tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"seed": 7, "alpha": 0.5}))
@@ -134,6 +173,29 @@ def test_config_file_value_outside_choices_fails(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{cfg_file}: key 'embeddings' expects one of ['clustered', 'random'], got 'bogus'" in err
     assert not (out / "meta.json").exists()
+
+
+def test_train_srr_with_graph_mode_none_fails(corpus, tmp_path, capsys):
+    out = tmp_path / "srr_none"
+    code = run(
+        "train", "--out-dir", out,
+        "--data", corpus / "base_train.jsonl",
+        "--registry", corpus / "registry_base.json",
+        "--embeddings", corpus / "embeddings.txt",
+        "--mode", "srr", "--graph-mode", "none", "--steps", 2,
+    )
+    assert code == 1
+    assert "graph mode 'none' conflicts with mode 'srr'" in capsys.readouterr().err
+    assert not (out / "head.json").exists()
+
+
+def test_sweep_rejects_graph_mode_without_relation_stage(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = run("sweep", "--out-dir", out, "--mode", "ssp", "--graph-mode", "dynamic",
+               "--shots", "1", "--seeds", 1)
+    assert code == 1
+    assert "graph mode 'dynamic' requires mode 'srr'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_required_options_fail(capsys):

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from semshot.embeddings import (
     BACKGROUND,
@@ -17,6 +18,7 @@ from semshot.embeddings import (
     load_embedding_file,
     save_registry,
 )
+from semshot.diffmath import l2_normalize_rows
 
 
 def test_registry_order_is_base_novel_background():
@@ -40,13 +42,10 @@ def test_registry_rejects_duplicates_and_reserved_name():
         ClassRegistry(base=("a",)).index("zebra")
 
 
-def test_registry_expand_appends_novel_and_keeps_order():
-    reg = ClassRegistry(base=("a",), novel=("b",))
-    grown = reg.expand(("c", "d"), tokens={"c": ("sea",)})
-    assert grown.base == ("a",)
-    assert grown.novel == ("b", "c", "d")
-    assert grown.tokens_for("c") == ("sea",)
-    assert grown.tokens_for("d") == ("d",)
+def test_registry_tokens_for_uses_override_else_name():
+    reg = ClassRegistry(base=("a",), novel=("b", "c", "d"), tokens={"c": ("sea",)})
+    assert reg.tokens_for("c") == ("sea",)
+    assert reg.tokens_for("d") == ("d",)
     # multi-word names split into tokens by default
     assert ClassRegistry(base=("tv monitor",)).tokens_for("tv monitor") == ("tv", "monitor")
 
@@ -142,3 +141,49 @@ def test_select_rows_copies_and_keeps_provenance():
     assert sub.provenance == (we.provenance[0], we.provenance[3])
     sub.matrix[0, 0] = 99.0
     assert we.matrix[0, 0] != 99.0
+
+
+@st.composite
+def _vocabularies(draw):
+    """Unique lowercase tokens with finite, non-zero rows, and the subset of
+    them a registry asks for."""
+    tokens = draw(st.lists(st.text("abcdefgh", min_size=1, max_size=5),
+                           min_size=1, max_size=6, unique=True))
+    dim = draw(st.integers(1, 5))
+    rows = np.array(draw(st.lists(
+        st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim),
+        min_size=len(tokens), max_size=len(tokens),
+    )))
+    assume((np.linalg.norm(rows, axis=1) > 1e-6).all())
+    classes = draw(st.lists(st.sampled_from(tokens), min_size=1, unique=True))
+    return tokens, rows, classes
+
+
+@pytest.fixture(scope="module")
+def emb_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("vocab") / "emb.txt"
+
+
+@settings(max_examples=60, deadline=None)
+@given(vocab=_vocabularies())
+def test_saved_vocabulary_parses_to_its_normalized_rows(emb_path, vocab):
+    tokens, rows, classes = vocab
+    save_embedding_file(emb_path, tokens, rows)
+    we = load_embedding_file(emb_path, ClassRegistry(base=tuple(classes)))
+    want = l2_normalize_rows(rows[[tokens.index(c) for c in classes]])
+    np.testing.assert_array_equal(we.matrix[:-1], want)
+    assert we.provenance[:-1] == tuple(f"tokens:{c}" for c in classes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vocab=_vocabularies(), bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
+def test_non_finite_value_in_a_needed_token_names_its_line(emb_path, vocab, bad, data):
+    tokens, rows, classes = vocab
+    token = data.draw(st.sampled_from(classes))
+    i = tokens.index(token)
+    rows[i, data.draw(st.integers(0, rows.shape[1] - 1))] = bad
+    save_embedding_file(emb_path, tokens, rows)
+    line = i + 2  # the header is line 1
+    want = f"{emb_path}: line {line}: non-finite value for token '{token}'"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        load_embedding_file(emb_path, ClassRegistry(base=tuple(classes)))

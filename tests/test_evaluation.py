@@ -1,4 +1,4 @@
-"""Metrics, forgetting deltas, paired tests, and sweep bookkeeping."""
+"""Metrics, paired tests, and sweep bookkeeping."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,10 @@ from scipy import stats
 from semshot import evaluation
 from semshot.embeddings import ClassRegistry, random_embeddings
 from semshot.evaluation import (
-    ForgettingReport,
     MetricsReport,
     SweepResult,
     SweepRow,
     evaluate,
-    forgetting_check,
     paired_onesided_pvalue,
     predict,
     save_sweep_csv,
@@ -102,23 +100,6 @@ def test_evaluate_matches_hand_confusion():
     assert np.isnan(rep2.novel_accuracy)
     round_trip = rep.to_json()
     assert round_trip["confusion"] == want_conf.tolist()
-
-
-def test_forgetting_check_deltas():
-    before = MetricsReport(("cat", "dog"), {"cat": 0.9, "dog": 0.8},
-                           0.85, np.nan, 0.85, np.zeros((2, 2)), 10)
-    after = MetricsReport(("cat", "dog"), {"cat": 0.7, "dog": 0.85},
-                          0.775, np.nan, 0.775, np.zeros((2, 2)), 10)
-    rep = forgetting_check(before, after)
-    assert rep.per_class_delta == {"cat": pytest.approx(-0.2), "dog": pytest.approx(0.05)}
-    assert rep.mean_delta == pytest.approx(-0.075)
-    assert rep.worst_delta == pytest.approx(-0.2)
-    assert rep.max_drop() == pytest.approx(0.2)
-    improved = ForgettingReport({"cat": 0.1}, 0.1, 0.1)
-    assert improved.max_drop() == 0.0
-    empty = MetricsReport(("owl",), {"owl": 1.0}, 1.0, np.nan, 1.0, np.zeros((1, 1)), 1)
-    with pytest.raises(ValueError, match="no shared classes"):
-        forgetting_check(before, empty)
 
 
 def test_paired_pvalue_agrees_with_scipy():

@@ -13,7 +13,6 @@ from semshot.head import (
     class_rows,
     class_scores,
     decouple_trunks,
-    expand_baseline,
     expand_classes,
     forward_pass,
     head_from_state,
@@ -21,6 +20,7 @@ from semshot.head import (
     load_head,
     relation_graph,
     save_head,
+    switch_graph_mode,
 )
 
 from conftest import make_head
@@ -45,6 +45,8 @@ def test_build_head_validation(base_reg):
         build_head(HeadConfig(mode="ssp"), small, we)
     with pytest.raises(ValueError, match="requires mode"):
         HeadConfig(mode="ssp", graph_mode="dynamic")
+    with pytest.raises(ValueError, match="graph mode 'none' conflicts with mode 'srr'"):
+        HeadConfig(mode="srr", graph_mode="none")
     # srr defaults its graph stage to dynamic
     assert HeadConfig(mode="srr").graph_mode is rel.GraphMode.DYNAMIC
     assert HeadConfig(mode="ssp").graph_mode is rel.GraphMode.NONE
@@ -122,7 +124,7 @@ def test_ssp_expansion_keeps_base_scores_bit_identical(base_reg, full_reg):
     rng = np.random.default_rng(5)
     vs = rng.standard_normal((8, 20))
     before = np.stack([class_scores(head, vs[:, [i]]) for i in range(20)])
-    expand_classes(head, full_reg, we_full.matrix[full_reg.novel_indices()])
+    expand_classes(head, full_reg, we_full)
     after = np.stack([class_scores(head, vs[:, [i]]) for i in range(20)])
     assert head.n_classes == 6
     assert np.array_equal(before[:, :3], after[:, :3])
@@ -135,15 +137,21 @@ def test_expansion_validates_registry_shape(base_reg, full_reg):
     base_rows = list(range(3)) + [full_reg.background_index]
     head = make_head("ssp", base_reg, we_full.select_rows(base_rows), d=8)
     with pytest.raises(ValueError, match="shape"):
-        expand_classes(head, full_reg, we_full.matrix[:1])
+        expand_classes(head, full_reg, we_full.select_rows([0]))
+    with pytest.raises(ValueError, match="needs an embedding matrix"):
+        expand_classes(head, full_reg)
     other = ClassRegistry(base=("cat", "dog", "pig"), novel=("fox", "owl"))
     with pytest.raises(ValueError, match="same base"):
-        expand_classes(head, other, we_full.matrix[full_reg.novel_indices()])
-    bhead = make_head("baseline", base_reg, d=8)
-    with pytest.raises(ValueError, match="expand_baseline"):
-        expand_classes(bhead, full_reg, we_full.matrix[full_reg.novel_indices()])
-    with pytest.raises(ValueError, match="only applies to baseline"):
-        expand_baseline(head, full_reg)
+        expand_classes(head, other, we_full)
+    expand_classes(head, ClassRegistry(base=base_reg.base, novel=("fox",)),
+                   we_full.select_rows([0, 1, 2, 3, 5]))
+    reordered = ClassRegistry(base=base_reg.base, novel=("owl", "fox"))
+    with pytest.raises(ValueError, match="in order"):
+        expand_classes(head, reordered, we_full)
+    # a registry that adds nothing leaves the head as it is
+    before = head_state(head)
+    assert expand_classes(head, head.registry) is head
+    assert head_state(head) == before
 
 
 def test_baseline_expansion_matches_trained_row_scale(base_reg, full_reg):
@@ -154,7 +162,7 @@ def test_baseline_expansion_matches_trained_row_scale(base_reg, full_reg):
     w_before = head.params["W"].value.copy()
     b_before = head.params["b"].value.copy()
     rms = float(np.sqrt((w_before[:3] ** 2).mean()))
-    expand_baseline(head, full_reg, seed=1)
+    expand_classes(head, full_reg, seed=1)
     w = head.params["W"].value
     b = head.params["b"].value
     assert w.shape == (6, 8)
@@ -172,8 +180,35 @@ def test_expansion_drops_stale_heuristic_graph(base_reg, full_reg):
     head = make_head("srr", base_reg, we_full.select_rows(base_rows),
                      graph_mode="heuristic", d=8)
     attach_heuristic_graph(head, np.full((4, 4), 0.25))
-    expand_classes(head, full_reg, we_full.matrix[full_reg.novel_indices()])
+    expand_classes(head, full_reg, we_full)
     assert head.g_heur is None  # must be re-attached at the new class count
+
+
+@pytest.mark.parametrize("graph", ["dynamic", "tt"])
+def test_switch_graph_mode_upgrades_ssp_to_identity_relation_stage(base_reg, graph):
+    we = random_embeddings(base_reg, dim=6, seed=12)
+    head = make_head("ssp", base_reg, we, d=8, r=4, attention_gain=4.0)
+    v = np.random.default_rng(12).standard_normal((8, 1))
+    before = class_scores(head, v)
+    old = {n: p.value.copy() for n, p in head.params.items()}
+    switch_graph_mode(head, graph, seed=3)
+    assert (head.mode, head.cfg.graph_mode) == (HeadMode.SRR, rel.GraphMode(graph))
+    maps = rel.init_maps(head.cfg.graph_mode, 6, 4, seed=3, gain=4.0)
+    assert list(head.params) == list(old) + list(maps)  # appended after the old ones
+    for name, p in maps.items():
+        np.testing.assert_array_equal(head.params[name].value, p.value)
+    for name, value in old.items():
+        np.testing.assert_array_equal(head.params[name].value, value)
+    # t_l = 0: the new stage starts as the identity
+    np.testing.assert_allclose(class_scores(head, v), before, atol=1e-12)
+    assert switch_graph_mode(head, graph, seed=3) is head  # same stage: no change
+    with pytest.raises(ValueError, match="already has relation stage"):
+        switch_graph_mode(head, "heuristic")
+    ssp = make_head("ssp", base_reg, we, d=8)
+    switch_graph_mode(ssp, "none")
+    assert ssp.mode is HeadMode.SSP
+    with pytest.raises(ValueError, match="baseline heads have no relation stage"):
+        switch_graph_mode(make_head("baseline", base_reg, d=8), graph)
 
 
 def test_decouple_splits_trunks_and_group_names(base_reg):
