@@ -302,7 +302,7 @@ def cmd_train(cfg: dict) -> int:
     save_trace_csv(out / "trace.csv", result.trace)
     _write_meta(
         out, "train", cfg, [out / "head.json", out / "trace.csv"],
-        extra={"we_hash": result.we_hash_after, "param_hash": head.param_hash(),
+        extra={"we_hash": result.we_hash, "param_hash": head.param_hash(),
                "final_loss": result.final_loss},
     )
     return 0
@@ -399,8 +399,8 @@ def cmd_finetune(cfg: dict) -> int:
     _write_meta(
         out, "finetune", cfg,
         [out / "head.json", out / "trace.csv", out / "episode.json"],
-        extra={"we_hash": result.we_hash_after,
-               "frozen_hash": result.frozen_hash_after,
+        extra={"we_hash": result.we_hash,
+               "frozen_hash": result.frozen_hash,
                "trainable": head.trainable_names(),
                "steps": len(result.trace)},
     )

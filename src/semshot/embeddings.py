@@ -137,11 +137,9 @@ class EmbeddingMatrix:
     def content_hash(self) -> str:
         return hashlib.sha256(np.ascontiguousarray(self.matrix).tobytes()).hexdigest()
 
-    def select_rows(self, indices, provenance=None) -> "EmbeddingMatrix":
-        prov = provenance
-        if prov is None and self.provenance:
-            prov = tuple(self.provenance[i] for i in indices)
-        return EmbeddingMatrix(self.matrix[list(indices)].copy(), prov or ())
+    def select_rows(self, indices) -> "EmbeddingMatrix":
+        prov = tuple(self.provenance[i] for i in indices) if self.provenance else ()
+        return EmbeddingMatrix(self.matrix[list(indices)].copy(), prov)
 
 
 def compose_background_row(dim: int, seed: int = 0) -> np.ndarray:

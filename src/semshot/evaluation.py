@@ -37,24 +37,12 @@ class MetricsReport:
         }
 
 
-def _logits_only(head: Head, records) -> np.ndarray:
-    x = batch_features(records)
-    return forward_pass(head, x).logits.value
-
-
-def predict(head: Head, records) -> np.ndarray:
-    """Predicted class indices for a record list (argmax, lowest index wins)."""
-    if not records:
-        raise ValueError("nothing to predict on")
-    return np.argmax(_logits_only(head, records), axis=0)
-
-
 def evaluate(head: Head, records) -> MetricsReport:
     """Per-class and grouped accuracy over labeled records."""
     if not records:
         raise ValueError("evaluate needs at least one record")
     labels = np.array([head.registry.index(r.label) for r in records])
-    preds = np.argmax(_logits_only(head, records), axis=0)
+    preds = np.argmax(forward_pass(head, batch_features(records)).logits.value, axis=0)
 
     n = head.registry.n
     confusion = np.zeros((n, n), dtype=np.int64)

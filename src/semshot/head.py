@@ -48,6 +48,10 @@ class HeadConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("d_in", "d", "r"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"head dimension {name} must be at least 1, got {value}")
         if isinstance(self.mode, str):
             self.mode = HeadMode(self.mode)
         if isinstance(self.graph_mode, str):
@@ -287,14 +291,14 @@ def forward_pass(head: Head, x, labels=None, reg_targets=None,
 
 
 def batch_forward(head: Head, records, reg_weight: float = 1.0,
-                  use_graph: bool = True, with_reg: bool = True) -> ForwardResult:
+                  use_graph: bool = True) -> ForwardResult:
     """Forward a list of FeatureRecords; labels resolve through the registry."""
     if not records:
         raise ValueError("empty batch")
     x = batch_features(records)
     labels = [head.registry.index(r.label) for r in records]
     reg_targets = None
-    if with_reg and all(r.reg is not None for r in records):
+    if all(r.reg is not None for r in records):
         reg_targets = np.stack([r.reg for r in records], axis=1)
     return forward_pass(
         head, x, labels=labels, reg_targets=reg_targets,

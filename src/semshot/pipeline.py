@@ -15,7 +15,15 @@ from . import relation as rel
 from .diffmath import l2_normalize_rows
 from .embeddings import ClassRegistry, EmbeddingMatrix, compose_background_row
 from .evaluation import MetricsReport, SweepResult, SweepRow, evaluate
-from .head import Head, HeadConfig, HeadMode, build_head, decouple_trunks, expand_classes
+from .head import (
+    Head,
+    HeadConfig,
+    HeadMode,
+    attach_heuristic_graph,
+    build_head,
+    decouple_trunks,
+    expand_classes,
+)
 from .synthgen import SynthConfig, generate
 from .training import (
     Episode,
@@ -29,6 +37,15 @@ from .training import (
 
 _STREAM_CLUSTER = 8
 _STREAM_EMBED_NOISE = 9
+
+# the bundled cell's fixed settings: class spread around the cluster centers,
+# corruption of the embeddings heads see, generator noise as a fraction of the
+# minimum prototype margin, fine-tune lr and the weight of the regression loss
+CLUSTER_SPREAD = 0.35
+EMBED_NOISE = 0.1
+MARGIN_SCALE = 0.15
+FINETUNE_LR = 0.005
+REG_WEIGHT = 0.1
 
 
 def noisy_view(we: EmbeddingMatrix, noise: float, seed: int) -> EmbeddingMatrix:
@@ -58,6 +75,8 @@ def clustered_embeddings(registry: ClassRegistry, dim: int, n_clusters: int,
     class has semantically close base classes, which is what the relation
     stage feeds on.
     """
+    if n_clusters < 1:
+        raise ValueError(f"n_clusters must be at least 1, got {n_clusters}")
     rng = np.random.default_rng([seed, _STREAM_CLUSTER])
     centers = l2_normalize_rows(rng.standard_normal((n_clusters, dim)))
     names = registry.base + registry.novel
@@ -82,25 +101,15 @@ class PipelineConfig:
     d: int = 32
     r: int = 8
     n_clusters: int = 5
-    cluster_spread: float = 0.35
-    embed_noise: float = 0.1
     alpha: float = 0.9
-    noise_std: float | None = None
-    margin_scale: float = 0.15
     train_per_class: int = 30
     test_per_class: int = 25
     base_steps: int = 500
     base_lr: float = 0.02
-    finetune_lr: float = 0.005
     finetune_steps: int | None = None
     base_shots: int | None = 30
     batch_size: int = 16
-    reg_weight: float = 0.1
-    scaled_attention: bool = True
-    attention_gain: float = rel.DEFAULT_ATTENTION_GAIN
-    graph_in_base: bool = False
     decouple: bool = False
-    trainable: tuple | None = None
 
     def __post_init__(self):
         if isinstance(self.mode, str):
@@ -146,10 +155,10 @@ def run_cell(cfg: PipelineConfig, k: int, seed: int) -> CellResult:
     """One full two-phase run at a given shot count and seed."""
     full_registry = cfg.registry()
     we_latent = clustered_embeddings(
-        full_registry, cfg.d_e, cfg.n_clusters, cfg.cluster_spread, seed
+        full_registry, cfg.d_e, cfg.n_clusters, CLUSTER_SPREAD, seed
     )
     # features come from the latent vectors; heads see only the noisy view
-    we_full = noisy_view(we_latent, cfg.embed_noise, seed)
+    we_full = noisy_view(we_latent, EMBED_NOISE, seed)
     data = generate(
         we_latent,
         full_registry,
@@ -158,8 +167,7 @@ def run_cell(cfg: PipelineConfig, k: int, seed: int) -> CellResult:
             train_per_class=cfg.train_per_class,
             test_per_class=cfg.test_per_class,
             alpha=cfg.alpha,
-            noise_std=cfg.noise_std,
-            margin_scale=cfg.margin_scale,
+            margin_scale=MARGIN_SCALE,
             seed=seed,
         ),
     )
@@ -181,30 +189,28 @@ def run_cell(cfg: PipelineConfig, k: int, seed: int) -> CellResult:
         d_in=cfg.d_in,
         d=cfg.d,
         r=cfg.r,
-        scaled_attention=cfg.scaled_attention,
-        attention_gain=cfg.attention_gain,
-        graph_in_base=cfg.graph_in_base,
+        graph_in_base=False,  # the relation stage joins at fine-tuning
         seed=seed,
     )
     head = build_head(head_cfg, base_registry, we_base)  # a baseline head ignores we_base
     if cfg.graph_mode is rel.GraphMode.HEURISTIC:
         # co-occurrence over single-label records degenerates to identity;
         # use embedding-neighborhood counts instead
-        head.g_heur = _similarity_graph(we_base.matrix)
+        attach_heuristic_graph(head, _similarity_graph(we_base.matrix))
 
     base_train(
         head,
         base_train_data,
         TrainConfig(
             lr=cfg.base_lr, steps=cfg.base_steps, batch_size=cfg.batch_size,
-            reg_weight=cfg.reg_weight, seed=seed,
+            reg_weight=REG_WEIGHT, seed=seed,
         ),
     )
     report_before = evaluate(head, test_base)
 
     expand_classes(head, full_registry, we_full, seed=seed)
     if cfg.graph_mode is rel.GraphMode.HEURISTIC:
-        head.g_heur = _similarity_graph(head.we.matrix)
+        attach_heuristic_graph(head, _similarity_graph(head.we.matrix))
     if cfg.decouple:
         decouple_trunks(head)
 
@@ -216,11 +222,10 @@ def run_cell(cfg: PipelineConfig, k: int, seed: int) -> CellResult:
         head,
         episode,
         finetune_config(
-            lr=cfg.finetune_lr,
+            lr=FINETUNE_LR,
             steps=cfg.finetune_steps,
             batch_size=cfg.batch_size,
-            reg_weight=cfg.reg_weight,
-            trainable=cfg.trainable,
+            reg_weight=REG_WEIGHT,
             seed=seed,
         ),
     )

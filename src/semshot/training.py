@@ -2,7 +2,7 @@
 
 Phase one trains every head parameter on base-class records (the embedding
 matrix itself is fixed by construction and never moves; both phases assert
-this by content hash).  Phase two freezes everything except a small trainable
+this, and that every frozen parameter stays put, by content hash).  Phase two freezes everything except a small trainable
 set (by default the embedding projection and the relation maps) and trains on
 batches drawn half from base records, half from the k-shot novel episode.
 
@@ -46,7 +46,6 @@ class TrainConfig:
     steps: int | None = 200
     batch_size: int = 16
     milestones: tuple = DEFAULT_MILESTONES
-    gamma: float = DEFAULT_GAMMA
     reg_weight: float = 1.0
     trainable: tuple | None = None  # parameter-group names; None = phase default
     seed: int = 0
@@ -73,9 +72,8 @@ class OptState:
         return v
 
 
-def sgd_step(params, grads, state: OptState, cfg: TrainConfig, lr: float | None = None):
+def sgd_step(params, grads, state: OptState, cfg: TrainConfig, lr: float):
     """One coupled-momentum update over ``params`` using ``grads`` (name -> array)."""
-    step_lr = cfg.lr if lr is None else lr
     for p in params:
         if not p.trainable:
             continue
@@ -85,16 +83,16 @@ def sgd_step(params, grads, state: OptState, cfg: TrainConfig, lr: float | None 
                 f"gradient shape {g.shape} does not match param {p.name!r} {p.value.shape}"
             )
         vel = state.velocity_for(p.name, p.value.shape)
-        kernels.sgd_update(p.value, g, vel, step_lr, cfg.momentum, cfg.weight_decay)
+        kernels.sgd_update(p.value, g, vel, lr, cfg.momentum, cfg.weight_decay)
     state.step += 1
 
 
 def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
-    """Step-decayed learning rate: gamma kicks in at each milestone fraction."""
+    """Step-decayed learning rate: DEFAULT_GAMMA kicks in at each milestone fraction."""
     lr = cfg.lr
     for frac in cfg.milestones:
         if step >= frac * total_steps:
-            lr *= cfg.gamma
+            lr *= DEFAULT_GAMMA
     return lr
 
 
@@ -222,10 +220,8 @@ class TraceRow:
 class TrainResult:
     head: Head
     trace: list
-    we_hash_before: str
-    we_hash_after: str
-    frozen_hash_before: str = ""
-    frozen_hash_after: str = ""
+    we_hash: str  # the embedding matrix, unchanged by the phase
+    frozen_hash: str  # the parameters the phase froze, unchanged by it
 
     @property
     def final_loss(self) -> float:
@@ -261,7 +257,7 @@ def _step(head: Head, batch, cfg: TrainConfig, state: OptState, lr: float,
             + _divergence_cause(head)
         )
     result.loss.backward()
-    sgd_step(head.param_list(), _collect_grads(head), state, cfg, lr=lr)
+    sgd_step(head.param_list(), _collect_grads(head), state, cfg, lr)
     return TraceRow(
         step=state.step,
         lr=lr,
@@ -271,50 +267,58 @@ def _step(head: Head, batch, cfg: TrainConfig, state: OptState, lr: float,
     )
 
 
-def _check_labels(head: Head, records, allowed_indices, phase: str):
+def _run_phase(phase: str, head: Head, records, allowed_indices, default_groups,
+               steps: int, batches, cfg: TrainConfig, use_graph: bool = True) -> TrainResult:
+    """The loop both phases share.
+
+    Checks every record's label against the phase, trains ``cfg.trainable``
+    (else ``default_groups``) for ``steps`` lr-scheduled steps over
+    ``batches``, and raises if the embedding matrix or a frozen parameter
+    ends the phase different from how it began: any drift is a bug, not a
+    tolerance question.
+    """
     allowed = set(allowed_indices)
     for rec in records:
-        idx = head.registry.index(rec.label)
-        if idx not in allowed:
+        if head.registry.index(rec.label) not in allowed:
             raise ValueError(f"{phase}: record {rec.id!r} has out-of-phase label {rec.label!r}")
+    trainable = head.resolve_groups(cfg.trainable if cfg.trainable is not None
+                                    else default_groups)
+    head.set_trainable(trainable)
+    frozen = [n for n in head.params if n not in trainable]
+    we_hash, frozen_hash = head.we_hash(), head.param_hash(frozen)
+    state = OptState()
+    trace = [_step(head, next(batches), cfg, state, lr_at(cfg, step, steps), use_graph, phase)
+             for step in range(steps)]
+    if head.we_hash() != we_hash:
+        raise RuntimeError(f"{phase}: the embedding matrix changed")
+    if head.param_hash(frozen) != frozen_hash:
+        raise RuntimeError(f"{phase}: a frozen parameter moved")
+    return TrainResult(head=head, trace=trace, we_hash=we_hash, frozen_hash=frozen_hash)
+
+
+def _uniform_batches(records, batch_size: int, seed: int):
+    rng = np.random.default_rng([seed, _STREAM_BATCH])
+    while True:
+        yield [records[i] for i in rng.integers(0, len(records), size=batch_size)]
 
 
 def base_train(head: Head, base_data, cfg: TrainConfig) -> TrainResult:
     """Phase one: uniform batches over base-class records, every param trains.
 
     When the head was configured with graph_in_base=False, the relation stage
-    is bypassed (and its params left untouched) until fine-tuning.
+    is bypassed (and its params frozen) until fine-tuning.
     """
     if not base_data:
         raise ValueError("base_train needs at least one record")
     if cfg.steps is None or cfg.steps < 1:
         raise ValueError("base_train needs an explicit positive step budget")
-    _check_labels(
-        head, base_data,
-        head.registry.base_indices() + [head.registry.background_index],
-        "base_train",
-    )
     use_graph = head.cfg.graph_in_base
-    trainable = set(head.params)
-    if not use_graph:
-        trainable -= set(head.param_groups().get("relation", ()))
-    if cfg.trainable is not None:
-        trainable = head.resolve_groups(cfg.trainable)
-    head.set_trainable(trainable)
-
-    we_before = head.we_hash()
-    rng = np.random.default_rng([cfg.seed, _STREAM_BATCH])
-    state = OptState()
-    trace = []
-    for step in range(cfg.steps):
-        idx = rng.integers(0, len(base_data), size=cfg.batch_size)
-        batch = [base_data[i] for i in idx]
-        trace.append(_step(head, batch, cfg, state, lr_at(cfg, step, cfg.steps), use_graph,
-                           "base_train"))
-    we_after = head.we_hash()
-    if we_before != we_after:
-        raise RuntimeError("embedding matrix changed during base training")
-    return TrainResult(head=head, trace=trace, we_hash_before=we_before, we_hash_after=we_after)
+    groups = [g for g in head.param_groups() if use_graph or g != "relation"]
+    return _run_phase(
+        "base_train", head, base_data,
+        head.registry.base_indices() + [head.registry.background_index], groups,
+        cfg.steps, _uniform_batches(base_data, cfg.batch_size, cfg.seed), cfg, use_graph,
+    )
 
 
 def default_finetune_groups(head: Head) -> tuple:
@@ -335,42 +339,16 @@ def finetune_steps_for(episode: Episode) -> int:
 
 
 def finetune(head: Head, episode: Episode, cfg: TrainConfig) -> TrainResult:
-    """Phase two: balanced base/novel batches, frozen except the chosen groups.
-
-    Frozen parameters are hash-checked before and after; any drift is a bug,
-    not a tolerance question.
-    """
-    _check_labels(head, episode.base_records + episode.novel_records,
-                  range(head.registry.n), "finetune")
-    groups = cfg.trainable if cfg.trainable is not None else default_finetune_groups(head)
-    trainable = head.resolve_groups(groups)
-    head.set_trainable(trainable)
-    frozen = [n for n in head.params if n not in trainable]
-
+    """Phase two: balanced base/novel batches, frozen except the chosen groups."""
     steps = cfg.steps if cfg.steps is not None else finetune_steps_for(episode)
     if steps < 1:
         raise ValueError("finetune needs a positive step budget")
-
-    we_before = head.we_hash()
-    frozen_before = head.param_hash(frozen)
-    batches = balanced_batch_iter(
-        episode.base_records, episode.novel_records, cfg.batch_size, cfg.seed
-    )
-    state = OptState()
-    trace = []
-    for step in range(steps):
-        trace.append(_step(head, next(batches), cfg, state,
-                           lr_at(cfg, step, steps), use_graph=True, phase="finetune"))
-    we_after = head.we_hash()
-    frozen_after = head.param_hash(frozen)
-    if we_before != we_after:
-        raise RuntimeError("embedding matrix changed during fine-tuning")
-    if frozen_before != frozen_after:
-        raise RuntimeError("a frozen parameter moved during fine-tuning")
-    return TrainResult(
-        head=head, trace=trace,
-        we_hash_before=we_before, we_hash_after=we_after,
-        frozen_hash_before=frozen_before, frozen_hash_after=frozen_after,
+    return _run_phase(
+        "finetune", head, episode.base_records + episode.novel_records,
+        range(head.registry.n), default_finetune_groups(head), steps,
+        balanced_batch_iter(episode.base_records, episode.novel_records,
+                            cfg.batch_size, cfg.seed),
+        cfg,
     )
 
 

@@ -198,6 +198,27 @@ def test_sweep_rejects_graph_mode_without_relation_stage(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--mode", "srr", "--proj-dim", 0], "head dimension d must be at least 1, got 0"),
+    (["train", "--mode", "srr", "--reduced-dim", 0], "head dimension r must be at least 1, got 0"),
+    (["train", "--mode", "srr", "--reduced-dim", -3],
+     "head dimension r must be at least 1, got -3"),
+    (["gradcheck", "--proj-dim", 0], "head dimension d must be at least 1, got 0"),
+    (["synth", "--clusters", 0], "n_clusters must be at least 1, got 0"),
+])
+def test_bad_dimensions_exit_1_naming_the_field(corpus, tmp_path, capsys, argv, message):
+    if argv[0] == "train":
+        argv = argv + ["--data", corpus / "base_train.jsonl",
+                       "--registry", corpus / "registry_base.json",
+                       "--embeddings", corpus / "embeddings.txt", "--steps", 2]
+    if argv[0] != "gradcheck":
+        argv = argv + ["--out-dir", tmp_path / "out"]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
+
+
 def test_missing_required_options_fail(capsys):
     assert run("train") == 1
     err = capsys.readouterr().err

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from semshot import evaluation
 from semshot.embeddings import ClassRegistry, random_embeddings
 from semshot.evaluation import (
     MetricsReport,
@@ -12,10 +11,10 @@ from semshot.evaluation import (
     SweepRow,
     evaluate,
     paired_onesided_pvalue,
-    predict,
     save_sweep_csv,
 )
-from semshot.records import FeatureRecord
+from semshot.head import forward_pass
+from semshot.records import FeatureRecord, batch_features
 
 from conftest import make_head
 
@@ -44,8 +43,8 @@ def one_hot_record(idx, label, d_in=6, rid="r"):
 
 @pytest.mark.parametrize("mode", ["baseline", "ssp", "srr"])
 def test_record_logits_do_not_depend_on_its_batch(mode):
-    # evaluate() and predict() score through _logits_only; a record must get
-    # the same logit bits alone as in the middle of a batch
+    # evaluate() scores a whole record list in one forward pass; a record
+    # must get the same logit bits alone as in the middle of a batch
     registry = ClassRegistry(base=("cat", "dog", "cow", "pig"), novel=("fox", "owl"))
     we = random_embeddings(registry, dim=40, seed=2)
     head = make_head(mode, registry, we, d_in=24, d=16, r=4)
@@ -53,21 +52,22 @@ def test_record_logits_do_not_depend_on_its_batch(mode):
     labels = registry.base + registry.novel
     records = [FeatureRecord(id=f"r{i}", label=labels[i % len(labels)],
                              feat=rng.standard_normal(24)) for i in range(9)]
-    batched = evaluation._logits_only(head, records)
+    batched = forward_pass(head, batch_features(records)).logits.value
     for j, rec in enumerate(records):
-        alone = evaluation._logits_only(head, [rec])
+        alone = forward_pass(head, batch_features([rec])).logits.value
         assert np.array_equal(alone[:, 0], batched[:, j]), f"record {rec.id} scored differently alone"
 
 
-def test_predict_argmax_with_lowest_index_ties():
+def test_evaluate_argmax_with_lowest_index_ties():
     registry = ClassRegistry(base=("cat", "dog"))
     head = rigged_head(registry)
     tie = FeatureRecord(id="t", label="cat", feat=np.ones(6))  # all logits equal
     clear = one_hot_record(1, "dog", rid="c")
-    preds = predict(head, [tie, clear])
-    np.testing.assert_array_equal(preds, [0, 1])
-    with pytest.raises(ValueError, match="nothing to predict"):
-        predict(head, [])
+    confusion = evaluate(head, [tie, clear]).confusion
+    np.testing.assert_array_equal(confusion[0], [1, 0, 0])  # the tie goes to index 0
+    np.testing.assert_array_equal(confusion[1], [0, 1, 0])
+    with pytest.raises(ValueError, match="at least one record"):
+        evaluate(head, [])
 
 
 def test_evaluate_matches_hand_confusion():

@@ -52,6 +52,13 @@ def test_build_head_validation(base_reg):
     assert HeadConfig(mode="ssp").graph_mode is rel.GraphMode.NONE
 
 
+@pytest.mark.parametrize("field,value", [("d_in", 0), ("d", 0), ("r", 0), ("r", -3)])
+def test_head_config_rejects_dimensions_below_one(field, value):
+    with pytest.raises(ValueError, match=f"head dimension {field} must be at least 1, "
+                                         f"got {value}"):
+        HeadConfig(mode="srr", **{field: value})
+
+
 def test_baseline_logits_are_linear_scores(base_reg):
     head = make_head("baseline", base_reg, d=8)
     v = np.random.default_rng(0).standard_normal((8, 1))

@@ -45,6 +45,8 @@ def test_clustered_embeddings_are_unit_with_background():
     same = we.matrix[0] @ we.matrix[2]   # both cluster 0
     cross = we.matrix[0] @ we.matrix[1]  # clusters 0 and 1
     assert same > cross
+    with pytest.raises(ValueError, match="n_clusters must be at least 1, got 0"):
+        clustered_embeddings(reg, dim=10, n_clusters=0, spread=0.3, seed=4)
 
 
 def test_noisy_view_properties():

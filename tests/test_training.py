@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from semshot import training
 from semshot.diffmath import Param
 from semshot.embeddings import ClassRegistry, random_embeddings
 from semshot.records import FeatureRecord
@@ -56,7 +57,7 @@ def test_sgd_step_matches_recurrence():
     for _ in range(3):
         ref_v = 0.9 * ref_v + grads["w"] + 0.01 * ref_p
         ref_p = ref_p - 0.1 * ref_v
-        sgd_step([p], grads, state, cfg)
+        sgd_step([p], grads, state, cfg, 0.1)
     np.testing.assert_allclose(p.value, ref_p, rtol=1e-15)
     assert state.step == 3
 
@@ -64,11 +65,11 @@ def test_sgd_step_matches_recurrence():
 def test_sgd_step_skips_frozen_and_checks_shapes():
     cfg = TrainConfig(lr=0.1, momentum=0.0, weight_decay=0.0)
     frozen = Param("f", np.ones((2, 2)), trainable=False)
-    sgd_step([frozen], {"f": np.ones((2, 2))}, OptState(), cfg)
+    sgd_step([frozen], {"f": np.ones((2, 2))}, OptState(), cfg, 0.1)
     np.testing.assert_array_equal(frozen.value, np.ones((2, 2)))
     live = Param("w", np.ones((2, 2)))
     with pytest.raises(ValueError, match="gradient shape"):
-        sgd_step([live], {"w": np.ones((3, 2))}, OptState(), cfg)
+        sgd_step([live], {"w": np.ones((3, 2))}, OptState(), cfg, 0.1)
 
 
 def test_lr_schedule_decays_at_milestones():
@@ -176,9 +177,10 @@ def test_base_train_rejects_novel_labels(tiny_world):
 def test_base_train_runs_and_loss_falls(tiny_world):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
     head = make_head("ssp", base_reg, we.select_rows(base_rows))
+    we_before = head.we_hash()
     result = base_train(head, base_data, TrainConfig(steps=60, batch_size=8, seed=0))
     assert len(result.trace) == 60
-    assert result.we_hash_before == result.we_hash_after
+    assert result.we_hash == we_before == head.we_hash()
     early = np.mean([r.loss for r in result.trace[:10]])
     late = np.mean([r.loss for r in result.trace[-10:]])
     assert late < early
@@ -220,11 +222,41 @@ def test_finetune_freezes_everything_outside_the_chosen_groups(tiny_world):
     frozen_names = [n for n in head.params if n not in {"P", "b"}]
     before = {n: head.params[n].value.copy() for n in frozen_names}
     p_before = head.params["P"].value.copy()
+    frozen_before = head.param_hash(frozen_names)
     result = finetune(head, episode, finetune_config(steps=8, batch_size=4, seed=2))
-    assert result.frozen_hash_before == result.frozen_hash_after
+    assert result.frozen_hash == frozen_before == head.param_hash(frozen_names)
     for name, val in before.items():
         np.testing.assert_array_equal(head.params[name].value, val)
     assert not np.array_equal(head.params["P"].value, p_before)
+
+
+def _nudging_sgd_step(monkeypatch, head, name):
+    """Make every optimizer step also move ``head.params[name]``."""
+    real = training.sgd_step
+
+    def step(params, grads, state, cfg, lr):
+        real(params, grads, state, cfg, lr)
+        head.params[name].value[0, 0] += 1e-12
+
+    monkeypatch.setattr(training, "sgd_step", step)
+
+
+def test_base_train_fails_when_a_deferred_relation_map_moves(tiny_world, monkeypatch):
+    registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
+    head = make_head("srr", base_reg, we.select_rows(base_rows), graph_in_base=False)
+    _nudging_sgd_step(monkeypatch, head, "t_l")
+    with pytest.raises(RuntimeError, match="base_train: a frozen parameter moved"):
+        base_train(head, base_data, TrainConfig(steps=3, batch_size=4, seed=1))
+
+
+def test_finetune_fails_when_a_frozen_trunk_weight_moves(tiny_world, monkeypatch):
+    registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
+    head = make_head("ssp", registry, we)
+    episode = sample_episode(base_data, novel_data,
+                             EpisodeConfig(k=2, base_shots=3, seed=2))
+    _nudging_sgd_step(monkeypatch, head, "trunk_w1")
+    with pytest.raises(RuntimeError, match="finetune: a frozen parameter moved"):
+        finetune(head, episode, finetune_config(steps=3, batch_size=4, seed=2))
 
 
 def test_finetune_honors_explicit_trainable_groups(tiny_world):
