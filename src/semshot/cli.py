@@ -21,6 +21,7 @@ from .diffmath import grad_check
 from .embeddings import (
     ClassRegistry,
     load_embedding_file,
+    load_json,
     load_registry,
     random_embeddings,
     save_embedding_file,
@@ -42,7 +43,7 @@ from .head import (
     switch_graph_mode,
 )
 from .pipeline import bundled_benchmark, clustered_embeddings, shot_sweep
-from .records import feature_dim, load_records, save_records
+from .records import load_records, save_records
 from .relation import cooccurrence_graph, correlation_map
 from .synthgen import SynthConfig, generate
 from .training import (
@@ -130,8 +131,7 @@ def _resolve(opts, ns: argparse.Namespace) -> dict:
 
     config_path = getattr(ns, "config", None)
     if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = load_json(config_path)
         if isinstance(obj, dict) and "command" in obj and isinstance(obj.get("config"), dict):
             obj = obj["config"]
         if not isinstance(obj, dict):
@@ -193,10 +193,14 @@ def _load_label_sets(path) -> list:
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            if not isinstance(obj, dict) or "labels" not in obj:
-                raise ValueError(f"{path}:{lineno}: expected {{\"labels\": [...]}}")
-            sets.append(obj["labels"])
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            labels = obj.get("labels") if isinstance(obj, dict) else None
+            if not isinstance(labels, list) or not all(isinstance(n, str) for n in labels):
+                raise ValueError(f'{path}:{lineno}: expected {{"labels": [class names]}}')
+            sets.append(labels)
     return sets
 
 
@@ -279,7 +283,7 @@ def cmd_train(cfg: dict) -> int:
     data = load_records(cfg["data"])
     mode = HeadMode(cfg["mode"])
     we = None if mode is HeadMode.BASELINE else _load_embeddings(cfg, registry)
-    head_cfg = _head_cfg_from(cfg, mode, feature_dim(data))
+    head_cfg = _head_cfg_from(cfg, mode, data.feat.shape[0])
     head = build_head(head_cfg, registry, we)
 
     if head_cfg.graph_mode is rel.GraphMode.HEURISTIC:
@@ -453,8 +457,7 @@ EVAL_OPTS = [
 def cmd_eval(cfg: dict) -> int:
     out = _out_dir(cfg)
     head = load_head(cfg["checkpoint"])
-    records = load_records(cfg["data"])
-    report = evaluate(head, records)
+    report = evaluate(head, load_records(cfg["data"]))
     _write_json(out / "metrics.json", report.to_json())
     _write_matrix_csv(
         out / "confusion.csv", report.confusion.astype(float),
@@ -659,12 +662,11 @@ def cmd_synth(cfg: dict) -> int:
             seed=cfg["seed"],
         ),
     )
-    base_names = set(registry.base)
     save_registry(registry, out / "registry.json")
     class_names = registry.base + registry.novel
     save_embedding_file(out / "embeddings.txt", class_names, we.matrix[: len(class_names)])
-    save_records(out / "base_train.jsonl", [r for r in ds.train if r.label in base_names])
-    save_records(out / "novel_train.jsonl", [r for r in ds.train if r.label not in base_names])
+    save_records(out / "base_train.jsonl", ds.train.with_labels(registry.base))
+    save_records(out / "novel_train.jsonl", ds.train.with_labels(registry.novel))
     save_records(out / "test.jsonl", ds.test)
     _write_meta(
         out, "synth", cfg,
@@ -710,7 +712,7 @@ def main(argv=None) -> int:
         cfg = _resolve(opts, ns)
         return fn(cfg)
     except (ValueError, KeyError, OSError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1
 
 

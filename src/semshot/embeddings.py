@@ -91,9 +91,15 @@ class ClassRegistry:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ClassRegistry":
+        if not isinstance(obj, dict):
+            raise ValueError("registry must be a JSON object")
         unknown = set(obj) - {"base", "novel", "tokens"}
         if unknown:
             raise ValueError(f"unknown registry keys: {sorted(unknown)}")
+        for key in ("base", "novel"):
+            names = obj.get(key, [])
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise ValueError(f"registry {key!r} must be a list of class names")
         return cls(
             base=tuple(obj.get("base", ())),
             novel=tuple(obj.get("novel", ())),
@@ -101,9 +107,17 @@ class ClassRegistry:
         )
 
 
-def load_registry(path) -> ClassRegistry:
+def load_json(path, parse=lambda obj: obj):
+    """``parse`` of the JSON document in ``path``; a ValueError names ``path``."""
     with open(path, encoding="utf-8") as fh:
-        return ClassRegistry.from_json(json.load(fh))
+        try:
+            return parse(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def load_registry(path) -> ClassRegistry:
+    return load_json(path, ClassRegistry.from_json)
 
 
 def save_registry(registry: ClassRegistry, path):

@@ -12,7 +12,7 @@ import numpy as np
 from scipy import stats
 
 from .head import Head, forward_pass
-from .records import batch_features
+from .records import FeatureSet, batch_features
 
 
 @dataclass
@@ -37,30 +37,24 @@ class MetricsReport:
         }
 
 
-def evaluate(head: Head, records) -> MetricsReport:
+def evaluate(head: Head, data: FeatureSet) -> MetricsReport:
     """Per-class and grouped accuracy over labeled records."""
-    if not records:
+    if not len(data):
         raise ValueError("evaluate needs at least one record")
-    labels = np.array([head.registry.index(r.label) for r in records])
-    preds = np.argmax(forward_pass(head, batch_features(records)).logits.value, axis=0)
+    labels = data.label_indices(head.registry)
+    preds = np.argmax(forward_pass(head, batch_features(data)).logits.value, axis=0)
 
-    n = head.registry.n
-    confusion = np.zeros((n, n), dtype=np.int64)
-    for t, p in zip(labels, preds):
-        confusion[t, p] += 1
+    confusion = np.zeros((head.registry.n,) * 2, dtype=np.int64)
+    np.add.at(confusion, (labels, preds), 1)
 
     names = head.registry.names
-    per_class = {}
-    for i, name in enumerate(names):
-        total = int(confusion[i].sum())
-        if total:
-            per_class[name] = float(confusion[i, i]) / total
+    totals = confusion.sum(axis=1)
+    per_class = {name: float(confusion[i, i] / totals[i])
+                 for i, name in enumerate(names) if totals[i]}
 
     def group_acc(indices):
-        have = [i for i in indices if confusion[i].sum() > 0]
-        if not have:
-            return math.nan
-        return float(np.mean([confusion[i, i] / confusion[i].sum() for i in have]))
+        accs = [per_class[names[i]] for i in indices if totals[i]]
+        return float(np.mean(accs)) if accs else math.nan
 
     return MetricsReport(
         class_names=names,
@@ -69,7 +63,7 @@ def evaluate(head: Head, records) -> MetricsReport:
         novel_accuracy=group_acc(head.registry.novel_indices()),
         overall_accuracy=float((preds == labels).mean()),
         confusion=confusion,
-        record_count=len(records),
+        record_count=len(data),
     )
 
 

@@ -24,8 +24,8 @@ import numpy as np
 from . import diffmath as dm
 from . import relation as rel
 from .diffmath import Param, Tape
-from .embeddings import ClassRegistry, EmbeddingMatrix
-from .records import REG_DIM, batch_features
+from .embeddings import ClassRegistry, EmbeddingMatrix, load_json
+from .records import REG_DIM, FeatureSet, batch_features
 
 
 class HeadMode(enum.Enum):
@@ -290,18 +290,14 @@ def forward_pass(head: Head, x, labels=None, reg_targets=None,
     return result
 
 
-def batch_forward(head: Head, records, reg_weight: float = 1.0,
+def batch_forward(head: Head, data: FeatureSet, y, cols, reg_weight: float = 1.0,
                   use_graph: bool = True) -> ForwardResult:
-    """Forward a list of FeatureRecords; labels resolve through the registry."""
-    if not records:
+    """Forward columns ``cols`` of ``data``; ``y`` holds every record's class index."""
+    if not len(cols):
         raise ValueError("empty batch")
-    x = batch_features(records)
-    labels = [head.registry.index(r.label) for r in records]
-    reg_targets = None
-    if all(r.reg is not None for r in records):
-        reg_targets = np.stack([r.reg for r in records], axis=1)
     return forward_pass(
-        head, x, labels=labels, reg_targets=reg_targets,
+        head, batch_features(data, cols), labels=y[cols],
+        reg_targets=None if data.reg is None else data.reg.take(cols, axis=1),
         reg_weight=reg_weight, use_graph=use_graph,
     )
 
@@ -477,8 +473,9 @@ def head_state(head: Head) -> dict:
 
 
 def head_from_state(state: dict) -> Head:
-    if state.get("format") != _CHECKPOINT_FORMAT:
-        raise ValueError(f"unrecognized checkpoint format {state.get('format')!r}")
+    fmt = state.get("format") if isinstance(state, dict) else None
+    if fmt != _CHECKPOINT_FORMAT:
+        raise ValueError(f"unrecognized checkpoint format {fmt!r}")
     cfg = HeadConfig(
         mode=state["mode"],
         graph_mode=state["graph_mode"],
@@ -537,5 +534,4 @@ def save_head(head: Head, path):
 
 
 def load_head(path) -> Head:
-    with open(path, encoding="utf-8") as fh:
-        return head_from_state(json.load(fh))
+    return load_json(path, head_from_state)

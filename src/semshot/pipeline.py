@@ -172,12 +172,9 @@ def run_cell(cfg: PipelineConfig, k: int, seed: int) -> CellResult:
         ),
     )
 
-    base_names = set(full_registry.base)
-    novel_names = set(full_registry.novel)
-    base_train_data = [r for r in data.train if r.label in base_names]
-    novel_pool = [r for r in data.train if r.label in novel_names]
-    test_base = [r for r in data.test if r.label in base_names]
-    test_all = data.test
+    base_train_data = data.train.with_labels(full_registry.base)
+    novel_pool = data.train.with_labels(full_registry.novel)
+    test_base = data.test.with_labels(full_registry.base)
 
     base_registry = ClassRegistry(base=full_registry.base)
     base_rows = list(range(len(full_registry.base))) + [full_registry.background_index]
@@ -229,7 +226,7 @@ def run_cell(cfg: PipelineConfig, k: int, seed: int) -> CellResult:
             seed=seed,
         ),
     )
-    report_after = evaluate(head, test_all)
+    report_after = evaluate(head, data.test)
     return CellResult(
         head=head, report_before=report_before, report_after=report_after, episode=episode,
     )

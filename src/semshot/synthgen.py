@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import ClassRegistry, EmbeddingMatrix
-from .records import REG_DIM, FeatureRecord
+from .records import REG_DIM, FeatureSet, concat
 
 _STREAM_MAP = 1
 _STREAM_UNIT = 2
@@ -48,9 +48,8 @@ class SynthConfig:
 
 @dataclass
 class SynthDataset:
-    registry: ClassRegistry
-    train: list
-    test: list
+    train: FeatureSet
+    test: FeatureSet
     prototypes: np.ndarray
     sigma: float
     min_margin: float
@@ -109,26 +108,16 @@ def generate(we: EmbeddingMatrix, registry: ClassRegistry, cfg: SynthConfig) -> 
     rng_reg = np.random.default_rng([cfg.seed, _STREAM_REG])
     reg_map = rng_reg.standard_normal((REG_DIM, cfg.d_in)) / np.sqrt(cfg.d_in)
 
-    train, test = [], []
+    blocks = {"train": [], "test": []}
     for i, name in enumerate(names):
-        for split, count, bucket in (
-            ("train", cfg.train_per_class, train),
-            ("test", cfg.test_per_class, test),
-        ):
+        for split, count in (("train", cfg.train_per_class), ("test", cfg.test_per_class)):
             noise = rng_noise.standard_normal((count, cfg.d_in)) * sigma
             feats = protos[i] + noise
             reg_noise = rng_reg.standard_normal((count, REG_DIM)) * cfg.reg_noise_std
             regs = (reg_map @ feats.T).T + reg_noise
-            for j in range(count):
-                bucket.append(
-                    FeatureRecord(
-                        id=f"{split}-{name}-{j:04d}",
-                        label=name,
-                        feat=feats[j],
-                        reg=regs[j],
-                    )
-                )
+            blocks[split].append(FeatureSet([f"{split}-{name}-{j:04d}" for j in range(count)],
+                                            [name] * count, feats.T, regs.T))
     return SynthDataset(
-        registry=registry, train=train, test=test,
+        train=concat(*blocks["train"]), test=concat(*blocks["test"]),
         prototypes=protos, sigma=float(sigma), min_margin=min_margin,
     )

@@ -4,7 +4,7 @@ Phase one trains every head parameter on base-class records (the embedding
 matrix itself is fixed by construction and never moves; both phases assert
 this, and that every frozen parameter stays put, by content hash).  Phase two freezes everything except a small trainable
 set (by default the embedding projection and the relation maps) and trains on
-batches drawn half from base records, half from the k-shot novel episode.
+class-balanced batches from the k-shot episode's base and novel records.
 
 The optimizer is classic SGD with momentum and coupled weight decay:
 v <- mu v + g + wd p;  p <- p - lr v.
@@ -17,6 +17,7 @@ import numpy as np
 
 from . import kernels
 from .head import Head, HeadMode, batch_forward
+from .records import FeatureSet, concat
 
 DEFAULT_BASE_LR = 0.02
 DEFAULT_MOMENTUM = 0.9
@@ -104,25 +105,13 @@ def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
 class Episode:
     """The fixed record sets one fine-tune phase trains on."""
 
-    base_records: list
-    novel_records: list
+    base: FeatureSet
+    novel: FeatureSet
     k: int
     base_shots: int
-    seed: int
-
-    def __post_init__(self):
-        if not self.novel_records:
-            raise ValueError("episode has no novel records")
-
-    @property
-    def novel_size(self) -> int:
-        return len(self.novel_records)
 
     def ids(self) -> dict:
-        return {
-            "base": sorted(r.id for r in self.base_records),
-            "novel": sorted(r.id for r in self.novel_records),
-        }
+        return {"base": sorted(self.base.ids), "novel": sorted(self.novel.ids)}
 
 
 @dataclass
@@ -132,14 +121,8 @@ class EpisodeConfig:
     seed: int = 0
 
 
-def _group_by_label(records) -> dict:
-    out = {}
-    for rec in records:
-        out.setdefault(rec.label, []).append(rec)
-    return out
-
-
-def sample_episode(base_data, novel_data, cfg: EpisodeConfig) -> Episode:
+def sample_episode(base_data: FeatureSet, novel_data: FeatureSet,
+                   cfg: EpisodeConfig) -> Episode:
     """Pick k records per novel class (and base_shots per base class).
 
     Selection uses one seeded permutation per class, so the same seed with a
@@ -151,53 +134,44 @@ def sample_episode(base_data, novel_data, cfg: EpisodeConfig) -> Episode:
     base_shots = cfg.base_shots if cfg.base_shots is not None else cfg.k
     rng = np.random.default_rng([cfg.seed, _STREAM_EPISODE])
 
-    def pick(groups, count, kind):
+    def pick(data, count, kind):
         chosen = []
-        for label in sorted(groups):
-            recs = groups[label]
-            perm = rng.permutation(len(recs))
-            if len(recs) < count:
-                raise ValueError(
-                    f"{kind} class {label!r} has {len(recs)} records, needs {count}"
-                )
-            chosen.extend(recs[i] for i in perm[:count])
-        return chosen
+        for label, cols in data.label_columns().items():
+            perm = rng.permutation(len(cols))
+            if len(cols) < count:
+                raise ValueError(f"{kind} class {label!r} has {len(cols)} records, "
+                                 f"needs {count}")
+            chosen.extend(cols[perm[:count]])
+        return data.take(chosen)
 
-    novel_groups = _group_by_label(novel_data)
-    if not novel_groups:
+    if not len(novel_data):
         raise ValueError("no novel records to sample an episode from")
-    base_groups = _group_by_label(base_data)
     # draw base picks first so novel picks do not shift when base data changes
-    base_chosen = pick(base_groups, base_shots, "base") if base_groups else []
-    novel_chosen = pick(novel_groups, cfg.k, "novel")
-    return Episode(
-        base_records=base_chosen, novel_records=novel_chosen,
-        k=cfg.k, base_shots=base_shots, seed=cfg.seed,
-    )
+    base = pick(base_data, base_shots, "base")
+    return Episode(base, pick(novel_data, cfg.k, "novel"), cfg.k, base_shots)
 
 
-def balanced_batch_iter(base_records, novel_records, batch_size: int, seed: int):
-    """Endless batches where each slot draws a class uniformly, then one of
-    that class's records uniformly.
+def balanced_batch_iter(data: FeatureSet, batch_size: int, seed: int):
+    """Endless batches of column indices into ``data``; each slot draws a
+    class uniformly, then one of that class's records uniformly.
 
     Balancing over classes (rather than over the base/novel pools) keeps the
     label prior of the fine-tuning stream equal to the evaluation prior, so
     class biases stay calibrated no matter how lopsided the pool sizes are.
     """
-    if not base_records or not novel_records:
-        raise ValueError("balanced batches need non-empty base and novel pools")
+    if not len(data):
+        raise ValueError("balanced batches need a non-empty pool")
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    by_label = _group_by_label(list(base_records) + list(novel_records))
-    labels = sorted(by_label)
+    pools = list(data.label_columns().values())
     rng = np.random.default_rng([seed, _STREAM_BALANCE])
 
     def gen():
         while True:
-            batch = []
-            for _ in range(batch_size):
-                pool = by_label[labels[rng.integers(0, len(labels))]]
-                batch.append(pool[rng.integers(0, len(pool))])
+            batch = np.empty(batch_size, dtype=np.intp)
+            for i in range(batch_size):
+                pool = pools[rng.integers(0, len(pools))]
+                batch[i] = pool[rng.integers(0, len(pool))]
             yield batch
 
     return gen()
@@ -247,9 +221,9 @@ def _divergence_cause(head: Head) -> str:
     return f"all trainable parameters are finite; the largest is {largest!r} (|max| {peak:.3g})"
 
 
-def _step(head: Head, batch, cfg: TrainConfig, state: OptState, lr: float,
-          use_graph: bool, phase: str) -> TraceRow:
-    result = batch_forward(head, batch, reg_weight=cfg.reg_weight, use_graph=use_graph)
+def _step(head: Head, data: FeatureSet, y, cols, cfg: TrainConfig, state: OptState,
+          lr: float, use_graph: bool, phase: str) -> TraceRow:
+    result = batch_forward(head, data, y, cols, cfg.reg_weight, use_graph)
     loss = result.loss.item()
     if not math.isfinite(loss):
         raise FloatingPointError(
@@ -267,27 +241,29 @@ def _step(head: Head, batch, cfg: TrainConfig, state: OptState, lr: float,
     )
 
 
-def _run_phase(phase: str, head: Head, records, allowed_indices, default_groups,
+def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, default_groups,
                steps: int, batches, cfg: TrainConfig, use_graph: bool = True) -> TrainResult:
     """The loop both phases share.
 
-    Checks every record's label against the phase, trains ``cfg.trainable``
-    (else ``default_groups``) for ``steps`` lr-scheduled steps over
-    ``batches``, and raises if the embedding matrix or a frozen parameter
-    ends the phase different from how it began: any drift is a bug, not a
-    tolerance question.
+    Resolves every record's label once and checks it against the phase,
+    trains ``cfg.trainable`` (else ``default_groups``) for ``steps``
+    lr-scheduled steps over ``batches`` of columns of ``data``, and raises if
+    the embedding matrix or a frozen parameter ends the phase different from
+    how it began: any drift is a bug, not a tolerance question.
     """
-    allowed = set(allowed_indices)
-    for rec in records:
-        if head.registry.index(rec.label) not in allowed:
-            raise ValueError(f"{phase}: record {rec.id!r} has out-of-phase label {rec.label!r}")
+    y = data.label_indices(head.registry)
+    stray = np.flatnonzero(~np.isin(y, list(allowed_indices)))
+    if stray.size:
+        raise ValueError(f"{phase}: record {data.ids[stray[0]]!r} has out-of-phase label "
+                         f"{data.labels[stray[0]]!r}")
     trainable = head.resolve_groups(cfg.trainable if cfg.trainable is not None
                                     else default_groups)
     head.set_trainable(trainable)
     frozen = [n for n in head.params if n not in trainable]
     we_hash, frozen_hash = head.we_hash(), head.param_hash(frozen)
     state = OptState()
-    trace = [_step(head, next(batches), cfg, state, lr_at(cfg, step, steps), use_graph, phase)
+    trace = [_step(head, data, y, next(batches), cfg, state, lr_at(cfg, step, steps),
+                   use_graph, phase)
              for step in range(steps)]
     if head.we_hash() != we_hash:
         raise RuntimeError(f"{phase}: the embedding matrix changed")
@@ -296,19 +272,19 @@ def _run_phase(phase: str, head: Head, records, allowed_indices, default_groups,
     return TrainResult(head=head, trace=trace, we_hash=we_hash, frozen_hash=frozen_hash)
 
 
-def _uniform_batches(records, batch_size: int, seed: int):
+def _uniform_batches(data: FeatureSet, batch_size: int, seed: int):
     rng = np.random.default_rng([seed, _STREAM_BATCH])
     while True:
-        yield [records[i] for i in rng.integers(0, len(records), size=batch_size)]
+        yield rng.integers(0, len(data), size=batch_size)
 
 
-def base_train(head: Head, base_data, cfg: TrainConfig) -> TrainResult:
+def base_train(head: Head, base_data: FeatureSet, cfg: TrainConfig) -> TrainResult:
     """Phase one: uniform batches over base-class records, every param trains.
 
     When the head was configured with graph_in_base=False, the relation stage
     is bypassed (and its params frozen) until fine-tuning.
     """
-    if not base_data:
+    if not len(base_data):
         raise ValueError("base_train needs at least one record")
     if cfg.steps is None or cfg.steps < 1:
         raise ValueError("base_train needs an explicit positive step budget")
@@ -335,7 +311,7 @@ def default_finetune_groups(head: Head) -> tuple:
 
 
 def finetune_steps_for(episode: Episode) -> int:
-    return max(1, (FINETUNE_STEPS_PER_SAMPLE * episode.novel_size) // FINETUNE_STEP_DIVISOR)
+    return max(1, (FINETUNE_STEPS_PER_SAMPLE * len(episode.novel)) // FINETUNE_STEP_DIVISOR)
 
 
 def finetune(head: Head, episode: Episode, cfg: TrainConfig) -> TrainResult:
@@ -343,12 +319,10 @@ def finetune(head: Head, episode: Episode, cfg: TrainConfig) -> TrainResult:
     steps = cfg.steps if cfg.steps is not None else finetune_steps_for(episode)
     if steps < 1:
         raise ValueError("finetune needs a positive step budget")
+    data = concat(episode.base, episode.novel)
     return _run_phase(
-        "finetune", head, episode.base_records + episode.novel_records,
-        range(head.registry.n), default_finetune_groups(head), steps,
-        balanced_batch_iter(episode.base_records, episode.novel_records,
-                            cfg.batch_size, cfg.seed),
-        cfg,
+        "finetune", head, data, range(head.registry.n), default_finetune_groups(head), steps,
+        balanced_batch_iter(data, cfg.batch_size, cfg.seed), cfg,
     )
 
 

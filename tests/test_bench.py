@@ -3,7 +3,8 @@
 The tracer skips a name it cannot find instead of failing, so a rename in
 ``semshot`` would silently drop a per-layer metric. One traced repeat of the
 ``paired_k1`` workload must run clean, match its untraced re-run byte for
-byte and wrap every name the benchmark expects.
+byte, wrap every name the benchmark expects and keep class-name lookups out
+of the training steps.
 """
 
 import json
@@ -29,3 +30,5 @@ def test_perfbench_paired_k1_traced_run_is_correct_and_fully_wrapped():
     details = json.loads(details_line)["detail"]
     assert details["traced_equals_untraced"] is True
     assert details["unwrapped"] == []
+    # labels resolve once per phase and per evaluate call, never per step
+    assert result["metrics"]["embeddings.registry_index_calls"]["value"] < 1000

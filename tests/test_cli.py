@@ -226,6 +226,71 @@ def test_missing_required_options_fail(capsys):
     assert "missing required options" in err
 
 
+_BAD_JSON = "Expecting property name enclosed in double quotes"
+
+
+def _bad_input_cases(corpus, trained, bad):
+    """Case name -> (content of ``bad``, argv, the expected error text)."""
+    base = corpus / "base_train.jsonl"
+    partial = [json.loads(line) for line in base.read_text().splitlines()]
+    del partial[1]["reg"]
+
+    def train(**swap):
+        opts = {"--data": base, "--registry": corpus / "registry_base.json",
+                "--embeddings": corpus / "embeddings.txt", **swap}
+        return ["train", "--steps", 2, *[v for kv in opts.items() for v in kv]]
+
+    def finetune(novel):
+        return ["finetune", "--checkpoint", trained / "head.json",
+                "--registry", corpus / "registry.json", "--embeddings", corpus / "embeddings.txt",
+                "--base-data", base, "--novel-data", novel]
+
+    def evaluate(checkpoint, data):
+        return ["eval", "--checkpoint", checkpoint, "--data", data]
+
+    heuristic = train(**{"--cooccurrence": bad}) + ["--mode", "srr", "--graph-mode", "heuristic"]
+    return {
+        "config_json": ("{nope", ["synth", "--config", bad], f"{bad}: {_BAD_JSON}"),
+        "registry_json": ("{nope", train(**{"--registry": bad}), f"{bad}: {_BAD_JSON}"),
+        "registry_top_level": ('["base00"]', train(**{"--registry": bad}),
+                               f"{bad}: registry must be a JSON object"),
+        "registry_names": ('{"base": "cat"}', train(**{"--registry": bad}),
+                           f"{bad}: registry 'base' must be a list of class names"),
+        "checkpoint_json": ("{nope", evaluate(bad, corpus / "test.jsonl"), f"{bad}: {_BAD_JSON}"),
+        "checkpoint_top_level": ("[]", evaluate(bad, corpus / "test.jsonl"),
+                                 f"{bad}: unrecognized checkpoint format None"),
+        "cooccurrence_json": ('{"labels": ["base00"]}\n{nope\n', heuristic,
+                              f"{bad}:2: invalid JSON ({_BAD_JSON})"),
+        "cooccurrence_labels": ('{"labels": "base00"}\n', heuristic,
+                                f'{bad}:1: expected {{"labels": [class names]}}'),
+        "unknown_class": ("", evaluate(trained / "head.json", corpus / "novel_train.jsonl"),
+                          "unknown class 'novel00'"),
+        "empty_train_data": ("", train(**{"--data": bad}), f"{bad}: no records"),
+        "empty_novel_data": ("\n", finetune(bad), f"{bad}: no records"),
+        "empty_eval_data": ("", evaluate(trained / "head.json", bad), f"{bad}: no records"),
+        "partial_reg": ("".join(json.dumps(r) + "\n" for r in partial), train(**{"--data": bad}),
+                        f"{bad}:2: lacks 'reg' unlike the first record"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "config_json", "registry_json", "registry_top_level", "registry_names", "checkpoint_json",
+    "checkpoint_top_level", "cooccurrence_json", "cooccurrence_labels", "unknown_class",
+    "empty_train_data", "empty_novel_data", "empty_eval_data", "partial_reg",
+])
+def test_bad_input_exits_1_with_one_error_line_naming_its_source(
+        corpus, trained, tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    text, argv, message = _bad_input_cases(corpus, trained, bad)[case]
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert run(*argv, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {message}")
+    assert not (out / "meta.json").exists()
+
+
 def test_finetune_expands_and_freezes(corpus, trained, tmp_path, capsys):
     out = tmp_path / "ft"
     code = run(

@@ -14,7 +14,7 @@ from semshot.evaluation import (
     save_sweep_csv,
 )
 from semshot.head import forward_pass
-from semshot.records import FeatureRecord, batch_features
+from semshot.records import FeatureSet, batch_features
 
 from conftest import make_head
 
@@ -35,10 +35,12 @@ def rigged_head(registry, d_in=6):
     return head
 
 
-def one_hot_record(idx, label, d_in=6, rid="r"):
-    feat = np.zeros(d_in)
-    feat[idx] = 1.0
-    return FeatureRecord(id=rid, label=label, feat=feat)
+def one_hot_records(rows, d_in=6):
+    """A FeatureSet of (rid, label, hot index) rows."""
+    feat = np.zeros((d_in, len(rows)))
+    for j, (_, _, idx) in enumerate(rows):
+        feat[idx, j] = 1.0
+    return FeatureSet([r[0] for r in rows], [r[1] for r in rows], feat)
 
 
 @pytest.mark.parametrize("mode", ["baseline", "ssp", "srr"])
@@ -50,37 +52,38 @@ def test_record_logits_do_not_depend_on_its_batch(mode):
     head = make_head(mode, registry, we, d_in=24, d=16, r=4)
     rng = np.random.default_rng(3)
     labels = registry.base + registry.novel
-    records = [FeatureRecord(id=f"r{i}", label=labels[i % len(labels)],
-                             feat=rng.standard_normal(24)) for i in range(9)]
+    records = FeatureSet([f"r{i}" for i in range(9)],
+                         [labels[i % len(labels)] for i in range(9)],
+                         np.array([rng.standard_normal(24) for _ in range(9)]).T)
     batched = forward_pass(head, batch_features(records)).logits.value
-    for j, rec in enumerate(records):
-        alone = forward_pass(head, batch_features([rec])).logits.value
-        assert np.array_equal(alone[:, 0], batched[:, j]), f"record {rec.id} scored differently alone"
+    for j in range(len(records)):
+        alone = forward_pass(head, batch_features(records, [j])).logits.value
+        assert np.array_equal(alone[:, 0], batched[:, j]), f"record r{j} scored differently alone"
 
 
 def test_evaluate_argmax_with_lowest_index_ties():
     registry = ClassRegistry(base=("cat", "dog"))
     head = rigged_head(registry)
-    tie = FeatureRecord(id="t", label="cat", feat=np.ones(6))  # all logits equal
-    clear = one_hot_record(1, "dog", rid="c")
-    confusion = evaluate(head, [tie, clear]).confusion
+    records = one_hot_records([("t", "cat", 0), ("c", "dog", 1)])
+    records.feat[:, 0] = 1.0  # the tie: all logits equal
+    confusion = evaluate(head, records).confusion
     np.testing.assert_array_equal(confusion[0], [1, 0, 0])  # the tie goes to index 0
     np.testing.assert_array_equal(confusion[1], [0, 1, 0])
     with pytest.raises(ValueError, match="at least one record"):
-        evaluate(head, [])
+        evaluate(head, records.take([]))
 
 
 def test_evaluate_matches_hand_confusion():
     registry = ClassRegistry(base=("cat", "dog"), novel=("fox",))
     head = rigged_head(registry)
-    records = [
-        one_hot_record(0, "cat", rid="a"),   # correct
-        one_hot_record(0, "cat", rid="b"),   # correct
-        one_hot_record(1, "cat", rid="c"),   # cat -> dog miss
-        one_hot_record(1, "dog", rid="d"),   # correct
-        one_hot_record(2, "fox", rid="e"),   # correct
-        one_hot_record(0, "fox", rid="f"),   # fox -> cat miss
-    ]
+    records = one_hot_records([
+        ("a", "cat", 0),   # correct
+        ("b", "cat", 0),   # correct
+        ("c", "cat", 1),   # cat -> dog miss
+        ("d", "dog", 1),   # correct
+        ("e", "fox", 2),   # correct
+        ("f", "fox", 0),   # fox -> cat miss
+    ])
     rep = evaluate(head, records)
     assert rep.record_count == 6
     want_conf = np.zeros((4, 4), dtype=np.int64)
@@ -95,7 +98,7 @@ def test_evaluate_matches_hand_confusion():
     assert rep.novel_accuracy == pytest.approx(0.5)
     assert rep.overall_accuracy == pytest.approx(4 / 6)
     # absent classes do not appear and do not drag group means
-    rep2 = evaluate(head, records[:4])
+    rep2 = evaluate(head, records.take(range(4)))
     assert "fox" not in rep2.per_class_accuracy
     assert np.isnan(rep2.novel_accuracy)
     round_trip = rep.to_json()

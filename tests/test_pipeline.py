@@ -83,7 +83,7 @@ def test_run_cell_smoke_every_mode(mode, graph):
     assert 0.0 <= cell.base_accuracy <= 1.0
     assert cell.report_before.record_count == 4 * 4
     assert cell.report_after.record_count == 6 * 4
-    assert cell.episode.k == 1 and len(cell.episode.novel_records) == 2
+    assert cell.episode.k == 1 and len(cell.episode.novel) == 2
 
 
 def test_run_cell_is_deterministic():

@@ -11,30 +11,32 @@ from hypothesis import given, settings, strategies as st
 
 from semshot.records import (
     REG_DIM,
-    FeatureRecord,
+    FeatureSet,
     batch_features,
-    feature_dim,
+    concat,
     load_records,
     save_records,
 )
 
 
-def _sample():
-    return [
-        FeatureRecord(id="a", label="cat", feat=[1.0, 2.0, 3.0], reg=[0.1, 0.2, 0.3, 0.4]),
-        FeatureRecord(id="b", label="dog", feat=[4.0, 5.0, 6.0]),
-    ]
+def _sample(reg=True):
+    return FeatureSet(
+        ids=["a", "b"], labels=["cat", "dog"],
+        feat=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]).T,
+        reg=np.array([[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]]).T if reg else None,
+    )
 
 
 def test_round_trip(tmp_path):
     path = tmp_path / "records.jsonl"
     save_records(path, _sample())
     back = load_records(path)
-    assert [r.id for r in back] == ["a", "b"]
-    assert [r.label for r in back] == ["cat", "dog"]
-    np.testing.assert_array_equal(back[0].feat, [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(back[0].reg, [0.1, 0.2, 0.3, 0.4])
-    assert back[1].reg is None
+    assert back.ids.tolist() == ["a", "b"]
+    assert back.labels.tolist() == ["cat", "dog"]
+    np.testing.assert_array_equal(back.feat[:, 0], [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(back.reg[:, 0], [0.1, 0.2, 0.3, 0.4])
+    save_records(path, _sample(reg=False))
+    assert load_records(path).reg is None
 
 
 def test_batch_features_stacks_columns():
@@ -43,12 +45,52 @@ def test_batch_features_stacks_columns():
     np.testing.assert_array_equal(x[:, 0], [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(x[:, 1], [4.0, 5.0, 6.0])
     assert x.flags["C_CONTIGUOUS"]
+    assert batch_features(_sample(), [1, 1, 0]).flags["C_CONTIGUOUS"]
 
 
-def test_feature_dim_and_empty_error():
-    assert feature_dim(_sample()) == 3
-    with pytest.raises(ValueError):
-        feature_dim([])
+def test_empty_file_rejected_naming_the_path(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("\n\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: no records")):
+        load_records(path)
+
+
+@pytest.mark.parametrize("lines,lineno,verb", [
+    (['"reg": [0, 0, 0, 0]', ""], 2, "lacks"),
+    (["", '"reg": [0, 0, 0, 0]'], 2, "has"),
+    (["", "", '"reg": [0, 0, 0, 0]'], 3, "has"),
+])
+def test_reg_on_some_records_only_rejected(tmp_path, lines, lineno, verb):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(
+        f'{{"id": "r{i}", "label": "x", "feat": [1.0]{", " + extra if extra else ""}}}\n'
+        for i, extra in enumerate(lines)
+    ))
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: {verb} 'reg' unlike")):
+        load_records(path)
+
+
+@pytest.mark.parametrize("line", ["[1.0]", "5", "null"])
+def test_non_object_line_rejected(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f'{{"id": "a", "label": "x", "feat": [1.0]}}\n{line}\n')
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: missing fields ['feat', 'id'")):
+        load_records(path)
+
+
+def test_concat_keeps_order_and_rejects_mixed_reg():
+    both = concat(_sample(), _sample().take([1]))
+    assert both.ids.tolist() == ["a", "b", "b"]
+    np.testing.assert_array_equal(both.reg[:, 2], [0.5, 0.6, 0.7, 0.8])
+    with pytest.raises(ValueError, match="with and without 'reg'"):
+        concat(_sample(), _sample(reg=False))
+
+
+def test_feature_set_rejects_mismatched_columns():
+    with pytest.raises(ValueError, match="do not describe one record set"):
+        FeatureSet(ids=["a", "b"], labels=["x"], feat=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=re.escape("reg of shape (3, 1) do not describe")):
+        FeatureSet(ids=["a"], labels=["x"], feat=np.zeros((3, 1)), reg=np.zeros((3, 1)))
 
 
 def test_invalid_json_line_reports_line_number(tmp_path):
@@ -127,55 +169,68 @@ def test_duplicate_id_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# property-based: save_records -> load_records
+# property-based: save_records -> load_records, take -> batch_features
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def _record_lists(draw):
+def _feature_sets(draw):
     dim = draw(st.integers(1, 6))
     ids = draw(st.lists(st.text(max_size=8), min_size=1, max_size=6, unique=True))
-    return [
-        FeatureRecord(
-            id=rid,
-            label=draw(st.text(max_size=8)),
-            feat=draw(st.lists(_finite, min_size=dim, max_size=dim)),
-            reg=draw(st.none() | st.lists(_finite, min_size=REG_DIM, max_size=REG_DIM)),
-        )
-        for rid in ids
-    ]
+    n = len(ids)
+    feat = draw(st.lists(_finite, min_size=dim * n, max_size=dim * n))
+    reg = draw(st.none() | st.lists(_finite, min_size=REG_DIM * n, max_size=REG_DIM * n))
+    return FeatureSet(
+        ids=ids,
+        labels=[draw(st.text(max_size=8)) for _ in ids],
+        feat=np.array(feat).reshape(dim, n),
+        reg=None if reg is None else np.array(reg).reshape(REG_DIM, n),
+    )
 
 
-def _save_and_load(records):
+def _save_and_load(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.jsonl"
-        save_records(path, records)
+        save_records(path, data)
         return load_records(path)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_record_lists())
-def test_save_load_round_trips_bit_for_bit(records):
-    back = _save_and_load(records)
-    assert [(r.id, r.label) for r in back] == [(r.id, r.label) for r in records]
-    for got, want in zip(back, records):
-        assert got.feat.tobytes() == want.feat.tobytes()
-        assert (got.reg is None) == (want.reg is None)
-        if want.reg is not None:
-            assert got.reg.tobytes() == want.reg.tobytes()
+@given(_feature_sets())
+def test_save_load_round_trips_bit_for_bit(data):
+    back = _save_and_load(data)
+    assert back.ids.tolist() == data.ids.tolist()
+    assert back.labels.tolist() == data.labels.tolist()
+    assert back.feat.tobytes() == data.feat.tobytes()
+    assert (back.reg is None) == (data.reg is None)
+    if data.reg is not None:
+        assert back.reg.tobytes() == data.reg.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
-@given(_record_lists(), st.data())
-def test_any_non_finite_value_is_rejected(records, data):
-    i = data.draw(st.integers(0, len(records) - 1))
-    rec = records[i]
-    fields = ["feat"] + (["reg"] if rec.reg is not None else [])
-    key = data.draw(st.sampled_from(fields))
-    values = getattr(rec, key)
-    values[data.draw(st.integers(0, values.size - 1))] = data.draw(
+@given(_feature_sets(), st.data())
+def test_any_non_finite_value_is_rejected(data, draw):
+    i = draw.draw(st.integers(0, len(data) - 1))
+    key = draw.draw(st.sampled_from(["feat"] + (["reg"] if data.reg is not None else [])))
+    values = getattr(data, key)
+    values[draw.draw(st.integers(0, values.shape[0] - 1)), i] = draw.draw(
         st.sampled_from([math.nan, math.inf, -math.inf])
     )
     with pytest.raises(ValueError, match=rf":{i + 1}: non-finite value in '{key}'"):
-        _save_and_load(records)
+        _save_and_load(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_feature_sets(), st.data())
+def test_take_then_gather_equals_columns_one_at_a_time(data, draw):
+    cols = draw.draw(st.lists(st.integers(0, len(data) - 1), min_size=1, max_size=8))
+    got = data.take(cols)
+    one_at_a_time = np.stack([data.feat[:, j] for j in cols], axis=1)
+    assert batch_features(got).tobytes() == one_at_a_time.tobytes()
+    assert batch_features(data, cols).tobytes() == one_at_a_time.tobytes()
+    assert batch_features(data, cols).flags["C_CONTIGUOUS"]
+    assert got.ids.tolist() == [data.ids[j] for j in cols]
+    assert got.labels.tolist() == [data.labels[j] for j in cols]
+    if data.reg is not None:
+        assert got.reg.tobytes() == np.stack([data.reg[:, j] for j in cols], axis=1).tobytes()

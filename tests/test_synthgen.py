@@ -108,14 +108,14 @@ def test_corpus_counts_ids_and_reg_targets(world):
     cfg = SynthConfig(d_in=12, train_per_class=4, test_per_class=3, seed=7)
     ds = generate(we, registry, cfg)
     assert len(ds.train) == 5 * 4 and len(ds.test) == 5 * 3
-    train_ids = {r.id for r in ds.train}
-    test_ids = {r.id for r in ds.test}
+    train_ids = set(ds.train.ids)
+    test_ids = set(ds.test.ids)
     assert len(train_ids) == 20 and len(test_ids) == 15
     assert not (train_ids & test_ids)
     assert "train-cat-0000" in train_ids and "test-owl-0002" in test_ids
-    for rec in ds.train + ds.test:
-        assert rec.feat.shape == (12,)
-        assert rec.reg.shape == (REG_DIM,)
+    for split in (ds.train, ds.test):
+        assert split.feat.shape == (12, len(split))
+        assert split.reg.shape == (REG_DIM, len(split))
 
 
 def test_generation_is_deterministic(world):
@@ -123,8 +123,8 @@ def test_generation_is_deterministic(world):
     cfg = SynthConfig(d_in=12, train_per_class=2, test_per_class=2, seed=11)
     a = generate(we, registry, cfg)
     b = generate(we, registry, cfg)
-    for ra, rb in zip(a.train + a.test, b.train + b.test):
-        assert ra.id == rb.id
+    for ra, rb in ((a.train, b.train), (a.test, b.test)):
+        assert ra.ids.tolist() == rb.ids.tolist()
         np.testing.assert_array_equal(ra.feat, rb.feat)
         np.testing.assert_array_equal(ra.reg, rb.reg)
 

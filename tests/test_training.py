@@ -6,7 +6,7 @@ import pytest
 from semshot import training
 from semshot.diffmath import Param
 from semshot.embeddings import ClassRegistry, random_embeddings
-from semshot.records import FeatureRecord
+from semshot.records import FeatureSet, concat
 from semshot.training import (
     DEFAULT_FINETUNE_LR,
     DEFAULT_SHOT_LIST,
@@ -31,15 +31,19 @@ from conftest import make_head
 
 def fake_records(labels, per_class, d_in, seed=0, prefix="r"):
     rng = np.random.default_rng(seed)
-    out = []
+    ids, names, feats, regs = [], [], [], []
     for label in labels:
         for j in range(per_class):
-            out.append(FeatureRecord(
-                id=f"{prefix}-{label}-{j}", label=label,
-                feat=rng.standard_normal(d_in),
-                reg=rng.standard_normal(4),
-            ))
-    return out
+            ids.append(f"{prefix}-{label}-{j}")
+            names.append(label)
+            feats.append(rng.standard_normal(d_in))
+            regs.append(rng.standard_normal(4))
+    return FeatureSet(ids, names, np.array(feats).reshape(-1, d_in).T,
+                      np.array(regs).reshape(-1, 4).T)
+
+
+def no_records(d_in=4):
+    return fake_records([], 0, d_in)
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +104,17 @@ def test_sample_episode_counts_and_determinism():
     ep1 = sample_episode(base, novel, EpisodeConfig(k=2, base_shots=3, seed=9))
     ep2 = sample_episode(base, novel, EpisodeConfig(k=2, base_shots=3, seed=9))
     assert ep1.ids() == ep2.ids()
-    assert len(ep1.novel_records) == 4 and len(ep1.base_records) == 6
-    labels = sorted(r.label for r in ep1.novel_records)
+    assert len(ep1.novel) == 4 and len(ep1.base) == 6
+    labels = sorted(ep1.novel.labels)
     assert labels == ["fox", "fox", "owl", "owl"]
 
 
 def test_sample_episode_larger_k_extends_smaller():
     novel = fake_records(["fox", "owl"], 8, 4, seed=3)
-    small = sample_episode([], novel, EpisodeConfig(k=2, base_shots=0, seed=5))
-    large = sample_episode([], novel, EpisodeConfig(k=5, base_shots=0, seed=5))
-    small_ids = set(r.id for r in small.novel_records)
-    large_ids = set(r.id for r in large.novel_records)
+    small = sample_episode(no_records(), novel, EpisodeConfig(k=2, base_shots=0, seed=5))
+    large = sample_episode(no_records(), novel, EpisodeConfig(k=5, base_shots=0, seed=5))
+    small_ids = set(small.novel.ids)
+    large_ids = set(large.novel.ids)
     assert small_ids <= large_ids
 
 
@@ -118,34 +122,35 @@ def test_sample_episode_novel_picks_ignore_base_pool():
     novel = fake_records(["fox"], 5, 4, seed=4)
     with_base = sample_episode(fake_records(["cat"], 5, 4), novel,
                                EpisodeConfig(k=2, base_shots=1, seed=7))
-    without = sample_episode([], novel, EpisodeConfig(k=2, base_shots=1, seed=7))
+    without = sample_episode(no_records(), novel, EpisodeConfig(k=2, base_shots=1, seed=7))
     assert with_base.ids()["novel"] == without.ids()["novel"]
 
 
 def test_sample_episode_shortfall_names_the_class():
     novel = fake_records(["fox"], 2, 4)
     with pytest.raises(ValueError, match="'fox' has 2 records, needs 3"):
-        sample_episode([], novel, EpisodeConfig(k=3, base_shots=0))
+        sample_episode(no_records(), novel, EpisodeConfig(k=3, base_shots=0))
     with pytest.raises(ValueError, match="k must be"):
-        sample_episode([], novel, EpisodeConfig(k=0))
+        sample_episode(no_records(), novel, EpisodeConfig(k=0))
     with pytest.raises(ValueError, match="no novel records"):
-        sample_episode([], [], EpisodeConfig(k=1))
+        sample_episode(no_records(), no_records(), EpisodeConfig(k=1))
 
 
 def test_balanced_batches_draw_classes_uniformly():
     base = fake_records(["cat"], 90, 4)      # lopsided pools on purpose
     novel = fake_records(["fox"], 2, 4)
-    it = balanced_batch_iter(base, novel, batch_size=10, seed=0)
+    pool = concat(base, novel)
+    it = balanced_batch_iter(pool, batch_size=10, seed=0)
     counts = {"cat": 0, "fox": 0}
     for _ in range(200):
-        for rec in next(it):
-            counts[rec.label] += 1
+        for j in next(it):
+            counts[pool.labels[j]] += 1
     total = sum(counts.values())
     assert abs(counts["fox"] / total - 0.5) < 0.05  # ~uniform over classes
     with pytest.raises(ValueError, match="non-empty"):
-        balanced_batch_iter([], novel, 4, 0)
+        balanced_batch_iter(no_records(), 4, 0)
     with pytest.raises(ValueError, match="batch_size"):
-        balanced_batch_iter(base, novel, 0, 0)
+        balanced_batch_iter(pool, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +172,9 @@ def test_base_train_rejects_novel_labels(tiny_world):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
     head = make_head("ssp", registry, we)
     with pytest.raises(ValueError, match="out-of-phase label 'fox'"):
-        base_train(head, base_data + novel_data, TrainConfig(steps=2, seed=0))
+        base_train(head, concat(base_data, novel_data), TrainConfig(steps=2, seed=0))
     with pytest.raises(ValueError, match="at least one record"):
-        base_train(head, [], TrainConfig(steps=2))
+        base_train(head, no_records(), TrainConfig(steps=2))
     with pytest.raises(ValueError, match="step budget"):
         base_train(head, base_data, TrainConfig(steps=None))
 
@@ -208,16 +213,15 @@ def test_default_finetune_groups_per_mode(tiny_world):
 
 
 def test_finetune_steps_rule():
-    ep = Episode(base_records=[], novel_records=fake_records(["fox"], 5, 4),
-                 k=5, base_shots=0, seed=0)
+    ep = Episode(base=no_records(), novel=fake_records(["fox"], 5, 4),
+                 k=5, base_shots=0)
     assert finetune_steps_for(ep) == (300 * 5) // 25 == 60
 
 
 def test_finetune_freezes_everything_outside_the_chosen_groups(tiny_world):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
     head = make_head("ssp", registry, we)
-    base_only = [r for r in base_data]
-    episode = sample_episode(base_only, novel_data,
+    episode = sample_episode(base_data, novel_data,
                              EpisodeConfig(k=2, base_shots=3, seed=2))
     frozen_names = [n for n in head.params if n not in {"P", "b"}]
     before = {n: head.params[n].value.copy() for n in frozen_names}
@@ -275,14 +279,21 @@ def test_finetune_honors_explicit_trainable_groups(tiny_world):
 def test_finetune_rejects_labels_outside_registry(tiny_world):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
     head = make_head("ssp", registry, we)
-    stray = fake_records(["fox"], 2, 10)
-    stray[0].label = "cat"  # fine; in registry
     episode = sample_episode(base_data, novel_data, EpisodeConfig(k=1, base_shots=1))
-    episode.novel_records[0] = FeatureRecord(
-        id="bad", label="zebra", feat=np.zeros(10), reg=np.zeros(4)
-    )
+    episode.novel.labels[0] = "zebra"
     with pytest.raises(KeyError, match="zebra"):
         finetune(head, episode, finetune_config(steps=1))
+
+
+def test_base_train_resolves_each_distinct_label_once(tiny_world, monkeypatch):
+    registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
+    head = make_head("ssp", base_reg, we.select_rows(base_rows))
+    calls = []
+    index = ClassRegistry.index
+    monkeypatch.setattr(ClassRegistry, "index",
+                        lambda self, name: calls.append(name) or index(self, name))
+    base_train(head, base_data, TrainConfig(steps=20, batch_size=8, seed=0))
+    assert len(calls) <= len(set(base_data.labels)) == 2
 
 
 def test_save_trace_csv_format(tmp_path, tiny_world):
