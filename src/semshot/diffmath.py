@@ -92,6 +92,7 @@ class Tape:
         Repeated wrapping of the same Param returns the same node, so shared
         parameters accumulate into a single buffer.
         """
+        self._check_open()
         node = self._param_nodes.get(id(p))
         if node is None:
             node = Tensor(p.value, p.trainable, self)
@@ -99,9 +100,12 @@ class Tape:
             self._param_nodes[id(p)] = node
         return node
 
-    def _record(self, fn):
+    def _check_open(self):
         if self._finished:
             raise RuntimeError("tape already replayed; build a new Tape per forward pass")
+
+    def _record(self, fn):
+        self._check_open()
         self._ops.append(fn)
 
     def _result(self, value: Matrix, *inputs: Tensor) -> Tensor:
@@ -121,6 +125,10 @@ class Tape:
             loss.grad[0, 0] = 1.0
         for fn in reversed(self._ops):
             fn()
+        # the closures and param nodes hold tensors, which hold this tape;
+        # dropping them lets reference counting free the step's arrays
+        self._ops = []
+        self._param_nodes = {}
 
 
 def _check_same_tape(*tensors: Tensor):

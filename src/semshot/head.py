@@ -472,31 +472,49 @@ def head_state(head: Head) -> dict:
     return state
 
 
+_JSON_TYPES = {str: "a string", bool: "true or false", int: "an integer", float: "a number",
+               dict: "an object", list: "a list", type(None): "null"}
+
+
+def _field(obj: dict, name: str, *kinds, prefix: str = ""):
+    """``obj[name]`` if it is one of the JSON types ``kinds``; otherwise a
+    ValueError that names the checkpoint field."""
+    label = f"checkpoint field {prefix + name!r}"
+    if name not in obj:
+        raise ValueError(f"{label} is missing")
+    value = obj[name]
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        want = " or ".join(_JSON_TYPES[k] for k in kinds)
+        raise ValueError(f"{label} must be {want}, got {_JSON_TYPES[type(value)]}")
+    return value
+
+
 def head_from_state(state: dict) -> Head:
     fmt = state.get("format") if isinstance(state, dict) else None
     if fmt != _CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format {fmt!r}")
+    dims = _field(state, "dims", dict)
     cfg = HeadConfig(
-        mode=state["mode"],
-        graph_mode=state["graph_mode"],
-        d_in=state["dims"]["d_in"],
-        d=state["dims"]["d"],
-        r=state["dims"]["r"],
-        scaled_attention=state["scaled_attention"],
-        attention_gain=state["attention_gain"],
-        graph_in_base=state["graph_in_base"],
-        decoupled=state["decoupled"],
-        seed=state["seed"],
+        mode=_field(state, "mode", str),
+        graph_mode=_field(state, "graph_mode", str),
+        **{name: _field(dims, name, int, prefix="dims.") for name in ("d_in", "d", "r")},
+        scaled_attention=_field(state, "scaled_attention", bool),
+        attention_gain=_field(state, "attention_gain", int, float),
+        graph_in_base=_field(state, "graph_in_base", bool),
+        decoupled=_field(state, "decoupled", bool),
+        seed=_field(state, "seed", int),
     )
-    registry = ClassRegistry.from_json(state["registry"])
+    registry = ClassRegistry.from_json(_field(state, "registry", dict))
     we = None
-    if state["we"] is not None:
+    we_state = _field(state, "we", dict, type(None))
+    if we_state is not None:
         we = EmbeddingMatrix(
-            np.array(state["we"]["matrix"]), tuple(state["we"]["provenance"])
+            np.array(_field(we_state, "matrix", list, prefix="we.")),
+            tuple(_field(we_state, "provenance", list, prefix="we.")),
         )
-        if we.content_hash() != state["we"]["hash"]:
+        if we.content_hash() != _field(we_state, "hash", str, prefix="we."):
             raise ValueError("embedding matrix hash mismatch in checkpoint")
-    found = {name: np.array(values) for name, values in state["params"].items()}
+    found = {name: np.array(values) for name, values in _field(state, "params", dict).items()}
     # the shapes a freshly built head of this config has are the only valid ones
     expected = {name: p.value.shape for name, p in build_head(cfg, registry, we).params.items()}
     for name in sorted(expected.keys() | found.keys()):
@@ -507,8 +525,9 @@ def head_from_state(state: dict) -> Head:
                 f"checkpoint parameter {name!r}: expected {_shape_text(want)}, "
                 f"found {_shape_text(got)}"
             )
+    trainable = _field(state, "trainable", dict)
     params = {
-        name: Param(name, value, trainable=state["trainable"][name])
+        name: Param(name, value, trainable=_field(trainable, name, bool, prefix="trainable."))
         for name, value in found.items()
     }
     head = Head(cfg=cfg, registry=registry, we=we, params=params)

@@ -5,9 +5,14 @@ inside base-class neighborhoods, the way real word embeddings behave), derives
 a synthetic feature corpus from them, and runs the two-phase protocol for one
 head configuration.  Every stochastic choice hangs off the cell seed, so two
 heads run on the same seed see identical data and differ only in the head.
+
+A cell splits into a base part (`train_base`), which does not depend on the
+shot count, and a finishing part (`finish_cell`) that fine-tunes a copy of
+the base head for one k.  `shot_sweep` trains each seed's base part once.
 """
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,7 +28,9 @@ from .head import (
     build_head,
     decouple_trunks,
     expand_classes,
+    switch_graph_mode,
 )
+from .records import FeatureSet
 from .synthgen import SynthConfig, generate
 from .training import (
     Episode,
@@ -151,8 +158,51 @@ class CellResult:
         return self.report_after.novel_accuracy
 
 
-def run_cell(cfg: PipelineConfig, k: int, seed: int) -> CellResult:
-    """One full two-phase run at a given shot count and seed."""
+# the PipelineConfig fields that only the finishing part of a cell reads
+_FINISH_FIELDS = frozenset({"mode", "graph_mode", "finetune_steps", "base_shots", "decouple"})
+
+
+def _base_head_modes(cfg: PipelineConfig) -> tuple:
+    """The (head mode, graph mode) a cell's base phase trains.
+
+    The relation stage joins at fine-tuning (``graph_in_base=False``), and a
+    dynamic or tt stage starts as an exact identity, so such an srr head
+    trains and reports bit for bit what the projection head does.  A
+    heuristic graph already shapes the base-class report, so that head
+    keeps its own mode.
+    """
+    if cfg.mode is HeadMode.SRR and cfg.graph_mode is not rel.GraphMode.HEURISTIC:
+        return HeadMode.SSP, rel.GraphMode.NONE
+    return cfg.mode, cfg.graph_mode
+
+
+def base_phase_key(cfg: PipelineConfig, seed: int) -> tuple:
+    """Content key of a cell's base phase, as (name, value) pairs: cells whose
+    configs share the key can finish from one `BasePart`."""
+    mode, graph_mode = _base_head_modes(cfg)
+    shared = tuple((f.name, getattr(cfg, f.name)) for f in fields(cfg)
+                   if f.name not in _FINISH_FIELDS)
+    return (("seed", seed), ("base_mode", mode.value),
+            ("base_graph_mode", graph_mode.value)) + shared
+
+
+@dataclass
+class BasePart:
+    """The part of a cell that does not depend on k: one seed's data, the
+    embeddings heads see, the base-trained head and its base-class report."""
+
+    key: tuple
+    seed: int
+    we_full: EmbeddingMatrix
+    base_data: FeatureSet
+    novel_pool: FeatureSet
+    test: FeatureSet
+    head: Head
+    report_before: MetricsReport
+
+
+def train_base(cfg: PipelineConfig, seed: int) -> BasePart:
+    """Generate a seed's data and run the base phase of its cells."""
     full_registry = cfg.registry()
     we_latent = clustered_embeddings(
         full_registry, cfg.d_e, cfg.n_clusters, CLUSTER_SPREAD, seed
@@ -171,18 +221,16 @@ def run_cell(cfg: PipelineConfig, k: int, seed: int) -> CellResult:
             seed=seed,
         ),
     )
-
-    base_train_data = data.train.with_labels(full_registry.base)
-    novel_pool = data.train.with_labels(full_registry.novel)
-    test_base = data.test.with_labels(full_registry.base)
+    base_data = data.train.with_labels(full_registry.base)
 
     base_registry = ClassRegistry(base=full_registry.base)
     base_rows = list(range(len(full_registry.base))) + [full_registry.background_index]
     we_base = we_full.select_rows(base_rows)
 
+    mode, graph_mode = _base_head_modes(cfg)
     head_cfg = HeadConfig(
-        mode=cfg.mode,
-        graph_mode=cfg.graph_mode,
+        mode=mode,
+        graph_mode=graph_mode,
         d_in=cfg.d_in,
         d=cfg.d,
         r=cfg.r,
@@ -190,30 +238,48 @@ def run_cell(cfg: PipelineConfig, k: int, seed: int) -> CellResult:
         seed=seed,
     )
     head = build_head(head_cfg, base_registry, we_base)  # a baseline head ignores we_base
-    if cfg.graph_mode is rel.GraphMode.HEURISTIC:
+    if graph_mode is rel.GraphMode.HEURISTIC:
         # co-occurrence over single-label records degenerates to identity;
         # use embedding-neighborhood counts instead
         attach_heuristic_graph(head, _similarity_graph(we_base.matrix))
 
     base_train(
         head,
-        base_train_data,
+        base_data,
         TrainConfig(
             lr=cfg.base_lr, steps=cfg.base_steps, batch_size=cfg.batch_size,
             reg_weight=REG_WEIGHT, seed=seed,
         ),
     )
-    report_before = evaluate(head, test_base)
+    return BasePart(
+        key=base_phase_key(cfg, seed), seed=seed, we_full=we_full, base_data=base_data,
+        novel_pool=data.train.with_labels(full_registry.novel), test=data.test, head=head,
+        report_before=evaluate(head, data.test.with_labels(full_registry.base)),
+    )
 
-    expand_classes(head, full_registry, we_full, seed=seed)
+
+def finish_cell(base: BasePart, cfg: PipelineConfig, k: int) -> CellResult:
+    """Expand, fine-tune and evaluate a copy of ``base``'s head at ``k`` shots.
+
+    ``base`` is left as it was, so one base phase can finish any number of
+    cells whose configs share its `base_phase_key`.
+    """
+    want = base_phase_key(cfg, base.seed)
+    if base.key != want:
+        differ = [name for (name, a), (_, b) in zip(base.key, want) if a != b]
+        raise ValueError(f"the base phase does not fit this cell: {', '.join(differ)} differ")
+    head = copy.deepcopy(base.head)
+    if cfg.mode is HeadMode.SRR:
+        switch_graph_mode(head, cfg.graph_mode, seed=base.seed)
+    expand_classes(head, cfg.registry(), base.we_full, seed=base.seed)
     if cfg.graph_mode is rel.GraphMode.HEURISTIC:
         attach_heuristic_graph(head, _similarity_graph(head.we.matrix))
     if cfg.decouple:
         decouple_trunks(head)
 
     episode = sample_episode(
-        base_train_data, novel_pool,
-        EpisodeConfig(k=k, base_shots=cfg.base_shots, seed=seed),
+        base.base_data, base.novel_pool,
+        EpisodeConfig(k=k, base_shots=cfg.base_shots, seed=base.seed),
     )
     finetune(
         head,
@@ -223,13 +289,18 @@ def run_cell(cfg: PipelineConfig, k: int, seed: int) -> CellResult:
             steps=cfg.finetune_steps,
             batch_size=cfg.batch_size,
             reg_weight=REG_WEIGHT,
-            seed=seed,
+            seed=base.seed,
         ),
     )
-    report_after = evaluate(head, data.test)
     return CellResult(
-        head=head, report_before=report_before, report_after=report_after, episode=episode,
+        head=head, report_before=base.report_before,
+        report_after=evaluate(head, base.test), episode=episode,
     )
+
+
+def run_cell(cfg: PipelineConfig, k: int, seed: int) -> CellResult:
+    """One full two-phase run at a given shot count and seed."""
+    return finish_cell(train_base(cfg, seed), cfg, k)
 
 
 def _similarity_graph(we_matrix: np.ndarray) -> np.ndarray:
@@ -242,22 +313,25 @@ def _similarity_graph(we_matrix: np.ndarray) -> np.ndarray:
 
 
 def shot_sweep(cfg: PipelineConfig, shots, seeds) -> SweepResult:
-    """Run the benchmark cell over a shot list and seed list."""
+    """Run the benchmark cell over a shot list and seed list.
+
+    Each distinct seed trains its base phase once and finishes one cell per
+    distinct k from it.  Rows come out in (k, seed) order, repeats included.
+    """
     shots = list(shots)
     seeds = list(seeds)
     if not shots or not seeds:
         raise ValueError("shot_sweep needs at least one shot count and one seed")
-    rows = []
-    for k in shots:
-        for seed in seeds:
-            cell = run_cell(cfg, k, seed)
-            rows.append(
-                SweepRow(
-                    k=k,
-                    seed=seed,
-                    base_accuracy=cell.base_accuracy,
-                    novel_accuracy=cell.novel_accuracy,
-                    base_accuracy_before=cell.base_accuracy_before,
-                )
+    rows = {}
+    for seed in dict.fromkeys(seeds):
+        base = train_base(cfg, seed)
+        for k in dict.fromkeys(shots):
+            cell = finish_cell(base, cfg, k)
+            rows[k, seed] = SweepRow(
+                k=k,
+                seed=seed,
+                base_accuracy=cell.base_accuracy,
+                novel_accuracy=cell.novel_accuracy,
+                base_accuracy_before=cell.base_accuracy_before,
             )
-    return SweepResult(rows=rows)
+    return SweepResult(rows=[rows[k, seed] for k in shots for seed in seeds])

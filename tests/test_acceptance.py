@@ -6,6 +6,7 @@ benchmark criteria (7-9) run the bundled 15-base / 5-novel synthetic
 benchmark over 20 seeds through the exact code path ``semshot sweep`` uses.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -25,7 +26,7 @@ from semshot.head import (
     forward_pass,
     relation_graph,
 )
-from semshot.pipeline import bundled_benchmark, run_cell
+from semshot.pipeline import bundled_benchmark, finish_cell, train_base
 from semshot.training import (
     DEFAULT_BASE_LR,
     DEFAULT_FINETUNE_LR,
@@ -219,20 +220,33 @@ def test_criterion_06_decoupled_regression_loss_cannot_touch_classifier():
     print("criterion 6: classifier-side gradients exactly zero under decoupling")
 
 
-def _novel_accuracies(mode, graph_mode, alpha, k):
+@pytest.fixture(scope="module")
+def ssp_base():
+    """seed -> the bundled ssp base phase at alpha=0.9, trained on first use.
+
+    The ssp and srr cells of criteria 7 and 9 share it: with the relation
+    stage joining at fine-tuning, their base phases are the same
+    (`base_phase_key`), and `finish_cell` refuses a base that does not fit.
+    """
+    cfg = bundled_benchmark(mode="ssp", alpha=0.9)
+    return functools.cache(lambda seed: train_base(cfg, seed))
+
+
+def _novel_accuracies(mode, graph_mode, alpha, k, base_of=None):
     cfg = bundled_benchmark(mode=mode, graph_mode=graph_mode, alpha=alpha)
-    return np.array([run_cell(cfg, k=k, seed=s).novel_accuracy for s in SEEDS])
+    base_of = base_of or (lambda seed: train_base(cfg, seed))
+    return np.array([finish_cell(base_of(s), cfg, k).novel_accuracy for s in SEEDS])
 
 
-def test_criterion_07_semantic_anchors_lift_one_shot_accuracy():
+def test_criterion_07_semantic_anchors_lift_one_shot_accuracy(ssp_base):
     """On the bundled benchmark (alpha=0.9, 20 seeds, k=1): anchoring novel
     rows at their class embeddings beats cold-start rows, and the dynamic
     relation stage does not fall behind the anchors alone — both one-sided
     paired tests at p < 0.05.  Direction only; within five minutes."""
     start = time.monotonic()
     base = _novel_accuracies("baseline", "none", 0.9, k=1)
-    ssp = _novel_accuracies("ssp", "none", 0.9, k=1)
-    srr = _novel_accuracies("srr", "dynamic", 0.9, k=1)
+    ssp = _novel_accuracies("ssp", "none", 0.9, k=1, base_of=ssp_base)
+    srr = _novel_accuracies("srr", "dynamic", 0.9, k=1, base_of=ssp_base)
     elapsed = time.monotonic() - start
     p_ssp = paired_onesided_pvalue(ssp, base)
     p_srr = paired_onesided_pvalue(srr, ssp)
@@ -264,13 +278,13 @@ def test_criterion_08_no_advantage_without_semantic_signal():
     assert p > 0.05, line
 
 
-def test_criterion_09_base_accuracy_survives_finetuning():
+def test_criterion_09_base_accuracy_survives_finetuning(ssp_base):
     """k=3 fine-tuning on the bundled benchmark keeps mean base-class
     accuracy within 0.02 of its pre-expansion value (20 seeds)."""
     cfg = bundled_benchmark(mode="srr", graph_mode="dynamic", alpha=0.9)
     before, after = [], []
     for s in SEEDS:
-        cell = run_cell(cfg, k=3, seed=s)
+        cell = finish_cell(ssp_base(s), cfg, k=3)
         before.append(cell.base_accuracy_before)
         after.append(cell.base_accuracy)
     drop = float(np.mean(before) - np.mean(after))

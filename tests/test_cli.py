@@ -248,6 +248,11 @@ def _bad_input_cases(corpus, trained, bad):
     def evaluate(checkpoint, data):
         return ["eval", "--checkpoint", checkpoint, "--data", data]
 
+    def checkpoint(**swap):
+        state = json.loads((trained / "head.json").read_text())
+        state.update(swap)
+        return json.dumps({k: v for k, v in state.items() if v is not None})
+
     heuristic = train(**{"--cooccurrence": bad}) + ["--mode", "srr", "--graph-mode", "heuristic"]
     return {
         "config_json": ("{nope", ["synth", "--config", bad], f"{bad}: {_BAD_JSON}"),
@@ -259,6 +264,10 @@ def _bad_input_cases(corpus, trained, bad):
         "checkpoint_json": ("{nope", evaluate(bad, corpus / "test.jsonl"), f"{bad}: {_BAD_JSON}"),
         "checkpoint_top_level": ("[]", evaluate(bad, corpus / "test.jsonl"),
                                  f"{bad}: unrecognized checkpoint format None"),
+        "checkpoint_missing_field": (checkpoint(mode=None), evaluate(bad, corpus / "test.jsonl"),
+                                     f"{bad}: checkpoint field 'mode' is missing"),
+        "checkpoint_field_type": (checkpoint(dims=[8, 16, 4]), evaluate(bad, corpus / "test.jsonl"),
+                                  f"{bad}: checkpoint field 'dims' must be an object, got a list"),
         "cooccurrence_json": ('{"labels": ["base00"]}\n{nope\n', heuristic,
                               f"{bad}:2: invalid JSON ({_BAD_JSON})"),
         "cooccurrence_labels": ('{"labels": "base00"}\n', heuristic,
@@ -275,7 +284,8 @@ def _bad_input_cases(corpus, trained, bad):
 
 @pytest.mark.parametrize("case", [
     "config_json", "registry_json", "registry_top_level", "registry_names", "checkpoint_json",
-    "checkpoint_top_level", "cooccurrence_json", "cooccurrence_labels", "unknown_class",
+    "checkpoint_top_level", "checkpoint_missing_field", "checkpoint_field_type",
+    "cooccurrence_json", "cooccurrence_labels", "unknown_class",
     "empty_train_data", "empty_novel_data", "empty_eval_data", "partial_reg",
 ])
 def test_bad_input_exits_1_with_one_error_line_naming_its_source(

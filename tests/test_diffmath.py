@@ -169,3 +169,14 @@ def test_backward_accumulates_over_param_reuse():
     loss = dm.squared_error_cols(out, np.zeros((1, 1)))  # loss = (2w)^2, d/dw = 8w
     loss.backward()
     assert p.grad[0, 0] == pytest.approx(8 * p.value[0, 0], abs=1e-12)
+
+
+def test_a_replayed_tape_refuses_more_work(rng):
+    tape, params, (w,) = _tape_params(rng, (2, 2))
+    loss = dm.squared_error_cols(w, np.zeros((2, 2)))
+    loss.backward()
+    grad = params[0].grad.copy()
+    for again in (loss.backward, lambda: tape.param(params[0]), lambda: dm.scale(w, 2.0)):
+        with pytest.raises(RuntimeError, match="backward|already replayed"):
+            again()
+    np.testing.assert_array_equal(params[0].grad, grad)

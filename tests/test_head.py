@@ -1,5 +1,7 @@
 """Head construction, class-score formulas, class expansion, and checkpoints."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,31 @@ def test_forward_pass_rejects_wrong_feature_dim(base_reg):
         forward_pass(head, np.zeros((7, 2)))
 
 
+@pytest.mark.parametrize("mode,graph", [("baseline", "none"), ("ssp", "none"), ("srr", "dynamic")])
+def test_forward_backward_leaves_nothing_for_the_cyclic_collector(base_reg, mode, graph):
+    # a replayed tape drops its closures, so a step's arrays are freed by
+    # reference counting as soon as the step's result goes
+    we = random_embeddings(base_reg, dim=6, seed=15)
+    head = make_head(mode, base_reg, we, graph_mode=graph, d_in=10, d=8, r=4)
+    rng = np.random.default_rng(15)
+    x, y, reg = rng.standard_normal((10, 5)), rng.integers(0, 4, 5), rng.standard_normal((4, 5))
+
+    def step():
+        forward_pass(head, x, labels=y, reg_targets=reg).loss.backward()
+        return {name: p.grad.copy() for name, p in head.params.items()}
+
+    first = step()
+    gc.collect()
+    gc.disable()
+    try:
+        again = step()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    for name, grad in first.items():
+        np.testing.assert_array_equal(again[name], grad)
+
+
 @pytest.mark.parametrize("mode,graph", [
     ("baseline", "none"), ("ssp", "none"), ("srr", "dynamic"), ("srr", "tt"),
 ])
@@ -308,4 +335,21 @@ def test_checkpoint_rejects_heuristic_graph_of_wrong_size(base_reg):
     state = head_state(head)
     state["g_heur"] = [row[:3] for row in state["g_heur"][:3]]
     with pytest.raises(ValueError, match=r"expected shape \(4, 4\), found shape \(3, 3\)"):
+        head_from_state(state)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda s: s.pop("seed"), "checkpoint field 'seed' is missing"),
+    (lambda s: s["dims"].pop("r"), "checkpoint field 'dims.r' is missing"),
+    (lambda s: s.update(dims=[8, 8, 4]), "checkpoint field 'dims' must be an object, got a list"),
+    (lambda s: s.update(seed=True), "'seed' must be an integer, got true or false"),
+    (lambda s: s.update(attention_gain="16"), "'attention_gain' must be an integer or a number"),
+    (lambda s: s["trainable"].update(P=1), "'trainable.P' must be true or false, got an integer"),
+    (lambda s: s["we"].pop("hash"), "checkpoint field 'we.hash' is missing"),
+    (lambda s: s.update(we=[]), "'we' must be an object or null, got a list"),
+])
+def test_checkpoint_names_a_missing_or_mistyped_field(base_reg, edit, message):
+    state = head_state(make_head("ssp", base_reg, random_embeddings(base_reg, dim=6, seed=16)))
+    edit(state)
+    with pytest.raises(ValueError, match=message):
         head_from_state(state)

@@ -1,17 +1,41 @@
 """Benchmark cells: embedding construction, the two-phase run, and sweeps."""
 
+import json
+
 import numpy as np
 import pytest
 
+from semshot import pipeline
 from semshot.embeddings import ClassRegistry, random_embeddings
+from semshot.evaluation import SweepRow, evaluate
+from semshot.head import (
+    HeadConfig,
+    attach_heuristic_graph,
+    build_head,
+    decouple_trunks,
+    expand_classes,
+)
 from semshot.pipeline import (
+    FINETUNE_LR,
+    REG_WEIGHT,
     PipelineConfig,
+    base_phase_key,
     bundled_benchmark,
     clustered_embeddings,
+    finish_cell,
     noisy_view,
     run_cell,
     shot_sweep,
+    train_base,
     _similarity_graph,
+)
+from semshot.training import (
+    EpisodeConfig,
+    TrainConfig,
+    base_train,
+    finetune,
+    finetune_config,
+    sample_episode,
 )
 
 
@@ -127,3 +151,122 @@ def test_diverging_base_lr_fails_loudly():
         match=r"^base_train: loss is nan at step 6 \(lr 50\); .* the largest is 'trunk_b1'",
     ):
         run_cell(cfg, 1, 0)
+
+
+def _report(report) -> str:
+    return json.dumps(report.to_json(), sort_keys=True)
+
+
+def _own_mode_cell(cfg, k, seed):
+    """(param hash, report before, report after) of a cell whose head has the
+    config's own mode from the start, on ``train_base``'s data."""
+    part = train_base(cfg, seed)  # only its data and embeddings are used
+    registry = cfg.registry()
+    heuristic = cfg.graph_mode.value == "heuristic"
+    we_base = part.we_full.select_rows(list(range(cfg.n_base)) + [registry.background_index])
+    head = build_head(
+        HeadConfig(mode=cfg.mode, graph_mode=cfg.graph_mode, d_in=cfg.d_in, d=cfg.d, r=cfg.r,
+                   graph_in_base=False, seed=seed),
+        ClassRegistry(base=registry.base), we_base,
+    )
+    if heuristic:
+        attach_heuristic_graph(head, _similarity_graph(we_base.matrix))
+    base_train(head, part.base_data, TrainConfig(
+        lr=cfg.base_lr, steps=cfg.base_steps, batch_size=cfg.batch_size,
+        reg_weight=REG_WEIGHT, seed=seed,
+    ))
+    before = evaluate(head, part.test.with_labels(registry.base))
+    expand_classes(head, registry, part.we_full, seed=seed)
+    if heuristic:
+        attach_heuristic_graph(head, _similarity_graph(head.we.matrix))
+    if cfg.decouple:
+        decouple_trunks(head)
+    episode = sample_episode(part.base_data, part.novel_pool,
+                             EpisodeConfig(k=k, base_shots=cfg.base_shots, seed=seed))
+    finetune(head, episode, finetune_config(
+        lr=FINETUNE_LR, steps=cfg.finetune_steps, batch_size=cfg.batch_size,
+        reg_weight=REG_WEIGHT, seed=seed,
+    ))
+    return head.param_hash(), _report(before), _report(evaluate(head, part.test))
+
+
+@pytest.mark.parametrize("mode,graph,decouple,base_mode", [
+    ("baseline", "none", False, "baseline"),
+    ("ssp", "none", False, "ssp"),
+    ("srr", "dynamic", False, "ssp"),
+    ("srr", "heuristic", False, "srr"),
+    ("srr", "tt", False, "ssp"),
+    ("srr", "dynamic", True, "ssp"),
+])
+def test_finishing_from_a_shared_base_matches_a_head_of_its_own_mode(mode, graph, decouple,
+                                                                      base_mode):
+    cfg = bundled_benchmark(mode=mode, graph_mode=graph, decouple=decouple, **TINY)
+    base_cfg = bundled_benchmark(mode=base_mode, graph_mode=graph if base_mode == "srr" else None,
+                                 **TINY)
+    for seed in (0, 7):
+        part = train_base(base_cfg, seed)
+        assert part.head.mode.value == base_mode
+        want = _own_mode_cell(cfg, 2, seed)
+        for cell in (finish_cell(part, cfg, 2), run_cell(cfg, 2, seed)):
+            assert cell.head.cfg.mode.value == mode and cell.head.cfg.decoupled == decouple
+            assert (cell.head.param_hash(), _report(cell.report_before),
+                    _report(cell.report_after)) == want
+
+
+def test_base_phase_key_ignores_what_only_the_finish_reads():
+    ssp = base_phase_key(bundled_benchmark(mode="ssp", **TINY), 3)
+    for graph in ("dynamic", "tt"):
+        assert base_phase_key(bundled_benchmark(graph_mode=graph, **TINY), 3) == ssp
+    finish_only = dict(TINY, finetune_steps=99, base_shots=1)
+    assert base_phase_key(bundled_benchmark(mode="ssp", decouple=True, **finish_only), 3) == ssp
+    for other in (bundled_benchmark(mode="baseline", **TINY),
+                  bundled_benchmark(graph_mode="heuristic", **TINY),
+                  bundled_benchmark(mode="ssp", **dict(TINY, base_steps=31))):
+        assert base_phase_key(other, 3) != ssp
+    assert base_phase_key(bundled_benchmark(mode="ssp", **TINY), 4) != ssp
+
+
+def test_finishing_twice_leaves_the_base_head_unchanged():
+    cfg = bundled_benchmark(**TINY)
+    part = train_base(cfg, 5)
+    before = part.head.param_hash()
+    a = finish_cell(part, cfg, 2)
+    b = finish_cell(part, bundled_benchmark(decouple=True, **TINY), 1)
+    c = finish_cell(part, cfg, 2)
+    assert part.head.param_hash() == before and part.head.mode.value == "ssp"
+    assert a.head.param_hash() == c.head.param_hash() != b.head.param_hash()
+
+
+def test_finish_cell_rejects_a_base_of_another_config():
+    part = train_base(bundled_benchmark(mode="baseline", **TINY), 2)
+    with pytest.raises(ValueError, match=r"^the base phase does not fit this cell: "
+                                         r"base_mode differ$"):
+        finish_cell(part, bundled_benchmark(mode="ssp", **TINY), 1)
+    with pytest.raises(ValueError, match="base_mode, alpha differ"):
+        finish_cell(part, bundled_benchmark(mode="ssp", alpha=0.5, **TINY), 1)
+
+
+def test_shot_sweep_rows_equal_serial_cells_with_repeats():
+    cfg = bundled_benchmark(**TINY)
+    shots, seeds = [2, 1, 2], [3, 0, 3]
+    want = []
+    for k in shots:
+        for seed in seeds:
+            cell = run_cell(cfg, k, seed)
+            want.append(SweepRow(k=k, seed=seed, base_accuracy=cell.base_accuracy,
+                                 novel_accuracy=cell.novel_accuracy,
+                                 base_accuracy_before=cell.base_accuracy_before))
+    assert shot_sweep(cfg, shots, seeds).rows == want
+
+
+def test_shot_sweep_trains_each_seeds_base_phase_once(monkeypatch):
+    calls = []
+
+    def counting(head, data, train_cfg):
+        calls.append(train_cfg.seed)
+        return base_train(head, data, train_cfg)
+
+    monkeypatch.setattr(pipeline, "base_train", counting)
+    res = shot_sweep(bundled_benchmark(**TINY), shots=[1, 2, 3], seeds=[4, 6])
+    assert len(res.rows) == 6
+    assert calls == [4, 6]
