@@ -9,7 +9,8 @@ the same inputs.
 Leaves created from a ``Param`` share their gradient buffer with the param, so
 after ``backward`` the caller reads ``param.grad`` directly.  Frozen params
 (``trainable=False``) never receive accumulation and keep an exactly-zero
-gradient.
+gradient.  A ``Tape(backward=False)`` is for forward-only passes: nothing on
+it needs a gradient, so it records no closures and touches no grad buffer.
 """
 
 from dataclasses import dataclass, field
@@ -58,7 +59,7 @@ class Tensor:
 
     def __init__(self, value: Matrix, needs_grad: bool, tape: "Tape"):
         self.value = value
-        self.grad = np.zeros_like(value) if needs_grad else None
+        self.grad = np.zeros(value.shape) if needs_grad else None
         self.needs_grad = needs_grad
         self.tape = tape
 
@@ -76,27 +77,35 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of operations for one forward pass."""
+    """Ordered record of operations for one forward pass.
 
-    def __init__(self):
+    With ``backward=False`` the tape records nothing: its leaves, params and
+    results need no gradient, and ``backward`` raises.
+    """
+
+    def __init__(self, backward: bool = True):
         self._ops = []
         self._finished = False
         self._param_nodes = {}
+        self._backward = backward
 
     def leaf(self, value, needs_grad: bool = False) -> Tensor:
-        return Tensor(as_matrix(value), needs_grad, self)
+        return Tensor(as_matrix(value), needs_grad and self._backward, self)
 
     def param(self, p: Param) -> Tensor:
         """Wrap a Param; its grad buffer is zeroed and shared with the tensor.
 
         Repeated wrapping of the same Param returns the same node, so shared
-        parameters accumulate into a single buffer.
+        parameters accumulate into a single buffer.  A tape that records
+        nothing leaves the grad buffer alone.
         """
         self._check_open()
+        if not self._backward:
+            return Tensor(p.value, False, self)
         node = self._param_nodes.get(id(p))
         if node is None:
             node = Tensor(p.value, p.trainable, self)
-            p.grad = node.grad if p.trainable else np.zeros_like(p.value)
+            p.grad = node.grad if p.trainable else np.zeros(p.value.shape)
             self._param_nodes[id(p)] = node
         return node
 
@@ -109,11 +118,13 @@ class Tape:
         self._ops.append(fn)
 
     def _result(self, value: Matrix, *inputs: Tensor) -> Tensor:
-        needs = any(t.needs_grad for t in inputs)
+        needs = self._backward and any(t.needs_grad for t in inputs)
         return Tensor(value, needs, self)
 
     def backward(self, loss: Tensor):
         """Seed d(loss)/d(loss)=1 and replay recorded ops in reverse."""
+        if not self._backward:
+            raise RuntimeError("a Tape(backward=False) records no ops and cannot run backward()")
         if self._finished:
             raise RuntimeError("backward() may run once per tape")
         if loss.tape is not self:

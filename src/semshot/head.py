@@ -257,49 +257,93 @@ def _class_scores_t(tape: Tape, head: Head, v_t, use_graph: bool = True):
     return dm.add_bias(dm.matmul(rows, projected), b)
 
 
-def forward_pass(head: Head, x, labels=None, reg_targets=None,
-                 reg_weight: float = 1.0, use_graph: bool = True) -> ForwardResult:
-    """Run trunk + classifier (and regression when targets given) on a batch.
-
-    ``x`` is (d_in, batch) with features as columns.  Losses are attached when
-    the corresponding targets are present; ``loss`` is their weighted sum.
-    """
-    tape = Tape()
+def _trunk_half(tape: Tape, head: Head, x, with_reg: bool):
+    """Trunk output ``v`` of the (d_in, batch) features ``x`` and, with
+    ``with_reg``, the regression prediction, which a decoupled head takes
+    from its reg trunk."""
     x_t = tape.leaf(dm.as_matrix(x))
     if x_t.value.shape[0] != head.cfg.d_in:
         raise ValueError(
             f"feature dim {x_t.value.shape[0]} does not match head d_in={head.cfg.d_in}"
         )
     v_cls = _trunk_t(tape, head, "cls", x_t)
-    logits = _class_scores_t(tape, head, v_cls, use_graph=use_graph)
+    if not with_reg:
+        return v_cls, None
+    v_reg = _trunk_t(tape, head, "reg", x_t) if head.cfg.decoupled else v_cls
+    reg_w = tape.param(head.params["reg_w"])
+    reg_b = tape.param(head.params["reg_b"])
+    return v_cls, dm.add_bias(dm.matmul(reg_w, v_reg), reg_b)
 
+
+def _score_half(tape: Tape, head: Head, v_t, pred_t, labels, reg_targets,
+                reg_weight: float, use_graph: bool) -> ForwardResult:
+    """Class scores of the trunk output ``v_t``, then the losses whose
+    targets are present and their weighted sum."""
+    logits = _class_scores_t(tape, head, v_t, use_graph=use_graph)
     result = ForwardResult(tape=tape, logits=logits)
     terms = []
     if labels is not None:
         result.loss_cls = dm.cross_entropy_cols(logits, labels)
         terms.append((result.loss_cls, 1.0))
     if reg_targets is not None:
-        v_reg = _trunk_t(tape, head, "reg", x_t) if head.cfg.decoupled else v_cls
-        reg_w = tape.param(head.params["reg_w"])
-        reg_b = tape.param(head.params["reg_b"])
-        pred = dm.add_bias(dm.matmul(reg_w, v_reg), reg_b)
-        result.loss_reg = dm.squared_error_cols(pred, reg_targets)
+        result.loss_reg = dm.squared_error_cols(pred_t, reg_targets)
         terms.append((result.loss_reg, reg_weight))
     if terms:
         result.loss = dm.weighted_sum(terms)
     return result
 
 
+def forward_pass(head: Head, x, labels=None, reg_targets=None,
+                 reg_weight: float = 1.0, use_graph: bool = True) -> ForwardResult:
+    """Run trunk + classifier (and regression when targets given) on a batch.
+
+    ``x`` is (d_in, batch) with features as columns.  Losses are attached when
+    the corresponding targets are present; ``loss`` is their weighted sum.
+    Without targets the pass records nothing for a backward pass.
+    """
+    tape = Tape(backward=labels is not None or reg_targets is not None)
+    v_t, pred_t = _trunk_half(tape, head, x, reg_targets is not None)
+    return _score_half(tape, head, v_t, pred_t, labels, reg_targets, reg_weight, use_graph)
+
+
+@dataclass(frozen=True)
+class TrunkFeatures:
+    """The trunk half over every column of a FeatureSet: ``v`` (d, n) and the
+    regression prediction ``pred`` (4, n), or None when the set has no reg."""
+
+    v: np.ndarray
+    pred: np.ndarray | None
+
+
+def trunk_features(head: Head, data: FeatureSet) -> TrunkFeatures:
+    """Run the trunk half once over all of ``data``.  Valid for as long as
+    the trunk and reg parameters stay put."""
+    v_t, pred_t = _trunk_half(Tape(backward=False), head, batch_features(data),
+                              data.reg is not None)
+    return TrunkFeatures(v_t.value, None if pred_t is None else pred_t.value)
+
+
 def batch_forward(head: Head, data: FeatureSet, y, cols, reg_weight: float = 1.0,
-                  use_graph: bool = True) -> ForwardResult:
-    """Forward columns ``cols`` of ``data``; ``y`` holds every record's class index."""
+                  use_graph: bool = True, trunk: TrunkFeatures | None = None) -> ForwardResult:
+    """Forward columns ``cols`` of ``data``; ``y`` holds every record's class index.
+
+    With ``trunk`` (``trunk_features`` of this head and ``data``) the batch
+    gathers its columns of the trunk half and runs only the score half.  The
+    bits match the full pass: each output column of ``kernels.matmul`` is
+    independent of the other columns, and the rest of the trunk is
+    elementwise.
+    """
     if not len(cols):
         raise ValueError("empty batch")
-    return forward_pass(
-        head, batch_features(data, cols), labels=y[cols],
-        reg_targets=None if data.reg is None else data.reg.take(cols, axis=1),
-        reg_weight=reg_weight, use_graph=use_graph,
-    )
+    reg_targets = None if data.reg is None else data.reg.take(cols, axis=1)
+    if trunk is None:
+        return forward_pass(head, batch_features(data, cols), labels=y[cols],
+                            reg_targets=reg_targets, reg_weight=reg_weight,
+                            use_graph=use_graph)
+    tape = Tape()
+    v_t = tape.leaf(trunk.v.take(cols, axis=1))
+    pred_t = None if trunk.pred is None else tape.leaf(trunk.pred.take(cols, axis=1))
+    return _score_half(tape, head, v_t, pred_t, y[cols], reg_targets, reg_weight, use_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +355,13 @@ def class_scores(head: Head, v) -> np.ndarray:
     v = dm.as_matrix(v)
     if v.shape != (head.cfg.d, 1):
         raise ValueError(f"expected a ({head.cfg.d},) feature vector, got shape {v.shape}")
-    tape = Tape()
-    v_t = tape.leaf(v)
-    return _class_scores_t(tape, head, v_t).value.reshape(-1)
+    tape = Tape(backward=False)
+    return _class_scores_t(tape, head, tape.leaf(v)).value.reshape(-1)
 
 
 def class_rows(head: Head) -> np.ndarray:
     """The class score rows after the relation stage: W, We, or refined We."""
-    return _effective_rows_t(Tape(), head).value
+    return _effective_rows_t(Tape(backward=False), head).value
 
 
 def relation_graph(head: Head) -> np.ndarray:
@@ -331,7 +374,7 @@ def relation_graph(head: Head) -> np.ndarray:
             f"head mode {head.mode.value!r} with graph mode "
             f"{head.cfg.graph_mode.value!r} has no relation graph to export"
         )
-    tape = Tape()
+    tape = Tape(backward=False)
     we_t = tape.leaf(head.we.matrix)
     return rel.extract_graph_t(we_t, _maps_t(tape, head), head.cfg.scaled_attention).value
 
@@ -489,14 +532,26 @@ def _field(obj: dict, name: str, *kinds, prefix: str = ""):
     return value
 
 
+def _enum_field(obj: dict, name: str, kind: type[enum.Enum]):
+    """``obj[name]`` as a member of ``kind``; a ValueError names the field and
+    the allowed values."""
+    value = _field(obj, name, str)
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(m.value for m in kind)
+        raise ValueError(f"checkpoint field {name!r} must be one of {allowed}, "
+                         f"got {value!r}") from None
+
+
 def head_from_state(state: dict) -> Head:
     fmt = state.get("format") if isinstance(state, dict) else None
     if fmt != _CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format {fmt!r}")
     dims = _field(state, "dims", dict)
     cfg = HeadConfig(
-        mode=_field(state, "mode", str),
-        graph_mode=_field(state, "graph_mode", str),
+        mode=_enum_field(state, "mode", HeadMode),
+        graph_mode=_enum_field(state, "graph_mode", rel.GraphMode),
         **{name: _field(dims, name, int, prefix="dims.") for name in ("d_in", "d", "r")},
         scaled_attention=_field(state, "scaled_attention", bool),
         attention_gain=_field(state, "attention_gain", int, float),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .head import Head, HeadMode, batch_forward
+from .head import Head, HeadMode, batch_forward, trunk_features
 from .records import FeatureSet, concat
 
 DEFAULT_BASE_LR = 0.02
@@ -222,8 +222,8 @@ def _divergence_cause(head: Head) -> str:
 
 
 def _step(head: Head, data: FeatureSet, y, cols, cfg: TrainConfig, state: OptState,
-          lr: float, use_graph: bool, phase: str) -> TraceRow:
-    result = batch_forward(head, data, y, cols, cfg.reg_weight, use_graph)
+          lr: float, use_graph: bool, phase: str, trunk) -> TraceRow:
+    result = batch_forward(head, data, y, cols, cfg.reg_weight, use_graph, trunk)
     loss = result.loss.item()
     if not math.isfinite(loss):
         raise FloatingPointError(
@@ -249,7 +249,9 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
     trains ``cfg.trainable`` (else ``default_groups``) for ``steps``
     lr-scheduled steps over ``batches`` of columns of ``data``, and raises if
     the embedding matrix or a frozen parameter ends the phase different from
-    how it began: any drift is a bug, not a tolerance question.
+    how it began: any drift is a bug, not a tolerance question.  A phase that
+    freezes every trunk and reg parameter runs the trunk half of the forward
+    pass once over ``data`` and gives each step its columns.
     """
     y = data.label_indices(head.registry)
     stray = np.flatnonzero(~np.isin(y, list(allowed_indices)))
@@ -261,9 +263,11 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
     head.set_trainable(trainable)
     frozen = [n for n in head.params if n not in trainable]
     we_hash, frozen_hash = head.we_hash(), head.param_hash(frozen)
+    trunk = (None if trainable & head.resolve_groups(("trunk", "reg"))
+             else trunk_features(head, data))
     state = OptState()
     trace = [_step(head, data, y, next(batches), cfg, state, lr_at(cfg, step, steps),
-                   use_graph, phase)
+                   use_graph, phase, trunk)
              for step in range(steps)]
     if head.we_hash() != we_hash:
         raise RuntimeError(f"{phase}: the embedding matrix changed")

@@ -268,6 +268,13 @@ def _bad_input_cases(corpus, trained, bad):
                                      f"{bad}: checkpoint field 'mode' is missing"),
         "checkpoint_field_type": (checkpoint(dims=[8, 16, 4]), evaluate(bad, corpus / "test.jsonl"),
                                   f"{bad}: checkpoint field 'dims' must be an object, got a list"),
+        "checkpoint_mode_value": (checkpoint(mode="bogus"), evaluate(bad, corpus / "test.jsonl"),
+                                  f"{bad}: checkpoint field 'mode' must be one of baseline, "
+                                  "ssp, srr, got 'bogus'"),
+        "checkpoint_graph_mode_value": (
+            checkpoint(graph_mode="bogus"), evaluate(bad, corpus / "test.jsonl"),
+            f"{bad}: checkpoint field 'graph_mode' must be one of none, dynamic, heuristic, tt, "
+            "got 'bogus'"),
         "cooccurrence_json": ('{"labels": ["base00"]}\n{nope\n', heuristic,
                               f"{bad}:2: invalid JSON ({_BAD_JSON})"),
         "cooccurrence_labels": ('{"labels": "base00"}\n', heuristic,
@@ -285,6 +292,7 @@ def _bad_input_cases(corpus, trained, bad):
 @pytest.mark.parametrize("case", [
     "config_json", "registry_json", "registry_top_level", "registry_names", "checkpoint_json",
     "checkpoint_top_level", "checkpoint_missing_field", "checkpoint_field_type",
+    "checkpoint_mode_value", "checkpoint_graph_mode_value",
     "cooccurrence_json", "cooccurrence_labels", "unknown_class",
     "empty_train_data", "empty_novel_data", "empty_eval_data", "partial_reg",
 ])

@@ -180,3 +180,16 @@ def test_a_replayed_tape_refuses_more_work(rng):
         with pytest.raises(RuntimeError, match="backward|already replayed"):
             again()
     np.testing.assert_array_equal(params[0].grad, grad)
+
+
+def test_a_forward_only_tape_records_nothing_and_refuses_backward(rng):
+    p = dm.Param("w", rng.standard_normal((2, 2)))
+    grad = p.grad
+    tape = dm.Tape(backward=False)
+    w, x = tape.param(p), tape.leaf(np.ones((2, 2)), needs_grad=True)
+    loss = dm.squared_error_cols(dm.matmul(w, x), np.zeros((2, 2)))
+    assert not (w.needs_grad or x.needs_grad or loss.needs_grad)
+    assert tape._ops == [] and tape.param(p) is not w  # no node memo either
+    with pytest.raises(RuntimeError, match="cannot run backward"):
+        loss.backward()
+    assert p.grad is grad  # the grad buffer is left alone, not zeroed

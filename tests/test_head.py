@@ -11,6 +11,7 @@ from semshot.head import (
     HeadConfig,
     HeadMode,
     attach_heuristic_graph,
+    batch_forward,
     build_head,
     class_rows,
     class_scores,
@@ -23,7 +24,10 @@ from semshot.head import (
     relation_graph,
     save_head,
     switch_graph_mode,
+    trunk_features,
 )
+from semshot.pipeline import bundled_benchmark
+from semshot.records import FeatureSet
 
 from conftest import make_head
 
@@ -266,6 +270,83 @@ def test_forward_backward_leaves_nothing_for_the_cyclic_collector(base_reg, mode
         np.testing.assert_array_equal(again[name], grad)
 
 
+@pytest.mark.parametrize("question", [
+    lambda head, x: forward_pass(head, x).logits.value,
+    lambda head, x: class_scores(head, x[:head.cfg.d, :1]),
+    lambda head, x: class_rows(head),
+    lambda head, x: relation_graph(head),
+], ids=["forward_pass", "class_scores", "class_rows", "relation_graph"])
+def test_forward_only_passes_leave_nothing_for_the_cyclic_collector(question):
+    # a pass without targets runs on a tape that records nothing, so nothing
+    # it builds waits for the cyclic collector
+    cfg = bundled_benchmark()
+    registry = cfg.registry()
+    head = make_head("srr", registry, random_embeddings(registry, dim=cfg.d_e, seed=17),
+                     d_in=cfg.d_in, d=cfg.d, r=cfg.r)
+    x = np.random.default_rng(17).standard_normal((cfg.d_in, 25))
+    first = question(head, x)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            again = question(head, x)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    np.testing.assert_array_equal(again, first)
+
+
+def _episode_data(head, n, with_reg, seed):
+    rng = np.random.default_rng(seed)
+    names = head.registry.names
+    return FeatureSet([f"r{i}" for i in range(n)], [names[i % len(names)] for i in range(n)],
+                      rng.standard_normal((head.cfg.d_in, n)),
+                      rng.standard_normal((4, n)) if with_reg else None)
+
+
+def _step_outputs(head, data, y, cols, trunk):
+    result = batch_forward(head, data, y, cols, reg_weight=0.5, trunk=trunk)
+    losses = [t.item() if t is not None else None
+              for t in (result.loss, result.loss_cls, result.loss_reg)]
+    result.loss.backward()
+    grads = {name: p.grad.copy() for name, p in head.params.items() if p.trainable}
+    return result.logits.value, losses, grads
+
+
+@pytest.mark.parametrize("mode,graph,decoupled", [
+    ("baseline", "none", False), ("ssp", "none", False), ("srr", "dynamic", False),
+    ("srr", "tt", False), ("srr", "heuristic", False), ("srr", "dynamic", True),
+])
+@pytest.mark.parametrize("n,cols,with_reg", [
+    (9, [4, 0, 4, 8, 2], True), (9, [3], True), (9, [1, 5], False), (1, [0], True),
+    (1, [0, 0, 0], True),
+])
+def test_batch_forward_from_the_trunk_cache_is_bit_exact(
+        full_reg, mode, graph, decoupled, n, cols, with_reg):
+    we = random_embeddings(full_reg, dim=6, seed=18)
+    head = make_head(mode, full_reg, we, graph_mode=graph, d_in=10, d=8, r=4,
+                     decoupled=decoupled)
+    if graph == "heuristic":
+        attach_heuristic_graph(head, np.full((6, 6), 1.0 / 6))
+    rng = np.random.default_rng(18)
+    for p in head.params.values():
+        p.value[:] = rng.normal(0.0, 0.5, p.value.shape)
+    head.set_trainable(head.resolve_groups([g for g in ("W", "P", "relation", "b")
+                                            if g in head.param_groups()]))
+    data = _episode_data(head, n, with_reg, seed=n)
+    y = data.label_indices(head.registry)
+    cols = np.array(cols)
+    logits, losses, grads = _step_outputs(head, data, y, cols, None)
+    trunk = trunk_features(head, data)
+    assert trunk.v.shape == (8, n) and (trunk.pred is None) is (not with_reg)
+    c_logits, c_losses, c_grads = _step_outputs(head, data, y, cols, trunk)
+    np.testing.assert_array_equal(c_logits, logits)
+    assert c_losses == losses
+    assert grads.keys() == c_grads.keys() and grads
+    for name, grad in grads.items():
+        np.testing.assert_array_equal(c_grads[name], grad)
+
+
 @pytest.mark.parametrize("mode,graph", [
     ("baseline", "none"), ("ssp", "none"), ("srr", "dynamic"), ("srr", "tt"),
 ])
@@ -347,6 +428,11 @@ def test_checkpoint_rejects_heuristic_graph_of_wrong_size(base_reg):
     (lambda s: s["trainable"].update(P=1), "'trainable.P' must be true or false, got an integer"),
     (lambda s: s["we"].pop("hash"), "checkpoint field 'we.hash' is missing"),
     (lambda s: s.update(we=[]), "'we' must be an object or null, got a list"),
+    (lambda s: s.update(mode="bogus"),
+     "checkpoint field 'mode' must be one of baseline, ssp, srr, got 'bogus'"),
+    (lambda s: s.update(graph_mode=3), "'graph_mode' must be a string, got an integer"),
+    (lambda s: s.update(graph_mode="graph"),
+     "checkpoint field 'graph_mode' must be one of none, dynamic, heuristic, tt, got 'graph'"),
 ])
 def test_checkpoint_names_a_missing_or_mistyped_field(base_reg, edit, message):
     state = head_state(make_head("ssp", base_reg, random_embeddings(base_reg, dim=6, seed=16)))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from semshot import training
+from semshot import head as head_module
+from semshot import kernels, training
 from semshot.diffmath import Param
 from semshot.embeddings import ClassRegistry, random_embeddings
 from semshot.records import FeatureSet, concat
@@ -261,6 +262,67 @@ def test_finetune_fails_when_a_frozen_trunk_weight_moves(tiny_world, monkeypatch
     _nudging_sgd_step(monkeypatch, head, "trunk_w1")
     with pytest.raises(RuntimeError, match="finetune: a frozen parameter moved"):
         finetune(head, episode, finetune_config(steps=3, batch_size=4, seed=2))
+
+
+def _count_trunk_halves(monkeypatch):
+    calls = []
+    real = head_module._trunk_half
+
+    def counted(*args):
+        calls.append(args[2].shape[1])
+        return real(*args)
+
+    monkeypatch.setattr(head_module, "_trunk_half", counted)
+    return calls
+
+
+def _srr_finetune(tiny_world, k=2, base_shots=3, **cfg):
+    registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
+    head = make_head("srr", registry, we)
+    episode = sample_episode(base_data, novel_data,
+                             EpisodeConfig(k=k, base_shots=base_shots, seed=4))
+    result = finetune(head, episode, finetune_config(steps=12, batch_size=4, seed=4, **cfg))
+    return head, [(r.loss, r.loss_cls, r.loss_reg) for r in result.trace], len(episode.base) + len(episode.novel)
+
+
+def test_default_finetune_runs_the_trunk_half_once(tiny_world, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(training, "trunk_features", lambda head, data: None)
+        ref_head, ref_trace, _ = _srr_finetune(tiny_world)
+    calls = _count_trunk_halves(monkeypatch)
+    head, trace, n = _srr_finetune(tiny_world)
+    assert calls == [n]  # one pass over every column of the phase
+    assert trace == ref_trace
+    assert head.param_hash() == ref_head.param_hash()
+
+
+@pytest.mark.parametrize("groups,moved", [
+    (("P", "b", "trunk"), "trunk_w1"), (("P", "b", "reg"), "reg_w"),
+])
+def test_finetune_with_trunk_or_reg_trainable_runs_the_trunk_every_step(
+        tiny_world, monkeypatch, groups, moved):
+    registry, base_reg, we, *_ = tiny_world
+    before = make_head("srr", registry, we).params[moved].value.copy()
+    calls = _count_trunk_halves(monkeypatch)
+    head, trace, _ = _srr_finetune(tiny_world, trainable=groups)
+    assert calls == [4] * 12  # one batch per step
+    assert not np.array_equal(head.params[moved].value, before)
+
+
+def test_one_record_phase_caches_the_trunk_through_the_lone_column_path(
+        tiny_world, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(training, "trunk_features", lambda head, data: None)
+        ref_head, ref_trace, _ = _srr_finetune(tiny_world, k=1, base_shots=0)
+    widths = []
+    real = kernels.matmul
+    monkeypatch.setattr(kernels, "matmul", lambda a, b: widths.append(b.shape[1]) or real(a, b))
+    calls = _count_trunk_halves(monkeypatch)
+    head, trace, n = _srr_finetune(tiny_world, k=1, base_shots=0)
+    assert n == 1 and calls == [1]
+    assert widths[:3] == [1, 1, 1]  # the cached pass: w1, w2 and reg_w on one column
+    assert trace == ref_trace
+    assert head.param_hash() == ref_head.param_hash()
 
 
 def test_finetune_honors_explicit_trainable_groups(tiny_world):
