@@ -50,6 +50,7 @@ from .training import (
     EpisodeConfig,
     TrainConfig,
     base_train,
+    default_finetune_groups,
     finetune,
     finetune_config,
     sample_episode,
@@ -328,7 +329,8 @@ FINETUNE_OPTS = [
     Opt("--steps", type=int, help="override the step rule"),
     Opt("--lr", default=0.001, type=float),
     *_OPTIM_OPTS,
-    Opt("--trainable", help="comma list of param groups (default: P,relation)"),
+    Opt("--trainable", help="comma list of param groups (default: P,relation,b for srr, "
+                            "P,b for ssp, W,b for baseline)"),
     Opt("--freeze", help="'all', or groups to drop from the trainable set"),
     Opt("--graph-mode", choices=("none", "dynamic", "heuristic", "tt"),
         help="switch the relation stage before fine-tuning"),
@@ -346,8 +348,6 @@ def _trainable_groups(cfg: dict, head) -> tuple | None:
     if freeze is not None:
         if freeze.strip() == "all":
             return ()
-        from .training import default_finetune_groups
-
         base = groups if groups is not None else default_finetune_groups(head)
         drop = {g.strip() for g in freeze.split(",") if g.strip()}
         unknown = drop - set(head.param_groups())

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .head import Head, forward_pass
 from .records import FeatureSet, batch_features
@@ -84,6 +83,8 @@ def paired_onesided_pvalue(greater, lesser) -> float:
         if diff[0] > 0:
             return 0.0
         return 1.0
+    from scipy import stats  # deferred: no CLI command needs it, and it dominates import time
+
     return float(stats.ttest_rel(a, b, alternative="greater").pvalue)
 
 

@@ -603,8 +603,7 @@ def _shape_text(shape) -> str:
 
 def save_head(head: Head, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(head_state(head), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(head_state(head), sort_keys=True) + "\n")  # dumps: C encoder
 
 
 def load_head(path) -> Head:

@@ -2,14 +2,16 @@
 
 Phase one trains every head parameter on base-class records (the embedding
 matrix itself is fixed by construction and never moves; both phases assert
-this, and that every frozen parameter stays put, by content hash).  Phase two freezes everything except a small trainable
-set (by default the embedding projection and the relation maps) and trains on
-class-balanced batches from the k-shot episode's base and novel records.
+this, and that every frozen parameter stays put, by content hash).  Phase two
+freezes everything except a small trainable set (by default the output layer:
+see ``default_finetune_groups``) and trains on class-balanced batches from the
+k-shot episode's base and novel records.
 
 The optimizer is classic SGD with momentum and coupled weight decay:
 v <- mu v + g + wd p;  p <- p - lr v.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -151,6 +153,11 @@ def sample_episode(base_data: FeatureSet, novel_data: FeatureSet,
     return Episode(base, pick(novel_data, cfg.k, "novel"), cfg.k, base_shots)
 
 
+def _check_batch_size(batch_size: int) -> None:
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
+
+
 def balanced_batch_iter(data: FeatureSet, batch_size: int, seed: int):
     """Endless batches of column indices into ``data``; each slot draws a
     class uniformly, then one of that class's records uniformly.
@@ -161,8 +168,7 @@ def balanced_batch_iter(data: FeatureSet, batch_size: int, seed: int):
     """
     if not len(data):
         raise ValueError("balanced batches need a non-empty pool")
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
+    _check_batch_size(batch_size)
     pools = list(data.label_columns().values())
     rng = np.random.default_rng([seed, _STREAM_BALANCE])
 
@@ -277,9 +283,9 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
 
 
 def _uniform_batches(data: FeatureSet, batch_size: int, seed: int):
+    _check_batch_size(batch_size)
     rng = np.random.default_rng([seed, _STREAM_BATCH])
-    while True:
-        yield rng.integers(0, len(data), size=batch_size)
+    return (rng.integers(0, len(data), size=batch_size) for _ in itertools.count())
 
 
 def base_train(head: Head, base_data: FeatureSet, cfg: TrainConfig) -> TrainResult:

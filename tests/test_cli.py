@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from semshot.cli import main
 from semshot.embeddings import ClassRegistry, load_registry, save_registry
 
 CHAIN = "n00000001\tn00000002\nn00000002\tn00000003\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def sha(path):
@@ -21,6 +25,16 @@ def sha(path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def test_startup_imports_no_scipy():
+    # scipy.stats is most of a command's start-up time; only the paired test needs it
+    code = ("import sys, semshot, semshot.cli, semshot.pipeline; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +300,9 @@ def _bad_input_cases(corpus, trained, bad):
         "empty_eval_data": ("", evaluate(trained / "head.json", bad), f"{bad}: no records"),
         "partial_reg": ("".join(json.dumps(r) + "\n" for r in partial), train(**{"--data": bad}),
                         f"{bad}:2: lacks 'reg' unlike the first record"),
+        "batch_size_zero": ("", train() + ["--batch-size", 0], "batch_size must be at least 1"),
+        "batch_size_negative": ("", train() + ["--batch-size", -2],
+                                "batch_size must be at least 1"),
     }
 
 
@@ -295,6 +312,7 @@ def _bad_input_cases(corpus, trained, bad):
     "checkpoint_mode_value", "checkpoint_graph_mode_value",
     "cooccurrence_json", "cooccurrence_labels", "unknown_class",
     "empty_train_data", "empty_novel_data", "empty_eval_data", "partial_reg",
+    "batch_size_zero", "batch_size_negative",
 ])
 def test_bad_input_exits_1_with_one_error_line_naming_its_source(
         corpus, trained, tmp_path, capsys, case):
