@@ -207,7 +207,6 @@ def attach_heuristic_graph(head: Head, graph: np.ndarray):
 
 @dataclass
 class ForwardResult:
-    tape: Tape
     logits: "dm.Tensor"
     loss_cls: "dm.Tensor | None" = None
     loss_reg: "dm.Tensor | None" = None
@@ -225,12 +224,13 @@ def _maps_t(tape: Tape, head: Head) -> dict:
     return {n: tape.param(head.params[n]) for n in rel.map_names(head.cfg.graph_mode)}
 
 
-def _effective_rows_t(tape: Tape, head: Head):
-    """Class rows on the tape: W, raw We, or relation-refined We."""
+def _effective_rows_t(tape: Tape, head: Head, use_graph: bool = True):
+    """Class rows on the tape: W, raw We (also an srr head with its relation
+    stage bypassed), or relation-refined We."""
     if head.mode is HeadMode.BASELINE:
         return tape.param(head.params["W"])
     we_t = tape.leaf(head.we.matrix)
-    if head.mode is HeadMode.SSP:
+    if head.mode is HeadMode.SSP or not use_graph:
         return we_t
     gm = head.cfg.graph_mode
     if gm is rel.GraphMode.HEURISTIC:
@@ -245,16 +245,10 @@ def _effective_rows_t(tape: Tape, head: Head):
 
 def _class_scores_t(tape: Tape, head: Head, v_t, use_graph: bool = True):
     b = tape.param(head.params["b"])
-    if head.mode is HeadMode.BASELINE:
-        rows = tape.param(head.params["W"])
-        return dm.add_bias(dm.matmul(rows, v_t), b)
-    p = tape.param(head.params["P"])
-    projected = dm.matmul(p, v_t)
-    if head.mode is HeadMode.SRR and not use_graph:
-        rows = tape.leaf(head.we.matrix)
-    else:
-        rows = _effective_rows_t(tape, head)
-    return dm.add_bias(dm.matmul(rows, projected), b)
+    if head.mode is not HeadMode.BASELINE:
+        v_t = dm.matmul(tape.param(head.params["P"]), v_t)
+    rows = _effective_rows_t(tape, head, use_graph)
+    return dm.add_bias(dm.matmul(rows, v_t), b)
 
 
 def _trunk_half(tape: Tape, head: Head, x, with_reg: bool):
@@ -280,7 +274,7 @@ def _score_half(tape: Tape, head: Head, v_t, pred_t, labels, reg_targets,
     """Class scores of the trunk output ``v_t``, then the losses whose
     targets are present and their weighted sum."""
     logits = _class_scores_t(tape, head, v_t, use_graph=use_graph)
-    result = ForwardResult(tape=tape, logits=logits)
+    result = ForwardResult(logits=logits)
     terms = []
     if labels is not None:
         result.loss_cls = dm.cross_entropy_cols(logits, labels)

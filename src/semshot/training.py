@@ -13,7 +13,7 @@ v <- mu v + g + wd p;  p <- p - lr v.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +53,15 @@ class TrainConfig:
     trainable: tuple | None = None  # parameter-group names; None = phase default
     seed: int = 0
 
+    def __post_init__(self):
+        for name, ok, want in (("lr", self.lr > 0, "positive"),
+                               ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
+                               ("weight_decay", self.weight_decay >= 0, "at least 0"),
+                               ("reg_weight", self.reg_weight >= 0, "at least 0")):
+            value = getattr(self, name)
+            if not (ok and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and {want}, got {value}")
+
 
 def finetune_config(**overrides) -> TrainConfig:
     """TrainConfig with fine-tune defaults: small lr, no decay schedule,
@@ -62,32 +71,11 @@ def finetune_config(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
-@dataclass
-class OptState:
-    velocities: dict = field(default_factory=dict)
-    step: int = 0
-
-    def velocity_for(self, name: str, shape) -> np.ndarray:
-        v = self.velocities.get(name)
-        if v is None or v.shape != shape:
-            v = np.zeros(shape)
-            self.velocities[name] = v
-        return v
-
-
-def sgd_step(params, grads, state: OptState, cfg: TrainConfig, lr: float):
-    """One coupled-momentum update over ``params`` using ``grads`` (name -> array)."""
-    for p in params:
-        if not p.trainable:
-            continue
-        g = grads[p.name]
-        if g.shape != p.value.shape:
-            raise ValueError(
-                f"gradient shape {g.shape} does not match param {p.name!r} {p.value.shape}"
-            )
-        vel = state.velocity_for(p.name, p.value.shape)
-        kernels.sgd_update(p.value, g, vel, lr, cfg.momentum, cfg.weight_decay)
-    state.step += 1
+def sgd_step(params, velocities, cfg: TrainConfig, lr: float):
+    """One coupled-momentum update of each of ``params`` from its ``grad``
+    buffer; ``velocities`` holds one array per param, in the same order."""
+    for p, vel in zip(params, velocities, strict=True):
+        kernels.sgd_update(p.value, p.grad, vel, lr, cfg.momentum, cfg.weight_decay)
 
 
 def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
@@ -208,38 +196,31 @@ class TrainResult:
         return self.trace[-1].loss if self.trace else math.nan
 
 
-def _collect_grads(head: Head) -> dict:
-    return {name: p.grad for name, p in head.params.items() if p.trainable}
-
-
-def _divergence_cause(head: Head) -> str:
+def _divergence_cause(params) -> str:
     """Name the first non-finite trainable parameter, or else the largest one
     (finite parameters can still overflow the forward pass)."""
     largest, peak = None, -1.0
-    for name, p in head.params.items():
-        if not p.trainable:
-            continue
+    for p in params:
         if not np.isfinite(p.value).all():
-            return f"trainable parameter {name!r} holds a non-finite value"
+            return f"trainable parameter {p.name!r} holds a non-finite value"
         m = float(np.abs(p.value).max(initial=0.0))
         if m > peak:
-            largest, peak = name, m
+            largest, peak = p.name, m
     return f"all trainable parameters are finite; the largest is {largest!r} (|max| {peak:.3g})"
 
 
-def _step(head: Head, data: FeatureSet, y, cols, cfg: TrainConfig, state: OptState,
-          lr: float, use_graph: bool, phase: str, trunk) -> TraceRow:
+def _step(head: Head, data: FeatureSet, y, cols, cfg: TrainConfig, params, velocities,
+          step: int, lr: float, use_graph: bool, phase: str, trunk) -> TraceRow:
     result = batch_forward(head, data, y, cols, cfg.reg_weight, use_graph, trunk)
     loss = result.loss.item()
     if not math.isfinite(loss):
         raise FloatingPointError(
-            f"{phase}: loss is {loss} at step {state.step + 1} (lr {lr:g}); "
-            + _divergence_cause(head)
+            f"{phase}: loss is {loss} at step {step} (lr {lr:g}); " + _divergence_cause(params)
         )
     result.loss.backward()
-    sgd_step(head.param_list(), _collect_grads(head), state, cfg, lr)
+    sgd_step(params, velocities, cfg, lr)
     return TraceRow(
-        step=state.step,
+        step=step,
         lr=lr,
         loss=loss,
         loss_cls=result.loss_cls.item() if result.loss_cls is not None else 0.0,
@@ -258,6 +239,11 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
     how it began: any drift is a bug, not a tolerance question.  A phase that
     freezes every trunk and reg parameter runs the trunk half of the forward
     pass once over ``data`` and gives each step its columns.
+
+    The phase owns its optimizer state: the trainable params in
+    ``head.params`` order, each with a zero velocity and a gradient buffer
+    zeroed here, so a param that no op of the phase touches never steps on
+    a gradient left over from an earlier phase.
     """
     y = data.label_indices(head.registry)
     stray = np.flatnonzero(~np.isin(y, list(allowed_indices)))
@@ -271,9 +257,12 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
     we_hash, frozen_hash = head.we_hash(), head.param_hash(frozen)
     trunk = (None if trainable & head.resolve_groups(("trunk", "reg"))
              else trunk_features(head, data))
-    state = OptState()
-    trace = [_step(head, data, y, next(batches), cfg, state, lr_at(cfg, step, steps),
-                   use_graph, phase, trunk)
+    params = [p for p in head.params.values() if p.trainable]
+    for p in params:
+        p.grad = np.zeros(p.value.shape)
+    velocities = [np.zeros(p.value.shape) for p in params]
+    trace = [_step(head, data, y, next(batches), cfg, params, velocities, step + 1,
+                   lr_at(cfg, step, steps), use_graph, phase, trunk)
              for step in range(steps)]
     if head.we_hash() != we_hash:
         raise RuntimeError(f"{phase}: the embedding matrix changed")

@@ -89,7 +89,10 @@ def parse_hypernym_edges(stream) -> WordNetGraph:
 
 def load_hypernym_edges(path) -> WordNetGraph:
     with open(path, encoding="utf-8") as fh:
-        return parse_hypernym_edges(fh)
+        try:
+            return parse_hypernym_edges(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def hyponym_closure(graph: WordNetGraph, roots) -> list:

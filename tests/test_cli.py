@@ -303,6 +303,22 @@ def _bad_input_cases(corpus, trained, bad):
         "batch_size_zero": ("", train() + ["--batch-size", 0], "batch_size must be at least 1"),
         "batch_size_negative": ("", train() + ["--batch-size", -2],
                                 "batch_size must be at least 1"),
+        "lr_negative": ("", train() + ["--lr", -0.001],
+                        "lr must be finite and positive, got -0.001"),
+        "momentum_above_one": ("", train() + ["--momentum", 1.5],
+                               "momentum must be finite and in [0, 1), got 1.5"),
+        "weight_decay_negative": ("", train() + ["--weight-decay", -1],
+                                  "weight_decay must be finite and at least 0, got -1.0"),
+        "reg_weight_nan": ("", train() + ["--reg-weight", "nan"],
+                           "reg_weight must be finite and at least 0, got nan"),
+        "freeze_unknown_group": ("", finetune(corpus / "novel_train.jsonl") + ["--freeze", "bogus"],
+                                 "unknown groups in --freeze: ['bogus']"),
+        "trainable_unknown_group": ("", finetune(corpus / "novel_train.jsonl")
+                                    + ["--trainable", "P,bogus"],
+                                    "unknown parameter group 'bogus'"),
+        "closure_edges": ("n00000001\tn00000002\nn00000002\tbogus\n",
+                          ["closure", "--edges", bad, "--roots", "n00000001"],
+                          f"{bad}: line 2: malformed synset id 'bogus'"),
     }
 
 
@@ -312,7 +328,9 @@ def _bad_input_cases(corpus, trained, bad):
     "checkpoint_mode_value", "checkpoint_graph_mode_value",
     "cooccurrence_json", "cooccurrence_labels", "unknown_class",
     "empty_train_data", "empty_novel_data", "empty_eval_data", "partial_reg",
-    "batch_size_zero", "batch_size_negative",
+    "batch_size_zero", "batch_size_negative", "lr_negative", "momentum_above_one",
+    "weight_decay_negative", "reg_weight_nan", "freeze_unknown_group",
+    "trainable_unknown_group", "closure_edges",
 ])
 def test_bad_input_exits_1_with_one_error_line_naming_its_source(
         corpus, trained, tmp_path, capsys, case):
@@ -320,7 +338,8 @@ def test_bad_input_exits_1_with_one_error_line_naming_its_source(
     text, argv, message = _bad_input_cases(corpus, trained, bad)[case]
     bad.write_text(text)
     out = tmp_path / "out"
-    assert run(*argv, "--out-dir", out) == 1
+    # closure writes one file (--out) or stdout rather than a run directory
+    assert run(*argv, *([] if argv[0] == "closure" else ["--out-dir", out])) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(f"error: {message}")
@@ -421,6 +440,69 @@ def test_finetune_freeze_all_moves_nothing(corpus, trained, tmp_path):
             assert frozen["params"][name] == values
 
 
+def _finetune_full(corpus, checkpoint, out, *flags):
+    return run(
+        "finetune", "--out-dir", out, "--checkpoint", checkpoint,
+        "--registry", corpus / "registry.json", "--embeddings", corpus / "embeddings.txt",
+        "--base-data", corpus / "base_train.jsonl",
+        "--novel-data", corpus / "novel_train.jsonl",
+        "--k", 2, "--base-shots", 3, "--steps", 6, "--seed", 1, *flags,
+    )
+
+
+def _train_srr(corpus, out, *flags):
+    return run(
+        "train", "--out-dir", out,
+        "--data", corpus / "base_train.jsonl",
+        "--registry", corpus / "registry_base.json",
+        "--embeddings", corpus / "embeddings.txt",
+        "--mode", "srr", "--proj-dim", 8, "--reduced-dim", 4,
+        "--steps", 6, "--batch-size", 8, *flags,
+    )
+
+
+def test_finetune_freeze_relation_matches_trainable_projection_and_bias(corpus, tmp_path):
+    assert _train_srr(corpus, tmp_path / "srr") == 0
+    checkpoint = tmp_path / "srr" / "head.json"
+    assert _finetune_full(corpus, checkpoint, tmp_path / "freeze", "--freeze", "relation") == 0
+    assert _finetune_full(corpus, checkpoint, tmp_path / "pick", "--trainable", "P,b") == 0
+    meta = json.loads((tmp_path / "freeze" / "meta.json").read_text())
+    assert meta["run"]["trainable"] == ["P", "b"]
+    assert sha(tmp_path / "freeze" / "head.json") == sha(tmp_path / "pick" / "head.json")
+
+
+def test_finetune_decouple_splits_the_trunk(corpus, trained, tmp_path):
+    out = tmp_path / "decoupled"
+    assert _finetune_full(corpus, trained / "head.json", out, "--decouple") == 0
+    head = json.loads((out / "head.json").read_text())
+    assert head["decoupled"] is True
+    trunks = sorted(n for n in head["params"] if "trunk" in n)
+    assert trunks == sorted(f"{branch}_trunk_{s}" for branch in ("cls", "reg")
+                            for s in ("b1", "b2", "w1", "w2"))
+
+
+def test_finetune_reattaches_the_heuristic_graph_after_expansion(corpus, tmp_path, capsys):
+    base_sets, full_sets = tmp_path / "base_sets.jsonl", tmp_path / "full_sets.jsonl"
+    base_sets.write_text('{"labels": ["base00", "base01"]}\n')
+    full_sets.write_text('{"labels": ["base00", "novel00"]}\n{"labels": ["novel01"]}\n')
+    assert _train_srr(corpus, tmp_path / "heur", "--graph-mode", "heuristic",
+                      "--cooccurrence", base_sets) == 0
+    checkpoint = tmp_path / "heur" / "head.json"
+    assert len(json.loads(checkpoint.read_text())["g_heur"]) == 4  # 3 base + background
+
+    out = tmp_path / "ft"
+    assert _finetune_full(corpus, checkpoint, out, "--cooccurrence", full_sets) == 0
+    g_heur = np.array(json.loads((out / "head.json").read_text())["g_heur"])
+    assert g_heur.shape == (6, 6)  # 3 base + 2 novel + background
+    np.testing.assert_allclose(g_heur.sum(axis=1), 1.0)
+
+    bare = tmp_path / "bare"
+    assert _finetune_full(corpus, checkpoint, bare) == 1
+    err = capsys.readouterr().err
+    assert err == "error: heuristic graph mode needs --cooccurrence label sets\n"
+    assert not (bare / "meta.json").exists()
+
+
 def test_export_correlate_is_zero_diff_for_untrained_projection(trained, tmp_path, corpus):
     # fine-tune adds novel rows first; correlate needs novel classes present
     ft = tmp_path / "ft"
@@ -449,14 +531,7 @@ def test_export_graph_requires_a_relation_stage(trained, tmp_path, capsys, corpu
     assert "no relation graph to export" in capsys.readouterr().err
 
     srr_dir = tmp_path / "srr"
-    assert run(
-        "train", "--out-dir", srr_dir,
-        "--data", corpus / "base_train.jsonl",
-        "--registry", corpus / "registry_base.json",
-        "--embeddings", corpus / "embeddings.txt",
-        "--mode", "srr", "--proj-dim", 8, "--reduced-dim", 4,
-        "--steps", 6, "--batch-size", 8,
-    ) == 0
+    assert _train_srr(corpus, srr_dir) == 0
     assert run("export", "graph", "--out-dir", out,
                "--checkpoint", srr_dir / "head.json") == 0
     lines = (out / "graph.csv").read_text().splitlines()

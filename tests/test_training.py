@@ -13,7 +13,6 @@ from semshot.training import (
     DEFAULT_SHOT_LIST,
     Episode,
     EpisodeConfig,
-    OptState,
     TrainConfig,
     balanced_batch_iter,
     base_train,
@@ -54,27 +53,35 @@ def no_records(d_in=4):
 def test_sgd_step_matches_recurrence():
     cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.01)
     p = Param("w", np.array([[1.0, -2.0]]))
-    grads = {"w": np.array([[0.5, 0.25]])}
-    state = OptState()
+    p.grad = np.array([[0.5, 0.25]])
+    velocities = [np.zeros_like(p.value)]
     # hand-rolled reference:  v <- mu v + g + wd p;  p <- p - lr v
     ref_p = p.value.copy()
     ref_v = np.zeros_like(ref_p)
     for _ in range(3):
-        ref_v = 0.9 * ref_v + grads["w"] + 0.01 * ref_p
+        ref_v = 0.9 * ref_v + p.grad + 0.01 * ref_p
         ref_p = ref_p - 0.1 * ref_v
-        sgd_step([p], grads, state, cfg, 0.1)
+        sgd_step([p], velocities, cfg, 0.1)
     np.testing.assert_allclose(p.value, ref_p, rtol=1e-15)
-    assert state.step == 3
+    np.testing.assert_allclose(velocities[0], ref_v, rtol=1e-15)
 
 
-def test_sgd_step_skips_frozen_and_checks_shapes():
-    cfg = TrainConfig(lr=0.1, momentum=0.0, weight_decay=0.0)
-    frozen = Param("f", np.ones((2, 2)), trainable=False)
-    sgd_step([frozen], {"f": np.ones((2, 2))}, OptState(), cfg, 0.1)
-    np.testing.assert_array_equal(frozen.value, np.ones((2, 2)))
-    live = Param("w", np.ones((2, 2)))
-    with pytest.raises(ValueError, match="gradient shape"):
-        sgd_step([live], {"w": np.ones((3, 2))}, OptState(), cfg, 0.1)
+@pytest.mark.parametrize("field,value,message", [
+    ("lr", 0.0, "lr must be finite and positive, got 0.0"),
+    ("lr", -0.001, "lr must be finite and positive, got -0.001"),
+    ("lr", float("inf"), "lr must be finite and positive, got inf"),
+    ("momentum", 1.0, r"momentum must be finite and in \[0, 1\), got 1.0"),
+    ("momentum", -0.1, r"momentum must be finite and in \[0, 1\), got -0.1"),
+    ("momentum", float("nan"), r"momentum must be finite and in \[0, 1\), got nan"),
+    ("weight_decay", -1.0, "weight_decay must be finite and at least 0, got -1.0"),
+    ("reg_weight", -0.5, "reg_weight must be finite and at least 0, got -0.5"),
+    ("reg_weight", float("nan"), "reg_weight must be finite and at least 0, got nan"),
+])
+def test_train_config_rejects_out_of_range_optimizer_values(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{field: value})
+    with pytest.raises(ValueError, match=message):
+        finetune_config(**{field: value})
 
 
 def test_lr_schedule_decays_at_milestones():
@@ -239,8 +246,8 @@ def _nudging_sgd_step(monkeypatch, head, name):
     """Make every optimizer step also move ``head.params[name]``."""
     real = training.sgd_step
 
-    def step(params, grads, state, cfg, lr):
-        real(params, grads, state, cfg, lr)
+    def step(*args):
+        real(*args)
         head.params[name].value[0, 0] += 1e-12
 
     monkeypatch.setattr(training, "sgd_step", step)
@@ -262,6 +269,24 @@ def test_finetune_fails_when_a_frozen_trunk_weight_moves(tiny_world, monkeypatch
     _nudging_sgd_step(monkeypatch, head, "trunk_w1")
     with pytest.raises(RuntimeError, match="finetune: a frozen parameter moved"):
         finetune(head, episode, finetune_config(steps=3, batch_size=4, seed=2))
+
+
+def test_finetune_does_not_step_on_an_earlier_phases_gradient(tiny_world):
+    # reg_w trains in both phases, but only the base phase has reg targets:
+    # with no momentum or decay, a fine-tune that never touches it leaves it put
+    registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
+    head = make_head("ssp", base_reg, we.select_rows(base_rows))
+    base_train(head, base_data, TrainConfig(steps=4, batch_size=4, seed=1))
+    head_module.expand_classes(head, registry, we)
+    episode = sample_episode(base_data, novel_data, EpisodeConfig(k=2, base_shots=2, seed=2))
+    episode.base, episode.novel = (FeatureSet(list(s.ids), list(s.labels), s.feat, None)
+                                   for s in (episode.base, episode.novel))
+    reg_w = head.params["reg_w"].value.copy()
+    result = finetune(head, episode, finetune_config(
+        steps=3, batch_size=4, seed=2, momentum=0.0, weight_decay=0.0,
+        trainable=("P", "b", "reg")))
+    assert [r.loss_reg for r in result.trace] == [0.0] * 3
+    np.testing.assert_array_equal(head.params["reg_w"].value, reg_w)
 
 
 def _count_trunk_halves(monkeypatch):
