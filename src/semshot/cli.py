@@ -340,29 +340,25 @@ FINETUNE_OPTS = [
 
 
 def _trainable_groups(cfg: dict, head) -> tuple | None:
-    trainable = cfg.get("trainable")
-    freeze = cfg.get("freeze")
-    groups = None
-    if trainable is not None:
-        groups = tuple(g.strip() for g in trainable.split(",") if g.strip())
-    if freeze is not None:
-        if freeze.strip() == "all":
-            return ()
-        base = groups if groups is not None else default_finetune_groups(head)
-        drop = {g.strip() for g in freeze.split(",") if g.strip()}
-        unknown = drop - set(head.param_groups())
+    """The ``--trainable`` groups (None: the phase default) less the
+    ``--freeze`` ones, each checked against ``head``'s groups."""
+    named = {flag: tuple(g.strip() for g in cfg[flag].split(",") if g.strip())
+             for flag in ("trainable", "freeze") if cfg.get(flag) is not None}
+    if named.get("freeze") == ("all",):
+        return ()
+    for flag, names in named.items():
+        unknown = set(names) - set(head.param_groups())
         if unknown:
-            raise ValueError(f"unknown groups in --freeze: {sorted(unknown)}")
-        groups = tuple(g for g in base if g not in drop)
-    return groups
+            raise ValueError(f"unknown groups in --{flag}: {sorted(unknown)}")
+    if "freeze" not in named:
+        return named.get("trainable")
+    base = named.get("trainable", default_finetune_groups(head))
+    return tuple(g for g in base if g not in named["freeze"])
 
 
 def cmd_finetune(cfg: dict) -> int:
     out = _out_dir(cfg)
     head = load_head(cfg["checkpoint"])
-    base_data = load_records(cfg["base.data"])
-    novel_data = load_records(cfg["novel.data"])
-
     if cfg.get("graph.mode"):
         switch_graph_mode(head, cfg["graph.mode"], seed=cfg["seed"])
 
@@ -381,7 +377,11 @@ def cmd_finetune(cfg: dict) -> int:
 
     if cfg["decouple"] and not head.cfg.decoupled:
         decouple_trunks(head)
+    # the head's groups are final here; check the flags before any data loads
+    trainable = _trainable_groups(cfg, head)
 
+    base_data = load_records(cfg["base.data"])
+    novel_data = load_records(cfg["novel.data"])
     episode = sample_episode(
         base_data, novel_data,
         EpisodeConfig(k=cfg["k"], base_shots=cfg.get("base.shots"), seed=cfg["seed"]),
@@ -392,7 +392,7 @@ def cmd_finetune(cfg: dict) -> int:
         finetune_config(
             lr=cfg["lr"], momentum=cfg["momentum"], weight_decay=cfg["weight.decay"],
             steps=cfg.get("steps"), batch_size=cfg["batch.size"],
-            reg_weight=cfg["reg.weight"], trainable=_trainable_groups(cfg, head),
+            reg_weight=cfg["reg.weight"], trainable=trainable,
             seed=cfg["seed"],
         ),
     )

@@ -6,11 +6,11 @@ closures in exact reverse order, accumulating into preallocated gradient
 buffers.  Gradients therefore come out bit-identical across repeated runs on
 the same inputs.
 
-Leaves created from a ``Param`` share their gradient buffer with the param, so
-after ``backward`` the caller reads ``param.grad`` directly.  Frozen params
-(``trainable=False``) never receive accumulation and keep an exactly-zero
-gradient.  A ``Tape(backward=False)`` is for forward-only passes: nothing on
-it needs a gradient, so it records no closures and touches no grad buffer.
+A ``Param`` owns its one gradient buffer for life: a recording tape zeroes a
+trainable param's buffer in place and accumulates into it, so after
+``backward`` the caller reads ``param.grad``.  Frozen params, leaves and
+everything on a forward-only ``Tape(backward=False)`` get no gradient
+(``grad is None``); such a tape records no closures.
 """
 
 from dataclasses import dataclass, field
@@ -33,7 +33,7 @@ def as_matrix(x) -> Matrix:
 
 
 class Param:
-    """A named, trainable matrix with a gradient buffer."""
+    """A named matrix and the one gradient buffer it keeps for life."""
 
     __slots__ = ("name", "value", "grad", "trainable")
 
@@ -43,10 +43,6 @@ class Param:
         self.grad = np.zeros_like(self.value)
         self.trainable = trainable
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self):
         flag = "" if self.trainable else ", frozen"
         return f"Param({self.name!r}, shape={self.value.shape}{flag})"
@@ -55,17 +51,16 @@ class Param:
 class Tensor:
     """A node in the recorded computation. Do not construct directly; use Tape."""
 
-    __slots__ = ("value", "grad", "needs_grad", "tape")
+    __slots__ = ("value", "grad", "tape")
 
-    def __init__(self, value: Matrix, needs_grad: bool, tape: "Tape"):
+    def __init__(self, value: Matrix, grad: Matrix | None, tape: "Tape"):
         self.value = value
-        self.grad = np.zeros(value.shape) if needs_grad else None
-        self.needs_grad = needs_grad
+        self.grad = grad  # None: nothing upstream needs this node's gradient
         self.tape = tape
 
     @property
-    def shape(self):
-        return self.value.shape
+    def needs_grad(self) -> bool:
+        return self.grad is not None
 
     def item(self) -> float:
         if self.value.size != 1:
@@ -86,28 +81,20 @@ class Tape:
     def __init__(self, backward: bool = True):
         self._ops = []
         self._finished = False
-        self._param_nodes = {}
         self._backward = backward
 
-    def leaf(self, value, needs_grad: bool = False) -> Tensor:
-        return Tensor(as_matrix(value), needs_grad and self._backward, self)
+    def leaf(self, value) -> Tensor:
+        return Tensor(as_matrix(value), None, self)
 
     def param(self, p: Param) -> Tensor:
-        """Wrap a Param; its grad buffer is zeroed and shared with the tensor.
-
-        Repeated wrapping of the same Param returns the same node, so shared
-        parameters accumulate into a single buffer.  A tape that records
-        nothing leaves the grad buffer alone.
-        """
+        """Wrap a Param.  On a recording tape a trainable param's own grad
+        buffer is zeroed in place and shared with the node, so every wrap of
+        it accumulates there; any other node gets no gradient."""
         self._check_open()
-        if not self._backward:
-            return Tensor(p.value, False, self)
-        node = self._param_nodes.get(id(p))
-        if node is None:
-            node = Tensor(p.value, p.trainable, self)
-            p.grad = node.grad if p.trainable else np.zeros(p.value.shape)
-            self._param_nodes[id(p)] = node
-        return node
+        if not (self._backward and p.trainable):
+            return Tensor(p.value, None, self)
+        p.grad.fill(0.0)
+        return Tensor(p.value, p.grad, self)
 
     def _check_open(self):
         if self._finished:
@@ -118,8 +105,9 @@ class Tape:
         self._ops.append(fn)
 
     def _result(self, value: Matrix, *inputs: Tensor) -> Tensor:
-        needs = self._backward and any(t.needs_grad for t in inputs)
-        return Tensor(value, needs, self)
+        # on a forward-only tape no input has a gradient, so neither does this
+        needs = any(t.grad is not None for t in inputs)
+        return Tensor(value, np.zeros(value.shape) if needs else None, self)
 
     def backward(self, loss: Tensor):
         """Seed d(loss)/d(loss)=1 and replay recorded ops in reverse."""
@@ -132,14 +120,13 @@ class Tape:
         if loss.value.size != 1:
             raise ValueError(f"backward needs a 1x1 loss, got shape {loss.value.shape}")
         self._finished = True
-        if loss.needs_grad:
+        if loss.grad is not None:
             loss.grad[0, 0] = 1.0
         for fn in reversed(self._ops):
             fn()
-        # the closures and param nodes hold tensors, which hold this tape;
-        # dropping them lets reference counting free the step's arrays
+        # the closures hold tensors, which hold this tape; dropping them lets
+        # reference counting free the step's arrays
         self._ops = []
-        self._param_nodes = {}
 
 
 def _check_same_tape(*tensors: Tensor):
@@ -158,13 +145,13 @@ def _product(a: Tensor, b: Tensor, kernel, name: str) -> Tensor:
     if a.value.shape[1] != b.value.shape[0]:
         raise ValueError(f"{name} shape mismatch: {a.value.shape} @ {b.value.shape}")
     out = a.tape._result(kernel(a.value, b.value), a, b)
-    if out.needs_grad:
+    if out.grad is not None:
         av, bv = a.value, b.value
 
         def bw():
-            if a.needs_grad:
+            if a.grad is not None:
                 a.grad += out.grad @ bv.T
-            if b.needs_grad:
+            if b.grad is not None:
                 b.grad += av.T @ out.grad
 
         a.tape._record(bw)
@@ -182,7 +169,7 @@ def mix_matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def transpose(a: Tensor) -> Tensor:
     out = a.tape._result(np.ascontiguousarray(a.value.T), a)
-    if out.needs_grad:
+    if out.grad is not None:
 
         def bw():
             a.grad += out.grad.T
@@ -196,12 +183,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape != b.value.shape:
         raise ValueError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
     out = a.tape._result(a.value + b.value, a, b)
-    if out.needs_grad:
+    if out.grad is not None:
 
         def bw():
-            if a.needs_grad:
+            if a.grad is not None:
                 a.grad += out.grad
-            if b.needs_grad:
+            if b.grad is not None:
                 b.grad += out.grad
 
         a.tape._record(bw)
@@ -216,12 +203,12 @@ def add_bias(m: Tensor, bias: Tensor) -> Tensor:
             f"bias shape {bias.value.shape} does not broadcast over {m.value.shape}"
         )
     out = m.tape._result(m.value + bias.value, m, bias)
-    if out.needs_grad:
+    if out.grad is not None:
 
         def bw():
-            if m.needs_grad:
+            if m.grad is not None:
                 m.grad += out.grad
-            if bias.needs_grad:
+            if bias.grad is not None:
                 bias.grad += out.grad.sum(axis=1, keepdims=True)
 
         m.tape._record(bw)
@@ -230,7 +217,7 @@ def add_bias(m: Tensor, bias: Tensor) -> Tensor:
 
 def scale(a: Tensor, c: float) -> Tensor:
     out = a.tape._result(a.value * c, a)
-    if out.needs_grad:
+    if out.grad is not None:
 
         def bw():
             a.grad += out.grad * c
@@ -241,11 +228,11 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = a.tape._result(kernels.relu(a.value), a)
-    if out.needs_grad:
+    if out.grad is not None:
         ov = out.value
 
         def bw():
-            a.grad += kernels.relu_grad(ov, out.grad)
+            a.grad += out.grad * (ov > 0.0)
 
         a.tape._record(bw)
     return out
@@ -254,11 +241,12 @@ def relu(a: Tensor) -> Tensor:
 def row_softmax(a: Tensor) -> Tensor:
     """Row-wise softmax; the denominator uses sorted summation."""
     out = a.tape._result(kernels.row_softmax(a.value), a)
-    if out.needs_grad:
+    if out.grad is not None:
         soft = out.value
 
         def bw():
-            a.grad += kernels.row_softmax_grad(soft, out.grad)
+            g = out.grad
+            a.grad += soft * (g - (soft * g).sum(axis=1, keepdims=True))
 
         a.tape._record(bw)
     return out
@@ -278,11 +266,13 @@ def cross_entropy_cols(logits: Tensor, labels) -> Tensor:
         raise ValueError(f"label out of range [0, {n}): {labels.tolist()}")
     loss, probs = kernels.ce_cols(logits.value, labels)
     out = logits.tape._result(np.array([[loss]]), logits)
-    if out.needs_grad:
+    if out.grad is not None:
 
         def bw():
             g = float(out.grad[0, 0])
-            logits.grad += kernels.ce_cols_grad(probs, labels, g)
+            d = probs * (g / b)
+            d[labels, np.arange(b)] -= g / b
+            logits.grad += d
 
         logits.tape._record(bw)
     return out
@@ -296,7 +286,7 @@ def squared_error_cols(pred: Tensor, target) -> Tensor:
     b = pred.value.shape[1]
     diff = pred.value - tv
     out = pred.tape._result(np.array([[float((diff * diff).sum()) / b]]), pred)
-    if out.needs_grad:
+    if out.grad is not None:
 
         def bw():
             pred.grad += (2.0 / b) * float(out.grad[0, 0]) * diff
@@ -318,12 +308,12 @@ def weighted_sum(terms) -> Tensor:
     tape = tensors[0].tape
     total = sum(float(t.value[0, 0]) * w for t, w in terms)
     out = tape._result(np.array([[total]]), *tensors)
-    if out.needs_grad:
+    if out.grad is not None:
 
         def bw():
             g = float(out.grad[0, 0])
             for t, w in terms:
-                if t.needs_grad:
+                if t.grad is not None:
                     t.grad[0, 0] += g * w
 
         tape._record(bw)

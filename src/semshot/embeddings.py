@@ -100,10 +100,15 @@ class ClassRegistry:
             names = obj.get(key, [])
             if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
                 raise ValueError(f"registry {key!r} must be a list of class names")
+        tokens = obj.get("tokens", {})
+        if not isinstance(tokens, dict) or not all(
+                isinstance(v, list) and all(isinstance(t, str) for t in v)
+                for v in tokens.values()):
+            raise ValueError("registry 'tokens' must map class names to lists of tokens")
         return cls(
             base=tuple(obj.get("base", ())),
             novel=tuple(obj.get("novel", ())),
-            tokens=obj.get("tokens", {}),
+            tokens=tokens,
         )
 
 

@@ -52,6 +52,9 @@ class HeadConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"head dimension {name} must be at least 1, got {value}")
+        if not (np.isfinite(self.attention_gain) and self.attention_gain >= 0):
+            raise ValueError(f"attention_gain must be finite and at least 0, "
+                             f"got {self.attention_gain}")
         if isinstance(self.mode, str):
             self.mode = HeadMode(self.mode)
         if isinstance(self.graph_mode, str):
@@ -526,6 +529,18 @@ def _field(obj: dict, name: str, *kinds, prefix: str = ""):
     return value
 
 
+def _matrix(value, name: str) -> np.ndarray:
+    """The checkpoint field ``name`` as a float64 matrix; a ValueError names
+    the field unless ``value`` holds equal-length rows of finite numbers."""
+    try:
+        m = np.array(value)
+    except ValueError:  # rows of different lengths
+        m = np.array(None)
+    if m.ndim != 2 or m.dtype.kind not in "iuf" or not np.isfinite(m).all():
+        raise ValueError(f"checkpoint field {name!r} must be a matrix of finite numbers")
+    return m.astype(np.float64)
+
+
 def _enum_field(obj: dict, name: str, kind: type[enum.Enum]):
     """``obj[name]`` as a member of ``kind``; a ValueError names the field and
     the allowed values."""
@@ -553,17 +568,24 @@ def head_from_state(state: dict) -> Head:
         decoupled=_field(state, "decoupled", bool),
         seed=_field(state, "seed", int),
     )
-    registry = ClassRegistry.from_json(_field(state, "registry", dict))
+    registry_state = _field(state, "registry", dict)
+    for key in ("base", "novel"):
+        _field(registry_state, key, list, prefix="registry.")
+    registry = ClassRegistry.from_json(registry_state)
     we = None
     we_state = _field(state, "we", dict, type(None))
+    if we_state is None and cfg.mode is not HeadMode.BASELINE:
+        raise ValueError(f"checkpoint field 'we' must be an object for mode {cfg.mode.value!r}")
     if we_state is not None:
-        we = EmbeddingMatrix(
-            np.array(_field(we_state, "matrix", list, prefix="we.")),
-            tuple(_field(we_state, "provenance", list, prefix="we.")),
-        )
+        matrix = _matrix(_field(we_state, "matrix", list, prefix="we."), "we.matrix")
+        if matrix.shape[0] != registry.n:
+            raise ValueError(f"checkpoint field 'we.matrix': expected {registry.n} rows, "
+                             f"found {matrix.shape[0]}")
+        we = EmbeddingMatrix(matrix, tuple(_field(we_state, "provenance", list, prefix="we.")))
         if we.content_hash() != _field(we_state, "hash", str, prefix="we."):
-            raise ValueError("embedding matrix hash mismatch in checkpoint")
-    found = {name: np.array(values) for name, values in _field(state, "params", dict).items()}
+            raise ValueError("checkpoint field 'we.hash' does not match 'we.matrix'")
+    found = {name: _matrix(values, f"params.{name}")
+             for name, values in _field(state, "params", dict).items()}
     # the shapes a freshly built head of this config has are the only valid ones
     expected = {name: p.value.shape for name, p in build_head(cfg, registry, we).params.items()}
     for name in sorted(expected.keys() | found.keys()):
@@ -581,10 +603,10 @@ def head_from_state(state: dict) -> Head:
     }
     head = Head(cfg=cfg, registry=registry, we=we, params=params)
     if state.get("g_heur") is not None:
-        g_heur = np.array(state["g_heur"])
+        g_heur = _matrix(state["g_heur"], "g_heur")
         if g_heur.shape != (registry.n, registry.n):
             raise ValueError(
-                f"checkpoint heuristic graph: expected shape {(registry.n, registry.n)}, "
+                f"checkpoint field 'g_heur': expected shape {(registry.n, registry.n)}, "
                 f"found shape {g_heur.shape}"
             )
         head.g_heur = g_heur

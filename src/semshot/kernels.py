@@ -1,4 +1,4 @@
-"""Hot numeric kernels, one numpy implementation each.
+"""Only the hot kernels the benchmark times, one numpy implementation each.
 
 Callers reach every kernel through the module (``kernels.matmul(...)``), so a
 profiler can wrap the module-level names from outside.
@@ -22,11 +22,6 @@ def row_softmax(m):
     return ex / denom
 
 
-def row_softmax_grad(soft, grad):
-    inner = (soft * grad).sum(axis=1, keepdims=True)
-    return soft * (grad - inner)
-
-
 def ce_cols(logits, labels):
     n, b = logits.shape
     shifted = logits - logits.max(axis=0, keepdims=True)
@@ -38,19 +33,8 @@ def ce_cols(logits, labels):
     return loss, probs
 
 
-def ce_cols_grad(probs, labels, gscale):
-    b = probs.shape[1]
-    out = probs * (gscale / b)
-    out[labels, np.arange(b)] -= gscale / b
-    return out
-
-
 def relu(m):
     return np.maximum(m, 0.0)
-
-
-def relu_grad(out, grad):
-    return grad * (out > 0.0)
 
 
 def matmul(a, b):

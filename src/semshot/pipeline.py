@@ -84,6 +84,8 @@ def clustered_embeddings(registry: ClassRegistry, dim: int, n_clusters: int,
     """
     if n_clusters < 1:
         raise ValueError(f"n_clusters must be at least 1, got {n_clusters}")
+    if not (np.isfinite(spread) and spread >= 0):
+        raise ValueError(f"spread must be finite and at least 0, got {spread}")
     rng = np.random.default_rng([seed, _STREAM_CLUSTER])
     centers = l2_normalize_rows(rng.standard_normal((n_clusters, dim)))
     names = registry.base + registry.novel

@@ -44,6 +44,10 @@ class SynthConfig:
             raise ValueError("d_in must be positive")
         if self.train_per_class < 1 or self.test_per_class < 1:
             raise ValueError("need at least one record per class per split")
+        for name in ("noise_std", "margin_scale"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and at least 0, got {value}")
 
 
 @dataclass

@@ -209,25 +209,6 @@ def _divergence_cause(params) -> str:
     return f"all trainable parameters are finite; the largest is {largest!r} (|max| {peak:.3g})"
 
 
-def _step(head: Head, data: FeatureSet, y, cols, cfg: TrainConfig, params, velocities,
-          step: int, lr: float, use_graph: bool, phase: str, trunk) -> TraceRow:
-    result = batch_forward(head, data, y, cols, cfg.reg_weight, use_graph, trunk)
-    loss = result.loss.item()
-    if not math.isfinite(loss):
-        raise FloatingPointError(
-            f"{phase}: loss is {loss} at step {step} (lr {lr:g}); " + _divergence_cause(params)
-        )
-    result.loss.backward()
-    sgd_step(params, velocities, cfg, lr)
-    return TraceRow(
-        step=step,
-        lr=lr,
-        loss=loss,
-        loss_cls=result.loss_cls.item() if result.loss_cls is not None else 0.0,
-        loss_reg=result.loss_reg.item() if result.loss_reg is not None else 0.0,
-    )
-
-
 def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, default_groups,
                steps: int, batches, cfg: TrainConfig, use_graph: bool = True) -> TrainResult:
     """The loop both phases share.
@@ -241,9 +222,9 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
     pass once over ``data`` and gives each step its columns.
 
     The phase owns its optimizer state: the trainable params in
-    ``head.params`` order, each with a zero velocity and a gradient buffer
-    zeroed here, so a param that no op of the phase touches never steps on
-    a gradient left over from an earlier phase.
+    ``head.params`` order, each with a zero velocity.  It zeroes every
+    param's own gradient buffer in place, frozen ones too, so none holds a
+    gradient left over from an earlier phase.
     """
     y = data.label_indices(head.registry)
     stray = np.flatnonzero(~np.isin(y, list(allowed_indices)))
@@ -257,13 +238,23 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
     we_hash, frozen_hash = head.we_hash(), head.param_hash(frozen)
     trunk = (None if trainable & head.resolve_groups(("trunk", "reg"))
              else trunk_features(head, data))
+    for p in head.params.values():
+        p.grad.fill(0.0)
     params = [p for p in head.params.values() if p.trainable]
-    for p in params:
-        p.grad = np.zeros(p.value.shape)
     velocities = [np.zeros(p.value.shape) for p in params]
-    trace = [_step(head, data, y, next(batches), cfg, params, velocities, step + 1,
-                   lr_at(cfg, step, steps), use_graph, phase, trunk)
-             for step in range(steps)]
+    trace = []
+    for step in range(1, steps + 1):
+        lr = lr_at(cfg, step - 1, steps)
+        # batch_forward and sgd_step bound a step for the benchmark tracer
+        result = batch_forward(head, data, y, next(batches), cfg.reg_weight, use_graph, trunk)
+        loss = result.loss.item()
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"{phase}: loss is {loss} at step {step} (lr {lr:g}); "
+                                     + _divergence_cause(params))
+        result.loss.backward()
+        sgd_step(params, velocities, cfg, lr)
+        trace.append(TraceRow(step, lr, loss, result.loss_cls.item(),
+                              result.loss_reg.item() if result.loss_reg is not None else 0.0))
     if head.we_hash() != we_hash:
         raise RuntimeError(f"{phase}: the embedding matrix changed")
     if head.param_hash(frozen) != frozen_hash:

@@ -267,6 +267,9 @@ def _bad_input_cases(corpus, trained, bad):
         state.update(swap)
         return json.dumps({k: v for k, v in state.items() if v is not None})
 
+    nan_in_p = json.loads((trained / "head.json").read_text())
+    nan_in_p["params"]["P"][0][0] = float("nan")
+    nan_in_p = json.dumps(nan_in_p)
     heuristic = train(**{"--cooccurrence": bad}) + ["--mode", "srr", "--graph-mode", "heuristic"]
     return {
         "config_json": ("{nope", ["synth", "--config", bad], f"{bad}: {_BAD_JSON}"),
@@ -289,6 +292,12 @@ def _bad_input_cases(corpus, trained, bad):
             checkpoint(graph_mode="bogus"), evaluate(bad, corpus / "test.jsonl"),
             f"{bad}: checkpoint field 'graph_mode' must be one of none, dynamic, heuristic, tt, "
             "got 'bogus'"),
+        "checkpoint_nonfinite_eval": (nan_in_p, evaluate(bad, base),
+                                      f"{bad}: checkpoint field 'params.P' must be a matrix of "
+                                      "finite numbers"),
+        "checkpoint_nonfinite_export": (nan_in_p, ["export", "correlate", "--checkpoint", bad],
+                                        f"{bad}: checkpoint field 'params.P' must be a matrix "
+                                        "of finite numbers"),
         "cooccurrence_json": ('{"labels": ["base00"]}\n{nope\n', heuristic,
                               f"{bad}:2: invalid JSON ({_BAD_JSON})"),
         "cooccurrence_labels": ('{"labels": "base00"}\n', heuristic,
@@ -313,9 +322,17 @@ def _bad_input_cases(corpus, trained, bad):
                            "reg_weight must be finite and at least 0, got nan"),
         "freeze_unknown_group": ("", finetune(corpus / "novel_train.jsonl") + ["--freeze", "bogus"],
                                  "unknown groups in --freeze: ['bogus']"),
-        "trainable_unknown_group": ("", finetune(corpus / "novel_train.jsonl")
-                                    + ["--trainable", "P,bogus"],
-                                    "unknown parameter group 'bogus'"),
+        # checked before the (here empty) novel records load
+        "trainable_unknown_group": ("\n", finetune(bad) + ["--trainable", "P,bogus"],
+                                    "unknown groups in --trainable: ['bogus']"),
+        "synth_sigma_negative": ("", ["synth", "--sigma", -1],
+                                 "noise_std must be finite and at least 0, got -1.0"),
+        "synth_sigma_nan": ("", ["synth", "--sigma", "nan"],
+                            "noise_std must be finite and at least 0, got nan"),
+        "synth_margin_scale_negative": ("", ["synth", "--margin-scale", -1],
+                                        "margin_scale must be finite and at least 0, got -1.0"),
+        "synth_spread_negative": ("", ["synth", "--spread", -1],
+                                  "spread must be finite and at least 0, got -1.0"),
         "closure_edges": ("n00000001\tn00000002\nn00000002\tbogus\n",
                           ["closure", "--edges", bad, "--roots", "n00000001"],
                           f"{bad}: line 2: malformed synset id 'bogus'"),
@@ -325,12 +342,13 @@ def _bad_input_cases(corpus, trained, bad):
 @pytest.mark.parametrize("case", [
     "config_json", "registry_json", "registry_top_level", "registry_names", "checkpoint_json",
     "checkpoint_top_level", "checkpoint_missing_field", "checkpoint_field_type",
-    "checkpoint_mode_value", "checkpoint_graph_mode_value",
-    "cooccurrence_json", "cooccurrence_labels", "unknown_class",
+    "checkpoint_mode_value", "checkpoint_graph_mode_value", "checkpoint_nonfinite_eval",
+    "checkpoint_nonfinite_export", "cooccurrence_json", "cooccurrence_labels", "unknown_class",
     "empty_train_data", "empty_novel_data", "empty_eval_data", "partial_reg",
     "batch_size_zero", "batch_size_negative", "lr_negative", "momentum_above_one",
     "weight_decay_negative", "reg_weight_nan", "freeze_unknown_group",
-    "trainable_unknown_group", "closure_edges",
+    "trainable_unknown_group", "synth_sigma_negative", "synth_sigma_nan",
+    "synth_margin_scale_negative", "synth_spread_negative", "closure_edges",
 ])
 def test_bad_input_exits_1_with_one_error_line_naming_its_source(
         corpus, trained, tmp_path, capsys, case):

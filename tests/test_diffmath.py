@@ -163,12 +163,41 @@ def test_l2_normalize_rows_unit_norm_and_zero_row_error():
 
 def test_backward_accumulates_over_param_reuse():
     p = dm.Param("w", np.array([[2.0]]))
+    buffer = p.grad
     tape = dm.Tape()
     w = tape.param(p)
     out = dm.add(w, w)  # f = 2w
     loss = dm.squared_error_cols(out, np.zeros((1, 1)))  # loss = (2w)^2, d/dw = 8w
     loss.backward()
     assert p.grad[0, 0] == pytest.approx(8 * p.value[0, 0], abs=1e-12)
+    # two wraps of one param on a tape share the param's own buffer, which
+    # the first wrap zeroes: f = w1 + w2 gives (2w)^2 again, not 8w + 8w
+    tape = dm.Tape()
+    w1, w2 = tape.param(p), tape.param(p)
+    assert w1.grad is buffer and w2.grad is buffer and not buffer.any()
+    dm.squared_error_cols(dm.add(w1, w2), np.zeros((1, 1))).backward()
+    assert p.grad is buffer
+    assert p.grad[0, 0] == pytest.approx(8 * p.value[0, 0], abs=1e-12)
+
+
+def test_frozen_params_and_leaves_get_no_gradient(rng):
+    live = dm.Param("live", rng.standard_normal((2, 2)))
+    frozen = dm.Param("frozen", rng.standard_normal((2, 2)), trainable=False)
+    frozen.grad[:] = 5.0
+    tape = dm.Tape()
+    a, f, x = tape.param(live), tape.param(frozen), tape.leaf(np.ones((2, 2)))
+    assert a.grad is live.grad and f.grad is None and x.grad is None
+    dm.squared_error_cols(dm.matmul(dm.add(a, f), x), np.zeros((2, 2))).backward()
+    assert live.grad.any()
+    np.testing.assert_array_equal(frozen.grad, 5.0)  # neither zeroed nor accumulated
+
+
+def test_cross_entropy_gradient_sums_to_zero_per_column():
+    rng = np.random.default_rng(9)
+    logits = dm.Param("logits", rng.standard_normal((9, 6)) * 2)
+    labels = rng.integers(0, 9, size=6)
+    dm.cross_entropy_cols(dm.Tape().param(logits), labels).backward()
+    np.testing.assert_allclose(logits.grad.sum(axis=0), 0.0, atol=1e-12)
 
 
 def test_a_replayed_tape_refuses_more_work(rng):
@@ -186,7 +215,7 @@ def test_a_forward_only_tape_records_nothing_and_refuses_backward(rng):
     p = dm.Param("w", rng.standard_normal((2, 2)))
     grad = p.grad
     tape = dm.Tape(backward=False)
-    w, x = tape.param(p), tape.leaf(np.ones((2, 2)), needs_grad=True)
+    w, x = tape.param(p), tape.leaf(np.ones((2, 2)))
     loss = dm.squared_error_cols(dm.matmul(w, x), np.zeros((2, 2)))
     assert not (w.needs_grad or x.needs_grad or loss.needs_grad)
     assert tape._ops == [] and tape.param(p) is not w  # no node memo either

@@ -1,9 +1,11 @@
 """Head construction, class-score formulas, class expansion, and checkpoints."""
 
+import copy
 import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semshot import relation as rel
 from semshot.embeddings import ClassRegistry, random_embeddings
@@ -439,3 +441,82 @@ def test_checkpoint_names_a_missing_or_mistyped_field(base_reg, edit, message):
     edit(state)
     with pytest.raises(ValueError, match=message):
         head_from_state(state)
+
+
+def _checkpoint_states() -> list:
+    """head_state of small heads: every mode and graph mode, a decoupled one
+    and a heuristic one with its graph, over a registry with a token override."""
+    registry = ClassRegistry(base=("cat", "dog"), novel=("red fox",),
+                             tokens={"red fox": ["fox"]})
+    we = random_embeddings(registry, dim=5, seed=19)
+    heads = [make_head("baseline", registry, d=4),
+             make_head("ssp", registry, we, d=4, decoupled=True),
+             make_head("srr", registry, we, graph_mode="dynamic", d=4, r=2),
+             make_head("srr", registry, we, graph_mode="tt", d=4, r=2),
+             make_head("srr", registry, we, graph_mode="heuristic", d=4)]
+    attach_heuristic_graph(heads[-1], np.full((4, 4), 0.25))
+    return [head_state(h) for h in heads]
+
+
+_STATES = _checkpoint_states()
+_STATE_HASHES = [head_from_state(copy.deepcopy(s)).param_hash() for s in _STATES]
+_OTHER_TYPES = ["text", 7, 2.5, True, None, {}, ["text"]]
+
+
+def _field_paths(state) -> list:
+    """Every top-level field and every field of an object-valued one."""
+    return [(key,) for key in state] + [(key, sub) for key, value in state.items()
+                                        if isinstance(value, dict) for sub in value]
+
+
+def _is_matrix(path, value) -> bool:
+    matrix_field = path[0] in ("params", "g_heur") or path == ("we", "matrix")
+    return matrix_field and isinstance(value, list)
+
+
+def _reshaped(m) -> list:
+    """``m`` with one row or column fewer, a row more, a ragged row, one more
+    nesting level, and flattened."""
+    return [m[:-1], [r[:-1] for r in m], m + [m[-1]], [m[0][:-1]] + m[1:], [m],
+            [x for r in m for x in r]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_corrupted_checkpoint_names_the_field_or_loads_unchanged(data):
+    # one field of a valid checkpoint deleted, given another JSON type,
+    # reshaped or made non-finite: the load either fails naming that field
+    # or yields the same parameters
+    which = data.draw(st.integers(0, len(_STATES) - 1))
+    state = copy.deepcopy(_STATES[which])
+    path = data.draw(st.sampled_from(_field_paths(state)))
+    holder = state if len(path) == 1 else state[path[0]]
+    key, value = path[-1], holder[path[-1]]
+    matrix = _is_matrix(path, value)
+    kinds = ["delete", "retype"]
+    if matrix or type(value) in (int, float):
+        kinds.append("non-finite")
+    if matrix:
+        kinds.append("reshape")
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "delete":
+        del holder[key]
+    elif kind == "retype":
+        others = [v for v in _OTHER_TYPES if type(v) is not type(value)]
+        holder[key] = copy.deepcopy(data.draw(st.sampled_from(others)))
+    elif kind == "reshape":
+        holder[key] = data.draw(st.sampled_from(_reshaped(value)))
+    else:
+        bad = data.draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+        if matrix:
+            row = value[data.draw(st.integers(0, len(value) - 1))]
+            row[data.draw(st.integers(0, len(row) - 1))] = bad
+        else:
+            holder[key] = bad
+    name = ".".join(path)
+    try:
+        head = head_from_state(state)
+    except ValueError as exc:
+        assert name in str(exc) or f"'{key}'" in str(exc), (kind, name, str(exc))
+    else:
+        assert head.param_hash() == _STATE_HASHES[which], (kind, name)

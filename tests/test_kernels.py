@@ -87,12 +87,6 @@ def test_matmul_matches_blas_numerically():
                                d["graph"] @ d["rows"], atol=1e-12)
 
 
-def test_ce_cols_grad_sums_to_zero_per_column():
-    d = _inputs()
-    g = kernels.ce_cols_grad(d["probs"], d["labels"], 1.0)
-    np.testing.assert_allclose(g.sum(axis=0), 0.0, atol=1e-12)
-
-
 def test_sgd_update_matches_momentum_weight_decay_recurrence():
     rng = np.random.default_rng(5)
     p = rng.standard_normal((4, 3))

@@ -5,7 +5,7 @@ import pytest
 
 from semshot import head as head_module
 from semshot import kernels, training
-from semshot.diffmath import Param
+from semshot.diffmath import Param, Tape
 from semshot.embeddings import ClassRegistry, random_embeddings
 from semshot.records import FeatureSet, concat
 from semshot.training import (
@@ -287,6 +287,38 @@ def test_finetune_does_not_step_on_an_earlier_phases_gradient(tiny_world):
         trainable=("P", "b", "reg")))
     assert [r.loss_reg for r in result.trace] == [0.0] * 3
     np.testing.assert_array_equal(head.params["reg_w"].value, reg_w)
+
+
+def test_each_param_keeps_one_gradient_buffer_across_phases(tiny_world):
+    registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
+    head = make_head("srr", registry, we)
+    buffers = {name: p.grad for name, p in head.params.items()}
+    base_train(head, base_data, TrainConfig(steps=3, batch_size=4, seed=1))
+    episode = sample_episode(base_data, novel_data, EpisodeConfig(k=2, base_shots=2, seed=2))
+    finetune(head, episode, finetune_config(steps=3, batch_size=4, seed=2))
+    for name, p in head.params.items():
+        assert p.grad is buffers[name], f"{name} got a new gradient buffer"
+        if not p.trainable:
+            assert not p.grad.any(), f"frozen {name} kept an earlier phase's gradient"
+
+
+def test_a_finetune_gives_frozen_params_no_gradient_buffer(tiny_world, monkeypatch):
+    # trunk not cached (reg trains), relation maps frozen: 8 frozen params a step
+    wraps, fresh = [], []
+    real = Tape.param
+
+    def param(tape, p):
+        buffer = p.grad
+        node = real(tape, p)
+        if not p.trainable:
+            wraps.append(p.name)
+            fresh.append(node.grad is not None or p.grad is not buffer)
+        return node
+
+    monkeypatch.setattr(Tape, "param", param)
+    _srr_finetune(tiny_world, trainable=("P", "b", "reg"))
+    assert len(wraps) == 8 * 12
+    assert sum(fresh) == 0
 
 
 def _count_trunk_halves(monkeypatch):
