@@ -10,6 +10,7 @@ is itself accepted by ``--config``, which reproduces the run byte for byte.
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,12 +20,14 @@ import numpy as np
 from . import relation as rel
 from .diffmath import grad_check
 from .embeddings import (
+    DEFAULT_EMBED_DIM,
     ClassRegistry,
     load_embedding_file,
     load_json,
     load_registry,
     random_embeddings,
     save_embedding_file,
+    save_json,
     save_registry,
 )
 from .evaluation import evaluate, save_sweep_csv
@@ -42,12 +45,16 @@ from .head import (
     save_head,
     switch_graph_mode,
 )
-from .pipeline import bundled_benchmark, clustered_embeddings, shot_sweep
+from .pipeline import PipelineConfig, bundled_benchmark, clustered_embeddings, shot_sweep
 from .records import load_records, save_records
 from .relation import cooccurrence_graph, correlation_map
 from .synthgen import SynthConfig, generate
 from .training import (
-    EpisodeConfig,
+    DEFAULT_BASE_LR,
+    DEFAULT_FINETUNE_LR,
+    DEFAULT_MOMENTUM,
+    DEFAULT_SHOT_LIST,
+    DEFAULT_WEIGHT_DECAY,
     TrainConfig,
     base_train,
     default_finetune_groups,
@@ -153,25 +160,15 @@ def _resolve(opts, ns: argparse.Namespace) -> dict:
     return cfg
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_meta(out_dir: Path, command: str, cfg: dict, written, extra=None) -> None:
     meta = {
         "command": command,
         "config": cfg,
-        "outputs": {p.name: _sha256_file(p) for p in written},
+        "outputs": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written},
     }
     if extra:
         meta["run"] = extra
-    _write_json(out_dir / "meta.json", meta)
+    save_json(out_dir / "meta.json", meta)
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -205,6 +202,17 @@ def _load_label_sets(path) -> list:
     return sets
 
 
+def _attach_cooccurrence(cfg: dict, head) -> None:
+    """Give a heuristic head without a graph the one of ``--cooccurrence``."""
+    if head.cfg.graph_mode is not rel.GraphMode.HEURISTIC or head.g_heur is not None:
+        return
+    if not cfg.get("cooccurrence"):
+        raise ValueError("heuristic graph mode needs --cooccurrence label sets")
+    attach_heuristic_graph(
+        head, cooccurrence_graph(_load_label_sets(cfg["cooccurrence"]), head.registry)
+    )
+
+
 def _parse_int_list(text: str, what: str) -> list:
     try:
         values = [int(v) for v in str(text).split(",") if v.strip()]
@@ -228,16 +236,17 @@ def _write_matrix_csv(path: Path, matrix: np.ndarray, row_names, col_names) -> N
 _EMBED_OPTS = [
     Opt("--embeddings", default="random",
         help="word2vec text file, or 'random' for seeded random rows"),
-    Opt("--embed-dim", default=300, type=int, help="dim for random embeddings"),
+    Opt("--embed-dim", default=DEFAULT_EMBED_DIM, type=int, help="dim for random embeddings"),
     Opt("--embed-seed", default=0, type=int, help="seed for random embeddings"),
     Opt("--background-seed", default=0, type=int, help="seed of the background row"),
 ]
 
 _OPTIM_OPTS = [
-    Opt("--momentum", default=0.9, type=float),
-    Opt("--weight-decay", default=0.0001, type=float),
-    Opt("--batch-size", default=16, type=int),
-    Opt("--reg-weight", default=1.0, type=float, help="weight of the regression loss"),
+    Opt("--momentum", default=DEFAULT_MOMENTUM, type=float),
+    Opt("--weight-decay", default=DEFAULT_WEIGHT_DECAY, type=float),
+    Opt("--batch-size", default=TrainConfig.batch_size, type=int),
+    Opt("--reg-weight", default=TrainConfig.reg_weight, type=float,
+        help="weight of the regression loss"),
 ]
 
 TRAIN_OPTS = [
@@ -249,33 +258,26 @@ TRAIN_OPTS = [
     Opt("--mode", default="ssp", choices=("baseline", "ssp", "srr")),
     Opt("--graph-mode", choices=("none", "dynamic", "heuristic", "tt"),
         help="relation stage for srr heads (default: dynamic)"),
-    Opt("--proj-dim", default=64, type=int, help="trunk output dim d"),
-    Opt("--reduced-dim", default=32, type=int, help="attention reduced dim r"),
-    Opt("--lr", default=0.02, type=float),
+    Opt("--proj-dim", default=HeadConfig.d, type=int, help="trunk output dim d"),
+    Opt("--reduced-dim", default=HeadConfig.r, type=int, help="attention reduced dim r"),
+    Opt("--lr", default=DEFAULT_BASE_LR, type=float),
     *_OPTIM_OPTS,
-    Opt("--steps", default=200, type=int),
-    Opt("--scaled-attention", default=True, bool_flag=True,
+    Opt("--steps", default=TrainConfig.steps, type=int),
+    Opt("--scaled-attention", default=HeadConfig.scaled_attention, bool_flag=True,
         help="divide attention scores by sqrt(r)"),
-    Opt("--graph-in-base", default=True, bool_flag=True,
+    Opt("--graph-in-base", default=HeadConfig.graph_in_base, bool_flag=True,
         help="apply the relation stage during base training"),
-    Opt("--decouple", default=False, bool_flag=True,
+    Opt("--decouple", default=HeadConfig.decoupled, bool_flag=True,
         help="separate classifier and regression trunks"),
     Opt("--cooccurrence", help="JSONL label sets for the heuristic graph"),
 ]
 
 
-def _head_cfg_from(cfg: dict, mode: HeadMode, d_in: int) -> HeadConfig:
-    return HeadConfig(
-        mode=mode,
-        graph_mode=cfg.get("graph.mode"),
-        d_in=d_in,
-        d=cfg["proj.dim"],
-        r=cfg["reduced.dim"],
-        scaled_attention=cfg["scaled.attention"],
-        graph_in_base=cfg["graph.in.base"],
-        decoupled=cfg["decouple"],
-        seed=cfg["seed"],
-    )
+def _optim_args(cfg: dict) -> dict:
+    """The TrainConfig values that ``train`` and ``finetune`` share."""
+    return dict(lr=cfg["lr"], momentum=cfg["momentum"], weight_decay=cfg["weight.decay"],
+                steps=cfg["steps"], batch_size=cfg["batch.size"],
+                reg_weight=cfg["reg.weight"], seed=cfg["seed"])
 
 
 def cmd_train(cfg: dict) -> int:
@@ -284,25 +286,17 @@ def cmd_train(cfg: dict) -> int:
     data = load_records(cfg["data"])
     mode = HeadMode(cfg["mode"])
     we = None if mode is HeadMode.BASELINE else _load_embeddings(cfg, registry)
-    head_cfg = _head_cfg_from(cfg, mode, data.feat.shape[0])
-    head = build_head(head_cfg, registry, we)
-
-    if head_cfg.graph_mode is rel.GraphMode.HEURISTIC:
-        if not cfg.get("cooccurrence"):
-            raise ValueError("--graph-mode heuristic needs --cooccurrence label sets")
-        attach_heuristic_graph(
-            head, cooccurrence_graph(_load_label_sets(cfg["cooccurrence"]), registry)
-        )
-
-    result = base_train(
-        head,
-        data,
-        TrainConfig(
-            lr=cfg["lr"], momentum=cfg["momentum"], weight_decay=cfg["weight.decay"],
-            steps=cfg["steps"], batch_size=cfg["batch.size"],
-            reg_weight=cfg["reg.weight"], seed=cfg["seed"],
-        ),
+    head = build_head(
+        HeadConfig(mode=mode, graph_mode=cfg.get("graph.mode"), d_in=data.feat.shape[0],
+                   d=cfg["proj.dim"], r=cfg["reduced.dim"],
+                   scaled_attention=cfg["scaled.attention"],
+                   graph_in_base=cfg["graph.in.base"], decoupled=cfg["decouple"],
+                   seed=cfg["seed"]),
+        registry, we,
     )
+    _attach_cooccurrence(cfg, head)
+
+    result = base_train(head, data, TrainConfig(**_optim_args(cfg)))
     save_head(head, out / "head.json")
     save_trace_csv(out / "trace.csv", result.trace)
     _write_meta(
@@ -327,7 +321,7 @@ FINETUNE_OPTS = [
     Opt("--k", default=1, type=int, help="shots per novel class"),
     Opt("--base-shots", type=int, help="records per base class (default: k)"),
     Opt("--steps", type=int, help="override the step rule"),
-    Opt("--lr", default=0.001, type=float),
+    Opt("--lr", default=DEFAULT_FINETUNE_LR, type=float),
     *_OPTIM_OPTS,
     Opt("--trainable", help="comma list of param groups (default: P,relation,b for srr, "
                             "P,b for ssp, W,b for baseline)"),
@@ -367,13 +361,7 @@ def cmd_finetune(cfg: dict) -> int:
         # only heads with embedding rows read the embeddings
         we_full = _load_embeddings(cfg, full) if head.we is not None else None
         expand_classes(head, full, we_full, seed=cfg["seed"])
-
-    if head.cfg.graph_mode is rel.GraphMode.HEURISTIC and head.g_heur is None:
-        if not cfg.get("cooccurrence"):
-            raise ValueError("heuristic graph mode needs --cooccurrence label sets")
-        attach_heuristic_graph(
-            head, cooccurrence_graph(_load_label_sets(cfg["cooccurrence"]), head.registry)
-        )
+    _attach_cooccurrence(cfg, head)
 
     if cfg["decouple"] and not head.cfg.decoupled:
         decouple_trunks(head)
@@ -382,24 +370,12 @@ def cmd_finetune(cfg: dict) -> int:
 
     base_data = load_records(cfg["base.data"])
     novel_data = load_records(cfg["novel.data"])
-    episode = sample_episode(
-        base_data, novel_data,
-        EpisodeConfig(k=cfg["k"], base_shots=cfg.get("base.shots"), seed=cfg["seed"]),
-    )
-    result = finetune(
-        head,
-        episode,
-        finetune_config(
-            lr=cfg["lr"], momentum=cfg["momentum"], weight_decay=cfg["weight.decay"],
-            steps=cfg.get("steps"), batch_size=cfg["batch.size"],
-            reg_weight=cfg["reg.weight"], trainable=trainable,
-            seed=cfg["seed"],
-        ),
-    )
+    episode = sample_episode(base_data, novel_data, cfg["k"], cfg.get("base.shots"), cfg["seed"])
+    result = finetune(head, episode, finetune_config(**_optim_args(cfg), trainable=trainable))
     save_head(head, out / "head.json")
     save_trace_csv(out / "trace.csv", result.trace)
-    _write_json(out / "episode.json", {"k": episode.k, "base_shots": episode.base_shots,
-                                       "ids": episode.ids()})
+    save_json(out / "episode.json", {"k": episode.k, "base_shots": episode.base_shots,
+                                     "ids": episode.ids()})
     _write_meta(
         out, "finetune", cfg,
         [out / "head.json", out / "trace.csv", out / "episode.json"],
@@ -419,27 +395,27 @@ SWEEP_OPTS = [
     Opt("--seed", default=0, type=int, help="first seed of the batch"),
     Opt("--mode", default="srr", choices=("baseline", "ssp", "srr")),
     Opt("--graph-mode", choices=("none", "dynamic", "heuristic", "tt")),
-    Opt("--alpha", default=0.9, type=float,
+    Opt("--alpha", default=PipelineConfig.alpha, type=float,
         help="embedding-to-feature coupling of the bundled generator"),
-    Opt("--shots", default="1,2,3,5,10"),
+    Opt("--shots", default=",".join(map(str, DEFAULT_SHOT_LIST))),
     Opt("--seeds", default=20, type=int, help="number of seeds"),
-    Opt("--base-classes", default=15, type=int),
-    Opt("--novel-classes", default=5, type=int),
+    Opt("--base-classes", default=PipelineConfig.n_base, type=int),
+    Opt("--novel-classes", default=PipelineConfig.n_novel, type=int),
 ]
 
 
 def cmd_sweep(cfg: dict) -> int:
     HeadConfig(mode=cfg["mode"], graph_mode=cfg.get("graph.mode"))  # reject a bad pair
+    shots = _parse_int_list(cfg["shots"], "--shots")
     out = _out_dir(cfg)
     pcfg = bundled_benchmark(
         mode=cfg["mode"], graph_mode=cfg.get("graph.mode"), alpha=cfg["alpha"],
         n_base=cfg["base.classes"], n_novel=cfg["novel.classes"],
     )
-    shots = _parse_int_list(cfg["shots"], "--shots")
     seeds = [cfg["seed"] + i for i in range(cfg["seeds"])]
     result = shot_sweep(pcfg, shots, seeds)
     save_sweep_csv(out / "sweep.csv", result.rows)
-    _write_json(out / "summary.json", result.summary())
+    save_json(out / "summary.json", result.summary())
     _write_meta(out, "sweep", cfg, [out / "sweep.csv", out / "summary.json"])
     return 0
 
@@ -458,7 +434,7 @@ def cmd_eval(cfg: dict) -> int:
     out = _out_dir(cfg)
     head = load_head(cfg["checkpoint"])
     report = evaluate(head, load_records(cfg["data"]))
-    _write_json(out / "metrics.json", report.to_json())
+    save_json(out / "metrics.json", report.to_json())
     _write_matrix_csv(
         out / "confusion.csv", report.confusion.astype(float),
         report.class_names, report.class_names,
@@ -493,10 +469,7 @@ GRADCHECK_OPTS = [
 def run_gradcheck(mode: str, cfg: dict):
     """Build a small head, randomize every parameter, and compare analytic
     gradients of the full loss against central differences."""
-    registry = ClassRegistry(
-        base=tuple(f"b{i}" for i in range(cfg["base.classes"])),
-        novel=tuple(f"n{i}" for i in range(cfg["novel.classes"])),
-    )
+    registry = ClassRegistry.numbered(cfg["base.classes"], cfg["novel.classes"])
     we = random_embeddings(registry, cfg["embed.dim"], cfg["seed"])
     head_cfg = HeadConfig(
         mode=mode,
@@ -523,6 +496,11 @@ def run_gradcheck(mode: str, cfg: dict):
 
 
 def cmd_gradcheck(cfg: dict) -> int:
+    for key in ("eps", "threshold"):
+        if not (math.isfinite(cfg[key]) and cfg[key] > 0):
+            raise ValueError(f"--{key} must be finite and positive, got {cfg[key]}")
+    if cfg["batch"] < 1:
+        raise ValueError(f"--batch must be at least 1, got {cfg['batch']}")
     modes = ("baseline", "ssp", "srr") if cfg["mode"] == "all" else (cfg["mode"],)
     threshold = cfg["threshold"]
     all_ok = True
@@ -542,7 +520,7 @@ def cmd_gradcheck(cfg: dict) -> int:
               f"{'PASS' if ok else 'FAIL'} (threshold {threshold:g})")
     if cfg.get("out.dir"):
         out = _out_dir(cfg)
-        _write_json(out / "gradcheck.json", results)
+        save_json(out / "gradcheck.json", results)
         _write_meta(out, "gradcheck", cfg, [out / "gradcheck.json"])
     return 0 if all_ok else 1
 
@@ -626,15 +604,15 @@ def cmd_closure(cfg: dict) -> int:
 SYNTH_OPTS = [
     Opt("--out-dir", required=True),
     Opt("--seed", default=0, type=int),
-    Opt("--alpha", default=0.9, type=float),
+    Opt("--alpha", default=SynthConfig.alpha, type=float),
     Opt("--sigma", type=float, help="feature noise (default: margin rule)"),
-    Opt("--margin-scale", default=0.35, type=float),
+    Opt("--margin-scale", default=SynthConfig.margin_scale, type=float),
     Opt("--base-classes", default=15, type=int),
     Opt("--novel-classes", default=5, type=int),
     Opt("--embed-dim", default=24, type=int),
-    Opt("--feat-dim", default=32, type=int),
-    Opt("--train-per-class", default=30, type=int),
-    Opt("--test-per-class", default=12, type=int),
+    Opt("--feat-dim", default=SynthConfig.d_in, type=int),
+    Opt("--train-per-class", default=SynthConfig.train_per_class, type=int),
+    Opt("--test-per-class", default=SynthConfig.test_per_class, type=int),
     Opt("--embeddings", default="clustered", choices=("clustered", "random")),
     Opt("--clusters", default=5, type=int),
     Opt("--spread", default=0.35, type=float),
@@ -643,10 +621,7 @@ SYNTH_OPTS = [
 
 def cmd_synth(cfg: dict) -> int:
     out = _out_dir(cfg)
-    registry = ClassRegistry(
-        base=tuple(f"base{i:02d}" for i in range(cfg["base.classes"])),
-        novel=tuple(f"novel{i:02d}" for i in range(cfg["novel.classes"])),
-    )
+    registry = ClassRegistry.numbered(cfg["base.classes"], cfg["novel.classes"])
     if cfg["embeddings"] == "clustered":
         we = clustered_embeddings(
             registry, cfg["embed.dim"], cfg["clusters"], cfg["spread"], cfg["seed"]
@@ -721,4 +696,4 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    entry()

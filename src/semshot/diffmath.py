@@ -58,10 +58,6 @@ class Tensor:
         self.grad = grad  # None: nothing upstream needs this node's gradient
         self.tape = tape
 
-    @property
-    def needs_grad(self) -> bool:
-        return self.grad is not None
-
     def item(self) -> float:
         if self.value.size != 1:
             raise ValueError(f"item() needs a 1x1 tensor, got shape {self.value.shape}")
@@ -345,14 +341,11 @@ class ParamCheck:
     checked: int
     max_rel_err: float
     worst_coord: tuple = ()
-    analytic_at_worst: float = 0.0
-    fd_at_worst: float = 0.0
     nonfinite: list = field(default_factory=list)
 
 
 @dataclass
 class GradCheckReport:
-    eps: float
     entries: list
 
     @property
@@ -360,9 +353,7 @@ class GradCheckReport:
         return max((e.max_rel_err for e in self.entries), default=0.0)
 
     def passed(self, threshold: float = 1e-5) -> bool:
-        if any(e.nonfinite for e in self.entries):
-            return False
-        return self.max_rel_err < threshold
+        return not any(e.nonfinite for e in self.entries) and self.max_rel_err < threshold
 
     def format_table(self) -> str:
         lines = [f"{'param':<14} {'shape':<12} {'coords':>6} {'max rel err':>12}  worst coord"]
@@ -395,7 +386,7 @@ def grad_check(loss_fn, params, eps: float = 1e-4) -> GradCheckReport:
             continue
         flat = p.value.reshape(-1)
         ana = analytic[p.name].reshape(-1)
-        worst = (0.0, (), 0.0, 0.0)
+        worst = (0.0, ())
         nonfinite = []
         for i in range(flat.size):
             orig = flat[i]
@@ -409,9 +400,9 @@ def grad_check(loss_fn, params, eps: float = 1e-4) -> GradCheckReport:
                 nonfinite.append(coord)
                 continue
             fd = (f_plus - f_minus) / (2.0 * eps)
-            rel = abs(ana[i] - fd) / max(abs(ana[i]), abs(fd), 1e-8)
+            rel = float(abs(ana[i] - fd) / max(abs(ana[i]), abs(fd), 1e-8))
             if rel > worst[0]:
-                worst = (rel, coord, float(ana[i]), fd)
+                worst = (rel, coord)
         entries.append(
             ParamCheck(
                 name=p.name,
@@ -419,9 +410,7 @@ def grad_check(loss_fn, params, eps: float = 1e-4) -> GradCheckReport:
                 checked=flat.size - len(nonfinite),
                 max_rel_err=worst[0],
                 worst_coord=worst[1],
-                analytic_at_worst=worst[2],
-                fd_at_worst=worst[3],
                 nonfinite=nonfinite,
             )
         )
-    return GradCheckReport(eps=eps, entries=entries)
+    return GradCheckReport(entries=entries)

@@ -90,6 +90,12 @@ class ClassRegistry:
         return out
 
     @classmethod
+    def numbered(cls, n_base: int, n_novel: int) -> "ClassRegistry":
+        """Classes ``base00``, ``base01``, ... then ``novel00``, ``novel01``, ..."""
+        return cls(base=tuple(f"base{i:02d}" for i in range(n_base)),
+                   novel=tuple(f"novel{i:02d}" for i in range(n_novel)))
+
+    @classmethod
     def from_json(cls, obj: dict) -> "ClassRegistry":
         if not isinstance(obj, dict):
             raise ValueError("registry must be a JSON object")
@@ -112,13 +118,25 @@ class ClassRegistry:
         )
 
 
-def load_json(path, parse=lambda obj: obj):
-    """``parse`` of the JSON document in ``path``; a ValueError names ``path``."""
+def read_file(path, parse):
+    """``parse`` of the open text file ``path``; a ValueError names ``path``."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return parse(json.load(fh))
+            return parse(fh)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def load_json(path, parse=lambda obj: obj):
+    """``parse`` of the JSON document in ``path``; a ValueError names ``path``."""
+    return read_file(path, lambda fh: parse(json.load(fh)))
+
+
+def save_json(path, obj):
+    """``obj`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def load_registry(path) -> ClassRegistry:
@@ -126,9 +144,7 @@ def load_registry(path) -> ClassRegistry:
 
 
 def save_registry(registry: ClassRegistry, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(registry.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(path, registry.to_json())
 
 
 @dataclass
@@ -185,6 +201,7 @@ def parse_embedding_file(stream, registry: ClassRegistry, background_seed: int =
         _, header = next(lines)
     except StopIteration:
         raise ValueError("empty embedding stream") from None
+    header = header.strip()  # the line's newline stays out of the messages below
     parts = header.split()
     if len(parts) != 2:
         raise ValueError(f"line 1: expected header '<count> <dim>', got {header!r}")
@@ -241,11 +258,7 @@ def parse_embedding_file(stream, registry: ClassRegistry, background_seed: int =
 
 
 def load_embedding_file(path, registry: ClassRegistry, background_seed: int = 0):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return parse_embedding_file(fh, registry, background_seed)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    return read_file(path, lambda fh: parse_embedding_file(fh, registry, background_seed))
 
 
 def save_embedding_file(path, names, matrix):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .head import Head, forward_pass
+from .head import Head, check_finite, forward_pass
 from .records import FeatureSet, batch_features
 
 
@@ -41,7 +41,9 @@ def evaluate(head: Head, data: FeatureSet) -> MetricsReport:
     if not len(data):
         raise ValueError("evaluate needs at least one record")
     labels = data.label_indices(head.registry)
-    preds = np.argmax(forward_pass(head, batch_features(data)).logits.value, axis=0)
+    scores = check_finite(head, forward_pass(head, batch_features(data)).logits.value,
+                          "class scores")
+    preds = np.argmax(scores, axis=0)
 
     confusion = np.zeros((head.registry.n,) * 2, dtype=np.int64)
     np.add.at(confusion, (labels, preds), 1)

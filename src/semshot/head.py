@@ -17,7 +17,7 @@ gradients touch disjoint parameters.
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -347,18 +347,42 @@ def batch_forward(head: Head, data: FeatureSet, y, cols, reg_weight: float = 1.0
 # array-level questions about a head
 
 
+def divergence_cause(params, kind: str) -> str:
+    """Name the first non-finite of the ``kind`` parameters ``params``, or
+    else the largest one (finite parameters can still overflow a forward pass)."""
+    largest, peak = None, -1.0
+    for p in params:
+        if not np.isfinite(p.value).all():
+            return f"{kind} parameter {p.name!r} holds a non-finite value"
+        m = float(np.abs(p.value).max(initial=0.0))
+        if m > peak:
+            largest, peak = p.name, m
+    return f"all {kind} parameters are finite; the largest is {largest!r} (|max| {peak:.3g})"
+
+
+def check_finite(head: Head, values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, unless one is not finite: then a FloatingPointError that
+    names ``what`` and the head's largest parameter."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"{what} hold a non-finite value; "
+                                 + divergence_cause(head.param_list(), "head"))
+    return values
+
+
 def class_scores(head: Head, v) -> np.ndarray:
     """Class scores of one post-trunk feature vector ``v`` (length d)."""
     v = dm.as_matrix(v)
     if v.shape != (head.cfg.d, 1):
         raise ValueError(f"expected a ({head.cfg.d},) feature vector, got shape {v.shape}")
     tape = Tape(backward=False)
-    return _class_scores_t(tape, head, tape.leaf(v)).value.reshape(-1)
+    scores = _class_scores_t(tape, head, tape.leaf(v)).value.reshape(-1)
+    return check_finite(head, scores, "class scores")
 
 
 def class_rows(head: Head) -> np.ndarray:
     """The class score rows after the relation stage: W, We, or refined We."""
-    return _effective_rows_t(Tape(backward=False), head).value
+    return check_finite(head, _effective_rows_t(Tape(backward=False), head).value,
+                        "class rows")
 
 
 def relation_graph(head: Head) -> np.ndarray:
@@ -373,7 +397,8 @@ def relation_graph(head: Head) -> np.ndarray:
         )
     tape = Tape(backward=False)
     we_t = tape.leaf(head.we.matrix)
-    return rel.extract_graph_t(we_t, _maps_t(tape, head), head.cfg.scaled_attention).value
+    graph = rel.extract_graph_t(we_t, _maps_t(tape, head), head.cfg.scaled_attention).value
+    return check_finite(head, graph, "relation graph rows")
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +627,15 @@ def head_from_state(state: dict) -> Head:
         for name, value in found.items()
     }
     head = Head(cfg=cfg, registry=registry, we=we, params=params)
-    if state.get("g_heur") is not None:
-        g_heur = _matrix(state["g_heur"], "g_heur")
+    # a heuristic head is saved with its graph, and only a heuristic head has one
+    g_heur = _field(state, "g_heur", list, type(None))
+    heuristic = cfg.graph_mode is rel.GraphMode.HEURISTIC
+    if (g_heur is None) == heuristic:
+        want = "a matrix" if heuristic else "null"
+        raise ValueError(f"checkpoint field 'g_heur' must be {want} for graph mode "
+                         f"{cfg.graph_mode.value!r}")
+    if heuristic:
+        g_heur = _matrix(g_heur, "g_heur")
         if g_heur.shape != (registry.n, registry.n):
             raise ValueError(
                 f"checkpoint field 'g_heur': expected shape {(registry.n, registry.n)}, "

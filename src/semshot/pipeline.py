@@ -34,7 +34,6 @@ from .records import FeatureSet
 from .synthgen import SynthConfig, generate
 from .training import (
     Episode,
-    EpisodeConfig,
     TrainConfig,
     base_train,
     finetune,
@@ -128,16 +127,12 @@ class PipelineConfig:
         self.graph_mode = HeadConfig(mode=self.mode, graph_mode=graph).graph_mode
 
     def registry(self) -> ClassRegistry:
-        return ClassRegistry(
-            base=tuple(f"base{i:02d}" for i in range(self.n_base)),
-            novel=tuple(f"novel{i:02d}" for i in range(self.n_novel)),
-        )
+        return ClassRegistry.numbered(self.n_base, self.n_novel)
 
 
-def bundled_benchmark(mode="srr", graph_mode=None, alpha: float = 0.9,
-                      **overrides) -> PipelineConfig:
+def bundled_benchmark(**overrides) -> PipelineConfig:
     """The stock 15-base / 5-novel configuration the acceptance runs use."""
-    return PipelineConfig(mode=mode, graph_mode=graph_mode, alpha=alpha, **overrides)
+    return PipelineConfig(**overrides)
 
 
 @dataclass
@@ -279,10 +274,7 @@ def finish_cell(base: BasePart, cfg: PipelineConfig, k: int) -> CellResult:
     if cfg.decouple:
         decouple_trunks(head)
 
-    episode = sample_episode(
-        base.base_data, base.novel_pool,
-        EpisodeConfig(k=k, base_shots=cfg.base_shots, seed=base.seed),
-    )
+    episode = sample_episode(base.base_data, base.novel_pool, k, cfg.base_shots, base.seed)
     finetune(
         head,
         episode,

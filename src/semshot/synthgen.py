@@ -24,6 +24,8 @@ _STREAM_UNIT = 2
 _STREAM_NOISE = 3
 _STREAM_REG = 4
 
+# noise on the regression targets, around their linear map of the features
+REG_NOISE_STD = 0.05
 
 
 @dataclass
@@ -34,7 +36,6 @@ class SynthConfig:
     alpha: float = 0.9
     noise_std: float | None = None
     margin_scale: float = 0.35
-    reg_noise_std: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -117,7 +118,7 @@ def generate(we: EmbeddingMatrix, registry: ClassRegistry, cfg: SynthConfig) -> 
         for split, count in (("train", cfg.train_per_class), ("test", cfg.test_per_class)):
             noise = rng_noise.standard_normal((count, cfg.d_in)) * sigma
             feats = protos[i] + noise
-            reg_noise = rng_reg.standard_normal((count, REG_DIM)) * cfg.reg_noise_std
+            reg_noise = rng_reg.standard_normal((count, REG_DIM)) * REG_NOISE_STD
             regs = (reg_map @ feats.T).T + reg_noise
             blocks[split].append(FeatureSet([f"{split}-{name}-{j:04d}" for j in range(count)],
                                             [name] * count, feats.T, regs.T))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .head import Head, HeadMode, batch_forward, trunk_features
+from .head import Head, HeadMode, batch_forward, divergence_cause, trunk_features
 from .records import FeatureSet, concat
 
 DEFAULT_BASE_LR = 0.02
@@ -104,25 +104,18 @@ class Episode:
         return {"base": sorted(self.base.ids), "novel": sorted(self.novel.ids)}
 
 
-@dataclass
-class EpisodeConfig:
-    k: int = 1
-    base_shots: int | None = None  # None = same count as k
-    seed: int = 0
-
-
-def sample_episode(base_data: FeatureSet, novel_data: FeatureSet,
-                   cfg: EpisodeConfig) -> Episode:
-    """Pick k records per novel class (and base_shots per base class).
+def sample_episode(base_data: FeatureSet, novel_data: FeatureSet, k: int,
+                   base_shots: int | None = None, seed: int = 0) -> Episode:
+    """Pick k records per novel class and base_shots (default: k) per base class.
 
     Selection uses one seeded permutation per class, so the same seed with a
     larger k extends the smaller episode instead of reshuffling it.  A class
     with fewer than the requested records is an error naming the shortfall.
     """
-    if cfg.k < 1:
+    if k < 1:
         raise ValueError("k must be at least 1")
-    base_shots = cfg.base_shots if cfg.base_shots is not None else cfg.k
-    rng = np.random.default_rng([cfg.seed, _STREAM_EPISODE])
+    base_shots = base_shots if base_shots is not None else k
+    rng = np.random.default_rng([seed, _STREAM_EPISODE])
 
     def pick(data, count, kind):
         chosen = []
@@ -138,7 +131,7 @@ def sample_episode(base_data: FeatureSet, novel_data: FeatureSet,
         raise ValueError("no novel records to sample an episode from")
     # draw base picks first so novel picks do not shift when base data changes
     base = pick(base_data, base_shots, "base")
-    return Episode(base, pick(novel_data, cfg.k, "novel"), cfg.k, base_shots)
+    return Episode(base, pick(novel_data, k, "novel"), k, base_shots)
 
 
 def _check_batch_size(batch_size: int) -> None:
@@ -186,7 +179,6 @@ class TraceRow:
 
 @dataclass
 class TrainResult:
-    head: Head
     trace: list
     we_hash: str  # the embedding matrix, unchanged by the phase
     frozen_hash: str  # the parameters the phase froze, unchanged by it
@@ -194,19 +186,6 @@ class TrainResult:
     @property
     def final_loss(self) -> float:
         return self.trace[-1].loss if self.trace else math.nan
-
-
-def _divergence_cause(params) -> str:
-    """Name the first non-finite trainable parameter, or else the largest one
-    (finite parameters can still overflow the forward pass)."""
-    largest, peak = None, -1.0
-    for p in params:
-        if not np.isfinite(p.value).all():
-            return f"trainable parameter {p.name!r} holds a non-finite value"
-        m = float(np.abs(p.value).max(initial=0.0))
-        if m > peak:
-            largest, peak = p.name, m
-    return f"all trainable parameters are finite; the largest is {largest!r} (|max| {peak:.3g})"
 
 
 def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, default_groups,
@@ -250,7 +229,7 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
         loss = result.loss.item()
         if not math.isfinite(loss):
             raise FloatingPointError(f"{phase}: loss is {loss} at step {step} (lr {lr:g}); "
-                                     + _divergence_cause(params))
+                                     + divergence_cause(params, "trainable"))
         result.loss.backward()
         sgd_step(params, velocities, cfg, lr)
         trace.append(TraceRow(step, lr, loss, result.loss_cls.item(),
@@ -259,7 +238,7 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
         raise RuntimeError(f"{phase}: the embedding matrix changed")
     if head.param_hash(frozen) != frozen_hash:
         raise RuntimeError(f"{phase}: a frozen parameter moved")
-    return TrainResult(head=head, trace=trace, we_hash=we_hash, frozen_hash=frozen_hash)
+    return TrainResult(trace=trace, we_hash=we_hash, frozen_hash=frozen_hash)
 
 
 def _uniform_batches(data: FeatureSet, batch_size: int, seed: int):

@@ -10,6 +10,8 @@ package.
 import re
 from dataclasses import dataclass
 
+from .embeddings import read_file
+
 SYNSET_RE = re.compile(r"^n\d{8}$")
 
 
@@ -88,11 +90,7 @@ def parse_hypernym_edges(stream) -> WordNetGraph:
 
 
 def load_hypernym_edges(path) -> WordNetGraph:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return parse_hypernym_edges(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    return read_file(path, parse_hypernym_edges)
 
 
 def hyponym_closure(graph: WordNetGraph, roots) -> list:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from semshot.cli import main
 from semshot.embeddings import ClassRegistry, load_registry, save_registry
+from semshot.head import HeadConfig, build_head, head_state
 
 CHAIN = "n00000001\tn00000002\nn00000002\tn00000003\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -270,7 +271,11 @@ def _bad_input_cases(corpus, trained, bad):
     nan_in_p = json.loads((trained / "head.json").read_text())
     nan_in_p["params"]["P"][0][0] = float("nan")
     nan_in_p = json.dumps(nan_in_p)
+    huge_p = json.loads((trained / "head.json").read_text())
+    huge_p["params"]["P"] = [[1e308] * len(row) for row in huge_p["params"]["P"]]
     heuristic = train(**{"--cooccurrence": bad}) + ["--mode", "srr", "--graph-mode", "heuristic"]
+    baseline = head_state(build_head(HeadConfig(mode="baseline", d_in=10, d=8),
+                                     load_registry(corpus / "registry_base.json")))
     return {
         "config_json": ("{nope", ["synth", "--config", bad], f"{bad}: {_BAD_JSON}"),
         "registry_json": ("{nope", train(**{"--registry": bad}), f"{bad}: {_BAD_JSON}"),
@@ -298,10 +303,44 @@ def _bad_input_cases(corpus, trained, bad):
         "checkpoint_nonfinite_export": (nan_in_p, ["export", "correlate", "--checkpoint", bad],
                                         f"{bad}: checkpoint field 'params.P' must be a matrix "
                                         "of finite numbers"),
+        # an ssp checkpoint with the heuristic stage and without its graph
+        "checkpoint_heuristic_without_graph": (
+            checkpoint(mode="srr", graph_mode="heuristic"), evaluate(bad, base),
+            f"{bad}: checkpoint field 'g_heur' is missing"),
+        # finite values whose class scores overflow
+        "checkpoint_overflow_eval": (json.dumps(huge_p), evaluate(bad, base),
+                                     "class scores hold a non-finite value; all head parameters "
+                                     "are finite; the largest is 'P' (|max| 1e+308)"),
+        "export_correlate_baseline": (json.dumps(baseline),
+                                      ["export", "correlate", "--checkpoint", bad],
+                                      "baseline heads have no embedding rows to correlate"),
         "cooccurrence_json": ('{"labels": ["base00"]}\n{nope\n', heuristic,
                               f"{bad}:2: invalid JSON ({_BAD_JSON})"),
         "cooccurrence_labels": ('{"labels": "base00"}\n', heuristic,
                                 f'{bad}:1: expected {{"labels": [class names]}}'),
+        "cooccurrence_missing": ("", train() + ["--mode", "srr", "--graph-mode", "heuristic"],
+                                 "heuristic graph mode needs --cooccurrence label sets"),
+        "config_top_level": ("[1]", ["synth", "--config", bad],
+                             f"{bad}: config must be a JSON object"),
+        "config_float_for_int": ('{"seed": 1.5}', ["synth", "--config", bad],
+                                 f"{bad}: key 'seed' expects an integer"),
+        "config_string_for_bool": ('{"decouple": "yes"}', train(**{"--config": bad}),
+                                   f"{bad}: key 'decouple' expects true/false"),
+        "sweep_shots_not_integers": ("", ["sweep", "--shots", "1,x"],
+                                     "--shots must be a comma-separated integer list, got '1,x'"),
+        "sweep_shots_empty": ("", ["sweep", "--shots", ","], "--shots is empty"),
+        "gradcheck_eps_zero": ("", ["gradcheck", "--eps", 0],
+                               "--eps must be finite and positive, got 0.0"),
+        "gradcheck_eps_inf": ("", ["gradcheck", "--eps", "inf"],
+                              "--eps must be finite and positive, got inf"),
+        "gradcheck_threshold_inf": ("", ["gradcheck", "--threshold", "inf"],
+                                    "--threshold must be finite and positive, got inf"),
+        "gradcheck_threshold_negative": ("", ["gradcheck", "--threshold", -1],
+                                         "--threshold must be finite and positive, got -1.0"),
+        "gradcheck_batch_zero": ("", ["gradcheck", "--batch", 0],
+                                 "--batch must be at least 1, got 0"),
+        "gradcheck_batch_negative": ("", ["gradcheck", "--batch", -1],
+                                     "--batch must be at least 1, got -1"),
         "unknown_class": ("", evaluate(trained / "head.json", corpus / "novel_train.jsonl"),
                           "unknown class 'novel00'"),
         "empty_train_data": ("", train(**{"--data": bad}), f"{bad}: no records"),
@@ -343,8 +382,13 @@ def _bad_input_cases(corpus, trained, bad):
     "config_json", "registry_json", "registry_top_level", "registry_names", "checkpoint_json",
     "checkpoint_top_level", "checkpoint_missing_field", "checkpoint_field_type",
     "checkpoint_mode_value", "checkpoint_graph_mode_value", "checkpoint_nonfinite_eval",
-    "checkpoint_nonfinite_export", "cooccurrence_json", "cooccurrence_labels", "unknown_class",
-    "empty_train_data", "empty_novel_data", "empty_eval_data", "partial_reg",
+    "checkpoint_nonfinite_export", "checkpoint_heuristic_without_graph",
+    "checkpoint_overflow_eval", "export_correlate_baseline", "cooccurrence_json",
+    "cooccurrence_labels", "cooccurrence_missing", "config_top_level", "config_float_for_int",
+    "config_string_for_bool", "sweep_shots_not_integers", "sweep_shots_empty",
+    "gradcheck_eps_zero", "gradcheck_eps_inf", "gradcheck_threshold_inf",
+    "gradcheck_threshold_negative", "gradcheck_batch_zero", "gradcheck_batch_negative",
+    "unknown_class", "empty_train_data", "empty_novel_data", "empty_eval_data", "partial_reg",
     "batch_size_zero", "batch_size_negative", "lr_negative", "momentum_above_one",
     "weight_decay_negative", "reg_weight_nan", "freeze_unknown_group",
     "trainable_unknown_group", "synth_sigma_negative", "synth_sigma_nan",
@@ -361,7 +405,7 @@ def test_bad_input_exits_1_with_one_error_line_naming_its_source(
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(f"error: {message}")
-    assert not (out / "meta.json").exists()
+    assert not (out / "meta.json").exists() and not (out / "metrics.json").exists()
 
 
 def test_finetune_expands_and_freezes(corpus, trained, tmp_path, capsys):
@@ -564,6 +608,27 @@ def test_gradcheck_command_passes(capsys):
     assert run("gradcheck", "--mode", "ssp") == 0
     out = capsys.readouterr().out
     assert "ssp: max rel err" in out and "PASS" in out
+
+
+def test_gradcheck_writes_its_report_and_meta(tmp_path):
+    out = tmp_path / "gc"
+    assert run("gradcheck", "--mode", "ssp", "--out-dir", out) == 0
+    report = json.loads((out / "gradcheck.json").read_text())
+    assert report["ssp"]["passed"] is True
+    assert set(report["ssp"]["params"]) >= {"P", "b", "trunk_w1"}
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["command"] == "gradcheck"
+    assert meta["outputs"] == {"gradcheck.json": sha(out / "gradcheck.json")}
+
+
+def test_train_with_random_embeddings_records_their_seed(corpus, tmp_path):
+    out = tmp_path / "random"
+    assert run("train", "--out-dir", out, "--data", corpus / "base_train.jsonl",
+               "--registry", corpus / "registry_base.json", "--embeddings", "random",
+               "--embed-dim", 6, "--embed-seed", 4, "--proj-dim", 8, "--steps", 2) == 0
+    we = json.loads((out / "head.json").read_text())["we"]
+    assert len(we["matrix"]) == 4 and len(we["matrix"][0]) == 6  # 3 base + background
+    assert we["provenance"] == ["random:seed=4"] * 3 + ["background:seed=4"]
 
 
 def test_closure_golden_and_computed(tmp_path, capsys):

@@ -217,7 +217,7 @@ def test_a_forward_only_tape_records_nothing_and_refuses_backward(rng):
     tape = dm.Tape(backward=False)
     w, x = tape.param(p), tape.leaf(np.ones((2, 2)))
     loss = dm.squared_error_cols(dm.matmul(w, x), np.zeros((2, 2)))
-    assert not (w.needs_grad or x.needs_grad or loss.needs_grad)
+    assert w.grad is None and x.grad is None and loss.grad is None
     assert tape._ops == [] and tape.param(p) is not w  # no node memo either
     with pytest.raises(RuntimeError, match="cannot run backward"):
         loss.backward()

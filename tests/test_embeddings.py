@@ -88,6 +88,12 @@ def test_parse_embedding_file_errors():
         parse_embedding_file(io.StringIO(""), reg)
     with pytest.raises(ValueError, match="header"):
         parse_embedding_file(_w2v(["just-one-field"]), reg)
+    with pytest.raises(ValueError, match="line 1: non-integer header fields in 'one 2'"):
+        parse_embedding_file(_w2v(["one 2", "cat 1.0 0.0"]), reg)
+    with pytest.raises(ValueError, match="line 1: invalid header values '-1 2'"):
+        parse_embedding_file(_w2v(["-1 2", "cat 1.0 0.0"]), reg)
+    with pytest.raises(ValueError, match="line 2: non-numeric value for token 'cat'"):
+        parse_embedding_file(_w2v(["1 2", "cat 1.0 x"]), reg)
     with pytest.raises(ValueError, match="declares"):
         parse_embedding_file(_w2v(["2 2", "cat 1.0 0.0"]), reg)
     with pytest.raises(ValueError, match="expected 2"):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from semshot import relation as rel
 from semshot.embeddings import ClassRegistry, random_embeddings
+from semshot.evaluation import evaluate
 from semshot.head import (
     HeadConfig,
     HeadMode,
@@ -421,6 +422,41 @@ def test_checkpoint_rejects_heuristic_graph_of_wrong_size(base_reg):
         head_from_state(state)
 
 
+def test_checkpoint_carries_a_graph_exactly_for_heuristic_heads(base_reg):
+    we = random_embeddings(base_reg, dim=6, seed=14)
+    head = make_head("srr", base_reg, we, graph_mode="heuristic", d=8)
+    attach_heuristic_graph(head, np.full((4, 4), 0.25))
+    state = head_state(head)
+    del state["g_heur"]
+    with pytest.raises(ValueError, match="checkpoint field 'g_heur' is missing"):
+        head_from_state(state)
+    state["g_heur"] = None
+    with pytest.raises(ValueError, match="'g_heur' must be a matrix for graph mode 'heuristic'"):
+        head_from_state(state)
+    ssp = head_state(make_head("ssp", base_reg, we, d=8))
+    ssp["g_heur"] = np.full((4, 4), 0.25).tolist()
+    with pytest.raises(ValueError, match="'g_heur' must be null for graph mode 'none'"):
+        head_from_state(ssp)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("question,name", [
+    (lambda head: class_scores(head, np.ones(head.cfg.d)), "P"),
+    (class_rows, "t_l"),
+    (relation_graph, "t_f"),
+    (lambda head: evaluate(head, _episode_data(head, 6, False, 18)), "P"),
+], ids=["class_scores", "class_rows", "relation_graph", "evaluate"])
+def test_non_finite_scores_raise_naming_the_largest_parameter(base_reg, question, name):
+    # every value finite, but large enough that the scores overflow
+    head = make_head("srr", base_reg, random_embeddings(base_reg, dim=6, seed=18),
+                     graph_mode="dynamic", d=8, r=4)
+    head.params[name].value[:] = np.finfo(np.float64).max
+    with pytest.raises(FloatingPointError, match=f"non-finite value; all head parameters are "
+                                                 f"finite; the largest is '{name}'"):
+        question(head)
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda s: s.pop("seed"), "checkpoint field 'seed' is missing"),
     (lambda s: s["dims"].pop("r"), "checkpoint field 'dims.r' is missing"),
@@ -520,3 +556,5 @@ def test_a_corrupted_checkpoint_names_the_field_or_loads_unchanged(data):
         assert name in str(exc) or f"'{key}'" in str(exc), (kind, name, str(exc))
     else:
         assert head.param_hash() == _STATE_HASHES[which], (kind, name)
+        # a heuristic head keeps its graph, and no other head gains one
+        assert (head.g_heur is not None) == (head.cfg.graph_mode is rel.GraphMode.HEURISTIC)

@@ -30,7 +30,6 @@ from semshot.pipeline import (
     _similarity_graph,
 )
 from semshot.training import (
-    EpisodeConfig,
     TrainConfig,
     base_train,
     finetune,
@@ -182,7 +181,7 @@ def _own_mode_cell(cfg, k, seed):
     if cfg.decouple:
         decouple_trunks(head)
     episode = sample_episode(part.base_data, part.novel_pool,
-                             EpisodeConfig(k=k, base_shots=cfg.base_shots, seed=seed))
+                             k=k, base_shots=cfg.base_shots, seed=seed)
     finetune(head, episode, finetune_config(
         lr=FINETUNE_LR, steps=cfg.finetune_steps, batch_size=cfg.batch_size,
         reg_weight=REG_WEIGHT, seed=seed,

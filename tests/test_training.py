@@ -12,7 +12,6 @@ from semshot.training import (
     DEFAULT_FINETUNE_LR,
     DEFAULT_SHOT_LIST,
     Episode,
-    EpisodeConfig,
     TrainConfig,
     balanced_batch_iter,
     base_train,
@@ -109,8 +108,8 @@ def test_finetune_config_defaults():
 def test_sample_episode_counts_and_determinism():
     base = fake_records(["cat", "dog"], 6, 4, seed=1)
     novel = fake_records(["fox", "owl"], 6, 4, seed=2)
-    ep1 = sample_episode(base, novel, EpisodeConfig(k=2, base_shots=3, seed=9))
-    ep2 = sample_episode(base, novel, EpisodeConfig(k=2, base_shots=3, seed=9))
+    ep1 = sample_episode(base, novel, k=2, base_shots=3, seed=9)
+    ep2 = sample_episode(base, novel, k=2, base_shots=3, seed=9)
     assert ep1.ids() == ep2.ids()
     assert len(ep1.novel) == 4 and len(ep1.base) == 6
     labels = sorted(ep1.novel.labels)
@@ -119,8 +118,8 @@ def test_sample_episode_counts_and_determinism():
 
 def test_sample_episode_larger_k_extends_smaller():
     novel = fake_records(["fox", "owl"], 8, 4, seed=3)
-    small = sample_episode(no_records(), novel, EpisodeConfig(k=2, base_shots=0, seed=5))
-    large = sample_episode(no_records(), novel, EpisodeConfig(k=5, base_shots=0, seed=5))
+    small = sample_episode(no_records(), novel, k=2, base_shots=0, seed=5)
+    large = sample_episode(no_records(), novel, k=5, base_shots=0, seed=5)
     small_ids = set(small.novel.ids)
     large_ids = set(large.novel.ids)
     assert small_ids <= large_ids
@@ -128,20 +127,19 @@ def test_sample_episode_larger_k_extends_smaller():
 
 def test_sample_episode_novel_picks_ignore_base_pool():
     novel = fake_records(["fox"], 5, 4, seed=4)
-    with_base = sample_episode(fake_records(["cat"], 5, 4), novel,
-                               EpisodeConfig(k=2, base_shots=1, seed=7))
-    without = sample_episode(no_records(), novel, EpisodeConfig(k=2, base_shots=1, seed=7))
+    with_base = sample_episode(fake_records(["cat"], 5, 4), novel, k=2, base_shots=1, seed=7)
+    without = sample_episode(no_records(), novel, k=2, base_shots=1, seed=7)
     assert with_base.ids()["novel"] == without.ids()["novel"]
 
 
 def test_sample_episode_shortfall_names_the_class():
     novel = fake_records(["fox"], 2, 4)
     with pytest.raises(ValueError, match="'fox' has 2 records, needs 3"):
-        sample_episode(no_records(), novel, EpisodeConfig(k=3, base_shots=0))
+        sample_episode(no_records(), novel, k=3, base_shots=0)
     with pytest.raises(ValueError, match="k must be"):
-        sample_episode(no_records(), novel, EpisodeConfig(k=0))
+        sample_episode(no_records(), novel, k=0)
     with pytest.raises(ValueError, match="no novel records"):
-        sample_episode(no_records(), no_records(), EpisodeConfig(k=1))
+        sample_episode(no_records(), no_records(), k=1)
 
 
 def test_balanced_batches_draw_classes_uniformly():
@@ -229,8 +227,7 @@ def test_finetune_steps_rule():
 def test_finetune_freezes_everything_outside_the_chosen_groups(tiny_world):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
     head = make_head("ssp", registry, we)
-    episode = sample_episode(base_data, novel_data,
-                             EpisodeConfig(k=2, base_shots=3, seed=2))
+    episode = sample_episode(base_data, novel_data, k=2, base_shots=3, seed=2)
     frozen_names = [n for n in head.params if n not in {"P", "b"}]
     before = {n: head.params[n].value.copy() for n in frozen_names}
     p_before = head.params["P"].value.copy()
@@ -242,13 +239,13 @@ def test_finetune_freezes_everything_outside_the_chosen_groups(tiny_world):
     assert not np.array_equal(head.params["P"].value, p_before)
 
 
-def _nudging_sgd_step(monkeypatch, head, name):
-    """Make every optimizer step also move ``head.params[name]``."""
+def _nudging_sgd_step(monkeypatch, values):
+    """Make every optimizer step also move the array ``values``."""
     real = training.sgd_step
 
     def step(*args):
         real(*args)
-        head.params[name].value[0, 0] += 1e-12
+        values[0, 0] += 1e-12
 
     monkeypatch.setattr(training, "sgd_step", step)
 
@@ -256,17 +253,24 @@ def _nudging_sgd_step(monkeypatch, head, name):
 def test_base_train_fails_when_a_deferred_relation_map_moves(tiny_world, monkeypatch):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
     head = make_head("srr", base_reg, we.select_rows(base_rows), graph_in_base=False)
-    _nudging_sgd_step(monkeypatch, head, "t_l")
+    _nudging_sgd_step(monkeypatch, head.params["t_l"].value)
     with pytest.raises(RuntimeError, match="base_train: a frozen parameter moved"):
+        base_train(head, base_data, TrainConfig(steps=3, batch_size=4, seed=1))
+
+
+def test_base_train_fails_when_the_embedding_matrix_moves(tiny_world, monkeypatch):
+    registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
+    head = make_head("ssp", base_reg, we.select_rows(base_rows))
+    _nudging_sgd_step(monkeypatch, head.we.matrix)
+    with pytest.raises(RuntimeError, match="base_train: the embedding matrix changed"):
         base_train(head, base_data, TrainConfig(steps=3, batch_size=4, seed=1))
 
 
 def test_finetune_fails_when_a_frozen_trunk_weight_moves(tiny_world, monkeypatch):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
     head = make_head("ssp", registry, we)
-    episode = sample_episode(base_data, novel_data,
-                             EpisodeConfig(k=2, base_shots=3, seed=2))
-    _nudging_sgd_step(monkeypatch, head, "trunk_w1")
+    episode = sample_episode(base_data, novel_data, k=2, base_shots=3, seed=2)
+    _nudging_sgd_step(monkeypatch, head.params["trunk_w1"].value)
     with pytest.raises(RuntimeError, match="finetune: a frozen parameter moved"):
         finetune(head, episode, finetune_config(steps=3, batch_size=4, seed=2))
 
@@ -278,7 +282,7 @@ def test_finetune_does_not_step_on_an_earlier_phases_gradient(tiny_world):
     head = make_head("ssp", base_reg, we.select_rows(base_rows))
     base_train(head, base_data, TrainConfig(steps=4, batch_size=4, seed=1))
     head_module.expand_classes(head, registry, we)
-    episode = sample_episode(base_data, novel_data, EpisodeConfig(k=2, base_shots=2, seed=2))
+    episode = sample_episode(base_data, novel_data, k=2, base_shots=2, seed=2)
     episode.base, episode.novel = (FeatureSet(list(s.ids), list(s.labels), s.feat, None)
                                    for s in (episode.base, episode.novel))
     reg_w = head.params["reg_w"].value.copy()
@@ -294,7 +298,7 @@ def test_each_param_keeps_one_gradient_buffer_across_phases(tiny_world):
     head = make_head("srr", registry, we)
     buffers = {name: p.grad for name, p in head.params.items()}
     base_train(head, base_data, TrainConfig(steps=3, batch_size=4, seed=1))
-    episode = sample_episode(base_data, novel_data, EpisodeConfig(k=2, base_shots=2, seed=2))
+    episode = sample_episode(base_data, novel_data, k=2, base_shots=2, seed=2)
     finetune(head, episode, finetune_config(steps=3, batch_size=4, seed=2))
     for name, p in head.params.items():
         assert p.grad is buffers[name], f"{name} got a new gradient buffer"
@@ -336,8 +340,7 @@ def _count_trunk_halves(monkeypatch):
 def _srr_finetune(tiny_world, k=2, base_shots=3, **cfg):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
     head = make_head("srr", registry, we)
-    episode = sample_episode(base_data, novel_data,
-                             EpisodeConfig(k=k, base_shots=base_shots, seed=4))
+    episode = sample_episode(base_data, novel_data, k=k, base_shots=base_shots, seed=4)
     result = finetune(head, episode, finetune_config(steps=12, batch_size=4, seed=4, **cfg))
     return head, [(r.loss, r.loss_cls, r.loss_reg) for r in result.trace], len(episode.base) + len(episode.novel)
 
@@ -385,8 +388,7 @@ def test_one_record_phase_caches_the_trunk_through_the_lone_column_path(
 def test_finetune_honors_explicit_trainable_groups(tiny_world):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
     head = make_head("ssp", registry, we)
-    episode = sample_episode(base_data, novel_data,
-                             EpisodeConfig(k=1, base_shots=2, seed=3))
+    episode = sample_episode(base_data, novel_data, k=1, base_shots=2, seed=3)
     cfg = finetune_config(steps=4, batch_size=4, seed=3, trainable=("b",))
     p_before = head.params["P"].value.copy()
     finetune(head, episode, cfg)
@@ -398,7 +400,7 @@ def test_finetune_honors_explicit_trainable_groups(tiny_world):
 def test_finetune_rejects_labels_outside_registry(tiny_world):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
     head = make_head("ssp", registry, we)
-    episode = sample_episode(base_data, novel_data, EpisodeConfig(k=1, base_shots=1))
+    episode = sample_episode(base_data, novel_data, k=1, base_shots=1)
     episode.novel.labels[0] = "zebra"
     with pytest.raises(KeyError, match="zebra"):
         finetune(head, episode, finetune_config(steps=1))
