@@ -45,7 +45,8 @@ from .head import (
     save_head,
     switch_graph_mode,
 )
-from .pipeline import PipelineConfig, bundled_benchmark, clustered_embeddings, shot_sweep
+from .pipeline import (CLUSTER_SPREAD, PipelineConfig, bundled_benchmark,
+                       clustered_embeddings, shot_sweep)
 from .records import load_records, save_records
 from .relation import cooccurrence_graph, correlation_map
 from .synthgen import SynthConfig, generate
@@ -177,9 +178,18 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
+def _check_at_least(cfg: dict, **least: int) -> None:
+    """Reject an integer option below its least value, naming its flag."""
+    for name, low in least.items():
+        value = cfg[name.replace("_", ".")]
+        if value < low:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+
+
 def _load_embeddings(cfg: dict, registry: ClassRegistry):
     source = cfg["embeddings"]
     if source == "random":
+        _check_at_least(cfg, embed_dim=1)
         return random_embeddings(registry, cfg["embed.dim"], cfg["embed.seed"])
     return load_embedding_file(source, registry, cfg["background.seed"])
 
@@ -220,6 +230,8 @@ def _parse_int_list(text: str, what: str) -> list:
         raise ValueError(f"{what} must be a comma-separated integer list, got {text!r}") from None
     if not values:
         raise ValueError(f"{what} is empty")
+    if min(values) < 1:
+        raise ValueError(f"{what} values must be at least 1, got {text!r}")
     return values
 
 
@@ -255,7 +267,7 @@ TRAIN_OPTS = [
     Opt("--data", required=True, help="JSONL feature records for base training"),
     Opt("--registry", required=True, help="class registry JSON"),
     *_EMBED_OPTS,
-    Opt("--mode", default="ssp", choices=("baseline", "ssp", "srr")),
+    Opt("--mode", default=HeadConfig.mode.value, choices=("baseline", "ssp", "srr")),
     Opt("--graph-mode", choices=("none", "dynamic", "heuristic", "tt"),
         help="relation stage for srr heads (default: dynamic)"),
     Opt("--proj-dim", default=HeadConfig.d, type=int, help="trunk output dim d"),
@@ -393,7 +405,7 @@ def cmd_finetune(cfg: dict) -> int:
 SWEEP_OPTS = [
     Opt("--out-dir", required=True),
     Opt("--seed", default=0, type=int, help="first seed of the batch"),
-    Opt("--mode", default="srr", choices=("baseline", "ssp", "srr")),
+    Opt("--mode", default=PipelineConfig.mode.value, choices=("baseline", "ssp", "srr")),
     Opt("--graph-mode", choices=("none", "dynamic", "heuristic", "tt")),
     Opt("--alpha", default=PipelineConfig.alpha, type=float,
         help="embedding-to-feature coupling of the bundled generator"),
@@ -407,6 +419,7 @@ SWEEP_OPTS = [
 def cmd_sweep(cfg: dict) -> int:
     HeadConfig(mode=cfg["mode"], graph_mode=cfg.get("graph.mode"))  # reject a bad pair
     shots = _parse_int_list(cfg["shots"], "--shots")
+    _check_at_least(cfg, seeds=1, base_classes=1, novel_classes=1)
     out = _out_dir(cfg)
     pcfg = bundled_benchmark(
         mode=cfg["mode"], graph_mode=cfg.get("graph.mode"), alpha=cfg["alpha"],
@@ -499,8 +512,7 @@ def cmd_gradcheck(cfg: dict) -> int:
     for key in ("eps", "threshold"):
         if not (math.isfinite(cfg[key]) and cfg[key] > 0):
             raise ValueError(f"--{key} must be finite and positive, got {cfg[key]}")
-    if cfg["batch"] < 1:
-        raise ValueError(f"--batch must be at least 1, got {cfg['batch']}")
+    _check_at_least(cfg, batch=1, embed_dim=1, base_classes=0, novel_classes=0)
     modes = ("baseline", "ssp", "srr") if cfg["mode"] == "all" else (cfg["mode"],)
     threshold = cfg["threshold"]
     all_ok = True
@@ -607,19 +619,20 @@ SYNTH_OPTS = [
     Opt("--alpha", default=SynthConfig.alpha, type=float),
     Opt("--sigma", type=float, help="feature noise (default: margin rule)"),
     Opt("--margin-scale", default=SynthConfig.margin_scale, type=float),
-    Opt("--base-classes", default=15, type=int),
-    Opt("--novel-classes", default=5, type=int),
-    Opt("--embed-dim", default=24, type=int),
+    Opt("--base-classes", default=PipelineConfig.n_base, type=int),
+    Opt("--novel-classes", default=PipelineConfig.n_novel, type=int),
+    Opt("--embed-dim", default=PipelineConfig.d_e, type=int),
     Opt("--feat-dim", default=SynthConfig.d_in, type=int),
     Opt("--train-per-class", default=SynthConfig.train_per_class, type=int),
     Opt("--test-per-class", default=SynthConfig.test_per_class, type=int),
     Opt("--embeddings", default="clustered", choices=("clustered", "random")),
-    Opt("--clusters", default=5, type=int),
-    Opt("--spread", default=0.35, type=float),
+    Opt("--clusters", default=PipelineConfig.n_clusters, type=int),
+    Opt("--spread", default=CLUSTER_SPREAD, type=float),
 ]
 
 
 def cmd_synth(cfg: dict) -> int:
+    _check_at_least(cfg, embed_dim=1, base_classes=0, novel_classes=0)
     out = _out_dir(cfg)
     registry = ClassRegistry.numbered(cfg["base.classes"], cfg["novel.classes"])
     if cfg["embeddings"] == "clustered":

@@ -4,7 +4,9 @@ Everything is a 2-D C-contiguous float64 array ("matrix" below).  A ``Tape``
 records operations as they execute; ``Tape.backward`` replays the recorded
 closures in exact reverse order, accumulating into preallocated gradient
 buffers.  Gradients therefore come out bit-identical across repeated runs on
-the same inputs.
+the same inputs.  Every op records through ``_op``, which takes the op's
+value and one vector-Jacobian product per operand; an affine layer is the
+single op ``linear``.
 
 A ``Param`` owns its one gradient buffer for life: a recording tape zeroes a
 trainable param's buffer in place and accumulates into it, so after
@@ -96,15 +98,6 @@ class Tape:
         if self._finished:
             raise RuntimeError("tape already replayed; build a new Tape per forward pass")
 
-    def _record(self, fn):
-        self._check_open()
-        self._ops.append(fn)
-
-    def _result(self, value: Matrix, *inputs: Tensor) -> Tensor:
-        # on a forward-only tape no input has a gradient, so neither does this
-        needs = any(t.grad is not None for t in inputs)
-        return Tensor(value, np.zeros(value.shape) if needs else None, self)
-
     def backward(self, loss: Tensor):
         """Seed d(loss)/d(loss)=1 and replay recorded ops in reverse."""
         if not self._backward:
@@ -125,33 +118,53 @@ class Tape:
         self._ops = []
 
 
-def _check_same_tape(*tensors: Tensor):
-    tapes = {t.tape for t in tensors}
-    if len(tapes) != 1:
-        raise ValueError("operands were created on different tapes")
-
-
 # ---------------------------------------------------------------------------
 # primitive ops
 
 
-def _product(a: Tensor, b: Tensor, kernel, name: str) -> Tensor:
-    """``kernel(a, b)`` on the tape, with the backward of a plain matrix product."""
-    _check_same_tape(a, b)
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ValueError(f"{name} shape mismatch: {a.value.shape} @ {b.value.shape}")
-    out = a.tape._result(kernel(a.value, b.value), a, b)
-    if out.grad is not None:
-        av, bv = a.value, b.value
+def _op(value: Matrix, *operands) -> Tensor:
+    """Put an op's forward ``value`` on its operands' one tape.
 
-        def bw():
-            if a.grad is not None:
-                a.grad += out.grad @ bv.T
-            if b.grad is not None:
-                b.grad += av.T @ out.grad
+    Each operand comes as an ``(operand, vjp)`` pair; the vjp maps the
+    output's gradient to that operand's share.  The node gets a gradient
+    buffer when an operand has one, and then one backward closure that adds
+    ``vjp(out.grad)`` into each such operand's gradient, in the order given.
+    """
+    tape = operands[0][0].tape
+    needs = False
+    for t, _ in operands:
+        if t.tape is not tape:
+            raise ValueError("operands were created on different tapes")
+        needs = needs or t.grad is not None
+    # on a forward-only tape no operand has a gradient, so neither does this
+    if not needs:
+        return Tensor(value, None, tape)
+    out = Tensor(value, np.zeros(value.shape), tape)
 
-        a.tape._record(bw)
+    def bw():
+        for t, vjp in operands:
+            if t.grad is not None:
+                t.grad += vjp(out.grad)
+
+    tape._check_open()
+    tape._ops.append(bw)
     return out
+
+
+def _product(a: Tensor, b: Tensor, kernel, name: str, bias: Tensor | None = None) -> Tensor:
+    """``kernel(a, b)`` on the tape, plus an (n,1) ``bias`` column added to
+    every column when given.  The vjps of a product are the transport rule."""
+    av, bv = a.value, b.value
+    if av.shape[1] != bv.shape[0]:
+        raise ValueError(f"{name} shape mismatch: {av.shape} @ {bv.shape}")
+    if bias is not None and bias.value.shape != (av.shape[0], 1):
+        raise ValueError(f"bias shape {bias.value.shape} is not ({av.shape[0]}, 1)")
+    value = kernel(av, bv)
+    operands = [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)]
+    if bias is not None:
+        value += bias.value
+        operands.append((bias, lambda g: g.sum(axis=1, keepdims=True)))
+    return _op(value, *operands)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -163,89 +176,35 @@ def mix_matmul(a: Tensor, b: Tensor) -> Tensor:
     return _product(a, b, kernels.mix_matmul, "mix_matmul")
 
 
+def linear(w: Tensor, x: Tensor, bias: Tensor) -> Tensor:
+    """One affine layer as one op: ``w @ x`` plus the (n,1) ``bias`` column
+    added to every column."""
+    return _product(w, x, kernels.matmul, "linear", bias)
+
+
 def transpose(a: Tensor) -> Tensor:
-    out = a.tape._result(np.ascontiguousarray(a.value.T), a)
-    if out.grad is not None:
-
-        def bw():
-            a.grad += out.grad.T
-
-        a.tape._record(bw)
-    return out
+    return _op(np.ascontiguousarray(a.value.T), (a, lambda g: g.T))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_tape(a, b)
     if a.value.shape != b.value.shape:
         raise ValueError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
-    out = a.tape._result(a.value + b.value, a, b)
-    if out.grad is not None:
-
-        def bw():
-            if a.grad is not None:
-                a.grad += out.grad
-            if b.grad is not None:
-                b.grad += out.grad
-
-        a.tape._record(bw)
-    return out
-
-
-def add_bias(m: Tensor, bias: Tensor) -> Tensor:
-    """Add an (n,1) bias column to every column of an (n,b) matrix."""
-    _check_same_tape(m, bias)
-    if bias.value.shape != (m.value.shape[0], 1):
-        raise ValueError(
-            f"bias shape {bias.value.shape} does not broadcast over {m.value.shape}"
-        )
-    out = m.tape._result(m.value + bias.value, m, bias)
-    if out.grad is not None:
-
-        def bw():
-            if m.grad is not None:
-                m.grad += out.grad
-            if bias.grad is not None:
-                bias.grad += out.grad.sum(axis=1, keepdims=True)
-
-        m.tape._record(bw)
-    return out
+    return _op(a.value + b.value, (a, lambda g: g), (b, lambda g: g))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    out = a.tape._result(a.value * c, a)
-    if out.grad is not None:
-
-        def bw():
-            a.grad += out.grad * c
-
-        a.tape._record(bw)
-    return out
+    return _op(a.value * c, (a, lambda g: g * c))
 
 
 def relu(a: Tensor) -> Tensor:
-    out = a.tape._result(kernels.relu(a.value), a)
-    if out.grad is not None:
-        ov = out.value
-
-        def bw():
-            a.grad += out.grad * (ov > 0.0)
-
-        a.tape._record(bw)
-    return out
+    ov = kernels.relu(a.value)
+    return _op(ov, (a, lambda g: g * (ov > 0.0)))
 
 
 def row_softmax(a: Tensor) -> Tensor:
     """Row-wise softmax; the denominator uses sorted summation."""
-    out = a.tape._result(kernels.row_softmax(a.value), a)
-    if out.grad is not None:
-        soft = out.value
-
-        def bw():
-            g = out.grad
-            a.grad += soft * (g - (soft * g).sum(axis=1, keepdims=True))
-
-        a.tape._record(bw)
-    return out
+    soft = kernels.row_softmax(a.value)
+    return _op(soft, (a, lambda g: soft * (g - (soft * g).sum(axis=1, keepdims=True))))
 
 
 def cross_entropy_cols(logits: Tensor, labels) -> Tensor:
@@ -261,17 +220,14 @@ def cross_entropy_cols(logits: Tensor, labels) -> Tensor:
     if labels.size and (labels.min() < 0 or labels.max() >= n):
         raise ValueError(f"label out of range [0, {n}): {labels.tolist()}")
     loss, probs = kernels.ce_cols(logits.value, labels)
-    out = logits.tape._result(np.array([[loss]]), logits)
-    if out.grad is not None:
 
-        def bw():
-            g = float(out.grad[0, 0])
-            d = probs * (g / b)
-            d[labels, np.arange(b)] -= g / b
-            logits.grad += d
+    def vjp(g):
+        share = float(g[0, 0]) / b
+        d = probs * share
+        d[labels, np.arange(b)] -= share
+        return d
 
-        logits.tape._record(bw)
-    return out
+    return _op(np.array([[loss]]), (logits, vjp))
 
 
 def squared_error_cols(pred: Tensor, target) -> Tensor:
@@ -281,14 +237,8 @@ def squared_error_cols(pred: Tensor, target) -> Tensor:
         raise ValueError(f"target shape {tv.shape} vs prediction {pred.value.shape}")
     b = pred.value.shape[1]
     diff = pred.value - tv
-    out = pred.tape._result(np.array([[float((diff * diff).sum()) / b]]), pred)
-    if out.grad is not None:
-
-        def bw():
-            pred.grad += (2.0 / b) * float(out.grad[0, 0]) * diff
-
-        pred.tape._record(bw)
-    return out
+    return _op(np.array([[float((diff * diff).sum()) / b]]),
+               (pred, lambda g: (2.0 / b) * float(g[0, 0]) * diff))
 
 
 def weighted_sum(terms) -> Tensor:
@@ -296,24 +246,11 @@ def weighted_sum(terms) -> Tensor:
     terms = list(terms)
     if not terms:
         raise ValueError("weighted_sum needs at least one term")
-    tensors = [t for t, _ in terms]
-    for t in tensors:
+    for t, _ in terms:
         if t.value.shape != (1, 1):
             raise ValueError(f"weighted_sum combines 1x1 loss tensors, got {t.value.shape}")
-    _check_same_tape(*tensors)
-    tape = tensors[0].tape
     total = sum(float(t.value[0, 0]) * w for t, w in terms)
-    out = tape._result(np.array([[total]]), *tensors)
-    if out.grad is not None:
-
-        def bw():
-            g = float(out.grad[0, 0])
-            for t, w in terms:
-                if t.grad is not None:
-                    t.grad[0, 0] += g * w
-
-        tape._record(bw)
-    return out
+    return _op(np.array([[total]]), *((t, lambda g, w=w: g * w) for t, w in terms))
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,8 @@ class ClassRegistry:
     @classmethod
     def numbered(cls, n_base: int, n_novel: int) -> "ClassRegistry":
         """Classes ``base00``, ``base01``, ... then ``novel00``, ``novel01``, ..."""
+        if min(n_base, n_novel) < 0:
+            raise ValueError(f"negative class count: {n_base} base, {n_novel} novel")
         return cls(base=tuple(f"base{i:02d}" for i in range(n_base)),
                    novel=tuple(f"novel{i:02d}" for i in range(n_novel)))
 

@@ -219,8 +219,7 @@ class ForwardResult:
 def _trunk_t(tape: Tape, head: Head, branch: str, x_t):
     names = head.trunk_names(branch)
     w1, b1, w2, b2 = (tape.param(head.params[n]) for n in names)
-    h = dm.relu(dm.add_bias(dm.matmul(w1, x_t), b1))
-    return dm.add_bias(dm.matmul(w2, h), b2)
+    return dm.linear(w2, dm.relu(dm.linear(w1, x_t, b1)), b2)
 
 
 def _maps_t(tape: Tape, head: Head) -> dict:
@@ -251,7 +250,7 @@ def _class_scores_t(tape: Tape, head: Head, v_t, use_graph: bool = True):
     if head.mode is not HeadMode.BASELINE:
         v_t = dm.matmul(tape.param(head.params["P"]), v_t)
     rows = _effective_rows_t(tape, head, use_graph)
-    return dm.add_bias(dm.matmul(rows, v_t), b)
+    return dm.linear(rows, v_t, b)
 
 
 def _trunk_half(tape: Tape, head: Head, x, with_reg: bool):
@@ -267,9 +266,8 @@ def _trunk_half(tape: Tape, head: Head, x, with_reg: bool):
     if not with_reg:
         return v_cls, None
     v_reg = _trunk_t(tape, head, "reg", x_t) if head.cfg.decoupled else v_cls
-    reg_w = tape.param(head.params["reg_w"])
-    reg_b = tape.param(head.params["reg_b"])
-    return v_cls, dm.add_bias(dm.matmul(reg_w, v_reg), reg_b)
+    reg_w, reg_b = (tape.param(head.params[n]) for n in ("reg_w", "reg_b"))
+    return v_cls, dm.linear(reg_w, v_reg, reg_b)
 
 
 def _score_half(tape: Tape, head: Head, v_t, pred_t, labels, reg_targets,

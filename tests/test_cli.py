@@ -329,6 +329,28 @@ def _bad_input_cases(corpus, trained, bad):
         "sweep_shots_not_integers": ("", ["sweep", "--shots", "1,x"],
                                      "--shots must be a comma-separated integer list, got '1,x'"),
         "sweep_shots_empty": ("", ["sweep", "--shots", ","], "--shots is empty"),
+        "sweep_shots_zero": ("", ["sweep", "--shots", "0"],
+                             "--shots values must be at least 1, got '0'"),
+        "sweep_shots_negative": ("", ["sweep", "--shots", "1,-2"],
+                                 "--shots values must be at least 1, got '1,-2'"),
+        "sweep_seeds_zero": ("", ["sweep", "--seeds", 0], "--seeds must be at least 1, got 0"),
+        "sweep_base_classes_zero": ("", ["sweep", "--base-classes", 0],
+                                    "--base-classes must be at least 1, got 0"),
+        "gradcheck_base_classes_negative": ("", ["gradcheck", "--mode", "ssp",
+                                                 "--base-classes", -1],
+                                            "--base-classes must be at least 0, got -1"),
+        "gradcheck_novel_classes_negative": ("", ["gradcheck", "--mode", "ssp",
+                                                  "--novel-classes", -3],
+                                             "--novel-classes must be at least 0, got -3"),
+        "gradcheck_embed_dim_zero": ("", ["gradcheck", "--embed-dim", 0],
+                                     "--embed-dim must be at least 1, got 0"),
+        "gradcheck_embed_dim_negative": ("", ["gradcheck", "--embed-dim", -2],
+                                         "--embed-dim must be at least 1, got -2"),
+        "synth_novel_classes_negative": ("", ["synth", "--novel-classes", -1],
+                                         "--novel-classes must be at least 0, got -1"),
+        "train_random_embed_dim_zero": ("", train(**{"--embeddings": "random"})
+                                        + ["--embed-dim", 0],
+                                        "--embed-dim must be at least 1, got 0"),
         "gradcheck_eps_zero": ("", ["gradcheck", "--eps", 0],
                                "--eps must be finite and positive, got 0.0"),
         "gradcheck_eps_inf": ("", ["gradcheck", "--eps", "inf"],
@@ -386,8 +408,12 @@ def _bad_input_cases(corpus, trained, bad):
     "checkpoint_overflow_eval", "export_correlate_baseline", "cooccurrence_json",
     "cooccurrence_labels", "cooccurrence_missing", "config_top_level", "config_float_for_int",
     "config_string_for_bool", "sweep_shots_not_integers", "sweep_shots_empty",
+    "sweep_shots_zero", "sweep_shots_negative", "sweep_seeds_zero", "sweep_base_classes_zero",
     "gradcheck_eps_zero", "gradcheck_eps_inf", "gradcheck_threshold_inf",
     "gradcheck_threshold_negative", "gradcheck_batch_zero", "gradcheck_batch_negative",
+    "gradcheck_base_classes_negative", "gradcheck_novel_classes_negative",
+    "gradcheck_embed_dim_zero", "gradcheck_embed_dim_negative",
+    "synth_novel_classes_negative", "train_random_embed_dim_zero",
     "unknown_class", "empty_train_data", "empty_novel_data", "empty_eval_data", "partial_reg",
     "batch_size_zero", "batch_size_negative", "lr_negative", "momentum_above_one",
     "weight_decay_negative", "reg_weight_nan", "freeze_unknown_group",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from semshot import diffmath as dm
+from semshot import kernels
 
 mp.mp.dps = 50
 
@@ -75,17 +76,22 @@ def test_matmul_gradients_are_the_transport_rule():
     np.testing.assert_allclose(pb.grad, scale * (pa.value.T @ g), atol=1e-12)
 
 
-def test_add_bias_broadcasts_and_accumulates_gradient():
+def test_linear_adds_the_bias_to_every_column_and_splits_the_gradient():
+    # as above, the upstream gradient at the output is exactly (2/batch) * g:
+    # the bias gets its column sums, w and x the transport rule
     rng = np.random.default_rng(4)
-    tape, (pm, pb), (m, b) = _tape_params(rng, (3, 5), (3, 1))
-    out = dm.add_bias(m, b)
-    np.testing.assert_allclose(out.value, pm.value + pb.value, atol=0)
-    target = out.value - 1.0
-    loss = dm.squared_error_cols(out, target)
-    loss.backward()
+    tape, (pw, px, pb), (w, x, b) = _tape_params(rng, (3, 4), (4, 5), (3, 1))
+    with pytest.raises(ValueError, match=r"bias shape \(1, 3\) is not \(3, 1\)"):
+        dm.linear(w, x, tape.leaf(np.ones((1, 3))))
+    out = dm.linear(w, x, b)
+    np.testing.assert_array_equal(out.value, kernels.matmul(pw.value, px.value) + pb.value)
+    assert len(tape._ops) == 1  # one affine layer, one recorded op
+    g = rng.standard_normal(out.value.shape)
+    dm.squared_error_cols(out, out.value - g).backward()
     scale = 2.0 / 5
-    np.testing.assert_allclose(pm.grad, np.full((3, 5), scale), atol=1e-13)
-    np.testing.assert_allclose(pb.grad, np.full((3, 1), 5 * scale), atol=1e-13)
+    np.testing.assert_allclose(pb.grad, scale * g.sum(axis=1, keepdims=True), atol=1e-12)
+    np.testing.assert_allclose(pw.grad, scale * (g @ px.value.T), atol=1e-12)
+    np.testing.assert_allclose(px.grad, scale * (pw.value.T @ g), atol=1e-12)
 
 
 def test_relu_gradient_masks_negative_preactivations():
@@ -111,7 +117,7 @@ def test_grad_check_passes_on_composite_graph():
     def loss_fn():
         tape = dm.Tape()
         w, u, bias = (tape.param(p) for p in params)
-        h = dm.relu(dm.add_bias(dm.matmul(w, dm.matmul(u, tape.leaf(x))), bias))
+        h = dm.relu(dm.linear(w, dm.matmul(u, tape.leaf(x)), bias))
         soft = dm.row_softmax(dm.transpose(h))
         ce = dm.cross_entropy_cols(dm.transpose(soft), labels)
         se = dm.squared_error_cols(h, np.ones_like(h.value))
@@ -136,12 +142,59 @@ def test_grad_check_skips_frozen_params():
     assert report.passed(1e-5)
 
 
-def test_mixing_tapes_is_rejected():
-    t1, t2 = dm.Tape(), dm.Tape()
-    a = t1.leaf(np.ones((2, 2)))
-    b = t2.leaf(np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        dm.add(a, b)
+# one small case per op: (operand shapes, the op applied to their tensors);
+# a matrix output is scored by its squared error to a fixed target
+_OP_CASES = {
+    "matmul": ([(3, 4), (4, 2)], dm.matmul),
+    "mix_matmul": ([(3, 4), (4, 2)], dm.mix_matmul),
+    "linear": ([(3, 4), (4, 2), (3, 1)], dm.linear),
+    "transpose": ([(3, 2)], dm.transpose),
+    "add": ([(2, 3), (2, 3)], dm.add),
+    "scale": ([(2, 3)], lambda a: dm.scale(a, -1.5)),
+    "relu": ([(3, 3)], dm.relu),
+    "row_softmax": ([(2, 4)], dm.row_softmax),
+    "cross_entropy_cols": ([(4, 3)], lambda a: dm.cross_entropy_cols(a, [0, 3, 1])),
+    "squared_error_cols": ([(2, 3)], lambda a: dm.squared_error_cols(a, np.ones((2, 3)))),
+    # a term that repeats must get both of its weights
+    "weighted_sum": ([(1, 1), (1, 1)], lambda a, b: dm.weighted_sum([(a, 0.7), (b, -0.3),
+                                                                     (a, 2.0)])),
+}
+
+
+@pytest.mark.parametrize("name", list(_OP_CASES))
+def test_grad_check_passes_on_every_op(name):
+    shapes, op = _OP_CASES[name]
+    rng = np.random.default_rng(10)
+    params = [dm.Param(f"p{i}", rng.standard_normal(s)) for i, s in enumerate(shapes)]
+
+    def loss_fn():
+        tape = dm.Tape()
+        out = op(*(tape.param(p) for p in params))
+        if out.value.shape == (1, 1):
+            return out
+        target = np.linspace(-1.0, 1.0, out.value.size).reshape(out.value.shape)
+        return dm.squared_error_cols(out, target)
+
+    report = dm.grad_check(loss_fn, params)
+    assert [e.name for e in report.entries] == [p.name for p in params]
+    assert report.passed(1e-6), report.format_table()
+
+
+@pytest.mark.parametrize("op, shapes", [
+    pytest.param(dm.matmul, [(2, 2), (2, 2)], id="matmul"),
+    pytest.param(dm.mix_matmul, [(2, 2), (2, 2)], id="mix_matmul"),
+    pytest.param(dm.add, [(2, 2), (2, 2)], id="add"),
+    pytest.param(dm.linear, [(2, 2), (2, 2), (2, 1)], id="linear"),
+    pytest.param(lambda *ts: dm.weighted_sum((t, 1.0) for t in ts), [(1, 1), (1, 1)],
+                 id="weighted_sum"),
+])
+def test_mixing_tapes_is_rejected(op, shapes):
+    # each operand in turn comes from a second tape
+    home, other = dm.Tape(), dm.Tape()
+    for odd in range(len(shapes)):
+        ts = [(other if i == odd else home).leaf(np.ones(s)) for i, s in enumerate(shapes)]
+        with pytest.raises(ValueError, match="different tapes"):
+            op(*ts)
 
 
 def test_weighted_sum_requires_scalar_terms():

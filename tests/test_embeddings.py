@@ -42,6 +42,16 @@ def test_registry_rejects_duplicates_and_reserved_name():
         ClassRegistry(base=("a",)).index("zebra")
 
 
+def test_numbered_registry_names_its_classes_and_rejects_a_negative_count():
+    reg = ClassRegistry.numbered(2, 1)
+    assert reg.base == ("base00", "base01") and reg.novel == ("novel00",)
+    assert ClassRegistry.numbered(0, 0).n == 1  # the background alone
+    with pytest.raises(ValueError, match="negative class count: -1 base, 2 novel"):
+        ClassRegistry.numbered(-1, 2)
+    with pytest.raises(ValueError, match="negative class count: 3 base, -3 novel"):
+        ClassRegistry.numbered(3, -3)
+
+
 def test_registry_tokens_for_uses_override_else_name():
     reg = ClassRegistry(base=("a",), novel=("b", "c", "d"), tokens={"c": ("sea",)})
     assert reg.tokens_for("c") == ("sea",)

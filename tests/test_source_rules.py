@@ -4,6 +4,9 @@ A ``Param`` owns its one gradient buffer for life, and a tape node gets its
 buffer when it is built; nothing else may bind a ``.grad`` attribute.  ``+=``
 on a buffer accumulates in place and is allowed.
 
+Every op records its backward through ``diffmath._op``; nothing else outside
+``Tape`` touches the tape's record.
+
 BLAS (``@``, ``np.dot``, ``np.matmul``, ``np.linalg``) runs only at the
 listed call sites: the forward products go through the order-controlled
 ``kernels``, whose bits do not depend on the BLAS build.
@@ -75,6 +78,59 @@ def reset(ps):
         ("diffmath", "reset", 17),
     ]
     assert grad_bindings(source, "training")[0] == ("training", "Param", "__init__", 4)
+
+
+# (module, top-level scope) pairs allowed to reach the tape's record: the tape
+# itself and the one helper that every op records through
+RECORDERS = {("diffmath", "Tape"), ("diffmath", "_op")}
+_RECORD_NAMES = {"_record", "_ops"}
+
+
+def record_uses(source: str, module: str) -> list:
+    """Sorted (module, scope, line) of every ``._record`` or ``._ops``
+    attribute, and every string naming one, outside RECORDERS."""
+    found = []
+    for top in ast.parse(source).body:
+        scope = getattr(top, "name", "<module>")
+        if (module, scope) in RECORDERS:
+            continue
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr in _RECORD_NAMES) or (
+                    isinstance(node, ast.Constant) and node.value in _RECORD_NAMES):
+                found.append((module, scope, node.lineno))
+    return sorted(found)
+
+
+def test_only_the_op_helper_records_on_a_tape():
+    files = sorted(SRC.glob("*.py"))
+    assert [hit for f in files for hit in record_uses(f.read_text(), f.stem)] == []
+    # read as another module's source, diffmath's record sits in exactly the
+    # allowed scopes, so the rule above is not vacuous
+    diffmath = (SRC / "diffmath.py").read_text()
+    assert {scope for _, scope, _ in record_uses(diffmath, "elsewhere")} == {"Tape", "_op"}
+
+
+def test_the_record_rule_sees_every_kind_of_use():
+    source = '''
+class Tape:
+    def _record(self, fn):
+        self._ops.append(fn)
+
+def _op(value, *operands):
+    operands[0][0].tape._record(lambda: None)
+
+def add(a, b):
+    a.tape._record(lambda: None)
+
+    def inner():
+        return len(b.tape._ops), getattr(b.tape, "_record")
+    return inner, "_ops are private"
+'''
+    assert record_uses(source, "diffmath") == [
+        ("diffmath", "add", 10), ("diffmath", "add", 13), ("diffmath", "add", 13),
+    ]
+    assert [scope for _, scope, _ in record_uses(source, "head")] == [
+        "Tape", "_op", "add", "add", "add"]
 
 
 # (module, top-level function) scopes allowed to call BLAS, and why
