@@ -10,7 +10,6 @@ is itself accepted by ``--config``, which reproduces the run byte for byte.
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,11 +20,19 @@ from . import relation as rel
 from .diffmath import grad_check
 from .embeddings import (
     DEFAULT_EMBED_DIM,
+    NONNEG,
+    NONNEG_INT,
+    POSITIVE,
+    POSITIVE_INT,
+    UNIT,
+    UNIT_BELOW_1,
     ClassRegistry,
+    Interval,
     load_embedding_file,
     load_json,
     load_registry,
     random_embeddings,
+    save_csv,
     save_embedding_file,
     save_json,
     save_registry,
@@ -76,7 +83,7 @@ from .wordnet import (
 class Opt:
     flag: str
     default: object = None
-    type: object = str
+    type: object = str  # str, or the Interval a number must lie in
     help: str = ""
     choices: tuple | None = None
     required: bool = False
@@ -106,31 +113,31 @@ def _build_subparser(sub, name: str, help_text: str, opts) -> None:
                 default=argparse.SUPPRESS, help=opt.help,
             )
         else:
+            bound = opt.type if isinstance(opt.type, Interval) else None
+            note = bound and f"{bound.kind.__name__} in {bound}"
             p.add_argument(
-                opt.flag, dest=opt.dest, type=opt.type, choices=opt.choices,
-                default=argparse.SUPPRESS, help=opt.help,
+                opt.flag, dest=opt.dest, type=bound.kind if bound else str, choices=opt.choices,
+                default=argparse.SUPPRESS, help="; ".join(filter(None, (opt.help, note))),
             )
 
 
-def _coerce(opt: Opt, value, source: str):
+def _coerce(opt: Opt, value, where: str):
+    """``value`` as ``opt`` takes it; a ValueError names ``where`` it came from."""
     if value is None:
         return None
     if opt.bool_flag:
         if not isinstance(value, bool):
-            raise ValueError(f"{source}: key {opt.key!r} expects true/false")
+            raise ValueError(f"{where} expects true/false")
         return value
-    if opt.type is int:
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise ValueError(f"{source}: key {opt.key!r} expects an integer")
-        value = int(value)
-    elif opt.type is float:
-        value = float(value)
-    else:
-        value = str(value)
+    if isinstance(opt.type, Interval):
+        kind = opt.type.kind
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError(f"{where} expects {'an integer' if kind is int else 'a number'}")
+        return opt.type.check(kind(value), where)
+    value = str(value)
     if opt.choices is not None and value not in opt.choices:
-        raise ValueError(
-            f"{source}: key {opt.key!r} expects one of {list(opt.choices)}, got {value!r}"
-        )
+        raise ValueError(f"{where} expects one of {list(opt.choices)}, got {value!r}")
     return value
 
 
@@ -149,11 +156,11 @@ def _resolve(opts, ns: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(f"{config_path}: unknown config keys {unknown}")
         for key, value in obj.items():
-            cfg[key] = _coerce(by_key[key], value, config_path)
+            cfg[key] = _coerce(by_key[key], value, f"{config_path}: key {key!r}")
 
     for opt in opts:
         if hasattr(ns, opt.dest):
-            cfg[opt.key] = getattr(ns, opt.dest)
+            cfg[opt.key] = _coerce(opt, getattr(ns, opt.dest), opt.flag)
 
     missing = [o.key for o in opts if o.required and cfg[o.key] is None]
     if missing:
@@ -178,18 +185,9 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-def _check_at_least(cfg: dict, **least: int) -> None:
-    """Reject an integer option below its least value, naming its flag."""
-    for name, low in least.items():
-        value = cfg[name.replace("_", ".")]
-        if value < low:
-            raise ValueError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
-
-
 def _load_embeddings(cfg: dict, registry: ClassRegistry):
     source = cfg["embeddings"]
     if source == "random":
-        _check_at_least(cfg, embed_dim=1)
         return random_embeddings(registry, cfg["embed.dim"], cfg["embed.seed"])
     return load_embedding_file(source, registry, cfg["background.seed"])
 
@@ -230,16 +228,11 @@ def _parse_int_list(text: str, what: str) -> list:
         raise ValueError(f"{what} must be a comma-separated integer list, got {text!r}") from None
     if not values:
         raise ValueError(f"{what} is empty")
-    if min(values) < 1:
-        raise ValueError(f"{what} values must be at least 1, got {text!r}")
-    return values
+    return [POSITIVE_INT.check(v, what) for v in values]
 
 
 def _write_matrix_csv(path: Path, matrix: np.ndarray, row_names, col_names) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("," + ",".join(col_names) + "\n")
-        for name, row in zip(row_names, matrix):
-            fh.write(name + "," + ",".join(f"{v:.9g}" for v in row) + "\n")
+    save_csv(path, ["", *col_names], ([name, *row] for name, row in zip(row_names, matrix)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,33 +241,35 @@ def _write_matrix_csv(path: Path, matrix: np.ndarray, row_names, col_names) -> N
 _EMBED_OPTS = [
     Opt("--embeddings", default="random",
         help="word2vec text file, or 'random' for seeded random rows"),
-    Opt("--embed-dim", default=DEFAULT_EMBED_DIM, type=int, help="dim for random embeddings"),
-    Opt("--embed-seed", default=0, type=int, help="seed for random embeddings"),
-    Opt("--background-seed", default=0, type=int, help="seed of the background row"),
+    Opt("--embed-dim", default=DEFAULT_EMBED_DIM, type=POSITIVE_INT,
+        help="dim for random embeddings"),
+    Opt("--embed-seed", default=0, type=NONNEG_INT, help="seed for random embeddings"),
+    Opt("--background-seed", default=0, type=NONNEG_INT, help="seed of the background row"),
 ]
 
 _OPTIM_OPTS = [
-    Opt("--momentum", default=DEFAULT_MOMENTUM, type=float),
-    Opt("--weight-decay", default=DEFAULT_WEIGHT_DECAY, type=float),
-    Opt("--batch-size", default=TrainConfig.batch_size, type=int),
-    Opt("--reg-weight", default=TrainConfig.reg_weight, type=float,
+    Opt("--momentum", default=DEFAULT_MOMENTUM, type=UNIT_BELOW_1),
+    Opt("--weight-decay", default=DEFAULT_WEIGHT_DECAY, type=NONNEG),
+    Opt("--batch-size", default=TrainConfig.batch_size, type=POSITIVE_INT),
+    Opt("--reg-weight", default=TrainConfig.reg_weight, type=NONNEG,
         help="weight of the regression loss"),
 ]
 
 TRAIN_OPTS = [
     Opt("--out-dir", required=True),
-    Opt("--seed", default=0, type=int),
+    Opt("--seed", default=0, type=NONNEG_INT),
     Opt("--data", required=True, help="JSONL feature records for base training"),
     Opt("--registry", required=True, help="class registry JSON"),
     *_EMBED_OPTS,
     Opt("--mode", default=HeadConfig.mode.value, choices=("baseline", "ssp", "srr")),
     Opt("--graph-mode", choices=("none", "dynamic", "heuristic", "tt"),
         help="relation stage for srr heads (default: dynamic)"),
-    Opt("--proj-dim", default=HeadConfig.d, type=int, help="trunk output dim d"),
-    Opt("--reduced-dim", default=HeadConfig.r, type=int, help="attention reduced dim r"),
-    Opt("--lr", default=DEFAULT_BASE_LR, type=float),
+    Opt("--proj-dim", default=HeadConfig.d, type=POSITIVE_INT, help="trunk output dim d"),
+    Opt("--reduced-dim", default=HeadConfig.r, type=POSITIVE_INT,
+        help="attention reduced dim r"),
+    Opt("--lr", default=DEFAULT_BASE_LR, type=POSITIVE),
     *_OPTIM_OPTS,
-    Opt("--steps", default=TrainConfig.steps, type=int),
+    Opt("--steps", default=TrainConfig.steps, type=POSITIVE_INT),
     Opt("--scaled-attention", default=HeadConfig.scaled_attention, bool_flag=True,
         help="divide attention scores by sqrt(r)"),
     Opt("--graph-in-base", default=HeadConfig.graph_in_base, bool_flag=True,
@@ -324,16 +319,16 @@ def cmd_train(cfg: dict) -> int:
 
 FINETUNE_OPTS = [
     Opt("--out-dir", required=True),
-    Opt("--seed", default=0, type=int),
+    Opt("--seed", default=0, type=NONNEG_INT),
     Opt("--checkpoint", required=True, help="head.json from a train run"),
     Opt("--registry", help="expanded registry JSON (default: keep the checkpoint's)"),
     *_EMBED_OPTS,
     Opt("--base-data", required=True, help="JSONL base records to balance against"),
     Opt("--novel-data", required=True, help="JSONL novel records to sample shots from"),
-    Opt("--k", default=1, type=int, help="shots per novel class"),
-    Opt("--base-shots", type=int, help="records per base class (default: k)"),
-    Opt("--steps", type=int, help="override the step rule"),
-    Opt("--lr", default=DEFAULT_FINETUNE_LR, type=float),
+    Opt("--k", default=1, type=POSITIVE_INT, help="shots per novel class"),
+    Opt("--base-shots", type=NONNEG_INT, help="records per base class (default: k)"),
+    Opt("--steps", type=POSITIVE_INT, help="override the step rule"),
+    Opt("--lr", default=DEFAULT_FINETUNE_LR, type=POSITIVE),
     *_OPTIM_OPTS,
     Opt("--trainable", help="comma list of param groups (default: P,relation,b for srr, "
                             "P,b for ssp, W,b for baseline)"),
@@ -404,22 +399,21 @@ def cmd_finetune(cfg: dict) -> int:
 
 SWEEP_OPTS = [
     Opt("--out-dir", required=True),
-    Opt("--seed", default=0, type=int, help="first seed of the batch"),
+    Opt("--seed", default=0, type=NONNEG_INT, help="first seed of the batch"),
     Opt("--mode", default=PipelineConfig.mode.value, choices=("baseline", "ssp", "srr")),
     Opt("--graph-mode", choices=("none", "dynamic", "heuristic", "tt")),
-    Opt("--alpha", default=PipelineConfig.alpha, type=float,
+    Opt("--alpha", default=PipelineConfig.alpha, type=UNIT,
         help="embedding-to-feature coupling of the bundled generator"),
     Opt("--shots", default=",".join(map(str, DEFAULT_SHOT_LIST))),
-    Opt("--seeds", default=20, type=int, help="number of seeds"),
-    Opt("--base-classes", default=PipelineConfig.n_base, type=int),
-    Opt("--novel-classes", default=PipelineConfig.n_novel, type=int),
+    Opt("--seeds", default=20, type=POSITIVE_INT, help="number of seeds"),
+    Opt("--base-classes", default=PipelineConfig.n_base, type=POSITIVE_INT),
+    Opt("--novel-classes", default=PipelineConfig.n_novel, type=POSITIVE_INT),
 ]
 
 
 def cmd_sweep(cfg: dict) -> int:
     HeadConfig(mode=cfg["mode"], graph_mode=cfg.get("graph.mode"))  # reject a bad pair
     shots = _parse_int_list(cfg["shots"], "--shots")
-    _check_at_least(cfg, seeds=1, base_classes=1, novel_classes=1)
     out = _out_dir(cfg)
     pcfg = bundled_benchmark(
         mode=cfg["mode"], graph_mode=cfg.get("graph.mode"), alpha=cfg["alpha"],
@@ -465,17 +459,17 @@ def cmd_eval(cfg: dict) -> int:
 
 GRADCHECK_OPTS = [
     Opt("--out-dir", help="optional; writes gradcheck.json when given"),
-    Opt("--seed", default=0, type=int),
+    Opt("--seed", default=0, type=NONNEG_INT),
     Opt("--mode", default="all", choices=("all", "baseline", "ssp", "srr")),
-    Opt("--base-classes", default=3, type=int),
-    Opt("--novel-classes", default=2, type=int),
-    Opt("--embed-dim", default=16, type=int),
-    Opt("--proj-dim", default=8, type=int),
-    Opt("--reduced-dim", default=4, type=int),
-    Opt("--feat-dim", default=10, type=int),
-    Opt("--batch", default=3, type=int),
-    Opt("--eps", default=1e-4, type=float),
-    Opt("--threshold", default=1e-5, type=float),
+    Opt("--base-classes", default=3, type=NONNEG_INT),
+    Opt("--novel-classes", default=2, type=NONNEG_INT),
+    Opt("--embed-dim", default=16, type=POSITIVE_INT),
+    Opt("--proj-dim", default=8, type=POSITIVE_INT),
+    Opt("--reduced-dim", default=4, type=POSITIVE_INT),
+    Opt("--feat-dim", default=10, type=POSITIVE_INT),
+    Opt("--batch", default=3, type=POSITIVE_INT),
+    Opt("--eps", default=1e-4, type=POSITIVE),
+    Opt("--threshold", default=1e-5, type=POSITIVE),
 ]
 
 
@@ -509,10 +503,6 @@ def run_gradcheck(mode: str, cfg: dict):
 
 
 def cmd_gradcheck(cfg: dict) -> int:
-    for key in ("eps", "threshold"):
-        if not (math.isfinite(cfg[key]) and cfg[key] > 0):
-            raise ValueError(f"--{key} must be finite and positive, got {cfg[key]}")
-    _check_at_least(cfg, batch=1, embed_dim=1, base_classes=0, novel_classes=0)
     modes = ("baseline", "ssp", "srr") if cfg["mode"] == "all" else (cfg["mode"],)
     threshold = cfg["threshold"]
     all_ok = True
@@ -615,24 +605,23 @@ def cmd_closure(cfg: dict) -> int:
 
 SYNTH_OPTS = [
     Opt("--out-dir", required=True),
-    Opt("--seed", default=0, type=int),
-    Opt("--alpha", default=SynthConfig.alpha, type=float),
-    Opt("--sigma", type=float, help="feature noise (default: margin rule)"),
-    Opt("--margin-scale", default=SynthConfig.margin_scale, type=float),
-    Opt("--base-classes", default=PipelineConfig.n_base, type=int),
-    Opt("--novel-classes", default=PipelineConfig.n_novel, type=int),
-    Opt("--embed-dim", default=PipelineConfig.d_e, type=int),
-    Opt("--feat-dim", default=SynthConfig.d_in, type=int),
-    Opt("--train-per-class", default=SynthConfig.train_per_class, type=int),
-    Opt("--test-per-class", default=SynthConfig.test_per_class, type=int),
+    Opt("--seed", default=0, type=NONNEG_INT),
+    Opt("--alpha", default=SynthConfig.alpha, type=UNIT),
+    Opt("--sigma", type=NONNEG, help="feature noise (default: margin rule)"),
+    Opt("--margin-scale", default=SynthConfig.margin_scale, type=NONNEG),
+    Opt("--base-classes", default=PipelineConfig.n_base, type=POSITIVE_INT),
+    Opt("--novel-classes", default=PipelineConfig.n_novel, type=NONNEG_INT),
+    Opt("--embed-dim", default=PipelineConfig.d_e, type=POSITIVE_INT),
+    Opt("--feat-dim", default=SynthConfig.d_in, type=POSITIVE_INT),
+    Opt("--train-per-class", default=SynthConfig.train_per_class, type=POSITIVE_INT),
+    Opt("--test-per-class", default=SynthConfig.test_per_class, type=POSITIVE_INT),
     Opt("--embeddings", default="clustered", choices=("clustered", "random")),
-    Opt("--clusters", default=PipelineConfig.n_clusters, type=int),
-    Opt("--spread", default=CLUSTER_SPREAD, type=float),
+    Opt("--clusters", default=PipelineConfig.n_clusters, type=POSITIVE_INT),
+    Opt("--spread", default=CLUSTER_SPREAD, type=NONNEG),
 ]
 
 
 def cmd_synth(cfg: dict) -> int:
-    _check_at_least(cfg, embed_dim=1, base_classes=0, novel_classes=0)
     out = _out_dir(cfg)
     registry = ClassRegistry.numbered(cfg["base.classes"], cfg["novel.classes"])
     if cfg["embeddings"] == "clustered":

@@ -8,6 +8,7 @@ and never depends on any class vector.
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,8 +93,8 @@ class ClassRegistry:
     @classmethod
     def numbered(cls, n_base: int, n_novel: int) -> "ClassRegistry":
         """Classes ``base00``, ``base01``, ... then ``novel00``, ``novel01``, ..."""
-        if min(n_base, n_novel) < 0:
-            raise ValueError(f"negative class count: {n_base} base, {n_novel} novel")
+        NONNEG_INT.check(n_base, "n_base")
+        NONNEG_INT.check(n_novel, "n_novel")
         return cls(base=tuple(f"base{i:02d}" for i in range(n_base)),
                    novel=tuple(f"novel{i:02d}" for i in range(n_novel)))
 
@@ -120,6 +121,39 @@ class ClassRegistry:
         )
 
 
+@dataclass(frozen=True)
+class Interval:
+    """The values a numeric setting may take: ``kind`` numbers from ``lo`` to
+    ``hi``, each end closed (``[`` or ``]``) or open (``(`` or ``)``) as
+    ``ends`` says.  The named intervals below leave every infinite end
+    open, so NaN and +-inf lie in none of them."""
+
+    kind: type
+    lo: float
+    hi: float = float("inf")
+    ends: str = "[)"
+
+    def __str__(self) -> str:
+        return f"{self.ends[0]}{self.lo:g}, {self.hi:g}{self.ends[1]}"
+
+    def check(self, value, name: str):
+        """``value`` if it lies in the interval; else a ValueError naming the
+        setting ``name``, the interval and the value."""
+        if not (isinstance(value, numbers.Integral if self.kind is int else numbers.Real) and (
+                self.lo < value if self.ends[0] == "(" else self.lo <= value) and (
+                value < self.hi if self.ends[1] == ")" else value <= self.hi)):
+            raise ValueError(f"{name} must be finite and in {self}, got {value}")
+        return value
+
+
+POSITIVE_INT = Interval(int, 1)
+NONNEG_INT = Interval(int, 0)
+POSITIVE = Interval(float, 0, ends="()")
+NONNEG = Interval(float, 0)
+UNIT = Interval(float, 0, 1, "[]")
+UNIT_BELOW_1 = Interval(float, 0, 1)
+
+
 def read_file(path, parse):
     """``parse`` of the open text file ``path``; a ValueError names ``path``."""
     with open(path, encoding="utf-8") as fh:
@@ -139,6 +173,14 @@ def save_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_csv(path, header, rows):
+    """A comma-separated file: ``header``, then one line per row; floats
+    are written ``.9g`` and every other value with ``str``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for row in [header, *rows]:
+            fh.write(",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def load_registry(path) -> ClassRegistry:

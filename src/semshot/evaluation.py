@@ -6,10 +6,11 @@ novel groups, mirroring the two-phase protocol.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
+from .embeddings import save_csv
 from .head import Head, check_finite, forward_pass
 from .records import FeatureSet, batch_features
 
@@ -91,12 +92,12 @@ def paired_onesided_pvalue(greater, lesser) -> float:
 
 
 @dataclass
-class SweepRow:
+class SweepRow:  # one line of sweep.csv, in column order
     k: int
     seed: int
+    base_accuracy_before: float
     base_accuracy: float
     novel_accuracy: float
-    base_accuracy_before: float
 
 
 @dataclass
@@ -124,10 +125,4 @@ class SweepResult:
 
 
 def save_sweep_csv(path, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("k,seed,base_accuracy_before,base_accuracy,novel_accuracy\n")
-        for r in rows:
-            fh.write(
-                f"{r.k},{r.seed},{r.base_accuracy_before:.9g},"
-                f"{r.base_accuracy:.9g},{r.novel_accuracy:.9g}\n"
-            )
+    save_csv(path, [f.name for f in fields(SweepRow)], map(astuple, rows))

@@ -24,7 +24,7 @@ import numpy as np
 from . import diffmath as dm
 from . import relation as rel
 from .diffmath import Param, Tape
-from .embeddings import ClassRegistry, EmbeddingMatrix, load_json
+from .embeddings import NONNEG, POSITIVE_INT, ClassRegistry, EmbeddingMatrix, load_json
 from .records import REG_DIM, FeatureSet, batch_features
 
 
@@ -49,12 +49,8 @@ class HeadConfig:
 
     def __post_init__(self):
         for name in ("d_in", "d", "r"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"head dimension {name} must be at least 1, got {value}")
-        if not (np.isfinite(self.attention_gain) and self.attention_gain >= 0):
-            raise ValueError(f"attention_gain must be finite and at least 0, "
-                             f"got {self.attention_gain}")
+            POSITIVE_INT.check(getattr(self, name), f"head dimension {name}")
+        NONNEG.check(self.attention_gain, "attention_gain")
         if isinstance(self.mode, str):
             self.mode = HeadMode(self.mode)
         if isinstance(self.graph_mode, str):

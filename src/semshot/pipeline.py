@@ -18,7 +18,8 @@ import numpy as np
 
 from . import relation as rel
 from .diffmath import l2_normalize_rows
-from .embeddings import ClassRegistry, EmbeddingMatrix, compose_background_row
+from .embeddings import (NONNEG, POSITIVE_INT, ClassRegistry, EmbeddingMatrix,
+                         compose_background_row)
 from .evaluation import MetricsReport, SweepResult, SweepRow, evaluate
 from .head import (
     Head,
@@ -63,9 +64,7 @@ def noisy_view(we: EmbeddingMatrix, noise: float, seed: int) -> EmbeddingMatrix:
     Attention over related classes can average the corruption back out,
     which is the capability the dynamic-graph head is meant to show.
     """
-    if noise < 0:
-        raise ValueError("embedding noise must be non-negative")
-    if noise == 0:
+    if NONNEG.check(noise, "embedding noise") == 0:
         return we
     rng = np.random.default_rng([seed, _STREAM_EMBED_NOISE])
     rows = l2_normalize_rows(we.matrix + noise * rng.standard_normal(we.matrix.shape))
@@ -81,10 +80,8 @@ def clustered_embeddings(registry: ClassRegistry, dim: int, n_clusters: int,
     class has semantically close base classes, which is what the relation
     stage feeds on.
     """
-    if n_clusters < 1:
-        raise ValueError(f"n_clusters must be at least 1, got {n_clusters}")
-    if not (np.isfinite(spread) and spread >= 0):
-        raise ValueError(f"spread must be finite and at least 0, got {spread}")
+    POSITIVE_INT.check(n_clusters, "n_clusters")
+    NONNEG.check(spread, "spread")
     rng = np.random.default_rng([seed, _STREAM_CLUSTER])
     centers = l2_normalize_rows(rng.standard_normal((n_clusters, dim)))
     names = registry.base + registry.novel

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import ClassRegistry, EmbeddingMatrix
+from .embeddings import NONNEG, POSITIVE_INT, UNIT, ClassRegistry, EmbeddingMatrix
 from .records import REG_DIM, FeatureSet, concat
 
 _STREAM_MAP = 1
@@ -39,16 +39,11 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.d_in <= 0:
-            raise ValueError("d_in must be positive")
-        if self.train_per_class < 1 or self.test_per_class < 1:
-            raise ValueError("need at least one record per class per split")
-        for name in ("noise_std", "margin_scale"):
-            value = getattr(self, name)
-            if value is not None and not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and at least 0, got {value}")
+        for name, bound in (("alpha", UNIT), ("d_in", POSITIVE_INT), ("margin_scale", NONNEG),
+                            ("train_per_class", POSITIVE_INT), ("test_per_class", POSITIVE_INT)):
+            bound.check(getattr(self, name), name)
+        if self.noise_std is not None:
+            NONNEG.check(self.noise_std, "noise_std")
 
 
 @dataclass

@@ -13,11 +13,13 @@ v <- mu v + g + wd p;  p <- p - lr v.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import kernels
+from .embeddings import (NONNEG, NONNEG_INT, POSITIVE, POSITIVE_INT, UNIT_BELOW_1,
+                         save_csv)
 from .head import Head, HeadMode, batch_forward, divergence_cause, trunk_features
 from .records import FeatureSet, concat
 
@@ -54,13 +56,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, ok, want in (("lr", self.lr > 0, "positive"),
-                               ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
-                               ("weight_decay", self.weight_decay >= 0, "at least 0"),
-                               ("reg_weight", self.reg_weight >= 0, "at least 0")):
-            value = getattr(self, name)
-            if not (ok and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and {want}, got {value}")
+        for name, bound in (("lr", POSITIVE), ("momentum", UNIT_BELOW_1),
+                            ("weight_decay", NONNEG), ("reg_weight", NONNEG)):
+            bound.check(getattr(self, name), name)
 
 
 def finetune_config(**overrides) -> TrainConfig:
@@ -112,9 +110,8 @@ def sample_episode(base_data: FeatureSet, novel_data: FeatureSet, k: int,
     larger k extends the smaller episode instead of reshuffling it.  A class
     with fewer than the requested records is an error naming the shortfall.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    base_shots = base_shots if base_shots is not None else k
+    POSITIVE_INT.check(k, "k")
+    base_shots = NONNEG_INT.check(base_shots if base_shots is not None else k, "base_shots")
     rng = np.random.default_rng([seed, _STREAM_EPISODE])
 
     def pick(data, count, kind):
@@ -134,11 +131,6 @@ def sample_episode(base_data: FeatureSet, novel_data: FeatureSet, k: int,
     return Episode(base, pick(novel_data, k, "novel"), k, base_shots)
 
 
-def _check_batch_size(batch_size: int) -> None:
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
-
-
 def balanced_batch_iter(data: FeatureSet, batch_size: int, seed: int):
     """Endless batches of column indices into ``data``; each slot draws a
     class uniformly, then one of that class's records uniformly.
@@ -149,7 +141,7 @@ def balanced_batch_iter(data: FeatureSet, batch_size: int, seed: int):
     """
     if not len(data):
         raise ValueError("balanced batches need a non-empty pool")
-    _check_batch_size(batch_size)
+    POSITIVE_INT.check(batch_size, "batch_size")
     pools = list(data.label_columns().values())
     rng = np.random.default_rng([seed, _STREAM_BALANCE])
 
@@ -169,7 +161,7 @@ def balanced_batch_iter(data: FeatureSet, batch_size: int, seed: int):
 
 
 @dataclass
-class TraceRow:
+class TraceRow:  # one line of trace.csv, in column order
     step: int
     lr: float
     loss: float
@@ -242,7 +234,7 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
 
 
 def _uniform_batches(data: FeatureSet, batch_size: int, seed: int):
-    _check_batch_size(batch_size)
+    POSITIVE_INT.check(batch_size, "batch_size")
     rng = np.random.default_rng([seed, _STREAM_BATCH])
     return (rng.integers(0, len(data), size=batch_size) for _ in itertools.count())
 
@@ -255,8 +247,7 @@ def base_train(head: Head, base_data: FeatureSet, cfg: TrainConfig) -> TrainResu
     """
     if not len(base_data):
         raise ValueError("base_train needs at least one record")
-    if cfg.steps is None or cfg.steps < 1:
-        raise ValueError("base_train needs an explicit positive step budget")
+    POSITIVE_INT.check(cfg.steps, "base_train steps")
     use_graph = head.cfg.graph_in_base
     groups = [g for g in head.param_groups() if use_graph or g != "relation"]
     return _run_phase(
@@ -285,9 +276,8 @@ def finetune_steps_for(episode: Episode) -> int:
 
 def finetune(head: Head, episode: Episode, cfg: TrainConfig) -> TrainResult:
     """Phase two: balanced base/novel batches, frozen except the chosen groups."""
-    steps = cfg.steps if cfg.steps is not None else finetune_steps_for(episode)
-    if steps < 1:
-        raise ValueError("finetune needs a positive step budget")
+    steps = POSITIVE_INT.check(cfg.steps if cfg.steps is not None
+                               else finetune_steps_for(episode), "finetune steps")
     data = concat(episode.base, episode.novel)
     return _run_phase(
         "finetune", head, data, range(head.registry.n), default_finetune_groups(head), steps,
@@ -296,9 +286,4 @@ def finetune(head: Head, episode: Episode, cfg: TrainConfig) -> TrainResult:
 
 
 def save_trace_csv(path, trace):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("step,lr,loss,loss_cls,loss_reg\n")
-        for row in trace:
-            fh.write(
-                f"{row.step},{row.lr:.9g},{row.loss:.9g},{row.loss_cls:.9g},{row.loss_reg:.9g}\n"
-            )
+    save_csv(path, [f.name for f in fields(TraceRow)], map(astuple, trace))

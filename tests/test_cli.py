@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semshot.cli import main
-from semshot.embeddings import ClassRegistry, load_registry, save_registry
+from semshot.cli import _COMMANDS, main
+from semshot.embeddings import ClassRegistry, Interval, load_registry, save_registry
 from semshot.head import HeadConfig, build_head, head_state
 
 CHAIN = "n00000001\tn00000002\nn00000002\tn00000003\n"
@@ -213,25 +214,59 @@ def test_sweep_rejects_graph_mode_without_relation_stage(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv,message", [
-    (["train", "--mode", "srr", "--proj-dim", 0], "head dimension d must be at least 1, got 0"),
-    (["train", "--mode", "srr", "--reduced-dim", 0], "head dimension r must be at least 1, got 0"),
-    (["train", "--mode", "srr", "--reduced-dim", -3],
-     "head dimension r must be at least 1, got -3"),
-    (["gradcheck", "--proj-dim", 0], "head dimension d must be at least 1, got 0"),
-    (["synth", "--clusters", 0], "n_clusters must be at least 1, got 0"),
+_NUMERIC_OPTS = [(command, opt) for command, (_, opts, _) in _COMMANDS.items()
+                 for opt in opts if isinstance(opt.type, Interval)]
+
+
+def _outside(bound):
+    """The nearest values outside ``bound`` at each finite end, and NaN and
+    inf for a float interval."""
+    def step(x, to):
+        return x + (1 if to > x else -1) if bound.kind is int else math.nextafter(x, to)
+
+    values = [bound.lo if bound.ends[0] == "(" else step(bound.lo, -math.inf)]
+    if math.isfinite(bound.hi):
+        values.append(bound.hi if bound.ends[1] == ")" else step(bound.hi, math.inf))
+    return [bound.kind(v) for v in values] + ([math.nan, math.inf] if bound.kind is float else [])
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_every_numeric_option_declares_an_interval_holding_its_default(command, capsys):
+    assert run(command, "--help") == 0
+    usage = " ".join(capsys.readouterr().out.split())
+    for opt in _COMMANDS[command][1]:
+        numeric = opt.type in (int, float) or (
+            isinstance(opt.default, (int, float)) and not opt.bool_flag)
+        assert isinstance(opt.type, Interval) or not numeric, opt.flag
+        if isinstance(opt.type, Interval):
+            if opt.default is not None:
+                assert opt.type.check(opt.default, opt.flag) == opt.default
+            entry = usage.split(f"{opt.flag} {opt.dest.upper()} ")[-1].split(" --")[0]
+            assert entry.endswith(f"{opt.type.kind.__name__} in {opt.type}"), entry
+
+
+@pytest.mark.parametrize("command,opt,value,given", [
+    pytest.param(command, opt, value, given, id=f"{command}{opt.flag}={value!r}-{given}")
+    for command, opt in _NUMERIC_OPTS for value in _outside(opt.type)
+    for given in ("flag", "config")
 ])
-def test_bad_dimensions_exit_1_naming_the_field(corpus, tmp_path, capsys, argv, message):
-    if argv[0] == "train":
-        argv = argv + ["--data", corpus / "base_train.jsonl",
-                       "--registry", corpus / "registry_base.json",
-                       "--embeddings", corpus / "embeddings.txt", "--steps", 2]
-    if argv[0] != "gradcheck":
-        argv = argv + ["--out-dir", tmp_path / "out"]
-    assert run(*argv) == 1
+def test_bad_number_names_its_flag_or_key(
+        tmp_path, capsys, command, opt, value, given):
+    # no required option is given: the bound check comes first, before any
+    # input is read or the out dir is made
+    out = tmp_path / "out"
+    if given == "flag":
+        argv = [f"{opt.flag}={value!r}"]
+        source = opt.flag
+    else:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({opt.key: value}))
+        argv = ["--config", cfg_file]
+        source = f"{cfg_file}: key {opt.key!r}"
+    assert run(command, *argv, "--out-dir", out) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {message}\n"
-    assert "Traceback" not in err
+    assert err == f"error: {source} must be finite and in {opt.type}, got {value}\n"
+    assert not out.exists()
 
 
 def test_missing_required_options_fail(capsys):
@@ -330,39 +365,61 @@ def _bad_input_cases(corpus, trained, bad):
                                      "--shots must be a comma-separated integer list, got '1,x'"),
         "sweep_shots_empty": ("", ["sweep", "--shots", ","], "--shots is empty"),
         "sweep_shots_zero": ("", ["sweep", "--shots", "0"],
-                             "--shots values must be at least 1, got '0'"),
+                             "--shots must be finite and in [1, inf), got 0"),
         "sweep_shots_negative": ("", ["sweep", "--shots", "1,-2"],
-                                 "--shots values must be at least 1, got '1,-2'"),
-        "sweep_seeds_zero": ("", ["sweep", "--seeds", 0], "--seeds must be at least 1, got 0"),
+                                 "--shots must be finite and in [1, inf), got -2"),
+        "sweep_seeds_zero": ("", ["sweep", "--seeds", 0],
+                             "--seeds must be finite and in [1, inf), got 0"),
         "sweep_base_classes_zero": ("", ["sweep", "--base-classes", 0],
-                                    "--base-classes must be at least 1, got 0"),
+                                    "--base-classes must be finite and in [1, inf), got 0"),
         "gradcheck_base_classes_negative": ("", ["gradcheck", "--mode", "ssp",
                                                  "--base-classes", -1],
-                                            "--base-classes must be at least 0, got -1"),
+                                            "--base-classes must be finite and in [0, inf), "
+                                            "got -1"),
         "gradcheck_novel_classes_negative": ("", ["gradcheck", "--mode", "ssp",
                                                   "--novel-classes", -3],
-                                             "--novel-classes must be at least 0, got -3"),
+                                             "--novel-classes must be finite and in [0, inf), "
+                                             "got -3"),
         "gradcheck_embed_dim_zero": ("", ["gradcheck", "--embed-dim", 0],
-                                     "--embed-dim must be at least 1, got 0"),
+                                     "--embed-dim must be finite and in [1, inf), got 0"),
         "gradcheck_embed_dim_negative": ("", ["gradcheck", "--embed-dim", -2],
-                                         "--embed-dim must be at least 1, got -2"),
+                                         "--embed-dim must be finite and in [1, inf), got -2"),
         "synth_novel_classes_negative": ("", ["synth", "--novel-classes", -1],
-                                         "--novel-classes must be at least 0, got -1"),
+                                         "--novel-classes must be finite and in [0, inf), "
+                                         "got -1"),
+        "synth_base_classes_zero": ("", ["synth", "--base-classes", 0],
+                                    "--base-classes must be finite and in [1, inf), got 0"),
         "train_random_embed_dim_zero": ("", train(**{"--embeddings": "random"})
                                         + ["--embed-dim", 0],
-                                        "--embed-dim must be at least 1, got 0"),
+                                        "--embed-dim must be finite and in [1, inf), got 0"),
+        "train_random_embed_seed_negative": ("", train(**{"--embeddings": "random"})
+                                             + ["--embed-seed", -1],
+                                             "--embed-seed must be finite and in [0, inf), "
+                                             "got -1"),
+        "train_seed_negative": ("", train() + ["--seed", -1],
+                                "--seed must be finite and in [0, inf), got -1"),
+        "train_background_seed_negative": ("", train() + ["--background-seed", -1],
+                                           "--background-seed must be finite and in [0, inf), "
+                                           "got -1"),
+        "finetune_base_shots_negative": ("", finetune(corpus / "novel_train.jsonl")
+                                         + ["--base-shots", -1],
+                                         "--base-shots must be finite and in [0, inf), got -1"),
+        "config_base_shots_negative": ('{"base.shots": -1}',
+                                       finetune(corpus / "novel_train.jsonl") + ["--config", bad],
+                                       f"{bad}: key 'base.shots' must be finite and in [0, inf), "
+                                       "got -1"),
         "gradcheck_eps_zero": ("", ["gradcheck", "--eps", 0],
-                               "--eps must be finite and positive, got 0.0"),
+                               "--eps must be finite and in (0, inf), got 0.0"),
         "gradcheck_eps_inf": ("", ["gradcheck", "--eps", "inf"],
-                              "--eps must be finite and positive, got inf"),
+                              "--eps must be finite and in (0, inf), got inf"),
         "gradcheck_threshold_inf": ("", ["gradcheck", "--threshold", "inf"],
-                                    "--threshold must be finite and positive, got inf"),
+                                    "--threshold must be finite and in (0, inf), got inf"),
         "gradcheck_threshold_negative": ("", ["gradcheck", "--threshold", -1],
-                                         "--threshold must be finite and positive, got -1.0"),
+                                         "--threshold must be finite and in (0, inf), got -1.0"),
         "gradcheck_batch_zero": ("", ["gradcheck", "--batch", 0],
-                                 "--batch must be at least 1, got 0"),
+                                 "--batch must be finite and in [1, inf), got 0"),
         "gradcheck_batch_negative": ("", ["gradcheck", "--batch", -1],
-                                     "--batch must be at least 1, got -1"),
+                                     "--batch must be finite and in [1, inf), got -1"),
         "unknown_class": ("", evaluate(trained / "head.json", corpus / "novel_train.jsonl"),
                           "unknown class 'novel00'"),
         "empty_train_data": ("", train(**{"--data": bad}), f"{bad}: no records"),
@@ -370,30 +427,32 @@ def _bad_input_cases(corpus, trained, bad):
         "empty_eval_data": ("", evaluate(trained / "head.json", bad), f"{bad}: no records"),
         "partial_reg": ("".join(json.dumps(r) + "\n" for r in partial), train(**{"--data": bad}),
                         f"{bad}:2: lacks 'reg' unlike the first record"),
-        "batch_size_zero": ("", train() + ["--batch-size", 0], "batch_size must be at least 1"),
+        "batch_size_zero": ("", train() + ["--batch-size", 0],
+                            "--batch-size must be finite and in [1, inf), got 0"),
         "batch_size_negative": ("", train() + ["--batch-size", -2],
-                                "batch_size must be at least 1"),
+                                "--batch-size must be finite and in [1, inf), got -2"),
         "lr_negative": ("", train() + ["--lr", -0.001],
-                        "lr must be finite and positive, got -0.001"),
+                        "--lr must be finite and in (0, inf), got -0.001"),
         "momentum_above_one": ("", train() + ["--momentum", 1.5],
-                               "momentum must be finite and in [0, 1), got 1.5"),
+                               "--momentum must be finite and in [0, 1), got 1.5"),
         "weight_decay_negative": ("", train() + ["--weight-decay", -1],
-                                  "weight_decay must be finite and at least 0, got -1.0"),
+                                  "--weight-decay must be finite and in [0, inf), got -1.0"),
         "reg_weight_nan": ("", train() + ["--reg-weight", "nan"],
-                           "reg_weight must be finite and at least 0, got nan"),
+                           "--reg-weight must be finite and in [0, inf), got nan"),
         "freeze_unknown_group": ("", finetune(corpus / "novel_train.jsonl") + ["--freeze", "bogus"],
                                  "unknown groups in --freeze: ['bogus']"),
         # checked before the (here empty) novel records load
         "trainable_unknown_group": ("\n", finetune(bad) + ["--trainable", "P,bogus"],
                                     "unknown groups in --trainable: ['bogus']"),
         "synth_sigma_negative": ("", ["synth", "--sigma", -1],
-                                 "noise_std must be finite and at least 0, got -1.0"),
+                                 "--sigma must be finite and in [0, inf), got -1.0"),
         "synth_sigma_nan": ("", ["synth", "--sigma", "nan"],
-                            "noise_std must be finite and at least 0, got nan"),
+                            "--sigma must be finite and in [0, inf), got nan"),
         "synth_margin_scale_negative": ("", ["synth", "--margin-scale", -1],
-                                        "margin_scale must be finite and at least 0, got -1.0"),
+                                        "--margin-scale must be finite and in [0, inf), "
+                                        "got -1.0"),
         "synth_spread_negative": ("", ["synth", "--spread", -1],
-                                  "spread must be finite and at least 0, got -1.0"),
+                                  "--spread must be finite and in [0, inf), got -1.0"),
         "closure_edges": ("n00000001\tn00000002\nn00000002\tbogus\n",
                           ["closure", "--edges", bad, "--roots", "n00000001"],
                           f"{bad}: line 2: malformed synset id 'bogus'"),
@@ -413,7 +472,9 @@ def _bad_input_cases(corpus, trained, bad):
     "gradcheck_threshold_negative", "gradcheck_batch_zero", "gradcheck_batch_negative",
     "gradcheck_base_classes_negative", "gradcheck_novel_classes_negative",
     "gradcheck_embed_dim_zero", "gradcheck_embed_dim_negative",
-    "synth_novel_classes_negative", "train_random_embed_dim_zero",
+    "synth_novel_classes_negative", "synth_base_classes_zero", "train_random_embed_dim_zero",
+    "train_random_embed_seed_negative", "train_seed_negative", "train_background_seed_negative",
+    "finetune_base_shots_negative", "config_base_shots_negative",
     "unknown_class", "empty_train_data", "empty_novel_data", "empty_eval_data", "partial_reg",
     "batch_size_zero", "batch_size_negative", "lr_negative", "momentum_above_one",
     "weight_decay_negative", "reg_weight_nan", "freeze_unknown_group",

@@ -1,6 +1,7 @@
 """Class registry ordering rules and word2vec-text embedding parsing."""
 
 import io
+import math
 import re
 
 import numpy as np
@@ -9,6 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from semshot.embeddings import (
     BACKGROUND,
+    NONNEG,
+    NONNEG_INT,
+    POSITIVE,
+    POSITIVE_INT,
+    UNIT,
+    UNIT_BELOW_1,
     ClassRegistry,
     compose_background_row,
     load_registry,
@@ -46,10 +53,29 @@ def test_numbered_registry_names_its_classes_and_rejects_a_negative_count():
     reg = ClassRegistry.numbered(2, 1)
     assert reg.base == ("base00", "base01") and reg.novel == ("novel00",)
     assert ClassRegistry.numbered(0, 0).n == 1  # the background alone
-    with pytest.raises(ValueError, match="negative class count: -1 base, 2 novel"):
+    with pytest.raises(ValueError, match=re.escape("n_base must be finite and in [0, inf), got -1")):
         ClassRegistry.numbered(-1, 2)
-    with pytest.raises(ValueError, match="negative class count: 3 base, -3 novel"):
+    with pytest.raises(ValueError, match=re.escape("n_novel must be finite and in [0, inf), got -3")):
         ClassRegistry.numbered(3, -3)
+
+
+def test_named_intervals_hold_their_ends_and_no_non_finite_value():
+    named = (POSITIVE_INT, NONNEG_INT, POSITIVE, NONNEG, UNIT, UNIT_BELOW_1)
+    assert [str(b) for b in named] == ["[1, inf)", "[0, inf)", "(0, inf)", "[0, inf)",
+                                       "[0, 1]", "[0, 1)"]
+    inside = {POSITIVE_INT: [1, np.int64(7)], NONNEG_INT: [0], POSITIVE: [5e-324, 2],
+              NONNEG: [0.0, np.float64(3.5)], UNIT: [0.0, 1.0], UNIT_BELOW_1: [0.0, 0.999]}
+    outside = {POSITIVE_INT: [0, 1.0, 1.5], NONNEG_INT: [-1, 0.5],
+               POSITIVE: [0.0, -1], NONNEG: [-5e-324], UNIT: [-0.1, 1.0000000000000002],
+               UNIT_BELOW_1: [1.0, -0.1]}
+    for bound in named:
+        for value in inside[bound]:
+            assert bound.check(value, "x") is value
+        for value in outside[bound] + [math.nan, math.inf, -math.inf, None, "1"]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"x must be finite and in {bound}, got {value}")):
+                bound.check(value, "x")
+
 
 
 def test_registry_tokens_for_uses_override_else_name():

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,10 @@ def test_build_head_validation(base_reg):
         HeadConfig(mode="ssp", graph_mode="dynamic")
     with pytest.raises(ValueError, match="graph mode 'none' conflicts with mode 'srr'"):
         HeadConfig(mode="srr", graph_mode="none")
+    for gain in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"attention_gain must be finite and in [0, inf), got {gain}")):
+            HeadConfig(mode="srr", attention_gain=gain)
     # srr defaults its graph stage to dynamic
     assert HeadConfig(mode="srr").graph_mode is rel.GraphMode.DYNAMIC
     assert HeadConfig(mode="ssp").graph_mode is rel.GraphMode.NONE
@@ -63,8 +68,8 @@ def test_build_head_validation(base_reg):
 
 @pytest.mark.parametrize("field,value", [("d_in", 0), ("d", 0), ("r", 0), ("r", -3)])
 def test_head_config_rejects_dimensions_below_one(field, value):
-    with pytest.raises(ValueError, match=f"head dimension {field} must be at least 1, "
-                                         f"got {value}"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"head dimension {field} must be finite and in [1, inf), got {value}")):
         HeadConfig(mode="srr", **{field: value})
 
 

@@ -1,6 +1,7 @@
 """Benchmark cells: embedding construction, the two-phase run, and sweeps."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -68,16 +69,23 @@ def test_clustered_embeddings_are_unit_with_background():
     same = we.matrix[0] @ we.matrix[2]   # both cluster 0
     cross = we.matrix[0] @ we.matrix[1]  # clusters 0 and 1
     assert same > cross
-    with pytest.raises(ValueError, match="n_clusters must be at least 1, got 0"):
+    with pytest.raises(ValueError, match=re.escape("n_clusters must be finite and in [1, inf), "
+                                                   "got 0")):
         clustered_embeddings(reg, dim=10, n_clusters=0, spread=0.3, seed=4)
+    for spread in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match=re.escape(f"spread must be finite and in [0, inf), "
+                                                       f"got {spread}")):
+            clustered_embeddings(reg, dim=10, n_clusters=2, spread=spread, seed=4)
 
 
 def test_noisy_view_properties():
     reg = ClassRegistry(base=("a", "b"))
     we = random_embeddings(reg, dim=8, seed=0)
     assert noisy_view(we, 0.0, 1) is we
-    with pytest.raises(ValueError, match="non-negative"):
-        noisy_view(we, -0.1, 1)
+    for noise in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"embedding noise must be finite and in [0, inf), got {noise}")):
+            noisy_view(we, noise, 1)
     noisy = noisy_view(we, 0.2, 1)
     np.testing.assert_allclose(np.linalg.norm(noisy.matrix, axis=1), 1.0, atol=1e-12)
     assert not np.allclose(noisy.matrix, we.matrix)

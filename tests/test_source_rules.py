@@ -10,6 +10,10 @@ Every op records its backward through ``diffmath._op``; nothing else outside
 BLAS (``@``, ``np.dot``, ``np.matmul``, ``np.linalg``) runs only at the
 listed call sites: the forward products go through the order-controlled
 ``kernels``, whose bits do not depend on the BLAS build.
+
+Every numeric setting is bounded by ``embeddings.Interval``, whose one
+message names the setting, the interval and the value; no other string
+words a range.
 """
 
 import ast
@@ -202,3 +206,59 @@ class K:
         ("kernels", "K", 17), ("kernels", "f", 7), ("kernels", "f", 8),
         ("kernels", "f", 9), ("kernels", "f", 9), ("kernels", "f", 12), ("kernels", "f", 13),
     ]
+
+
+# (module, top-level scope) allowed to word a range: the one bound type
+RANGE_WORDERS = {("embeddings", "Interval")}
+RANGE_PHRASES = ("must be at least", "must be finite", "must lie in", "must be positive",
+                 "non-negative", "step budget")
+
+
+def range_phrases(source: str, module: str) -> list:
+    """Sorted (module, scope, line) of every string constant outside
+    RANGE_WORDERS that carries one of RANGE_PHRASES, in any case."""
+    found = []
+    for top in ast.parse(source).body:
+        scope = getattr(top, "name", "<module>")
+        if (module, scope) in RANGE_WORDERS:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and any(
+                    phrase in node.value.lower() for phrase in RANGE_PHRASES):
+                found.append((module, scope, node.lineno))
+    return sorted(found)
+
+
+def test_only_the_bound_type_words_a_range():
+    files = sorted(SRC.glob("*.py"))
+    assert [hit for f in files for hit in range_phrases(f.read_text(), f.stem)] == []
+    # read as another module's source, the bound type's message is caught,
+    # so the rule above is not vacuous
+    embeddings = (SRC / "embeddings.py").read_text()
+    assert {scope for _, scope, _ in range_phrases(embeddings, "elsewhere")} == {"Interval"}
+
+
+def test_the_range_rule_sees_every_kind_of_string():
+    source = '''
+"""Runs on a step budget."""
+
+class Interval:
+    def check(self, value, name):
+        raise ValueError(f"{name} must be finite and in [0, 1], got {value}")
+
+def f(x):
+    if x < 0:
+        raise ValueError(f"x must be at least 0, got {x}")
+    return "Non-negative only", "x must lie between 0 and 1"
+
+class Config:
+    def g(self):
+        return ("lr must "
+                "be positive")
+'''
+    assert range_phrases(source, "embeddings") == [
+        ("embeddings", "<module>", 2), ("embeddings", "Config", 15),
+        ("embeddings", "f", 10), ("embeddings", "f", 11),
+    ]
+    assert [scope for _, scope, _ in range_phrases(source, "head")] == [
+        "<module>", "Config", "Interval", "f", "f"]

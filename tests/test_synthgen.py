@@ -27,8 +27,10 @@ def test_config_validation():
         SynthConfig(alpha=-0.1)
     with pytest.raises(ValueError, match="d_in"):
         SynthConfig(d_in=0)
-    with pytest.raises(ValueError, match="per class"):
-        SynthConfig(test_per_class=0)
+    for field, value in (("train_per_class", 0), ("test_per_class", 0), ("noise_std", -1.0),
+                         ("noise_std", float("nan")), ("margin_scale", float("inf"))):
+        with pytest.raises(ValueError, match=f"{field} must be finite and in .*, got {value}"):
+            SynthConfig(**{field: value})
 
 
 def test_embedding_map_is_orthonormal_when_wide():

@@ -1,5 +1,7 @@
 """Optimizer math, episode sampling, and the two training phases."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -66,20 +68,21 @@ def test_sgd_step_matches_recurrence():
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("lr", 0.0, "lr must be finite and positive, got 0.0"),
-    ("lr", -0.001, "lr must be finite and positive, got -0.001"),
-    ("lr", float("inf"), "lr must be finite and positive, got inf"),
-    ("momentum", 1.0, r"momentum must be finite and in \[0, 1\), got 1.0"),
-    ("momentum", -0.1, r"momentum must be finite and in \[0, 1\), got -0.1"),
-    ("momentum", float("nan"), r"momentum must be finite and in \[0, 1\), got nan"),
-    ("weight_decay", -1.0, "weight_decay must be finite and at least 0, got -1.0"),
-    ("reg_weight", -0.5, "reg_weight must be finite and at least 0, got -0.5"),
-    ("reg_weight", float("nan"), "reg_weight must be finite and at least 0, got nan"),
+    ("lr", 0.0, "lr must be finite and in (0, inf), got 0.0"),
+    ("lr", -0.001, "lr must be finite and in (0, inf), got -0.001"),
+    ("lr", float("inf"), "lr must be finite and in (0, inf), got inf"),
+    ("momentum", 1.0, "momentum must be finite and in [0, 1), got 1.0"),
+    ("momentum", -0.1, "momentum must be finite and in [0, 1), got -0.1"),
+    ("momentum", float("nan"), "momentum must be finite and in [0, 1), got nan"),
+    ("weight_decay", -1.0, "weight_decay must be finite and in [0, inf), got -1.0"),
+    ("weight_decay", float("inf"), "weight_decay must be finite and in [0, inf), got inf"),
+    ("reg_weight", -0.5, "reg_weight must be finite and in [0, inf), got -0.5"),
+    ("reg_weight", float("nan"), "reg_weight must be finite and in [0, inf), got nan"),
 ])
 def test_train_config_rejects_out_of_range_optimizer_values(field, value, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         TrainConfig(**{field: value})
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         finetune_config(**{field: value})
 
 
@@ -136,8 +139,11 @@ def test_sample_episode_shortfall_names_the_class():
     novel = fake_records(["fox"], 2, 4)
     with pytest.raises(ValueError, match="'fox' has 2 records, needs 3"):
         sample_episode(no_records(), novel, k=3, base_shots=0)
-    with pytest.raises(ValueError, match="k must be"):
+    with pytest.raises(ValueError, match=re.escape("k must be finite and in [1, inf), got 0")):
         sample_episode(no_records(), novel, k=0)
+    with pytest.raises(ValueError, match=re.escape(
+            "base_shots must be finite and in [0, inf), got -1")):
+        sample_episode(fake_records(["cat"], 3, 4), novel, k=1, base_shots=-1)
     with pytest.raises(ValueError, match="no novel records"):
         sample_episode(no_records(), no_records(), k=1)
 
@@ -155,7 +161,8 @@ def test_balanced_batches_draw_classes_uniformly():
     assert abs(counts["fox"] / total - 0.5) < 0.05  # ~uniform over classes
     with pytest.raises(ValueError, match="non-empty"):
         balanced_batch_iter(no_records(), 4, 0)
-    with pytest.raises(ValueError, match="batch_size"):
+    with pytest.raises(ValueError, match=re.escape(
+            "batch_size must be finite and in [1, inf), got 0")):
         balanced_batch_iter(pool, 0, 0)
 
 
@@ -181,8 +188,15 @@ def test_base_train_rejects_novel_labels(tiny_world):
         base_train(head, concat(base_data, novel_data), TrainConfig(steps=2, seed=0))
     with pytest.raises(ValueError, match="at least one record"):
         base_train(head, no_records(), TrainConfig(steps=2))
-    with pytest.raises(ValueError, match="step budget"):
+    with pytest.raises(ValueError, match=re.escape(
+            "base_train steps must be finite and in [1, inf), got None")):
         base_train(head, base_data, TrainConfig(steps=None))
+    with pytest.raises(ValueError, match=re.escape(
+            "base_train steps must be finite and in [1, inf), got 0")):
+        base_train(head, base_data, TrainConfig(steps=0))
+    with pytest.raises(ValueError, match=re.escape(
+            "batch_size must be finite and in [1, inf), got 0")):
+        base_train(head, base_data, TrainConfig(steps=2, batch_size=0))
 
 
 def test_base_train_runs_and_loss_falls(tiny_world):
@@ -218,10 +232,15 @@ def test_default_finetune_groups_per_mode(tiny_world):
     assert default_finetune_groups(heur) == ("P", "b")  # fixed graph, no relation maps
 
 
-def test_finetune_steps_rule():
+def test_finetune_steps_rule(tiny_world):
     ep = Episode(base=no_records(), novel=fake_records(["fox"], 5, 4),
                  k=5, base_shots=0)
     assert finetune_steps_for(ep) == (300 * 5) // 25 == 60
+    registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
+    episode = sample_episode(base_data, novel_data, k=1, base_shots=1)
+    with pytest.raises(ValueError, match=re.escape(
+            "finetune steps must be finite and in [1, inf), got 0")):
+        finetune(make_head("ssp", registry, we), episode, finetune_config(steps=0))
 
 
 def test_finetune_freezes_everything_outside_the_chosen_groups(tiny_world):
