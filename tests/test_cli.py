@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from semshot.cli import _COMMANDS, main
 from semshot.embeddings import ClassRegistry, Interval, load_registry, save_registry
 from semshot.head import HeadConfig, build_head, head_state
+from semshot.pipeline import clustered_embeddings
 
 CHAIN = "n00000001\tn00000002\nn00000002\tn00000003\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -267,6 +268,43 @@ def test_bad_number_names_its_flag_or_key(
     err = capsys.readouterr().err
     assert err == f"error: {source} must be finite and in {opt.type}, got {value}\n"
     assert not out.exists()
+
+
+_CLUSTER_REGISTRY = ClassRegistry(base=("cat", "dog"), novel=("fox",))
+
+# argv ending in one bad dimension flag and its value, the library field the
+# flag sets, and the library call that checks that field
+_BAD_DIMENSIONS = [
+    (["train", "--mode", "srr", "--proj-dim", 0], "head dimension d", lambda v: HeadConfig(d=v)),
+    (["train", "--mode", "srr", "--reduced-dim", 0], "head dimension r", lambda v: HeadConfig(r=v)),
+    (["train", "--mode", "srr", "--reduced-dim", -3], "head dimension r",
+     lambda v: HeadConfig(r=v)),
+    (["gradcheck", "--proj-dim", 0], "head dimension d", lambda v: HeadConfig(d=v)),
+    (["synth", "--clusters", 0], "n_clusters",
+     lambda v: clustered_embeddings(_CLUSTER_REGISTRY, dim=4, n_clusters=v, spread=0.1, seed=0)),
+]
+
+
+@pytest.mark.parametrize("argv,field,check", [
+    pytest.param(argv, field, check, id=f"argv{i}-{field} must be at least 1, got {argv[-1]}")
+    for i, (argv, field, check) in enumerate(_BAD_DIMENSIONS)
+])
+def test_bad_dimensions_exit_1_naming_the_field(corpus, tmp_path, capsys, argv, field, check):
+    flag, value = argv[-2:]
+    if argv[0] == "train":
+        argv = argv + ["--data", corpus / "base_train.jsonl",
+                       "--registry", corpus / "registry_base.json",
+                       "--embeddings", corpus / "embeddings.txt", "--steps", 2]
+    if argv[0] != "gradcheck":
+        argv = argv + ["--out-dir", tmp_path / "out"]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} must be finite and in [1, inf), got {value}\n"
+    assert "Traceback" not in err
+    # the library config behind the flag names its own field
+    with pytest.raises(ValueError) as exc:
+        check(value)
+    assert str(exc.value) == f"{field} must be finite and in [1, inf), got {value}"
 
 
 def test_missing_required_options_fail(capsys):
