@@ -358,7 +358,6 @@ def _trainable_groups(cfg: dict, head) -> tuple | None:
 
 
 def cmd_finetune(cfg: dict) -> int:
-    out = _out_dir(cfg)
     head = load_head(cfg["checkpoint"])
     if cfg.get("graph.mode"):
         switch_graph_mode(head, cfg["graph.mode"], seed=cfg["seed"])
@@ -377,7 +376,9 @@ def cmd_finetune(cfg: dict) -> int:
 
     base_data = load_records(cfg["base.data"])
     novel_data = load_records(cfg["novel.data"])
-    episode = sample_episode(base_data, novel_data, cfg["k"], cfg.get("base.shots"), cfg["seed"])
+    episode = sample_episode(base_data, novel_data, cfg["k"], cfg.get("base.shots"), cfg["seed"],
+                             names=("--k", "--base-shots"))
+    out = _out_dir(cfg)
     result = finetune(head, episode, finetune_config(**_optim_args(cfg), trainable=trainable))
     save_head(head, out / "head.json")
     save_trace_csv(out / "trace.csv", result.trace)
@@ -622,7 +623,10 @@ SYNTH_OPTS = [
 
 
 def cmd_synth(cfg: dict) -> int:
-    out = _out_dir(cfg)
+    # generate derives the noise level from the margin between classes
+    if cfg.get("sigma") is None and cfg["base.classes"] + cfg["novel.classes"] == 1:
+        raise ValueError("a single class has no margin to derive a noise level from; "
+                         "set --sigma")
     registry = ClassRegistry.numbered(cfg["base.classes"], cfg["novel.classes"])
     if cfg["embeddings"] == "clustered":
         we = clustered_embeddings(
@@ -639,6 +643,7 @@ def cmd_synth(cfg: dict) -> int:
             seed=cfg["seed"],
         ),
     )
+    out = _out_dir(cfg)
     save_registry(registry, out / "registry.json")
     class_names = registry.base + registry.novel
     save_embedding_file(out / "embeddings.txt", class_names, we.matrix[: len(class_names)])
@@ -672,8 +677,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, its subcommands' too, whose errors raise, so a flag
+    it cannot parse fails like any other bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semshot",
         description="few-shot classification heads over precomputed features",
     )
@@ -681,13 +694,12 @@ def main(argv=None) -> int:
     for name, (help_text, opts, _) in _COMMANDS.items():
         _build_subparser(sub, name, help_text, opts)
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    _, opts, fn = _COMMANDS[ns.command]
-    try:
-        cfg = _resolve(opts, ns)
-        return fn(cfg)
+        try:
+            ns = parser.parse_args(argv)
+        except SystemExit as exc:  # --help printed the usage
+            return int(exc.code or 0)
+        _, opts, fn = _COMMANDS[ns.command]
+        return fn(_resolve(opts, ns))
     except (ValueError, KeyError, OSError, FloatingPointError) as exc:
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1

@@ -207,11 +207,16 @@ def row_softmax(a: Tensor) -> Tensor:
     return _op(soft, (a, lambda g: soft * (g - (soft * g).sum(axis=1, keepdims=True))))
 
 
-def cross_entropy_cols(logits: Tensor, labels) -> Tensor:
-    """Mean cross-entropy over columns of an (n_classes, batch) logit matrix.
+def cross_entropy_cols(logits: Tensor, labels, pred: Tensor | None = None, target=None,
+                       reg_weight: float = 1.0) -> tuple:
+    """Mean cross-entropy over columns of an (n_classes, batch) logit matrix,
+    plus, with ``pred``, ``reg_weight`` times the regression loss of
+    ``squared_error_cols(pred, target)``, as one op.
 
-    The backward pass is the fused (softmax - onehot) / batch form, which keeps
-    the check against finite differences tight even for confident logits.
+    Returns the 1x1 loss tensor, the cross-entropy and the regression loss
+    (None without ``pred``) as floats.  The cross-entropy's backward pass is
+    the fused (softmax - onehot) / batch form, which keeps the check against
+    finite differences tight even for confident logits.
     """
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     n, b = logits.value.shape
@@ -219,7 +224,7 @@ def cross_entropy_cols(logits: Tensor, labels) -> Tensor:
         raise ValueError(f"{labels.shape[0]} labels for batch of {b}")
     if labels.size and (labels.min() < 0 or labels.max() >= n):
         raise ValueError(f"label out of range [0, {n}): {labels.tolist()}")
-    loss, probs = kernels.ce_cols(logits.value, labels)
+    ce, probs = kernels.ce_cols(logits.value, labels)
 
     def vjp(g):
         share = float(g[0, 0]) / b
@@ -227,18 +232,30 @@ def cross_entropy_cols(logits: Tensor, labels) -> Tensor:
         d[labels, np.arange(b)] -= share
         return d
 
-    return _op(np.array([[loss]]), (logits, vjp))
+    if pred is None:
+        return _op(np.array([[ce]]), (logits, vjp)), ce, None
+    reg, diff = _squared_error(pred, target)
+    b_reg = pred.value.shape[1]
+    loss = _op(np.array([[ce + reg * reg_weight]]), (logits, vjp),
+               (pred, lambda g: (2.0 / b_reg) * (float(g[0, 0]) * reg_weight) * diff))
+    return loss, ce, reg
+
+
+def _squared_error(pred: Tensor, target):
+    """Mean over columns of the squared L2 distance of ``pred`` to a fixed
+    target matrix, and the difference matrix."""
+    tv = as_matrix(target)
+    if tv.shape != pred.value.shape:
+        raise ValueError(f"target shape {tv.shape} vs prediction {pred.value.shape}")
+    diff = pred.value - tv
+    return float((diff * diff).sum()) / pred.value.shape[1], diff
 
 
 def squared_error_cols(pred: Tensor, target) -> Tensor:
     """Mean over columns of the squared L2 distance to a fixed target matrix."""
-    tv = as_matrix(target)
-    if tv.shape != pred.value.shape:
-        raise ValueError(f"target shape {tv.shape} vs prediction {pred.value.shape}")
+    loss, diff = _squared_error(pred, target)
     b = pred.value.shape[1]
-    diff = pred.value - tv
-    return _op(np.array([[float((diff * diff).sum()) / b]]),
-               (pred, lambda g: (2.0 / b) * float(g[0, 0]) * diff))
+    return _op(np.array([[loss]]), (pred, lambda g: (2.0 / b) * float(g[0, 0]) * diff))
 
 
 def weighted_sum(terms) -> Tensor:

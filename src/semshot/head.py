@@ -206,9 +206,12 @@ def attach_heuristic_graph(head: Head, graph: np.ndarray):
 
 @dataclass
 class ForwardResult:
+    """The logits, and with targets the 1x1 ``loss`` tensor and the values of
+    its classification and regression terms."""
+
     logits: "dm.Tensor"
-    loss_cls: "dm.Tensor | None" = None
-    loss_reg: "dm.Tensor | None" = None
+    loss_cls: float | None = None
+    loss_reg: float | None = None
     loss: "dm.Tensor | None" = None
 
 
@@ -272,15 +275,12 @@ def _score_half(tape: Tape, head: Head, v_t, pred_t, labels, reg_targets,
     targets are present and their weighted sum."""
     logits = _class_scores_t(tape, head, v_t, use_graph=use_graph)
     result = ForwardResult(logits=logits)
-    terms = []
     if labels is not None:
-        result.loss_cls = dm.cross_entropy_cols(logits, labels)
-        terms.append((result.loss_cls, 1.0))
-    if reg_targets is not None:
-        result.loss_reg = dm.squared_error_cols(pred_t, reg_targets)
-        terms.append((result.loss_reg, reg_weight))
-    if terms:
-        result.loss = dm.weighted_sum(terms)
+        result.loss, result.loss_cls, result.loss_reg = dm.cross_entropy_cols(
+            logits, labels, pred_t, reg_targets, reg_weight)
+    elif reg_targets is not None:
+        loss_reg = dm.squared_error_cols(pred_t, reg_targets)
+        result.loss, result.loss_reg = dm.weighted_sum([(loss_reg, reg_weight)]), loss_reg.item()
     return result
 
 

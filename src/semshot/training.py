@@ -69,11 +69,38 @@ def finetune_config(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
-def sgd_step(params, velocities, cfg: TrainConfig, lr: float):
-    """One coupled-momentum update of each of ``params`` from its ``grad``
-    buffer; ``velocities`` holds one array per param, in the same order."""
-    for p, vel in zip(params, velocities, strict=True):
-        kernels.sgd_update(p.value, p.grad, vel, lr, cfg.momentum, cfg.weight_decay)
+class ParamBlock:
+    """The optimizer state of one phase: its trainable ``params``, their
+    values packed into the one array ``value``, and one zero ``velocity``.
+
+    Packing copies each param's value into its slice of ``value`` and rebinds
+    ``p.value`` to that slice, so one elementwise update moves every param
+    and gives the same bits as an update per param.  Each param keeps its own
+    gradient buffer; a step gathers them into ``gathered``.
+    """
+
+    def __init__(self, params):
+        self.params = list(params)
+        sizes = [p.value.size for p in self.params]
+        self.value = np.zeros(sum(sizes))
+        self.gathered = np.zeros_like(self.value)
+        self.velocity = np.zeros_like(self.value)
+        self.grad_views = [p.grad.reshape(-1) for p in self.params]
+        end = 0
+        for p, size in zip(self.params, sizes):
+            view = self.value[end:end + size].reshape(p.value.shape)
+            view[...] = p.value
+            p.value = view
+            end += size
+
+
+def sgd_step(block: ParamBlock, cfg: TrainConfig, lr: float):
+    """One coupled-momentum update of every param in ``block`` from its
+    gradient buffer."""
+    if block.grad_views:
+        np.concatenate(block.grad_views, out=block.gathered)
+    kernels.sgd_update(block.value, block.gathered, block.velocity, lr, cfg.momentum,
+                       cfg.weight_decay)
 
 
 def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
@@ -103,32 +130,37 @@ class Episode:
 
 
 def sample_episode(base_data: FeatureSet, novel_data: FeatureSet, k: int,
-                   base_shots: int | None = None, seed: int = 0) -> Episode:
+                   base_shots: int | None = None, seed: int = 0,
+                   names=("k", "base_shots")) -> Episode:
     """Pick k records per novel class and base_shots (default: k) per base class.
 
     Selection uses one seeded permutation per class, so the same seed with a
     larger k extends the smaller episode instead of reshuffling it.  A class
-    with fewer than the requested records is an error naming the shortfall.
+    with fewer than the requested records is an error naming the shortfall
+    and the setting that asked for it, called as ``names`` says.
     """
-    POSITIVE_INT.check(k, "k")
-    base_shots = NONNEG_INT.check(base_shots if base_shots is not None else k, "base_shots")
+    k_name, shots_name = names
+    POSITIVE_INT.check(k, k_name)
+    if base_shots is None:
+        base_shots, shots_name = k, f"{shots_name}, which defaults to {k_name}"
+    NONNEG_INT.check(base_shots, shots_name)
     rng = np.random.default_rng([seed, _STREAM_EPISODE])
 
-    def pick(data, count, kind):
+    def pick(data, count, kind, setting):
         chosen = []
         for label, cols in data.label_columns().items():
             perm = rng.permutation(len(cols))
             if len(cols) < count:
                 raise ValueError(f"{kind} class {label!r} has {len(cols)} records, "
-                                 f"needs {count}")
+                                 f"needs {count} ({setting})")
             chosen.extend(cols[perm[:count]])
         return data.take(chosen)
 
     if not len(novel_data):
         raise ValueError("no novel records to sample an episode from")
     # draw base picks first so novel picks do not shift when base data changes
-    base = pick(base_data, base_shots, "base")
-    return Episode(base, pick(novel_data, k, "novel"), k, base_shots)
+    base = pick(base_data, base_shots, "base", shots_name)
+    return Episode(base, pick(novel_data, k, "novel", k_name), k, base_shots)
 
 
 def balanced_batch_iter(data: FeatureSet, batch_size: int, seed: int):
@@ -143,17 +175,55 @@ def balanced_batch_iter(data: FeatureSet, batch_size: int, seed: int):
         raise ValueError("balanced batches need a non-empty pool")
     POSITIVE_INT.check(batch_size, "batch_size")
     pools = list(data.label_columns().values())
-    rng = np.random.default_rng([seed, _STREAM_BALANCE])
+    return _balanced_batches(pools, batch_size, np.random.default_rng([seed, _STREAM_BALANCE]))
 
-    def gen():
-        while True:
-            batch = np.empty(batch_size, dtype=np.intp)
-            for i in range(batch_size):
-                pool = pools[rng.integers(0, len(pools))]
-                batch[i] = pool[rng.integers(0, len(pool))]
-            yield batch
 
-    return gen()
+def _scalar_batch(pools, batch_size: int, rng) -> np.ndarray:
+    """One balanced batch, two ``rng.integers`` draws a slot: the reference."""
+    batch = np.empty(batch_size, dtype=np.intp)
+    for i in range(batch_size):
+        pool = pools[rng.integers(0, len(pools))]
+        batch[i] = pool[rng.integers(0, len(pool))]
+    return batch
+
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+_BITS32 = np.uint64(32)
+
+
+def _balanced_batches(pools, batch_size: int, rng):
+    """``_scalar_batch`` after ``_scalar_batch`` of ``rng``, drawn a batch at once.
+
+    ``rng.integers(0, n)`` with 1 < n <= 2**32 is numpy's bounded Lemire
+    draw: the next 32-bit half of a PCG64 word times n, whose high 32 bits
+    are the result unless its low 32 bits fall below n, when it may reject
+    and draw again.  A slot's two draws therefore take the low and the high
+    half of one word, and ``random_raw(batch_size)`` holds a whole batch.
+    The scalar loop runs instead whenever the halves could pair up another
+    way: a draw with n == 1 takes no half, which a single pool or a pool of
+    one record gives; the generator may hold a buffered half; or a draw may
+    reject, in which case the state from before ``random_raw`` comes back
+    first.
+    """
+    bits = rng.bit_generator
+    sizes = np.array([len(p) for p in pools], dtype=np.uint64)
+    n_pools = np.uint64(len(pools))
+    starts = (np.cumsum(sizes) - sizes).astype(np.intp)
+    flat = np.concatenate(pools)
+    whole_words = len(pools) > 1 and sizes.min() > 1
+    while True:
+        state = bits.state if whole_words else None
+        if state is not None and not state["has_uint32"]:
+            words = bits.random_raw(batch_size)
+            m_pool = (words & _LOW32) * n_pools
+            pool = m_pool >> _BITS32
+            size = sizes[pool]
+            m_rec = (words >> _BITS32) * size
+            if not (((m_pool & _LOW32) < n_pools).any() or ((m_rec & _LOW32) < size).any()):
+                yield flat[starts[pool] + (m_rec >> _BITS32).astype(np.intp)]
+                continue
+            bits.state = state
+        yield _scalar_batch(pools, batch_size, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +262,11 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
     freezes every trunk and reg parameter runs the trunk half of the forward
     pass once over ``data`` and gives each step its columns.
 
-    The phase owns its optimizer state: the trainable params in
-    ``head.params`` order, each with a zero velocity.  It zeroes every
-    param's own gradient buffer in place, frozen ones too, so none holds a
-    gradient left over from an earlier phase.
+    The phase owns its optimizer state: a ``ParamBlock`` of the trainable
+    params in ``head.params`` order, which leaves each trainable ``p.value``
+    a view of the phase's block; frozen values stay the arrays they were.
+    It zeroes every param's own gradient buffer in place, frozen ones too,
+    so none holds a gradient left over from an earlier phase.
     """
     y = data.label_indices(head.registry)
     stray = np.flatnonzero(~np.isin(y, list(allowed_indices)))
@@ -211,8 +282,7 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
              else trunk_features(head, data))
     for p in head.params.values():
         p.grad.fill(0.0)
-    params = [p for p in head.params.values() if p.trainable]
-    velocities = [np.zeros(p.value.shape) for p in params]
+    block = ParamBlock(p for p in head.params.values() if p.trainable)
     trace = []
     for step in range(1, steps + 1):
         lr = lr_at(cfg, step - 1, steps)
@@ -221,11 +291,11 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
         loss = result.loss.item()
         if not math.isfinite(loss):
             raise FloatingPointError(f"{phase}: loss is {loss} at step {step} (lr {lr:g}); "
-                                     + divergence_cause(params, "trainable"))
+                                     + divergence_cause(block.params, "trainable"))
         result.loss.backward()
-        sgd_step(params, velocities, cfg, lr)
-        trace.append(TraceRow(step, lr, loss, result.loss_cls.item(),
-                              result.loss_reg.item() if result.loss_reg is not None else 0.0))
+        sgd_step(block, cfg, lr)
+        trace.append(TraceRow(step, lr, loss, result.loss_cls,
+                              result.loss_reg if result.loss_reg is not None else 0.0))
     if head.we_hash() != we_hash:
         raise RuntimeError(f"{phase}: the embedding matrix changed")
     if head.param_hash(frozen) != frozen_hash:

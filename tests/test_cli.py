@@ -494,7 +494,23 @@ def _bad_input_cases(corpus, trained, bad):
         "closure_edges": ("n00000001\tn00000002\nn00000002\tbogus\n",
                           ["closure", "--edges", bad, "--roots", "n00000001"],
                           f"{bad}: line 2: malformed synset id 'bogus'"),
+        # the corpus has 6 records a class; --base-shots defaults to --k
+        "finetune_k_above_class_size": ("", finetune(corpus / "novel_train.jsonl")
+                                        + ["--k", 50],
+                                        "base class 'base00' has 6 records, needs 50 "
+                                        "(--base-shots, which defaults to --k)"),
+        "synth_single_class_without_sigma": ("", ["synth", "--base-classes", 1,
+                                                  "--novel-classes", 0],
+                                             "a single class has no margin to derive a noise "
+                                             "level from; set --sigma"),
+        "synth_seed_not_an_integer": ("", ["synth", "--seed", "abc"],
+                                      "argument --seed: invalid int value: 'abc'"),
     }
+
+
+# cases that fail before their command makes its out dir
+_NO_OUT_DIR = {"finetune_k_above_class_size", "synth_single_class_without_sigma",
+               "synth_seed_not_an_integer"}
 
 
 @pytest.mark.parametrize("case", [
@@ -518,6 +534,8 @@ def _bad_input_cases(corpus, trained, bad):
     "weight_decay_negative", "reg_weight_nan", "freeze_unknown_group",
     "trainable_unknown_group", "synth_sigma_negative", "synth_sigma_nan",
     "synth_margin_scale_negative", "synth_spread_negative", "closure_edges",
+    "finetune_k_above_class_size", "synth_single_class_without_sigma",
+    "synth_seed_not_an_integer",
 ])
 def test_bad_input_exits_1_with_one_error_line_naming_its_source(
         corpus, trained, tmp_path, capsys, case):
@@ -531,6 +549,7 @@ def test_bad_input_exits_1_with_one_error_line_naming_its_source(
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(f"error: {message}")
     assert not (out / "meta.json").exists() and not (out / "metrics.json").exists()
+    assert case not in _NO_OUT_DIR or not out.exists()
 
 
 def test_finetune_expands_and_freezes(corpus, trained, tmp_path, capsys):

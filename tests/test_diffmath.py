@@ -38,7 +38,7 @@ def test_cross_entropy_matches_mpmath():
     logits = rng.standard_normal((5, 3)) * 4
     labels = [2, 0, 4]
     tape = dm.Tape()
-    got = dm.cross_entropy_cols(tape.leaf(logits), labels).item()
+    got = dm.cross_entropy_cols(tape.leaf(logits), labels)[0].item()
     per_col = []
     for c, lab in enumerate(labels):
         ex = [mp.e ** mp.mpf(x) for x in logits[:, c]]
@@ -119,7 +119,7 @@ def test_grad_check_passes_on_composite_graph():
         w, u, bias = (tape.param(p) for p in params)
         h = dm.relu(dm.linear(w, dm.matmul(u, tape.leaf(x)), bias))
         soft = dm.row_softmax(dm.transpose(h))
-        ce = dm.cross_entropy_cols(dm.transpose(soft), labels)
+        ce, _, _ = dm.cross_entropy_cols(dm.transpose(soft), labels)
         se = dm.squared_error_cols(h, np.ones_like(h.value))
         return dm.weighted_sum([(ce, 1.0), (se, 0.25)])
 
@@ -153,7 +153,9 @@ _OP_CASES = {
     "scale": ([(2, 3)], lambda a: dm.scale(a, -1.5)),
     "relu": ([(3, 3)], dm.relu),
     "row_softmax": ([(2, 4)], dm.row_softmax),
-    "cross_entropy_cols": ([(4, 3)], lambda a: dm.cross_entropy_cols(a, [0, 3, 1])),
+    "cross_entropy_cols": ([(4, 3)], lambda a: dm.cross_entropy_cols(a, [0, 3, 1])[0]),
+    "cross_entropy_cols_with_reg": ([(4, 3), (2, 3)], lambda a, p: dm.cross_entropy_cols(
+        a, [0, 3, 1], p, np.ones((2, 3)), 0.4)[0]),
     "squared_error_cols": ([(2, 3)], lambda a: dm.squared_error_cols(a, np.ones((2, 3)))),
     # a term that repeats must get both of its weights
     "weighted_sum": ([(1, 1), (1, 1)], lambda a, b: dm.weighted_sum([(a, 0.7), (b, -0.3),
@@ -195,6 +197,31 @@ def test_mixing_tapes_is_rejected(op, shapes):
         ts = [(other if i == odd else home).leaf(np.ones(s)) for i, s in enumerate(shapes)]
         with pytest.raises(ValueError, match="different tapes"):
             op(*ts)
+
+
+@pytest.mark.parametrize("reg_weight", [1.0, 0.37, 0.0])
+def test_the_fused_loss_end_matches_its_terms_bit_for_bit(rng, reg_weight):
+    # cross-entropy, squared error and their weighted sum as three ops give
+    # the same loss and gradients as the one fused op
+    logits, pred = rng.standard_normal((5, 4)) * 3, rng.standard_normal((2, 4))
+    labels, target = [4, 0, 2, 2], rng.standard_normal((2, 4))
+    outputs = []
+    for fused in (True, False):
+        tape, params, (lt, pt) = _tape_params(np.random.default_rng(0), (5, 4), (2, 4))
+        params[0].value[:], params[1].value[:] = logits, pred
+        if fused:
+            loss, ce, reg = dm.cross_entropy_cols(lt, labels, pt, target, reg_weight)
+        else:
+            ce_t = dm.cross_entropy_cols(lt, labels)[0]
+            reg_t = dm.squared_error_cols(pt, target)
+            loss = dm.weighted_sum([(ce_t, 1.0), (reg_t, reg_weight)])
+            ce, reg = ce_t.item(), reg_t.item()
+        loss.backward()
+        outputs.append((loss.item(), ce, reg, params[0].grad.copy(), params[1].grad.copy()))
+    (*values, g_logits, g_pred), (*want, w_logits, w_pred) = outputs
+    assert values == want
+    np.testing.assert_array_equal(g_logits, w_logits)
+    np.testing.assert_array_equal(g_pred, w_pred)
 
 
 def test_weighted_sum_requires_scalar_terms():
@@ -249,7 +276,7 @@ def test_cross_entropy_gradient_sums_to_zero_per_column():
     rng = np.random.default_rng(9)
     logits = dm.Param("logits", rng.standard_normal((9, 6)) * 2)
     labels = rng.integers(0, 9, size=6)
-    dm.cross_entropy_cols(dm.Tape().param(logits), labels).backward()
+    dm.cross_entropy_cols(dm.Tape().param(logits), labels)[0].backward()
     np.testing.assert_allclose(logits.grad.sum(axis=0), 0.0, atol=1e-12)
 
 

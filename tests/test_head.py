@@ -314,8 +314,7 @@ def _episode_data(head, n, with_reg, seed):
 
 def _step_outputs(head, data, y, cols, trunk):
     result = batch_forward(head, data, y, cols, reg_weight=0.5, trunk=trunk)
-    losses = [t.item() if t is not None else None
-              for t in (result.loss, result.loss_cls, result.loss_reg)]
+    losses = [result.loss.item(), result.loss_cls, result.loss_reg]
     result.loss.backward()
     grads = {name: p.grad.copy() for name, p in head.params.items() if p.trainable}
     return result.logits.value, losses, grads

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semshot import head as head_module
 from semshot import kernels, training
@@ -14,6 +15,7 @@ from semshot.training import (
     DEFAULT_FINETUNE_LR,
     DEFAULT_SHOT_LIST,
     Episode,
+    ParamBlock,
     TrainConfig,
     balanced_batch_iter,
     base_train,
@@ -52,19 +54,27 @@ def no_records(d_in=4):
 
 
 def test_sgd_step_matches_recurrence():
+    # a block of params of mixed shapes moves exactly as each param would on
+    # its own under  v <- mu v + g + wd p;  p <- p - lr v
     cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.01)
-    p = Param("w", np.array([[1.0, -2.0]]))
-    p.grad = np.array([[0.5, 0.25]])
-    velocities = [np.zeros_like(p.value)]
-    # hand-rolled reference:  v <- mu v + g + wd p;  p <- p - lr v
-    ref_p = p.value.copy()
-    ref_v = np.zeros_like(ref_p)
-    for _ in range(3):
-        ref_v = 0.9 * ref_v + p.grad + 0.01 * ref_p
-        ref_p = ref_p - 0.1 * ref_v
-        sgd_step([p], velocities, cfg, 0.1)
-    np.testing.assert_allclose(p.value, ref_p, rtol=1e-15)
-    np.testing.assert_allclose(velocities[0], ref_v, rtol=1e-15)
+    rng = np.random.default_rng(3)
+    params = [Param(f"p{i}", rng.standard_normal(shape))
+              for i, shape in enumerate([(1, 2), (3, 1), (2, 3), (1, 1)])]
+    buffers = [p.grad for p in params]
+    ref_p = [p.value.copy() for p in params]
+    ref_v = [np.zeros_like(v) for v in ref_p]
+    block = ParamBlock(params)
+    for lr in (0.1, 0.1, 0.01):
+        for i, p in enumerate(params):
+            p.grad[...] = rng.standard_normal(p.grad.shape)
+            ref_v[i] = 0.9 * ref_v[i] + p.grad + 0.01 * ref_p[i]
+            ref_p[i] = ref_p[i] - lr * ref_v[i]
+        sgd_step(block, cfg, lr)
+    for p, buffer, want_p, want_v, view in zip(
+            params, buffers, ref_p, ref_v, np.split(block.velocity, [2, 5, 11])):
+        assert p.grad is buffer and np.shares_memory(p.value, block.value)
+        np.testing.assert_array_equal(p.value, want_p)
+        np.testing.assert_array_equal(view.reshape(want_v.shape), want_v)
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -137,8 +147,14 @@ def test_sample_episode_novel_picks_ignore_base_pool():
 
 def test_sample_episode_shortfall_names_the_class():
     novel = fake_records(["fox"], 2, 4)
-    with pytest.raises(ValueError, match="'fox' has 2 records, needs 3"):
+    with pytest.raises(ValueError, match=re.escape("'fox' has 2 records, needs 3 (k)")):
         sample_episode(no_records(), novel, k=3, base_shots=0)
+    with pytest.raises(ValueError, match=re.escape(
+            "'cat' has 1 records, needs 2 (base_shots, which defaults to k)")):
+        sample_episode(fake_records(["cat"], 1, 4), novel, k=2)
+    with pytest.raises(ValueError, match=re.escape("'cat' has 1 records, needs 2 (--shots)")):
+        sample_episode(fake_records(["cat"], 1, 4), novel, k=1, base_shots=2,
+                       names=("--k", "--shots"))
     with pytest.raises(ValueError, match=re.escape("k must be finite and in [1, inf), got 0")):
         sample_episode(no_records(), novel, k=0)
     with pytest.raises(ValueError, match=re.escape(
@@ -164,6 +180,85 @@ def test_balanced_batches_draw_classes_uniformly():
     with pytest.raises(ValueError, match=re.escape(
             "batch_size must be finite and in [1, inf), got 0")):
         balanced_batch_iter(pool, 0, 0)
+
+
+def _reference_batches(pools, batch_size, rng, count):
+    """The scalar definition of a balanced batch: per slot one draw for the
+    class, then one for the record."""
+    batches = []
+    for _ in range(count):
+        batch = np.empty(batch_size, dtype=np.intp)
+        for i in range(batch_size):
+            pool = pools[rng.integers(0, len(pools))]
+            batch[i] = pool[rng.integers(0, len(pool))]
+        batches.append(batch)
+    return batches
+
+
+def _assert_same_batches_and_stream(got, want, rng_got, rng_want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    # both generators end at the same point of the stream
+    np.testing.assert_array_equal(rng_got.integers(0, 2**40, size=3),
+                                  rng_want.integers(0, 2**40, size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=7),
+       batch_size=st.integers(1, 24), seed=st.integers(0, 2**63 - 1),
+       count=st.integers(1, 8), data=st.data())
+def test_balanced_batches_match_the_scalar_draws_bit_for_bit(sizes, batch_size, seed, count,
+                                                             data):
+    labels = [f"c{c}" for c, n in enumerate(sizes) for _ in range(n)]
+    labels = data.draw(st.permutations(labels))  # pools interleave across columns
+    pool = FeatureSet([f"r{i}" for i in range(len(labels))], labels,
+                      np.zeros((1, len(labels))))
+    it = balanced_batch_iter(pool, batch_size, seed)
+    got = [next(it) for _ in range(count)]
+    want = _reference_batches(list(pool.label_columns().values()), batch_size,
+                              np.random.default_rng([seed, training._STREAM_BALANCE]), count)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def _generator_whose_next_word_is(word):
+    bits = np.random.PCG64(0)
+    state = bits.state
+    high = 1 << 40  # the top six bits of the state rotate the output: keep them zero
+    state["state"]["state"] = (high << 64) | (high ^ word)
+    bits.state = state
+    bits.advance(-1)  # a PCG64 word is the output of the state after one step
+    return np.random.Generator(bits)
+
+
+_POOLS = [np.arange(0, 12, 2), np.arange(1, 12, 2), np.arange(12, 17)]  # 6, 6 and 5 records
+
+
+@pytest.mark.parametrize("low,high", [(0, 0x9E3779B9), (1 << 31, 0)],
+                         ids=["class_draw", "record_draw"])
+def test_balanced_batches_fall_back_on_a_rejected_draw(low, high):
+    # a zero half leaves 0 < 2**32 % bound for the class bound 3 and the
+    # record bound 6 of the second pool: numpy's Lemire draw rejects it and
+    # takes one more half
+    word = (high << 32) | low
+    assert _generator_whose_next_word_is(word).bit_generator.random_raw() == word
+    got_rng, want_rng = _generator_whose_next_word_is(word), _generator_whose_next_word_is(word)
+    got_it = training._balanced_batches(_POOLS, 8, got_rng)
+    got = [next(got_it) for _ in range(3)]
+    want = _reference_batches(_POOLS, 8, want_rng, 3)
+    _assert_same_batches_and_stream(got, want, got_rng, want_rng)
+
+
+def test_balanced_batches_fall_back_on_a_buffered_half():
+    got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
+    for rng in (got_rng, want_rng):
+        rng.integers(0, 3)  # one 32-bit draw leaves the word's high half buffered
+        assert rng.bit_generator.state["has_uint32"]
+    got_it = training._balanced_batches(_POOLS, 5, got_rng)
+    got = [next(got_it) for _ in range(4)]
+    want = _reference_batches(_POOLS, 5, want_rng, 4)
+    _assert_same_batches_and_stream(got, want, got_rng, want_rng)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +387,36 @@ def test_finetune_fails_when_a_frozen_trunk_weight_moves(tiny_world, monkeypatch
     _nudging_sgd_step(monkeypatch, head.params["trunk_w1"].value)
     with pytest.raises(RuntimeError, match="finetune: a frozen parameter moved"):
         finetune(head, episode, finetune_config(steps=3, batch_size=4, seed=2))
+
+
+def test_a_phase_packs_trainable_values_into_one_block_and_leaves_frozen_ones_be(tiny_world):
+    registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
+    head = make_head("srr", registry, we)
+    episode = sample_episode(base_data, novel_data, k=2, base_shots=2, seed=2)
+    arrays = {name: p.value for name, p in head.params.items()}
+    finetune(head, episode, finetune_config(steps=3, batch_size=4, seed=2))
+    trainable = [p for p in head.params.values() if p.trainable]
+    assert {p.name for p in trainable} == head.resolve_groups(("P", "relation", "b"))
+    for name, p in head.params.items():
+        if not p.trainable:
+            assert p.value is arrays[name], f"frozen {name} got a new value array"
+    block = trainable[0].value.base
+    assert all(p.value.base is block and p.value.flags.c_contiguous for p in trainable)
+
+
+def test_a_phase_with_nothing_trainable_moves_nothing(tiny_world):
+    # what `finetune --freeze all` asks for
+    registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
+    head = make_head("srr", registry, we)
+    episode = sample_episode(base_data, novel_data, k=2, base_shots=2, seed=2)
+    arrays = {name: p.value for name, p in head.params.items()}
+    before = head.param_hash()
+    result = finetune(head, episode, finetune_config(steps=3, batch_size=4, seed=2,
+                                                     trainable=()))
+    assert head.trainable_names() == [] and len(result.trace) == 3
+    assert all(np.isfinite(r.loss) for r in result.trace)
+    assert head.param_hash() == before == result.frozen_hash
+    assert all(p.value is arrays[name] for name, p in head.params.items())
 
 
 def test_finetune_does_not_step_on_an_earlier_phases_gradient(tiny_world):
