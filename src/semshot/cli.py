@@ -10,7 +10,10 @@ is itself accepted by ``--config``, which reproduces the run byte for byte.
 import argparse
 import hashlib
 import json
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -168,21 +171,47 @@ def _resolve(opts, ns: argparse.Namespace) -> dict:
     return cfg
 
 
-def _write_meta(out_dir: Path, command: str, cfg: dict, written, extra=None) -> None:
-    meta = {
-        "command": command,
-        "config": cfg,
-        "outputs": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written},
-    }
-    if extra:
-        meta["run"] = extra
-    save_json(out_dir / "meta.json", meta)
+class _Run:
+    """The one owner of a command's files.  ``path(name)`` stages an output in a
+    hidden directory in the deepest existing directory on the way to the out
+    dir, so every move stays on one file system; staging nothing publishes nothing."""
 
+    def __init__(self, command: str, cfg: dict):
+        self.command, self.cfg, self.names, self.stage = command, cfg, [], None
+        self.extra = None    # the "run" block of meta.json
+        self.summary = None  # a stdout line printed once the files are in place
 
-def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg["out.dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    def path(self, name: str) -> Path:
+        if self.stage is None:
+            out = Path(self.cfg["out.dir"])
+            root = next(p for p in (out, *out.parents) if p.is_dir())
+            self.stage = Path(tempfile.mkdtemp(dir=root, prefix=f".{out.name}."))
+        self.names.append(name)
+        return self.stage / name
+
+    def execute(self, fn) -> int:
+        """Run ``fn(cfg, run)``; then, whatever its exit code, hash the files it
+        staged into ``meta.json`` and move each into the out dir, ``meta.json``
+        last.  On any error the staging directory goes and the error propagates."""
+        try:
+            code = fn(self.cfg, self)
+            if self.stage is not None:
+                meta = {"command": self.command, "config": self.cfg, "outputs": {
+                    n: hashlib.sha256((self.stage / n).read_bytes()).hexdigest()
+                    for n in self.names}}
+                if self.extra:
+                    meta["run"] = self.extra
+                save_json(self.stage / "meta.json", meta)
+                out = Path(self.cfg["out.dir"])
+                out.mkdir(parents=True, exist_ok=True)
+                for name in [*self.names, "meta.json"]:
+                    os.replace(self.stage / name, out / name)
+        finally:
+            if self.stage is not None:
+                shutil.rmtree(self.stage, ignore_errors=True)
+        if self.summary:
+            print(self.summary)
+        return code
 
 
 def _load_embeddings(cfg: dict, registry: ClassRegistry):
@@ -287,8 +316,7 @@ def _optim_args(cfg: dict) -> dict:
                 reg_weight=cfg["reg.weight"], seed=cfg["seed"])
 
 
-def cmd_train(cfg: dict) -> int:
-    out = _out_dir(cfg)
+def cmd_train(cfg: dict, run: _Run) -> int:
     registry = load_registry(cfg["registry"])
     data = load_records(cfg["data"])
     mode = HeadMode(cfg["mode"])
@@ -304,13 +332,10 @@ def cmd_train(cfg: dict) -> int:
     _attach_cooccurrence(cfg, head)
 
     result = base_train(head, data, TrainConfig(**_optim_args(cfg)))
-    save_head(head, out / "head.json")
-    save_trace_csv(out / "trace.csv", result.trace)
-    _write_meta(
-        out, "train", cfg, [out / "head.json", out / "trace.csv"],
-        extra={"we_hash": result.we_hash, "param_hash": head.param_hash(),
-               "final_loss": result.final_loss},
-    )
+    save_head(head, run.path("head.json"))
+    save_trace_csv(run.path("trace.csv"), result.trace)
+    run.extra = {"we_hash": result.we_hash, "param_hash": head.param_hash(),
+                 "final_loss": result.final_loss}
     return 0
 
 
@@ -357,7 +382,7 @@ def _trainable_groups(cfg: dict, head) -> tuple | None:
     return tuple(g for g in base if g not in named["freeze"])
 
 
-def cmd_finetune(cfg: dict) -> int:
+def cmd_finetune(cfg: dict, run: _Run) -> int:
     head = load_head(cfg["checkpoint"])
     if cfg.get("graph.mode"):
         switch_graph_mode(head, cfg["graph.mode"], seed=cfg["seed"])
@@ -378,20 +403,13 @@ def cmd_finetune(cfg: dict) -> int:
     novel_data = load_records(cfg["novel.data"])
     episode = sample_episode(base_data, novel_data, cfg["k"], cfg.get("base.shots"), cfg["seed"],
                              names=("--k", "--base-shots"))
-    out = _out_dir(cfg)
     result = finetune(head, episode, finetune_config(**_optim_args(cfg), trainable=trainable))
-    save_head(head, out / "head.json")
-    save_trace_csv(out / "trace.csv", result.trace)
-    save_json(out / "episode.json", {"k": episode.k, "base_shots": episode.base_shots,
-                                     "ids": episode.ids()})
-    _write_meta(
-        out, "finetune", cfg,
-        [out / "head.json", out / "trace.csv", out / "episode.json"],
-        extra={"we_hash": result.we_hash,
-               "frozen_hash": result.frozen_hash,
-               "trainable": head.trainable_names(),
-               "steps": len(result.trace)},
-    )
+    save_head(head, run.path("head.json"))
+    save_trace_csv(run.path("trace.csv"), result.trace)
+    save_json(run.path("episode.json"), {"k": episode.k, "base_shots": episode.base_shots,
+                                         "ids": episode.ids()})
+    run.extra = {"we_hash": result.we_hash, "frozen_hash": result.frozen_hash,
+                 "trainable": head.trainable_names(), "steps": len(result.trace)}
     return 0
 
 
@@ -412,19 +430,17 @@ SWEEP_OPTS = [
 ]
 
 
-def cmd_sweep(cfg: dict) -> int:
+def cmd_sweep(cfg: dict, run: _Run) -> int:
     HeadConfig(mode=cfg["mode"], graph_mode=cfg.get("graph.mode"))  # reject a bad pair
     shots = _parse_int_list(cfg["shots"], "--shots")
-    out = _out_dir(cfg)
     pcfg = bundled_benchmark(
         mode=cfg["mode"], graph_mode=cfg.get("graph.mode"), alpha=cfg["alpha"],
         n_base=cfg["base.classes"], n_novel=cfg["novel.classes"],
     )
     seeds = [cfg["seed"] + i for i in range(cfg["seeds"])]
     result = shot_sweep(pcfg, shots, seeds)
-    save_sweep_csv(out / "sweep.csv", result.rows)
-    save_json(out / "summary.json", result.summary())
-    _write_meta(out, "sweep", cfg, [out / "sweep.csv", out / "summary.json"])
+    save_sweep_csv(run.path("sweep.csv"), result.rows)
+    save_json(run.path("summary.json"), result.summary())
     return 0
 
 
@@ -438,20 +454,16 @@ EVAL_OPTS = [
 ]
 
 
-def cmd_eval(cfg: dict) -> int:
-    out = _out_dir(cfg)
+def cmd_eval(cfg: dict, run: _Run) -> int:
     head = load_head(cfg["checkpoint"])
     report = evaluate(head, load_records(cfg["data"]))
-    save_json(out / "metrics.json", report.to_json())
+    save_json(run.path("metrics.json"), report.to_json())
     _write_matrix_csv(
-        out / "confusion.csv", report.confusion.astype(float),
+        run.path("confusion.csv"), report.confusion.astype(float),
         report.class_names, report.class_names,
     )
-    _write_meta(out, "eval", cfg, [out / "metrics.json", out / "confusion.csv"])
-    print(
-        f"overall {report.overall_accuracy:.4f}  base {report.base_accuracy:.4f}  "
-        f"novel {report.novel_accuracy:.4f}  ({report.record_count} records)"
-    )
+    run.summary = (f"overall {report.overall_accuracy:.4f}  base {report.base_accuracy:.4f}  "
+                   f"novel {report.novel_accuracy:.4f}  ({report.record_count} records)")
     return 0
 
 
@@ -503,7 +515,7 @@ def run_gradcheck(mode: str, cfg: dict):
     return grad_check(loss_fn, head.param_list(), eps=cfg["eps"])
 
 
-def cmd_gradcheck(cfg: dict) -> int:
+def cmd_gradcheck(cfg: dict, run: _Run) -> int:
     modes = ("baseline", "ssp", "srr") if cfg["mode"] == "all" else (cfg["mode"],)
     threshold = cfg["threshold"]
     all_ok = True
@@ -522,9 +534,7 @@ def cmd_gradcheck(cfg: dict) -> int:
         print(f"{mode}: max rel err {report.max_rel_err:.3e} "
               f"{'PASS' if ok else 'FAIL'} (threshold {threshold:g})")
     if cfg.get("out.dir"):
-        out = _out_dir(cfg)
-        save_json(out / "gradcheck.json", results)
-        _write_meta(out, "gradcheck", cfg, [out / "gradcheck.json"])
+        save_json(run.path("gradcheck.json"), results)
     return 0 if all_ok else 1
 
 
@@ -539,14 +549,12 @@ EXPORT_OPTS = [
 ]
 
 
-def cmd_export(cfg: dict) -> int:
-    out = _out_dir(cfg)
+def cmd_export(cfg: dict, run: _Run) -> int:
     head = load_head(cfg["checkpoint"])
     names = head.registry.names
 
     if cfg["kind"] == "graph":
-        _write_matrix_csv(out / "graph.csv", relation_graph(head), names, names)
-        _write_meta(out, "export", cfg, [out / "graph.csv"])
+        _write_matrix_csv(run.path("graph.csv"), relation_graph(head), names, names)
         return 0
 
     if head.we is None:
@@ -554,14 +562,8 @@ def cmd_export(cfg: dict) -> int:
     cm = correlation_map(head.we.matrix, class_rows(head), head.registry)
     base = list(cm.base_names)
     novel = list(cm.novel_names)
-    _write_matrix_csv(out / "correlate_before.csv", cm.before, novel, base)
-    _write_matrix_csv(out / "correlate_after.csv", cm.after, novel, base)
-    _write_matrix_csv(out / "correlate_diff.csv", cm.difference, novel, base)
-    _write_meta(
-        out, "export", cfg,
-        [out / "correlate_before.csv", out / "correlate_after.csv",
-         out / "correlate_diff.csv"],
-    )
+    for name, matrix in (("before", cm.before), ("after", cm.after), ("diff", cm.difference)):
+        _write_matrix_csv(run.path(f"correlate_{name}.csv"), matrix, novel, base)
     return 0
 
 
@@ -579,7 +581,7 @@ CLOSURE_OPTS = [
 ]
 
 
-def cmd_closure(cfg: dict) -> int:
+def cmd_closure(cfg: dict, run: _Run) -> int:
     if cfg["golden"]:
         manifest = bundled_voc_manifest()
     else:
@@ -622,7 +624,7 @@ SYNTH_OPTS = [
 ]
 
 
-def cmd_synth(cfg: dict) -> int:
+def cmd_synth(cfg: dict, run: _Run) -> int:
     # generate derives the noise level from the margin between classes
     if cfg.get("sigma") is None and cfg["base.classes"] + cfg["novel.classes"] == 1:
         raise ValueError("a single class has no margin to derive a noise level from; "
@@ -643,19 +645,13 @@ def cmd_synth(cfg: dict) -> int:
             seed=cfg["seed"],
         ),
     )
-    out = _out_dir(cfg)
-    save_registry(registry, out / "registry.json")
+    save_registry(registry, run.path("registry.json"))
     class_names = registry.base + registry.novel
-    save_embedding_file(out / "embeddings.txt", class_names, we.matrix[: len(class_names)])
-    save_records(out / "base_train.jsonl", ds.train.with_labels(registry.base))
-    save_records(out / "novel_train.jsonl", ds.train.with_labels(registry.novel))
-    save_records(out / "test.jsonl", ds.test)
-    _write_meta(
-        out, "synth", cfg,
-        [out / "registry.json", out / "embeddings.txt", out / "base_train.jsonl",
-         out / "novel_train.jsonl", out / "test.jsonl"],
-        extra={"sigma": ds.sigma, "min_margin": ds.min_margin},
-    )
+    save_embedding_file(run.path("embeddings.txt"), class_names, we.matrix[: len(class_names)])
+    save_records(run.path("base_train.jsonl"), ds.train.with_labels(registry.base))
+    save_records(run.path("novel_train.jsonl"), ds.train.with_labels(registry.novel))
+    save_records(run.path("test.jsonl"), ds.test)
+    run.extra = {"sigma": ds.sigma, "min_margin": ds.min_margin}
     return 0
 
 
@@ -699,7 +695,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # --help printed the usage
             return int(exc.code or 0)
         _, opts, fn = _COMMANDS[ns.command]
-        return fn(_resolve(opts, ns))
+        return _Run(ns.command, _resolve(opts, ns)).execute(fn)
     except (ValueError, KeyError, OSError, FloatingPointError) as exc:
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1

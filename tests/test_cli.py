@@ -96,11 +96,16 @@ def test_train_writes_checkpoint_and_trace(trained):
 
 
 def test_meta_json_replays_a_run_byte_for_byte(corpus, trained, tmp_path):
+    want = {name: sha(trained / name) for name in ("head.json", "trace.csv", "meta.json")}
     replay = tmp_path / "replay"
     code = run("train", "--config", trained / "meta.json", "--out-dir", replay)
     assert code == 0
-    assert sha(replay / "head.json") == sha(trained / "head.json")
-    assert sha(replay / "trace.csv") == sha(trained / "trace.csv")
+    assert sha(replay / "head.json") == want["head.json"]
+    assert sha(replay / "trace.csv") == want["trace.csv"]
+    # into the original out dir, which already holds every file: meta.json
+    # names the same out dir, so it comes out byte-identical too
+    assert run("train", "--config", trained / "meta.json", "--out-dir", trained) == 0
+    assert {p.name: sha(p) for p in trained.iterdir()} == want
 
 
 _SYNTH_FLAGS = st.fixed_dictionaries(
@@ -254,7 +259,7 @@ def test_every_numeric_option_declares_an_interval_holding_its_default(command, 
 def test_bad_number_names_its_flag_or_key(
         tmp_path, capsys, command, opt, value, given):
     # no required option is given: the bound check comes first, before any
-    # input is read or the out dir is made
+    # input is read
     out = tmp_path / "out"
     if given == "flag":
         argv = [f"{opt.flag}={value!r}"]
@@ -301,6 +306,7 @@ def test_bad_dimensions_exit_1_naming_the_field(corpus, tmp_path, capsys, argv, 
     err = capsys.readouterr().err
     assert err == f"error: {flag} must be finite and in [1, inf), got {value}\n"
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
     # the library config behind the flag names its own field
     with pytest.raises(ValueError) as exc:
         check(value)
@@ -508,11 +514,6 @@ def _bad_input_cases(corpus, trained, bad):
     }
 
 
-# cases that fail before their command makes its out dir
-_NO_OUT_DIR = {"finetune_k_above_class_size", "synth_single_class_without_sigma",
-               "synth_seed_not_an_integer"}
-
-
 @pytest.mark.parametrize("case", [
     "config_json", "registry_json", "registry_top_level", "registry_names", "checkpoint_json",
     "checkpoint_top_level", "checkpoint_missing_field", "checkpoint_field_type",
@@ -548,8 +549,38 @@ def test_bad_input_exits_1_with_one_error_line_naming_its_source(
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(f"error: {message}")
-    assert not (out / "meta.json").exists() and not (out / "metrics.json").exists()
-    assert case not in _NO_OUT_DIR or not out.exists()
+    assert not out.exists() and not list(tmp_path.glob(".out.*"))
+
+
+def test_a_failure_after_a_staged_file_leaves_no_out_dir(corpus, tmp_path, capsys, monkeypatch):
+    staged = []
+
+    def disk_full(path, trace):
+        staged.extend(sorted(os.listdir(path.parent)))
+        raise OSError("disk full")
+
+    monkeypatch.setattr("semshot.cli.save_trace_csv", disk_full)
+    out = tmp_path / "out"
+    assert run("train", "--out-dir", out, "--data", corpus / "base_train.jsonl",
+               "--registry", corpus / "registry_base.json",
+               "--embeddings", corpus / "embeddings.txt", "--steps", 2) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert staged == ["head.json"]
+    assert not out.exists()
+    assert list(tmp_path.glob(".out.*")) == []
+
+
+def test_eval_prints_no_accuracy_when_its_files_cannot_be_moved_in(
+        corpus, trained, tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(f"cannot move {Path(src).name}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert run("eval", "--out-dir", tmp_path / "scores", "--checkpoint", trained / "head.json",
+               "--data", corpus / "base_train.jsonl") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: cannot move metrics.json\n"
+    assert list(tmp_path.glob("**/.scores.*")) == []
 
 
 def test_finetune_expands_and_freezes(corpus, trained, tmp_path, capsys):
@@ -706,7 +737,7 @@ def test_finetune_reattaches_the_heuristic_graph_after_expansion(corpus, tmp_pat
     assert _finetune_full(corpus, checkpoint, bare) == 1
     err = capsys.readouterr().err
     assert err == "error: heuristic graph mode needs --cooccurrence label sets\n"
-    assert not (bare / "meta.json").exists()
+    assert not bare.exists()
 
 
 def test_export_correlate_is_zero_diff_for_untrained_projection(trained, tmp_path, corpus):
@@ -735,6 +766,7 @@ def test_export_graph_requires_a_relation_stage(trained, tmp_path, capsys, corpu
     code = run("export", "graph", "--out-dir", out, "--checkpoint", trained / "head.json")
     assert code == 1
     assert "no relation graph to export" in capsys.readouterr().err
+    assert not out.exists()
 
     srr_dir = tmp_path / "srr"
     assert _train_srr(corpus, srr_dir) == 0
@@ -755,13 +787,23 @@ def test_gradcheck_command_passes(capsys):
 
 
 def test_gradcheck_writes_its_report_and_meta(tmp_path):
-    out = tmp_path / "gc"
+    out = tmp_path / "runs" / "gc"  # the parents are made too, and no staging dir is left
     assert run("gradcheck", "--mode", "ssp", "--out-dir", out) == 0
+    assert os.listdir(tmp_path) == ["runs"] and os.listdir(out.parent) == ["gc"]
     report = json.loads((out / "gradcheck.json").read_text())
     assert report["ssp"]["passed"] is True
     assert set(report["ssp"]["params"]) >= {"P", "b", "trunk_w1"}
     meta = json.loads((out / "meta.json").read_text())
     assert meta["command"] == "gradcheck"
+    assert meta["outputs"] == {"gradcheck.json": sha(out / "gradcheck.json")}
+
+
+def test_a_failing_gradcheck_exits_1_and_still_publishes_its_report(tmp_path, capsys):
+    out = tmp_path / "gc"
+    assert run("gradcheck", "--mode", "ssp", "--threshold", 1e-300, "--out-dir", out) == 1
+    assert "FAIL" in capsys.readouterr().out
+    assert json.loads((out / "gradcheck.json").read_text())["ssp"]["passed"] is False
+    meta = json.loads((out / "meta.json").read_text())
     assert meta["outputs"] == {"gradcheck.json": sha(out / "gradcheck.json")}
 
 

@@ -14,6 +14,10 @@ listed call sites: the forward products go through the order-controlled
 Every numeric setting is bounded by ``embeddings.Interval``, whose one
 message names the setting, the interval and the value; no other string
 words a range.
+
+In ``cli.py`` one owner, ``_Run``, publishes a run: only it makes a
+directory, uses ``hashlib`` or names ``"meta.json"``, and a command names
+each of its outputs once through ``run.path``.
 """
 
 import ast
@@ -262,3 +266,59 @@ class Config:
     ]
     assert [scope for _, scope, _ in range_phrases(source, "head")] == [
         "<module>", "Config", "Interval", "f", "f"]
+
+
+# the one scope of cli.py that publishes a run
+PUBLISHER = "_Run"
+_DIR_MAKERS = {"mkdir", "makedirs", "mkdtemp"}
+
+
+def publish_uses(source: str, owner=PUBLISHER) -> list:
+    """Sorted (scope, line) of every directory made, every use of ``hashlib``
+    and every ``"meta.json"`` literal outside ``owner``."""
+    found = []
+    for top in ast.parse(source).body:
+        scope = getattr(top, "name", "<module>")
+        if scope == owner:
+            continue
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr in _DIR_MAKERS) or (
+                    isinstance(node, ast.Name) and node.id == "hashlib") or (
+                    isinstance(node, ast.ImportFrom) and node.module == "hashlib") or (
+                    isinstance(node, ast.Constant) and node.value == "meta.json"):
+                found.append((scope, node.lineno))
+    return sorted(found)
+
+
+def test_only_the_run_owner_publishes_in_the_cli():
+    cli = (SRC / "cli.py").read_text()
+    assert publish_uses(cli) == []
+    # without an owner the rule finds the owner's own uses, so it is not vacuous
+    assert {scope for scope, _ in publish_uses(cli, owner=None)} == {PUBLISHER}
+
+
+def test_the_publish_rule_sees_every_kind_of_use():
+    source = '''
+import hashlib
+from hashlib import sha256
+
+class _Run:
+    def execute(self, fn):
+        self.out.mkdir()
+        return hashlib.sha256(b"").hexdigest(), "meta.json"
+
+def cmd_train(cfg, run):
+    out = Path(cfg["out.dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    os.makedirs(out / "sub")
+    digest = hashlib.sha256
+    save_json(out / "meta.json", {})
+    return "see meta.json", tempfile.mkdtemp()
+'''
+    assert publish_uses(source) == [
+        ("<module>", 3), ("cmd_train", 12), ("cmd_train", 13), ("cmd_train", 14),
+        ("cmd_train", 15), ("cmd_train", 16),
+    ]
+    assert [scope for scope, _ in publish_uses(source, owner=None)] == [
+        "<module>", "_Run", "_Run", "_Run", "cmd_train", "cmd_train", "cmd_train",
+        "cmd_train", "cmd_train"]
