@@ -102,6 +102,9 @@ class Opt:
         return self.flag.lstrip("-").replace("-", ".")
 
 
+_HEAD_MODES = tuple(m.value for m in HeadMode)
+_GRAPH_MODES = tuple(m.value for m in rel.GraphMode)
+
 _CONFIG_OPT = Opt("--config", help="JSON config file (flat dotted keys or a meta.json)")
 
 
@@ -192,7 +195,9 @@ class _Run:
     def execute(self, fn) -> int:
         """Run ``fn(cfg, run)``; then, whatever its exit code, hash the files it
         staged into ``meta.json`` and move each into the out dir, ``meta.json``
-        last.  On any error the staging directory goes and the error propagates."""
+        last.  On any error the staging directory goes, and so do the directories
+        made for the out dir, with what was moved in; the error propagates."""
+        made = None  # the topmost directory created on the way to the out dir
         try:
             code = fn(self.cfg, self)
             if self.stage is not None:
@@ -203,9 +208,14 @@ class _Run:
                     meta["run"] = self.extra
                 save_json(self.stage / "meta.json", meta)
                 out = Path(self.cfg["out.dir"])
+                made = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
                 out.mkdir(parents=True, exist_ok=True)
                 for name in [*self.names, "meta.json"]:
                     os.replace(self.stage / name, out / name)
+        except BaseException:
+            if made is not None:
+                shutil.rmtree(made, ignore_errors=True)
+            raise
         finally:
             if self.stage is not None:
                 shutil.rmtree(self.stage, ignore_errors=True)
@@ -290,8 +300,8 @@ TRAIN_OPTS = [
     Opt("--data", required=True, help="JSONL feature records for base training"),
     Opt("--registry", required=True, help="class registry JSON"),
     *_EMBED_OPTS,
-    Opt("--mode", default=HeadConfig.mode.value, choices=("baseline", "ssp", "srr")),
-    Opt("--graph-mode", choices=("none", "dynamic", "heuristic", "tt"),
+    Opt("--mode", default=HeadConfig.mode.value, choices=_HEAD_MODES),
+    Opt("--graph-mode", choices=_GRAPH_MODES,
         help="relation stage for srr heads (default: dynamic)"),
     Opt("--proj-dim", default=HeadConfig.d, type=POSITIVE_INT, help="trunk output dim d"),
     Opt("--reduced-dim", default=HeadConfig.r, type=POSITIVE_INT,
@@ -358,7 +368,7 @@ FINETUNE_OPTS = [
     Opt("--trainable", help="comma list of param groups (default: P,relation,b for srr, "
                             "P,b for ssp, W,b for baseline)"),
     Opt("--freeze", help="'all', or groups to drop from the trainable set"),
-    Opt("--graph-mode", choices=("none", "dynamic", "heuristic", "tt"),
+    Opt("--graph-mode", choices=_GRAPH_MODES,
         help="switch the relation stage before fine-tuning"),
     Opt("--cooccurrence", help="JSONL label sets for the heuristic graph"),
     Opt("--decouple", default=False, bool_flag=True),
@@ -419,8 +429,8 @@ def cmd_finetune(cfg: dict, run: _Run) -> int:
 SWEEP_OPTS = [
     Opt("--out-dir", required=True),
     Opt("--seed", default=0, type=NONNEG_INT, help="first seed of the batch"),
-    Opt("--mode", default=PipelineConfig.mode.value, choices=("baseline", "ssp", "srr")),
-    Opt("--graph-mode", choices=("none", "dynamic", "heuristic", "tt")),
+    Opt("--mode", default=PipelineConfig.mode.value, choices=_HEAD_MODES),
+    Opt("--graph-mode", choices=_GRAPH_MODES),
     Opt("--alpha", default=PipelineConfig.alpha, type=UNIT,
         help="embedding-to-feature coupling of the bundled generator"),
     Opt("--shots", default=",".join(map(str, DEFAULT_SHOT_LIST))),
@@ -473,7 +483,7 @@ def cmd_eval(cfg: dict, run: _Run) -> int:
 GRADCHECK_OPTS = [
     Opt("--out-dir", help="optional; writes gradcheck.json when given"),
     Opt("--seed", default=0, type=NONNEG_INT),
-    Opt("--mode", default="all", choices=("all", "baseline", "ssp", "srr")),
+    Opt("--mode", default="all", choices=("all", *_HEAD_MODES)),
     Opt("--base-classes", default=3, type=NONNEG_INT),
     Opt("--novel-classes", default=2, type=NONNEG_INT),
     Opt("--embed-dim", default=16, type=POSITIVE_INT),
@@ -516,7 +526,7 @@ def run_gradcheck(mode: str, cfg: dict):
 
 
 def cmd_gradcheck(cfg: dict, run: _Run) -> int:
-    modes = ("baseline", "ssp", "srr") if cfg["mode"] == "all" else (cfg["mode"],)
+    modes = _HEAD_MODES if cfg["mode"] == "all" else (cfg["mode"],)
     threshold = cfg["threshold"]
     all_ok = True
     results = {}

@@ -10,9 +10,10 @@ single op ``linear``.
 
 A ``Param`` owns its one gradient buffer for life: a recording tape zeroes a
 trainable param's buffer in place and accumulates into it, so after
-``backward`` the caller reads ``param.grad``.  Frozen params, leaves and
-everything on a forward-only ``Tape(backward=False)`` get no gradient
-(``grad is None``); such a tape records no closures.
+``backward`` the caller reads ``param.grad``.  Every param has that buffer,
+frozen or not; the tape node of a frozen param, a leaf and every node on a
+forward-only ``Tape(backward=False)`` get no gradient (their ``grad is
+None``), and such a tape records no closures.
 """
 
 from dataclasses import dataclass, field

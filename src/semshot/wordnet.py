@@ -25,29 +25,16 @@ class WordNetGraph:
         return self.children.get(node, ())
 
 
-def _detect_cycle(children: dict, nodes) -> bool:
-    white, grey, black = 0, 1, 2
-    color = {n: white for n in nodes}
-    for start in nodes:
-        if color[start] != white:
-            continue
-        stack = [(start, iter(children.get(start, ())))]
-        color[start] = grey
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == grey:
-                    return True
-                if color[nxt] == white:
-                    color[nxt] = grey
-                    stack.append((nxt, iter(children.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = black
-                stack.pop()
-    return False
+def _is_cyclic(children: dict, hypernyms: dict) -> bool:
+    """Peel off nodes with no hypernym left: a node on or below a cycle never
+    peels.  Uses up ``hypernyms``, each node's count of hypernyms."""
+    ready = [node for node, count in hypernyms.items() if not count]
+    for node in ready:  # grows as nodes free up
+        for child in children.get(node, ()):
+            hypernyms[child] -= 1
+            if not hypernyms[child]:
+                ready.append(child)
+    return len(ready) < len(hypernyms)
 
 
 def parse_hypernym_edges(stream) -> WordNetGraph:
@@ -58,9 +45,7 @@ def parse_hypernym_edges(stream) -> WordNetGraph:
     edges collapse.  Cycles are tolerated (closure still terminates) but
     flagged on the returned graph.
     """
-    children: dict = {}
-    nodes = set()
-    seen_edges = set()
+    children: dict = {}  # hypernym -> its hyponyms, a dict used as an ordered set
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -76,17 +61,14 @@ def parse_hypernym_edges(stream) -> WordNetGraph:
                 raise ValueError(f"line {lineno}: malformed synset id {ident!r}")
         if parent == child:
             raise ValueError(f"line {lineno}: self-edge on {parent!r}")
-        nodes.update((parent, child))
-        if (parent, child) in seen_edges:
-            continue
-        seen_edges.add((parent, child))
-        children.setdefault(parent, []).append(child)
-    children_t = {k: tuple(v) for k, v in children.items()}
-    return WordNetGraph(
-        nodes=frozenset(nodes),
-        children=children_t,
-        cyclic=_detect_cycle(children_t, nodes),
-    )
+        children.setdefault(parent, {})[child] = None
+    hypernyms = dict.fromkeys(children, 0)
+    for parent, kids in children.items():
+        for child in kids:
+            hypernyms[child] = hypernyms.get(child, 0) + 1
+        children[parent] = tuple(kids)
+    return WordNetGraph(nodes=frozenset(hypernyms), children=children,
+                        cyclic=_is_cyclic(children, hypernyms))
 
 
 def load_hypernym_edges(path) -> WordNetGraph:

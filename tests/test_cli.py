@@ -581,6 +581,31 @@ def test_eval_prints_no_accuracy_when_its_files_cannot_be_moved_in(
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: cannot move metrics.json\n"
     assert list(tmp_path.glob("**/.scores.*")) == []
+    assert not (tmp_path / "scores").exists()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["made", "existing"])
+def test_a_failed_move_takes_out_only_the_directories_the_run_made(
+        corpus, trained, tmp_path, capsys, monkeypatch, existing):
+    out = tmp_path / "runs" / "scores"
+    if existing:
+        out.mkdir(parents=True)
+        (out / "keep.txt").write_text("kept")
+    replace = os.replace
+
+    def refuse_all_but_metrics(src, dst):
+        if Path(src).name != "metrics.json":
+            raise OSError(f"cannot move {Path(src).name}")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse_all_but_metrics)
+    assert run("eval", "--out-dir", out, "--checkpoint", trained / "head.json",
+               "--data", corpus / "base_train.jsonl") == 1
+    assert capsys.readouterr().err == "error: cannot move confusion.csv\n"
+    if existing:  # an out dir the run found keeps what was moved in
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt", "metrics.json"]
+    else:  # the out dir and its missing parent go, metrics.json with them
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_finetune_expands_and_freezes(corpus, trained, tmp_path, capsys):

@@ -470,6 +470,10 @@ def test_non_finite_scores_raise_naming_the_largest_parameter(base_reg, question
     (lambda s: s["trainable"].update(P=1), "'trainable.P' must be true or false, got an integer"),
     (lambda s: s["we"].pop("hash"), "checkpoint field 'we.hash' is missing"),
     (lambda s: s.update(we=[]), "'we' must be an object or null, got a list"),
+    (lambda s: s.update(we=None), "checkpoint field 'we' must be an object for mode 'ssp'"),
+    (lambda s: s["we"]["matrix"].pop(), r"checkpoint field 'we\.matrix': expected 4 rows, found 3"),
+    (lambda s: s["we"].update(hash="0" * 64),
+     r"checkpoint field 'we\.hash' does not match 'we\.matrix'"),
     (lambda s: s.update(mode="bogus"),
      "checkpoint field 'mode' must be one of baseline, ssp, srr, got 'bogus'"),
     (lambda s: s.update(graph_mode=3), "'graph_mode' must be a string, got an integer"),

@@ -306,6 +306,16 @@ def test_base_train_runs_and_loss_falls(tiny_world):
     assert late < early
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_a_non_finite_trainable_param_stops_the_first_step_naming_it(tiny_world):
+    registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
+    head = make_head("ssp", base_reg, we.select_rows(base_rows))
+    head.params["P"].value[0, 0] = np.nan
+    with pytest.raises(FloatingPointError, match=r"^base_train: loss is nan at step 1 \(lr .*\); "
+                       r"trainable parameter 'P' holds a non-finite value$"):
+        base_train(head, base_data, TrainConfig(steps=5, batch_size=8, seed=0))
+
+
 def test_base_train_with_graph_deferred_leaves_relation_maps_alone(tiny_world):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
     head = make_head("srr", base_reg, we.select_rows(base_rows), graph_in_base=False)

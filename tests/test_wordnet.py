@@ -2,6 +2,8 @@
 
 import io
 import json
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,11 +127,12 @@ def test_bundled_manifest_covers_the_standard_holdout():
 
 
 _synsets = st.integers(0, 12).map(lambda i: f"n{i:08d}")
+_edge_lists = st.lists(st.tuples(_synsets, _synsets).filter(lambda e: e[0] != e[1]),
+                       max_size=30)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(_synsets, _synsets).filter(lambda e: e[0] != e[1]), max_size=30),
-       st.data())
+@given(_edge_lists, st.data())
 def test_parse_returns_exactly_the_deduplicated_edges(edges, data):
     lines = []
     for parent, child in edges:
@@ -142,3 +145,43 @@ def test_parse_returns_exactly_the_deduplicated_edges(edges, data):
         want.setdefault(parent, []).append(child)
     assert g.children == {p: tuple(c) for p, c in want.items()}
     assert g.nodes == {n for e in edges for n in e}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_lists)
+def test_cyclic_flag_says_whether_some_node_reaches_itself(edges):
+    kids = {}
+    for parent, child in edges:
+        kids.setdefault(parent, []).append(child)
+
+    def reaches_itself(start):
+        seen, stack = set(), list(kids.get(start, ()))
+        while stack:
+            node = stack.pop()
+            if node == start:
+                return True
+            if node not in seen:
+                seen.add(node)
+                stack.extend(kids.get(node, ()))
+        return False
+
+    g = graph_of("".join(f"{parent}\t{child}\n" for parent, child in edges))
+    assert g.cyclic == any(reaches_itself(node) for node in kids)
+
+
+def test_parse_peak_memory_stays_near_the_graph_it_returns():
+    # a seeded random forest of 20 trees: past the roots, each node's hypernym
+    # is an earlier node
+    rng = random.Random(0)
+    ids = [f"n{i:08d}" for i in range(20_000)]
+    lines = [f"{ids[rng.randrange(i)]}\t{ids[i]}\n" for i in range(20, len(ids))]
+    rng.shuffle(lines)
+    stream = io.StringIO("".join(lines))
+    tracemalloc.start()
+    try:
+        g = parse_hypernym_edges(stream)
+        size, peak = tracemalloc.get_traced_memory()  # both count from start()
+    finally:
+        tracemalloc.stop()
+    assert len(g.nodes) == len(ids) and not g.cyclic
+    assert peak <= 1.6 * size
