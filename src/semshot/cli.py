@@ -231,7 +231,8 @@ def _load_embeddings(cfg: dict, registry: ClassRegistry):
     return load_embedding_file(source, registry, cfg["background.seed"])
 
 
-def _load_label_sets(path) -> list:
+def _load_label_sets(path, registry) -> list:
+    """The label lists of a JSONL ``--cooccurrence`` file, each name a class of ``registry``."""
     sets = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -245,6 +246,11 @@ def _load_label_sets(path) -> list:
             labels = obj.get("labels") if isinstance(obj, dict) else None
             if not isinstance(labels, list) or not all(isinstance(n, str) for n in labels):
                 raise ValueError(f'{path}:{lineno}: expected {{"labels": [class names]}}')
+            for name in labels:
+                try:
+                    registry.index(name)
+                except KeyError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
             sets.append(labels)
     return sets
 
@@ -256,7 +262,8 @@ def _attach_cooccurrence(cfg: dict, head) -> None:
     if not cfg.get("cooccurrence"):
         raise ValueError("heuristic graph mode needs --cooccurrence label sets")
     attach_heuristic_graph(
-        head, cooccurrence_graph(_load_label_sets(cfg["cooccurrence"]), head.registry)
+        head, cooccurrence_graph(_load_label_sets(cfg["cooccurrence"], head.registry),
+                                 head.registry)
     )
 
 
@@ -597,11 +604,13 @@ def cmd_closure(cfg: dict, run: _Run) -> int:
     else:
         if not cfg.get("edges") or not cfg.get("roots"):
             raise ValueError("closure needs --edges and --roots (or --golden)")
+        roots = [r.strip() for r in cfg["roots"].split(",") if r.strip()]
+        if not roots:
+            raise ValueError(f"--roots holds no synset id, got {cfg['roots']!r}")
         graph = load_hypernym_edges(cfg["edges"])
         if graph.cyclic:
             print("warning: hypernym graph contains a cycle; closure still terminates",
                   file=sys.stderr)
-        roots = [r.strip() for r in cfg["roots"].split(",") if r.strip()]
         manifest = manifest_from_graph(
             graph, {cfg["class.name"]: roots}, provenance=f"computed:{cfg['edges']}"
         )

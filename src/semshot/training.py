@@ -178,52 +178,16 @@ def balanced_batch_iter(data: FeatureSet, batch_size: int, seed: int):
     return _balanced_batches(pools, batch_size, np.random.default_rng([seed, _STREAM_BALANCE]))
 
 
-def _scalar_batch(pools, batch_size: int, rng) -> np.ndarray:
-    """One balanced batch, two ``rng.integers`` draws a slot: the reference."""
-    batch = np.empty(batch_size, dtype=np.intp)
-    for i in range(batch_size):
-        pool = pools[rng.integers(0, len(pools))]
-        batch[i] = pool[rng.integers(0, len(pool))]
-    return batch
-
-
-_LOW32 = np.uint64(0xFFFFFFFF)
-_BITS32 = np.uint64(32)
-
-
 def _balanced_batches(pools, batch_size: int, rng):
-    """``_scalar_batch`` after ``_scalar_batch`` of ``rng``, drawn a batch at once.
-
-    ``rng.integers(0, n)`` with 1 < n <= 2**32 is numpy's bounded Lemire
-    draw: the next 32-bit half of a PCG64 word times n, whose high 32 bits
-    are the result unless its low 32 bits fall below n, when it may reject
-    and draw again.  A slot's two draws therefore take the low and the high
-    half of one word, and ``random_raw(batch_size)`` holds a whole batch.
-    The scalar loop runs instead whenever the halves could pair up another
-    way: a draw with n == 1 takes no half, which a single pool or a pool of
-    one record gives; the generator may hold a buffered half; or a draw may
-    reject, in which case the state from before ``random_raw`` comes back
-    first.
-    """
-    bits = rng.bit_generator
-    sizes = np.array([len(p) for p in pools], dtype=np.uint64)
-    n_pools = np.uint64(len(pools))
-    starts = (np.cumsum(sizes) - sizes).astype(np.intp)
+    """Endless batches over ``pools``, two ``rng.integers`` calls a batch:
+    every slot's class, then every slot's record within that class's pool
+    (a pool of one record draws 0)."""
+    sizes = np.array([len(p) for p in pools])
+    starts = np.cumsum(sizes) - sizes
     flat = np.concatenate(pools)
-    whole_words = len(pools) > 1 and sizes.min() > 1
     while True:
-        state = bits.state if whole_words else None
-        if state is not None and not state["has_uint32"]:
-            words = bits.random_raw(batch_size)
-            m_pool = (words & _LOW32) * n_pools
-            pool = m_pool >> _BITS32
-            size = sizes[pool]
-            m_rec = (words >> _BITS32) * size
-            if not (((m_pool & _LOW32) < n_pools).any() or ((m_rec & _LOW32) < size).any()):
-                yield flat[starts[pool] + (m_rec >> _BITS32).astype(np.intp)]
-                continue
-            bits.state = state
-        yield _scalar_batch(pools, batch_size, rng)
+        pool = rng.integers(0, len(pools), size=batch_size)
+        yield flat[starts[pool] + rng.integers(0, sizes[pool])]
 
 
 # ---------------------------------------------------------------------------

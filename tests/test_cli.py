@@ -353,6 +353,7 @@ def _bad_input_cases(corpus, trained, bad):
     huge_p = json.loads((trained / "head.json").read_text())
     huge_p["params"]["P"] = [[1e308] * len(row) for row in huge_p["params"]["P"]]
     heuristic = train(**{"--cooccurrence": bad}) + ["--mode", "srr", "--graph-mode", "heuristic"]
+    unknown_in_line_3 = '{"labels": ["base00"]}\n\n{"labels": ["base01", "nosuch"]}\n'
     baseline = head_state(build_head(HeadConfig(mode="baseline", d_in=10, d=8),
                                      load_registry(corpus / "registry_base.json")))
     return {
@@ -397,6 +398,12 @@ def _bad_input_cases(corpus, trained, bad):
                               f"{bad}:2: invalid JSON ({_BAD_JSON})"),
         "cooccurrence_labels": ('{"labels": "base00"}\n', heuristic,
                                 f'{bad}:1: expected {{"labels": [class names]}}'),
+        "cooccurrence_unknown_class": (unknown_in_line_3, heuristic,
+                                       f"{bad}:3: unknown class 'nosuch'"),
+        "finetune_cooccurrence_unknown_class": (
+            unknown_in_line_3, finetune(corpus / "novel_train.jsonl")
+            + ["--graph-mode", "heuristic", "--cooccurrence", bad],
+            f"{bad}:3: unknown class 'nosuch'"),
         "cooccurrence_missing": ("", train() + ["--mode", "srr", "--graph-mode", "heuristic"],
                                  "heuristic graph mode needs --cooccurrence label sets"),
         "config_top_level": ("[1]", ["synth", "--config", bad],
@@ -500,6 +507,9 @@ def _bad_input_cases(corpus, trained, bad):
         "closure_edges": ("n00000001\tn00000002\nn00000002\tbogus\n",
                           ["closure", "--edges", bad, "--roots", "n00000001"],
                           f"{bad}: line 2: malformed synset id 'bogus'"),
+        "closure_roots_without_an_id": ("n00000001\tn00000002\n",
+                                        ["closure", "--edges", bad, "--roots", ","],
+                                        "--roots holds no synset id, got ','"),
         # the corpus has 6 records a class; --base-shots defaults to --k
         "finetune_k_above_class_size": ("", finetune(corpus / "novel_train.jsonl")
                                         + ["--k", 50],
@@ -520,7 +530,8 @@ def _bad_input_cases(corpus, trained, bad):
     "checkpoint_mode_value", "checkpoint_graph_mode_value", "checkpoint_nonfinite_eval",
     "checkpoint_nonfinite_export", "checkpoint_heuristic_without_graph",
     "checkpoint_overflow_eval", "export_correlate_baseline", "cooccurrence_json",
-    "cooccurrence_labels", "cooccurrence_missing", "config_top_level", "config_float_for_int",
+    "cooccurrence_labels", "cooccurrence_unknown_class", "finetune_cooccurrence_unknown_class",
+    "cooccurrence_missing", "config_top_level", "config_float_for_int",
     "config_string_for_bool", "sweep_shots_not_integers", "sweep_shots_empty",
     "sweep_shots_zero", "sweep_shots_negative", "sweep_seeds_zero", "sweep_base_classes_zero",
     "gradcheck_eps_zero", "gradcheck_eps_inf", "gradcheck_threshold_inf",
@@ -535,6 +546,7 @@ def _bad_input_cases(corpus, trained, bad):
     "weight_decay_negative", "reg_weight_nan", "freeze_unknown_group",
     "trainable_unknown_group", "synth_sigma_negative", "synth_sigma_nan",
     "synth_margin_scale_negative", "synth_spread_negative", "closure_edges",
+    "closure_roots_without_an_id",
     "finetune_k_above_class_size", "synth_single_class_without_sigma",
     "synth_seed_not_an_integer",
 ])

@@ -224,6 +224,61 @@ def test_the_fused_loss_end_matches_its_terms_bit_for_bit(rng, reg_weight):
     np.testing.assert_array_equal(g_pred, w_pred)
 
 
+def _leaves(*shapes):
+    tape = dm.Tape()
+    return [tape.leaf(np.ones(s)) for s in shapes]
+
+
+# one call per guard: the call, and the message of the ValueError it raises
+_GUARD_CASES = {
+    "as_matrix_ndim_3": (lambda: dm.as_matrix(np.zeros((2, 2, 2))),
+                         "expected a 1-D or 2-D array, got ndim=3"),
+    "item_of_a_matrix": (lambda: _leaves((2, 1))[0].item(),
+                         r"item\(\) needs a 1x1 tensor, got shape \(2, 1\)"),
+    "backward_of_a_matrix": (lambda: _leaves((1, 2))[0].backward(),
+                             r"backward needs a 1x1 loss, got shape \(1, 2\)"),
+    "backward_of_another_tapes_loss": (lambda: dm.Tape().backward(_leaves((1, 1))[0]),
+                                       "loss tensor belongs to a different tape"),
+    "matmul_shapes": (lambda: dm.matmul(*_leaves((2, 3), (2, 3))),
+                      r"matmul shape mismatch: \(2, 3\) @ \(2, 3\)"),
+    "add_shapes": (lambda: dm.add(*_leaves((2, 3), (3, 2))),
+                   r"add shape mismatch: \(2, 3\) vs \(3, 2\)"),
+    "cross_entropy_label_count": (lambda: dm.cross_entropy_cols(_leaves((4, 3))[0], [0, 1]),
+                                  "2 labels for batch of 3"),
+    "cross_entropy_label_range": (lambda: dm.cross_entropy_cols(_leaves((4, 3))[0], [0, 4, 1]),
+                                  r"label out of range \[0, 4\): \[0, 4, 1\]"),
+    "squared_error_target_shape": (lambda: dm.squared_error_cols(_leaves((2, 3))[0],
+                                                                 np.ones((3, 2))),
+                                   r"target shape \(3, 2\) vs prediction \(2, 3\)"),
+    "weighted_sum_of_nothing": (lambda: dm.weighted_sum([]),
+                                "weighted_sum needs at least one term"),
+}
+
+
+@pytest.mark.parametrize("name", list(_GUARD_CASES))
+def test_a_bad_operand_raises_naming_what_is_wrong(name):
+    call, message = _GUARD_CASES[name]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_grad_check_reports_a_non_finite_loss_and_fails():
+    w = dm.Param("w", [[1.0], [2.0]])
+
+    def loss_fn():
+        # the loss turns NaN once w[0] moves above 1
+        target = np.zeros((2, 1)) if w.value[0, 0] <= 1.0 else np.full((2, 1), np.nan)
+        return dm.squared_error_cols(dm.Tape().param(w), target)
+
+    report = dm.grad_check(loss_fn, [w])
+    (entry,) = report.entries
+    assert entry.nonfinite == [(0, 0)] and entry.checked == 1
+    assert report.max_rel_err < 1e-8
+    assert not report.passed(1.0)
+    assert report.format_table().splitlines()[-1].split() == [
+        "non-finite", "loss", "at", "coords", "[(0,", "0)]"]
+
+
 def test_weighted_sum_requires_scalar_terms():
     tape = dm.Tape()
     m = tape.leaf(np.ones((2, 2)))

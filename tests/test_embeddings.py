@@ -17,6 +17,7 @@ from semshot.embeddings import (
     UNIT,
     UNIT_BELOW_1,
     ClassRegistry,
+    EmbeddingMatrix,
     compose_background_row,
     load_registry,
     parse_embedding_file,
@@ -173,6 +174,28 @@ def test_save_embedding_file_round_trips_exactly(tmp_path):
     # repr() round-trips the floats; the parser only renormalizes (a no-op
     # here up to one rounding step since the rows are already unit norm)
     np.testing.assert_allclose(back.matrix[:2], we.matrix[:2], rtol=0, atol=1e-15)
+
+
+# one call per guard: the call (given a scratch directory) and its message
+_MISFIT_CASES = {
+    "matrix_1d": (lambda tmp: EmbeddingMatrix(np.ones(3)), "embedding matrix must be 2-D"),
+    "provenance_length": (lambda tmp: EmbeddingMatrix(np.ones((3, 2)), ("a", "b")),
+                          "provenance length does not match row count"),
+    "saved_names_and_rows": (lambda tmp: save_embedding_file(tmp / "emb.txt", ("a", "b"),
+                                                             np.ones((3, 2))),
+                             "2 names for 3 rows"),
+    "token_override_for_unknown_class": (
+        lambda tmp: ClassRegistry(base=("a",), tokens={"zebra": ["z"]}),
+        "token override for unknown class 'zebra'"),
+}
+
+
+@pytest.mark.parametrize("name", list(_MISFIT_CASES))
+def test_inputs_that_do_not_fit_are_rejected(tmp_path, name):
+    call, message = _MISFIT_CASES[name]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(tmp_path)
+    assert list(tmp_path.iterdir()) == []  # nothing half written
 
 
 def test_select_rows_copies_and_keeps_provenance():

@@ -253,6 +253,21 @@ def test_forward_pass_rejects_wrong_feature_dim(base_reg):
         forward_pass(head, np.zeros((7, 2)))
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda head: head.set_trainable(["W", "bogus"]),
+                 "unknown parameter names: ['bogus']", id="set_trainable_unknown_name"),
+    pytest.param(lambda head: batch_forward(head, _episode_data(head, 4, False, 0),
+                                            np.zeros(4, dtype=np.intp), []),
+                 "empty batch", id="batch_forward_empty_batch"),
+])
+def test_a_head_rejects_a_bad_request_unchanged(base_reg, call, message):
+    head = make_head("baseline", base_reg)
+    trainable = head.trainable_names()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(head)
+    assert head.trainable_names() == trainable
+
+
 @pytest.mark.parametrize("mode,graph", [("baseline", "none"), ("ssp", "none"), ("srr", "dynamic")])
 def test_forward_backward_leaves_nothing_for_the_cyclic_collector(base_reg, mode, graph):
     # a replayed tape drops its closures, so a step's arrays are freed by

@@ -148,5 +148,17 @@ def test_correlation_map_cosines_and_difference(we):
     np.testing.assert_allclose(
         cm.difference, cm.after - cm.before, atol=0
     )
-    with pytest.raises(ValueError, match="shape"):
-        rel.correlation_map(we.matrix, we.matrix[:2], reg)
+
+
+@pytest.mark.parametrize("edit, base, message", [
+    pytest.param(lambda m: m[:2], ("a", "b", "c"), r"shape mismatch: \(5, 10\) vs \(2, 10\)",
+                 id="shape"),
+    pytest.param(lambda m: m, ("a", "b"),
+                 r"embedding rows \(5\) do not match registry size \(4\)", id="registry"),
+    pytest.param(lambda m: m * [[1.0], [0.0], [1.0], [1.0], [1.0]], ("a", "b", "c"),
+                 "zero-norm embedding row in correlation map", id="zero_norm_row"),
+])
+def test_correlation_map_rejects_rows_it_cannot_compare(we, edit, base, message):
+    reg = ClassRegistry(base=base, novel=("d",))
+    with pytest.raises(ValueError, match=message):
+        rel.correlation_map(we.matrix, edit(we.matrix), reg)

@@ -15,6 +15,9 @@ Every numeric setting is bounded by ``embeddings.Interval``, whose one
 message names the setting, the interval and the value; no other string
 words a range.
 
+Random draws go only through ``numpy.random.Generator`` methods: no module
+names a bit generator's internals or its ``.state``.
+
 In ``cli.py`` one owner, ``_Run``, publishes a run: only it makes a
 directory, uses ``hashlib`` or names ``"meta.json"``, and a command names
 each of its outputs once through ``run.path``.
@@ -209,6 +212,85 @@ class K:
         ("kernels", "<module>", 2), ("kernels", "<module>", 3), ("kernels", "<module>", 4),
         ("kernels", "K", 17), ("kernels", "f", 7), ("kernels", "f", 8),
         ("kernels", "f", 9), ("kernels", "f", 9), ("kernels", "f", 12), ("kernels", "f", 13),
+    ]
+
+
+# a bit generator's internals, by attribute, name, import or string
+GENERATOR_INTERNALS = {"bit_generator", "random_raw", "has_uint32"}
+# calls that return a generator or a bit generator
+_GENERATOR_MAKERS = {"default_rng", "Generator", "PCG64", "PCG64DXSM", "Philox", "SFC64",
+                     "MT19937"}
+
+
+def _callee(node) -> str | None:
+    if not isinstance(node, ast.Call):
+        return None
+    return node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+
+
+def generator_internals(source: str, module: str) -> list:
+    """Sorted (module, scope, line) of every attribute, name, import or
+    string in GENERATOR_INTERNALS, and of every ``.state`` on a generator:
+    a call in _GENERATOR_MAKERS, a name bound to one or to a
+    ``.bit_generator``, or a name starting with ``rng``."""
+    tree = ast.parse(source)
+    generators = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign) and (
+                      _callee(node.value) in _GENERATOR_MAKERS
+                      or isinstance(node.value, ast.Attribute)
+                      and node.value.attr == "bit_generator")
+                  for target in node.targets if isinstance(target, ast.Name)}
+
+    def is_generator(node):
+        return _callee(node) in _GENERATOR_MAKERS or isinstance(node, ast.Name) and (
+            node.id in generators or node.id.startswith("rng"))
+
+    found = []
+    for top in tree.body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                hit = node.attr in GENERATOR_INTERNALS or (
+                    node.attr == "state" and is_generator(node.value))
+            elif isinstance(node, ast.Name):
+                hit = node.id in GENERATOR_INTERNALS
+            elif isinstance(node, ast.alias):
+                hit = node.name in GENERATOR_INTERNALS
+            else:
+                hit = isinstance(node, ast.Constant) and node.value in GENERATOR_INTERNALS
+            if hit:
+                found.append((module, scope, node.lineno))
+    return sorted(found)
+
+
+def test_draws_go_only_through_generator_methods():
+    files = sorted(SRC.glob("*.py"))
+    assert any(f.stem == "training" for f in files)
+    assert [hit for f in files for hit in generator_internals(f.read_text(), f.stem)] == []
+
+
+def test_the_generator_rule_sees_every_kind_of_use():
+    source = '''
+from numpy.random import bit_generator
+
+def draw(rng, n):
+    words = rng.bit_generator.random_raw(n)
+    saved = rng.state
+    rng_b = np.random.default_rng(1)
+    return words, saved, rng_b.state, getattr(rng, "bit_generator")
+
+class Sampler:
+    def __init__(self, seed):
+        bits = np.random.PCG64(seed)
+        gen = np.random.Generator(bits)
+        self.buffered = bits.state["has_uint32"]
+        gen.state = np.random.PCG64(0).state
+        self.state = head.state, gen.integers(0, 3)
+'''
+    assert generator_internals(source, "training") == [
+        ("training", "<module>", 2), ("training", "Sampler", 14),
+        ("training", "Sampler", 14), ("training", "Sampler", 15),
+        ("training", "Sampler", 15), ("training", "draw", 5), ("training", "draw", 5),
+        ("training", "draw", 6), ("training", "draw", 8), ("training", "draw", 8),
     ]
 
 

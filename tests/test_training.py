@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semshot import head as head_module
 from semshot import kernels, training
@@ -182,83 +182,30 @@ def test_balanced_batches_draw_classes_uniformly():
         balanced_batch_iter(pool, 0, 0)
 
 
-def _reference_batches(pools, batch_size, rng, count):
-    """The scalar definition of a balanced batch: per slot one draw for the
-    class, then one for the record."""
-    batches = []
-    for _ in range(count):
-        batch = np.empty(batch_size, dtype=np.intp)
-        for i in range(batch_size):
-            pool = pools[rng.integers(0, len(pools))]
-            batch[i] = pool[rng.integers(0, len(pool))]
-        batches.append(batch)
-    return batches
-
-
-def _assert_same_batches_and_stream(got, want, rng_got, rng_want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
-    # both generators end at the same point of the stream
-    np.testing.assert_array_equal(rng_got.integers(0, 2**40, size=3),
-                                  rng_want.integers(0, 2**40, size=3))
-
-
 @settings(max_examples=150, deadline=None)
 @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=7),
        batch_size=st.integers(1, 24), seed=st.integers(0, 2**63 - 1),
        count=st.integers(1, 8), data=st.data())
-def test_balanced_batches_match_the_scalar_draws_bit_for_bit(sizes, batch_size, seed, count,
+@example(sizes=[1] * 6, batch_size=16, seed=3, count=4, data=None)  # a k=1 episode
+def test_balanced_batches_draw_each_slot_from_its_class_pool(sizes, batch_size, seed, count,
                                                              data):
     labels = [f"c{c}" for c, n in enumerate(sizes) for _ in range(n)]
-    labels = data.draw(st.permutations(labels))  # pools interleave across columns
+    if data is not None:
+        labels = data.draw(st.permutations(labels))  # pools interleave across columns
     pool = FeatureSet([f"r{i}" for i in range(len(labels))], labels,
                       np.zeros((1, len(labels))))
-    it = balanced_batch_iter(pool, batch_size, seed)
-    got = [next(it) for _ in range(count)]
-    want = _reference_batches(list(pool.label_columns().values()), batch_size,
-                              np.random.default_rng([seed, training._STREAM_BALANCE]), count)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
-
-
-def _generator_whose_next_word_is(word):
-    bits = np.random.PCG64(0)
-    state = bits.state
-    high = 1 << 40  # the top six bits of the state rotate the output: keep them zero
-    state["state"]["state"] = (high << 64) | (high ^ word)
-    bits.state = state
-    bits.advance(-1)  # a PCG64 word is the output of the state after one step
-    return np.random.Generator(bits)
-
-
-_POOLS = [np.arange(0, 12, 2), np.arange(1, 12, 2), np.arange(12, 17)]  # 6, 6 and 5 records
-
-
-@pytest.mark.parametrize("low,high", [(0, 0x9E3779B9), (1 << 31, 0)],
-                         ids=["class_draw", "record_draw"])
-def test_balanced_batches_fall_back_on_a_rejected_draw(low, high):
-    # a zero half leaves 0 < 2**32 % bound for the class bound 3 and the
-    # record bound 6 of the second pool: numpy's Lemire draw rejects it and
-    # takes one more half
-    word = (high << 32) | low
-    assert _generator_whose_next_word_is(word).bit_generator.random_raw() == word
-    got_rng, want_rng = _generator_whose_next_word_is(word), _generator_whose_next_word_is(word)
-    got_it = training._balanced_batches(_POOLS, 8, got_rng)
-    got = [next(got_it) for _ in range(3)]
-    want = _reference_batches(_POOLS, 8, want_rng, 3)
-    _assert_same_batches_and_stream(got, want, got_rng, want_rng)
-
-
-def test_balanced_batches_fall_back_on_a_buffered_half():
-    got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
-    for rng in (got_rng, want_rng):
-        rng.integers(0, 3)  # one 32-bit draw leaves the word's high half buffered
-        assert rng.bit_generator.state["has_uint32"]
-    got_it = training._balanced_batches(_POOLS, 5, got_rng)
-    got = [next(got_it) for _ in range(4)]
-    want = _reference_batches(_POOLS, 5, want_rng, 4)
-    _assert_same_batches_and_stream(got, want, got_rng, want_rng)
+    got, again = (balanced_batch_iter(pool, batch_size, seed) for _ in range(2))
+    # the definition: one draw of every slot's class, then one of every slot's record
+    pools = list(pool.label_columns().values())
+    rng = np.random.default_rng([seed, training._STREAM_BALANCE])
+    for _ in range(count):
+        batch = next(got)
+        assert batch.dtype == np.intp
+        assert np.array_equal(batch, next(again))
+        cls = rng.integers(0, len(pools), size=batch_size)
+        rec = rng.integers(0, np.array([len(p) for p in pools])[cls])
+        assert all(j in pools[c] for j, c in zip(batch, cls))
+        assert np.array_equal(batch, [pools[c][r] for c, r in zip(cls, rec)])
 
 
 # ---------------------------------------------------------------------------
