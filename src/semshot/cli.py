@@ -256,11 +256,18 @@ def _load_label_sets(path, registry) -> list:
 
 
 def _attach_cooccurrence(cfg: dict, head) -> None:
-    """Give a heuristic head without a graph the one of ``--cooccurrence``."""
-    if head.cfg.graph_mode is not rel.GraphMode.HEURISTIC or head.g_heur is not None:
-        return
+    """Give a heuristic head without a graph the one of ``--cooccurrence``;
+    the flag fails, naming itself, on any other head."""
+    mode = head.cfg.graph_mode
+    wanted = mode is rel.GraphMode.HEURISTIC and head.g_heur is None
     if not cfg.get("cooccurrence"):
-        raise ValueError("heuristic graph mode needs --cooccurrence label sets")
+        if wanted:
+            raise ValueError("heuristic graph mode needs --cooccurrence label sets")
+        return
+    if mode is not rel.GraphMode.HEURISTIC:
+        raise ValueError(f"--cooccurrence needs graph mode heuristic, the head's is {mode.value}")
+    if not wanted:
+        raise ValueError("--cooccurrence cannot replace the heuristic graph the head carries")
     attach_heuristic_graph(
         head, cooccurrence_graph(_load_label_sets(cfg["cooccurrence"], head.registry),
                                  head.registry)

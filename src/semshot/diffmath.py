@@ -172,9 +172,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _product(a, b, kernels.matmul, "matmul")
 
 
-def mix_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product whose contraction sums in sorted order (see kernels)."""
-    return _product(a, b, kernels.mix_matmul, "mix_matmul")
+def mix_matmul(a: Tensor, b: Tensor, order) -> Tensor:
+    """Matrix product whose contraction sums in ``order`` (see kernels); the
+    backward is the plain transport rule on the unpermuted operands."""
+    return _product(a, b, lambda av, bv: kernels.mix_matmul(av, bv, order), "mix_matmul")
 
 
 def linear(w: Tensor, x: Tensor, bias: Tensor) -> Tensor:

@@ -3,9 +3,11 @@
 Callers reach every kernel through the module (``kernels.matmul(...)``), so a
 profiler can wrap the module-level names from outside.
 
-Reductions that feed permutation-equivariance guarantees (the softmax
-denominator, the mixing matmul) sum their terms in sorted order, so the result
-is a function of the value multiset and not of row ordering.
+Reductions that feed permutation-equivariance guarantees must not depend on
+row ordering. The softmax denominator sums its terms in sorted order, so it is
+a function of the value multiset; the mixing matmul sums its contraction in a
+caller-given order, which the relation stage keys on the embedding rows'
+content, so the order moves with the classes.
 """
 
 import numpy as np
@@ -37,7 +39,7 @@ def relu(m):
     return np.maximum(m, 0.0)
 
 
-def matmul(a, b):
+def _einsum(a, b):
     # Matrix product whose per-cell reduction order depends only on the
     # contraction length, never on the output position, the row count or the
     # column count. BLAS gemm lacks that guarantee, and the heads rely on it:
@@ -51,12 +53,15 @@ def matmul(a, b):
     return np.einsum("ik,kj->ij", a, b)
 
 
-def mix_matmul(a, b):
-    # Products over the contraction axis are sorted before summation, so each
-    # output entry is invariant to any permutation of that axis.
-    prod = a[:, :, None] * b[None, :, :]
-    prod.sort(axis=1)
-    return prod.sum(axis=1)
+def matmul(a, b):
+    return _einsum(a, b)
+
+
+def mix_matmul(a, b, order):
+    # The product with its contraction summed left to right in ``order``, a
+    # permutation of that axis. Permuting the axis together with ``order``
+    # leaves every output entry bit-identical.
+    return _einsum(a[:, order], b[order])
 
 
 def sgd_update(param, grad, vel, lr, momentum, weight_decay):

@@ -94,12 +94,18 @@ def extract_graph_t(we_t, maps_t, scaled: bool):
 def relation_forward_t(we_t, maps_t, scaled: bool):
     """Refined embeddings G (We Th Tl) + We on the tape.
 
-    The mixing matmul sums in sorted order, which makes the whole refinement
-    exactly equivariant to row permutations of We.
+    The mixing matmul sums over classes in one order keyed on the content of
+    We's rows: a stable argsort of each row's bytes viewed as one item.  The
+    order moves with the rows, and rows with equal bytes give bit-identical G
+    columns and (We Th Tl) rows, so their ties cannot change the sum.  That
+    makes the whole refinement exactly equivariant to row permutations of We.
     """
+    rows = np.ascontiguousarray(we_t.value)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
     graph = extract_graph_t(we_t, maps_t, scaled)
     transformed = dm.matmul(dm.matmul(we_t, maps_t["t_h"]), maps_t["t_l"])
-    mixed = dm.mix_matmul(graph, transformed)
+    mixed = dm.mix_matmul(graph, transformed, order)
     return dm.add(mixed, we_t)
 
 

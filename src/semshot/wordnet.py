@@ -9,6 +9,7 @@ package.
 
 import re
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .embeddings import read_file
 
@@ -92,6 +93,15 @@ def hyponym_closure(graph: WordNetGraph, roots) -> list:
     return sorted(visited)
 
 
+def _sorted_unique(ids) -> tuple:
+    """``ids`` sorted ascending without repeats, as one tuple.  Ids that
+    already are (a closure) are copied once, not sorted again."""
+    ids = tuple(ids)
+    if all(a < b for a, b in pairwise(ids)):
+        return ids
+    return tuple(sorted(set(ids)))
+
+
 @dataclass
 class RemovalManifest:
     """Per-class sorted synset ids to strip from a pretraining corpus."""
@@ -100,9 +110,7 @@ class RemovalManifest:
     provenance: str = ""
 
     def __post_init__(self):
-        self.classes = {
-            name: tuple(sorted(set(ids))) for name, ids in self.classes.items()
-        }
+        self.classes = {name: _sorted_unique(ids) for name, ids in self.classes.items()}
 
     def to_json(self) -> dict:
         return {

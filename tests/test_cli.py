@@ -406,6 +406,17 @@ def _bad_input_cases(corpus, trained, bad):
             f"{bad}:3: unknown class 'nosuch'"),
         "cooccurrence_missing": ("", train() + ["--mode", "srr", "--graph-mode", "heuristic"],
                                  "heuristic graph mode needs --cooccurrence label sets"),
+        # a given --cooccurrence that could not take effect
+        "cooccurrence_on_a_non_heuristic_head": ('{"labels": ["base00"]}\n',
+                                                 train(**{"--cooccurrence": bad})
+                                                 + ["--mode", "ssp"],
+                                                 "--cooccurrence needs graph mode heuristic, "
+                                                 "the head's is none"),
+        "cooccurrence_over_the_carried_graph": (
+            checkpoint(mode="srr", graph_mode="heuristic", g_heur=np.eye(4).tolist()),
+            ["finetune", "--checkpoint", bad, "--base-data", base, "--novel-data", base,
+             "--cooccurrence", bad.parent / "does_not_exist.jsonl"],
+            "--cooccurrence cannot replace the heuristic graph the head carries"),
         "config_top_level": ("[1]", ["synth", "--config", bad],
                              f"{bad}: config must be a JSON object"),
         "config_float_for_int": ('{"seed": 1.5}', ["synth", "--config", bad],
@@ -531,7 +542,8 @@ def _bad_input_cases(corpus, trained, bad):
     "checkpoint_nonfinite_export", "checkpoint_heuristic_without_graph",
     "checkpoint_overflow_eval", "export_correlate_baseline", "cooccurrence_json",
     "cooccurrence_labels", "cooccurrence_unknown_class", "finetune_cooccurrence_unknown_class",
-    "cooccurrence_missing", "config_top_level", "config_float_for_int",
+    "cooccurrence_missing", "cooccurrence_on_a_non_heuristic_head",
+    "cooccurrence_over_the_carried_graph", "config_top_level", "config_float_for_int",
     "config_string_for_bool", "sweep_shots_not_integers", "sweep_shots_empty",
     "sweep_shots_zero", "sweep_shots_negative", "sweep_seeds_zero", "sweep_base_classes_zero",
     "gradcheck_eps_zero", "gradcheck_eps_inf", "gradcheck_threshold_inf",

@@ -146,7 +146,7 @@ def test_grad_check_skips_frozen_params():
 # a matrix output is scored by its squared error to a fixed target
 _OP_CASES = {
     "matmul": ([(3, 4), (4, 2)], dm.matmul),
-    "mix_matmul": ([(3, 4), (4, 2)], dm.mix_matmul),
+    "mix_matmul": ([(3, 4), (4, 2)], lambda a, b: dm.mix_matmul(a, b, np.array([2, 0, 3, 1]))),
     "linear": ([(3, 4), (4, 2), (3, 1)], dm.linear),
     "transpose": ([(3, 2)], dm.transpose),
     "add": ([(2, 3), (2, 3)], dm.add),
@@ -184,7 +184,8 @@ def test_grad_check_passes_on_every_op(name):
 
 @pytest.mark.parametrize("op, shapes", [
     pytest.param(dm.matmul, [(2, 2), (2, 2)], id="matmul"),
-    pytest.param(dm.mix_matmul, [(2, 2), (2, 2)], id="mix_matmul"),
+    pytest.param(lambda a, b: dm.mix_matmul(a, b, np.array([1, 0])), [(2, 2), (2, 2)],
+                 id="mix_matmul"),
     pytest.param(dm.add, [(2, 2), (2, 2)], id="add"),
     pytest.param(dm.linear, [(2, 2), (2, 2), (2, 1)], id="linear"),
     pytest.param(lambda *ts: dm.weighted_sum((t, 1.0) for t in ts), [(1, 1), (1, 1)],

@@ -1,6 +1,8 @@
 """The kernels honor their ordering guarantees: sorted reductions that make
-results row-order independent, and a matmul whose cells do not depend on the
-shape of the batch they sit in."""
+results row-order independent, a mixing product summed in a given order, and
+a matmul whose cells do not depend on the shape of the batch they sit in."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,8 +79,33 @@ def test_matmul_cells_independent_of_batch_shape(n, k, m):
 def test_mix_matmul_contraction_is_permutation_invariant():
     d = _inputs()
     a, b = d["graph"], d["rows"]
-    perm = np.random.default_rng(2).permutation(a.shape[1])
-    assert np.array_equal(kernels.mix_matmul(a, b), kernels.mix_matmul(a[:, perm], b[perm]))
+    rng = np.random.default_rng(2)
+    order = rng.permutation(a.shape[1])
+    got = kernels.mix_matmul(a, b, order)
+    # permuting the axis together with its order leaves every entry bit-identical
+    perm = rng.permutation(a.shape[1])
+    moved = np.argsort(perm)[order]  # where each term of ``order`` went
+    assert np.array_equal(got, kernels.mix_matmul(a[:, perm], b[perm], moved))
+    # each entry is the left-to-right sum in ``order``, also for a lone column
+    ref = a[:, order[:1]] * b[order[:1]]
+    for t in order[1:]:
+        ref = ref + a[:, t:t + 1] * b[t:t + 1]
+    assert np.array_equal(got, ref)
+    assert np.array_equal(kernels.mix_matmul(a, b[:, :1], order), ref[:, :1])
+
+
+def test_mix_matmul_allocates_about_its_output():
+    # the relation stage's 300-d shape: no n x n x d product tensor
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((21, 21)), rng.standard_normal((21, 300))
+    order = rng.permutation(21)
+    tracemalloc.start()
+    try:
+        out = kernels.mix_matmul(a, b, order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * out.nbytes
 
 
 def test_matmul_matches_blas_numerically():

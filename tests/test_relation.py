@@ -3,6 +3,7 @@ transforms, co-occurrence graphs, and correlation maps."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semshot import relation as rel
 from semshot.embeddings import ClassRegistry, EmbeddingMatrix, random_embeddings
@@ -103,6 +104,32 @@ def test_relation_forward_matches_manual_composition(we):
     g = relation_graph(head)
     want = g @ (we.matrix @ head.params["t_h"].value @ head.params["t_l"].value) + we.matrix
     np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 12), dupes=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_relation_stage_commutes_bitwise_with_row_permutations_and_duplicates(n, dupes, seed):
+    # at the paper's 300-d word vectors; duplicated rows tie in the class order
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, 300))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    for _ in range(dupes):
+        rows[rng.integers(n)] = rows[rng.integers(n)]
+    registry = ClassRegistry(base=tuple(f"c{j}" for j in range(n - 1)))
+    head = build_head(HeadConfig(mode="srr", d_in=6, d=4, r=4, seed=seed % 97), registry,
+                      EmbeddingMatrix(rows))
+    for name in ("t_f", "t_g", "t_h", "t_l"):
+        p = head.params[name]
+        p.value[:] = rng.normal(0.0, 0.3 if name in ("t_f", "t_g") else 1.0, p.value.shape)
+    refined = class_rows(head)
+    for i in range(n):
+        for j in range(i):
+            if np.array_equal(rows[i], rows[j]):
+                assert np.array_equal(refined[i], refined[j])
+    for _ in range(3):
+        perm = rng.permutation(n)
+        head.we = EmbeddingMatrix(rows[perm])
+        assert np.array_equal(class_rows(head), refined[perm])
 
 
 def test_trainable_transform_has_no_cross_row_mixing(we):
