@@ -1,19 +1,21 @@
 """Reverse-mode differentiation over dense float64 matrices.
 
 Everything is a 2-D C-contiguous float64 array ("matrix" below).  A ``Tape``
-records operations as they execute; ``Tape.backward`` replays the recorded
-closures in exact reverse order, accumulating into preallocated gradient
+records operations as they execute; ``Tape.backward`` runs the recorded
+nodes in exact reverse order, accumulating into preallocated gradient
 buffers.  Gradients therefore come out bit-identical across repeated runs on
 the same inputs.  Every op records through ``_op``, which takes the op's
-value and one vector-Jacobian product per operand; an affine layer is the
-single op ``linear``.
+forward as a function of its operands' current values and one
+vector-Jacobian product per operand, read at backward time; an affine layer
+is the single op ``linear``.  A training phase records its step once: each
+later step rebinds the leaves and ``Tape.rerun`` recomputes every node.
 
 A ``Param`` owns its one gradient buffer for life: a recording tape zeroes a
 trainable param's buffer in place and accumulates into it, so after
 ``backward`` the caller reads ``param.grad``.  Every param has that buffer,
 frozen or not; the tape node of a frozen param, a leaf and every node on a
 forward-only ``Tape(backward=False)`` get no gradient (their ``grad is
-None``), and such a tape records no closures.
+None``), and such a tape records nothing.
 """
 
 from dataclasses import dataclass, field
@@ -74,16 +76,21 @@ class Tape:
     """Ordered record of operations for one forward pass.
 
     With ``backward=False`` the tape records nothing: its leaves, params and
-    results need no gradient, and ``backward`` raises.
+    results need no gradient, and ``backward`` raises.  With ``keep=True`` it
+    keeps its record after ``backward`` for ``rerun`` until ``release``.
     """
 
-    def __init__(self, backward: bool = True):
-        self._ops = []
+    def __init__(self, backward: bool = True, keep: bool = False):
+        self._ops, self._param_grads = [], []  # (node, forward, operands) in order; p.grads
         self._finished = False
         self._backward = backward
+        self._keep = keep
 
     def leaf(self, value) -> Tensor:
         return Tensor(as_matrix(value), None, self)
+
+    def labels(self, values) -> Tensor:  # class indices, a 1-D int64 vector
+        return Tensor(np.asarray(values, dtype=np.int64).reshape(-1), None, self)
 
     def param(self, p: Param) -> Tensor:
         """Wrap a Param.  On a recording tape a trainable param's own grad
@@ -93,6 +100,7 @@ class Tape:
         if not (self._backward and p.trainable):
             return Tensor(p.value, None, self)
         p.grad.fill(0.0)
+        self._param_grads.append(p.grad)  # a rerun zeroes it again
         return Tensor(p.value, p.grad, self)
 
     def _check_open(self):
@@ -100,7 +108,7 @@ class Tape:
             raise RuntimeError("tape already replayed; build a new Tape per forward pass")
 
     def backward(self, loss: Tensor):
-        """Seed d(loss)/d(loss)=1 and replay recorded ops in reverse."""
+        """Seed d(loss)/d(loss)=1 and run the recorded vjps in reverse."""
         if not self._backward:
             raise RuntimeError("a Tape(backward=False) records no ops and cannot run backward()")
         if self._finished:
@@ -112,43 +120,51 @@ class Tape:
         self._finished = True
         if loss.grad is not None:
             loss.grad[0, 0] = 1.0
-        for fn in reversed(self._ops):
-            fn()
-        # the closures hold tensors, which hold this tape; dropping them lets
-        # reference counting free the step's arrays
-        self._ops = []
+        for out, _, operands in reversed(self._ops):
+            for t, vjp in operands:  # a node whose operands have no gradient has none
+                if t.grad is not None:
+                    t.grad += vjp(out.grad, out.value)
+        if not self._keep:
+            self.release()
+
+    def rerun(self):
+        """Recompute every node in order and zero its gradient; reopen for ``backward``."""
+        if not self._keep:
+            raise RuntimeError("only a Tape(keep=True) that is not released can rerun()")
+        for out, forward, _ in self._ops:
+            out.value = forward()
+            if out.grad is not None:
+                out.grad.fill(0.0)
+        for grad in self._param_grads:
+            grad.fill(0.0)
+        self._finished = False
+
+    def release(self):  # drop the record, whose nodes hold this tape in cycles
+        self._ops, self._param_grads, self._keep = [], [], False
 
 
 # ---------------------------------------------------------------------------
 # primitive ops
 
 
-def _op(value: Matrix, *operands) -> Tensor:
-    """Put an op's forward ``value`` on its operands' one tape.
+def _op(forward, *operands) -> Tensor:
+    """Put the op whose value is ``forward()`` on its operands' one tape.
 
-    Each operand comes as an ``(operand, vjp)`` pair; the vjp maps the
-    output's gradient to that operand's share.  The node gets a gradient
-    buffer when an operand has one, and then one backward closure that adds
-    ``vjp(out.grad)`` into each such operand's gradient, in the order given.
+    ``forward`` reads its operands' current values, so a rerun recomputes it.
+    Each ``(operand, vjp)`` pair's ``vjp(g, value)`` maps the output's
+    gradient and value to that operand's share.  The node gets a gradient
+    buffer when an operand has one; backward adds each vjp into it, in order.
     """
     tape = operands[0][0].tape
-    needs = False
-    for t, _ in operands:
-        if t.tape is not tape:
-            raise ValueError("operands were created on different tapes")
-        needs = needs or t.grad is not None
-    # on a forward-only tape no operand has a gradient, so neither does this
-    if not needs:
-        return Tensor(value, None, tape)
-    out = Tensor(value, np.zeros(value.shape), tape)
-
-    def bw():
-        for t, vjp in operands:
-            if t.grad is not None:
-                t.grad += vjp(out.grad)
-
+    if any(t.tape is not tape for t, _ in operands):
+        raise ValueError("operands were created on different tapes")
+    if not tape._backward:  # it records nothing, so no operand has a gradient
+        return Tensor(forward(), None, tape)
     tape._check_open()
-    tape._ops.append(bw)
+    value = forward()
+    needs = any(t.grad is not None for t, _ in operands)
+    out = Tensor(value, np.zeros(value.shape) if needs else None, tape)
+    tape._ops.append((out, forward, operands))
     return out
 
 
@@ -160,16 +176,15 @@ def _product(a: Tensor, b: Tensor, kernel, name: str, bias: Tensor | None = None
         raise ValueError(f"{name} shape mismatch: {av.shape} @ {bv.shape}")
     if bias is not None and bias.value.shape != (av.shape[0], 1):
         raise ValueError(f"bias shape {bias.value.shape} is not ({av.shape[0]}, 1)")
-    value = kernel(av, bv)
-    operands = [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)]
-    if bias is not None:
-        value += bias.value
-        operands.append((bias, lambda g: g.sum(axis=1, keepdims=True)))
-    return _op(value, *operands)
+    operands = [(a, lambda g, _: g @ b.value.T), (b, lambda g, _: a.value.T @ g)]
+    if bias is None:
+        return _op(lambda: kernel(a.value, b.value), *operands)
+    return _op(lambda: kernel(a.value, b.value) + bias.value, *operands,
+               (bias, lambda g, _: g.sum(axis=1, keepdims=True)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return _product(a, b, kernels.matmul, "matmul")
+    return _product(a, b, lambda av, bv: kernels.matmul(av, bv), "matmul")
 
 
 def mix_matmul(a: Tensor, b: Tensor, order) -> Tensor:
@@ -181,32 +196,31 @@ def mix_matmul(a: Tensor, b: Tensor, order) -> Tensor:
 def linear(w: Tensor, x: Tensor, bias: Tensor) -> Tensor:
     """One affine layer as one op: ``w @ x`` plus the (n,1) ``bias`` column
     added to every column."""
-    return _product(w, x, kernels.matmul, "linear", bias)
+    return _product(w, x, lambda av, bv: kernels.matmul(av, bv), "linear", bias)
 
 
 def transpose(a: Tensor) -> Tensor:
-    return _op(np.ascontiguousarray(a.value.T), (a, lambda g: g.T))
+    return _op(lambda: np.ascontiguousarray(a.value.T), (a, lambda g, _: g.T))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape != b.value.shape:
         raise ValueError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
-    return _op(a.value + b.value, (a, lambda g: g), (b, lambda g: g))
+    return _op(lambda: a.value + b.value, (a, lambda g, _: g), (b, lambda g, _: g))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    return _op(a.value * c, (a, lambda g: g * c))
+    return _op(lambda: a.value * c, (a, lambda g, _: g * c))
 
 
 def relu(a: Tensor) -> Tensor:
-    ov = kernels.relu(a.value)
-    return _op(ov, (a, lambda g: g * (ov > 0.0)))
+    return _op(lambda: kernels.relu(a.value), (a, lambda g, ov: g * (ov > 0.0)))
 
 
 def row_softmax(a: Tensor) -> Tensor:
     """Row-wise softmax; the denominator uses sorted summation."""
-    soft = kernels.row_softmax(a.value)
-    return _op(soft, (a, lambda g: soft * (g - (soft * g).sum(axis=1, keepdims=True))))
+    return _op(lambda: kernels.row_softmax(a.value),
+               (a, lambda g, soft: soft * (g - (soft * g).sum(axis=1, keepdims=True))))
 
 
 def cross_entropy_cols(logits: Tensor, labels, pred: Tensor | None = None, target=None,
@@ -215,49 +229,55 @@ def cross_entropy_cols(logits: Tensor, labels, pred: Tensor | None = None, targe
     plus, with ``pred``, ``reg_weight`` times the regression loss of
     ``squared_error_cols(pred, target)``, as one op.
 
-    Returns the 1x1 loss tensor, the cross-entropy and the regression loss
-    (None without ``pred``) as floats.  The cross-entropy's backward pass is
-    the fused (softmax - onehot) / batch form, which keeps the check against
-    finite differences tight even for confident logits.
+    Returns the 1x1 loss tensor and the list ``[ce, reg]`` (reg None without
+    ``pred``), which every forward refreshes; ``labels`` and ``target`` may be
+    leaves that a rerun reads.  The backward pass is the fused (softmax -
+    onehot) / batch form, which keeps the finite-difference check tight.
     """
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    n, b = logits.value.shape
-    if labels.shape[0] != b:
-        raise ValueError(f"{labels.shape[0]} labels for batch of {b}")
-    if labels.size and (labels.min() < 0 or labels.max() >= n):
-        raise ValueError(f"label out of range [0, {n}): {labels.tolist()}")
-    ce, probs = kernels.ce_cols(logits.value, labels)
+    labels = labels if isinstance(labels, Tensor) else logits.tape.labels(labels)
+    (n, b), lv = logits.value.shape, labels.value
+    if lv.shape[0] != b:
+        raise ValueError(f"{lv.shape[0]} labels for batch of {b}")
+    if lv.size and (lv.min() < 0 or lv.max() >= n):
+        raise ValueError(f"label out of range [0, {n}): {lv.tolist()}")
+    saved, terms = [None, None], [None, None]  # probs and diff; ce and reg
 
-    def vjp(g):
+    def forward():
+        terms[0], saved[0] = kernels.ce_cols(logits.value, labels.value)
+        if pred is None:
+            return np.array([[terms[0]]])
+        terms[1], saved[1] = _squared_error(pred.value, target.value)
+        return np.array([[terms[0] + terms[1] * reg_weight]])
+
+    def vjp(g, _):
         share = float(g[0, 0]) / b
-        d = probs * share
-        d[labels, np.arange(b)] -= share
+        d = saved[0] * share
+        d[labels.value, np.arange(b)] -= share
         return d
 
     if pred is None:
-        return _op(np.array([[ce]]), (logits, vjp)), ce, None
-    reg, diff = _squared_error(pred, target)
-    b_reg = pred.value.shape[1]
-    loss = _op(np.array([[ce + reg * reg_weight]]), (logits, vjp),
-               (pred, lambda g: (2.0 / b_reg) * (float(g[0, 0]) * reg_weight) * diff))
-    return loss, ce, reg
+        return _op(forward, (logits, vjp)), terms
+    target = target if isinstance(target, Tensor) else logits.tape.leaf(target)
+    scale_reg = 2.0 / pred.value.shape[1]
+    return _op(forward, (logits, vjp),
+               (pred, lambda g, _: scale_reg * (float(g[0, 0]) * reg_weight) * saved[1])), terms
 
 
-def _squared_error(pred: Tensor, target):
-    """Mean over columns of the squared L2 distance of ``pred`` to a fixed
-    target matrix, and the difference matrix."""
-    tv = as_matrix(target)
-    if tv.shape != pred.value.shape:
-        raise ValueError(f"target shape {tv.shape} vs prediction {pred.value.shape}")
-    diff = pred.value - tv
-    return float((diff * diff).sum()) / pred.value.shape[1], diff
+def _squared_error(pred: Matrix, target: Matrix):
+    """Mean over columns of the squared L2 distance of ``pred`` to
+    ``target``, and the difference matrix."""
+    if target.shape != pred.shape:
+        raise ValueError(f"target shape {target.shape} vs prediction {pred.shape}")
+    diff = pred - target
+    return float((diff * diff).sum()) / pred.shape[1], diff
 
 
 def squared_error_cols(pred: Tensor, target) -> Tensor:
     """Mean over columns of the squared L2 distance to a fixed target matrix."""
-    loss, diff = _squared_error(pred, target)
+    target = pred.tape.leaf(target)
     b = pred.value.shape[1]
-    return _op(np.array([[loss]]), (pred, lambda g: (2.0 / b) * float(g[0, 0]) * diff))
+    return _op(lambda: np.array([[_squared_error(pred.value, target.value)[0]]]),
+               (pred, lambda g, _: (2.0 / b) * float(g[0, 0]) * (pred.value - target.value)))
 
 
 def weighted_sum(terms) -> Tensor:
@@ -268,8 +288,8 @@ def weighted_sum(terms) -> Tensor:
     for t, _ in terms:
         if t.value.shape != (1, 1):
             raise ValueError(f"weighted_sum combines 1x1 loss tensors, got {t.value.shape}")
-    total = sum(float(t.value[0, 0]) * w for t, w in terms)
-    return _op(np.array([[total]]), *((t, lambda g, w=w: g * w) for t, w in terms))
+    return _op(lambda: np.array([[sum(float(t.value[0, 0]) * w for t, w in terms)]]),
+               *((t, lambda g, _, w=w: g * w) for t, w in terms))
 
 
 # ---------------------------------------------------------------------------

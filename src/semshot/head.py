@@ -206,13 +206,15 @@ def attach_heuristic_graph(head: Head, graph: np.ndarray):
 
 @dataclass
 class ForwardResult:
-    """The logits, and with targets the 1x1 ``loss`` tensor and the values of
-    its classification and regression terms."""
+    """The logits, with targets the 1x1 ``loss`` tensor and its ``terms`` (ce,
+    reg), and for a recorded step the ``inputs``, the leaves a rerun rebinds."""
 
     logits: "dm.Tensor"
-    loss_cls: float | None = None
-    loss_reg: float | None = None
     loss: "dm.Tensor | None" = None
+    terms: list | tuple = (None, None)
+    inputs: tuple = ()
+    loss_cls = property(lambda self: self.terms[0])
+    loss_reg = property(lambda self: self.terms[1])
 
 
 def _trunk_t(tape: Tape, head: Head, branch: str, x_t):
@@ -252,11 +254,10 @@ def _class_scores_t(tape: Tape, head: Head, v_t, use_graph: bool = True):
     return dm.linear(rows, v_t, b)
 
 
-def _trunk_half(tape: Tape, head: Head, x, with_reg: bool):
-    """Trunk output ``v`` of the (d_in, batch) features ``x`` and, with
-    ``with_reg``, the regression prediction, which a decoupled head takes
-    from its reg trunk."""
-    x_t = tape.leaf(dm.as_matrix(x))
+def _trunk_half(tape: Tape, head: Head, x_t, with_reg: bool):
+    """Trunk output ``v`` of the (d_in, batch) feature leaf ``x_t`` and,
+    with ``with_reg``, the regression prediction, which a decoupled head
+    takes from its reg trunk."""
     if x_t.value.shape[0] != head.cfg.d_in:
         raise ValueError(
             f"feature dim {x_t.value.shape[0]} does not match head d_in={head.cfg.d_in}"
@@ -276,11 +277,11 @@ def _score_half(tape: Tape, head: Head, v_t, pred_t, labels, reg_targets,
     logits = _class_scores_t(tape, head, v_t, use_graph=use_graph)
     result = ForwardResult(logits=logits)
     if labels is not None:
-        result.loss, result.loss_cls, result.loss_reg = dm.cross_entropy_cols(
+        result.loss, result.terms = dm.cross_entropy_cols(
             logits, labels, pred_t, reg_targets, reg_weight)
     elif reg_targets is not None:
-        loss_reg = dm.squared_error_cols(pred_t, reg_targets)
-        result.loss, result.loss_reg = dm.weighted_sum([(loss_reg, reg_weight)]), loss_reg.item()
+        reg = dm.squared_error_cols(pred_t, reg_targets)
+        result.loss, result.terms = dm.weighted_sum([(reg, reg_weight)]), (None, reg.item())
     return result
 
 
@@ -293,7 +294,7 @@ def forward_pass(head: Head, x, labels=None, reg_targets=None,
     Without targets the pass records nothing for a backward pass.
     """
     tape = Tape(backward=labels is not None or reg_targets is not None)
-    v_t, pred_t = _trunk_half(tape, head, x, reg_targets is not None)
+    v_t, pred_t = _trunk_half(tape, head, tape.leaf(x), reg_targets is not None)
     return _score_half(tape, head, v_t, pred_t, labels, reg_targets, reg_weight, use_graph)
 
 
@@ -309,32 +310,44 @@ class TrunkFeatures:
 def trunk_features(head: Head, data: FeatureSet) -> TrunkFeatures:
     """Run the trunk half once over all of ``data``.  Valid for as long as
     the trunk and reg parameters stay put."""
-    v_t, pred_t = _trunk_half(Tape(backward=False), head, batch_features(data),
-                              data.reg is not None)
+    tape = Tape(backward=False)
+    v_t, pred_t = _trunk_half(tape, head, tape.leaf(batch_features(data)), data.reg is not None)
     return TrunkFeatures(v_t.value, None if pred_t is None else pred_t.value)
 
 
 def batch_forward(head: Head, data: FeatureSet, y, cols, reg_weight: float = 1.0,
-                  use_graph: bool = True, trunk: TrunkFeatures | None = None) -> ForwardResult:
+                  use_graph: bool = True, trunk: TrunkFeatures | None = None,
+                  recorded: ForwardResult | None = None) -> ForwardResult:
     """Forward columns ``cols`` of ``data``; ``y`` holds every record's class index.
 
     With ``trunk`` (``trunk_features`` of this head and ``data``) the batch
     gathers its columns of the trunk half and runs only the score half.  The
     bits match the full pass: each output column of ``kernels.matmul`` is
     independent of the other columns, and the rest of the trunk is
-    elementwise.
+    elementwise.  Given this result as ``recorded``, a later step rebinds
+    its ``inputs`` and reruns its ``Tape(keep=True)``, which the caller
+    releases.
     """
     if not len(cols):
         raise ValueError("empty batch")
-    reg_targets = None if data.reg is None else data.reg.take(cols, axis=1)
-    if trunk is None:
-        return forward_pass(head, batch_features(data, cols), labels=y[cols],
-                            reg_targets=reg_targets, reg_weight=reg_weight,
-                            use_graph=use_graph)
-    tape = Tape()
-    v_t = tape.leaf(trunk.v.take(cols, axis=1))
-    pred_t = None if trunk.pred is None else tape.leaf(trunk.pred.take(cols, axis=1))
-    return _score_half(tape, head, v_t, pred_t, y[cols], reg_targets, reg_weight, use_graph)
+    feats = ([batch_features(data, cols)] if trunk is None else
+             [m.take(cols, axis=1) for m in (trunk.v, trunk.pred) if m is not None])
+    targets = [] if data.reg is None else [data.reg.take(cols, axis=1)]
+    if recorded is not None:
+        if len(cols) != (width := recorded.logits.value.shape[1]):
+            raise ValueError(f"batch of {len(cols)} for a step recorded on {width} columns")
+        for leaf, value in zip(recorded.inputs, feats + [y[cols]] + targets):
+            leaf.value = value
+        recorded.loss.tape.rerun()
+        return recorded
+    tape = Tape(keep=True)
+    leaves = [*map(tape.leaf, feats), tape.labels(y[cols]), *map(tape.leaf, targets)]
+    v_t, pred_t = (_trunk_half(tape, head, leaves[0], bool(targets)) if trunk is None
+                   else (leaves[0], leaves[1] if trunk.pred is not None else None))
+    result = _score_half(tape, head, v_t, pred_t, leaves[len(feats)],
+                         leaves[-1] if targets else None, reg_weight, use_graph)
+    result.inputs = tuple(leaves)
+    return result
 
 
 # ---------------------------------------------------------------------------

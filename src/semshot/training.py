@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import kernels
-from .embeddings import (NONNEG, NONNEG_INT, POSITIVE, POSITIVE_INT, UNIT_BELOW_1,
+from .embeddings import (NONNEG, NONNEG_INT, POSITIVE, POSITIVE_INT, UNIT, UNIT_BELOW_1,
                          save_csv)
 from .head import Head, HeadMode, batch_forward, divergence_cause, trunk_features
 from .records import FeatureSet, concat
@@ -59,6 +59,8 @@ class TrainConfig:
         for name, bound in (("lr", POSITIVE), ("momentum", UNIT_BELOW_1),
                             ("weight_decay", NONNEG), ("reg_weight", NONNEG)):
             bound.check(getattr(self, name), name)
+        for frac in self.milestones:
+            UNIT.check(frac, "milestones")
 
 
 def finetune_config(**overrides) -> TrainConfig:
@@ -247,19 +249,24 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
     for p in head.params.values():
         p.grad.fill(0.0)
     block = ParamBlock(p for p in head.params.values() if p.trainable)
-    trace = []
-    for step in range(1, steps + 1):
-        lr = lr_at(cfg, step - 1, steps)
-        # batch_forward and sgd_step bound a step for the benchmark tracer
-        result = batch_forward(head, data, y, next(batches), cfg.reg_weight, use_graph, trunk)
-        loss = result.loss.item()
-        if not math.isfinite(loss):
-            raise FloatingPointError(f"{phase}: loss is {loss} at step {step} (lr {lr:g}); "
-                                     + divergence_cause(block.params, "trainable"))
-        result.loss.backward()
-        sgd_step(block, cfg, lr)
-        trace.append(TraceRow(step, lr, loss, result.loss_cls,
-                              result.loss_reg if result.loss_reg is not None else 0.0))
+    trace, result = [], None
+    try:
+        for step in range(1, steps + 1):
+            lr = lr_at(cfg, step - 1, steps)
+            # batch_forward and sgd_step bound a step for the benchmark tracer
+            result = batch_forward(head, data, y, next(batches), cfg.reg_weight, use_graph,
+                                   trunk, result)
+            loss = result.loss.item()
+            if not math.isfinite(loss):
+                raise FloatingPointError(f"{phase}: loss is {loss} at step {step} (lr {lr:g}); "
+                                         + divergence_cause(block.params, "trainable"))
+            result.loss.backward()
+            sgd_step(block, cfg, lr)
+            trace.append(TraceRow(step, lr, loss, result.loss_cls,
+                                  result.loss_reg if result.loss_reg is not None else 0.0))
+    finally:  # drop the recorded step, also when the phase fails
+        if result is not None:
+            result.loss.tape.release()
     if head.we_hash() != we_hash:
         raise RuntimeError(f"{phase}: the embedding matrix changed")
     if head.param_hash(frozen) != frozen_hash:

@@ -119,7 +119,7 @@ def test_grad_check_passes_on_composite_graph():
         w, u, bias = (tape.param(p) for p in params)
         h = dm.relu(dm.linear(w, dm.matmul(u, tape.leaf(x)), bias))
         soft = dm.row_softmax(dm.transpose(h))
-        ce, _, _ = dm.cross_entropy_cols(dm.transpose(soft), labels)
+        ce, _ = dm.cross_entropy_cols(dm.transpose(soft), labels)
         se = dm.squared_error_cols(h, np.ones_like(h.value))
         return dm.weighted_sum([(ce, 1.0), (se, 0.25)])
 
@@ -211,7 +211,7 @@ def test_the_fused_loss_end_matches_its_terms_bit_for_bit(rng, reg_weight):
         tape, params, (lt, pt) = _tape_params(np.random.default_rng(0), (5, 4), (2, 4))
         params[0].value[:], params[1].value[:] = logits, pred
         if fused:
-            loss, ce, reg = dm.cross_entropy_cols(lt, labels, pt, target, reg_weight)
+            loss, (ce, reg) = dm.cross_entropy_cols(lt, labels, pt, target, reg_weight)
         else:
             ce_t = dm.cross_entropy_cols(lt, labels)[0]
             reg_t = dm.squared_error_cols(pt, target)
@@ -314,6 +314,11 @@ def test_backward_accumulates_over_param_reuse():
     dm.squared_error_cols(dm.add(w1, w2), np.zeros((1, 1))).backward()
     assert p.grad is buffer
     assert p.grad[0, 0] == pytest.approx(8 * p.value[0, 0], abs=1e-12)
+
+
+def test_a_param_names_its_shape_and_whether_it_is_frozen():
+    assert repr(dm.Param("w", np.zeros((2, 3)))) == "Param('w', shape=(2, 3))"
+    assert repr(dm.Param("b", [1.0], trainable=False)) == "Param('b', shape=(1, 1), frozen)"
 
 
 def test_frozen_params_and_leaves_get_no_gradient(rng):

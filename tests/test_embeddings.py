@@ -119,6 +119,14 @@ def test_parse_embedding_file_normalizes_and_averages_tokens():
     assert we.provenance[0] == "tokens:cat"
 
 
+def test_parse_embedding_file_skips_blank_lines_without_counting_them():
+    reg = ClassRegistry(base=("cat",))
+    we = parse_embedding_file(_w2v(["2 2", "", "cat 3.0 4.0", "   ", "dog 1.0 0.0", ""]), reg)
+    np.testing.assert_allclose(we.matrix[0], [0.6, 0.8], atol=1e-15)
+    with pytest.raises(ValueError, match="header declares 3 tokens but stream has 2"):
+        parse_embedding_file(_w2v(["3 2", "cat 3.0 4.0", "", "dog 1.0 0.0"]), reg)
+
+
 def test_parse_embedding_file_errors():
     reg = ClassRegistry(base=("cat",))
     with pytest.raises(ValueError, match="empty"):

@@ -1,0 +1,33 @@
+"""Smoke tests of the scripts under ``scripts/``."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_criteria_blocks_prints_one_row_per_block():
+    proc = _run_script("criteria_blocks.py", "--seeds", "0:2", "--block", "2")
+    assert proc.returncode == 0, proc.stderr
+    header, rule, row = proc.stdout.splitlines()
+    assert header.startswith("| seeds | c7 novel@1") and rule.startswith("|---")
+    cells = [c.strip() for c in row.strip("|").split("|")]
+    assert cells[0] == "0–1"
+    accuracies = [float(v) for v in cells[1].split(" / ")]
+    p_values = [float(v) for v in cells[2:5]]
+    assert len(accuracies) == 3 and all(0.0 <= v <= 1.0 for v in accuracies + p_values)
+    assert re.fullmatch(r"-?\d\.\d{4}", cells[5])  # c9 drop
+
+
+def test_criteria_blocks_refuses_a_range_shorter_than_a_block():
+    proc = _run_script("criteria_blocks.py", "--seeds", "0:3", "--block", "4")
+    assert proc.returncode == 2 and "at least one block" in proc.stderr

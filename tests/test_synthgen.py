@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semshot.embeddings import ClassRegistry, random_embeddings
+from semshot.embeddings import ClassRegistry, EmbeddingMatrix, random_embeddings
 from semshot.synthgen import (
     REG_DIM,
     SynthConfig,
@@ -136,3 +136,12 @@ def test_registry_size_must_match_embeddings(world):
     small = ClassRegistry(base=("cat", "dog"))
     with pytest.raises(ValueError, match="do not match"):
         class_prototypes(we, small, SynthConfig(d_in=12))
+
+
+def test_a_zero_prototype_is_an_error_naming_its_class(world):
+    # with full coupling a zero embedding row maps to a zero prototype
+    registry, we = world
+    rows = we.matrix.copy()
+    rows[1] = 0.0
+    with pytest.raises(ValueError, match=f"degenerate prototype for class {registry.base[1]!r}"):
+        class_prototypes(EmbeddingMatrix(rows), registry, SynthConfig(d_in=12, alpha=1.0))

@@ -1,5 +1,6 @@
 """Optimizer math, episode sampling, and the two training phases."""
 
+import gc
 import re
 
 import numpy as np
@@ -88,6 +89,9 @@ def test_sgd_step_matches_recurrence():
     ("weight_decay", float("inf"), "weight_decay must be finite and in [0, inf), got inf"),
     ("reg_weight", -0.5, "reg_weight must be finite and in [0, inf), got -0.5"),
     ("reg_weight", float("nan"), "reg_weight must be finite and in [0, inf), got nan"),
+    ("milestones", (float("nan"),), "milestones must be finite and in [0, 1], got nan"),
+    ("milestones", (-1.0,), "milestones must be finite and in [0, 1], got -1.0"),
+    ("milestones", (0.5, 1.5), "milestones must be finite and in [0, 1], got 1.5"),
 ])
 def test_train_config_rejects_out_of_range_optimizer_values(field, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -408,7 +412,9 @@ def test_each_param_keeps_one_gradient_buffer_across_phases(tiny_world):
 
 
 def test_a_finetune_gives_frozen_params_no_gradient_buffer(tiny_world, monkeypatch):
-    # trunk not cached (reg trains), relation maps frozen: 8 frozen params a step
+    # trunk not cached (reg trains), relation maps frozen: 8 frozen params,
+    # wrapped once when the step is recorded and rerun on every later step
+    registry, base_reg, we, *_ = tiny_world
     wraps, fresh = [], []
     real = Tape.param
 
@@ -421,9 +427,12 @@ def test_a_finetune_gives_frozen_params_no_gradient_buffer(tiny_world, monkeypat
         return node
 
     monkeypatch.setattr(Tape, "param", param)
-    _srr_finetune(tiny_world, trainable=("P", "b", "reg"))
-    assert len(wraps) == 8 * 12
-    assert sum(fresh) == 0
+    buffers = {name: p.grad for name, p in make_head("srr", registry, we).params.items()}
+    head, trace, _ = _srr_finetune(tiny_world, trainable=("P", "b", "reg"))
+    assert len(wraps) == 8 and sum(fresh) == 0 and len(trace) == 12
+    for name in wraps:  # zeroed at the phase start, never bound anew or accumulated into
+        assert head.params[name].grad.shape == buffers[name].shape
+        assert not head.params[name].grad.any()
 
 
 def _count_trunk_halves(monkeypatch):
@@ -431,7 +440,7 @@ def _count_trunk_halves(monkeypatch):
     real = head_module._trunk_half
 
     def counted(*args):
-        calls.append(args[2].shape[1])
+        calls.append(args[2].value.shape[1])
         return real(*args)
 
     monkeypatch.setattr(head_module, "_trunk_half", counted)
@@ -444,6 +453,83 @@ def _srr_finetune(tiny_world, k=2, base_shots=3, **cfg):
     episode = sample_episode(base_data, novel_data, k=k, base_shots=base_shots, seed=4)
     result = finetune(head, episode, finetune_config(steps=12, batch_size=4, seed=4, **cfg))
     return head, [(r.loss, r.loss_cls, r.loss_reg) for r in result.trace], len(episode.base) + len(episode.novel)
+
+
+def _phases(tiny_world, mode, graph_mode, decoupled, graph_in_base):
+    """Trace rows and param hash after each of three phases: base training
+    (the trunk trains), a default finetune (cached trunk) and a finetune
+    that trains reg (uncached trunk, frozen)."""
+    registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
+    head = make_head(mode, registry, we, graph_mode=graph_mode, graph_in_base=graph_in_base)
+    if graph_mode == "heuristic":
+        g = np.random.default_rng(5).random((registry.n, registry.n)) + np.eye(registry.n)
+        head_module.attach_heuristic_graph(head, g / g.sum(axis=1, keepdims=True))
+    if decoupled:
+        head_module.decouple_trunks(head)
+    episode = sample_episode(base_data, novel_data, k=2, base_shots=3, seed=4)
+    out = []
+    for phase in (lambda: base_train(head, base_data, TrainConfig(steps=6, batch_size=5, seed=2)),
+                  lambda: finetune(head, episode, finetune_config(steps=6, batch_size=4, seed=4)),
+                  lambda: finetune(head, episode, finetune_config(
+                      steps=6, batch_size=4, seed=5, trainable=("P" if mode != "baseline" else "W",
+                                                                "b", "reg")))):
+        out.append((phase().trace, head.param_hash()))
+    return out
+
+
+@pytest.mark.parametrize("decoupled", [False, True], ids=["shared", "decoupled"])
+@pytest.mark.parametrize("mode,graph_mode,graph_in_base", [
+    ("baseline", None, True), ("ssp", None, True), ("srr", "dynamic", True),
+    ("srr", "dynamic", False), ("srr", "tt", True), ("srr", "heuristic", True),
+])
+def test_a_rerun_phase_matches_a_fresh_tape_per_step_bit_for_bit(
+        tiny_world, monkeypatch, mode, graph_mode, graph_in_base, decoupled):
+    reruns = []
+    real_rerun = Tape.rerun
+    with monkeypatch.context() as m:
+        m.setattr(Tape, "rerun", lambda tape: reruns.append(1) or real_rerun(tape))
+        replayed = _phases(tiny_world, mode, graph_mode, decoupled, graph_in_base)
+    assert len(reruns) == 3 * 5  # every step after the first of each phase
+
+    real = training.batch_forward
+
+    def fresh_tape(*args):
+        *args, recorded = args
+        if recorded is not None:
+            recorded.loss.tape.release()
+        return real(*args)
+
+    monkeypatch.setattr(training, "batch_forward", fresh_tape)
+    assert _phases(tiny_world, mode, graph_mode, decoupled, graph_in_base) == replayed
+
+
+@pytest.mark.parametrize("trainable", [None, ("P", "b", "reg")], ids=["cached", "uncached"])
+def test_a_phase_leaves_nothing_for_the_cyclic_collector(tiny_world, trainable):
+    # the recorded step's nodes hold its tape; the phase drops them at its end
+    registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
+    head = make_head("srr", registry, we)
+    episode = sample_episode(base_data, novel_data, k=2, base_shots=3, seed=4)
+    gc.collect()
+    gc.disable()
+    try:
+        base_train(head, base_data, TrainConfig(steps=4, batch_size=5))
+        assert gc.collect() == 0
+        finetune(head, episode, finetune_config(steps=4, batch_size=4, trainable=trainable))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_rerun_refuses_a_batch_of_another_width(tiny_world):
+    registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
+    head = make_head("ssp", registry, we)
+    y = base_data.label_indices(registry)
+    first = training.batch_forward(head, base_data, y, [0, 1, 2])
+    with pytest.raises(ValueError, match="batch of 2 for a step recorded on 3 columns"):
+        training.batch_forward(head, base_data, y, [0, 1], recorded=first)
+    first.loss.tape.release()
+    with pytest.raises(RuntimeError, match="only a Tape"):
+        first.loss.tape.rerun()
 
 
 def test_default_finetune_runs_the_trunk_half_once(tiny_world, monkeypatch):
@@ -462,11 +548,16 @@ def test_default_finetune_runs_the_trunk_half_once(tiny_world, monkeypatch):
 ])
 def test_finetune_with_trunk_or_reg_trainable_runs_the_trunk_every_step(
         tiny_world, monkeypatch, groups, moved):
+    # the trunk's relu runs once a step, on that step's batch of 4 columns
     registry, base_reg, we, *_ = tiny_world
     before = make_head("srr", registry, we).params[moved].value.copy()
     calls = _count_trunk_halves(monkeypatch)
+    relus = []
+    real = kernels.relu
+    monkeypatch.setattr(kernels, "relu", lambda m: relus.append(m.copy()) or real(m))
     head, trace, _ = _srr_finetune(tiny_world, trainable=groups)
-    assert calls == [4] * 12  # one batch per step
+    assert calls == [4] and [m.shape[1] for m in relus] == [4] * 12
+    assert len({m.tobytes() for m in relus}) == 12  # every step's batch is new
     assert not np.array_equal(head.params[moved].value, before)
 
 
