@@ -1,13 +1,14 @@
 """Reverse-mode differentiation over dense float64 matrices.
 
 Everything is a 2-D C-contiguous float64 array ("matrix" below).  A ``Tape``
-records operations as they execute; ``Tape.backward`` runs the recorded
-nodes in exact reverse order, accumulating into preallocated gradient
-buffers.  Gradients therefore come out bit-identical across repeated runs on
-the same inputs.  Every op records through ``_op``, which takes the op's
-forward as a function of its operands' current values and one
-vector-Jacobian product per operand, read at backward time; an affine layer
-is the single op ``linear``.  A training phase records its step once: each
+records operations as they execute; ``Tape.backward`` runs the recorded nodes
+in exact reverse order, accumulating into preallocated gradient buffers.
+Gradients therefore come out bit-identical across repeated runs on the same
+inputs.  Every op records through ``_op``, which takes the op's forward as a
+function of its operands' current values and one vector-Jacobian product per
+operand, read at backward time; ``transport`` is that of every product.  An
+affine layer (``linear``) and the relation stage (``relation_forward_t`` in
+``relation``) are one op each.  A training phase records its step once: each
 later step rebinds the leaves and ``Tape.rerun`` recomputes every node.
 
 A ``Param`` owns its one gradient buffer for life: a recording tape zeroes a
@@ -168,39 +169,32 @@ def _op(forward, *operands) -> Tensor:
     return out
 
 
-def _product(a: Tensor, b: Tensor, kernel, name: str, bias: Tensor | None = None) -> Tensor:
-    """``kernel(a, b)`` on the tape, plus an (n,1) ``bias`` column added to
-    every column when given.  The vjps of a product are the transport rule."""
+def transport(a: Matrix, b: Matrix, g: Matrix, side: int) -> Matrix:
+    """The vjp of every matrix product ``a b``: operand ``side``'s share of
+    its gradient ``g``, g bᵀ for ``a`` (0) and aᵀ g for ``b`` (1)."""
+    return a.T @ g if side else g @ b.T
+
+
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``a @ b`` on the tape, plus an (n,1) ``bias`` column added to every
+    column when given."""
     av, bv = a.value, b.value
     if av.shape[1] != bv.shape[0]:
-        raise ValueError(f"{name} shape mismatch: {av.shape} @ {bv.shape}")
+        raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
     if bias is not None and bias.value.shape != (av.shape[0], 1):
         raise ValueError(f"bias shape {bias.value.shape} is not ({av.shape[0]}, 1)")
-    operands = [(a, lambda g, _: g @ b.value.T), (b, lambda g, _: a.value.T @ g)]
+    operands = [(t, lambda g, _, s=s: transport(a.value, b.value, g, s))
+                for s, t in enumerate((a, b))]
     if bias is None:
-        return _op(lambda: kernel(a.value, b.value), *operands)
-    return _op(lambda: kernel(a.value, b.value) + bias.value, *operands,
+        return _op(lambda: kernels.matmul(a.value, b.value), *operands)
+    return _op(lambda: kernels.matmul(a.value, b.value) + bias.value, *operands,
                (bias, lambda g, _: g.sum(axis=1, keepdims=True)))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return _product(a, b, lambda av, bv: kernels.matmul(av, bv), "matmul")
-
-
-def mix_matmul(a: Tensor, b: Tensor, order) -> Tensor:
-    """Matrix product whose contraction sums in ``order`` (see kernels); the
-    backward is the plain transport rule on the unpermuted operands."""
-    return _product(a, b, lambda av, bv: kernels.mix_matmul(av, bv, order), "mix_matmul")
 
 
 def linear(w: Tensor, x: Tensor, bias: Tensor) -> Tensor:
     """One affine layer as one op: ``w @ x`` plus the (n,1) ``bias`` column
     added to every column."""
-    return _product(w, x, lambda av, bv: kernels.matmul(av, bv), "linear", bias)
-
-
-def transpose(a: Tensor) -> Tensor:
-    return _op(lambda: np.ascontiguousarray(a.value.T), (a, lambda g, _: g.T))
+    return matmul(w, x, bias)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -209,18 +203,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _op(lambda: a.value + b.value, (a, lambda g, _: g), (b, lambda g, _: g))
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    return _op(lambda: a.value * c, (a, lambda g, _: g * c))
-
-
 def relu(a: Tensor) -> Tensor:
     return _op(lambda: kernels.relu(a.value), (a, lambda g, ov: g * (ov > 0.0)))
-
-
-def row_softmax(a: Tensor) -> Tensor:
-    """Row-wise softmax; the denominator uses sorted summation."""
-    return _op(lambda: kernels.row_softmax(a.value),
-               (a, lambda g, soft: soft * (g - (soft * g).sum(axis=1, keepdims=True))))
 
 
 def cross_entropy_cols(logits: Tensor, labels, pred: Tensor | None = None, target=None,

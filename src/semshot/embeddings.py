@@ -138,8 +138,9 @@ class Interval:
 
     def check(self, value, name: str):
         """``value`` if it lies in the interval; else a ValueError naming the
-        setting ``name``, the interval and the value."""
-        if not (isinstance(value, numbers.Integral if self.kind is int else numbers.Real) and (
+        setting ``name``, the interval and the value.  No bool lies in one."""
+        kind = numbers.Integral if self.kind is int else numbers.Real
+        if isinstance(value, bool) or not (isinstance(value, kind) and (
                 self.lo < value if self.ends[0] == "(" else self.lo <= value) and (
                 value < self.hi if self.ends[1] == ")" else value <= self.hi)):
             raise ValueError(f"{name} must be finite and in {self}, got {value}")

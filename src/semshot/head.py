@@ -24,7 +24,7 @@ import numpy as np
 from . import diffmath as dm
 from . import relation as rel
 from .diffmath import Param, Tape
-from .embeddings import NONNEG, POSITIVE_INT, ClassRegistry, EmbeddingMatrix, load_json
+from .embeddings import NONNEG, NONNEG_INT, POSITIVE_INT, ClassRegistry, EmbeddingMatrix, load_json
 from .records import REG_DIM, FeatureSet, batch_features
 
 
@@ -51,6 +51,7 @@ class HeadConfig:
         for name in ("d_in", "d", "r"):
             POSITIVE_INT.check(getattr(self, name), f"head dimension {name}")
         NONNEG.check(self.attention_gain, "attention_gain")
+        NONNEG_INT.check(self.seed, "seed")
         if isinstance(self.mode, str):
             self.mode = HeadMode(self.mode)
         if isinstance(self.graph_mode, str):
@@ -223,10 +224,6 @@ def _trunk_t(tape: Tape, head: Head, branch: str, x_t):
     return dm.linear(w2, dm.relu(dm.linear(w1, x_t, b1)), b2)
 
 
-def _maps_t(tape: Tape, head: Head) -> dict:
-    return {n: tape.param(head.params[n]) for n in rel.map_names(head.cfg.graph_mode)}
-
-
 def _effective_rows_t(tape: Tape, head: Head, use_graph: bool = True):
     """Class rows on the tape: W, raw We (also an srr head with its relation
     stage bypassed), or relation-refined We."""
@@ -240,7 +237,7 @@ def _effective_rows_t(tape: Tape, head: Head, use_graph: bool = True):
         if head.g_heur is None:
             raise ValueError("heuristic graph mode without an attached co-occurrence graph")
         return dm.matmul(tape.leaf(head.g_heur), we_t)
-    maps_t = _maps_t(tape, head)
+    maps_t = {n: tape.param(head.params[n]) for n in rel.map_names(gm)}
     if gm is rel.GraphMode.TRAINABLE_TRANSFORM:
         return rel.trainable_transform_t(we_t, maps_t)
     return rel.relation_forward_t(we_t, maps_t, head.cfg.scaled_attention)
@@ -402,9 +399,8 @@ def relation_graph(head: Head) -> np.ndarray:
             f"head mode {head.mode.value!r} with graph mode "
             f"{head.cfg.graph_mode.value!r} has no relation graph to export"
         )
-    tape = Tape(backward=False)
-    we_t = tape.leaf(head.we.matrix)
-    graph = rel.extract_graph_t(we_t, _maps_t(tape, head), head.cfg.scaled_attention).value
+    maps = [head.params[name].value for name in ("t_f", "t_g")]
+    graph = rel.attention(head.we.matrix, maps, head.cfg.scaled_attention)[0]
     return check_finite(head, graph, "relation graph rows")
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import relation as rel
 from .diffmath import l2_normalize_rows
-from .embeddings import (NONNEG, POSITIVE_INT, ClassRegistry, EmbeddingMatrix,
+from .embeddings import (NONNEG, NONNEG_INT, POSITIVE_INT, ClassRegistry, EmbeddingMatrix,
                          compose_background_row)
 from .evaluation import MetricsReport, SweepResult, SweepRow, evaluate
 from .head import (
@@ -117,6 +117,7 @@ class PipelineConfig:
     decouple: bool = False
 
     def __post_init__(self):
+        POSITIVE_INT.check(self.d_e, "d_e")
         if isinstance(self.mode, str):
             self.mode = HeadMode(self.mode)
         # drop a non-srr head's graph mode: perfbench/workloads.py passes "dynamic" for all
@@ -197,6 +198,7 @@ class BasePart:
 
 def train_base(cfg: PipelineConfig, seed: int) -> BasePart:
     """Generate a seed's data and run the base phase of its cells."""
+    NONNEG_INT.check(seed, "seed")
     full_registry = cfg.registry()
     we_latent = clustered_embeddings(
         full_registry, cfg.d_e, cfg.n_clusters, CLUSTER_SPREAD, seed

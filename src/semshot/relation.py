@@ -3,7 +3,8 @@
 The dynamic variant runs one head of self-attention across the embedding rows:
 row-softmax(We Tf (We Tg)^T) gives an n_classes x n_classes mixing graph G,
 and the refined embedding is G (We Th Tl) + We.  With Tl = 0 the refinement is
-exactly the identity, which is also the training-friendly initialization.
+exactly the identity, which is also the training-friendly initialization.  The
+whole stage is one tape op, whose forward the array-level ``attention`` starts.
 
 Two ablation variants share the interface: a fixed heuristic graph applied as
 G_h We, and a per-row transform We Th Tl + We that mixes nothing across rows.
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffmath as dm
+from . import kernels
 from .diffmath import Param
 from .embeddings import ClassRegistry
 
@@ -71,28 +73,20 @@ def init_maps(mode: GraphMode, d_e: int, r: int = DEFAULT_REDUCED_DIM, seed: int
     return {name: Param(name, values[name]) for name in names}
 
 
-# ---------------------------------------------------------------------------
-# tape-level builders (used inside head forward passes); ``maps_t`` maps the
-# relation map names to tensors
-
-
-def attention_scores_t(we_t, t_f, t_g, scaled: bool):
-    q = dm.matmul(we_t, t_f)
-    k = dm.matmul(we_t, t_g)
-    scores = dm.matmul(q, dm.transpose(k))
+def attention(we, maps, scaled: bool) -> tuple:
+    """The class graph row-softmax(We Tf (We Tg)ᵀ), its scores divided by √r
+    when ``scaled``, and the product We [Tf Tg ...] of ``maps`` = [Tf, Tg, ...],
+    whose column blocks equal the separate products bit for bit (see kernels)."""
+    r = maps[0].shape[1]
+    prods = kernels.matmul(we, np.concatenate(maps, axis=1))
+    scores = kernels.matmul(prods[:, :r], np.ascontiguousarray(prods[:, r:2 * r].T))
     if scaled:
-        r = t_f.value.shape[1]
-        scores = dm.scale(scores, 1.0 / math.sqrt(r))
-    return scores
-
-
-def extract_graph_t(we_t, maps_t, scaled: bool):
-    """The row-stochastic attention graph over classes (rows sum to 1)."""
-    return dm.row_softmax(attention_scores_t(we_t, maps_t["t_f"], maps_t["t_g"], scaled))
+        scores = scores * (1.0 / math.sqrt(r))
+    return kernels.row_softmax(scores), prods
 
 
 def relation_forward_t(we_t, maps_t, scaled: bool):
-    """Refined embeddings G (We Th Tl) + We on the tape.
+    """Refined embeddings G (We Th Tl) + We as one op over ``we_t`` and ``maps_t``.
 
     The mixing matmul sums over classes in one order keyed on the content of
     We's rows: a stable argsort of each row's bytes viewed as one item.  The
@@ -100,13 +94,35 @@ def relation_forward_t(we_t, maps_t, scaled: bool):
     columns and (We Th Tl) rows, so their ties cannot change the sum.  That
     makes the whole refinement exactly equivariant to row permutations of We.
     """
-    rows = np.ascontiguousarray(we_t.value)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    keys = we_t.value.view(np.dtype((np.void, we_t.value[0].nbytes))).ravel()  # a row an item
     order = np.argsort(keys, kind="stable")
-    graph = extract_graph_t(we_t, maps_t, scaled)
-    transformed = dm.matmul(dm.matmul(we_t, maps_t["t_h"]), maps_t["t_l"])
-    mixed = dm.mix_matmul(graph, transformed, order)
-    return dm.add(mixed, we_t)
+    ts = [maps_t[name] for name in _MAPS[GraphMode.DYNAMIC]]
+    r, saved = ts[0].value.shape[1], []
+
+    def forward():
+        graph, prods = attention(we_t.value, [t.value for t in ts[:3]], scaled)
+        saved[:] = graph, prods, kernels.matmul(prods[:, 2 * r:], ts[3].value), None
+        return kernels.mix_matmul(graph, saved[2], order) + we_t.value
+
+    def share(g, i):  # operand i's share of g, in the order [We, Tf, Tg, Th, Tl]
+        if saved[-1] is None:  # the first call of a backward applies the chain rule for all
+            (graph, prods, transformed, _), tp = saved, dm.transport
+            we, (t_f, t_g, t_h, t_l) = we_t.value, (t.value for t in ts)
+            # contiguous copies: BLAS can sum a strided operand in another order
+            q, k, h = (np.ascontiguousarray(prods[:, j * r:(j + 1) * r]) for j in range(3))
+            g_graph, g_tr = tp(graph, transformed, g, 0), tp(graph, transformed, g, 1)
+            g_s = graph * (g_graph - (graph * g_graph).sum(axis=1, keepdims=True))
+            g_s, k_t = g_s * (1.0 / math.sqrt(r)) if scaled else g_s, np.ascontiguousarray(k.T)
+            g_q, g_k = tp(q, k_t, g_s, 0), np.ascontiguousarray(tp(q, k_t, g_s, 1).T)
+            g_h = tp(h, t_l, g_tr, 0)
+            g_we = None if we_t.grad is None else (
+                g + tp(we, t_h, g_h, 0) + tp(we, t_g, g_k, 0) + tp(we, t_f, g_q, 0))
+            saved[-1] = [g_we, tp(we, t_f, g_q, 1), tp(we, t_g, g_k, 1), tp(we, t_h, g_h, 1),
+                         tp(h, t_l, g_tr, 1)]
+        return saved[-1][i]
+
+    return dm._op(forward, *((t, lambda g, _, i=i: share(g, i))
+                             for i, t in enumerate([we_t, *ts])))
 
 
 def trainable_transform_t(we_t, maps_t):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import NONNEG, POSITIVE_INT, UNIT, ClassRegistry, EmbeddingMatrix
+from .embeddings import NONNEG, NONNEG_INT, POSITIVE_INT, UNIT, ClassRegistry, EmbeddingMatrix
 from .records import REG_DIM, FeatureSet, concat
 
 _STREAM_MAP = 1
@@ -40,7 +40,8 @@ class SynthConfig:
 
     def __post_init__(self):
         for name, bound in (("alpha", UNIT), ("d_in", POSITIVE_INT), ("margin_scale", NONNEG),
-                            ("train_per_class", POSITIVE_INT), ("test_per_class", POSITIVE_INT)):
+                            ("train_per_class", POSITIVE_INT), ("test_per_class", POSITIVE_INT),
+                            ("seed", NONNEG_INT)):
             bound.check(getattr(self, name), name)
         if self.noise_std is not None:
             NONNEG.check(self.noise_std, "noise_std")

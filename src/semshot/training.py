@@ -56,7 +56,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, bound in (("lr", POSITIVE), ("momentum", UNIT_BELOW_1),
+        for name, bound in (("lr", POSITIVE), ("momentum", UNIT_BELOW_1), ("seed", NONNEG_INT),
                             ("weight_decay", NONNEG), ("reg_weight", NONNEG)):
             bound.check(getattr(self, name), name)
         for frac in self.milestones:

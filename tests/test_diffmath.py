@@ -7,6 +7,7 @@ import pytest
 
 from semshot import diffmath as dm
 from semshot import kernels
+from semshot import relation as rel
 
 mp.mp.dps = 50
 
@@ -17,6 +18,10 @@ def _tape_params(rng, *shapes):
     return tape, params, [tape.param(p) for p in params]
 
 
+def _relation(we, t_f, t_g, t_h, t_l, scaled):
+    return rel.relation_forward_t(we, {"t_f": t_f, "t_g": t_g, "t_h": t_h, "t_l": t_l}, scaled)
+
+
 # ---------------------------------------------------------------------------
 # value oracles
 
@@ -24,8 +29,7 @@ def _tape_params(rng, *shapes):
 def test_row_softmax_matches_mpmath():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((4, 6)) * 5
-    tape = dm.Tape()
-    got = dm.row_softmax(tape.leaf(m)).value
+    got = kernels.row_softmax(m)
     for i in range(m.shape[0]):
         ex = [mp.e ** mp.mpf(x) for x in m[i]]
         total = mp.fsum(ex)
@@ -117,9 +121,9 @@ def test_grad_check_passes_on_composite_graph():
     def loss_fn():
         tape = dm.Tape()
         w, u, bias = (tape.param(p) for p in params)
-        h = dm.relu(dm.linear(w, dm.matmul(u, tape.leaf(x)), bias))
-        soft = dm.row_softmax(dm.transpose(h))
-        ce, _ = dm.cross_entropy_cols(dm.transpose(soft), labels)
+        pre = dm.linear(w, dm.matmul(u, tape.leaf(x)), bias)
+        h = dm.relu(pre)
+        ce, _ = dm.cross_entropy_cols(dm.add(h, pre), labels)  # pre feeds two ops
         se = dm.squared_error_cols(h, np.ones_like(h.value))
         return dm.weighted_sum([(ce, 1.0), (se, 0.25)])
 
@@ -146,13 +150,11 @@ def test_grad_check_skips_frozen_params():
 # a matrix output is scored by its squared error to a fixed target
 _OP_CASES = {
     "matmul": ([(3, 4), (4, 2)], dm.matmul),
-    "mix_matmul": ([(3, 4), (4, 2)], lambda a, b: dm.mix_matmul(a, b, np.array([2, 0, 3, 1]))),
     "linear": ([(3, 4), (4, 2), (3, 1)], dm.linear),
-    "transpose": ([(3, 2)], dm.transpose),
     "add": ([(2, 3), (2, 3)], dm.add),
-    "scale": ([(2, 3)], lambda a: dm.scale(a, -1.5)),
     "relu": ([(3, 3)], dm.relu),
-    "row_softmax": ([(2, 4)], dm.row_softmax),
+    # We, Tf, Tg, Th, Tl; one case scales the scores (tests/test_relation.py)
+    "relation": ([(3, 4), (4, 2), (4, 2), (4, 2), (2, 4)], lambda *ts: _relation(*ts, False)),
     "cross_entropy_cols": ([(4, 3)], lambda a: dm.cross_entropy_cols(a, [0, 3, 1])[0]),
     "cross_entropy_cols_with_reg": ([(4, 3), (2, 3)], lambda a, p: dm.cross_entropy_cols(
         a, [0, 3, 1], p, np.ones((2, 3)), 0.4)[0]),
@@ -184,8 +186,8 @@ def test_grad_check_passes_on_every_op(name):
 
 @pytest.mark.parametrize("op, shapes", [
     pytest.param(dm.matmul, [(2, 2), (2, 2)], id="matmul"),
-    pytest.param(lambda a, b: dm.mix_matmul(a, b, np.array([1, 0])), [(2, 2), (2, 2)],
-                 id="mix_matmul"),
+    pytest.param(lambda *ts: _relation(*ts, True), [(2, 2), (2, 1), (2, 1), (2, 1), (1, 2)],
+                 id="relation"),
     pytest.param(dm.add, [(2, 2), (2, 2)], id="add"),
     pytest.param(dm.linear, [(2, 2), (2, 2), (2, 1)], id="linear"),
     pytest.param(lambda *ts: dm.weighted_sum((t, 1.0) for t in ts), [(1, 1), (1, 1)],
@@ -346,7 +348,7 @@ def test_a_replayed_tape_refuses_more_work(rng):
     loss = dm.squared_error_cols(w, np.zeros((2, 2)))
     loss.backward()
     grad = params[0].grad.copy()
-    for again in (loss.backward, lambda: tape.param(params[0]), lambda: dm.scale(w, 2.0)):
+    for again in (loss.backward, lambda: tape.param(params[0]), lambda: dm.relu(w)):
         with pytest.raises(RuntimeError, match="backward|already replayed"):
             again()
     np.testing.assert_array_equal(params[0].grad, grad)

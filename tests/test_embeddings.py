@@ -72,7 +72,8 @@ def test_named_intervals_hold_their_ends_and_no_non_finite_value():
     for bound in named:
         for value in inside[bound]:
             assert bound.check(value, "x") is value
-        for value in outside[bound] + [math.nan, math.inf, -math.inf, None, "1"]:
+        # a bool is an int to Python, and True == 1 would lie in [1, inf) and [0, 1]
+        for value in outside[bound] + [math.nan, math.inf, -math.inf, None, "1", True, False]:
             with pytest.raises(ValueError, match=re.escape(
                     f"x must be finite and in {bound}, got {value}")):
                 bound.check(value, "x")

@@ -73,6 +73,16 @@ def test_head_config_rejects_dimensions_below_one(field, value):
         HeadConfig(mode="srr", **{field: value})
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("d", True, "head dimension d must be finite and in [1, inf), got True"),
+    ("seed", -1, "seed must be finite and in [0, inf), got -1"),
+    ("seed", 2.0, "seed must be finite and in [0, inf), got 2.0"),
+])
+def test_head_config_rejects_a_bool_dimension_and_a_seed_that_is_no_count(field, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        HeadConfig(mode="srr", **{field: value})
+
+
 def test_baseline_logits_are_linear_scores(base_reg):
     head = make_head("baseline", base_reg, d=8)
     v = np.random.default_rng(0).standard_normal((8, 1))

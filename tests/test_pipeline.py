@@ -147,6 +147,25 @@ def test_shot_sweep_shapes_and_validation():
         shot_sweep(cfg, shots=[1], seeds=[])
 
 
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda cfg: shot_sweep(cfg, [True], [True]), "seed must be finite and in "
+                 "[0, inf), got True", id="bool_shot_and_seed"),
+    pytest.param(lambda cfg: shot_sweep(cfg, [True], [0]), "k must be finite and in "
+                 "[1, inf), got True", id="bool_shot"),
+    pytest.param(lambda cfg: shot_sweep(cfg, [1], [-1]), "seed must be finite and in "
+                 "[0, inf), got -1", id="negative_seed"),
+    pytest.param(lambda cfg: shot_sweep(cfg, [1], [1.5]), "seed must be finite and in "
+                 "[0, inf), got 1.5", id="fractional_seed"),
+    pytest.param(lambda cfg: train_base(cfg, -2), "seed must be finite and in [0, inf), got -2",
+                 id="train_base_seed"),
+    pytest.param(lambda cfg: PipelineConfig(d_e=0), "d_e must be finite and in [1, inf), got 0",
+                 id="zero_embedding_dim"),
+])
+def test_a_bad_seed_shot_or_embedding_dim_is_an_error_naming_it(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(bundled_benchmark(**TINY))
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_diverging_base_lr_fails_loudly():

@@ -1,10 +1,14 @@
 """Relation stage: identity at init, attention graph structure, ablation
 transforms, co-occurrence graphs, and correlation maps."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semshot import diffmath as dm
+from semshot import kernels
 from semshot import relation as rel
 from semshot.embeddings import ClassRegistry, EmbeddingMatrix, random_embeddings
 from semshot.head import HeadConfig, build_head, class_rows, relation_graph
@@ -130,6 +134,58 @@ def test_relation_stage_commutes_bitwise_with_row_permutations_and_duplicates(n,
         perm = rng.permutation(n)
         head.we = EmbeddingMatrix(rows[perm])
         assert np.array_equal(class_rows(head), refined[perm])
+
+
+def _product(a, b, kernel=kernels.matmul):
+    return dm._op(lambda: kernel(a.value, b.value),
+                  (a, lambda g, _: g @ b.value.T), (b, lambda g, _: a.value.T @ g))
+
+
+def _chain(we, t_f, t_g, t_h, t_l, scaled):
+    """The relation stage as the op-by-op chain it was recorded as before it
+    became one op: ten nodes with the scale, nine without."""
+    rows = we.value
+    order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel(),
+                       kind="stable")
+    q, k = _product(we, t_f), _product(we, t_g)
+    k_t = dm._op(lambda: np.ascontiguousarray(k.value.T), (k, lambda g, _: g.T))
+    scores = _product(q, k_t)
+    if scaled:
+        c, raw = 1.0 / math.sqrt(t_f.value.shape[1]), scores
+        scores = dm._op(lambda: raw.value * c, (raw, lambda g, _: g * c))
+    graph = dm._op(lambda: kernels.row_softmax(scores.value), (scores, lambda g, soft: soft * (
+        g - (soft * g).sum(axis=1, keepdims=True))))
+    transformed = _product(_product(we, t_h), t_l)
+    mixed = _product(graph, transformed, lambda a, b: kernels.mix_matmul(a, b, order))
+    return dm._op(lambda: mixed.value + we.value, (mixed, lambda g, _: g), (we, lambda g, _: g))
+
+
+def _stage(we, t_f, t_g, t_h, t_l, scaled):
+    return rel.relation_forward_t(we, {"t_f": t_f, "t_g": t_g, "t_h": t_h, "t_l": t_l}, scaled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), d_e=st.one_of(st.integers(1, 12), st.just(300)),
+       r=st.one_of(st.integers(1, 5), st.just(32)), dupes=st.integers(0, 3),
+       scaled=st.booleans(), we_trains=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_the_one_op_stage_equals_the_op_by_op_chain_bit_for_bit(n, d_e, r, dupes, scaled,
+                                                                we_trains, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, d_e))
+    for _ in range(dupes):  # repeated rows tie in the class order
+        rows[rng.integers(n)] = rows[rng.integers(n)]
+    maps = [rng.standard_normal(shape) for shape in ((d_e, r),) * 3 + ((r, d_e),)]
+    target = rng.standard_normal((n, d_e))
+    got = []
+    for build in (_stage, _chain):
+        tape = dm.Tape()
+        we_p = dm.Param("we", rows)
+        params = [dm.Param(name, m) for name, m in zip(("t_f", "t_g", "t_h", "t_l"), maps)]
+        we_t = tape.param(we_p) if we_trains else tape.leaf(rows)
+        out = build(we_t, *map(tape.param, params), scaled)
+        dm.squared_error_cols(out, target).backward()
+        got.append([a.tobytes() for a in [out.value, we_p.grad, *(p.grad for p in params)]])
+    assert got[0] == got[1]
 
 
 def test_trainable_transform_has_no_cross_row_mixing(we):

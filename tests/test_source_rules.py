@@ -146,7 +146,7 @@ def add(a, b):
 
 # (module, top-level function) scopes allowed to call BLAS, and why
 BLAS_SITES = {
-    ("diffmath", "_product"): "the backward of every matrix product",
+    ("diffmath", "transport"): "the backward of every matrix product",
     ("embeddings", "compose_background_row"): "the norm of one seeded background row",
     ("pipeline", "_similarity_graph"): "the cosine graph of the benchmark's heuristic prior",
     ("relation", "_cosine_block"): "the cosine tables of the correlation export",

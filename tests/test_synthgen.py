@@ -28,7 +28,8 @@ def test_config_validation():
     with pytest.raises(ValueError, match="d_in"):
         SynthConfig(d_in=0)
     for field, value in (("train_per_class", 0), ("test_per_class", 0), ("noise_std", -1.0),
-                         ("noise_std", float("nan")), ("margin_scale", float("inf"))):
+                         ("noise_std", float("nan")), ("margin_scale", float("inf")),
+                         ("seed", -1), ("seed", True)):
         with pytest.raises(ValueError, match=f"{field} must be finite and in .*, got {value}"):
             SynthConfig(**{field: value})
 

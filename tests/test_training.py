@@ -92,6 +92,9 @@ def test_sgd_step_matches_recurrence():
     ("milestones", (float("nan"),), "milestones must be finite and in [0, 1], got nan"),
     ("milestones", (-1.0,), "milestones must be finite and in [0, 1], got -1.0"),
     ("milestones", (0.5, 1.5), "milestones must be finite and in [0, 1], got 1.5"),
+    ("lr", True, "lr must be finite and in (0, inf), got True"),
+    ("seed", -1, "seed must be finite and in [0, inf), got -1"),
+    ("seed", 1.5, "seed must be finite and in [0, inf), got 1.5"),
 ])
 def test_train_config_rejects_out_of_range_optimizer_values(field, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -433,6 +436,22 @@ def test_a_finetune_gives_frozen_params_no_gradient_buffer(tiny_world, monkeypat
     for name in wraps:  # zeroed at the phase start, never bound anew or accumulated into
         assert head.params[name].grad.shape == buffers[name].shape
         assert not head.params[name].grad.any()
+
+
+def test_a_cached_trunk_srr_finetune_step_records_four_nodes(tiny_world, monkeypatch):
+    # the relation stage, the P v product, the affine class scores, the loss end
+    nodes = []
+    real = training.batch_forward
+
+    def counted(*args):
+        result = real(*args)
+        if args[-1] is None:  # the step that records
+            nodes.append(len(result.loss.tape._ops))
+        return result
+
+    monkeypatch.setattr(training, "batch_forward", counted)
+    _srr_finetune(tiny_world)
+    assert nodes == [4]
 
 
 def _count_trunk_halves(monkeypatch):
