@@ -67,7 +67,10 @@ def main(argv=None):
                         help="seed range start:stop, stop excluded (default 20:100)")
     parser.add_argument("--block", type=int, default=20, help="seeds per block (default 20)")
     args = parser.parse_args(argv)
-    start, stop = (int(v) for v in args.seeds.split(":"))
+    try:
+        start, stop = (int(v) for v in args.seeds.split(":"))
+    except ValueError:
+        parser.error(f"--seeds must be a range start:stop of integers, got {args.seeds!r}")
     if args.block < 2 or start < 0 or stop - start < args.block:
         parser.error("--seeds must hold at least one block of at least 2 seeds")
     print(HEADER)

@@ -7,9 +7,10 @@ Gradients therefore come out bit-identical across repeated runs on the same
 inputs.  Every op records through ``_op``, which takes the op's forward as a
 function of its operands' current values and one vector-Jacobian product per
 operand, read at backward time; ``transport`` is that of every product.  An
-affine layer (``linear``) and the relation stage (``relation_forward_t`` in
-``relation``) are one op each.  A training phase records its step once: each
-later step rebinds the leaves and ``Tape.rerun`` recomputes every node.
+affine layer (``matmul`` with a bias) and the relation stage
+(``relation_forward_t`` in ``relation``) are one op each.  A training phase
+records its step once: each later step rebinds the leaves and ``Tape.rerun``
+recomputes every node.
 
 A ``Param`` owns its one gradient buffer for life: a recording tape zeroes a
 trainable param's buffer in place and accumulates into it, so after
@@ -189,12 +190,6 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         return _op(lambda: kernels.matmul(a.value, b.value), *operands)
     return _op(lambda: kernels.matmul(a.value, b.value) + bias.value, *operands,
                (bias, lambda g, _: g.sum(axis=1, keepdims=True)))
-
-
-def linear(w: Tensor, x: Tensor, bias: Tensor) -> Tensor:
-    """One affine layer as one op: ``w @ x`` plus the (n,1) ``bias`` column
-    added to every column."""
-    return matmul(w, x, bias)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

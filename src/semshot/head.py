@@ -221,16 +221,15 @@ class ForwardResult:
 def _trunk_t(tape: Tape, head: Head, branch: str, x_t):
     names = head.trunk_names(branch)
     w1, b1, w2, b2 = (tape.param(head.params[n]) for n in names)
-    return dm.linear(w2, dm.relu(dm.linear(w1, x_t, b1)), b2)
+    return dm.matmul(w2, dm.relu(dm.matmul(w1, x_t, b1)), b2)
 
 
-def _effective_rows_t(tape: Tape, head: Head, use_graph: bool = True):
-    """Class rows on the tape: W, raw We (also an srr head with its relation
-    stage bypassed), or relation-refined We."""
+def _effective_rows_t(tape: Tape, head: Head):
+    """Class rows on the tape: W, raw We, or relation-refined We."""
     if head.mode is HeadMode.BASELINE:
         return tape.param(head.params["W"])
     we_t = tape.leaf(head.we.matrix)
-    if head.mode is HeadMode.SSP or not use_graph:
+    if head.mode is HeadMode.SSP:
         return we_t
     gm = head.cfg.graph_mode
     if gm is rel.GraphMode.HEURISTIC:
@@ -243,12 +242,11 @@ def _effective_rows_t(tape: Tape, head: Head, use_graph: bool = True):
     return rel.relation_forward_t(we_t, maps_t, head.cfg.scaled_attention)
 
 
-def _class_scores_t(tape: Tape, head: Head, v_t, use_graph: bool = True):
+def _class_scores_t(tape: Tape, head: Head, v_t):
     b = tape.param(head.params["b"])
     if head.mode is not HeadMode.BASELINE:
         v_t = dm.matmul(tape.param(head.params["P"]), v_t)
-    rows = _effective_rows_t(tape, head, use_graph)
-    return dm.linear(rows, v_t, b)
+    return dm.matmul(_effective_rows_t(tape, head), v_t, b)
 
 
 def _trunk_half(tape: Tape, head: Head, x_t, with_reg: bool):
@@ -264,14 +262,14 @@ def _trunk_half(tape: Tape, head: Head, x_t, with_reg: bool):
         return v_cls, None
     v_reg = _trunk_t(tape, head, "reg", x_t) if head.cfg.decoupled else v_cls
     reg_w, reg_b = (tape.param(head.params[n]) for n in ("reg_w", "reg_b"))
-    return v_cls, dm.linear(reg_w, v_reg, reg_b)
+    return v_cls, dm.matmul(reg_w, v_reg, reg_b)
 
 
 def _score_half(tape: Tape, head: Head, v_t, pred_t, labels, reg_targets,
-                reg_weight: float, use_graph: bool) -> ForwardResult:
+                reg_weight: float) -> ForwardResult:
     """Class scores of the trunk output ``v_t``, then the losses whose
     targets are present and their weighted sum."""
-    logits = _class_scores_t(tape, head, v_t, use_graph=use_graph)
+    logits = _class_scores_t(tape, head, v_t)
     result = ForwardResult(logits=logits)
     if labels is not None:
         result.loss, result.terms = dm.cross_entropy_cols(
@@ -283,7 +281,7 @@ def _score_half(tape: Tape, head: Head, v_t, pred_t, labels, reg_targets,
 
 
 def forward_pass(head: Head, x, labels=None, reg_targets=None,
-                 reg_weight: float = 1.0, use_graph: bool = True) -> ForwardResult:
+                 reg_weight: float = 1.0) -> ForwardResult:
     """Run trunk + classifier (and regression when targets given) on a batch.
 
     ``x`` is (d_in, batch) with features as columns.  Losses are attached when
@@ -292,7 +290,7 @@ def forward_pass(head: Head, x, labels=None, reg_targets=None,
     """
     tape = Tape(backward=labels is not None or reg_targets is not None)
     v_t, pred_t = _trunk_half(tape, head, tape.leaf(x), reg_targets is not None)
-    return _score_half(tape, head, v_t, pred_t, labels, reg_targets, reg_weight, use_graph)
+    return _score_half(tape, head, v_t, pred_t, labels, reg_targets, reg_weight)
 
 
 @dataclass(frozen=True)
@@ -313,7 +311,7 @@ def trunk_features(head: Head, data: FeatureSet) -> TrunkFeatures:
 
 
 def batch_forward(head: Head, data: FeatureSet, y, cols, reg_weight: float = 1.0,
-                  use_graph: bool = True, trunk: TrunkFeatures | None = None,
+                  trunk: TrunkFeatures | None = None,
                   recorded: ForwardResult | None = None) -> ForwardResult:
     """Forward columns ``cols`` of ``data``; ``y`` holds every record's class index.
 
@@ -342,7 +340,7 @@ def batch_forward(head: Head, data: FeatureSet, y, cols, reg_weight: float = 1.0
     v_t, pred_t = (_trunk_half(tape, head, leaves[0], bool(targets)) if trunk is None
                    else (leaves[0], leaves[1] if trunk.pred is not None else None))
     result = _score_half(tape, head, v_t, pred_t, leaves[len(feats)],
-                         leaves[-1] if targets else None, reg_weight, use_graph)
+                         leaves[-1] if targets else None, reg_weight)
     result.inputs = tuple(leaves)
     return result
 

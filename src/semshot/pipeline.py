@@ -18,8 +18,8 @@ import numpy as np
 
 from . import relation as rel
 from .diffmath import l2_normalize_rows
-from .embeddings import (NONNEG, NONNEG_INT, POSITIVE_INT, ClassRegistry, EmbeddingMatrix,
-                         compose_background_row)
+from .embeddings import (NONNEG, NONNEG_INT, POSITIVE, POSITIVE_INT, UNIT, ClassRegistry,
+                         EmbeddingMatrix, compose_background_row)
 from .evaluation import MetricsReport, SweepResult, SweepRow, evaluate
 from .head import (
     Head,
@@ -117,7 +117,14 @@ class PipelineConfig:
     decouple: bool = False
 
     def __post_init__(self):
-        POSITIVE_INT.check(self.d_e, "d_e")
+        counts = ("n_base", "n_novel", "d_e", "d_in", "d", "r", "n_clusters", "train_per_class",
+                  "test_per_class", "base_steps", "batch_size")
+        for name, bound in (("alpha", UNIT), ("base_lr", POSITIVE),
+                            *((n, POSITIVE_INT) for n in counts)):
+            bound.check(getattr(self, name), name)
+        for name, bound in (("finetune_steps", POSITIVE_INT), ("base_shots", NONNEG_INT)):
+            if getattr(self, name) is not None:  # None: the fine-tune default
+                bound.check(getattr(self, name), name)
         if isinstance(self.mode, str):
             self.mode = HeadMode(self.mode)
         # drop a non-srr head's graph mode: perfbench/workloads.py passes "dynamic" for all

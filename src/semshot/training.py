@@ -13,7 +13,7 @@ v <- mu v + g + wd p;  p <- p - lr v.
 
 import itertools
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -217,7 +217,7 @@ class TrainResult:
 
 
 def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, default_groups,
-               steps: int, batches, cfg: TrainConfig, use_graph: bool = True) -> TrainResult:
+               steps: int, batches, cfg: TrainConfig) -> TrainResult:
     """The loop both phases share.
 
     Resolves every record's label once and checks it against the phase,
@@ -254,8 +254,7 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
         for step in range(1, steps + 1):
             lr = lr_at(cfg, step - 1, steps)
             # batch_forward and sgd_step bound a step for the benchmark tracer
-            result = batch_forward(head, data, y, next(batches), cfg.reg_weight, use_graph,
-                                   trunk, result)
+            result = batch_forward(head, data, y, next(batches), cfg.reg_weight, trunk, result)
             loss = result.loss.item()
             if not math.isfinite(loss):
                 raise FloatingPointError(f"{phase}: loss is {loss} at step {step} (lr {lr:g}); "
@@ -283,18 +282,21 @@ def _uniform_batches(data: FeatureSet, batch_size: int, seed: int):
 def base_train(head: Head, base_data: FeatureSet, cfg: TrainConfig) -> TrainResult:
     """Phase one: uniform batches over base-class records, every param trains.
 
-    When the head was configured with graph_in_base=False, the relation stage
-    is bypassed (and its params frozen) until fine-tuning.
+    An srr head with graph_in_base=False trains as its projection head, a
+    view over the same params, so its relation maps wait for fine-tuning.
     """
     if not len(base_data):
         raise ValueError("base_train needs at least one record")
     POSITIVE_INT.check(cfg.steps, "base_train steps")
-    use_graph = head.cfg.graph_in_base
-    groups = [g for g in head.param_groups() if use_graph or g != "relation"]
+    if head.mode is HeadMode.SRR and not head.cfg.graph_in_base:
+        if "relation" in (cfg.trainable or ()):
+            raise ValueError("base_train: graph_in_base=False defers 'relation' to fine-tuning")
+        head = Head(replace(head.cfg, mode=HeadMode.SSP, graph_mode=None), head.registry,
+                    head.we, head.params)
     return _run_phase(
         "base_train", head, base_data,
-        head.registry.base_indices() + [head.registry.background_index], groups,
-        cfg.steps, _uniform_batches(base_data, cfg.batch_size, cfg.seed), cfg, use_graph,
+        head.registry.base_indices() + [head.registry.background_index], head.param_groups(),
+        cfg.steps, _uniform_batches(base_data, cfg.batch_size, cfg.seed), cfg,
     )
 
 

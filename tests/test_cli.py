@@ -17,6 +17,7 @@ from semshot.cli import _COMMANDS, main
 from semshot.embeddings import ClassRegistry, Interval, load_registry, save_registry
 from semshot.head import HeadConfig, build_head, head_state
 from semshot.pipeline import clustered_embeddings
+from semshot.relation import GraphMode, init_maps
 
 CHAIN = "n00000001\tn00000002\nn00000002\tn00000003\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -736,19 +737,41 @@ def _finetune_full(corpus, checkpoint, out, *flags):
     )
 
 
-def _train_srr(corpus, out, *flags):
+def _train(corpus, out, *flags, mode="srr"):
     return run(
         "train", "--out-dir", out,
         "--data", corpus / "base_train.jsonl",
         "--registry", corpus / "registry_base.json",
         "--embeddings", corpus / "embeddings.txt",
-        "--mode", "srr", "--proj-dim", 8, "--reduced-dim", 4,
+        "--mode", mode, "--proj-dim", 8, "--reduced-dim", 4,
         "--steps", 6, "--batch-size", 8, *flags,
     )
 
 
+@pytest.mark.parametrize("graph_mode", ["dynamic", "tt"])
+def test_train_with_the_stage_deferred_is_the_projection_heads_base_phase(
+        corpus, tmp_path, graph_mode):
+    srr, ssp = tmp_path / "srr", tmp_path / "ssp"
+    assert _train(corpus, srr, "--graph-mode", graph_mode, "--no-graph-in-base",
+                  "--seed", 2) == 0
+    assert _train(corpus, ssp, "--seed", 2, mode="ssp") == 0
+    assert sha(srr / "trace.csv") == sha(ssp / "trace.csv")
+    state = json.loads((srr / "head.json").read_text())
+    shared = json.loads((ssp / "head.json").read_text())["params"]
+    for name, values in shared.items():
+        assert state["params"][name] == values, name
+    # the maps, which only the srr head has, stay at their init
+    maps = init_maps(GraphMode(graph_mode), len(state["we"]["matrix"][0]), state["dims"]["r"],
+                     seed=state["seed"], scaled=state["scaled_attention"],
+                     gain=state["attention_gain"])
+    assert state["params"].keys() - shared.keys() == maps.keys()
+    for name, p in maps.items():
+        assert state["params"][name] == p.value.tolist(), name
+    assert not np.any(state["params"]["t_l"])
+
+
 def test_finetune_freeze_relation_matches_trainable_projection_and_bias(corpus, tmp_path):
-    assert _train_srr(corpus, tmp_path / "srr") == 0
+    assert _train(corpus, tmp_path / "srr") == 0
     checkpoint = tmp_path / "srr" / "head.json"
     assert _finetune_full(corpus, checkpoint, tmp_path / "freeze", "--freeze", "relation") == 0
     assert _finetune_full(corpus, checkpoint, tmp_path / "pick", "--trainable", "P,b") == 0
@@ -771,8 +794,8 @@ def test_finetune_reattaches_the_heuristic_graph_after_expansion(corpus, tmp_pat
     base_sets, full_sets = tmp_path / "base_sets.jsonl", tmp_path / "full_sets.jsonl"
     base_sets.write_text('{"labels": ["base00", "base01"]}\n')
     full_sets.write_text('{"labels": ["base00", "novel00"]}\n{"labels": ["novel01"]}\n')
-    assert _train_srr(corpus, tmp_path / "heur", "--graph-mode", "heuristic",
-                      "--cooccurrence", base_sets) == 0
+    assert _train(corpus, tmp_path / "heur", "--graph-mode", "heuristic",
+                  "--cooccurrence", base_sets) == 0
     checkpoint = tmp_path / "heur" / "head.json"
     assert len(json.loads(checkpoint.read_text())["g_heur"]) == 4  # 3 base + background
 
@@ -818,7 +841,7 @@ def test_export_graph_requires_a_relation_stage(trained, tmp_path, capsys, corpu
     assert not out.exists()
 
     srr_dir = tmp_path / "srr"
-    assert _train_srr(corpus, srr_dir) == 0
+    assert _train(corpus, srr_dir) == 0
     assert run("export", "graph", "--out-dir", out,
                "--checkpoint", srr_dir / "head.json") == 0
     lines = (out / "graph.csv").read_text().splitlines()

@@ -80,14 +80,14 @@ def test_matmul_gradients_are_the_transport_rule():
     np.testing.assert_allclose(pb.grad, scale * (pa.value.T @ g), atol=1e-12)
 
 
-def test_linear_adds_the_bias_to_every_column_and_splits_the_gradient():
+def test_matmul_with_a_bias_adds_it_to_every_column_and_splits_the_gradient():
     # as above, the upstream gradient at the output is exactly (2/batch) * g:
     # the bias gets its column sums, w and x the transport rule
     rng = np.random.default_rng(4)
     tape, (pw, px, pb), (w, x, b) = _tape_params(rng, (3, 4), (4, 5), (3, 1))
     with pytest.raises(ValueError, match=r"bias shape \(1, 3\) is not \(3, 1\)"):
-        dm.linear(w, x, tape.leaf(np.ones((1, 3))))
-    out = dm.linear(w, x, b)
+        dm.matmul(w, x, tape.leaf(np.ones((1, 3))))
+    out = dm.matmul(w, x, b)
     np.testing.assert_array_equal(out.value, kernels.matmul(pw.value, px.value) + pb.value)
     assert len(tape._ops) == 1  # one affine layer, one recorded op
     g = rng.standard_normal(out.value.shape)
@@ -121,7 +121,7 @@ def test_grad_check_passes_on_composite_graph():
     def loss_fn():
         tape = dm.Tape()
         w, u, bias = (tape.param(p) for p in params)
-        pre = dm.linear(w, dm.matmul(u, tape.leaf(x)), bias)
+        pre = dm.matmul(w, dm.matmul(u, tape.leaf(x)), bias)
         h = dm.relu(pre)
         ce, _ = dm.cross_entropy_cols(dm.add(h, pre), labels)  # pre feeds two ops
         se = dm.squared_error_cols(h, np.ones_like(h.value))
@@ -150,7 +150,7 @@ def test_grad_check_skips_frozen_params():
 # a matrix output is scored by its squared error to a fixed target
 _OP_CASES = {
     "matmul": ([(3, 4), (4, 2)], dm.matmul),
-    "linear": ([(3, 4), (4, 2), (3, 1)], dm.linear),
+    "matmul_with_bias": ([(3, 4), (4, 2), (3, 1)], dm.matmul),
     "add": ([(2, 3), (2, 3)], dm.add),
     "relu": ([(3, 3)], dm.relu),
     # We, Tf, Tg, Th, Tl; one case scales the scores (tests/test_relation.py)
@@ -189,7 +189,7 @@ def test_grad_check_passes_on_every_op(name):
     pytest.param(lambda *ts: _relation(*ts, True), [(2, 2), (2, 1), (2, 1), (2, 1), (1, 2)],
                  id="relation"),
     pytest.param(dm.add, [(2, 2), (2, 2)], id="add"),
-    pytest.param(dm.linear, [(2, 2), (2, 2), (2, 1)], id="linear"),
+    pytest.param(dm.matmul, [(2, 2), (2, 2), (2, 1)], id="matmul_with_bias"),
     pytest.param(lambda *ts: dm.weighted_sum((t, 1.0) for t in ts), [(1, 1), (1, 1)],
                  id="weighted_sum"),
 ])

@@ -166,6 +166,22 @@ def test_a_bad_seed_shot_or_embedding_dim_is_an_error_naming_it(call, message):
         call(bundled_benchmark(**TINY))
 
 
+# one out-of-interval value per numeric field (d_e has its row above); without
+# the check each fails only downstream, after the seed's data is generated
+@pytest.mark.parametrize("name,bad,interval", [
+    ("n_base", 0, "[1, inf)"), ("n_novel", 0, "[1, inf)"), ("d_in", 0, "[1, inf)"),
+    ("d", 0, "[1, inf)"), ("r", 0, "[1, inf)"), ("n_clusters", 0, "[1, inf)"),
+    ("alpha", 1.5, "[0, 1]"), ("train_per_class", 0, "[1, inf)"),
+    ("test_per_class", 0, "[1, inf)"), ("base_steps", 0, "[1, inf)"),
+    ("base_lr", -1.0, "(0, inf)"), ("finetune_steps", 0, "[1, inf)"),
+    ("base_shots", -1, "[0, inf)"), ("batch_size", 0, "[1, inf)"),
+])
+def test_a_pipeline_config_checks_every_numeric_field_naming_it(name, bad, interval):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be finite and in {interval}, got {bad}")):
+        bundled_benchmark(**{**TINY, name: bad})
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_diverging_base_lr_fails_loudly():

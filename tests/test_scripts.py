@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -28,6 +30,12 @@ def test_criteria_blocks_prints_one_row_per_block():
     assert re.fullmatch(r"-?\d\.\d{4}", cells[5])  # c9 drop
 
 
-def test_criteria_blocks_refuses_a_range_shorter_than_a_block():
-    proc = _run_script("criteria_blocks.py", "--seeds", "0:3", "--block", "4")
-    assert proc.returncode == 2 and "at least one block" in proc.stderr
+@pytest.mark.parametrize("seeds,message", [
+    ("0:3", "--seeds must hold at least one block"),
+    ("20", "--seeds must be a range start:stop of integers, got '20'"),
+    ("a:b", "--seeds must be a range start:stop of integers, got 'a:b'"),
+], ids=["short", "no_colon", "not_integers"])
+def test_criteria_blocks_refuses_a_range_shorter_than_a_block(seeds, message):
+    proc = _run_script("criteria_blocks.py", "--seeds", seeds, "--block", "4")
+    assert proc.returncode == 2 and message in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -273,6 +273,15 @@ def test_a_non_finite_trainable_param_stops_the_first_step_naming_it(tiny_world)
 def test_base_train_with_graph_deferred_leaves_relation_maps_alone(tiny_world):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
     head = make_head("srr", base_reg, we.select_rows(base_rows), graph_in_base=False)
+    every = {n: p.value.copy() for n, p in head.params.items()}
+    # naming the deferred stage is refused before any step; trained, the maps
+    # would get no gradient and decay alone would shrink them
+    with pytest.raises(ValueError, match=r"graph_in_base=False defers 'relation'"):
+        base_train(head, base_data, TrainConfig(
+            steps=50, batch_size=4, weight_decay=0.01, seed=1,
+            trainable=("P", "b", "relation", "trunk", "reg")))
+    for name, val in every.items():
+        np.testing.assert_array_equal(head.params[name].value, val)
     before = {n: head.params[n].value.copy() for n in ("t_f", "t_g", "t_h", "t_l")}
     base_train(head, base_data, TrainConfig(steps=10, batch_size=4, seed=1))
     for name, val in before.items():
