@@ -73,7 +73,8 @@ def paired_onesided_pvalue(greater, lesser) -> float:
     """One-sided paired t-test p-value for mean(greater) > mean(lesser).
 
     Zero-variance difference vectors short-circuit: identical samples give
-    p=1, a constant positive gap gives p=0.
+    p=1, a constant positive gap gives p=0.  Only an exactly constant gap
+    counts; gaps that differ by rounding go to the t-test.
     """
     a = np.asarray(greater, dtype=np.float64)
     b = np.asarray(lesser, dtype=np.float64)
@@ -81,8 +82,11 @@ def paired_onesided_pvalue(greater, lesser) -> float:
         raise ValueError("paired test needs two equal-length 1-D samples")
     if a.size < 2:
         raise ValueError("paired test needs at least two pairs")
+    for name, sample in (("greater", a), ("lesser", b)):
+        if not np.isfinite(sample).all():
+            raise ValueError(f"paired test sample {name!r} holds a non-finite value")
     diff = a - b
-    if np.allclose(diff, diff[0]):
+    if (diff == diff[0]).all():
         if diff[0] > 0:
             return 0.0
         return 1.0

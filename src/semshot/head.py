@@ -525,6 +525,7 @@ def head_state(head: Head) -> dict:
         "seed": head.cfg.seed,
         "registry": head.registry.to_json(),
         "params": {name: p.value.tolist() for name, p in head.params.items()},
+        "param_hash": head.param_hash(),
         "trainable": {name: p.trainable for name, p in head.params.items()},
         "we": None,
         "g_heur": head.g_heur.tolist() if head.g_heur is not None else None,
@@ -643,6 +644,9 @@ def head_from_state(state: dict) -> Head:
                 f"found shape {g_heur.shape}"
             )
         head.g_heur = g_heur
+    # last, so a malformed field is named rather than reported as a mismatch
+    if head.param_hash() != _field(state, "param_hash", str):
+        raise ValueError("checkpoint field 'param_hash' does not match 'params'")
     return head
 
 

@@ -8,7 +8,11 @@ heads run on the same seed see identical data and differ only in the head.
 
 A cell splits into a base part (`train_base`), which does not depend on the
 shot count, and a finishing part (`finish_cell`) that fine-tunes a copy of
-the base head for one k.  `shot_sweep` trains each seed's base part once.
+the base head for one k.  `run_cell` keeps the latest base part and finishes
+the next cell from it when that cell's `base_phase_key` matches: another k on
+the same seed, or an ssp head followed by an srr head whose relation stage
+joins at fine-tuning.  `shot_sweep` runs its cells seed by seed through
+`run_cell`, so each seed trains its base part once.
 """
 
 import copy
@@ -264,8 +268,9 @@ def train_base(cfg: PipelineConfig, seed: int) -> BasePart:
 def finish_cell(base: BasePart, cfg: PipelineConfig, k: int) -> CellResult:
     """Expand, fine-tune and evaluate a copy of ``base``'s head at ``k`` shots.
 
-    ``base`` is left as it was, so one base phase can finish any number of
-    cells whose configs share its `base_phase_key`.
+    ``base`` is left as it was and the cell holds copies of what it takes
+    from it, so one base phase can finish any number of cells whose configs
+    share its `base_phase_key`.
     """
     want = base_phase_key(cfg, base.seed)
     if base.key != want:
@@ -293,14 +298,29 @@ def finish_cell(base: BasePart, cfg: PipelineConfig, k: int) -> CellResult:
         ),
     )
     return CellResult(
-        head=head, report_before=base.report_before,
+        head=head, report_before=copy.deepcopy(base.report_before),
         report_after=evaluate(head, base.test), episode=episode,
     )
 
 
+# the base part the latest run_cell call finished from, or None
+_latest_base: BasePart | None = None
+
+
 def run_cell(cfg: PipelineConfig, k: int, seed: int) -> CellResult:
-    """One full two-phase run at a given shot count and seed."""
-    return finish_cell(train_base(cfg, seed), cfg, k)
+    """One full two-phase run at a given shot count and seed.
+
+    The base part comes from the previous call when its `base_phase_key`
+    matches, and is trained afresh otherwise.  Either way the cell's bits
+    equal ``finish_cell(train_base(cfg, seed), cfg, k)``.
+    """
+    global _latest_base
+    # checked before the lookup: seed True would match seed 1's key
+    key = base_phase_key(cfg, NONNEG_INT.check(seed, "seed"))
+    if _latest_base is None or _latest_base.key != key:
+        _latest_base = None  # free the old part before the new one trains
+        _latest_base = train_base(cfg, seed)
+    return finish_cell(_latest_base, cfg, k)
 
 
 def _similarity_graph(we_matrix: np.ndarray) -> np.ndarray:
@@ -315,8 +335,9 @@ def _similarity_graph(we_matrix: np.ndarray) -> np.ndarray:
 def shot_sweep(cfg: PipelineConfig, shots, seeds) -> SweepResult:
     """Run the benchmark cell over a shot list and seed list.
 
-    Each distinct seed trains its base phase once and finishes one cell per
-    distinct k from it.  Rows come out in (k, seed) order, repeats included.
+    Cells run seed by seed through `run_cell`, so each distinct seed trains
+    its base phase once and finishes one cell per distinct k from it.  Rows
+    come out in (k, seed) order, repeats included.
     """
     shots = list(shots)
     seeds = list(seeds)
@@ -324,9 +345,8 @@ def shot_sweep(cfg: PipelineConfig, shots, seeds) -> SweepResult:
         raise ValueError("shot_sweep needs at least one shot count and one seed")
     rows = {}
     for seed in dict.fromkeys(seeds):
-        base = train_base(cfg, seed)
         for k in dict.fromkeys(shots):
-            cell = finish_cell(base, cfg, k)
+            cell = run_cell(cfg, k, seed)
             rows[k, seed] = SweepRow(
                 k=k,
                 seed=seed,

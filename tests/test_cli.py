@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from semshot.cli import _COMMANDS, main
 from semshot.embeddings import ClassRegistry, Interval, load_registry, save_registry
-from semshot.head import HeadConfig, build_head, head_state
+from semshot.head import HeadConfig, build_head, head_state, load_head
 from semshot.pipeline import clustered_embeddings
 from semshot.relation import GraphMode, init_maps
 
@@ -351,8 +351,10 @@ def _bad_input_cases(corpus, trained, bad):
     nan_in_p = json.loads((trained / "head.json").read_text())
     nan_in_p["params"]["P"][0][0] = float("nan")
     nan_in_p = json.dumps(nan_in_p)
-    huge_p = json.loads((trained / "head.json").read_text())
-    huge_p["params"]["P"] = [[1e308] * len(row) for row in huge_p["params"]["P"]]
+    huge_p = load_head(trained / "head.json")  # saved below with a matching param_hash
+    huge_p.params["P"].value[:] = 1e308
+    absurd_p = json.loads((trained / "head.json").read_text())
+    absurd_p["params"]["P"] = [[1e300] * len(row) for row in absurd_p["params"]["P"]]
     heuristic = train(**{"--cooccurrence": bad}) + ["--mode", "srr", "--graph-mode", "heuristic"]
     unknown_in_line_3 = '{"labels": ["base00"]}\n\n{"labels": ["base01", "nosuch"]}\n'
     baseline = head_state(build_head(HeadConfig(mode="baseline", d_in=10, d=8),
@@ -389,9 +391,13 @@ def _bad_input_cases(corpus, trained, bad):
             checkpoint(mode="srr", graph_mode="heuristic"), evaluate(bad, base),
             f"{bad}: checkpoint field 'g_heur' is missing"),
         # finite values whose class scores overflow
-        "checkpoint_overflow_eval": (json.dumps(huge_p), evaluate(bad, base),
+        "checkpoint_overflow_eval": (json.dumps(head_state(huge_p)), evaluate(bad, base),
                                      "class scores hold a non-finite value; all head parameters "
                                      "are finite; the largest is 'P' (|max| 1e+308)"),
+        # a hand-edited P whose class scores stay finite: only the hash can tell
+        "checkpoint_params_edited": (json.dumps(absurd_p), evaluate(bad, base),
+                                     f"{bad}: checkpoint field 'param_hash' does not match "
+                                     "'params'"),
         "export_correlate_baseline": (json.dumps(baseline),
                                       ["export", "correlate", "--checkpoint", bad],
                                       "baseline heads have no embedding rows to correlate"),
@@ -541,7 +547,8 @@ def _bad_input_cases(corpus, trained, bad):
     "checkpoint_top_level", "checkpoint_missing_field", "checkpoint_field_type",
     "checkpoint_mode_value", "checkpoint_graph_mode_value", "checkpoint_nonfinite_eval",
     "checkpoint_nonfinite_export", "checkpoint_heuristic_without_graph",
-    "checkpoint_overflow_eval", "export_correlate_baseline", "cooccurrence_json",
+    "checkpoint_overflow_eval", "checkpoint_params_edited", "export_correlate_baseline",
+    "cooccurrence_json",
     "cooccurrence_labels", "cooccurrence_unknown_class", "finetune_cooccurrence_unknown_class",
     "cooccurrence_missing", "cooccurrence_on_a_non_heuristic_head",
     "cooccurrence_over_the_carried_graph", "config_top_level", "config_float_for_int",

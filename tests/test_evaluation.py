@@ -120,6 +120,11 @@ def test_paired_pvalue_zero_variance_shortcuts():
     assert paired_onesided_pvalue(a, a - 0.1) == 0.0
     assert paired_onesided_pvalue(a, a) == 1.0
     assert paired_onesided_pvalue(a - 0.1, a) == 1.0
+    # gaps of +-5.6e-17 are rounding, not a constant gap: the t-test decides
+    x, y = 0.1 + 0.2, 0.3
+    p = paired_onesided_pvalue([x, y, x], [y, x, y])
+    assert p == pytest.approx(stats.ttest_rel([x, y, x], [y, x, y], alternative="greater").pvalue)
+    assert 0.0 < p < 1.0
 
 
 def test_paired_pvalue_validates_inputs():
@@ -129,6 +134,10 @@ def test_paired_pvalue_validates_inputs():
         paired_onesided_pvalue(np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="two pairs"):
         paired_onesided_pvalue([1.0], [0.5])
+    with pytest.raises(ValueError, match="sample 'greater' holds a non-finite value"):
+        paired_onesided_pvalue([0.5, np.nan], [0.5, 0.4])
+    with pytest.raises(ValueError, match="sample 'lesser' holds a non-finite value"):
+        paired_onesided_pvalue([0.5, 0.6], [0.5, np.inf])
 
 
 def test_sweep_result_summary_and_errors(tmp_path):

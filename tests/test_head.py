@@ -499,6 +499,9 @@ def test_non_finite_scores_raise_naming_the_largest_parameter(base_reg, question
     (lambda s: s["we"]["matrix"].pop(), r"checkpoint field 'we\.matrix': expected 4 rows, found 3"),
     (lambda s: s["we"].update(hash="0" * 64),
      r"checkpoint field 'we\.hash' does not match 'we\.matrix'"),
+    (lambda s: s.pop("param_hash"), "checkpoint field 'param_hash' is missing"),
+    (lambda s: s.update(param_hash="0" * 64),
+     "checkpoint field 'param_hash' does not match 'params'"),
     (lambda s: s.update(mode="bogus"),
      "checkpoint field 'mode' must be one of baseline, ssp, srr, got 'bogus'"),
     (lambda s: s.update(graph_mode=3), "'graph_mode' must be a string, got an integer"),

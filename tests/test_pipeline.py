@@ -1,5 +1,6 @@
 """Benchmark cells: embedding construction, the two-phase run, and sweeps."""
 
+import gc
 import json
 import re
 
@@ -118,13 +119,14 @@ def test_run_cell_smoke_every_mode(mode, graph):
 
 
 def test_run_cell_is_deterministic():
+    # seed 4 in between, so the second seed-3 call trains its base phase afresh
     cfg = bundled_benchmark(**TINY)
     a = run_cell(cfg, k=2, seed=3)
+    c = run_cell(cfg, k=2, seed=4)
     b = run_cell(cfg, k=2, seed=3)
     assert a.novel_accuracy == b.novel_accuracy
     assert a.base_accuracy == b.base_accuracy
     assert a.head.param_hash() == b.head.param_hash()
-    c = run_cell(cfg, k=2, seed=4)
     assert c.head.param_hash() != a.head.param_hash()
 
 
@@ -158,6 +160,8 @@ def test_shot_sweep_shapes_and_validation():
                  "[0, inf), got 1.5", id="fractional_seed"),
     pytest.param(lambda cfg: train_base(cfg, -2), "seed must be finite and in [0, inf), got -2",
                  id="train_base_seed"),
+    pytest.param(lambda cfg: (run_cell(cfg, 1, 1), run_cell(cfg, 1, True)),
+                 "seed must be finite and in [0, inf), got True", id="bool_seed_after_seed_1"),
     pytest.param(lambda cfg: PipelineConfig(d_e=0), "d_e must be finite and in [1, inf), got 0",
                  id="zero_embedding_dim"),
 ])
@@ -197,6 +201,10 @@ def test_diverging_base_lr_fails_loudly():
 
 def _report(report) -> str:
     return json.dumps(report.to_json(), sort_keys=True)
+
+
+def _bits(cell) -> tuple:
+    return cell.head.param_hash(), _report(cell.report_before), _report(cell.report_after)
 
 
 def _own_mode_cell(cfg, k, seed):
@@ -251,8 +259,7 @@ def test_finishing_from_a_shared_base_matches_a_head_of_its_own_mode(mode, graph
         want = _own_mode_cell(cfg, 2, seed)
         for cell in (finish_cell(part, cfg, 2), run_cell(cfg, 2, seed)):
             assert cell.head.cfg.mode.value == mode and cell.head.cfg.decoupled == decouple
-            assert (cell.head.param_hash(), _report(cell.report_before),
-                    _report(cell.report_after)) == want
+            assert _bits(cell) == want
 
 
 def test_base_phase_key_ignores_what_only_the_finish_reads():
@@ -301,7 +308,8 @@ def test_shot_sweep_rows_equal_serial_cells_with_repeats():
     assert shot_sweep(cfg, shots, seeds).rows == want
 
 
-def test_shot_sweep_trains_each_seeds_base_phase_once(monkeypatch):
+def _counting_base_train(monkeypatch) -> list:
+    """Patch ``pipeline.base_train`` to log each call's seed; returns the log."""
     calls = []
 
     def counting(head, data, train_cfg):
@@ -309,6 +317,53 @@ def test_shot_sweep_trains_each_seeds_base_phase_once(monkeypatch):
         return base_train(head, data, train_cfg)
 
     monkeypatch.setattr(pipeline, "base_train", counting)
+    return calls
+
+
+def test_shot_sweep_trains_each_seeds_base_phase_once(monkeypatch):
+    run_cell(bundled_benchmark(mode="baseline", **TINY), 1, 4)  # no earlier base to reuse
+    calls = _counting_base_train(monkeypatch)
     res = shot_sweep(bundled_benchmark(**TINY), shots=[1, 2, 3], seeds=[4, 6])
     assert len(res.rows) == 6
     assert calls == [4, 6]
+
+
+def test_run_cell_finishes_a_deferred_srr_head_from_the_ssp_base(monkeypatch):
+    ssp = bundled_benchmark(mode="ssp", **TINY)
+    srr = bundled_benchmark(graph_mode="dynamic", **TINY)
+    want = [_bits(finish_cell(train_base(cfg, 8), cfg, 1)) for cfg in (ssp, srr)]
+    run_cell(bundled_benchmark(mode="baseline", **TINY), 1, 8)  # no earlier base to reuse
+    calls = _counting_base_train(monkeypatch)
+    got = [_bits(run_cell(cfg, 1, 8)) for cfg in (ssp, srr)]
+    assert calls == [8]
+    assert got == want
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_run_cell_trains_afresh_after_a_failed_base_phase(monkeypatch):
+    cfg = bundled_benchmark(mode="ssp", **TINY)
+    run_cell(cfg, 1, 0)
+    with pytest.raises(FloatingPointError, match="^base_train: loss is nan"):
+        run_cell(bundled_benchmark(mode="ssp", base_lr=50), 1, 0)
+    calls = _counting_base_train(monkeypatch)
+    assert _bits(run_cell(cfg, 1, 0)) == _bits(finish_cell(train_base(cfg, 0), cfg, 1))
+    assert calls == [0, 0]  # the cell, then the reference
+
+
+def test_mutating_a_cell_leaves_the_next_cell_from_its_base_unchanged():
+    cfg = bundled_benchmark(**TINY)
+    want = _bits(finish_cell(train_base(cfg, 9), cfg, 2))
+    first = run_cell(cfg, 1, 9)
+    for p in first.head.params.values():
+        p.value[...] = 7.0
+    first.report_before.confusion[...] = 7
+    first.report_before.per_class_accuracy.clear()
+    assert _bits(run_cell(cfg, 2, 9)) == want
+
+
+def test_run_cell_leaves_no_reference_cycles():
+    gc.collect()
+    run_cell(bundled_benchmark(mode="ssp", **TINY), 1, 10)
+    run_cell(bundled_benchmark(**TINY), 2, 10)
+    assert gc.collect() == 0
