@@ -170,10 +170,14 @@ def load_json(path, parse=lambda obj: obj):
 
 
 def save_json(path, obj):
-    """``obj`` as indented JSON with sorted keys and a final newline."""
+    """``obj`` as indented JSON with sorted keys and a final newline; a NaN or
+    inf in ``obj`` is a ValueError naming ``path`` (JSON has no such value)."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def save_csv(path, header, rows):

@@ -29,12 +29,17 @@ class MetricsReport:
         return {
             "record_count": self.record_count,
             "overall_accuracy": self.overall_accuracy,
-            "base_accuracy": self.base_accuracy,
-            "novel_accuracy": self.novel_accuracy,
+            "base_accuracy": _or_null(self.base_accuracy),
+            "novel_accuracy": _or_null(self.novel_accuracy),
             "per_class_accuracy": self.per_class_accuracy,
             "confusion": self.confusion.tolist(),
             "class_names": list(self.class_names),
         }
+
+
+def _or_null(group_accuracy: float):
+    """A group's accuracy for JSON: None (``null``) for a group with no records."""
+    return None if math.isnan(group_accuracy) else group_accuracy
 
 
 def evaluate(head: Head, data: FeatureSet) -> MetricsReport:
@@ -74,7 +79,8 @@ def paired_onesided_pvalue(greater, lesser) -> float:
 
     Zero-variance difference vectors short-circuit: identical samples give
     p=1, a constant positive gap gives p=0.  Only an exactly constant gap
-    counts; gaps that differ by rounding go to the t-test.
+    counts; gaps that differ by rounding go to the t-test.  Samples whose
+    differences, or the t-test's sums of them, overflow float64 are an error.
     """
     a = np.asarray(greater, dtype=np.float64)
     b = np.asarray(lesser, dtype=np.float64)
@@ -85,14 +91,18 @@ def paired_onesided_pvalue(greater, lesser) -> float:
     for name, sample in (("greater", a), ("lesser", b)):
         if not np.isfinite(sample).all():
             raise ValueError(f"paired test sample {name!r} holds a non-finite value")
-    diff = a - b
-    if (diff == diff[0]).all():
-        if diff[0] > 0:
-            return 0.0
-        return 1.0
-    from scipy import stats  # deferred: no CLI command needs it, and it dominates import time
+    try:
+        with np.errstate(over="raise"):
+            diff = a - b
+            if (diff == diff[0]).all():
+                if diff[0] > 0:
+                    return 0.0
+                return 1.0
+            from scipy import stats  # deferred: no CLI command needs it, and it dominates import time
 
-    return float(stats.ttest_rel(a, b, alternative="greater").pvalue)
+            return float(stats.ttest_rel(a, b, alternative="greater").pvalue)
+    except FloatingPointError as exc:
+        raise ValueError(f"paired test overflows float64: {exc}") from None
 
 
 @dataclass
@@ -108,15 +118,17 @@ class SweepRow:  # one line of sweep.csv, in column order
 class SweepResult:
     rows: list
 
-    def mean_novel(self, k: int) -> float:
-        vals = [r.novel_accuracy for r in self.rows if r.k == k]
+    def _mean(self, k: int, field: str) -> float:
+        vals = [getattr(r, field) for r in self.rows if r.k == k]
         if not vals:
             raise ValueError(f"no sweep rows for k={k}")
         return float(np.mean(vals))
 
+    def mean_novel(self, k: int) -> float:
+        return self._mean(k, "novel_accuracy")
+
     def mean_base(self, k: int) -> float:
-        vals = [r.base_accuracy for r in self.rows if r.k == k]
-        return float(np.mean(vals))
+        return self._mean(k, "base_accuracy")
 
     def summary(self) -> dict:
         ks = sorted({r.k for r in self.rows})

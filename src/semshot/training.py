@@ -172,24 +172,19 @@ def balanced_batch_iter(data: FeatureSet, batch_size: int, seed: int):
     Balancing over classes (rather than over the base/novel pools) keeps the
     label prior of the fine-tuning stream equal to the evaluation prior, so
     class biases stay calibrated no matter how lopsided the pool sizes are.
+    A batch is two ``rng.integers`` calls: every slot's class, then every
+    slot's record within that class's pool (a pool of one record draws 0).
     """
     if not len(data):
         raise ValueError("balanced batches need a non-empty pool")
     POSITIVE_INT.check(batch_size, "batch_size")
     pools = list(data.label_columns().values())
-    return _balanced_batches(pools, batch_size, np.random.default_rng([seed, _STREAM_BALANCE]))
-
-
-def _balanced_batches(pools, batch_size: int, rng):
-    """Endless batches over ``pools``, two ``rng.integers`` calls a batch:
-    every slot's class, then every slot's record within that class's pool
-    (a pool of one record draws 0)."""
     sizes = np.array([len(p) for p in pools])
     starts = np.cumsum(sizes) - sizes
     flat = np.concatenate(pools)
-    while True:
-        pool = rng.integers(0, len(pools), size=batch_size)
-        yield flat[starts[pool] + rng.integers(0, sizes[pool])]
+    rng = np.random.default_rng([seed, _STREAM_BALANCE])
+    classes = (rng.integers(0, len(pools), size=batch_size) for _ in itertools.count())
+    return (flat[starts[c] + rng.integers(0, sizes[c])] for c in classes)
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,20 @@
 Run ``pytest tests/test_acceptance.py -v`` to get a pass/fail line per
 criterion.  Numeric criteria state their tolerance in the assertion; the
 benchmark criteria (7-9) run the bundled 15-base / 5-novel synthetic
-benchmark over 20 seeds through the exact code path ``semshot sweep`` uses.
+benchmark over 20 seeds through the exact code path ``semshot sweep`` uses
+(``run_cell``), computed by ``block_stats`` in ``scripts/criteria_blocks.py``.
 """
 
-import functools
 import time
 
 import numpy as np
 import pytest
 
 import semshot.cli as cli
+from criteria_blocks import block_stats
 from semshot import relation as rel
 from semshot.cli import main as cli_main, run_gradcheck
 from semshot.embeddings import ClassRegistry, EmbeddingMatrix, random_embeddings
-from semshot.evaluation import paired_onesided_pvalue
 from semshot.head import (
     HeadConfig,
     build_head,
@@ -26,7 +26,6 @@ from semshot.head import (
     forward_pass,
     relation_graph,
 )
-from semshot.pipeline import bundled_benchmark, finish_cell, train_base
 from semshot.training import (
     DEFAULT_BASE_LR,
     DEFAULT_FINETUNE_LR,
@@ -221,75 +220,57 @@ def test_criterion_06_decoupled_regression_loss_cannot_touch_classifier():
 
 
 @pytest.fixture(scope="module")
-def ssp_base():
-    """seed -> the bundled ssp base phase at alpha=0.9, trained on first use.
-
-    The ssp and srr cells of criteria 7 and 9 share it: with the relation
-    stage joining at fine-tuning, their base phases are the same
-    (`base_phase_key`), and `finish_cell` refuses a base that does not fit.
-    """
-    cfg = bundled_benchmark(mode="ssp", alpha=0.9)
-    return functools.cache(lambda seed: train_base(cfg, seed))
+def criteria():
+    """Criteria 7-9's statistics over SEEDS, from the function that prints them
+    for other seed blocks, and the seconds the whole computation took."""
+    start = time.monotonic()
+    stats = block_stats(SEEDS)
+    return stats, time.monotonic() - start
 
 
-def _novel_accuracies(mode, graph_mode, alpha, k, base_of=None):
-    cfg = bundled_benchmark(mode=mode, graph_mode=graph_mode, alpha=alpha)
-    base_of = base_of or (lambda seed: train_base(cfg, seed))
-    return np.array([finish_cell(base_of(s), cfg, k).novel_accuracy for s in SEEDS])
-
-
-def test_criterion_07_semantic_anchors_lift_one_shot_accuracy(ssp_base):
+def test_criterion_07_semantic_anchors_lift_one_shot_accuracy(criteria):
     """On the bundled benchmark (alpha=0.9, 20 seeds, k=1): anchoring novel
     rows at their class embeddings beats cold-start rows, and the dynamic
     relation stage does not fall behind the anchors alone — both one-sided
-    paired tests at p < 0.05.  Direction only; within five minutes."""
-    start = time.monotonic()
-    base = _novel_accuracies("baseline", "none", 0.9, k=1)
-    ssp = _novel_accuracies("ssp", "none", 0.9, k=1, base_of=ssp_base)
-    srr = _novel_accuracies("srr", "dynamic", 0.9, k=1, base_of=ssp_base)
-    elapsed = time.monotonic() - start
-    p_ssp = paired_onesided_pvalue(ssp, base)
-    p_srr = paired_onesided_pvalue(srr, ssp)
+    paired tests at p < 0.05.  Direction only; criteria 7-9 together within
+    five minutes."""
+    stats, elapsed = criteria
+    base, ssp, srr = stats["c7_baseline"], stats["c7_ssp"], stats["c7_srr"]
+    p_ssp, p_srr = stats["c7_p_ssp"], stats["c7_p_srr"]
     line = (
-        f"criterion 7: novel@k=1 baseline {base.mean():.4f} ssp {ssp.mean():.4f} "
-        f"srr {srr.mean():.4f}; p(ssp>baseline)={p_ssp:.2e} p(srr>=ssp)={p_srr:.2e}; "
+        f"criterion 7: novel@k=1 baseline {base:.4f} ssp {ssp:.4f} "
+        f"srr {srr:.4f}; p(ssp>baseline)={p_ssp:.2e} p(srr>=ssp)={p_srr:.2e}; "
         f"{elapsed:.1f}s"
     )
     print(line)
-    assert ssp.mean() > base.mean(), line
-    assert srr.mean() >= ssp.mean(), line
+    assert ssp > base, line
+    assert srr >= ssp, line
     assert p_ssp < 0.05, line
     assert p_srr < 0.05, line
     assert elapsed < 300.0, line
 
 
-def test_criterion_08_no_advantage_without_semantic_signal():
+def test_criterion_08_no_advantage_without_semantic_signal(criteria):
     """Same experiment with the embedding-to-feature coupling dialed to zero:
     the anchors carry no information, so the projection head shows no
     significant advantage (p > 0.05 for superiority)."""
-    base = _novel_accuracies("baseline", "none", 0.0, k=1)
-    ssp = _novel_accuracies("ssp", "none", 0.0, k=1)
-    p = paired_onesided_pvalue(ssp, base)
+    stats, _ = criteria
+    p = stats["c8_p"]
     line = (
-        f"criterion 8: novel@k=1 at alpha=0 baseline {base.mean():.4f} "
-        f"ssp {ssp.mean():.4f}; p(ssp>baseline)={p:.4f}"
+        f"criterion 8: novel@k=1 at alpha=0 baseline {stats['c8_baseline']:.4f} "
+        f"ssp {stats['c8_ssp']:.4f}; p(ssp>baseline)={p:.4f}"
     )
     print(line)
     assert p > 0.05, line
 
 
-def test_criterion_09_base_accuracy_survives_finetuning(ssp_base):
+def test_criterion_09_base_accuracy_survives_finetuning(criteria):
     """k=3 fine-tuning on the bundled benchmark keeps mean base-class
     accuracy within 0.02 of its pre-expansion value (20 seeds)."""
-    cfg = bundled_benchmark(mode="srr", graph_mode="dynamic", alpha=0.9)
-    before, after = [], []
-    for s in SEEDS:
-        cell = finish_cell(ssp_base(s), cfg, k=3)
-        before.append(cell.base_accuracy_before)
-        after.append(cell.base_accuracy)
-    drop = float(np.mean(before) - np.mean(after))
+    stats, _ = criteria
+    drop = stats["c9_drop"]
     line = (
-        f"criterion 9: base accuracy {np.mean(before):.4f} -> {np.mean(after):.4f}, "
+        f"criterion 9: base accuracy {stats['c9_before']:.4f} -> {stats['c9_after']:.4f}, "
         f"drop {drop:.4f} (limit 0.02)"
     )
     print(line)

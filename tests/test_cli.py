@@ -616,6 +616,20 @@ def test_eval_prints_no_accuracy_when_its_files_cannot_be_moved_in(
     assert not (tmp_path / "scores").exists()
 
 
+def test_eval_writes_null_for_a_group_with_no_records(corpus, trained, tmp_path):
+    # train's checkpoint registers no novel class, so the novel group has nothing to average
+    out = tmp_path / "scores"
+    assert run("eval", "--out-dir", out, "--checkpoint", trained / "head.json",
+               "--data", corpus / "base_train.jsonl") == 0
+
+    def refuse(constant):  # NaN and +-Infinity are not JSON
+        raise ValueError(f"metrics.json holds {constant}")
+
+    metrics = json.loads((out / "metrics.json").read_text(), parse_constant=refuse)
+    assert metrics["novel_accuracy"] is None
+    assert 0.0 <= metrics["base_accuracy"] <= 1.0
+
+
 @pytest.mark.parametrize("existing", [False, True], ids=["made", "existing"])
 def test_a_failed_move_takes_out_only_the_directories_the_run_made(
         corpus, trained, tmp_path, capsys, monkeypatch, existing):

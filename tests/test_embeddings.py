@@ -24,6 +24,7 @@ from semshot.embeddings import (
     random_embeddings,
     save_embedding_file,
     load_embedding_file,
+    save_json,
     save_registry,
 )
 from semshot.diffmath import l2_normalize_rows
@@ -261,3 +262,11 @@ def test_non_finite_value_in_a_needed_token_names_its_line(emb_path, vocab, bad,
     want = f"{emb_path}: line {line}: non-finite value for token '{token}'"
     with pytest.raises(ValueError, match=re.escape(want)):
         load_embedding_file(emb_path, ClassRegistry(base=tuple(classes)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_save_json_refuses_a_non_finite_value_naming_its_file(tmp_path, bad):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: Out of range float values")):
+        save_json(path, {"ok": 1.0, "bad": [bad]})
+    assert not path.exists()

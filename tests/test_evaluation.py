@@ -101,6 +101,7 @@ def test_evaluate_matches_hand_confusion():
     rep2 = evaluate(head, records.take(range(4)))
     assert "fox" not in rep2.per_class_accuracy
     assert np.isnan(rep2.novel_accuracy)
+    assert rep2.to_json()["novel_accuracy"] is None  # JSON has no NaN
     round_trip = rep.to_json()
     assert round_trip["confusion"] == want_conf.tolist()
 
@@ -138,6 +139,13 @@ def test_paired_pvalue_validates_inputs():
         paired_onesided_pvalue([0.5, np.nan], [0.5, 0.4])
     with pytest.raises(ValueError, match="sample 'lesser' holds a non-finite value"):
         paired_onesided_pvalue([0.5, 0.6], [0.5, np.inf])
+    # finite samples whose differences, or the t-test's sums, overflow float64
+    for greater, lesser in (([1e308, 1e308, 0.5], [-1e308, -1e308, 0.2]),
+                            ([1e308, 1.5e308], [-1e308, -1e308]),  # two equal inf gaps
+                            ([1e308, 9e307], [0.0, 0.0]),  # the t-test's mean overflows
+                            ([1e200, 2e200], [0.0, 0.0])):  # its variance overflows
+        with pytest.raises(ValueError, match="paired test overflows float64: overflow"):
+            paired_onesided_pvalue(greater, lesser)
 
 
 def test_sweep_result_summary_and_errors(tmp_path):
@@ -152,6 +160,8 @@ def test_sweep_result_summary_and_errors(tmp_path):
     assert res.mean_novel(3) == pytest.approx(0.7)
     with pytest.raises(ValueError, match="k=5"):
         res.mean_novel(5)
+    with pytest.raises(ValueError, match="k=5"):
+        res.mean_base(5)
     summary = res.summary()
     assert summary["shots"] == [1, 3]
     assert summary["runs"] == 3

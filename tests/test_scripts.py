@@ -7,6 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_pipeline import TINY, _counting_base_train
+
+import criteria_blocks
+from semshot import pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,6 +32,17 @@ def test_criteria_blocks_prints_one_row_per_block():
     p_values = [float(v) for v in cells[2:5]]
     assert len(accuracies) == 3 and all(0.0 <= v <= 1.0 for v in accuracies + p_values)
     assert re.fullmatch(r"-?\d\.\d{4}", cells[5])  # c9 drop
+
+
+def test_block_stats_trains_four_base_phases_a_seed_in_seed_order(monkeypatch):
+    # a criterion-outer loop over run_cell would train 6 per seed; seed-outer,
+    # the ssp cell and both srr cells of a seed finish from one base phase
+    monkeypatch.setattr(criteria_blocks, "bundled_benchmark",
+                        lambda **kw: pipeline.bundled_benchmark(**kw, **TINY))
+    monkeypatch.setattr(pipeline, "_latest_base", None)  # no earlier base to reuse
+    calls = _counting_base_train(monkeypatch)
+    criteria_blocks.block_stats(range(2))
+    assert calls == [0] * 4 + [1] * 4
 
 
 @pytest.mark.parametrize("seeds,message", [
