@@ -14,7 +14,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -255,23 +255,21 @@ def _load_label_sets(path, registry) -> list:
     return sets
 
 
-def _attach_cooccurrence(cfg: dict, head) -> None:
-    """Give a heuristic head without a graph the one of ``--cooccurrence``;
-    the flag fails, naming itself, on any other head."""
-    mode = head.cfg.graph_mode
-    wanted = mode is rel.GraphMode.HEURISTIC and head.g_heur is None
+def _cooccurrence(cfg: dict, registry, graph_mode, carried: bool = False):
+    """The graph of ``--cooccurrence`` over ``registry`` for a head of
+    ``graph_mode`` (``carried``: one that already holds its graph), or None
+    when the head takes none; the flag fails, naming itself, on any other head."""
+    wanted = graph_mode is rel.GraphMode.HEURISTIC and not carried
     if not cfg.get("cooccurrence"):
         if wanted:
             raise ValueError("heuristic graph mode needs --cooccurrence label sets")
-        return
-    if mode is not rel.GraphMode.HEURISTIC:
-        raise ValueError(f"--cooccurrence needs graph mode heuristic, the head's is {mode.value}")
+        return None
+    if graph_mode is not rel.GraphMode.HEURISTIC:
+        raise ValueError(f"--cooccurrence needs graph mode heuristic, the head's is "
+                         f"{graph_mode.value}")
     if not wanted:
         raise ValueError("--cooccurrence cannot replace the heuristic graph the head carries")
-    attach_heuristic_graph(
-        head, cooccurrence_graph(_load_label_sets(cfg["cooccurrence"], head.registry),
-                                 head.registry)
-    )
+    return cooccurrence_graph(_load_label_sets(cfg["cooccurrence"], registry), registry)
 
 
 def _parse_int_list(text: str, what: str) -> list:
@@ -325,8 +323,6 @@ TRAIN_OPTS = [
     Opt("--steps", default=TrainConfig.steps, type=POSITIVE_INT),
     Opt("--scaled-attention", default=HeadConfig.scaled_attention, bool_flag=True,
         help="divide attention scores by sqrt(r)"),
-    Opt("--graph-in-base", default=HeadConfig.graph_in_base, bool_flag=True,
-        help="apply the relation stage during base training"),
     Opt("--decouple", default=HeadConfig.decoupled, bool_flag=True,
         help="separate classifier and regression trunks"),
     Opt("--cooccurrence", help="JSONL label sets for the heuristic graph"),
@@ -341,21 +337,25 @@ def _optim_args(cfg: dict) -> dict:
 
 
 def cmd_train(cfg: dict, run: _Run) -> int:
+    """Base-train the projection head of an srr config (an ssp head), then
+    switch its relation stage on at its init, as the pipeline does."""
     registry = load_registry(cfg["registry"])
     data = load_records(cfg["data"])
-    mode = HeadMode(cfg["mode"])
-    we = None if mode is HeadMode.BASELINE else _load_embeddings(cfg, registry)
-    head = build_head(
-        HeadConfig(mode=mode, graph_mode=cfg.get("graph.mode"), d_in=data.feat.shape[0],
-                   d=cfg["proj.dim"], r=cfg["reduced.dim"],
-                   scaled_attention=cfg["scaled.attention"],
-                   graph_in_base=cfg["graph.in.base"], decoupled=cfg["decouple"],
-                   seed=cfg["seed"]),
-        registry, we,
-    )
-    _attach_cooccurrence(cfg, head)
+    head_cfg = HeadConfig(mode=cfg["mode"], graph_mode=cfg.get("graph.mode"),
+                          d_in=data.feat.shape[0], d=cfg["proj.dim"], r=cfg["reduced.dim"],
+                          scaled_attention=cfg["scaled.attention"], decoupled=cfg["decouple"],
+                          seed=cfg["seed"])
+    graph = _cooccurrence(cfg, registry, head_cfg.graph_mode)
+    srr = head_cfg.mode is HeadMode.SRR
+    we = None if head_cfg.mode is HeadMode.BASELINE else _load_embeddings(cfg, registry)
+    head = build_head(replace(head_cfg, mode=HeadMode.SSP, graph_mode=None) if srr else head_cfg,
+                      registry, we)
 
     result = base_train(head, data, TrainConfig(**_optim_args(cfg)))
+    if srr:
+        switch_graph_mode(head, head_cfg.graph_mode, seed=cfg["seed"])
+    if graph is not None:
+        attach_heuristic_graph(head, graph)
     save_head(head, run.path("head.json"))
     save_trace_csv(run.path("trace.csv"), result.trace)
     run.extra = {"we_hash": result.we_hash, "param_hash": head.param_hash(),
@@ -416,7 +416,9 @@ def cmd_finetune(cfg: dict, run: _Run) -> int:
         # only heads with embedding rows read the embeddings
         we_full = _load_embeddings(cfg, full) if head.we is not None else None
         expand_classes(head, full, we_full, seed=cfg["seed"])
-    _attach_cooccurrence(cfg, head)
+    graph = _cooccurrence(cfg, head.registry, head.cfg.graph_mode, head.g_heur is not None)
+    if graph is not None:
+        attach_heuristic_graph(head, graph)
 
     if cfg["decouple"] and not head.cfg.decoupled:
         decouple_trunks(head)

@@ -79,8 +79,11 @@ def paired_onesided_pvalue(greater, lesser) -> float:
 
     Zero-variance difference vectors short-circuit: identical samples give
     p=1, a constant positive gap gives p=0.  Only an exactly constant gap
-    counts; gaps that differ by rounding go to the t-test.  Samples whose
-    differences, or the t-test's sums of them, overflow float64 are an error.
+    counts; gaps that differ by rounding go to the t-test.  The t-test runs
+    on the differences scaled by an exact power of two to a largest
+    magnitude in [0.5, 1), which leaves t as it is while its mean cannot
+    overflow and its variance cannot underflow.  Samples whose differences
+    overflow float64 are an error.
     """
     a = np.asarray(greater, dtype=np.float64)
     b = np.asarray(lesser, dtype=np.float64)
@@ -94,15 +97,14 @@ def paired_onesided_pvalue(greater, lesser) -> float:
     try:
         with np.errstate(over="raise"):
             diff = a - b
-            if (diff == diff[0]).all():
-                if diff[0] > 0:
-                    return 0.0
-                return 1.0
-            from scipy import stats  # deferred: no CLI command needs it, and it dominates import time
-
-            return float(stats.ttest_rel(a, b, alternative="greater").pvalue)
     except FloatingPointError as exc:
         raise ValueError(f"paired test overflows float64: {exc}") from None
+    if (diff == diff[0]).all():
+        return 0.0 if diff[0] > 0 else 1.0
+    from scipy import stats  # deferred: no CLI command needs it, and it dominates import time
+
+    scaled = np.ldexp(diff, -np.frexp(np.abs(diff).max())[1])
+    return float(stats.ttest_1samp(scaled, 0.0, alternative="greater").pvalue)
 
 
 @dataclass

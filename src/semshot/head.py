@@ -43,7 +43,6 @@ class HeadConfig:
     r: int = rel.DEFAULT_REDUCED_DIM
     scaled_attention: bool = True
     attention_gain: float = rel.DEFAULT_ATTENTION_GAIN
-    graph_in_base: bool = True
     decoupled: bool = False
     seed: int = 0
 
@@ -520,7 +519,6 @@ def head_state(head: Head) -> dict:
         "dims": {"d_in": head.cfg.d_in, "d": head.cfg.d, "r": head.cfg.r},
         "scaled_attention": head.cfg.scaled_attention,
         "attention_gain": head.cfg.attention_gain,
-        "graph_in_base": head.cfg.graph_in_base,
         "decoupled": head.cfg.decoupled,
         "seed": head.cfg.seed,
         "registry": head.registry.to_json(),
@@ -591,7 +589,6 @@ def head_from_state(state: dict) -> Head:
         **{name: _field(dims, name, int, prefix="dims.") for name in ("d_in", "d", "r")},
         scaled_attention=_field(state, "scaled_attention", bool),
         attention_gain=_field(state, "attention_gain", int, float),
-        graph_in_base=_field(state, "graph_in_base", bool),
         decoupled=_field(state, "decoupled", bool),
         seed=_field(state, "seed", int),
     )

@@ -10,8 +10,9 @@ A cell splits into a base part (`train_base`), which does not depend on the
 shot count, and a finishing part (`finish_cell`) that fine-tunes a copy of
 the base head for one k.  `run_cell` keeps the latest base part and finishes
 the next cell from it when that cell's `base_phase_key` matches: another k on
-the same seed, or an ssp head followed by an srr head whose relation stage
-joins at fine-tuning.  `shot_sweep` runs its cells seed by seed through
+the same seed, or an ssp head followed by an srr head.  An srr head's relation
+stage (dynamic, tt or heuristic) joins at fine-tuning, so its base phase is
+the projection head's.  `shot_sweep` runs its cells seed by seed through
 `run_cell`, so each seed trains its base part once.
 """
 
@@ -168,28 +169,22 @@ class CellResult:
 _FINISH_FIELDS = frozenset({"mode", "graph_mode", "finetune_steps", "base_shots", "decouple"})
 
 
-def _base_head_modes(cfg: PipelineConfig) -> tuple:
-    """The (head mode, graph mode) a cell's base phase trains.
+def _base_head_mode(cfg: PipelineConfig) -> HeadMode:
+    """The head mode a cell's base phase trains, with no relation stage.
 
-    The relation stage joins at fine-tuning (``graph_in_base=False``), and a
-    dynamic or tt stage starts as an exact identity, so such an srr head
-    trains and reports bit for bit what the projection head does.  A
-    heuristic graph already shapes the base-class report, so that head
-    keeps its own mode.
+    An srr head's relation stage, whichever its graph mode, joins at
+    fine-tuning through `switch_graph_mode`, so its base phase trains the
+    projection head and every srr cell shares the ssp cell's base part.
     """
-    if cfg.mode is HeadMode.SRR and cfg.graph_mode is not rel.GraphMode.HEURISTIC:
-        return HeadMode.SSP, rel.GraphMode.NONE
-    return cfg.mode, cfg.graph_mode
+    return HeadMode.SSP if cfg.mode is HeadMode.SRR else cfg.mode
 
 
 def base_phase_key(cfg: PipelineConfig, seed: int) -> tuple:
     """Content key of a cell's base phase, as (name, value) pairs: cells whose
     configs share the key can finish from one `BasePart`."""
-    mode, graph_mode = _base_head_modes(cfg)
     shared = tuple((f.name, getattr(cfg, f.name)) for f in fields(cfg)
                    if f.name not in _FINISH_FIELDS)
-    return (("seed", seed), ("base_mode", mode.value),
-            ("base_graph_mode", graph_mode.value)) + shared
+    return (("seed", seed), ("base_mode", _base_head_mode(cfg).value)) + shared
 
 
 @dataclass
@@ -234,22 +229,8 @@ def train_base(cfg: PipelineConfig, seed: int) -> BasePart:
     base_rows = list(range(len(full_registry.base))) + [full_registry.background_index]
     we_base = we_full.select_rows(base_rows)
 
-    mode, graph_mode = _base_head_modes(cfg)
-    head_cfg = HeadConfig(
-        mode=mode,
-        graph_mode=graph_mode,
-        d_in=cfg.d_in,
-        d=cfg.d,
-        r=cfg.r,
-        graph_in_base=False,  # the relation stage joins at fine-tuning
-        seed=seed,
-    )
+    head_cfg = HeadConfig(mode=_base_head_mode(cfg), d_in=cfg.d_in, d=cfg.d, r=cfg.r, seed=seed)
     head = build_head(head_cfg, base_registry, we_base)  # a baseline head ignores we_base
-    if graph_mode is rel.GraphMode.HEURISTIC:
-        # co-occurrence over single-label records degenerates to identity;
-        # use embedding-neighborhood counts instead
-        attach_heuristic_graph(head, _similarity_graph(we_base.matrix))
-
     base_train(
         head,
         base_data,
@@ -281,6 +262,8 @@ def finish_cell(base: BasePart, cfg: PipelineConfig, k: int) -> CellResult:
         switch_graph_mode(head, cfg.graph_mode, seed=base.seed)
     expand_classes(head, cfg.registry(), base.we_full, seed=base.seed)
     if cfg.graph_mode is rel.GraphMode.HEURISTIC:
+        # co-occurrence over single-label records degenerates to identity;
+        # use embedding-neighborhood counts instead
         attach_heuristic_graph(head, _similarity_graph(head.we.matrix))
     if cfg.decouple:
         decouple_trunks(head)

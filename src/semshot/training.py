@@ -13,7 +13,7 @@ v <- mu v + g + wd p;  p <- p - lr v.
 
 import itertools
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -275,19 +275,10 @@ def _uniform_batches(data: FeatureSet, batch_size: int, seed: int):
 
 
 def base_train(head: Head, base_data: FeatureSet, cfg: TrainConfig) -> TrainResult:
-    """Phase one: uniform batches over base-class records, every param trains.
-
-    An srr head with graph_in_base=False trains as its projection head, a
-    view over the same params, so its relation maps wait for fine-tuning.
-    """
+    """Phase one: uniform batches over base-class records, every param trains."""
     if not len(base_data):
         raise ValueError("base_train needs at least one record")
     POSITIVE_INT.check(cfg.steps, "base_train steps")
-    if head.mode is HeadMode.SRR and not head.cfg.graph_in_base:
-        if "relation" in (cfg.trainable or ()):
-            raise ValueError("base_train: graph_in_base=False defers 'relation' to fine-tuning")
-        head = Head(replace(head.cfg, mode=HeadMode.SSP, graph_mode=None), head.registry,
-                    head.we, head.params)
     return _run_phase(
         "base_train", head, base_data,
         head.registry.base_indices() + [head.registry.background_index], head.param_groups(),
@@ -297,10 +288,11 @@ def base_train(head: Head, base_data: FeatureSet, cfg: TrainConfig) -> TrainResu
 
 def default_finetune_groups(head: Head) -> tuple:
     """What moves during fine-tuning unless overridden: the whole output
-    layer.  Every mode trains its class biases (fresh novel rows start with
-    zero bias and must be able to calibrate against confident base logits);
-    baseline heads train their classifier rows, embedding heads train the
-    semantic projection plus, when present, the relation maps."""
+    layer.  Every mode trains its class biases (fresh novel rows start at
+    the mean base bias and must be able to calibrate against confident
+    base logits); baseline heads train their classifier rows, embedding
+    heads train the semantic projection plus, when present, the relation
+    maps."""
     if head.mode is HeadMode.BASELINE:
         return ("W", "b")
     if "relation" in head.param_groups():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semshot import cli, pipeline
 from semshot.cli import _COMMANDS, main
 from semshot.embeddings import ClassRegistry, Interval, load_registry, save_registry
 from semshot.head import HeadConfig, build_head, head_state, load_head
@@ -773,8 +774,7 @@ def _train(corpus, out, *flags, mode="srr"):
 def test_train_with_the_stage_deferred_is_the_projection_heads_base_phase(
         corpus, tmp_path, graph_mode):
     srr, ssp = tmp_path / "srr", tmp_path / "ssp"
-    assert _train(corpus, srr, "--graph-mode", graph_mode, "--no-graph-in-base",
-                  "--seed", 2) == 0
+    assert _train(corpus, srr, "--graph-mode", graph_mode, "--seed", 2) == 0
     assert _train(corpus, ssp, "--seed", 2, mode="ssp") == 0
     assert sha(srr / "trace.csv") == sha(ssp / "trace.csv")
     state = json.loads((srr / "head.json").read_text())
@@ -789,6 +789,51 @@ def test_train_with_the_stage_deferred_is_the_projection_heads_base_phase(
     for name, p in maps.items():
         assert state["params"][name] == p.value.tolist(), name
     assert not np.any(state["params"]["t_l"])
+
+
+def test_no_base_phase_trains_an_srr_head(corpus, tmp_path, monkeypatch):
+    """Every relation stage joins after base training, so ``base_train`` is
+    handed only baseline and ssp heads, by the pipeline and by ``train``."""
+    seen = []
+
+    def logging(real):
+        def base_train(head, data, cfg):
+            seen.append(head.mode.value)
+            return real(head, data, cfg)
+        return base_train
+
+    for module in (pipeline, cli):
+        monkeypatch.setattr(module, "base_train", logging(module.base_train))
+    monkeypatch.setattr(pipeline, "_latest_base", None)  # no earlier base to reuse
+    tiny = dict(n_base=4, n_novel=2, d_e=8, d_in=12, d=8, r=4, n_clusters=2, train_per_class=6,
+                test_per_class=4, base_steps=5, finetune_steps=5, base_shots=3, batch_size=8)
+    for mode, graph in (("baseline", None), ("ssp", None), ("srr", "dynamic"), ("srr", "tt"),
+                        ("srr", "heuristic")):
+        pipeline.run_cell(pipeline.bundled_benchmark(mode=mode, graph_mode=graph, **tiny), 1, 3)
+    sets = tmp_path / "sets.jsonl"
+    sets.write_text('{"labels": ["base00", "base01"]}\n')
+    assert _train(corpus, tmp_path / "dynamic", "--graph-mode", "dynamic") == 0
+    assert _train(corpus, tmp_path / "heur", "--graph-mode", "heuristic",
+                  "--cooccurrence", sets) == 0
+    assert seen == ["baseline", "ssp", "ssp", "ssp"]
+    state = json.loads((tmp_path / "heur" / "head.json").read_text())
+    assert (state["mode"], state["graph_mode"], len(state["g_heur"])) == ("srr", "heuristic", 4)
+
+
+def test_the_retired_base_phase_switch_is_ignored_in_a_checkpoint_and_refused_in_a_config(
+        corpus, trained, tmp_path, capsys):
+    key = "graph.in.base"  # the switch's config key; its checkpoint field is the snake_case form
+    state = json.loads((trained / "head.json").read_text())
+    state[key.replace(".", "_")] = False
+    old = tmp_path / "old_head.json"
+    old.write_text(json.dumps(state))
+    assert load_head(old).param_hash() == load_head(trained / "head.json").param_hash()
+    meta = json.loads((trained / "meta.json").read_text())
+    meta["config"][key] = True
+    config = tmp_path / "old_meta.json"
+    config.write_text(json.dumps(meta))
+    assert run("train", "--config", config, "--out-dir", tmp_path / "again") == 1
+    assert capsys.readouterr().err == f"error: {config}: unknown config keys ['{key}']\n"
 
 
 def test_finetune_freeze_relation_matches_trainable_projection_and_bias(corpus, tmp_path):

@@ -139,13 +139,32 @@ def test_paired_pvalue_validates_inputs():
         paired_onesided_pvalue([0.5, np.nan], [0.5, 0.4])
     with pytest.raises(ValueError, match="sample 'lesser' holds a non-finite value"):
         paired_onesided_pvalue([0.5, 0.6], [0.5, np.inf])
-    # finite samples whose differences, or the t-test's sums, overflow float64
+    # finite samples whose differences overflow float64
     for greater, lesser in (([1e308, 1e308, 0.5], [-1e308, -1e308, 0.2]),
-                            ([1e308, 1.5e308], [-1e308, -1e308]),  # two equal inf gaps
-                            ([1e308, 9e307], [0.0, 0.0]),  # the t-test's mean overflows
-                            ([1e200, 2e200], [0.0, 0.0])):  # its variance overflows
+                            ([1e308, 1.5e308], [-1e308, -1e308])):  # two equal inf gaps
         with pytest.raises(ValueError, match="paired test overflows float64: overflow"):
             paired_onesided_pvalue(greater, lesser)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -1070, 2.0 ** -600, 1.0, 2.0 ** 600, 2.0 ** 1021])
+def test_paired_pvalue_does_not_depend_on_the_scale_of_the_samples(scale):
+    # exact powers of two keep every difference exact, down to subnormals
+    greater, lesser = np.array([1.0, 2.0, 3.0, 5.0]), np.array([0.0, 1.0, 0.0, 1.0])
+    want = stats.ttest_rel(greater, lesser, alternative="greater").pvalue
+    assert paired_onesided_pvalue(greater * scale, lesser * scale) == want
+
+
+@pytest.mark.parametrize("greater,lesser,unit", [
+    ([1e-320, 2e-320, 3e-320], [0.0, 0.0, 0.0], 1e-320),  # the variance underflowed: p was 0
+    ([1e308, 9e307], [0.0, 0.0], 1e307),  # the t-test's mean overflowed
+    ([1e200, 2e200], [0.0, 0.0], 1e200),  # its variance overflowed
+])
+def test_paired_pvalue_of_tiny_or_huge_differences_is_the_t_test_of_their_ratios(
+        greater, lesser, unit):
+    want = stats.ttest_rel(np.divide(greater, unit), np.divide(lesser, unit),
+                           alternative="greater").pvalue
+    assert paired_onesided_pvalue(greater, lesser) == pytest.approx(want, rel=1e-3)
+    assert 0.0 < want < 1.0
 
 
 def test_sweep_result_summary_and_errors(tmp_path):

@@ -16,6 +16,7 @@ from semshot.head import (
     build_head,
     decouple_trunks,
     expand_classes,
+    switch_graph_mode,
 )
 from semshot.pipeline import (
     FINETUNE_LR,
@@ -208,26 +209,26 @@ def _bits(cell) -> tuple:
 
 
 def _own_mode_cell(cfg, k, seed):
-    """(param hash, report before, report after) of a cell whose head has the
-    config's own mode from the start, on ``train_base``'s data."""
+    """(param hash, report before, report after) of a cell run step by step
+    on ``train_base``'s data, with no base part shared: an srr config's
+    head base-trains as its projection head, then gets its relation stage."""
     part = train_base(cfg, seed)  # only its data and embeddings are used
     registry = cfg.registry()
-    heuristic = cfg.graph_mode.value == "heuristic"
+    srr = cfg.mode.value == "srr"
     we_base = part.we_full.select_rows(list(range(cfg.n_base)) + [registry.background_index])
     head = build_head(
-        HeadConfig(mode=cfg.mode, graph_mode=cfg.graph_mode, d_in=cfg.d_in, d=cfg.d, r=cfg.r,
-                   graph_in_base=False, seed=seed),
+        HeadConfig(mode="ssp" if srr else cfg.mode, d_in=cfg.d_in, d=cfg.d, r=cfg.r, seed=seed),
         ClassRegistry(base=registry.base), we_base,
     )
-    if heuristic:
-        attach_heuristic_graph(head, _similarity_graph(we_base.matrix))
     base_train(head, part.base_data, TrainConfig(
         lr=cfg.base_lr, steps=cfg.base_steps, batch_size=cfg.batch_size,
         reg_weight=REG_WEIGHT, seed=seed,
     ))
     before = evaluate(head, part.test.with_labels(registry.base))
+    if srr:
+        switch_graph_mode(head, cfg.graph_mode, seed=seed)
     expand_classes(head, registry, part.we_full, seed=seed)
-    if heuristic:
+    if cfg.graph_mode.value == "heuristic":
         attach_heuristic_graph(head, _similarity_graph(head.we.matrix))
     if cfg.decouple:
         decouple_trunks(head)
@@ -244,15 +245,14 @@ def _own_mode_cell(cfg, k, seed):
     ("baseline", "none", False, "baseline"),
     ("ssp", "none", False, "ssp"),
     ("srr", "dynamic", False, "ssp"),
-    ("srr", "heuristic", False, "srr"),
+    ("srr", "heuristic", False, "ssp"),
     ("srr", "tt", False, "ssp"),
     ("srr", "dynamic", True, "ssp"),
 ])
 def test_finishing_from_a_shared_base_matches_a_head_of_its_own_mode(mode, graph, decouple,
                                                                       base_mode):
     cfg = bundled_benchmark(mode=mode, graph_mode=graph, decouple=decouple, **TINY)
-    base_cfg = bundled_benchmark(mode=base_mode, graph_mode=graph if base_mode == "srr" else None,
-                                 **TINY)
+    base_cfg = bundled_benchmark(mode=base_mode, **TINY)
     for seed in (0, 7):
         part = train_base(base_cfg, seed)
         assert part.head.mode.value == base_mode
@@ -264,12 +264,11 @@ def test_finishing_from_a_shared_base_matches_a_head_of_its_own_mode(mode, graph
 
 def test_base_phase_key_ignores_what_only_the_finish_reads():
     ssp = base_phase_key(bundled_benchmark(mode="ssp", **TINY), 3)
-    for graph in ("dynamic", "tt"):
+    for graph in ("dynamic", "tt", "heuristic"):
         assert base_phase_key(bundled_benchmark(graph_mode=graph, **TINY), 3) == ssp
     finish_only = dict(TINY, finetune_steps=99, base_shots=1)
     assert base_phase_key(bundled_benchmark(mode="ssp", decouple=True, **finish_only), 3) == ssp
     for other in (bundled_benchmark(mode="baseline", **TINY),
-                  bundled_benchmark(graph_mode="heuristic", **TINY),
                   bundled_benchmark(mode="ssp", **dict(TINY, base_steps=31))):
         assert base_phase_key(other, 3) != ssp
     assert base_phase_key(bundled_benchmark(mode="ssp", **TINY), 4) != ssp
@@ -329,14 +328,16 @@ def test_shot_sweep_trains_each_seeds_base_phase_once(monkeypatch):
 
 
 def test_run_cell_finishes_a_deferred_srr_head_from_the_ssp_base(monkeypatch):
-    ssp = bundled_benchmark(mode="ssp", **TINY)
-    srr = bundled_benchmark(graph_mode="dynamic", **TINY)
-    want = [_bits(finish_cell(train_base(cfg, 8), cfg, 1)) for cfg in (ssp, srr)]
+    cfgs = [bundled_benchmark(mode="ssp", **TINY)] + [
+        bundled_benchmark(graph_mode=graph, **TINY) for graph in ("heuristic", "dynamic", "tt")]
+    want = [_bits(finish_cell(train_base(cfg, 8), cfg, 1)) for cfg in cfgs]
     run_cell(bundled_benchmark(mode="baseline", **TINY), 1, 8)  # no earlier base to reuse
     calls = _counting_base_train(monkeypatch)
-    got = [_bits(run_cell(cfg, 1, 8)) for cfg in (ssp, srr)]
+    cells = [run_cell(cfg, 1, 8) for cfg in cfgs]
     assert calls == [8]
-    assert got == want
+    assert [_bits(cell) for cell in cells] == want
+    # the heuristic graph joins at fine-tuning, so the base report is the ssp head's
+    assert _report(cells[1].report_before) == _report(cells[0].report_before)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

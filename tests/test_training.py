@@ -270,26 +270,6 @@ def test_a_non_finite_trainable_param_stops_the_first_step_naming_it(tiny_world)
         base_train(head, base_data, TrainConfig(steps=5, batch_size=8, seed=0))
 
 
-def test_base_train_with_graph_deferred_leaves_relation_maps_alone(tiny_world):
-    registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
-    head = make_head("srr", base_reg, we.select_rows(base_rows), graph_in_base=False)
-    every = {n: p.value.copy() for n, p in head.params.items()}
-    # naming the deferred stage is refused before any step; trained, the maps
-    # would get no gradient and decay alone would shrink them
-    with pytest.raises(ValueError, match=r"graph_in_base=False defers 'relation'"):
-        base_train(head, base_data, TrainConfig(
-            steps=50, batch_size=4, weight_decay=0.01, seed=1,
-            trainable=("P", "b", "relation", "trunk", "reg")))
-    for name, val in every.items():
-        np.testing.assert_array_equal(head.params[name].value, val)
-    before = {n: head.params[n].value.copy() for n in ("t_f", "t_g", "t_h", "t_l")}
-    base_train(head, base_data, TrainConfig(steps=10, batch_size=4, seed=1))
-    for name, val in before.items():
-        np.testing.assert_array_equal(head.params[name].value, val)
-        assert not head.params[name].trainable
-    assert head.params["P"].trainable
-
-
 def test_default_finetune_groups_per_mode(tiny_world):
     registry, base_reg, we, base_rows, *_ = tiny_world
     we_base = we.select_rows(base_rows)
@@ -339,10 +319,11 @@ def _nudging_sgd_step(monkeypatch, values):
 
 def test_base_train_fails_when_a_deferred_relation_map_moves(tiny_world, monkeypatch):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
-    head = make_head("srr", base_reg, we.select_rows(base_rows), graph_in_base=False)
+    head = make_head("srr", base_reg, we.select_rows(base_rows))
     _nudging_sgd_step(monkeypatch, head.params["t_l"].value)
     with pytest.raises(RuntimeError, match="base_train: a frozen parameter moved"):
-        base_train(head, base_data, TrainConfig(steps=3, batch_size=4, seed=1))
+        base_train(head, base_data, TrainConfig(steps=3, batch_size=4, seed=1,
+                                                trainable=("P", "b", "trunk", "reg")))
 
 
 def test_base_train_fails_when_the_embedding_matrix_moves(tiny_world, monkeypatch):
@@ -483,21 +464,26 @@ def _srr_finetune(tiny_world, k=2, base_shots=3, **cfg):
     return head, [(r.loss, r.loss_cls, r.loss_reg) for r in result.trace], len(episode.base) + len(episode.novel)
 
 
-def _phases(tiny_world, mode, graph_mode, decoupled, graph_in_base):
+def _phases(tiny_world, mode, graph_mode, decoupled, stage_in_base):
     """Trace rows and param hash after each of three phases: base training
     (the trunk trains), a default finetune (cached trunk) and a finetune
-    that trains reg (uncached trunk, frozen)."""
+    that trains reg (uncached trunk, frozen).  Without ``stage_in_base`` an
+    srr head base-trains as its projection head and its relation stage
+    joins before the finetunes."""
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
-    head = make_head(mode, registry, we, graph_mode=graph_mode, graph_in_base=graph_in_base)
+    head = (make_head(mode, registry, we, graph_mode=graph_mode) if stage_in_base
+            else make_head("ssp", registry, we))
     if graph_mode == "heuristic":
         g = np.random.default_rng(5).random((registry.n, registry.n)) + np.eye(registry.n)
         head_module.attach_heuristic_graph(head, g / g.sum(axis=1, keepdims=True))
     if decoupled:
         head_module.decouple_trunks(head)
     episode = sample_episode(base_data, novel_data, k=2, base_shots=3, seed=4)
-    out = []
-    for phase in (lambda: base_train(head, base_data, TrainConfig(steps=6, batch_size=5, seed=2)),
-                  lambda: finetune(head, episode, finetune_config(steps=6, batch_size=4, seed=4)),
+    out = [(base_train(head, base_data, TrainConfig(steps=6, batch_size=5, seed=2)).trace,
+            head.param_hash())]
+    if not stage_in_base:
+        head_module.switch_graph_mode(head, graph_mode)
+    for phase in (lambda: finetune(head, episode, finetune_config(steps=6, batch_size=4, seed=4)),
                   lambda: finetune(head, episode, finetune_config(
                       steps=6, batch_size=4, seed=5, trainable=("P" if mode != "baseline" else "W",
                                                                 "b", "reg")))):
@@ -506,17 +492,17 @@ def _phases(tiny_world, mode, graph_mode, decoupled, graph_in_base):
 
 
 @pytest.mark.parametrize("decoupled", [False, True], ids=["shared", "decoupled"])
-@pytest.mark.parametrize("mode,graph_mode,graph_in_base", [
+@pytest.mark.parametrize("mode,graph_mode,stage_in_base", [
     ("baseline", None, True), ("ssp", None, True), ("srr", "dynamic", True),
     ("srr", "dynamic", False), ("srr", "tt", True), ("srr", "heuristic", True),
 ])
 def test_a_rerun_phase_matches_a_fresh_tape_per_step_bit_for_bit(
-        tiny_world, monkeypatch, mode, graph_mode, graph_in_base, decoupled):
+        tiny_world, monkeypatch, mode, graph_mode, stage_in_base, decoupled):
     reruns = []
     real_rerun = Tape.rerun
     with monkeypatch.context() as m:
         m.setattr(Tape, "rerun", lambda tape: reruns.append(1) or real_rerun(tape))
-        replayed = _phases(tiny_world, mode, graph_mode, decoupled, graph_in_base)
+        replayed = _phases(tiny_world, mode, graph_mode, decoupled, stage_in_base)
     assert len(reruns) == 3 * 5  # every step after the first of each phase
 
     real = training.batch_forward
@@ -528,7 +514,7 @@ def test_a_rerun_phase_matches_a_fresh_tape_per_step_bit_for_bit(
         return real(*args)
 
     monkeypatch.setattr(training, "batch_forward", fresh_tape)
-    assert _phases(tiny_world, mode, graph_mode, decoupled, graph_in_base) == replayed
+    assert _phases(tiny_world, mode, graph_mode, decoupled, stage_in_base) == replayed
 
 
 @pytest.mark.parametrize("trainable", [None, ("P", "b", "reg")], ids=["cached", "uncached"])
