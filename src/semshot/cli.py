@@ -14,7 +14,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,7 @@ from .head import (
     HeadConfig,
     HeadMode,
     attach_heuristic_graph,
+    base_phase_config,
     build_head,
     class_rows,
     decouple_trunks,
@@ -321,8 +322,6 @@ TRAIN_OPTS = [
     Opt("--lr", default=DEFAULT_BASE_LR, type=POSITIVE),
     *_OPTIM_OPTS,
     Opt("--steps", default=TrainConfig.steps, type=POSITIVE_INT),
-    Opt("--scaled-attention", default=HeadConfig.scaled_attention, bool_flag=True,
-        help="divide attention scores by sqrt(r)"),
     Opt("--decouple", default=HeadConfig.decoupled, bool_flag=True,
         help="separate classifier and regression trunks"),
     Opt("--cooccurrence", help="JSONL label sets for the heuristic graph"),
@@ -337,23 +336,19 @@ def _optim_args(cfg: dict) -> dict:
 
 
 def cmd_train(cfg: dict, run: _Run) -> int:
-    """Base-train the projection head of an srr config (an ssp head), then
-    switch its relation stage on at its init, as the pipeline does."""
+    """Base-train the config's base-phase head (`base_phase_config`), then
+    switch an srr config's relation stage on at its init, as the pipeline does."""
     registry = load_registry(cfg["registry"])
     data = load_records(cfg["data"])
     head_cfg = HeadConfig(mode=cfg["mode"], graph_mode=cfg.get("graph.mode"),
                           d_in=data.feat.shape[0], d=cfg["proj.dim"], r=cfg["reduced.dim"],
-                          scaled_attention=cfg["scaled.attention"], decoupled=cfg["decouple"],
-                          seed=cfg["seed"])
+                          decoupled=cfg["decouple"], seed=cfg["seed"])
     graph = _cooccurrence(cfg, registry, head_cfg.graph_mode)
-    srr = head_cfg.mode is HeadMode.SRR
     we = None if head_cfg.mode is HeadMode.BASELINE else _load_embeddings(cfg, registry)
-    head = build_head(replace(head_cfg, mode=HeadMode.SSP, graph_mode=None) if srr else head_cfg,
-                      registry, we)
+    head = build_head(base_phase_config(head_cfg), registry, we)
 
     result = base_train(head, data, TrainConfig(**_optim_args(cfg)))
-    if srr:
-        switch_graph_mode(head, head_cfg.graph_mode, seed=cfg["seed"])
+    switch_graph_mode(head, head_cfg.graph_mode, seed=cfg["seed"])
     if graph is not None:
         attach_heuristic_graph(head, graph)
     save_head(head, run.path("head.json"))

@@ -41,7 +41,6 @@ class HeadConfig:
     d_in: int = 32
     d: int = 64
     r: int = rel.DEFAULT_REDUCED_DIM
-    scaled_attention: bool = True
     attention_gain: float = rel.DEFAULT_ATTENTION_GAIN
     decoupled: bool = False
     seed: int = 0
@@ -173,10 +172,8 @@ def build_head(cfg: HeadConfig, registry: ClassRegistry,
                 f"embedding rows ({we.n}) do not match registry size ({n})"
             )
         params["P"] = Param("P", rng.normal(0.0, 1.0 / np.sqrt(cfg.d), (we.dim, cfg.d)))
-        params.update(rel.init_maps(
-            cfg.graph_mode, we.dim, cfg.r, seed=cfg.seed, scaled=cfg.scaled_attention,
-            gain=cfg.attention_gain,
-        ))
+        params.update(rel.init_maps(cfg.graph_mode, we.dim, cfg.r, seed=cfg.seed,
+                                    gain=cfg.attention_gain))
 
     params["b"] = Param("b", np.zeros((n, 1)))
     if cfg.decoupled:
@@ -238,7 +235,7 @@ def _effective_rows_t(tape: Tape, head: Head):
     maps_t = {n: tape.param(head.params[n]) for n in rel.map_names(gm)}
     if gm is rel.GraphMode.TRAINABLE_TRANSFORM:
         return rel.trainable_transform_t(we_t, maps_t)
-    return rel.relation_forward_t(we_t, maps_t, head.cfg.scaled_attention)
+    return rel.relation_forward_t(we_t, maps_t)
 
 
 def _class_scores_t(tape: Tape, head: Head, v_t):
@@ -397,7 +394,7 @@ def relation_graph(head: Head) -> np.ndarray:
             f"{head.cfg.graph_mode.value!r} has no relation graph to export"
         )
     maps = [head.params[name].value for name in ("t_f", "t_g")]
-    graph = rel.attention(head.we.matrix, maps, head.cfg.scaled_attention)[0]
+    graph = rel.attention(head.we.matrix, maps)[0]
     return check_finite(head, graph, "relation graph rows")
 
 
@@ -477,31 +474,39 @@ def decouple_trunks(head: Head) -> Head:
     return head
 
 
+def base_phase_config(cfg: HeadConfig) -> HeadConfig:
+    """The config of the head that ``cfg``'s base phase trains: an SRR head's
+    relation stage, whichever its graph mode, joins after base training through
+    `switch_graph_mode`, so it base-trains its projection (SSP) head."""
+    if cfg.mode is not HeadMode.SRR:
+        return cfg
+    return replace(cfg, mode=HeadMode.SSP, graph_mode=None)
+
+
 def switch_graph_mode(head: Head, graph_mode, seed: int = 0) -> Head:
     """Give an SSP head the relation stage ``graph_mode``, making it SRR.
 
     The new maps start at the identity-module init of ``rel.init_maps``
-    (drawn with ``seed`` and the head's attention settings) and are appended
-    after the existing parameters.  Asking a head for the stage it already
-    has, or an SSP head for none, leaves it as it is.
+    (drawn with ``seed`` and the head's attention gain), frozen, since they
+    have not trained, and are appended after the existing parameters.
+    Asking any head for the stage it already has (none, for a baseline or
+    SSP head) leaves it as it is.
     """
     target = rel.GraphMode(graph_mode)
+    if target is head.cfg.graph_mode:
+        return head
     if head.mode is HeadMode.SRR:
-        if target is head.cfg.graph_mode:
-            return head
         raise ValueError(
             f"head already has relation stage {head.cfg.graph_mode.value!r}; "
             "build a new head to change it"
         )
     if head.mode is HeadMode.BASELINE:
         raise ValueError("baseline heads have no relation stage to switch on")
-    if target is rel.GraphMode.NONE:
-        return head
     head.cfg = replace(head.cfg, mode=HeadMode.SRR, graph_mode=target)
-    head.params.update(rel.init_maps(
-        target, head.we.dim, head.cfg.r, seed=seed,
-        scaled=head.cfg.scaled_attention, gain=head.cfg.attention_gain,
-    ))
+    maps = rel.init_maps(target, head.we.dim, head.cfg.r, seed=seed, gain=head.cfg.attention_gain)
+    for p in maps.values():
+        p.trainable = False
+    head.params.update(maps)
     return head
 
 
@@ -517,7 +522,6 @@ def head_state(head: Head) -> dict:
         "mode": head.cfg.mode.value,
         "graph_mode": head.cfg.graph_mode.value,
         "dims": {"d_in": head.cfg.d_in, "d": head.cfg.d, "r": head.cfg.r},
-        "scaled_attention": head.cfg.scaled_attention,
         "attention_gain": head.cfg.attention_gain,
         "decoupled": head.cfg.decoupled,
         "seed": head.cfg.seed,
@@ -582,12 +586,15 @@ def head_from_state(state: dict) -> Head:
     fmt = state.get("format") if isinstance(state, dict) else None
     if fmt != _CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format {fmt!r}")
+    # older checkpoints name the attention form; scaled is the only one left
+    if (scaled := state.get("scaled_attention", True)) is not True:
+        raise ValueError("checkpoint field 'scaled_attention' must be true or absent "
+                         f"(attention is always scaled), got {json.dumps(scaled)}")
     dims = _field(state, "dims", dict)
     cfg = HeadConfig(
         mode=_enum_field(state, "mode", HeadMode),
         graph_mode=_enum_field(state, "graph_mode", rel.GraphMode),
         **{name: _field(dims, name, int, prefix="dims.") for name in ("d_in", "d", "r")},
-        scaled_attention=_field(state, "scaled_attention", bool),
         attention_gain=_field(state, "attention_gain", int, float),
         decoupled=_field(state, "decoupled", bool),
         seed=_field(state, "seed", int),

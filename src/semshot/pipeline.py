@@ -12,8 +12,8 @@ the base head for one k.  `run_cell` keeps the latest base part and finishes
 the next cell from it when that cell's `base_phase_key` matches: another k on
 the same seed, or an ssp head followed by an srr head.  An srr head's relation
 stage (dynamic, tt or heuristic) joins at fine-tuning, so its base phase is
-the projection head's.  `shot_sweep` runs its cells seed by seed through
-`run_cell`, so each seed trains its base part once.
+the projection head's (`head.base_phase_config`).  `shot_sweep` runs its
+cells seed by seed through `run_cell`, so each seed trains its base part once.
 """
 
 import copy
@@ -31,8 +31,8 @@ from .head import (
     HeadConfig,
     HeadMode,
     attach_heuristic_graph,
+    base_phase_config,
     build_head,
-    decouple_trunks,
     expand_classes,
     switch_graph_mode,
 )
@@ -119,7 +119,6 @@ class PipelineConfig:
     finetune_steps: int | None = None
     base_shots: int | None = 30
     batch_size: int = 16
-    decouple: bool = False
 
     def __post_init__(self):
         counts = ("n_base", "n_novel", "d_e", "d_in", "d", "r", "n_clusters", "train_per_class",
@@ -166,25 +165,17 @@ class CellResult:
 
 
 # the PipelineConfig fields that only the finishing part of a cell reads
-_FINISH_FIELDS = frozenset({"mode", "graph_mode", "finetune_steps", "base_shots", "decouple"})
-
-
-def _base_head_mode(cfg: PipelineConfig) -> HeadMode:
-    """The head mode a cell's base phase trains, with no relation stage.
-
-    An srr head's relation stage, whichever its graph mode, joins at
-    fine-tuning through `switch_graph_mode`, so its base phase trains the
-    projection head and every srr cell shares the ssp cell's base part.
-    """
-    return HeadMode.SSP if cfg.mode is HeadMode.SRR else cfg.mode
+_FINISH_FIELDS = frozenset({"mode", "graph_mode", "finetune_steps", "base_shots"})
 
 
 def base_phase_key(cfg: PipelineConfig, seed: int) -> tuple:
     """Content key of a cell's base phase, as (name, value) pairs: cells whose
-    configs share the key can finish from one `BasePart`."""
+    configs share the key can finish from one `BasePart`, so every srr cell
+    shares the ssp cell's base part (see `base_phase_config`)."""
     shared = tuple((f.name, getattr(cfg, f.name)) for f in fields(cfg)
                    if f.name not in _FINISH_FIELDS)
-    return (("seed", seed), ("base_mode", _base_head_mode(cfg).value)) + shared
+    base_mode = base_phase_config(HeadConfig(mode=cfg.mode, graph_mode=cfg.graph_mode)).mode
+    return (("seed", seed), ("base_mode", base_mode.value)) + shared
 
 
 @dataclass
@@ -229,7 +220,8 @@ def train_base(cfg: PipelineConfig, seed: int) -> BasePart:
     base_rows = list(range(len(full_registry.base))) + [full_registry.background_index]
     we_base = we_full.select_rows(base_rows)
 
-    head_cfg = HeadConfig(mode=_base_head_mode(cfg), d_in=cfg.d_in, d=cfg.d, r=cfg.r, seed=seed)
+    head_cfg = base_phase_config(HeadConfig(mode=cfg.mode, graph_mode=cfg.graph_mode,
+                                            d_in=cfg.d_in, d=cfg.d, r=cfg.r, seed=seed))
     head = build_head(head_cfg, base_registry, we_base)  # a baseline head ignores we_base
     base_train(
         head,
@@ -257,16 +249,12 @@ def finish_cell(base: BasePart, cfg: PipelineConfig, k: int) -> CellResult:
     if base.key != want:
         differ = [name for (name, a), (_, b) in zip(base.key, want) if a != b]
         raise ValueError(f"the base phase does not fit this cell: {', '.join(differ)} differ")
-    head = copy.deepcopy(base.head)
-    if cfg.mode is HeadMode.SRR:
-        switch_graph_mode(head, cfg.graph_mode, seed=base.seed)
+    head = switch_graph_mode(copy.deepcopy(base.head), cfg.graph_mode, seed=base.seed)
     expand_classes(head, cfg.registry(), base.we_full, seed=base.seed)
     if cfg.graph_mode is rel.GraphMode.HEURISTIC:
         # co-occurrence over single-label records degenerates to identity;
         # use embedding-neighborhood counts instead
         attach_heuristic_graph(head, _similarity_graph(head.we.matrix))
-    if cfg.decouple:
-        decouple_trunks(head)
 
     episode = sample_episode(base.base_data, base.novel_pool, k, cfg.base_shots, base.seed)
     finetune(

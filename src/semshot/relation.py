@@ -1,10 +1,11 @@
 """Relation reasoning over class embedding rows.
 
-The dynamic variant runs one head of self-attention across the embedding rows:
-row-softmax(We Tf (We Tg)^T) gives an n_classes x n_classes mixing graph G,
-and the refined embedding is G (We Th Tl) + We.  With Tl = 0 the refinement is
-exactly the identity, which is also the training-friendly initialization.  The
-whole stage is one tape op, whose forward the array-level ``attention`` starts.
+The dynamic variant runs one head of scaled dot-product self-attention across
+the embedding rows: row-softmax(We Tf (We Tg)^T / sqrt(r)) gives an
+n_classes x n_classes mixing graph G, and the refined embedding is
+G (We Th Tl) + We.  With Tl = 0 the refinement is exactly the identity, which
+is also the training-friendly initialization.  The whole stage is one tape op,
+whose forward the array-level ``attention`` starts.
 
 Two ablation variants share the interface: a fixed heuristic graph applied as
 G_h We, and a per-row transform We Th Tl + We that mixes nothing across rows.
@@ -45,13 +46,13 @@ def map_names(mode: GraphMode) -> tuple:
 
 
 def init_maps(mode: GraphMode, d_e: int, r: int = DEFAULT_REDUCED_DIM, seed: int = 0,
-              scaled: bool = True, gain: float = DEFAULT_ATTENTION_GAIN) -> dict:
+              gain: float = DEFAULT_ATTENTION_GAIN) -> dict:
     """Identity-module init with a semantic warm start: name -> Param for
     the maps ``mode`` owns, in ``map_names`` order.
 
     t_l = 0 makes the refinement an exact identity.  The attention maps
     start tied (t_f = t_g), so initial scores are the PSD kernel
-    We t_f t_fᵀ Weᵀ ≈ gain · cos(e_i, e_j): the graph opens as a soft
+    We t_f t_fᵀ Weᵀ / √r ≈ gain · cos(e_i, e_j): the graph opens as a soft
     similarity neighborhood over classes instead of uniform mixing, which
     would cancel in the softmax.  ``gain`` sets the initial sharpness.
     """
@@ -60,8 +61,8 @@ def init_maps(mode: GraphMode, d_e: int, r: int = DEFAULT_REDUCED_DIM, seed: int
         return {}
     rng = np.random.default_rng([seed, 0x5E])
     # tied maps with entry variance s^2 give scores ~ s^2 r cos(e_i, e_j)
-    # (before the sqrt(r) division); solve for the requested gain
-    s = math.sqrt(gain / math.sqrt(r)) if scaled else math.sqrt(gain / r)
+    # before the sqrt(r) division; solve for the requested gain
+    s = math.sqrt(gain / math.sqrt(r))
     # every mode draws the tied maps first, so t_h holds the same bits in each
     tied = rng.standard_normal((d_e, r)) * s
     values = {
@@ -73,19 +74,17 @@ def init_maps(mode: GraphMode, d_e: int, r: int = DEFAULT_REDUCED_DIM, seed: int
     return {name: Param(name, values[name]) for name in names}
 
 
-def attention(we, maps, scaled: bool) -> tuple:
-    """The class graph row-softmax(We Tf (We Tg)ᵀ), its scores divided by √r
-    when ``scaled``, and the product We [Tf Tg ...] of ``maps`` = [Tf, Tg, ...],
-    whose column blocks equal the separate products bit for bit (see kernels)."""
+def attention(we, maps) -> tuple:
+    """The class graph row-softmax(We Tf (We Tg)ᵀ / √r) and the product
+    We [Tf Tg ...] of ``maps`` = [Tf, Tg, ...], whose column blocks equal the
+    separate products bit for bit (see kernels)."""
     r = maps[0].shape[1]
     prods = kernels.matmul(we, np.concatenate(maps, axis=1))
     scores = kernels.matmul(prods[:, :r], np.ascontiguousarray(prods[:, r:2 * r].T))
-    if scaled:
-        scores = scores * (1.0 / math.sqrt(r))
-    return kernels.row_softmax(scores), prods
+    return kernels.row_softmax(scores * (1.0 / math.sqrt(r))), prods
 
 
-def relation_forward_t(we_t, maps_t, scaled: bool):
+def relation_forward_t(we_t, maps_t):
     """Refined embeddings G (We Th Tl) + We as one op over ``we_t`` and ``maps_t``.
 
     The mixing matmul sums over classes in one order keyed on the content of
@@ -100,7 +99,7 @@ def relation_forward_t(we_t, maps_t, scaled: bool):
     r, saved = ts[0].value.shape[1], []
 
     def forward():
-        graph, prods = attention(we_t.value, [t.value for t in ts[:3]], scaled)
+        graph, prods = attention(we_t.value, [t.value for t in ts[:3]])
         saved[:] = graph, prods, kernels.matmul(prods[:, 2 * r:], ts[3].value), None
         return kernels.mix_matmul(graph, saved[2], order) + we_t.value
 
@@ -112,7 +111,7 @@ def relation_forward_t(we_t, maps_t, scaled: bool):
             q, k, h = (np.ascontiguousarray(prods[:, j * r:(j + 1) * r]) for j in range(3))
             g_graph, g_tr = tp(graph, transformed, g, 0), tp(graph, transformed, g, 1)
             g_s = graph * (g_graph - (graph * g_graph).sum(axis=1, keepdims=True))
-            g_s, k_t = g_s * (1.0 / math.sqrt(r)) if scaled else g_s, np.ascontiguousarray(k.T)
+            g_s, k_t = g_s * (1.0 / math.sqrt(r)), np.ascontiguousarray(k.T)
             g_q, g_k = tp(q, k_t, g_s, 0), np.ascontiguousarray(tp(q, k_t, g_s, 1).T)
             g_h = tp(h, t_l, g_tr, 0)
             g_we = None if we_t.grad is None else (

@@ -360,6 +360,8 @@ def _bad_input_cases(corpus, trained, bad):
     unknown_in_line_3 = '{"labels": ["base00"]}\n\n{"labels": ["base01", "nosuch"]}\n'
     baseline = head_state(build_head(HeadConfig(mode="baseline", d_in=10, d=8),
                                      load_registry(corpus / "registry_base.json")))
+    unscaled_meta = json.loads((trained / "meta.json").read_text())
+    unscaled_meta["config"]["scaled.attention"] = False
     return {
         "config_json": ("{nope", ["synth", "--config", bad], f"{bad}: {_BAD_JSON}"),
         "registry_json": ("{nope", train(**{"--registry": bad}), f"{bad}: {_BAD_JSON}"),
@@ -399,6 +401,16 @@ def _bad_input_cases(corpus, trained, bad):
         "checkpoint_params_edited": (json.dumps(absurd_p), evaluate(bad, base),
                                      f"{bad}: checkpoint field 'param_hash' does not match "
                                      "'params'"),
+        # attention is always scaled; a head that computed another function must not load
+        "checkpoint_unscaled_attention": (checkpoint(scaled_attention=False),
+                                          evaluate(bad, corpus / "test.jsonl"),
+                                          f"{bad}: checkpoint field 'scaled_attention' must be "
+                                          "true or absent (attention is always scaled), "
+                                          "got false"),
+        "config_unscaled_attention": (json.dumps(unscaled_meta), train(**{"--config": bad}),
+                                      f"{bad}: unknown config keys ['scaled.attention']"),
+        "train_no_scaled_attention": ("", train() + ["--no-scaled-attention"],
+                                      "unrecognized arguments: --no-scaled-attention"),
         "export_correlate_baseline": (json.dumps(baseline),
                                       ["export", "correlate", "--checkpoint", bad],
                                       "baseline heads have no embedding rows to correlate"),
@@ -548,7 +560,8 @@ def _bad_input_cases(corpus, trained, bad):
     "checkpoint_top_level", "checkpoint_missing_field", "checkpoint_field_type",
     "checkpoint_mode_value", "checkpoint_graph_mode_value", "checkpoint_nonfinite_eval",
     "checkpoint_nonfinite_export", "checkpoint_heuristic_without_graph",
-    "checkpoint_overflow_eval", "checkpoint_params_edited", "export_correlate_baseline",
+    "checkpoint_overflow_eval", "checkpoint_params_edited", "checkpoint_unscaled_attention",
+    "config_unscaled_attention", "train_no_scaled_attention", "export_correlate_baseline",
     "cooccurrence_json",
     "cooccurrence_labels", "cooccurrence_unknown_class", "finetune_cooccurrence_unknown_class",
     "cooccurrence_missing", "cooccurrence_on_a_non_heuristic_head",
@@ -783,12 +796,13 @@ def test_train_with_the_stage_deferred_is_the_projection_heads_base_phase(
         assert state["params"][name] == values, name
     # the maps, which only the srr head has, stay at their init
     maps = init_maps(GraphMode(graph_mode), len(state["we"]["matrix"][0]), state["dims"]["r"],
-                     seed=state["seed"], scaled=state["scaled_attention"],
-                     gain=state["attention_gain"])
+                     seed=state["seed"], gain=state["attention_gain"])
     assert state["params"].keys() - shared.keys() == maps.keys()
     for name, p in maps.items():
         assert state["params"][name] == p.value.tolist(), name
     assert not np.any(state["params"]["t_l"])
+    # they did not train, so the checkpoint marks them frozen
+    assert [name for name, trains in state["trainable"].items() if not trains] == list(maps)
 
 
 def test_no_base_phase_trains_an_srr_head(corpus, tmp_path, monkeypatch):
@@ -834,6 +848,15 @@ def test_the_retired_base_phase_switch_is_ignored_in_a_checkpoint_and_refused_in
     config.write_text(json.dumps(meta))
     assert run("train", "--config", config, "--out-dir", tmp_path / "again") == 1
     assert capsys.readouterr().err == f"error: {config}: unknown config keys ['{key}']\n"
+
+
+def test_a_checkpoint_that_names_the_scaled_attention_form_loads_unchanged(corpus, tmp_path):
+    assert _train(corpus, tmp_path / "srr") == 0
+    state = json.loads((tmp_path / "srr" / "head.json").read_text())
+    # checkpoints once named the attention form; scaled is the form every head computes
+    old = tmp_path / "old_head.json"
+    old.write_text(json.dumps({**state, "scaled_attention": True}))
+    assert head_state(load_head(old)) == state
 
 
 def test_finetune_freeze_relation_matches_trainable_projection_and_bias(corpus, tmp_path):

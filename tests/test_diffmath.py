@@ -18,8 +18,8 @@ def _tape_params(rng, *shapes):
     return tape, params, [tape.param(p) for p in params]
 
 
-def _relation(we, t_f, t_g, t_h, t_l, scaled):
-    return rel.relation_forward_t(we, {"t_f": t_f, "t_g": t_g, "t_h": t_h, "t_l": t_l}, scaled)
+def _relation(we, t_f, t_g, t_h, t_l):
+    return rel.relation_forward_t(we, {"t_f": t_f, "t_g": t_g, "t_h": t_h, "t_l": t_l})
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +153,8 @@ _OP_CASES = {
     "matmul_with_bias": ([(3, 4), (4, 2), (3, 1)], dm.matmul),
     "add": ([(2, 3), (2, 3)], dm.add),
     "relu": ([(3, 3)], dm.relu),
-    # We, Tf, Tg, Th, Tl; one case scales the scores (tests/test_relation.py)
-    "relation": ([(3, 4), (4, 2), (4, 2), (4, 2), (2, 4)], lambda *ts: _relation(*ts, False)),
+    # We, Tf, Tg, Th, Tl
+    "relation": ([(3, 4), (4, 2), (4, 2), (4, 2), (2, 4)], _relation),
     "cross_entropy_cols": ([(4, 3)], lambda a: dm.cross_entropy_cols(a, [0, 3, 1])[0]),
     "cross_entropy_cols_with_reg": ([(4, 3), (2, 3)], lambda a, p: dm.cross_entropy_cols(
         a, [0, 3, 1], p, np.ones((2, 3)), 0.4)[0]),
@@ -186,8 +186,7 @@ def test_grad_check_passes_on_every_op(name):
 
 @pytest.mark.parametrize("op, shapes", [
     pytest.param(dm.matmul, [(2, 2), (2, 2)], id="matmul"),
-    pytest.param(lambda *ts: _relation(*ts, True), [(2, 2), (2, 1), (2, 1), (2, 1), (1, 2)],
-                 id="relation"),
+    pytest.param(_relation, [(2, 2), (2, 1), (2, 1), (2, 1), (1, 2)], id="relation"),
     pytest.param(dm.add, [(2, 2), (2, 2)], id="add"),
     pytest.param(dm.matmul, [(2, 2), (2, 2), (2, 1)], id="matmul_with_bias"),
     pytest.param(lambda *ts: dm.weighted_sum((t, 1.0) for t in ts), [(1, 1), (1, 1)],

@@ -3,6 +3,7 @@
 import copy
 import gc
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from semshot.head import (
     HeadConfig,
     HeadMode,
     attach_heuristic_graph,
+    base_phase_config,
     batch_forward,
     build_head,
     class_rows,
@@ -230,16 +232,33 @@ def test_switch_graph_mode_upgrades_ssp_to_identity_relation_stage(base_reg, gra
         np.testing.assert_array_equal(head.params[name].value, p.value)
     for name, value in old.items():
         np.testing.assert_array_equal(head.params[name].value, value)
+    # the maps have not trained; the flags of the old parameters stay as they were
+    assert head.trainable_names() == list(old)
     # t_l = 0: the new stage starts as the identity
     np.testing.assert_allclose(class_scores(head, v), before, atol=1e-12)
     assert switch_graph_mode(head, graph, seed=3) is head  # same stage: no change
     with pytest.raises(ValueError, match="already has relation stage"):
         switch_graph_mode(head, "heuristic")
     ssp = make_head("ssp", base_reg, we, d=8)
-    switch_graph_mode(ssp, "none")
-    assert ssp.mode is HeadMode.SSP
+    assert switch_graph_mode(ssp, "none") is ssp and ssp.mode is HeadMode.SSP
+    baseline = make_head("baseline", base_reg, d=8)
+    assert switch_graph_mode(baseline, "none") is baseline
     with pytest.raises(ValueError, match="baseline heads have no relation stage"):
-        switch_graph_mode(make_head("baseline", base_reg, d=8), graph)
+        switch_graph_mode(baseline, graph)
+
+
+@pytest.mark.parametrize("mode,graph,base_mode", [
+    ("baseline", None, "baseline"), ("ssp", None, "ssp"),
+    ("srr", "dynamic", "ssp"), ("srr", "tt", "ssp"), ("srr", "heuristic", "ssp"),
+])
+def test_base_phase_config_trains_an_srr_heads_projection_head(mode, graph, base_mode):
+    cfg = HeadConfig(mode=mode, graph_mode=graph, d_in=5, d=7, r=3, attention_gain=2.0,
+                     decoupled=True, seed=9)
+    base = base_phase_config(cfg)
+    assert (base.mode.value, base.graph_mode.value) == (base_mode, "none")
+    # only the relation stage is left out
+    assert replace(base, mode=cfg.mode, graph_mode=cfg.graph_mode) == cfg
+    assert (base is cfg) == (mode != "srr")
 
 
 def test_decouple_splits_trunks_and_group_names(base_reg):

@@ -14,7 +14,6 @@ from semshot.head import (
     HeadConfig,
     attach_heuristic_graph,
     build_head,
-    decouple_trunks,
     expand_classes,
     switch_graph_mode,
 )
@@ -131,13 +130,6 @@ def test_run_cell_is_deterministic():
     assert c.head.param_hash() != a.head.param_hash()
 
 
-def test_run_cell_decoupled_variant():
-    cfg = bundled_benchmark(decouple=True, **TINY)
-    cell = run_cell(cfg, k=1, seed=1)
-    assert cell.head.cfg.decoupled
-    assert "cls_trunk_w1" in cell.head.params
-
-
 def test_shot_sweep_shapes_and_validation():
     cfg = bundled_benchmark(**TINY)
     res = shot_sweep(cfg, shots=[1, 2], seeds=[0, 1, 2])
@@ -230,8 +222,6 @@ def _own_mode_cell(cfg, k, seed):
     expand_classes(head, registry, part.we_full, seed=seed)
     if cfg.graph_mode.value == "heuristic":
         attach_heuristic_graph(head, _similarity_graph(head.we.matrix))
-    if cfg.decouple:
-        decouple_trunks(head)
     episode = sample_episode(part.base_data, part.novel_pool,
                              k=k, base_shots=cfg.base_shots, seed=seed)
     finetune(head, episode, finetune_config(
@@ -241,24 +231,22 @@ def _own_mode_cell(cfg, k, seed):
     return head.param_hash(), _report(before), _report(evaluate(head, part.test))
 
 
-@pytest.mark.parametrize("mode,graph,decouple,base_mode", [
-    ("baseline", "none", False, "baseline"),
-    ("ssp", "none", False, "ssp"),
-    ("srr", "dynamic", False, "ssp"),
-    ("srr", "heuristic", False, "ssp"),
-    ("srr", "tt", False, "ssp"),
-    ("srr", "dynamic", True, "ssp"),
+@pytest.mark.parametrize("mode,graph,base_mode", [
+    ("baseline", "none", "baseline"),
+    ("ssp", "none", "ssp"),
+    ("srr", "dynamic", "ssp"),
+    ("srr", "heuristic", "ssp"),
+    ("srr", "tt", "ssp"),
 ])
-def test_finishing_from_a_shared_base_matches_a_head_of_its_own_mode(mode, graph, decouple,
-                                                                      base_mode):
-    cfg = bundled_benchmark(mode=mode, graph_mode=graph, decouple=decouple, **TINY)
+def test_finishing_from_a_shared_base_matches_a_head_of_its_own_mode(mode, graph, base_mode):
+    cfg = bundled_benchmark(mode=mode, graph_mode=graph, **TINY)
     base_cfg = bundled_benchmark(mode=base_mode, **TINY)
     for seed in (0, 7):
         part = train_base(base_cfg, seed)
         assert part.head.mode.value == base_mode
         want = _own_mode_cell(cfg, 2, seed)
         for cell in (finish_cell(part, cfg, 2), run_cell(cfg, 2, seed)):
-            assert cell.head.cfg.mode.value == mode and cell.head.cfg.decoupled == decouple
+            assert cell.head.cfg.mode.value == mode
             assert _bits(cell) == want
 
 
@@ -267,7 +255,7 @@ def test_base_phase_key_ignores_what_only_the_finish_reads():
     for graph in ("dynamic", "tt", "heuristic"):
         assert base_phase_key(bundled_benchmark(graph_mode=graph, **TINY), 3) == ssp
     finish_only = dict(TINY, finetune_steps=99, base_shots=1)
-    assert base_phase_key(bundled_benchmark(mode="ssp", decouple=True, **finish_only), 3) == ssp
+    assert base_phase_key(bundled_benchmark(mode="ssp", **finish_only), 3) == ssp
     for other in (bundled_benchmark(mode="baseline", **TINY),
                   bundled_benchmark(mode="ssp", **dict(TINY, base_steps=31))):
         assert base_phase_key(other, 3) != ssp
@@ -279,7 +267,7 @@ def test_finishing_twice_leaves_the_base_head_unchanged():
     part = train_base(cfg, 5)
     before = part.head.param_hash()
     a = finish_cell(part, cfg, 2)
-    b = finish_cell(part, bundled_benchmark(decouple=True, **TINY), 1)
+    b = finish_cell(part, bundled_benchmark(**dict(TINY, finetune_steps=99, base_shots=1)), 1)
     c = finish_cell(part, cfg, 2)
     assert part.head.param_hash() == before and part.head.mode.value == "ssp"
     assert a.head.param_hash() == c.head.param_hash() != b.head.param_hash()

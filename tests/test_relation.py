@@ -76,26 +76,16 @@ def test_extract_graph_rows_sum_to_one(we):
 
 def test_scaled_flag_divides_scores_by_sqrt_r(we):
     rng = np.random.default_rng(4)
-    maps = {n: rng.standard_normal((10, 4)) for n in ("t_f", "t_g", "t_h")}
-
-    def head(scaled):
-        h = _srr(we, scaled_attention=scaled)
-        for name, value in maps.items():
-            h.params[name].value[:] = value
-        if scaled:  # the graph must not depend on the return map
-            h.params["t_l"].value[:] = rng.standard_normal((4, 10))
-        return h
-
-    g_scaled = relation_graph(head(True))
-    g_raw = relation_graph(head(False))
-    q = we.matrix @ maps["t_f"]
-    k = we.matrix @ maps["t_g"]
-    want_scaled = np.exp((q @ k.T) / 2.0)  # sqrt(r) = 2
-    want_scaled /= want_scaled.sum(axis=1, keepdims=True)
-    want_raw = np.exp(q @ k.T)
-    want_raw /= want_raw.sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(g_scaled, want_scaled, atol=1e-12)
-    np.testing.assert_allclose(g_raw, want_raw, atol=1e-12)
+    head = _srr(we)
+    for name in ("t_f", "t_g", "t_h"):
+        head.params[name].value[:] = rng.standard_normal((10, 4))
+    # the graph must not depend on the return map
+    head.params["t_l"].value[:] = rng.standard_normal((4, 10))
+    q = we.matrix @ head.params["t_f"].value
+    k = we.matrix @ head.params["t_g"].value
+    want = np.exp((q @ k.T) / 2.0)  # sqrt(r) = 2
+    want /= want.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(relation_graph(head), want, atol=1e-12)
 
 
 def test_relation_forward_matches_manual_composition(we):
@@ -141,18 +131,16 @@ def _product(a, b, kernel=kernels.matmul):
                   (a, lambda g, _: g @ b.value.T), (b, lambda g, _: a.value.T @ g))
 
 
-def _chain(we, t_f, t_g, t_h, t_l, scaled):
+def _chain(we, t_f, t_g, t_h, t_l):
     """The relation stage as the op-by-op chain it was recorded as before it
-    became one op: ten nodes with the scale, nine without."""
+    became one op: ten nodes."""
     rows = we.value
     order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel(),
                        kind="stable")
     q, k = _product(we, t_f), _product(we, t_g)
     k_t = dm._op(lambda: np.ascontiguousarray(k.value.T), (k, lambda g, _: g.T))
-    scores = _product(q, k_t)
-    if scaled:
-        c, raw = 1.0 / math.sqrt(t_f.value.shape[1]), scores
-        scores = dm._op(lambda: raw.value * c, (raw, lambda g, _: g * c))
+    raw, c = _product(q, k_t), 1.0 / math.sqrt(t_f.value.shape[1])
+    scores = dm._op(lambda: raw.value * c, (raw, lambda g, _: g * c))
     graph = dm._op(lambda: kernels.row_softmax(scores.value), (scores, lambda g, soft: soft * (
         g - (soft * g).sum(axis=1, keepdims=True))))
     transformed = _product(_product(we, t_h), t_l)
@@ -160,16 +148,16 @@ def _chain(we, t_f, t_g, t_h, t_l, scaled):
     return dm._op(lambda: mixed.value + we.value, (mixed, lambda g, _: g), (we, lambda g, _: g))
 
 
-def _stage(we, t_f, t_g, t_h, t_l, scaled):
-    return rel.relation_forward_t(we, {"t_f": t_f, "t_g": t_g, "t_h": t_h, "t_l": t_l}, scaled)
+def _stage(we, t_f, t_g, t_h, t_l):
+    return rel.relation_forward_t(we, {"t_f": t_f, "t_g": t_g, "t_h": t_h, "t_l": t_l})
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 8), d_e=st.one_of(st.integers(1, 12), st.just(300)),
        r=st.one_of(st.integers(1, 5), st.just(32)), dupes=st.integers(0, 3),
-       scaled=st.booleans(), we_trains=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_the_one_op_stage_equals_the_op_by_op_chain_bit_for_bit(n, d_e, r, dupes, scaled,
-                                                                we_trains, seed):
+       we_trains=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_the_one_op_stage_equals_the_op_by_op_chain_bit_for_bit(n, d_e, r, dupes, we_trains,
+                                                                seed):
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((n, d_e))
     for _ in range(dupes):  # repeated rows tie in the class order
@@ -182,7 +170,7 @@ def test_the_one_op_stage_equals_the_op_by_op_chain_bit_for_bit(n, d_e, r, dupes
         we_p = dm.Param("we", rows)
         params = [dm.Param(name, m) for name, m in zip(("t_f", "t_g", "t_h", "t_l"), maps)]
         we_t = tape.param(we_p) if we_trains else tape.leaf(rows)
-        out = build(we_t, *map(tape.param, params), scaled)
+        out = build(we_t, *map(tape.param, params))
         dm.squared_error_cols(out, target).backward()
         got.append([a.tobytes() for a in [out.value, we_p.grad, *(p.grad for p in params)]])
     assert got[0] == got[1]

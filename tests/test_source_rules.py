@@ -21,6 +21,10 @@ names a bit generator's internals or its ``.state``.
 In ``cli.py`` one owner, ``_Run``, publishes a run: only it makes a
 directory, uses ``hashlib`` or names ``"meta.json"``, and a command names
 each of its outputs once through ``run.path``.
+
+The rule that an srr head's base phase trains its projection head has one
+owner, ``head.base_phase_config``: only ``head.py`` names the projection
+head's mode, as ``HeadMode.SSP`` or ``HeadMode("ssp")``.
 """
 
 import ast
@@ -404,3 +408,59 @@ def cmd_train(cfg, run):
     assert [scope for scope, _ in publish_uses(source, owner=None)] == [
         "<module>", "_Run", "_Run", "_Run", "cmd_train", "cmd_train", "cmd_train",
         "cmd_train", "cmd_train"]
+
+
+# the one module that names the projection head's mode
+SSP_NAMER = "head"
+
+
+def ssp_names(source: str, module: str) -> list:
+    """Sorted (module, scope, line) of every ``HeadMode.SSP`` attribute and
+    every ``HeadMode("ssp")`` call, the enum reached by any path, outside
+    SSP_NAMER."""
+    if module == SSP_NAMER:
+        return []
+    found = []
+    for top in ast.parse(source).body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                hit = node.attr == "SSP" and ast.unparse(node.value).split(".")[-1] == "HeadMode"
+            elif isinstance(node, ast.Call) and node.args:
+                hit = (_callee(node) == "HeadMode" and isinstance(node.args[0], ast.Constant)
+                       and node.args[0].value == "ssp")
+            else:
+                hit = False
+            if hit:
+                found.append((module, scope, node.lineno))
+    return sorted(found)
+
+
+def test_only_the_head_module_names_the_projection_heads_mode():
+    files = sorted(SRC.glob("*.py"))
+    assert [hit for f in files for hit in ssp_names(f.read_text(), f.stem)] == []
+    # read as another module's source, the base-phase rule's own line is caught,
+    # so the rule above is not vacuous
+    head = (SRC / "head.py").read_text()
+    assert "base_phase_config" in {scope for _, scope, _ in ssp_names(head, "elsewhere")}
+
+
+def test_the_ssp_rule_sees_every_kind_of_use():
+    source = '''
+from .head import HeadMode
+
+DEFAULT = HeadMode.SSP
+
+def base_mode(cfg):
+    if cfg.mode is head.HeadMode.SRR:
+        return semshot.head.HeadMode.SSP
+    return HeadMode("ssp"), HeadMode(cfg.mode), HeadMode("srr"), "HeadMode.SSP", Other.SSP
+
+class Config:
+    mode: HeadMode = HeadMode("ssp")
+'''
+    assert ssp_names(source, "pipeline") == [
+        ("pipeline", "<module>", 4), ("pipeline", "Config", 12),
+        ("pipeline", "base_mode", 8), ("pipeline", "base_mode", 9),
+    ]
+    assert ssp_names(source, "head") == []
