@@ -8,6 +8,11 @@ follows a two-phase protocol: base training on abundant classes, then a
 balanced k-shot fine-tune after novel classes are registered.
 """
 
+import os
+
+# semshot's BLAS products are too small to gain from threads; a pool costs start-up time
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .embeddings import BACKGROUND, ClassRegistry, EmbeddingMatrix
 from .head import Head, HeadConfig, HeadMode, build_head
 from .relation import GraphMode

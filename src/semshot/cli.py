@@ -339,7 +339,7 @@ def cmd_train(cfg: dict, run: _Run) -> int:
     """Base-train the config's base-phase head (`base_phase_config`), then
     switch an srr config's relation stage on at its init, as the pipeline does."""
     registry = load_registry(cfg["registry"])
-    data = load_records(cfg["data"])
+    data = load_records(cfg["data"], registry)
     head_cfg = HeadConfig(mode=cfg["mode"], graph_mode=cfg.get("graph.mode"),
                           d_in=data.feat.shape[0], d=cfg["proj.dim"], r=cfg["reduced.dim"],
                           decoupled=cfg["decouple"], seed=cfg["seed"])
@@ -420,8 +420,8 @@ def cmd_finetune(cfg: dict, run: _Run) -> int:
     # the head's groups are final here; check the flags before any data loads
     trainable = _trainable_groups(cfg, head)
 
-    base_data = load_records(cfg["base.data"])
-    novel_data = load_records(cfg["novel.data"])
+    base_data = load_records(cfg["base.data"], head.registry)
+    novel_data = load_records(cfg["novel.data"], head.registry)
     episode = sample_episode(base_data, novel_data, cfg["k"], cfg.get("base.shots"), cfg["seed"],
                              names=("--k", "--base-shots"))
     result = finetune(head, episode, finetune_config(**_optim_args(cfg), trainable=trainable))
@@ -477,7 +477,7 @@ EVAL_OPTS = [
 
 def cmd_eval(cfg: dict, run: _Run) -> int:
     head = load_head(cfg["checkpoint"])
-    report = evaluate(head, load_records(cfg["data"]))
+    report = evaluate(head, load_records(cfg["data"], head.registry))
     save_json(run.path("metrics.json"), report.to_json())
     _write_matrix_csv(
         run.path("confusion.csv"), report.confusion.astype(float),

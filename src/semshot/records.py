@@ -73,12 +73,13 @@ def concat(*sets) -> FeatureSet:
     )
 
 
-def load_records(path) -> FeatureSet:
-    """Read a JSONL feature file.  A malformed line, a non-finite value, a
-    ``reg`` that is not ``REG_DIM`` long or present on only some records and
-    a repeated id each raise, naming ``path:line``; so does a file with no
-    records, naming ``path``."""
-    labels, feats, regs, first_line = [], [], [], {}
+def load_records(path, registry=None) -> FeatureSet:
+    """Read a JSONL feature file.  A malformed line, an ``id`` or ``label``
+    that is not a string, a non-finite value, a ``reg`` that is not
+    ``REG_DIM`` long or present on only some records, a repeated id and,
+    given ``registry``, a label that is not one of its classes each raise,
+    naming ``path:line``; so does a file with no records, naming ``path``."""
+    labels, feats, regs, first_line, label_line = [], [], [], {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -91,7 +92,11 @@ def load_records(path) -> FeatureSet:
             missing = {"id", "label", "feat"} - set(obj if isinstance(obj, dict) else ())
             if missing:
                 raise ValueError(f"{where}: missing fields {sorted(missing)}")
-            rid, reg = str(obj["id"]), obj.get("reg")
+            for key in ("id", "label"):
+                if not isinstance(obj[key], str):
+                    raise ValueError(f"{where}: {key!r} must be a JSON string, "
+                                     f"got {json.dumps(obj[key])}")
+            rid, reg = obj["id"], obj.get("reg")
             try:
                 feat = np.asarray(obj["feat"], dtype=np.float64).reshape(-1)
                 reg = None if reg is None else np.asarray(reg, dtype=np.float64).reshape(-1)
@@ -111,11 +116,18 @@ def load_records(path) -> FeatureSet:
                 raise ValueError(f"{where}: {'has' if reg is not None else 'lacks'} 'reg' "
                                  "unlike the first record; give it on every record or on none")
             first_line[rid] = lineno
-            labels.append(str(obj["label"]))
+            label_line.setdefault(obj["label"], lineno)
+            labels.append(obj["label"])
             feats.append(feat)
             regs.append(reg)
     if not first_line:
         raise ValueError(f"{path}: no records")
+    if registry is not None:
+        for label, lineno in label_line.items():
+            try:
+                registry.index(label)
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
     return FeatureSet(list(first_line), labels, np.stack(feats, axis=1),
                       None if regs[0] is None else np.stack(regs, axis=1))
 

@@ -42,6 +42,58 @@ def test_startup_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def _child_env(threads):
+    """This environment with ``src`` on the path and OPENBLAS_NUM_THREADS
+    set to ``threads``, or removed when it is None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    return env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_importing_semshot_starts_no_blas_thread_unless_asked(threads):
+    code = ("import os, semshot, numpy; print(len(os.listdir('/proc/self/task')), "
+            "os.environ['OPENBLAS_NUM_THREADS'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(threads), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    tasks, setting = proc.stdout.split()
+    assert setting == (threads or "1")
+    # a pool of its own would add threads; one the user asked for may (cores permitting)
+    assert threads is not None or tasks == "1"
+
+
+def test_the_blas_thread_count_changes_no_output_bit(tmp_path):
+    # 300-d, as the benchmark's chain: the P gradient (300x16 . 16x64) is the
+    # product most likely to be split across threads
+    trees = {}
+    for threads in ("1", "2"):
+        root = tmp_path / threads
+        root.mkdir()
+
+        def command(*argv):
+            proc = subprocess.run([sys.executable, "-m", "semshot.cli", *map(str, argv)],
+                                  capture_output=True, text=True, cwd=root,
+                                  env=_child_env(threads), timeout=300)
+            assert proc.returncode == 0, proc.stderr
+
+        command("synth", "--out-dir", "synth", "--seed", 3, "--embed-dim", 300)
+        full = load_registry(root / "synth/registry.json")
+        save_registry(ClassRegistry(base=full.base), root / "registry_base.json")
+        command("train", "--out-dir", "train", "--seed", 3, "--mode", "srr",
+                "--data", "synth/base_train.jsonl", "--registry", "registry_base.json",
+                "--embeddings", "synth/embeddings.txt", "--steps", 40)
+        command("finetune", "--out-dir", "finetune", "--seed", 3,
+                "--checkpoint", "train/head.json", "--registry", "synth/registry.json",
+                "--embeddings", "synth/embeddings.txt", "--base-data", "synth/base_train.jsonl",
+                "--novel-data", "synth/novel_train.jsonl", "--k", 5, "--lr", 0.005,
+                "--steps", 40)
+        trees[threads] = {str(p.relative_to(root)): sha(p)
+                          for p in sorted(root.rglob("*")) if p.is_file()}
+    assert {"train/head.json", "train/trace.csv", "finetune/meta.json"} <= set(trees["1"])
+    assert trees["2"] == trees["1"]
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     """synth output plus a base-only registry, shared by the workflow tests."""
@@ -331,6 +383,12 @@ def _bad_input_cases(corpus, trained, bad):
     partial = [json.loads(line) for line in base.read_text().splitlines()]
     del partial[1]["reg"]
 
+    def relabeled(path, label):
+        """``path``'s records with the second one's label set to ``label``."""
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[1]["label"] = label
+        return "".join(json.dumps(r) + "\n" for r in records)
+
     def train(**swap):
         opts = {"--data": base, "--registry": corpus / "registry_base.json",
                 "--embeddings": corpus / "embeddings.txt", **swap}
@@ -502,8 +560,16 @@ def _bad_input_cases(corpus, trained, bad):
                                  "--batch must be finite and in [1, inf), got 0"),
         "gradcheck_batch_negative": ("", ["gradcheck", "--batch", -1],
                                      "--batch must be finite and in [1, inf), got -1"),
+        # eval checks labels against the checkpoint's registry, which has no novel classes
         "unknown_class": ("", evaluate(trained / "head.json", corpus / "novel_train.jsonl"),
-                          "unknown class 'novel00'"),
+                          f"{corpus / 'novel_train.jsonl'}:1: unknown class 'novel00'"),
+        "train_null_label": (relabeled(base, None), train(**{"--data": bad}),
+                             f"{bad}:2: 'label' must be a JSON string, got null"),
+        "train_unknown_label": (relabeled(base, "base99"), train(**{"--data": bad}),
+                                f"{bad}:2: unknown class 'base99'"),
+        # finetune checks labels against the expanded registry
+        "finetune_unknown_label": (relabeled(corpus / "novel_train.jsonl", "novel99"),
+                                   finetune(bad), f"{bad}:2: unknown class 'novel99'"),
         "empty_train_data": ("", train(**{"--data": bad}), f"{bad}: no records"),
         "empty_novel_data": ("\n", finetune(bad), f"{bad}: no records"),
         "empty_eval_data": ("", evaluate(trained / "head.json", bad), f"{bad}: no records"),
@@ -575,7 +641,8 @@ def _bad_input_cases(corpus, trained, bad):
     "synth_novel_classes_negative", "synth_base_classes_zero", "train_random_embed_dim_zero",
     "train_random_embed_seed_negative", "train_seed_negative", "train_background_seed_negative",
     "finetune_base_shots_negative", "config_base_shots_negative",
-    "unknown_class", "empty_train_data", "empty_novel_data", "empty_eval_data", "partial_reg",
+    "unknown_class", "train_null_label", "train_unknown_label", "finetune_unknown_label",
+    "empty_train_data", "empty_novel_data", "empty_eval_data", "partial_reg",
     "batch_size_zero", "batch_size_negative", "lr_negative", "momentum_above_one",
     "weight_decay_negative", "reg_weight_nan", "freeze_unknown_group",
     "trainable_unknown_group", "synth_sigma_negative", "synth_sigma_nan",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semshot.embeddings import ClassRegistry
 from semshot.records import (
     REG_DIM,
     FeatureSet,
@@ -166,6 +167,31 @@ def test_duplicate_id_rejected(tmp_path):
     )
     with pytest.raises(ValueError, match=re.escape(f"{path}:3: duplicate id 'a' (first on line 1)")):
         load_records(path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("label", "null"), ("label", "7"), ("label", '["x"]'), ("id", "3"), ("id", "null"),
+])
+def test_id_and_label_must_be_json_strings(tmp_path, key, value):
+    # str() would turn null into the label 'None' and 3 into the id '3'
+    fields = {"id": '"b"', "label": '"x"', key: value}
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "a", "label": "x", "feat": [1.0]}\n'
+                    f'{{"id": {fields["id"]}, "label": {fields["label"]}, "feat": [2.0]}}\n')
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:2: '{key}' must be a JSON string, got {value}")):
+        load_records(path)
+
+
+def test_a_label_outside_the_registry_names_its_first_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "a", "label": "cat", "feat": [1.0]}\n\n'
+                    '{"id": "b", "label": "emu", "feat": [2.0]}\n'
+                    '{"id": "c", "label": "emu", "feat": [3.0]}\n')
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: unknown class 'emu'")):
+        load_records(path, ClassRegistry(base=("cat",)))
+    assert load_records(path, ClassRegistry(base=("cat",), novel=("Emu",))).labels.tolist() == [
+        "cat", "emu", "emu"]
 
 
 # ---------------------------------------------------------------------------

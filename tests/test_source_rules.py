@@ -25,6 +25,10 @@ each of its outputs once through ``run.path``.
 The rule that an srr head's base phase trains its projection head has one
 owner, ``head.base_phase_config``: only ``head.py`` names the projection
 head's mode, as ``HeadMode.SSP`` or ``HeadMode("ssp")``.
+
+No module reads or writes the environment, save the one default in
+``__init__.py`` that starts OpenBLAS with one thread: a setting belongs in a
+config field or a flag, where a run's ``meta.json`` records it.
 """
 
 import ast
@@ -464,3 +468,67 @@ class Config:
         ("pipeline", "base_mode", 8), ("pipeline", "base_mode", 9),
     ]
     assert ssp_names(source, "head") == []
+
+
+# the one environment variable semshot sets, as (module, the call that sets it)
+ENV_SETTER = ("__init__", "os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')")
+_ENV_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def environ_uses(source: str, module: str) -> list:
+    """Sorted (module, scope, line) of every ``environ``, ``getenv``,
+    ``putenv`` or ``unsetenv`` by attribute, name, import or string, except
+    the ``os.environ`` of the one call ENV_SETTER allows."""
+    tree = ast.parse(source)
+    allowed = {id(node.func.value) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and (module, ast.unparse(node)) == ENV_SETTER}
+    found = []
+    for top in tree.body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                hit = node.attr in _ENV_NAMES and id(node) not in allowed
+            elif isinstance(node, ast.Name):
+                hit = node.id in _ENV_NAMES
+            elif isinstance(node, ast.alias):
+                hit = node.name in _ENV_NAMES
+            else:
+                hit = isinstance(node, ast.Constant) and node.value in _ENV_NAMES
+            if hit:
+                found.append((module, scope, node.lineno))
+    return sorted(found)
+
+
+def test_only_the_package_root_sets_an_environment_variable():
+    files = sorted(SRC.glob("*.py"))
+    assert any(f.stem == "__init__" for f in files)
+    assert [hit for f in files for hit in environ_uses(f.read_text(), f.stem)] == []
+    # read as another module's source, the package root's default is caught,
+    # so the rule above is not vacuous
+    init = (SRC / "__init__.py").read_text()
+    assert [scope for _, scope, _ in environ_uses(init, "elsewhere")] == ["<module>"]
+
+
+def test_the_environ_rule_sees_every_kind_of_use():
+    source = '''
+import os
+from os import environ, getenv
+
+os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+def backend():
+    if os.getenv("SEMSHOT_NUMBA") or environ.get("X"):
+        os.environ["Y"] = "1"
+    return getattr(os, "environ"), os.putenv, "environment"
+
+class Config:
+    threads = int(os.environ.get("THREADS", 1))
+'''
+    assert environ_uses(source, "__init__") == [
+        ("__init__", "<module>", 3), ("__init__", "<module>", 3), ("__init__", "<module>", 6),
+        ("__init__", "Config", 14), ("__init__", "backend", 9), ("__init__", "backend", 9),
+        ("__init__", "backend", 10), ("__init__", "backend", 11), ("__init__", "backend", 11),
+    ]
+    # the allowed call is allowed only in the package root
+    assert ("kernels", "<module>", 5) in environ_uses(source, "kernels")
