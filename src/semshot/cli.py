@@ -9,11 +9,11 @@ is itself accepted by ``--config``, which reproduces the run byte for byte.
 
 import argparse
 import hashlib
-import json
 import os
 import shutil
 import sys
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,7 +58,7 @@ from .head import (
 )
 from .pipeline import (CLUSTER_SPREAD, PipelineConfig, bundled_benchmark,
                        clustered_embeddings, shot_sweep)
-from .records import load_records, save_records
+from .records import load_records, read_jsonl, save_records
 from .relation import cooccurrence_graph, correlation_map
 from .synthgen import SynthConfig, generate
 from .training import (
@@ -69,7 +69,6 @@ from .training import (
     DEFAULT_WEIGHT_DECAY,
     TrainConfig,
     base_train,
-    default_finetune_groups,
     finetune,
     finetune_config,
     sample_episode,
@@ -225,34 +224,27 @@ class _Run:
         return code
 
 
-def _load_embeddings(cfg: dict, registry: ClassRegistry):
-    source = cfg["embeddings"]
-    if source == "random":
-        return random_embeddings(registry, cfg["embed.dim"], cfg["embed.seed"])
-    return load_embedding_file(source, registry, cfg["background.seed"])
+def _load_embeddings(cfg: dict, registry: ClassRegistry, dim: int):
+    """``registry``'s ``dim``-d random rows, or a file's; ``--embed-seed``
+    seeds the rows drawn: all of them, or a file's background row."""
+    if cfg["embeddings"] == "random":
+        return random_embeddings(registry, dim, cfg["embed.seed"])
+    return load_embedding_file(cfg["embeddings"], registry, cfg["embed.seed"])
 
 
 def _load_label_sets(path, registry) -> list:
     """The label lists of a JSONL ``--cooccurrence`` file, each name a class of ``registry``."""
     sets = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, obj in read_jsonl(path):
+        labels = obj.get("labels") if isinstance(obj, dict) else None
+        if not isinstance(labels, list) or not all(isinstance(n, str) for n in labels):
+            raise ValueError(f'{path}:{lineno}: expected {{"labels": [class names]}}')
+        for name in labels:
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-            labels = obj.get("labels") if isinstance(obj, dict) else None
-            if not isinstance(labels, list) or not all(isinstance(n, str) for n in labels):
-                raise ValueError(f'{path}:{lineno}: expected {{"labels": [class names]}}')
-            for name in labels:
-                try:
-                    registry.index(name)
-                except KeyError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
-            sets.append(labels)
+                registry.index(name)
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
+        sets.append(labels)
     return sets
 
 
@@ -293,10 +285,7 @@ def _write_matrix_csv(path: Path, matrix: np.ndarray, row_names, col_names) -> N
 _EMBED_OPTS = [
     Opt("--embeddings", default="random",
         help="word2vec text file, or 'random' for seeded random rows"),
-    Opt("--embed-dim", default=DEFAULT_EMBED_DIM, type=POSITIVE_INT,
-        help="dim for random embeddings"),
-    Opt("--embed-seed", default=0, type=NONNEG_INT, help="seed for random embeddings"),
-    Opt("--background-seed", default=0, type=NONNEG_INT, help="seed of the background row"),
+    Opt("--embed-seed", default=0, type=NONNEG_INT, help="seed of the rows semshot draws"),
 ]
 
 _OPTIM_OPTS = [
@@ -313,6 +302,8 @@ TRAIN_OPTS = [
     Opt("--data", required=True, help="JSONL feature records for base training"),
     Opt("--registry", required=True, help="class registry JSON"),
     *_EMBED_OPTS,
+    Opt("--embed-dim", default=DEFAULT_EMBED_DIM, type=POSITIVE_INT,
+        help="dim for random embeddings"),
     Opt("--mode", default=HeadConfig.mode.value, choices=_HEAD_MODES),
     Opt("--graph-mode", choices=_GRAPH_MODES,
         help="relation stage for srr heads (default: dynamic)"),
@@ -344,7 +335,8 @@ def cmd_train(cfg: dict, run: _Run) -> int:
                           d_in=data.feat.shape[0], d=cfg["proj.dim"], r=cfg["reduced.dim"],
                           decoupled=cfg["decouple"], seed=cfg["seed"])
     graph = _cooccurrence(cfg, registry, head_cfg.graph_mode)
-    we = None if head_cfg.mode is HeadMode.BASELINE else _load_embeddings(cfg, registry)
+    we = (None if head_cfg.mode is HeadMode.BASELINE
+          else _load_embeddings(cfg, registry, cfg["embed.dim"]))
     head = build_head(base_phase_config(head_cfg), registry, we)
 
     result = base_train(head, data, TrainConfig(**_optim_args(cfg)))
@@ -374,9 +366,8 @@ FINETUNE_OPTS = [
     Opt("--steps", type=POSITIVE_INT, help="override the step rule"),
     Opt("--lr", default=DEFAULT_FINETUNE_LR, type=POSITIVE),
     *_OPTIM_OPTS,
-    Opt("--trainable", help="comma list of param groups (default: P,relation,b for srr, "
-                            "P,b for ssp, W,b for baseline)"),
-    Opt("--freeze", help="'all', or groups to drop from the trainable set"),
+    Opt("--trainable", help="comma list of param groups, '' for none (default: P,relation,b "
+                            "for srr, P,b for ssp, W,b for baseline)"),
     Opt("--graph-mode", choices=_GRAPH_MODES,
         help="switch the relation stage before fine-tuning"),
     Opt("--cooccurrence", help="JSONL label sets for the heuristic graph"),
@@ -385,20 +376,15 @@ FINETUNE_OPTS = [
 
 
 def _trainable_groups(cfg: dict, head) -> tuple | None:
-    """The ``--trainable`` groups (None: the phase default) less the
-    ``--freeze`` ones, each checked against ``head``'s groups."""
-    named = {flag: tuple(g.strip() for g in cfg[flag].split(",") if g.strip())
-             for flag in ("trainable", "freeze") if cfg.get(flag) is not None}
-    if named.get("freeze") == ("all",):
-        return ()
-    for flag, names in named.items():
-        unknown = set(names) - set(head.param_groups())
-        if unknown:
-            raise ValueError(f"unknown groups in --{flag}: {sorted(unknown)}")
-    if "freeze" not in named:
-        return named.get("trainable")
-    base = named.get("trainable", default_finetune_groups(head))
-    return tuple(g for g in base if g not in named["freeze"])
+    """The ``--trainable`` groups (None: the phase default), each checked
+    against ``head``'s groups."""
+    if cfg.get("trainable") is None:
+        return None
+    names = tuple(g.strip() for g in cfg["trainable"].split(",") if g.strip())
+    unknown = set(names) - set(head.param_groups())
+    if unknown:
+        raise ValueError(f"unknown groups in --trainable: {sorted(unknown)}")
+    return names
 
 
 def cmd_finetune(cfg: dict, run: _Run) -> int:
@@ -409,7 +395,7 @@ def cmd_finetune(cfg: dict, run: _Run) -> int:
     if cfg.get("registry"):
         full = load_registry(cfg["registry"])
         # only heads with embedding rows read the embeddings
-        we_full = _load_embeddings(cfg, full) if head.we is not None else None
+        we_full = _load_embeddings(cfg, full, head.we.dim) if head.we is not None else None
         expand_classes(head, full, we_full, seed=cfg["seed"])
     graph = _cooccurrence(cfg, head.registry, head.cfg.graph_mode, head.g_heur is not None)
     if graph is not None:
@@ -495,56 +481,49 @@ GRADCHECK_OPTS = [
     Opt("--out-dir", help="optional; writes gradcheck.json when given"),
     Opt("--seed", default=0, type=NONNEG_INT),
     Opt("--mode", default="all", choices=("all", *_HEAD_MODES)),
-    Opt("--base-classes", default=3, type=NONNEG_INT),
-    Opt("--novel-classes", default=2, type=NONNEG_INT),
-    Opt("--embed-dim", default=16, type=POSITIVE_INT),
-    Opt("--proj-dim", default=8, type=POSITIVE_INT),
-    Opt("--reduced-dim", default=4, type=POSITIVE_INT),
-    Opt("--feat-dim", default=10, type=POSITIVE_INT),
-    Opt("--batch", default=3, type=POSITIVE_INT),
     Opt("--eps", default=1e-4, type=POSITIVE),
     Opt("--threshold", default=1e-5, type=POSITIVE),
 ]
 
 
-def run_gradcheck(mode: str, cfg: dict):
-    """Build a small head, randomize every parameter, and compare analytic
+# class counts, embedding, feature and head dims, and batch size of a gradient
+# audit's head; `gradcheck` audits one instance, criterion 1's
+GradcheckShape = namedtuple("GradcheckShape", "n_base n_novel d_e d_in d r batch")
+GRADCHECK_SHAPE = GradcheckShape(n_base=3, n_novel=2, d_e=16, d_in=10, d=8, r=4, batch=3)
+
+
+def run_gradcheck(mode: str, shape: GradcheckShape, seed: int, eps: float):
+    """Build a ``shape`` head, randomize every parameter, and compare analytic
     gradients of the full loss against central differences."""
-    registry = ClassRegistry.numbered(cfg["base.classes"], cfg["novel.classes"])
-    we = random_embeddings(registry, cfg["embed.dim"], cfg["seed"])
-    head_cfg = HeadConfig(
-        mode=mode,
-        d_in=cfg["feat.dim"], d=cfg["proj.dim"], r=cfg["reduced.dim"],
-        seed=cfg["seed"],
-    )
-    head = build_head(head_cfg, registry, we)
+    registry = ClassRegistry.numbered(shape.n_base, shape.n_novel)
+    we = random_embeddings(registry, shape.d_e, seed)
+    head = build_head(HeadConfig(mode=mode, d_in=shape.d_in, d=shape.d, r=shape.r, seed=seed),
+                      registry, we)
 
     # gradients must be live everywhere: move every param (t_l included) off
     # its init point, and keep relu pre-activations away from the kink
-    rng = np.random.default_rng([cfg["seed"], 0x6C])
+    rng = np.random.default_rng([seed, 0x6C])
     for p in head.param_list():
         p.value[:] = rng.normal(0.0, 0.3, p.value.shape)
         p.trainable = True
 
-    x = rng.standard_normal((cfg["feat.dim"], cfg["batch"]))
-    labels = rng.integers(0, registry.n, size=cfg["batch"])
-    regs = rng.standard_normal((4, cfg["batch"]))
+    x = rng.standard_normal((shape.d_in, shape.batch))
+    labels = rng.integers(0, registry.n, size=shape.batch)
+    regs = rng.standard_normal((4, shape.batch))
 
     def loss_fn():
         return forward_pass(head, x, labels=labels, reg_targets=regs, reg_weight=0.5).loss
 
-    return grad_check(loss_fn, head.param_list(), eps=cfg["eps"])
+    return grad_check(loss_fn, head.param_list(), eps=eps)
 
 
 def cmd_gradcheck(cfg: dict, run: _Run) -> int:
     modes = _HEAD_MODES if cfg["mode"] == "all" else (cfg["mode"],)
     threshold = cfg["threshold"]
-    all_ok = True
     results = {}
     for mode in modes:
-        report = run_gradcheck(mode, cfg)
+        report = run_gradcheck(mode, GRADCHECK_SHAPE, cfg["seed"], cfg["eps"])
         ok = report.passed(threshold)
-        all_ok &= ok
         results[mode] = {
             "max_rel_err": report.max_rel_err,
             "passed": ok,
@@ -556,7 +535,7 @@ def cmd_gradcheck(cfg: dict, run: _Run) -> int:
               f"{'PASS' if ok else 'FAIL'} (threshold {threshold:g})")
     if cfg.get("out.dir"):
         save_json(run.path("gradcheck.json"), results)
-    return 0 if all_ok else 1
+    return 0 if all(r["passed"] for r in results.values()) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +582,14 @@ CLOSURE_OPTS = [
 
 
 def cmd_closure(cfg: dict, run: _Run) -> int:
+    given = [f"--{key}" for key in ("edges", "roots") if cfg.get(key) is not None]
+    if cfg["golden"] and given:  # a given flag that cannot take effect names itself
+        raise ValueError(f"--golden emits the bundled manifest; {' and '.join(given)} "
+                         "cannot take effect")
     if cfg["golden"]:
         manifest = bundled_voc_manifest()
     else:
-        if not cfg.get("edges") or not cfg.get("roots"):
+        if len(given) < 2:
             raise ValueError("closure needs --edges and --roots (or --golden)")
         roots = [r.strip() for r in cfg["roots"].split(",") if r.strip()]
         if not roots:

@@ -73,53 +73,69 @@ def concat(*sets) -> FeatureSet:
     )
 
 
+def read_jsonl(path):
+    """``(lineno, value)`` for each non-blank line of the JSONL file ``path``;
+    a line that is not JSON raises, naming ``path:line``."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    value = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+                yield lineno, value
+
+
+def _numbers(value, key: str, where: str) -> np.ndarray:
+    """``value``, a non-empty flat list of finite JSON numbers, as float64;
+    anything else raises, naming ``where`` and ``key``."""
+    # int and float are the types json.loads gives a number; bool is neither
+    if not (isinstance(value, list) and value and set(map(type, value)) <= {int, float}):
+        raise ValueError(f"{where}: {key!r} must be a non-empty flat list of JSON numbers")
+    try:
+        values = np.array(value, dtype=np.float64)
+    except OverflowError:  # an integer beyond float64's range
+        values = np.array(np.inf)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{where}: non-finite value in {key!r}")
+    return values
+
+
 def load_records(path, registry=None) -> FeatureSet:
     """Read a JSONL feature file.  A malformed line, an ``id`` or ``label``
-    that is not a string, a non-finite value, a ``reg`` that is not
+    that is not a string, a ``feat`` or ``reg`` that is not a non-empty flat
+    list of JSON numbers, a non-finite value, a ``reg`` that is not
     ``REG_DIM`` long or present on only some records, a repeated id and,
     given ``registry``, a label that is not one of its classes each raise,
     naming ``path:line``; so does a file with no records, naming ``path``."""
     labels, feats, regs, first_line, label_line = [], [], [], {}, {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: invalid JSON ({exc.msg})") from None
-            missing = {"id", "label", "feat"} - set(obj if isinstance(obj, dict) else ())
-            if missing:
-                raise ValueError(f"{where}: missing fields {sorted(missing)}")
-            for key in ("id", "label"):
-                if not isinstance(obj[key], str):
-                    raise ValueError(f"{where}: {key!r} must be a JSON string, "
-                                     f"got {json.dumps(obj[key])}")
-            rid, reg = obj["id"], obj.get("reg")
-            try:
-                feat = np.asarray(obj["feat"], dtype=np.float64).reshape(-1)
-                reg = None if reg is None else np.asarray(reg, dtype=np.float64).reshape(-1)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{where}: non-numeric feat or reg ({exc})") from None
-            for key, values in (("feat", feat), ("reg", reg)):
-                if values is not None and not np.isfinite(values).all():
-                    raise ValueError(f"{where}: non-finite value in {key!r}")
-            if reg is not None and reg.size != REG_DIM:
-                raise ValueError(f"{where}: reg has {reg.size} values, expected {REG_DIM}")
-            if rid in first_line:
-                raise ValueError(f"{where}: duplicate id {rid!r} (first on line {first_line[rid]})")
-            if feats and feat.size != feats[0].size:
-                raise ValueError(f"{where}: feature dim {feat.size} differs from first "
-                                 f"record ({feats[0].size})")
-            if regs and (reg is None) != (regs[0] is None):
-                raise ValueError(f"{where}: {'has' if reg is not None else 'lacks'} 'reg' "
-                                 "unlike the first record; give it on every record or on none")
-            first_line[rid] = lineno
-            label_line.setdefault(obj["label"], lineno)
-            labels.append(obj["label"])
-            feats.append(feat)
-            regs.append(reg)
+    for lineno, obj in read_jsonl(path):
+        where = f"{path}:{lineno}"
+        missing = {"id", "label", "feat"} - set(obj if isinstance(obj, dict) else ())
+        if missing:
+            raise ValueError(f"{where}: missing fields {sorted(missing)}")
+        for key in ("id", "label"):
+            if not isinstance(obj[key], str):
+                raise ValueError(f"{where}: {key!r} must be a JSON string, "
+                                 f"got {json.dumps(obj[key])}")
+        rid = obj["id"]
+        feat = _numbers(obj["feat"], "feat", where)
+        reg = None if obj.get("reg") is None else _numbers(obj["reg"], "reg", where)
+        if reg is not None and reg.size != REG_DIM:
+            raise ValueError(f"{where}: reg has {reg.size} values, expected {REG_DIM}")
+        if rid in first_line:
+            raise ValueError(f"{where}: duplicate id {rid!r} (first on line {first_line[rid]})")
+        if feats and feat.size != feats[0].size:
+            raise ValueError(f"{where}: feature dim {feat.size} differs from first "
+                             f"record ({feats[0].size})")
+        if regs and (reg is None) != (regs[0] is None):
+            raise ValueError(f"{where}: {'has' if reg is not None else 'lacks'} 'reg' "
+                             "unlike the first record; give it on every record or on none")
+        first_line[rid] = lineno
+        label_line.setdefault(obj["label"], lineno)
+        labels.append(obj["label"])
+        feats.append(feat)
+        regs.append(reg)
     if not first_line:
         raise ValueError(f"{path}: no records")
     if registry is not None:

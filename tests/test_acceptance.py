@@ -57,7 +57,7 @@ def test_criterion_01_gradient_fidelity():
     start = time.monotonic()
     worst = {}
     for mode in ("baseline", "ssp", "srr"):
-        report = run_gradcheck(mode, cfg)
+        report = run_gradcheck(mode, cli.GRADCHECK_SHAPE, cfg["seed"], cfg["eps"])
         worst[mode] = report.max_rel_err
         assert report.max_rel_err < 1e-5, (
             f"{mode}: max relative gradient error {report.max_rel_err:.3e} >= 1e-5"

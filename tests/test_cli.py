@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from semshot import cli, pipeline
 from semshot.cli import _COMMANDS, main
-from semshot.embeddings import ClassRegistry, Interval, load_registry, save_registry
+from semshot.embeddings import (ClassRegistry, Interval, compose_background_row, load_registry,
+                                random_embeddings, save_registry)
 from semshot.head import HeadConfig, build_head, head_state, load_head
 from semshot.pipeline import clustered_embeddings
 from semshot.relation import GraphMode, init_maps
@@ -338,7 +340,6 @@ _BAD_DIMENSIONS = [
     (["train", "--mode", "srr", "--reduced-dim", 0], "head dimension r", lambda v: HeadConfig(r=v)),
     (["train", "--mode", "srr", "--reduced-dim", -3], "head dimension r",
      lambda v: HeadConfig(r=v)),
-    (["gradcheck", "--proj-dim", 0], "head dimension d", lambda v: HeadConfig(d=v)),
     (["synth", "--clusters", 0], "n_clusters",
      lambda v: clustered_embeddings(_CLUSTER_REGISTRY, dim=4, n_clusters=v, spread=0.1, seed=0)),
 ]
@@ -354,9 +355,7 @@ def test_bad_dimensions_exit_1_naming_the_field(corpus, tmp_path, capsys, argv, 
         argv = argv + ["--data", corpus / "base_train.jsonl",
                        "--registry", corpus / "registry_base.json",
                        "--embeddings", corpus / "embeddings.txt", "--steps", 2]
-    if argv[0] != "gradcheck":
-        argv = argv + ["--out-dir", tmp_path / "out"]
-    assert run(*argv) == 1
+    assert run(*argv, "--out-dir", tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err == f"error: {flag} must be finite and in [1, inf), got {value}\n"
     assert "Traceback" not in err
@@ -394,10 +393,11 @@ def _bad_input_cases(corpus, trained, bad):
                 "--embeddings": corpus / "embeddings.txt", **swap}
         return ["train", "--steps", 2, *[v for kv in opts.items() for v in kv]]
 
-    def finetune(novel):
-        return ["finetune", "--checkpoint", trained / "head.json",
-                "--registry", corpus / "registry.json", "--embeddings", corpus / "embeddings.txt",
-                "--base-data", base, "--novel-data", novel]
+    def finetune(novel, **swap):
+        opts = {"--checkpoint": trained / "head.json", "--registry": corpus / "registry.json",
+                "--embeddings": corpus / "embeddings.txt", "--base-data": base,
+                "--novel-data": novel, **swap}
+        return ["finetune", *[v for kv in opts.items() for v in kv]]
 
     def evaluate(checkpoint, data):
         return ["eval", "--checkpoint", checkpoint, "--data", data]
@@ -512,18 +512,6 @@ def _bad_input_cases(corpus, trained, bad):
                              "--seeds must be finite and in [1, inf), got 0"),
         "sweep_base_classes_zero": ("", ["sweep", "--base-classes", 0],
                                     "--base-classes must be finite and in [1, inf), got 0"),
-        "gradcheck_base_classes_negative": ("", ["gradcheck", "--mode", "ssp",
-                                                 "--base-classes", -1],
-                                            "--base-classes must be finite and in [0, inf), "
-                                            "got -1"),
-        "gradcheck_novel_classes_negative": ("", ["gradcheck", "--mode", "ssp",
-                                                  "--novel-classes", -3],
-                                             "--novel-classes must be finite and in [0, inf), "
-                                             "got -3"),
-        "gradcheck_embed_dim_zero": ("", ["gradcheck", "--embed-dim", 0],
-                                     "--embed-dim must be finite and in [1, inf), got 0"),
-        "gradcheck_embed_dim_negative": ("", ["gradcheck", "--embed-dim", -2],
-                                         "--embed-dim must be finite and in [1, inf), got -2"),
         "synth_novel_classes_negative": ("", ["synth", "--novel-classes", -1],
                                          "--novel-classes must be finite and in [0, inf), "
                                          "got -1"),
@@ -538,9 +526,6 @@ def _bad_input_cases(corpus, trained, bad):
                                              "got -1"),
         "train_seed_negative": ("", train() + ["--seed", -1],
                                 "--seed must be finite and in [0, inf), got -1"),
-        "train_background_seed_negative": ("", train() + ["--background-seed", -1],
-                                           "--background-seed must be finite and in [0, inf), "
-                                           "got -1"),
         "finetune_base_shots_negative": ("", finetune(corpus / "novel_train.jsonl")
                                          + ["--base-shots", -1],
                                          "--base-shots must be finite and in [0, inf), got -1"),
@@ -556,10 +541,6 @@ def _bad_input_cases(corpus, trained, bad):
                                     "--threshold must be finite and in (0, inf), got inf"),
         "gradcheck_threshold_negative": ("", ["gradcheck", "--threshold", -1],
                                          "--threshold must be finite and in (0, inf), got -1.0"),
-        "gradcheck_batch_zero": ("", ["gradcheck", "--batch", 0],
-                                 "--batch must be finite and in [1, inf), got 0"),
-        "gradcheck_batch_negative": ("", ["gradcheck", "--batch", -1],
-                                     "--batch must be finite and in [1, inf), got -1"),
         # eval checks labels against the checkpoint's registry, which has no novel classes
         "unknown_class": ("", evaluate(trained / "head.json", corpus / "novel_train.jsonl"),
                           f"{corpus / 'novel_train.jsonl'}:1: unknown class 'novel00'"),
@@ -575,6 +556,9 @@ def _bad_input_cases(corpus, trained, bad):
         "empty_eval_data": ("", evaluate(trained / "head.json", bad), f"{bad}: no records"),
         "partial_reg": ("".join(json.dumps(r) + "\n" for r in partial), train(**{"--data": bad}),
                         f"{bad}:2: lacks 'reg' unlike the first record"),
+        "nested_feat": ('{"id": "a", "label": "base00", "feat": [[1, 2], [3, 4]]}\n',
+                        train(**{"--data": bad}),
+                        f"{bad}:1: 'feat' must be a non-empty flat list of JSON numbers"),
         "batch_size_zero": ("", train() + ["--batch-size", 0],
                             "--batch-size must be finite and in [1, inf), got 0"),
         "batch_size_negative": ("", train() + ["--batch-size", -2],
@@ -587,8 +571,12 @@ def _bad_input_cases(corpus, trained, bad):
                                   "--weight-decay must be finite and in [0, inf), got -1.0"),
         "reg_weight_nan": ("", train() + ["--reg-weight", "nan"],
                            "--reg-weight must be finite and in [0, inf), got nan"),
-        "freeze_unknown_group": ("", finetune(corpus / "novel_train.jsonl") + ["--freeze", "bogus"],
-                                 "unknown groups in --freeze: ['bogus']"),
+        # the checkpoint's rows are 8-d
+        "finetune_embeddings_of_another_dim": (
+            "5 2\nbase00 1 0\nbase01 0 1\nbase02 1 1\nnovel00 1 2\nnovel01 2 1\n",
+            finetune(corpus / "novel_train.jsonl", **{"--embeddings": bad}),
+            "mode 'ssp' needs an embedding matrix of shape (6, 8) for the expanded registry, "
+            "got shape (6, 2)"),
         # checked before the (here empty) novel records load
         "trainable_unknown_group": ("\n", finetune(bad) + ["--trainable", "P,bogus"],
                                     "unknown groups in --trainable: ['bogus']"),
@@ -607,6 +595,17 @@ def _bad_input_cases(corpus, trained, bad):
         "closure_roots_without_an_id": ("n00000001\tn00000002\n",
                                         ["closure", "--edges", bad, "--roots", ","],
                                         "--roots holds no synset id, got ','"),
+        # given flags that --golden would ignore
+        "closure_golden_with_edges": (
+            "", ["closure", "--golden", "--edges", bad.parent / "nonexistent.tsv"],
+            "--golden emits the bundled manifest; --edges cannot take effect"),
+        "closure_golden_with_roots": (
+            "", ["closure", "--golden", "--roots", ""],
+            "--golden emits the bundled manifest; --roots cannot take effect"),
+        "closure_golden_with_edges_and_roots": (
+            "", ["closure", "--golden", "--edges", bad.parent / "nonexistent.tsv",
+                 "--roots", "n00000001"],
+            "--golden emits the bundled manifest; --edges and --roots cannot take effect"),
         # the corpus has 6 records a class; --base-shots defaults to --k
         "finetune_k_above_class_size": ("", finetune(corpus / "novel_train.jsonl")
                                         + ["--k", 50],
@@ -635,19 +634,18 @@ def _bad_input_cases(corpus, trained, bad):
     "config_string_for_bool", "sweep_shots_not_integers", "sweep_shots_empty",
     "sweep_shots_zero", "sweep_shots_negative", "sweep_seeds_zero", "sweep_base_classes_zero",
     "gradcheck_eps_zero", "gradcheck_eps_inf", "gradcheck_threshold_inf",
-    "gradcheck_threshold_negative", "gradcheck_batch_zero", "gradcheck_batch_negative",
-    "gradcheck_base_classes_negative", "gradcheck_novel_classes_negative",
-    "gradcheck_embed_dim_zero", "gradcheck_embed_dim_negative",
+    "gradcheck_threshold_negative",
     "synth_novel_classes_negative", "synth_base_classes_zero", "train_random_embed_dim_zero",
-    "train_random_embed_seed_negative", "train_seed_negative", "train_background_seed_negative",
+    "train_random_embed_seed_negative", "train_seed_negative",
     "finetune_base_shots_negative", "config_base_shots_negative",
     "unknown_class", "train_null_label", "train_unknown_label", "finetune_unknown_label",
-    "empty_train_data", "empty_novel_data", "empty_eval_data", "partial_reg",
+    "empty_train_data", "empty_novel_data", "empty_eval_data", "partial_reg", "nested_feat",
     "batch_size_zero", "batch_size_negative", "lr_negative", "momentum_above_one",
-    "weight_decay_negative", "reg_weight_nan", "freeze_unknown_group",
+    "weight_decay_negative", "reg_weight_nan",
     "trainable_unknown_group", "synth_sigma_negative", "synth_sigma_nan",
     "synth_margin_scale_negative", "synth_spread_negative", "closure_edges",
-    "closure_roots_without_an_id",
+    "closure_roots_without_an_id", "closure_golden_with_edges", "closure_golden_with_roots",
+    "closure_golden_with_edges_and_roots", "finetune_embeddings_of_another_dim",
     "finetune_k_above_class_size", "synth_single_class_without_sigma",
     "synth_seed_not_an_integer",
 ])
@@ -804,7 +802,7 @@ def test_finetune_upgrades_ssp_checkpoint_to_relation_stage(
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_finetune_freeze_all_moves_nothing(corpus, trained, tmp_path):
+def test_finetune_with_no_trainable_group_moves_nothing(corpus, trained, tmp_path):
     out = tmp_path / "frozen"
     code = run(
         "finetune", "--out-dir", out,
@@ -813,7 +811,7 @@ def test_finetune_freeze_all_moves_nothing(corpus, trained, tmp_path):
         "--embeddings", corpus / "embeddings.txt",
         "--base-data", corpus / "base_train.jsonl",
         "--novel-data", corpus / "novel_train.jsonl",
-        "--k", 1, "--steps", 2, "--freeze", "all",
+        "--k", 1, "--steps", 2, "--trainable", "",
     )
     assert code == 0
     meta = json.loads((out / "meta.json").read_text())
@@ -848,6 +846,24 @@ def _train(corpus, out, *flags, mode="srr"):
         "--mode", mode, "--proj-dim", 8, "--reduced-dim", 4,
         "--steps", 6, "--batch-size", 8, *flags,
     )
+
+
+@pytest.mark.parametrize("command", ["finetune", "eval"])
+def test_meta_json_replays_finetune_and_eval_byte_for_byte(corpus, trained, tmp_path, command):
+    first = tmp_path / "first"
+    if command == "finetune":
+        assert _finetune_full(corpus, trained / "head.json", first, "--graph-mode", "tt") == 0
+    else:
+        assert run("eval", "--out-dir", first, "--checkpoint", trained / "head.json",
+                   "--data", corpus / "base_train.jsonl") == 0
+    want = {p.name: sha(p) for p in first.iterdir()}
+    replay = tmp_path / "replay"
+    assert run(command, "--config", first / "meta.json", "--out-dir", replay) == 0
+    assert {p.name: sha(p) for p in replay.iterdir() if p.name != "meta.json"} == {
+        name: digest for name, digest in want.items() if name != "meta.json"}
+    # into the original out dir, which meta.json names, so it comes out byte-identical too
+    assert run(command, "--config", first / "meta.json", "--out-dir", first) == 0
+    assert {p.name: sha(p) for p in first.iterdir()} == want
 
 
 @pytest.mark.parametrize("graph_mode", ["dynamic", "tt"])
@@ -917,6 +933,30 @@ def test_the_retired_base_phase_switch_is_ignored_in_a_checkpoint_and_refused_in
     assert capsys.readouterr().err == f"error: {config}: unknown config keys ['{key}']\n"
 
 
+# each deleted option: its command, its flag and a value it once took
+_DELETED_OPTIONS = [
+    ("train", "--background-seed", 0),
+    ("finetune", "--background-seed", 0),
+    ("finetune", "--embed-dim", 300),
+    ("finetune", "--freeze", "all"),
+    *[("gradcheck", flag, 1) for flag in ("--base-classes", "--novel-classes", "--embed-dim",
+                                            "--proj-dim", "--reduced-dim", "--feat-dim", "--batch")],
+]
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    pytest.param(*case, id=f"{case[0]}{case[1]}") for case in _DELETED_OPTIONS])
+def test_a_deleted_option_is_refused_as_a_flag_and_as_a_config_key(
+        tmp_path, capsys, command, flag, value):
+    assert run(command, flag, value) == 1
+    assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} {value}\n"
+    key = flag[2:].replace("-", ".")
+    config = tmp_path / "old_meta.json"
+    config.write_text(json.dumps({"command": command, "config": {key: value}}))
+    assert run(command, "--config", config) == 1
+    assert capsys.readouterr().err == f"error: {config}: unknown config keys ['{key}']\n"
+
+
 def test_a_checkpoint_that_names_the_scaled_attention_form_loads_unchanged(corpus, tmp_path):
     assert _train(corpus, tmp_path / "srr") == 0
     state = json.loads((tmp_path / "srr" / "head.json").read_text())
@@ -924,16 +964,6 @@ def test_a_checkpoint_that_names_the_scaled_attention_form_loads_unchanged(corpu
     old = tmp_path / "old_head.json"
     old.write_text(json.dumps({**state, "scaled_attention": True}))
     assert head_state(load_head(old)) == state
-
-
-def test_finetune_freeze_relation_matches_trainable_projection_and_bias(corpus, tmp_path):
-    assert _train(corpus, tmp_path / "srr") == 0
-    checkpoint = tmp_path / "srr" / "head.json"
-    assert _finetune_full(corpus, checkpoint, tmp_path / "freeze", "--freeze", "relation") == 0
-    assert _finetune_full(corpus, checkpoint, tmp_path / "pick", "--trainable", "P,b") == 0
-    meta = json.loads((tmp_path / "freeze" / "meta.json").read_text())
-    assert meta["run"]["trainable"] == ["P", "b"]
-    assert sha(tmp_path / "freeze" / "head.json") == sha(tmp_path / "pick" / "head.json")
 
 
 def test_finetune_decouple_splits_the_trunk(corpus, trained, tmp_path):
@@ -1045,6 +1075,27 @@ def test_train_with_random_embeddings_records_their_seed(corpus, tmp_path):
     assert we["provenance"] == ["random:seed=4"] * 3 + ["background:seed=4"]
 
 
+def test_train_seeds_an_embedding_files_background_row_with_embed_seed(corpus, tmp_path):
+    out = tmp_path / "file"
+    assert _train(corpus, out, "--embed-seed", 4, mode="ssp") == 0
+    we = json.loads((out / "head.json").read_text())["we"]
+    assert we["provenance"][-1] == "background:seed=4"
+    assert we["matrix"][-1] == compose_background_row(8, 4).tolist()
+
+
+def test_finetune_draws_random_rows_at_the_checkpoints_embedding_dim(corpus, trained, tmp_path):
+    out = tmp_path / "random"
+    assert run("finetune", "--out-dir", out, "--checkpoint", trained / "head.json",
+               "--registry", corpus / "registry.json", "--embeddings", "random",
+               "--embed-seed", 3, "--base-data", corpus / "base_train.jsonl",
+               "--novel-data", corpus / "novel_train.jsonl", "--k", 1, "--steps", 2) == 0
+    we = json.loads((out / "head.json").read_text())["we"]
+    assert [len(row) for row in we["matrix"]] == [8] * 6  # the corpus's rows are 8-d
+    assert we["provenance"][3:5] == ["expanded:novel00", "expanded:novel01"]
+    drawn = random_embeddings(load_registry(corpus / "registry.json"), 8, 3).matrix
+    np.testing.assert_allclose(we["matrix"][3:5], drawn[3:5])
+
+
 def test_closure_golden_and_computed(tmp_path, capsys):
     assert run("closure", "--golden") == 0
     out = capsys.readouterr().out
@@ -1090,3 +1141,14 @@ def test_sweep_smoke(tmp_path):
     assert len(lines) == 3
     summary = json.loads((out / "summary.json").read_text())
     assert summary["shots"] == [1] and summary["runs"] == 2
+
+
+def test_every_flag_the_readme_command_line_section_names_is_an_option():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    options = {"--config", "--help"}
+    for _, opts, _ in _COMMANDS.values():
+        for opt in opts:
+            options |= {opt.flag, f"--no-{opt.flag[2:]}"} if opt.bool_flag else {opt.flag}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert named and not named - options, sorted(named - options)

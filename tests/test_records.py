@@ -1,5 +1,6 @@
 """JSONL feature-record IO: round-trips, layout, and loud failure modes."""
 
+import json
 import math
 import re
 import tempfile
@@ -107,7 +108,31 @@ def test_non_numeric_feature_reports_line_number(tmp_path):
         '{"id": "a", "label": "x", "feat": [1.0]}\n'
         '{"id": "b", "label": "x", "feat": ["x"]}\n'
     )
-    with pytest.raises(ValueError, match=re.escape(f"{path}:2: non-numeric feat or reg")):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:2: 'feat' must be a non-empty flat list of JSON numbers")):
+        load_records(path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("feat", [[1, 2], [3, 4]]), ("reg", [[1, 2], [3, 4]]), ("feat", 5), ("feat", [True, 0.5]),
+    ("feat", ["1", "2"]), ("feat", []),
+])
+def test_a_value_numpy_would_coerce_is_not_a_number_list(tmp_path, key, value):
+    # numpy reads each as floats: flattened, one value, 1.0 for true, parsed strings, no features
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"id": "a", "label": "x", "feat": [1.0], "reg": [0] * REG_DIM,
+                                key: value}) + "\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:1: '{key}' must be a non-empty flat list of JSON numbers")):
+        load_records(path)
+
+
+@pytest.mark.parametrize("key", ["feat", "reg"])
+def test_an_integer_beyond_float64_is_a_non_finite_value(tmp_path, key):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"id": "a", "label": "x", "feat": [1.0], "reg": [0] * REG_DIM,
+                                key: [10**400] * (REG_DIM if key == "reg" else 1)}) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: non-finite value in '{key}'")):
         load_records(path)
 
 
@@ -245,6 +270,32 @@ def test_any_non_finite_value_is_rejected(data, draw):
     )
     with pytest.raises(ValueError, match=rf":{i + 1}: non-finite value in '{key}'"):
         _save_and_load(data)
+
+
+# JSON values that are not a non-empty flat list of numbers, though numpy
+# would turn each into floats: nested lists, bare numbers, lists holding a
+# bool, numeric strings and the empty list
+_json_numbers = st.integers(-10**6, 10**6) | _finite
+_not_a_number_list = st.one_of(
+    st.lists(st.lists(_json_numbers, min_size=1, max_size=3), min_size=1, max_size=3),
+    _json_numbers,
+    st.tuples(st.lists(_json_numbers, max_size=3), st.booleans(), st.integers(0, 3)).map(
+        lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:]),
+    st.lists(_json_numbers.map(json.dumps), min_size=1, max_size=3),
+    st.just([]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["feat", "reg"]), _not_a_number_list)
+def test_a_feat_or_reg_that_is_not_a_flat_number_list_is_rejected(key, value):
+    good = {"id": "a", "label": "x", "feat": [1.0], "reg": [0.0] * REG_DIM}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", key: value}) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:2: '{key}' must be a non-empty flat list of JSON numbers")):
+            load_records(path)
 
 
 @settings(max_examples=60, deadline=None)

@@ -359,7 +359,7 @@ def test_a_phase_packs_trainable_values_into_one_block_and_leaves_frozen_ones_be
 
 
 def test_a_phase_with_nothing_trainable_moves_nothing(tiny_world):
-    # what `finetune --freeze all` asks for
+    # what `finetune --trainable ''` asks for
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
     head = make_head("srr", registry, we)
     episode = sample_episode(base_data, novel_data, k=2, base_shots=2, seed=2)
