@@ -224,6 +224,16 @@ class _Run:
         return code
 
 
+def _unread(cfg: dict, opts, keys, why: str) -> None:
+    """Refuse the options ``keys`` of ``opts`` that ``cfg`` sets off their
+    defaults, naming each flag: the path ``why`` describes does not read
+    them.  A default passes, so a ``meta.json``, which holds every key, replays."""
+    flags = [o.flag for o in opts if o.key in keys and cfg.get(o.key) != o.default]
+    if flags:
+        listed = " and ".join(filter(None, (", ".join(flags[:-1]), flags[-1])))
+        raise ValueError(f"{why}; {listed} cannot take effect")
+
+
 def _load_embeddings(cfg: dict, registry: ClassRegistry, dim: int):
     """``registry``'s ``dim``-d random rows, or a file's; ``--embed-seed``
     seeds the rows drawn: all of them, or a file's background row."""
@@ -335,8 +345,14 @@ def cmd_train(cfg: dict, run: _Run) -> int:
                           d_in=data.feat.shape[0], d=cfg["proj.dim"], r=cfg["reduced.dim"],
                           decoupled=cfg["decouple"], seed=cfg["seed"])
     graph = _cooccurrence(cfg, registry, head_cfg.graph_mode)
-    we = (None if head_cfg.mode is HeadMode.BASELINE
-          else _load_embeddings(cfg, registry, cfg["embed.dim"]))
+    we = None
+    if head_cfg.mode is HeadMode.BASELINE:
+        _unread(cfg, TRAIN_OPTS, ("embeddings", "embed.seed", "embed.dim"),
+                "a baseline head has no embedding rows")
+    else:
+        if cfg["embeddings"] != "random":
+            _unread(cfg, TRAIN_OPTS, ("embed.dim",), "an embedding file fixes the dimension")
+        we = _load_embeddings(cfg, registry, cfg["embed.dim"])
     head = build_head(base_phase_config(head_cfg), registry, we)
 
     result = base_train(head, data, TrainConfig(**_optim_args(cfg)))
@@ -392,11 +408,20 @@ def cmd_finetune(cfg: dict, run: _Run) -> int:
     if cfg.get("graph.mode"):
         switch_graph_mode(head, cfg["graph.mode"], seed=cfg["seed"])
 
-    if cfg.get("registry"):
-        full = load_registry(cfg["registry"])
-        # only heads with embedding rows read the embeddings
-        we_full = _load_embeddings(cfg, full, head.we.dim) if head.we is not None else None
-        expand_classes(head, full, we_full, seed=cfg["seed"])
+    # only a head with embedding rows that gains classes reads embeddings
+    full = load_registry(cfg["registry"]) if cfg.get("registry") else head.registry
+    we_full = None
+    if full.n == head.registry.n:
+        _unread(cfg, FINETUNE_OPTS, ("embeddings", "embed.seed"), "the head gains no class")
+    elif head.we is None:
+        _unread(cfg, FINETUNE_OPTS, ("embeddings", "embed.seed"),
+                "a baseline head has no embedding rows")
+    else:
+        if cfg["embeddings"] != "random":
+            _unread(cfg, FINETUNE_OPTS, ("embed.seed",),
+                    "expansion keeps the checkpoint's background row, not the file's")
+        we_full = _load_embeddings(cfg, full, head.we.dim)
+    expand_classes(head, full, we_full, seed=cfg["seed"])
     graph = _cooccurrence(cfg, head.registry, head.cfg.graph_mode, head.g_heur is not None)
     if graph is not None:
         attach_heuristic_graph(head, graph)
@@ -582,14 +607,12 @@ CLOSURE_OPTS = [
 
 
 def cmd_closure(cfg: dict, run: _Run) -> int:
-    given = [f"--{key}" for key in ("edges", "roots") if cfg.get(key) is not None]
-    if cfg["golden"] and given:  # a given flag that cannot take effect names itself
-        raise ValueError(f"--golden emits the bundled manifest; {' and '.join(given)} "
-                         "cannot take effect")
     if cfg["golden"]:
+        _unread(cfg, CLOSURE_OPTS, ("edges", "roots", "class.name"),
+                "--golden emits the bundled manifest")
         manifest = bundled_voc_manifest()
     else:
-        if len(given) < 2:
+        if cfg.get("edges") is None or cfg.get("roots") is None:
             raise ValueError("closure needs --edges and --roots (or --golden)")
         roots = [r.strip() for r in cfg["roots"].split(",") if r.strip()]
         if not roots:
@@ -635,6 +658,10 @@ def cmd_synth(cfg: dict, run: _Run) -> int:
     if cfg.get("sigma") is None and cfg["base.classes"] + cfg["novel.classes"] == 1:
         raise ValueError("a single class has no margin to derive a noise level from; "
                          "set --sigma")
+    if cfg["embeddings"] == "random":
+        _unread(cfg, SYNTH_OPTS, ("clusters", "spread"), "--embeddings random draws no clusters")
+    if cfg.get("sigma") is not None:
+        _unread(cfg, SYNTH_OPTS, ("margin.scale",), "--sigma sets the noise level")
     registry = ClassRegistry.numbered(cfg["base.classes"], cfg["novel.classes"])
     if cfg["embeddings"] == "clustered":
         we = clustered_embeddings(

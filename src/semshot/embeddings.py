@@ -201,14 +201,11 @@ class EmbeddingMatrix:
     """Unit-norm class embedding rows aligned with a registry's name order."""
 
     matrix: np.ndarray
-    provenance: tuple = ()
 
     def __post_init__(self):
         self.matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
         if self.matrix.ndim != 2:
             raise ValueError("embedding matrix must be 2-D")
-        if self.provenance and len(self.provenance) != self.matrix.shape[0]:
-            raise ValueError("provenance length does not match row count")
 
     @property
     def n(self) -> int:
@@ -222,8 +219,7 @@ class EmbeddingMatrix:
         return hashlib.sha256(np.ascontiguousarray(self.matrix).tobytes()).hexdigest()
 
     def select_rows(self, indices) -> "EmbeddingMatrix":
-        prov = tuple(self.provenance[i] for i in indices) if self.provenance else ()
-        return EmbeddingMatrix(self.matrix[list(indices)].copy(), prov)
+        return EmbeddingMatrix(self.matrix[list(indices)].copy())
 
 
 def compose_background_row(dim: int, seed: int = 0) -> np.ndarray:
@@ -289,21 +285,17 @@ def parse_embedding_file(stream, registry: ClassRegistry, background_seed: int =
         raise ValueError(f"header declares {declared_count} tokens but stream has {count}")
 
     rows = []
-    provenance = []
     for name in registry.base + registry.novel:
         tokens = registry.tokens_for(name)
         missing = [t for t in tokens if t not in vocab]
         if missing:
             raise ValueError(f"class {name!r}: tokens {missing} not found in embedding stream")
-        vec = np.mean([vocab[t] for t in tokens], axis=0)
-        rows.append(vec)
-        provenance.append("tokens:" + " ".join(tokens))
+        rows.append(np.mean([vocab[t] for t in tokens], axis=0))
     rows.append(compose_background_row(dim, background_seed))
-    provenance.append(f"background:seed={background_seed}")
 
-    matrix = np.vstack([r.reshape(1, -1) for r in rows])
+    matrix = np.vstack(rows)
     matrix[:-1] = l2_normalize_rows(matrix[:-1])
-    return EmbeddingMatrix(matrix, tuple(provenance))
+    return EmbeddingMatrix(matrix)
 
 
 def load_embedding_file(path, registry: ClassRegistry, background_seed: int = 0):
@@ -325,10 +317,5 @@ def random_embeddings(registry: ClassRegistry, dim: int = DEFAULT_EMBED_DIM, see
     """Seeded random unit rows for every class, plus the background row."""
     rng = np.random.default_rng([seed, _CLASS_STREAM])
     n_classes = len(registry.base) + len(registry.novel)
-    rows = rng.standard_normal((n_classes, dim))
-    rows = l2_normalize_rows(rows)
-    matrix = np.vstack([rows, compose_background_row(dim, seed).reshape(1, -1)])
-    provenance = tuple(f"random:seed={seed}" for _ in range(n_classes)) + (
-        f"background:seed={seed}",
-    )
-    return EmbeddingMatrix(matrix, provenance)
+    rows = l2_normalize_rows(rng.standard_normal((n_classes, dim)))
+    return EmbeddingMatrix(np.vstack([rows, compose_background_row(dim, seed)]))

@@ -133,11 +133,16 @@ class Head:
         return [name for name, p in self.params.items() if p.trainable]
 
     def param_hash(self, names=None) -> str:
+        """sha256 of the params ``names``; by default of every param and, on
+        a heuristic head, of its graph ``g_heur`` too."""
         h = hashlib.sha256()
         for name in sorted(names if names is not None else self.params):
             p = self.params[name]
             h.update(name.encode())
             h.update(np.ascontiguousarray(p.value).tobytes())
+        if names is None and self.g_heur is not None:
+            h.update(b"g_heur")
+            h.update(np.ascontiguousarray(self.g_heur).tobytes())
         return h.hexdigest()
 
     def we_hash(self) -> str:
@@ -442,10 +447,7 @@ def expand_classes(head: Head, new_registry: ClassRegistry,
                 f"for the expanded registry, got {got}"
             )
         rows = dm.l2_normalize_rows(we_full.matrix[bg: bg + len(added)])
-        prov = head.we.provenance
-        if prov:
-            prov = prov[:bg] + tuple(f"expanded:{n}" for n in added) + prov[bg:]
-        head.we = EmbeddingMatrix(_insert_rows(head.we.matrix, bg, rows), prov)
+        head.we = EmbeddingMatrix(_insert_rows(head.we.matrix, bg, rows))
     b = head.params["b"].value
     fill = np.full((len(added), 1), float(b[:bg].mean()) if bg else 0.0)
     head.params["b"] = Param("b", _insert_rows(b, bg, fill))
@@ -533,11 +535,7 @@ def head_state(head: Head) -> dict:
         "g_heur": head.g_heur.tolist() if head.g_heur is not None else None,
     }
     if head.we is not None:
-        state["we"] = {
-            "matrix": head.we.matrix.tolist(),
-            "provenance": list(head.we.provenance),
-            "hash": head.we.content_hash(),
-        }
+        state["we"] = {"matrix": head.we.matrix.tolist(), "hash": head.we.content_hash()}
     return state
 
 
@@ -612,7 +610,7 @@ def head_from_state(state: dict) -> Head:
         if matrix.shape[0] != registry.n:
             raise ValueError(f"checkpoint field 'we.matrix': expected {registry.n} rows, "
                              f"found {matrix.shape[0]}")
-        we = EmbeddingMatrix(matrix, tuple(_field(we_state, "provenance", list, prefix="we.")))
+        we = EmbeddingMatrix(matrix)  # any other key of an older 'we' block goes unread
         if we.content_hash() != _field(we_state, "hash", str, prefix="we."):
             raise ValueError("checkpoint field 'we.hash' does not match 'we.matrix'")
     found = {name: _matrix(values, f"params.{name}")
@@ -650,7 +648,8 @@ def head_from_state(state: dict) -> Head:
         head.g_heur = g_heur
     # last, so a malformed field is named rather than reported as a mismatch
     if head.param_hash() != _field(state, "param_hash", str):
-        raise ValueError("checkpoint field 'param_hash' does not match 'params'")
+        hashed = "'params' and 'g_heur'" if heuristic else "'params'"
+        raise ValueError(f"checkpoint field 'param_hash' does not match {hashed}")
     return head
 
 

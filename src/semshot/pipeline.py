@@ -73,8 +73,7 @@ def noisy_view(we: EmbeddingMatrix, noise: float, seed: int) -> EmbeddingMatrix:
         return we
     rng = np.random.default_rng([seed, _STREAM_EMBED_NOISE])
     rows = l2_normalize_rows(we.matrix + noise * rng.standard_normal(we.matrix.shape))
-    prov = tuple(f"{p}+noise={noise:g}" for p in we.provenance)
-    return EmbeddingMatrix(rows, prov)
+    return EmbeddingMatrix(rows)
 
 
 def clustered_embeddings(registry: ClassRegistry, dim: int, n_clusters: int,
@@ -94,10 +93,7 @@ def clustered_embeddings(registry: ClassRegistry, dim: int, n_clusters: int,
     for i in range(len(names)):
         center = centers[i % n_clusters]
         rows[i] = center + spread * rng.standard_normal(dim)
-    rows = l2_normalize_rows(rows)
-    matrix = np.vstack([rows, compose_background_row(dim, seed).reshape(1, -1)])
-    prov = tuple(f"clustered:seed={seed}" for _ in names) + (f"background:seed={seed}",)
-    return EmbeddingMatrix(matrix, prov)
+    return EmbeddingMatrix(np.vstack([l2_normalize_rows(rows), compose_background_row(dim, seed)]))
 
 
 @dataclass

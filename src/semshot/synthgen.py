@@ -53,7 +53,7 @@ class SynthDataset:
     test: FeatureSet
     prototypes: np.ndarray
     sigma: float
-    min_margin: float
+    min_margin: float | None  # None: no pair of classes to measure
 
 
 def embedding_map(d_in: int, d_e: int, seed: int) -> np.ndarray:
@@ -95,15 +95,16 @@ def generate(we: EmbeddingMatrix, registry: ClassRegistry, cfg: SynthConfig) -> 
     names = registry.base + registry.novel
     protos = class_prototypes(we, registry, cfg)
 
+    min_margin = None
     if len(names) > 1:
         diffs = protos[:, None, :] - protos[None, :, :]
         dist = np.sqrt((diffs * diffs).sum(axis=2))
         min_margin = float(dist[~np.eye(len(names), dtype=bool)].min())
-    else:
-        min_margin = float("inf")
-    sigma = cfg.noise_std if cfg.noise_std is not None else cfg.margin_scale * min_margin
-    if not np.isfinite(sigma):
-        raise ValueError("cannot derive a noise level for a single class; set noise_std")
+    sigma = cfg.noise_std
+    if sigma is None:
+        if min_margin is None:
+            raise ValueError("cannot derive a noise level for a single class; set noise_std")
+        sigma = cfg.margin_scale * min_margin
 
     rng_noise = np.random.default_rng([cfg.seed, _STREAM_NOISE])
     rng_reg = np.random.default_rng([cfg.seed, _STREAM_REG])

@@ -18,8 +18,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import kernels
-from .embeddings import (NONNEG, NONNEG_INT, POSITIVE, POSITIVE_INT, UNIT, UNIT_BELOW_1,
-                         save_csv)
+from .embeddings import NONNEG, NONNEG_INT, POSITIVE, POSITIVE_INT, UNIT_BELOW_1, save_csv
 from .head import Head, HeadMode, batch_forward, divergence_cause, trunk_features
 from .records import FeatureSet, concat
 
@@ -34,7 +33,7 @@ DEFAULT_SHOT_LIST = (1, 2, 3, 5, 10)
 FINETUNE_STEPS_PER_SAMPLE = 300
 FINETUNE_STEP_DIVISOR = 25
 
-# lr decays by gamma at these fractions of the step budget
+# base-phase lr decays by gamma at these fractions of the step budget
 DEFAULT_MILESTONES = (2.0 / 3.0, 5.0 / 6.0)
 DEFAULT_GAMMA = 0.1
 
@@ -50,7 +49,6 @@ class TrainConfig:
     weight_decay: float = DEFAULT_WEIGHT_DECAY
     steps: int | None = 200
     batch_size: int = 16
-    milestones: tuple = DEFAULT_MILESTONES
     reg_weight: float = 1.0
     trainable: tuple | None = None  # parameter-group names; None = phase default
     seed: int = 0
@@ -59,14 +57,12 @@ class TrainConfig:
         for name, bound in (("lr", POSITIVE), ("momentum", UNIT_BELOW_1), ("seed", NONNEG_INT),
                             ("weight_decay", NONNEG), ("reg_weight", NONNEG)):
             bound.check(getattr(self, name), name)
-        for frac in self.milestones:
-            UNIT.check(frac, "milestones")
 
 
 def finetune_config(**overrides) -> TrainConfig:
-    """TrainConfig with fine-tune defaults: small lr, no decay schedule,
-    steps derived from the episode size unless given."""
-    base = {"lr": DEFAULT_FINETUNE_LR, "milestones": (), "steps": None}
+    """TrainConfig with fine-tune defaults: small lr, steps derived from the
+    episode size unless given."""
+    base = {"lr": DEFAULT_FINETUNE_LR, "steps": None}
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -105,10 +101,9 @@ def sgd_step(block: ParamBlock, cfg: TrainConfig, lr: float):
                        cfg.weight_decay)
 
 
-def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
+def lr_at(lr: float, milestones, step: int, total_steps: int) -> float:
     """Step-decayed learning rate: DEFAULT_GAMMA kicks in at each milestone fraction."""
-    lr = cfg.lr
-    for frac in cfg.milestones:
+    for frac in milestones:
         if step >= frac * total_steps:
             lr *= DEFAULT_GAMMA
     return lr
@@ -212,14 +207,15 @@ class TrainResult:
 
 
 def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, default_groups,
-               steps: int, batches, cfg: TrainConfig) -> TrainResult:
+               steps: int, milestones, batches, cfg: TrainConfig) -> TrainResult:
     """The loop both phases share.
 
     Resolves every record's label once and checks it against the phase,
     trains ``cfg.trainable`` (else ``default_groups``) for ``steps``
-    lr-scheduled steps over ``batches`` of columns of ``data``, and raises if
-    the embedding matrix or a frozen parameter ends the phase different from
-    how it began: any drift is a bug, not a tolerance question.  A phase that
+    steps, decaying lr at ``milestones``, over ``batches`` of columns of
+    ``data``, and raises if the embedding matrix or a frozen parameter ends
+    the phase different from how it began: any drift is a bug, not a
+    tolerance question.  A phase that
     freezes every trunk and reg parameter runs the trunk half of the forward
     pass once over ``data`` and gives each step its columns.
 
@@ -247,7 +243,7 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
     trace, result = [], None
     try:
         for step in range(1, steps + 1):
-            lr = lr_at(cfg, step - 1, steps)
+            lr = lr_at(cfg.lr, milestones, step - 1, steps)
             # batch_forward and sgd_step bound a step for the benchmark tracer
             result = batch_forward(head, data, y, next(batches), cfg.reg_weight, trunk, result)
             loss = result.loss.item()
@@ -282,7 +278,7 @@ def base_train(head: Head, base_data: FeatureSet, cfg: TrainConfig) -> TrainResu
     return _run_phase(
         "base_train", head, base_data,
         head.registry.base_indices() + [head.registry.background_index], head.param_groups(),
-        cfg.steps, _uniform_batches(base_data, cfg.batch_size, cfg.seed), cfg,
+        cfg.steps, DEFAULT_MILESTONES, _uniform_batches(base_data, cfg.batch_size, cfg.seed), cfg,
     )
 
 
@@ -310,7 +306,7 @@ def finetune(head: Head, episode: Episode, cfg: TrainConfig) -> TrainResult:
                                else finetune_steps_for(episode), "finetune steps")
     data = concat(episode.base, episode.novel)
     return _run_phase(
-        "finetune", head, data, range(head.registry.n), default_finetune_groups(head), steps,
+        "finetune", head, data, range(head.registry.n), default_finetune_groups(head), steps, (),
         balanced_batch_iter(data, cfg.batch_size, cfg.seed), cfg,
     )
 

@@ -18,7 +18,8 @@ from semshot import cli, pipeline
 from semshot.cli import _COMMANDS, main
 from semshot.embeddings import (ClassRegistry, Interval, compose_background_row, load_registry,
                                 random_embeddings, save_registry)
-from semshot.head import HeadConfig, build_head, head_state, load_head
+from semshot.head import (HeadConfig, attach_heuristic_graph, build_head, head_state, load_head,
+                          save_head, switch_graph_mode)
 from semshot.pipeline import clustered_embeddings
 from semshot.relation import GraphMode, init_maps
 
@@ -164,27 +165,34 @@ def test_meta_json_replays_a_run_byte_for_byte(corpus, trained, tmp_path):
     assert {p.name: sha(p) for p in trained.iterdir()} == want
 
 
-_SYNTH_FLAGS = st.fixed_dictionaries(
-    {
-        "--seed": st.integers(0, 2**31 - 1),
-        "--alpha": st.floats(0.0, 1.0),
-        "--margin-scale": st.floats(0.05, 2.0),
-        "--base-classes": st.integers(2, 4),
-        "--novel-classes": st.integers(0, 3),
-        "--embed-dim": st.integers(2, 8),
-        "--feat-dim": st.integers(1, 8),
-        "--train-per-class": st.integers(1, 3),
-        "--test-per-class": st.integers(1, 2),
-        "--embeddings": st.sampled_from(["clustered", "random"]),
-        "--clusters": st.integers(1, 3),
-        "--spread": st.floats(0.0, 1.0),
-    },
-    optional={"--sigma": st.floats(0.01, 2.0)},
-)
+@st.composite
+def _synth_flags(draw):
+    """Synth flags that all take effect: only clustered embeddings read
+    --clusters and --spread, and only the margin rule reads --margin-scale."""
+    flags = draw(st.fixed_dictionaries(
+        {
+            "--seed": st.integers(0, 2**31 - 1),
+            "--alpha": st.floats(0.0, 1.0),
+            "--base-classes": st.integers(2, 4),
+            "--novel-classes": st.integers(0, 3),
+            "--embed-dim": st.integers(2, 8),
+            "--feat-dim": st.integers(1, 8),
+            "--train-per-class": st.integers(1, 3),
+            "--test-per-class": st.integers(1, 2),
+            "--embeddings": st.sampled_from(["clustered", "random"]),
+        },
+        optional={"--sigma": st.floats(0.01, 2.0)},
+    ))
+    if flags["--embeddings"] == "clustered":
+        flags |= draw(st.fixed_dictionaries({"--clusters": st.integers(1, 3),
+                                             "--spread": st.floats(0.0, 1.0)}))
+    if "--sigma" not in flags:
+        flags["--margin-scale"] = draw(st.floats(0.05, 2.0))
+    return flags
 
 
 @settings(max_examples=25, deadline=None)
-@given(_SYNTH_FLAGS)
+@given(_synth_flags())
 def test_meta_json_replay_reproduces_every_synth_output(flags):
     argv = [str(a) for pair in flags.items() for a in pair]
     with tempfile.TemporaryDirectory() as tmp:
@@ -418,6 +426,12 @@ def _bad_input_cases(corpus, trained, bad):
     unknown_in_line_3 = '{"labels": ["base00"]}\n\n{"labels": ["base01", "nosuch"]}\n'
     baseline = head_state(build_head(HeadConfig(mode="baseline", d_in=10, d=8),
                                      load_registry(corpus / "registry_base.json")))
+    carried = switch_graph_mode(load_head(trained / "head.json"), "heuristic")
+    attach_heuristic_graph(carried, np.eye(4))
+    graph_edited = head_state(carried)
+    graph_edited["g_heur"][0] = [0.0, 0.0, 1.0, 0.0]  # still row-stochastic
+    no_registry = ["finetune", "--checkpoint", trained / "head.json", "--base-data", base,
+                   "--novel-data", corpus / "novel_train.jsonl"]
     unscaled_meta = json.loads((trained / "meta.json").read_text())
     unscaled_meta["config"]["scaled.attention"] = False
     return {
@@ -459,6 +473,10 @@ def _bad_input_cases(corpus, trained, bad):
         "checkpoint_params_edited": (json.dumps(absurd_p), evaluate(bad, base),
                                      f"{bad}: checkpoint field 'param_hash' does not match "
                                      "'params'"),
+        # a hand-edited heuristic graph: only the hash can tell
+        "checkpoint_graph_edited": (json.dumps(graph_edited), evaluate(bad, base),
+                                    f"{bad}: checkpoint field 'param_hash' does not match "
+                                    "'params' and 'g_heur'"),
         # attention is always scaled; a head that computed another function must not load
         "checkpoint_unscaled_attention": (checkpoint(scaled_attention=False),
                                           evaluate(bad, corpus / "test.jsonl"),
@@ -491,7 +509,7 @@ def _bad_input_cases(corpus, trained, bad):
                                                  "--cooccurrence needs graph mode heuristic, "
                                                  "the head's is none"),
         "cooccurrence_over_the_carried_graph": (
-            checkpoint(mode="srr", graph_mode="heuristic", g_heur=np.eye(4).tolist()),
+            json.dumps(head_state(carried)),
             ["finetune", "--checkpoint", bad, "--base-data", base, "--novel-data", base,
              "--cooccurrence", bad.parent / "does_not_exist.jsonl"],
             "--cooccurrence cannot replace the heuristic graph the head carries"),
@@ -606,6 +624,42 @@ def _bad_input_cases(corpus, trained, bad):
             "", ["closure", "--golden", "--edges", bad.parent / "nonexistent.tsv",
                  "--roots", "n00000001"],
             "--golden emits the bundled manifest; --edges and --roots cannot take effect"),
+        "closure_golden_with_class_name": (
+            "", ["closure", "--golden", "--class-name", "cow"],
+            "--golden emits the bundled manifest; --class-name cannot take effect"),
+        "closure_golden_with_every_closure_flag": (
+            "", ["closure", "--golden", "--class-name", "cow", "--roots", "n00000001",
+                 "--edges", bad.parent / "nonexistent.tsv"],
+            "--golden emits the bundled manifest; --edges, --roots and --class-name cannot "
+            "take effect"),
+        # flags that the path a command takes does not read
+        "train_baseline_with_embeddings": (
+            "", train(**{"--embeddings": bad.parent / "nonexistent.txt"}) + ["--mode", "baseline"],
+            "a baseline head has no embedding rows; --embeddings cannot take effect"),
+        "train_embedding_file_with_embed_dim": (
+            "", train() + ["--embed-dim", 5],
+            "an embedding file fixes the dimension; --embed-dim cannot take effect"),
+        "finetune_embeddings_without_registry": (
+            "", no_registry + ["--embeddings", bad.parent / "nonexistent.txt"],
+            "the head gains no class; --embeddings cannot take effect"),
+        "finetune_embed_seed_with_a_registry_that_adds_no_class": (
+            "", finetune(corpus / "novel_train.jsonl", **{
+                "--registry": corpus / "registry_base.json", "--embeddings": "random"})
+            + ["--embed-seed", 5],
+            "the head gains no class; --embed-seed cannot take effect"),
+        "finetune_baseline_with_embeddings": (
+            json.dumps(baseline), finetune(corpus / "novel_train.jsonl", **{"--checkpoint": bad}),
+            "a baseline head has no embedding rows; --embeddings cannot take effect"),
+        "finetune_embedding_file_with_embed_seed": (
+            "", finetune(corpus / "novel_train.jsonl") + ["--embed-seed", 7],
+            "expansion keeps the checkpoint's background row, not the file's; --embed-seed "
+            "cannot take effect"),
+        "synth_random_with_clusters_and_spread": (
+            "", ["synth", "--embeddings", "random", "--clusters", 3, "--spread", 0.9],
+            "--embeddings random draws no clusters; --clusters and --spread cannot take effect"),
+        "synth_sigma_with_margin_scale": (
+            "", ["synth", "--sigma", 0.1, "--margin-scale", 0.9],
+            "--sigma sets the noise level; --margin-scale cannot take effect"),
         # the corpus has 6 records a class; --base-shots defaults to --k
         "finetune_k_above_class_size": ("", finetune(corpus / "novel_train.jsonl")
                                         + ["--k", 50],
@@ -645,7 +699,13 @@ def _bad_input_cases(corpus, trained, bad):
     "trainable_unknown_group", "synth_sigma_negative", "synth_sigma_nan",
     "synth_margin_scale_negative", "synth_spread_negative", "closure_edges",
     "closure_roots_without_an_id", "closure_golden_with_edges", "closure_golden_with_roots",
-    "closure_golden_with_edges_and_roots", "finetune_embeddings_of_another_dim",
+    "closure_golden_with_edges_and_roots", "closure_golden_with_class_name",
+    "closure_golden_with_every_closure_flag", "train_baseline_with_embeddings",
+    "train_embedding_file_with_embed_dim", "finetune_embeddings_without_registry",
+    "finetune_embed_seed_with_a_registry_that_adds_no_class",
+    "finetune_baseline_with_embeddings", "finetune_embedding_file_with_embed_seed",
+    "synth_random_with_clusters_and_spread", "synth_sigma_with_margin_scale",
+    "checkpoint_graph_edited", "finetune_embeddings_of_another_dim",
     "finetune_k_above_class_size", "synth_single_class_without_sigma",
     "synth_seed_not_an_integer",
 ])
@@ -933,6 +993,27 @@ def test_the_retired_base_phase_switch_is_ignored_in_a_checkpoint_and_refused_in
     assert capsys.readouterr().err == f"error: {config}: unknown config keys ['{key}']\n"
 
 
+def test_a_checkpoint_with_embedding_provenance_loads_and_saves_without_it(trained, tmp_path):
+    # older checkpoints label each embedding row; the rows and both hashes stay
+    state = json.loads((trained / "head.json").read_text())
+    state["we"]["provenance"] = [f"tokens:base{i:02d}" for i in range(3)] + [
+        "background:seed=0"]
+    old = tmp_path / "old_head.json"
+    old.write_text(json.dumps(state, sort_keys=True) + "\n")
+    head = load_head(old)
+    assert head.param_hash() == state["param_hash"] and head.we_hash() == state["we"]["hash"]
+    save_head(head, tmp_path / "head.json")
+    assert (tmp_path / "head.json").read_bytes() == (trained / "head.json").read_bytes()
+
+
+def test_synth_of_a_single_class_with_sigma_records_no_margin(tmp_path):
+    out = tmp_path / "one"
+    assert run("synth", "--out-dir", out, "--base-classes", 1, "--novel-classes", 0,
+               "--sigma", 0.1, "--train-per-class", 2, "--test-per-class", 1) == 0
+    assert json.loads((out / "meta.json").read_text())["run"] == {"sigma": 0.1,
+                                                                  "min_margin": None}
+
+
 # each deleted option: its command, its flag and a value it once took
 _DELETED_OPTIONS = [
     ("train", "--background-seed", 0),
@@ -1071,15 +1152,16 @@ def test_train_with_random_embeddings_records_their_seed(corpus, tmp_path):
                "--registry", corpus / "registry_base.json", "--embeddings", "random",
                "--embed-dim", 6, "--embed-seed", 4, "--proj-dim", 8, "--steps", 2) == 0
     we = json.loads((out / "head.json").read_text())["we"]
-    assert len(we["matrix"]) == 4 and len(we["matrix"][0]) == 6  # 3 base + background
-    assert we["provenance"] == ["random:seed=4"] * 3 + ["background:seed=4"]
+    drawn = random_embeddings(load_registry(corpus / "registry_base.json"), 6, 4).matrix
+    assert we["matrix"] == drawn.tolist()  # 3 base rows + background, 6-d
+    config = json.loads((out / "meta.json").read_text())["config"]
+    assert (config["embeddings"], config["embed.dim"], config["embed.seed"]) == ("random", 6, 4)
 
 
 def test_train_seeds_an_embedding_files_background_row_with_embed_seed(corpus, tmp_path):
     out = tmp_path / "file"
     assert _train(corpus, out, "--embed-seed", 4, mode="ssp") == 0
     we = json.loads((out / "head.json").read_text())["we"]
-    assert we["provenance"][-1] == "background:seed=4"
     assert we["matrix"][-1] == compose_background_row(8, 4).tolist()
 
 
@@ -1091,7 +1173,6 @@ def test_finetune_draws_random_rows_at_the_checkpoints_embedding_dim(corpus, tra
                "--novel-data", corpus / "novel_train.jsonl", "--k", 1, "--steps", 2) == 0
     we = json.loads((out / "head.json").read_text())["we"]
     assert [len(row) for row in we["matrix"]] == [8] * 6  # the corpus's rows are 8-d
-    assert we["provenance"][3:5] == ["expanded:novel00", "expanded:novel01"]
     drawn = random_embeddings(load_registry(corpus / "registry.json"), 8, 3).matrix
     np.testing.assert_allclose(we["matrix"][3:5], drawn[3:5])
 

@@ -118,7 +118,7 @@ def test_parse_embedding_file_normalizes_and_averages_tokens():
     # mean of tv and monitor is (0.5, 0.5), normalized to unit length
     np.testing.assert_allclose(we.matrix[1], [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
     np.testing.assert_allclose(np.linalg.norm(we.matrix, axis=1), 1.0, atol=1e-12)
-    assert we.provenance[0] == "tokens:cat"
+    np.testing.assert_array_equal(we.matrix[2], compose_background_row(2, 0))
 
 
 def test_parse_embedding_file_skips_blank_lines_without_counting_them():
@@ -189,8 +189,6 @@ def test_save_embedding_file_round_trips_exactly(tmp_path):
 # one call per guard: the call (given a scratch directory) and its message
 _MISFIT_CASES = {
     "matrix_1d": (lambda tmp: EmbeddingMatrix(np.ones(3)), "embedding matrix must be 2-D"),
-    "provenance_length": (lambda tmp: EmbeddingMatrix(np.ones((3, 2)), ("a", "b")),
-                          "provenance length does not match row count"),
     "saved_names_and_rows": (lambda tmp: save_embedding_file(tmp / "emb.txt", ("a", "b"),
                                                              np.ones((3, 2))),
                              "2 names for 3 rows"),
@@ -208,12 +206,11 @@ def test_inputs_that_do_not_fit_are_rejected(tmp_path, name):
     assert list(tmp_path.iterdir()) == []  # nothing half written
 
 
-def test_select_rows_copies_and_keeps_provenance():
+def test_select_rows_copies_the_chosen_rows():
     reg = ClassRegistry(base=("a", "b"), novel=("c",))
     we = random_embeddings(reg, dim=4, seed=0)
     sub = we.select_rows([0, 3])
-    assert sub.n == 2
-    assert sub.provenance == (we.provenance[0], we.provenance[3])
+    np.testing.assert_array_equal(sub.matrix, we.matrix[[0, 3]])
     sub.matrix[0, 0] = 99.0
     assert we.matrix[0, 0] != 99.0
 
@@ -247,7 +244,7 @@ def test_saved_vocabulary_parses_to_its_normalized_rows(emb_path, vocab):
     we = load_embedding_file(emb_path, ClassRegistry(base=tuple(classes)))
     want = l2_normalize_rows(rows[[tokens.index(c) for c in classes]])
     np.testing.assert_array_equal(we.matrix[:-1], want)
-    assert we.provenance[:-1] == tuple(f"tokens:{c}" for c in classes)
+    np.testing.assert_array_equal(we.matrix[-1], compose_background_row(rows.shape[1], 0))
 
 
 @settings(max_examples=60, deadline=None)

@@ -565,6 +565,39 @@ def _is_matrix(path, value) -> bool:
     return matrix_field and isinstance(value, list)
 
 
+def _stored_arrays(state) -> list:
+    """(path, the field a failed load names) of every array ``state`` stores."""
+    arrays = [(("params", name), "params") for name in state["params"]]
+    if state["we"] is not None:
+        arrays.append((("we", "matrix"), "we.matrix"))
+    if state["g_heur"] is not None:
+        arrays.append((("g_heur",), "g_heur"))
+    return arrays
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_one_ulp_edit_of_any_stored_array_fails_naming_its_field(data):
+    which = data.draw(st.integers(0, len(_STATES) - 1))
+    state = copy.deepcopy(_STATES[which])
+    path, field = data.draw(st.sampled_from(_stored_arrays(state)))
+    rows = state
+    for key in path:
+        rows = rows[key]
+    row = rows[data.draw(st.integers(0, len(rows) - 1))]
+    j = data.draw(st.integers(0, len(row) - 1))
+    row[j] = float(np.nextafter(row[j], data.draw(st.sampled_from([-np.inf, np.inf]))))
+    with pytest.raises(ValueError, match=re.escape(f"'{field}'")):
+        head_from_state(state)
+
+
+def test_only_a_heuristic_heads_hash_covers_more_than_its_params():
+    for state, digest in zip(_STATES, _STATE_HASHES):
+        head = head_from_state(copy.deepcopy(state))
+        covers_graph = head.cfg.graph_mode is rel.GraphMode.HEURISTIC
+        assert (head.param_hash(head.params) != digest) == covers_graph
+
+
 def _reshaped(m) -> list:
     """``m`` with one row or column fewer, a row more, a ragged row, one more
     nesting level, and flattened."""

@@ -89,8 +89,7 @@ def test_noisy_view_properties():
             noisy_view(we, noise, 1)
     noisy = noisy_view(we, 0.2, 1)
     np.testing.assert_allclose(np.linalg.norm(noisy.matrix, axis=1), 1.0, atol=1e-12)
-    assert not np.allclose(noisy.matrix, we.matrix)
-    assert all(p.endswith("+noise=0.2") for p in noisy.provenance)
+    assert noisy.matrix.shape == we.matrix.shape and not np.allclose(noisy.matrix, we.matrix)
     np.testing.assert_array_equal(noisy_view(we, 0.2, 1).matrix, noisy.matrix)
     assert not np.allclose(noisy_view(we, 0.2, 2).matrix, noisy.matrix)
 

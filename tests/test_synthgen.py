@@ -103,7 +103,7 @@ def test_single_class_needs_explicit_noise():
         generate(we, registry, SynthConfig(d_in=12, train_per_class=1, test_per_class=1))
     ds = generate(we, registry, SynthConfig(d_in=12, noise_std=0.1,
                                             train_per_class=1, test_per_class=1))
-    assert ds.sigma == 0.1
+    assert (ds.sigma, ds.min_margin) == (0.1, None)
 
 
 def test_corpus_counts_ids_and_reg_targets(world):

@@ -14,6 +14,7 @@ from semshot.embeddings import ClassRegistry, random_embeddings
 from semshot.records import FeatureSet, concat
 from semshot.training import (
     DEFAULT_FINETUNE_LR,
+    DEFAULT_MILESTONES,
     DEFAULT_SHOT_LIST,
     Episode,
     ParamBlock,
@@ -89,9 +90,6 @@ def test_sgd_step_matches_recurrence():
     ("weight_decay", float("inf"), "weight_decay must be finite and in [0, inf), got inf"),
     ("reg_weight", -0.5, "reg_weight must be finite and in [0, inf), got -0.5"),
     ("reg_weight", float("nan"), "reg_weight must be finite and in [0, inf), got nan"),
-    ("milestones", (float("nan"),), "milestones must be finite and in [0, 1], got nan"),
-    ("milestones", (-1.0,), "milestones must be finite and in [0, 1], got -1.0"),
-    ("milestones", (0.5, 1.5), "milestones must be finite and in [0, 1], got 1.5"),
     ("lr", True, "lr must be finite and in (0, inf), got True"),
     ("seed", -1, "seed must be finite and in [0, inf), got -1"),
     ("seed", 1.5, "seed must be finite and in [0, inf), got 1.5"),
@@ -104,18 +102,17 @@ def test_train_config_rejects_out_of_range_optimizer_values(field, value, messag
 
 
 def test_lr_schedule_decays_at_milestones():
-    cfg = TrainConfig(lr=0.02)
     total = 300
-    assert lr_at(cfg, 0, total) == 0.02
-    assert lr_at(cfg, 199, total) == 0.02
-    assert lr_at(cfg, 200, total) == pytest.approx(0.002)
-    assert lr_at(cfg, 250, total) == pytest.approx(0.0002)
+    assert lr_at(0.02, DEFAULT_MILESTONES, 0, total) == 0.02
+    assert lr_at(0.02, DEFAULT_MILESTONES, 199, total) == 0.02
+    assert lr_at(0.02, DEFAULT_MILESTONES, 200, total) == pytest.approx(0.002)
+    assert lr_at(0.02, DEFAULT_MILESTONES, 250, total) == pytest.approx(0.0002)
+    assert lr_at(0.02, (), 250, total) == 0.02
 
 
 def test_finetune_config_defaults():
     cfg = finetune_config()
     assert cfg.lr == DEFAULT_FINETUNE_LR == 0.001
-    assert cfg.milestones == ()
     assert cfg.steps is None
     assert finetune_config(lr=0.005).lr == 0.005
     assert DEFAULT_SHOT_LIST == (1, 2, 3, 5, 10)
@@ -258,6 +255,10 @@ def test_base_train_runs_and_loss_falls(tiny_world):
     early = np.mean([r.loss for r in result.trace[:10]])
     late = np.mean([r.loss for r in result.trace[-10:]])
     assert late < early
+    # the base phase decays its lr at the milestones: steps 41 and 51 of 60
+    assert [r.lr for r in result.trace] == [lr_at(0.02, DEFAULT_MILESTONES, i, 60)
+                                            for i in range(60)]
+    assert {r.lr for r in result.trace[40:50]} == {0.02 * 0.1}
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -301,6 +302,7 @@ def test_finetune_freezes_everything_outside_the_chosen_groups(tiny_world):
     frozen_before = head.param_hash(frozen_names)
     result = finetune(head, episode, finetune_config(steps=8, batch_size=4, seed=2))
     assert result.frozen_hash == frozen_before == head.param_hash(frozen_names)
+    assert {r.lr for r in result.trace} == {DEFAULT_FINETUNE_LR}  # no decay schedule
     for name, val in before.items():
         np.testing.assert_array_equal(head.params[name].value, val)
     assert not np.array_equal(head.params["P"].value, p_before)
