@@ -403,6 +403,20 @@ def _trainable_groups(cfg: dict, head) -> tuple | None:
     return names
 
 
+def _pool_records(cfg: dict, key: str, registry, novel: bool):
+    """The ``--novel-data`` (``novel``) or ``--base-data`` records; the first
+    record of the other pool's classes fails, naming the flag and its line."""
+    path = cfg[key]
+    data = load_records(path, registry)
+    stray = np.flatnonzero(np.isin(data.labels, registry.novel) != novel)
+    if stray.size:
+        rid, label = data.ids[stray[0]], data.labels[stray[0]]
+        lineno = next(n for n, obj in read_jsonl(path) if obj["id"] == rid)
+        raise ValueError(f"--{key.replace('.', '-')} {path}:{lineno}: class {label!r} is "
+                         f"{'not ' if novel else ''}a novel class")
+    return data
+
+
 def cmd_finetune(cfg: dict, run: _Run) -> int:
     head = load_head(cfg["checkpoint"])
     if cfg.get("graph.mode"):
@@ -422,7 +436,7 @@ def cmd_finetune(cfg: dict, run: _Run) -> int:
                     "expansion keeps the checkpoint's background row, not the file's")
         we_full = _load_embeddings(cfg, full, head.we.dim)
     expand_classes(head, full, we_full, seed=cfg["seed"])
-    graph = _cooccurrence(cfg, head.registry, head.cfg.graph_mode, head.g_heur is not None)
+    graph = _cooccurrence(cfg, head.registry, head.cfg.graph_mode, "g_heur" in head.params)
     if graph is not None:
         attach_heuristic_graph(head, graph)
 
@@ -431,8 +445,8 @@ def cmd_finetune(cfg: dict, run: _Run) -> int:
     # the head's groups are final here; check the flags before any data loads
     trainable = _trainable_groups(cfg, head)
 
-    base_data = load_records(cfg["base.data"], head.registry)
-    novel_data = load_records(cfg["novel.data"], head.registry)
+    base_data = _pool_records(cfg, "base.data", head.registry, novel=False)
+    novel_data = _pool_records(cfg, "novel.data", head.registry, novel=True)
     episode = sample_episode(base_data, novel_data, cfg["k"], cfg.get("base.shots"), cfg["seed"],
                              names=("--k", "--base-shots"))
     result = finetune(head, episode, finetune_config(**_optim_args(cfg), trainable=trainable))
@@ -528,7 +542,7 @@ def run_gradcheck(mode: str, shape: GradcheckShape, seed: int, eps: float):
     # gradients must be live everywhere: move every param (t_l included) off
     # its init point, and keep relu pre-activations away from the kink
     rng = np.random.default_rng([seed, 0x6C])
-    for p in head.param_list():
+    for p in head.params.values():
         p.value[:] = rng.normal(0.0, 0.3, p.value.shape)
         p.trainable = True
 
@@ -539,7 +553,7 @@ def run_gradcheck(mode: str, shape: GradcheckShape, seed: int, eps: float):
     def loss_fn():
         return forward_pass(head, x, labels=labels, reg_targets=regs, reg_weight=0.5).loss
 
-    return grad_check(loss_fn, head.param_list(), eps=eps)
+    return grad_check(loss_fn, head.params.values(), eps=eps)
 
 
 def cmd_gradcheck(cfg: dict, run: _Run) -> int:

@@ -73,7 +73,6 @@ class Head:
     registry: ClassRegistry
     we: EmbeddingMatrix | None
     params: dict
-    g_heur: np.ndarray | None = None
 
     @property
     def mode(self) -> HeadMode:
@@ -82,9 +81,6 @@ class Head:
     @property
     def n_classes(self) -> int:
         return self.registry.n
-
-    def param_list(self) -> list:
-        return list(self.params.values())
 
     def trunk_names(self, branch: str) -> list:
         prefix = f"{branch}_trunk_" if self.cfg.decoupled else "trunk_"
@@ -133,16 +129,12 @@ class Head:
         return [name for name, p in self.params.items() if p.trainable]
 
     def param_hash(self, names=None) -> str:
-        """sha256 of the params ``names``; by default of every param and, on
-        a heuristic head, of its graph ``g_heur`` too."""
+        """sha256 of the params ``names`` (default: every param)."""
         h = hashlib.sha256()
         for name in sorted(names if names is not None else self.params):
             p = self.params[name]
             h.update(name.encode())
             h.update(np.ascontiguousarray(p.value).tobytes())
-        if names is None and self.g_heur is not None:
-            h.update(b"g_heur")
-            h.update(np.ascontiguousarray(self.g_heur).tobytes())
         return h.hexdigest()
 
     def we_hash(self) -> str:
@@ -194,12 +186,14 @@ def build_head(cfg: HeadConfig, registry: ClassRegistry,
 
 
 def attach_heuristic_graph(head: Head, graph: np.ndarray):
+    """Give ``head`` the (n, n) heuristic graph as the param ``g_heur``,
+    frozen: no parameter group names it, so no phase trains it."""
     g = dm.as_matrix(graph)
     if g.shape != (head.n_classes, head.n_classes):
         raise ValueError(
             f"heuristic graph shape {g.shape} does not match {head.n_classes} classes"
         )
-    head.g_heur = g
+    head.params["g_heur"] = Param("g_heur", g, trainable=False)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +228,9 @@ def _effective_rows_t(tape: Tape, head: Head):
         return we_t
     gm = head.cfg.graph_mode
     if gm is rel.GraphMode.HEURISTIC:
-        if head.g_heur is None:
+        if "g_heur" not in head.params:
             raise ValueError("heuristic graph mode without an attached co-occurrence graph")
-        return dm.matmul(tape.leaf(head.g_heur), we_t)
+        return dm.matmul(tape.param(head.params["g_heur"]), we_t)
     maps_t = {n: tape.param(head.params[n]) for n in rel.map_names(gm)}
     if gm is rel.GraphMode.TRAINABLE_TRANSFORM:
         return rel.trainable_transform_t(we_t, maps_t)
@@ -368,7 +362,7 @@ def check_finite(head: Head, values: np.ndarray, what: str) -> np.ndarray:
     names ``what`` and the head's largest parameter."""
     if not np.isfinite(values).all():
         raise FloatingPointError(f"{what} hold a non-finite value; "
-                                 + divergence_cause(head.param_list(), "head"))
+                                 + divergence_cause(head.params.values(), "head"))
     return values
 
 
@@ -391,8 +385,8 @@ def class_rows(head: Head) -> np.ndarray:
 def relation_graph(head: Head) -> np.ndarray:
     """The row-stochastic class graph of the relation stage: the attached
     heuristic graph, or the dynamic stage's attention graph."""
-    if head.g_heur is not None:
-        return head.g_heur
+    if (g_heur := head.params.get("g_heur")) is not None:
+        return g_heur.value
     if head.cfg.graph_mode is not rel.GraphMode.DYNAMIC:
         raise ValueError(
             f"head mode {head.mode.value!r} with graph mode "
@@ -453,7 +447,7 @@ def expand_classes(head: Head, new_registry: ClassRegistry,
     head.params["b"] = Param("b", _insert_rows(b, bg, fill))
     head.registry = new_registry
     # a heuristic graph no longer matches the class count; force a re-attach
-    head.g_heur = None
+    head.params.pop("g_heur", None)
     return head
 
 
@@ -532,7 +526,6 @@ def head_state(head: Head) -> dict:
         "param_hash": head.param_hash(),
         "trainable": {name: p.trainable for name, p in head.params.items()},
         "we": None,
-        "g_heur": head.g_heur.tolist() if head.g_heur is not None else None,
     }
     if head.we is not None:
         state["we"] = {"matrix": head.we.matrix.tolist(), "hash": head.we.content_hash()}
@@ -615,8 +608,10 @@ def head_from_state(state: dict) -> Head:
             raise ValueError("checkpoint field 'we.hash' does not match 'we.matrix'")
     found = {name: _matrix(values, f"params.{name}")
              for name, values in _field(state, "params", dict).items()}
-    # the shapes a freshly built head of this config has are the only valid ones
+    # a freshly built head's shapes are the only valid ones, and a heuristic head's graph
     expected = {name: p.value.shape for name, p in build_head(cfg, registry, we).params.items()}
+    if cfg.graph_mode is rel.GraphMode.HEURISTIC:
+        expected["g_heur"] = (registry.n, registry.n)
     for name in sorted(expected.keys() | found.keys()):
         want = expected.get(name)
         got = found[name].shape if name in found else None
@@ -630,26 +625,13 @@ def head_from_state(state: dict) -> Head:
         name: Param(name, value, trainable=_field(trainable, name, bool, prefix="trainable."))
         for name, value in found.items()
     }
+    if "g_heur" in params and params["g_heur"].trainable:
+        raise ValueError("checkpoint field 'trainable.g_heur' must be false "
+                         "(the heuristic graph never trains)")
     head = Head(cfg=cfg, registry=registry, we=we, params=params)
-    # a heuristic head is saved with its graph, and only a heuristic head has one
-    g_heur = _field(state, "g_heur", list, type(None))
-    heuristic = cfg.graph_mode is rel.GraphMode.HEURISTIC
-    if (g_heur is None) == heuristic:
-        want = "a matrix" if heuristic else "null"
-        raise ValueError(f"checkpoint field 'g_heur' must be {want} for graph mode "
-                         f"{cfg.graph_mode.value!r}")
-    if heuristic:
-        g_heur = _matrix(g_heur, "g_heur")
-        if g_heur.shape != (registry.n, registry.n):
-            raise ValueError(
-                f"checkpoint field 'g_heur': expected shape {(registry.n, registry.n)}, "
-                f"found shape {g_heur.shape}"
-            )
-        head.g_heur = g_heur
     # last, so a malformed field is named rather than reported as a mismatch
     if head.param_hash() != _field(state, "param_hash", str):
-        hashed = "'params' and 'g_heur'" if heuristic else "'params'"
-        raise ValueError(f"checkpoint field 'param_hash' does not match {hashed}")
+        raise ValueError("checkpoint field 'param_hash' does not match 'params'")
     return head
 
 

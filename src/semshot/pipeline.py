@@ -249,7 +249,7 @@ def finish_cell(base: BasePart, cfg: PipelineConfig, k: int) -> CellResult:
     expand_classes(head, cfg.registry(), base.we_full, seed=base.seed)
     if cfg.graph_mode is rel.GraphMode.HEURISTIC:
         # co-occurrence over single-label records degenerates to identity;
-        # use embedding-neighborhood counts instead
+        # use the row-normalized, clipped cosine weights of the embedding rows
         attach_heuristic_graph(head, _similarity_graph(head.we.matrix))
 
     episode = sample_episode(base.base_data, base.novel_pool, k, cfg.base_shots, base.seed)

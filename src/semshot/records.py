@@ -107,7 +107,8 @@ def load_records(path, registry=None) -> FeatureSet:
     list of JSON numbers, a non-finite value, a ``reg`` that is not
     ``REG_DIM`` long or present on only some records, a repeated id and,
     given ``registry``, a label that is not one of its classes each raise,
-    naming ``path:line``; so does a file with no records, naming ``path``."""
+    naming ``path:line``; so does a file with no records, naming ``path``.
+    Given ``registry``, a label is stored in the registry's spelling."""
     labels, feats, regs, first_line, label_line = [], [], [], {}, {}
     for lineno, obj in read_jsonl(path):
         where = f"{path}:{lineno}"
@@ -139,11 +140,13 @@ def load_records(path, registry=None) -> FeatureSet:
     if not first_line:
         raise ValueError(f"{path}: no records")
     if registry is not None:
+        spelling = {}
         for label, lineno in label_line.items():
             try:
-                registry.index(label)
+                spelling[label] = registry.names[registry.index(label)]
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
+        labels = [spelling[label] for label in labels]
     return FeatureSet(list(first_line), labels, np.stack(feats, axis=1),
                       None if regs[0] is None else np.stack(regs, axis=1))
 

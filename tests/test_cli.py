@@ -429,7 +429,7 @@ def _bad_input_cases(corpus, trained, bad):
     carried = switch_graph_mode(load_head(trained / "head.json"), "heuristic")
     attach_heuristic_graph(carried, np.eye(4))
     graph_edited = head_state(carried)
-    graph_edited["g_heur"][0] = [0.0, 0.0, 1.0, 0.0]  # still row-stochastic
+    graph_edited["params"]["g_heur"][0] = [0.0, 0.0, 1.0, 0.0]  # still row-stochastic
     no_registry = ["finetune", "--checkpoint", trained / "head.json", "--base-data", base,
                    "--novel-data", corpus / "novel_train.jsonl"]
     unscaled_meta = json.loads((trained / "meta.json").read_text())
@@ -464,7 +464,8 @@ def _bad_input_cases(corpus, trained, bad):
         # an ssp checkpoint with the heuristic stage and without its graph
         "checkpoint_heuristic_without_graph": (
             checkpoint(mode="srr", graph_mode="heuristic"), evaluate(bad, base),
-            f"{bad}: checkpoint field 'g_heur' is missing"),
+            f"{bad}: checkpoint parameter 'g_heur': expected shape (4, 4), "
+            "found no such parameter"),
         # finite values whose class scores overflow
         "checkpoint_overflow_eval": (json.dumps(head_state(huge_p)), evaluate(bad, base),
                                      "class scores hold a non-finite value; all head parameters "
@@ -476,7 +477,7 @@ def _bad_input_cases(corpus, trained, bad):
         # a hand-edited heuristic graph: only the hash can tell
         "checkpoint_graph_edited": (json.dumps(graph_edited), evaluate(bad, base),
                                     f"{bad}: checkpoint field 'param_hash' does not match "
-                                    "'params' and 'g_heur'"),
+                                    "'params'"),
         # attention is always scaled; a head that computed another function must not load
         "checkpoint_unscaled_attention": (checkpoint(scaled_attention=False),
                                           evaluate(bad, corpus / "test.jsonl"),
@@ -569,6 +570,12 @@ def _bad_input_cases(corpus, trained, bad):
         # finetune checks labels against the expanded registry
         "finetune_unknown_label": (relabeled(corpus / "novel_train.jsonl", "novel99"),
                                    finetune(bad), f"{bad}:2: unknown class 'novel99'"),
+        # each pool holds its own classes; the background may join the base pool
+        "finetune_swapped_pools": (
+            "", finetune(base, **{"--base-data": corpus / "novel_train.jsonl"}),
+            f"--base-data {corpus / 'novel_train.jsonl'}:1: class 'novel00' is a novel class"),
+        "finetune_base_records_in_the_novel_pool": (
+            "", finetune(base), f"--novel-data {base}:1: class 'base00' is not a novel class"),
         "empty_train_data": ("", train(**{"--data": bad}), f"{bad}: no records"),
         "empty_novel_data": ("\n", finetune(bad), f"{bad}: no records"),
         "empty_eval_data": ("", evaluate(trained / "head.json", bad), f"{bad}: no records"),
@@ -693,6 +700,7 @@ def _bad_input_cases(corpus, trained, bad):
     "train_random_embed_seed_negative", "train_seed_negative",
     "finetune_base_shots_negative", "config_base_shots_negative",
     "unknown_class", "train_null_label", "train_unknown_label", "finetune_unknown_label",
+    "finetune_swapped_pools", "finetune_base_records_in_the_novel_pool",
     "empty_train_data", "empty_novel_data", "empty_eval_data", "partial_reg", "nested_feat",
     "batch_size_zero", "batch_size_negative", "lr_negative", "momentum_above_one",
     "weight_decay_negative", "reg_weight_nan",
@@ -974,7 +982,8 @@ def test_no_base_phase_trains_an_srr_head(corpus, tmp_path, monkeypatch):
                   "--cooccurrence", sets) == 0
     assert seen == ["baseline", "ssp", "ssp", "ssp"]
     state = json.loads((tmp_path / "heur" / "head.json").read_text())
-    assert (state["mode"], state["graph_mode"], len(state["g_heur"])) == ("srr", "heuristic", 4)
+    assert (state["mode"], state["graph_mode"]) == ("srr", "heuristic")
+    assert len(state["params"]["g_heur"]) == 4 and state["trainable"]["g_heur"] is False
 
 
 def test_the_retired_base_phase_switch_is_ignored_in_a_checkpoint_and_refused_in_a_config(
@@ -1047,6 +1056,24 @@ def test_a_checkpoint_that_names_the_scaled_attention_form_loads_unchanged(corpu
     assert head_state(load_head(old)) == state
 
 
+def test_a_class_spelled_two_ways_gets_k_shots_in_all(corpus, trained, tmp_path):
+    # class names match case-insensitively; the episode samples per class,
+    # not per spelling
+    lines = (corpus / "novel_train.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    for record in records[::2]:
+        record["label"] = record["label"].upper()
+    novel = tmp_path / "novel_mixed_case.jsonl"
+    novel.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "ft"
+    assert _finetune_full(corpus, trained / "head.json", out, "--novel-data", novel,
+                          "--k", 1) == 0
+    episode = json.loads((out / "episode.json").read_text())
+    label = {r["id"]: r["label"].lower() for r in records}
+    assert episode["k"] == 1
+    assert sorted(label[i] for i in episode["ids"]["novel"]) == ["novel00", "novel01"]
+
+
 def test_finetune_decouple_splits_the_trunk(corpus, trained, tmp_path):
     out = tmp_path / "decoupled"
     assert _finetune_full(corpus, trained / "head.json", out, "--decouple") == 0
@@ -1064,11 +1091,11 @@ def test_finetune_reattaches_the_heuristic_graph_after_expansion(corpus, tmp_pat
     assert _train(corpus, tmp_path / "heur", "--graph-mode", "heuristic",
                   "--cooccurrence", base_sets) == 0
     checkpoint = tmp_path / "heur" / "head.json"
-    assert len(json.loads(checkpoint.read_text())["g_heur"]) == 4  # 3 base + background
+    assert len(json.loads(checkpoint.read_text())["params"]["g_heur"]) == 4  # 3 base + bg
 
     out = tmp_path / "ft"
     assert _finetune_full(corpus, checkpoint, out, "--cooccurrence", full_sets) == 0
-    g_heur = np.array(json.loads((out / "head.json").read_text())["g_heur"])
+    g_heur = np.array(json.loads((out / "head.json").read_text())["params"]["g_heur"])
     assert g_heur.shape == (6, 6)  # 3 base + 2 novel + background
     np.testing.assert_allclose(g_heur.sum(axis=1), 1.0)
 

@@ -135,7 +135,8 @@ def test_heuristic_graph_mode_mixes_rows_with_fixed_graph(base_reg):
         relation_graph(head)
     g = np.full((4, 4), 0.25)
     attach_heuristic_graph(head, g)
-    assert relation_graph(head) is head.g_heur
+    assert relation_graph(head) is head.params["g_heur"].value
+    assert not head.params["g_heur"].trainable and "g_heur" not in head.trainable_names()
     got = class_scores(head, v)
     want = (g @ we.matrix @ head.params["P"].value @ v + head.params["b"].value).reshape(-1)
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -214,7 +215,7 @@ def test_expansion_drops_stale_heuristic_graph(base_reg, full_reg):
                      graph_mode="heuristic", d=8)
     attach_heuristic_graph(head, np.full((4, 4), 0.25))
     expand_classes(head, full_reg, we_full)
-    assert head.g_heur is None  # must be re-attached at the new class count
+    assert "g_heur" not in head.params  # must be re-attached at the new class count
 
 
 @pytest.mark.parametrize("graph", ["dynamic", "tt"])
@@ -429,7 +430,9 @@ def test_checkpoint_keeps_heuristic_graph(base_reg, tmp_path):
     path = tmp_path / "head.json"
     save_head(head, path)
     back = load_head(path)
-    np.testing.assert_array_equal(back.g_heur, head.g_heur)
+    np.testing.assert_array_equal(back.params["g_heur"].value, head.params["g_heur"].value)
+    assert not back.params["g_heur"].trainable
+    assert not hasattr(back, "g_heur") and "g_heur" not in head_state(back)
 
 
 def test_state_dict_rejects_unknown_format(base_reg):
@@ -465,8 +468,9 @@ def test_checkpoint_rejects_heuristic_graph_of_wrong_size(base_reg):
     head = make_head("srr", base_reg, we, graph_mode="heuristic", d=8)
     attach_heuristic_graph(head, np.full((4, 4), 0.25))
     state = head_state(head)
-    state["g_heur"] = [row[:3] for row in state["g_heur"][:3]]
-    with pytest.raises(ValueError, match=r"expected shape \(4, 4\), found shape \(3, 3\)"):
+    state["params"]["g_heur"] = [row[:3] for row in state["params"]["g_heur"][:3]]
+    with pytest.raises(ValueError, match=r"'g_heur': expected shape \(4, 4\), "
+                                         r"found shape \(3, 3\)"):
         head_from_state(state)
 
 
@@ -475,16 +479,42 @@ def test_checkpoint_carries_a_graph_exactly_for_heuristic_heads(base_reg):
     head = make_head("srr", base_reg, we, graph_mode="heuristic", d=8)
     attach_heuristic_graph(head, np.full((4, 4), 0.25))
     state = head_state(head)
-    del state["g_heur"]
-    with pytest.raises(ValueError, match="checkpoint field 'g_heur' is missing"):
-        head_from_state(state)
-    state["g_heur"] = None
-    with pytest.raises(ValueError, match="'g_heur' must be a matrix for graph mode 'heuristic'"):
+    del state["params"]["g_heur"]
+    with pytest.raises(ValueError, match=r"'g_heur': expected shape \(4, 4\), "
+                                         "found no such parameter"):
         head_from_state(state)
     ssp = head_state(make_head("ssp", base_reg, we, d=8))
-    ssp["g_heur"] = np.full((4, 4), 0.25).tolist()
-    with pytest.raises(ValueError, match="'g_heur' must be null for graph mode 'none'"):
+    ssp["params"]["g_heur"] = np.full((4, 4), 0.25).tolist()
+    ssp["trainable"]["g_heur"] = False
+    with pytest.raises(ValueError, match="'g_heur': expected no such parameter, "
+                                         r"found shape \(4, 4\)"):
         head_from_state(ssp)
+
+
+def test_checkpoint_refuses_a_trainable_heuristic_graph(base_reg):
+    head = make_head("srr", base_reg, random_embeddings(base_reg, dim=6, seed=14),
+                     graph_mode="heuristic", d=8)
+    attach_heuristic_graph(head, np.full((4, 4), 0.25))
+    state = head_state(head)
+    state["trainable"]["g_heur"] = True
+    with pytest.raises(ValueError, match="checkpoint field 'trainable.g_heur' must be false"):
+        head_from_state(state)
+
+
+def test_checkpoint_of_the_old_heuristic_layout_is_refused_naming_g_heur(base_reg):
+    # the graph was once a top-level matrix beside the params, and every
+    # other head carried "g_heur": null
+    we = random_embeddings(base_reg, dim=6, seed=14)
+    head = make_head("srr", base_reg, we, graph_mode="heuristic", d=8)
+    attach_heuristic_graph(head, np.full((4, 4), 0.25))
+    state = head_state(head)
+    state["g_heur"] = state["params"].pop("g_heur")
+    del state["trainable"]["g_heur"]
+    with pytest.raises(ValueError, match="'g_heur'"):
+        head_from_state(state)
+    ssp = head_state(make_head("ssp", base_reg, we, d=8))
+    back = head_from_state({**ssp, "g_heur": None})
+    assert head_state(back) == ssp
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -561,7 +591,7 @@ def _field_paths(state) -> list:
 
 
 def _is_matrix(path, value) -> bool:
-    matrix_field = path[0] in ("params", "g_heur") or path == ("we", "matrix")
+    matrix_field = path[0] == "params" or path == ("we", "matrix")
     return matrix_field and isinstance(value, list)
 
 
@@ -570,8 +600,6 @@ def _stored_arrays(state) -> list:
     arrays = [(("params", name), "params") for name in state["params"]]
     if state["we"] is not None:
         arrays.append((("we", "matrix"), "we.matrix"))
-    if state["g_heur"] is not None:
-        arrays.append((("g_heur",), "g_heur"))
     return arrays
 
 
@@ -591,11 +619,11 @@ def test_a_one_ulp_edit_of_any_stored_array_fails_naming_its_field(data):
         head_from_state(state)
 
 
-def test_only_a_heuristic_heads_hash_covers_more_than_its_params():
+def test_every_heads_hash_covers_its_params_and_nothing_else():
     for state, digest in zip(_STATES, _STATE_HASHES):
         head = head_from_state(copy.deepcopy(state))
-        covers_graph = head.cfg.graph_mode is rel.GraphMode.HEURISTIC
-        assert (head.param_hash(head.params) != digest) == covers_graph
+        assert head.param_hash() == head.param_hash(head.params) == digest
+        assert ("g_heur" in head.params) == (head.cfg.graph_mode is rel.GraphMode.HEURISTIC)
 
 
 def _reshaped(m) -> list:
@@ -645,4 +673,4 @@ def test_a_corrupted_checkpoint_names_the_field_or_loads_unchanged(data):
     else:
         assert head.param_hash() == _STATE_HASHES[which], (kind, name)
         # a heuristic head keeps its graph, and no other head gains one
-        assert (head.g_heur is not None) == (head.cfg.graph_mode is rel.GraphMode.HEURISTIC)
+        assert ("g_heur" in head.params) == (head.cfg.graph_mode is rel.GraphMode.HEURISTIC)

@@ -215,8 +215,9 @@ def test_a_label_outside_the_registry_names_its_first_line(tmp_path):
                     '{"id": "c", "label": "emu", "feat": [3.0]}\n')
     with pytest.raises(ValueError, match=re.escape(f"{path}:3: unknown class 'emu'")):
         load_records(path, ClassRegistry(base=("cat",)))
+    # each label is stored in the registry's spelling
     assert load_records(path, ClassRegistry(base=("cat",), novel=("Emu",))).labels.tolist() == [
-        "cat", "emu", "emu"]
+        "cat", "Emu", "Emu"]
 
 
 # ---------------------------------------------------------------------------

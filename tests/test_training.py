@@ -345,6 +345,16 @@ def test_finetune_fails_when_a_frozen_trunk_weight_moves(tiny_world, monkeypatch
         finetune(head, episode, finetune_config(steps=3, batch_size=4, seed=2))
 
 
+def test_finetune_fails_when_the_heuristic_graph_moves(tiny_world, monkeypatch):
+    registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
+    head = make_head("srr", registry, we, graph_mode="heuristic")
+    head_module.attach_heuristic_graph(head, np.full((registry.n, registry.n), 1.0 / registry.n))
+    episode = sample_episode(base_data, novel_data, k=2, base_shots=3, seed=2)
+    _nudging_sgd_step(monkeypatch, head.params["g_heur"].value)
+    with pytest.raises(RuntimeError, match="finetune: a frozen parameter moved"):
+        finetune(head, episode, finetune_config(steps=3, batch_size=4, seed=2))
+
+
 def test_a_phase_packs_trainable_values_into_one_block_and_leaves_frozen_ones_be(tiny_world):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
     head = make_head("srr", registry, we)
