@@ -44,6 +44,7 @@ from .evaluation import evaluate, save_sweep_csv
 from .head import (
     HeadConfig,
     HeadMode,
+    added_classes,
     attach_heuristic_graph,
     base_phase_config,
     build_head,
@@ -340,7 +341,7 @@ def cmd_train(cfg: dict, run: _Run) -> int:
     """Base-train the config's base-phase head (`base_phase_config`), then
     switch an srr config's relation stage on at its init, as the pipeline does."""
     registry = load_registry(cfg["registry"])
-    data = load_records(cfg["data"], registry)
+    data = _pool_records(cfg, "data", registry, novel=False)
     head_cfg = HeadConfig(mode=cfg["mode"], graph_mode=cfg.get("graph.mode"),
                           d_in=data.feat.shape[0], d=cfg["proj.dim"], r=cfg["reduced.dim"],
                           decoupled=cfg["decouple"], seed=cfg["seed"])
@@ -361,8 +362,7 @@ def cmd_train(cfg: dict, run: _Run) -> int:
         attach_heuristic_graph(head, graph)
     save_head(head, run.path("head.json"))
     save_trace_csv(run.path("trace.csv"), result.trace)
-    run.extra = {"we_hash": result.we_hash, "param_hash": head.param_hash(),
-                 "final_loss": result.final_loss}
+    run.extra = {"param_hash": head.param_hash(), "final_loss": result.final_loss}
     return 0
 
 
@@ -404,8 +404,8 @@ def _trainable_groups(cfg: dict, head) -> tuple | None:
 
 
 def _pool_records(cfg: dict, key: str, registry, novel: bool):
-    """The ``--novel-data`` (``novel``) or ``--base-data`` records; the first
-    record of the other pool's classes fails, naming the flag and its line."""
+    """The records of the file option ``key``, novel (``novel``) or not; the
+    first record of the other pool fails, naming the flag, the file and its line."""
     path = cfg[key]
     data = load_records(path, registry)
     stray = np.flatnonzero(np.isin(data.labels, registry.novel) != novel)
@@ -424,6 +424,7 @@ def cmd_finetune(cfg: dict, run: _Run) -> int:
 
     # only a head with embedding rows that gains classes reads embeddings
     full = load_registry(cfg["registry"]) if cfg.get("registry") else head.registry
+    added_classes(head.registry, full, f"--registry {cfg.get('registry')}")
     we_full = None
     if full.n == head.registry.n:
         _unread(cfg, FINETUNE_OPTS, ("embeddings", "embed.seed"), "the head gains no class")
@@ -454,7 +455,7 @@ def cmd_finetune(cfg: dict, run: _Run) -> int:
     save_trace_csv(run.path("trace.csv"), result.trace)
     save_json(run.path("episode.json"), {"k": episode.k, "base_shots": episode.base_shots,
                                          "ids": episode.ids()})
-    run.extra = {"we_hash": result.we_hash, "frozen_hash": result.frozen_hash,
+    run.extra = {"frozen_hash": result.frozen_hash,
                  "trainable": head.trainable_names(), "steps": len(result.trace)}
     return 0
 
@@ -532,8 +533,8 @@ GRADCHECK_SHAPE = GradcheckShape(n_base=3, n_novel=2, d_e=16, d_in=10, d=8, r=4,
 
 
 def run_gradcheck(mode: str, shape: GradcheckShape, seed: int, eps: float):
-    """Build a ``shape`` head, randomize every parameter, and compare analytic
-    gradients of the full loss against central differences."""
+    """Build a ``shape`` head, randomize every parameter but the frozen embedding
+    rows, and compare analytic gradients of the full loss against central differences."""
     registry = ClassRegistry.numbered(shape.n_base, shape.n_novel)
     we = random_embeddings(registry, shape.d_e, seed)
     head = build_head(HeadConfig(mode=mode, d_in=shape.d_in, d=shape.d, r=shape.r, seed=seed),
@@ -542,9 +543,9 @@ def run_gradcheck(mode: str, shape: GradcheckShape, seed: int, eps: float):
     # gradients must be live everywhere: move every param (t_l included) off
     # its init point, and keep relu pre-activations away from the kink
     rng = np.random.default_rng([seed, 0x6C])
-    for p in head.params.values():
+    params = [p for p in head.params.values() if p.trainable]
+    for p in params:
         p.value[:] = rng.normal(0.0, 0.3, p.value.shape)
-        p.trainable = True
 
     x = rng.standard_normal((shape.d_in, shape.batch))
     labels = rng.integers(0, registry.n, size=shape.batch)
@@ -553,7 +554,7 @@ def run_gradcheck(mode: str, shape: GradcheckShape, seed: int, eps: float):
     def loss_fn():
         return forward_pass(head, x, labels=labels, reg_targets=regs, reg_weight=0.5).loss
 
-    return grad_check(loss_fn, head.params.values(), eps=eps)
+    return grad_check(loss_fn, params, eps=eps)
 
 
 def cmd_gradcheck(cfg: dict, run: _Run) -> int:

@@ -275,13 +275,14 @@ def weighted_sum(terms) -> Tensor:
 # array-level helpers
 
 
-def l2_normalize_rows(m) -> Matrix:
-    """Scale every row to unit L2 norm. Rows of ~zero norm are an error."""
+def l2_normalize_rows(m, names=None) -> Matrix:
+    """Scale every row to unit L2 norm. Rows of ~zero norm are an error naming them."""
     a = as_matrix(m)
     norms = np.sqrt((a * a).sum(axis=1))
     bad = np.nonzero(norms < 1e-12)[0]
     if bad.size:
-        raise ValueError(f"cannot normalize zero rows at indices {bad.tolist()}")
+        which = bad.tolist() if names is None else [names[i] for i in bad]
+        raise ValueError(f"cannot normalize zero rows {which}")
     return a / norms[:, None]
 
 

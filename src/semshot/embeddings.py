@@ -48,9 +48,11 @@ class ClassRegistry:
                 raise ValueError(f"duplicate class name {name!r}")
             seen.add(key)
         self.tokens = {_canon(k): tuple(v) for k, v in dict(self.tokens).items()}
-        for key in self.tokens:
+        for key, tokens in self.tokens.items():
             if key not in seen:
                 raise ValueError(f"token override for unknown class {key!r}")
+            if not tokens:
+                raise ValueError(f"token override for class {key!r} lists no token")
 
     @property
     def names(self) -> tuple:
@@ -294,7 +296,7 @@ def parse_embedding_file(stream, registry: ClassRegistry, background_seed: int =
     rows.append(compose_background_row(dim, background_seed))
 
     matrix = np.vstack(rows)
-    matrix[:-1] = l2_normalize_rows(matrix[:-1])
+    matrix[:-1] = l2_normalize_rows(matrix[:-1], registry.base + registry.novel)
     return EmbeddingMatrix(matrix)
 
 

@@ -3,9 +3,10 @@
 Three interchangeable heads share a small 2-layer trunk:
 
 * BASELINE: logits = W v + b, one learned row per class.
-* SSP: logits = We P v + b.  The class rows are fixed word-embedding vectors;
-  only the projection P from embedding space to feature space is learned, so
-  a class can score without any visual training sample.
+* SSP: logits = We P v + b.  The class rows are fixed word-embedding vectors,
+  the frozen param ``we``; only the projection P from embedding space to
+  feature space is learned, so a class can score without any visual training
+  sample.
 * SRR: like SSP, but We is first refined by the relation module:
   logits = (G We Th Tl + We) P v + b for the dynamic graph.
 
@@ -71,8 +72,17 @@ _TRUNK_SUFFIXES = ("w1", "b1", "w2", "b2")
 class Head:
     cfg: HeadConfig
     registry: ClassRegistry
-    we: EmbeddingMatrix | None
     params: dict
+
+    @property
+    def we(self) -> EmbeddingMatrix | None:
+        """The embedding rows: the param ``we``, which no group names, so it
+        stays frozen; None for a baseline head."""
+        return EmbeddingMatrix(self.params["we"].value) if "we" in self.params else None
+
+    @we.setter
+    def we(self, rows: EmbeddingMatrix):
+        self.params["we"] = Param("we", rows.matrix, trainable=False)
 
     @property
     def mode(self) -> HeadMode:
@@ -137,9 +147,6 @@ class Head:
             h.update(np.ascontiguousarray(p.value).tobytes())
         return h.hexdigest()
 
-    def we_hash(self) -> str:
-        return self.we.content_hash() if self.we is not None else ""
-
 
 def _trunk_params(rng, prefix: str, d_in: int, d: int) -> dict:
     # relu-aware fan-in scaling; biases start at zero
@@ -160,7 +167,6 @@ def build_head(cfg: HeadConfig, registry: ClassRegistry,
 
     if cfg.mode is HeadMode.BASELINE:
         params["W"] = Param("W", rng.normal(0.0, 1.0 / np.sqrt(cfg.d), (n, cfg.d)))
-        we = None
     else:
         if we is None:
             raise ValueError(f"mode {cfg.mode.value!r} needs an embedding matrix")
@@ -168,6 +174,7 @@ def build_head(cfg: HeadConfig, registry: ClassRegistry,
             raise ValueError(
                 f"embedding rows ({we.n}) do not match registry size ({n})"
             )
+        params["we"] = Param("we", we.matrix, trainable=False)
         params["P"] = Param("P", rng.normal(0.0, 1.0 / np.sqrt(cfg.d), (we.dim, cfg.d)))
         params.update(rel.init_maps(cfg.graph_mode, we.dim, cfg.r, seed=cfg.seed,
                                     gain=cfg.attention_gain))
@@ -182,7 +189,7 @@ def build_head(cfg: HeadConfig, registry: ClassRegistry,
     params["reg_b"] = Param("reg_b", np.zeros((REG_DIM, 1)))
 
     # a heuristic stage's co-occurrence graph is attached by the caller
-    return Head(cfg=cfg, registry=registry, we=we, params=params)
+    return Head(cfg=cfg, registry=registry, params=params)
 
 
 def attach_heuristic_graph(head: Head, graph: np.ndarray):
@@ -223,7 +230,7 @@ def _effective_rows_t(tape: Tape, head: Head):
     """Class rows on the tape: W, raw We, or relation-refined We."""
     if head.mode is HeadMode.BASELINE:
         return tape.param(head.params["W"])
-    we_t = tape.leaf(head.we.matrix)
+    we_t = tape.param(head.params["we"])
     if head.mode is HeadMode.SSP:
         return we_t
     gm = head.cfg.graph_mode
@@ -401,6 +408,18 @@ def relation_graph(head: Head) -> np.ndarray:
 # structural edits
 
 
+def added_classes(registry: ClassRegistry, new_registry: ClassRegistry,
+                  what: str = "expanded registry") -> tuple:
+    """The novel classes ``new_registry`` appends to ``registry``; a
+    ValueError that names ``what`` unless it keeps the base classes, then
+    the novel ones, in order."""
+    if new_registry.base != registry.base:
+        raise ValueError(f"{what} must keep the same base classes")
+    if new_registry.novel[: len(registry.novel)] != registry.novel:
+        raise ValueError(f"{what} must keep existing novel classes in order")
+    return new_registry.novel[len(registry.novel):]
+
+
 def expand_classes(head: Head, new_registry: ClassRegistry,
                    we_full: EmbeddingMatrix | None = None, seed: int = 0) -> Head:
     """Grow a head to ``new_registry``, which appends novel classes to its own.
@@ -418,12 +437,7 @@ def expand_classes(head: Head, new_registry: ClassRegistry,
     the relation graph now mixes in.  A registry that adds nothing leaves
     the head as it is.
     """
-    if new_registry.base != head.registry.base:
-        raise ValueError("expanded registry must keep the same base classes")
-    old_novel = head.registry.novel
-    if new_registry.novel[: len(old_novel)] != old_novel:
-        raise ValueError("expanded registry must keep existing novel classes in order")
-    added = new_registry.novel[len(old_novel):]
+    added = added_classes(head.registry, new_registry)
     if not added:
         return head
     bg = head.registry.background_index
@@ -509,11 +523,11 @@ def switch_graph_mode(head: Head, graph_mode, seed: int = 0) -> Head:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-_CHECKPOINT_FORMAT = "semshot-head-v1"
+_CHECKPOINT_FORMAT = "semshot-head-v2"
 
 
 def head_state(head: Head) -> dict:
-    state = {
+    return {
         "format": _CHECKPOINT_FORMAT,
         "mode": head.cfg.mode.value,
         "graph_mode": head.cfg.graph_mode.value,
@@ -525,11 +539,7 @@ def head_state(head: Head) -> dict:
         "params": {name: p.value.tolist() for name, p in head.params.items()},
         "param_hash": head.param_hash(),
         "trainable": {name: p.trainable for name, p in head.params.items()},
-        "we": None,
     }
-    if head.we is not None:
-        state["we"] = {"matrix": head.we.matrix.tolist(), "hash": head.we.content_hash()}
-    return state
 
 
 _JSON_TYPES = {str: "a string", bool: "true or false", int: "an integer", float: "a number",
@@ -556,7 +566,7 @@ def _matrix(value, name: str) -> np.ndarray:
         m = np.array(value)
     except ValueError:  # rows of different lengths
         m = np.array(None)
-    if m.ndim != 2 or m.dtype.kind not in "iuf" or not np.isfinite(m).all():
+    if m.ndim != 2 or not m.size or m.dtype.kind not in "iuf" or not np.isfinite(m).all():
         raise ValueError(f"checkpoint field {name!r} must be a matrix of finite numbers")
     return m.astype(np.float64)
 
@@ -577,10 +587,6 @@ def head_from_state(state: dict) -> Head:
     fmt = state.get("format") if isinstance(state, dict) else None
     if fmt != _CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format {fmt!r}")
-    # older checkpoints name the attention form; scaled is the only one left
-    if (scaled := state.get("scaled_attention", True)) is not True:
-        raise ValueError("checkpoint field 'scaled_attention' must be true or absent "
-                         f"(attention is always scaled), got {json.dumps(scaled)}")
     dims = _field(state, "dims", dict)
     cfg = HeadConfig(
         mode=_enum_field(state, "mode", HeadMode),
@@ -594,41 +600,34 @@ def head_from_state(state: dict) -> Head:
     for key in ("base", "novel"):
         _field(registry_state, key, list, prefix="registry.")
     registry = ClassRegistry.from_json(registry_state)
-    we = None
-    we_state = _field(state, "we", dict, type(None))
-    if we_state is None and cfg.mode is not HeadMode.BASELINE:
-        raise ValueError(f"checkpoint field 'we' must be an object for mode {cfg.mode.value!r}")
-    if we_state is not None:
-        matrix = _matrix(_field(we_state, "matrix", list, prefix="we."), "we.matrix")
-        if matrix.shape[0] != registry.n:
-            raise ValueError(f"checkpoint field 'we.matrix': expected {registry.n} rows, "
-                             f"found {matrix.shape[0]}")
-        we = EmbeddingMatrix(matrix)  # any other key of an older 'we' block goes unread
-        if we.content_hash() != _field(we_state, "hash", str, prefix="we."):
-            raise ValueError("checkpoint field 'we.hash' does not match 'we.matrix'")
     found = {name: _matrix(values, f"params.{name}")
              for name, values in _field(state, "params", dict).items()}
-    # a freshly built head's shapes are the only valid ones, and a heuristic head's graph
-    expected = {name: p.value.shape for name, p in build_head(cfg, registry, we).params.items()}
+    # a freshly built head's shapes are the only valid ones, and a heuristic
+    # head's graph; the embedding width is the rows' own, else the projection's
+    width = found["we"].shape[1] if "we" in found else found.get("P", np.zeros((1, 1))).shape[0]
+    template = build_head(cfg, registry, EmbeddingMatrix(np.zeros((registry.n, width))))
+    expected = {name: p.value.shape for name, p in template.params.items()}
     if cfg.graph_mode is rel.GraphMode.HEURISTIC:
         expected["g_heur"] = (registry.n, registry.n)
     for name in sorted(expected.keys() | found.keys()):
         want = expected.get(name)
         got = found[name].shape if name in found else None
         if want != got:
-            raise ValueError(
-                f"checkpoint parameter {name!r}: expected {_shape_text(want)}, "
-                f"found {_shape_text(got)}"
-            )
+            shaped_by_we = "we" in found and name != "we" and width in (want or ())
+            source = f"; 'we' holds {width}-d rows" if shaped_by_we else ""
+            raise ValueError(f"checkpoint parameter {name!r}: expected {_shape_text(want)}, "
+                             f"found {_shape_text(got)}{source}")
     trainable = _field(state, "trainable", dict)
     params = {
         name: Param(name, value, trainable=_field(trainable, name, bool, prefix="trainable."))
         for name, value in found.items()
     }
-    if "g_heur" in params and params["g_heur"].trainable:
-        raise ValueError("checkpoint field 'trainable.g_heur' must be false "
-                         "(the heuristic graph never trains)")
-    head = Head(cfg=cfg, registry=registry, we=we, params=params)
+    # a param that no group names (the embedding rows, a heuristic graph) never trains
+    grouped = template.resolve_groups(template.param_groups())
+    if stray := next((n for n, p in params.items() if p.trainable and n not in grouped), None):
+        raise ValueError(f"checkpoint field 'trainable.{stray}' must be false "
+                         f"(no parameter group names {stray!r})")
+    head = Head(cfg=cfg, registry=registry, params=params)
     # last, so a malformed field is named rather than reported as a mismatch
     if head.param_hash() != _field(state, "param_hash", str):
         raise ValueError("checkpoint field 'param_hash' does not match 'params'")

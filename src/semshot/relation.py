@@ -138,19 +138,18 @@ def cooccurrence_graph(label_sets, registry: ClassRegistry) -> np.ndarray:
     with no counts fall back to the identity row so the graph stays
     row-stochastic.
     """
-    n = registry.n
-    counts = np.zeros((n, n))
+    n, label_sets = registry.n, list(label_sets)
+    index, sets = {}, np.zeros((len(label_sets), n))  # each distinct name resolves once
     for k, labels in enumerate(label_sets):
-        try:
-            idx = sorted({registry.index(name) for name in labels})
-        except KeyError as exc:
-            raise ValueError(f"label set {k}: {exc.args[0]}") from None
-        for i in idx:
-            counts[i, i] += 1.0
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                counts[idx[a], idx[b]] += 1.0
-                counts[idx[b], idx[a]] += 1.0
+        for name in labels:
+            if name not in index:
+                try:
+                    index[name] = registry.index(name)
+                except KeyError as exc:
+                    raise ValueError(f"label set {k}: {exc.args[0]}") from None
+            sets[k, index[name]] = 1.0
+    # counts[i, j]: the sets holding both i and j, summed exactly from 0/1 products
+    counts = kernels.matmul(sets.T, sets)
     sums = counts.sum(axis=1)
     graph = np.eye(n)
     nonzero = sums > 0

@@ -1,8 +1,8 @@
 """Two-phase episodic training: base training, then balanced k-shot fine-tune.
 
-Phase one trains every head parameter on base-class records (the embedding
-matrix itself is fixed by construction and never moves; both phases assert
-this, and that every frozen parameter stays put, by content hash).  Phase two
+Phase one trains every grouped head parameter on base-class records (the
+embedding rows are a param that no group names, so they never move; both
+phases assert by content hash that every frozen parameter stays put).  Phase two
 freezes everything except a small trainable set (by default the output layer:
 see ``default_finetune_groups``) and trains on class-balanced batches from the
 k-shot episode's base and novel records.
@@ -198,7 +198,6 @@ class TraceRow:  # one line of trace.csv, in column order
 @dataclass
 class TrainResult:
     trace: list
-    we_hash: str  # the embedding matrix, unchanged by the phase
     frozen_hash: str  # the parameters the phase froze, unchanged by it
 
     @property
@@ -213,11 +212,11 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
     Resolves every record's label once and checks it against the phase,
     trains ``cfg.trainable`` (else ``default_groups``) for ``steps``
     steps, decaying lr at ``milestones``, over ``batches`` of columns of
-    ``data``, and raises if the embedding matrix or a frozen parameter ends
-    the phase different from how it began: any drift is a bug, not a
-    tolerance question.  A phase that
-    freezes every trunk and reg parameter runs the trunk half of the forward
-    pass once over ``data`` and gives each step its columns.
+    ``data``, and raises if a frozen parameter (the embedding rows among
+    them) ends the phase different from how it began: any drift is a bug,
+    not a tolerance question.  A phase that freezes every trunk and reg
+    parameter runs the trunk half of the forward pass once over ``data``
+    and gives each step its columns.
 
     The phase owns its optimizer state: a ``ParamBlock`` of the trainable
     params in ``head.params`` order, which leaves each trainable ``p.value``
@@ -234,7 +233,7 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
                                     else default_groups)
     head.set_trainable(trainable)
     frozen = [n for n in head.params if n not in trainable]
-    we_hash, frozen_hash = head.we_hash(), head.param_hash(frozen)
+    frozen_hash = head.param_hash(frozen)
     trunk = (None if trainable & head.resolve_groups(("trunk", "reg"))
              else trunk_features(head, data))
     for p in head.params.values():
@@ -257,11 +256,9 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
     finally:  # drop the recorded step, also when the phase fails
         if result is not None:
             result.loss.tape.release()
-    if head.we_hash() != we_hash:
-        raise RuntimeError(f"{phase}: the embedding matrix changed")
     if head.param_hash(frozen) != frozen_hash:
         raise RuntimeError(f"{phase}: a frozen parameter moved")
-    return TrainResult(trace=trace, we_hash=we_hash, frozen_hash=frozen_hash)
+    return TrainResult(trace=trace, frozen_hash=frozen_hash)
 
 
 def _uniform_batches(data: FeatureSet, batch_size: int, seed: int):

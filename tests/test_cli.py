@@ -19,7 +19,7 @@ from semshot.cli import _COMMANDS, main
 from semshot.embeddings import (ClassRegistry, Interval, compose_background_row, load_registry,
                                 random_embeddings, save_registry)
 from semshot.head import (HeadConfig, attach_heuristic_graph, build_head, head_state, load_head,
-                          save_head, switch_graph_mode)
+                          switch_graph_mode)
 from semshot.pipeline import clustered_embeddings
 from semshot.relation import GraphMode, init_maps
 
@@ -432,6 +432,8 @@ def _bad_input_cases(corpus, trained, bad):
     graph_edited["params"]["g_heur"][0] = [0.0, 0.0, 1.0, 0.0]  # still row-stochastic
     no_registry = ["finetune", "--checkpoint", trained / "head.json", "--base-data", base,
                    "--novel-data", corpus / "novel_train.jsonl"]
+    header, base00, base01, *rest = (corpus / "embeddings.txt").read_text().splitlines()
+    zero_row = "\n".join([header, base00, "base01" + " 0" * int(header.split()[1]), *rest])
     unscaled_meta = json.loads((trained / "meta.json").read_text())
     unscaled_meta["config"]["scaled.attention"] = False
     return {
@@ -478,12 +480,13 @@ def _bad_input_cases(corpus, trained, bad):
         "checkpoint_graph_edited": (json.dumps(graph_edited), evaluate(bad, base),
                                     f"{bad}: checkpoint field 'param_hash' does not match "
                                     "'params'"),
-        # attention is always scaled; a head that computed another function must not load
-        "checkpoint_unscaled_attention": (checkpoint(scaled_attention=False),
+        # attention is always scaled; a head that computed another function must not
+        # load, and only a v1 checkpoint could name that form
+        "checkpoint_unscaled_attention": (checkpoint(format="semshot-head-v1",
+                                                     scaled_attention=False),
                                           evaluate(bad, corpus / "test.jsonl"),
-                                          f"{bad}: checkpoint field 'scaled_attention' must be "
-                                          "true or absent (attention is always scaled), "
-                                          "got false"),
+                                          f"{bad}: unrecognized checkpoint format "
+                                          "'semshot-head-v1'"),
         "config_unscaled_attention": (json.dumps(unscaled_meta), train(**{"--config": bad}),
                                       f"{bad}: unknown config keys ['scaled.attention']"),
         "train_no_scaled_attention": ("", train() + ["--no-scaled-attention"],
@@ -576,6 +579,20 @@ def _bad_input_cases(corpus, trained, bad):
             f"--base-data {corpus / 'novel_train.jsonl'}:1: class 'novel00' is a novel class"),
         "finetune_base_records_in_the_novel_pool": (
             "", finetune(base), f"--novel-data {base}:1: class 'base00' is not a novel class"),
+        "train_novel_record": (relabeled(base, "novel00"),
+                               train(**{"--data": bad, "--registry": corpus / "registry.json"}),
+                               f"--data {bad}:2: class 'novel00' is a novel class"),
+        # same class count, so no --embeddings is read: the registry itself is at fault
+        "finetune_registry_reordered": (
+            '{"base": ["base01", "base00", "base02"]}',
+            finetune(corpus / "novel_train.jsonl", **{"--registry": bad}),
+            f"--registry {bad} must keep the same base classes"),
+        "registry_empty_tokens": (
+            '{"base": ["base00", "base01", "base02"], "tokens": {"base01": []}}',
+            train(**{"--registry": bad}),
+            f"{bad}: token override for class 'base01' lists no token"),
+        "embeddings_zero_row": (zero_row, train(**{"--embeddings": bad}),
+                                f"{bad}: cannot normalize zero rows ['base01']"),
         "empty_train_data": ("", train(**{"--data": bad}), f"{bad}: no records"),
         "empty_novel_data": ("\n", finetune(bad), f"{bad}: no records"),
         "empty_eval_data": ("", evaluate(trained / "head.json", bad), f"{bad}: no records"),
@@ -700,7 +717,8 @@ def _bad_input_cases(corpus, trained, bad):
     "train_random_embed_seed_negative", "train_seed_negative",
     "finetune_base_shots_negative", "config_base_shots_negative",
     "unknown_class", "train_null_label", "train_unknown_label", "finetune_unknown_label",
-    "finetune_swapped_pools", "finetune_base_records_in_the_novel_pool",
+    "finetune_swapped_pools", "finetune_base_records_in_the_novel_pool", "train_novel_record",
+    "finetune_registry_reordered", "registry_empty_tokens", "embeddings_zero_row",
     "empty_train_data", "empty_novel_data", "empty_eval_data", "partial_reg", "nested_feat",
     "batch_size_zero", "batch_size_negative", "lr_negative", "momentum_above_one",
     "weight_decay_negative", "reg_weight_nan",
@@ -886,11 +904,11 @@ def test_finetune_with_no_trainable_group_moves_nothing(corpus, trained, tmp_pat
     assert meta["run"]["trainable"] == []
     original = json.loads((trained / "head.json").read_text())
     frozen = json.loads((out / "head.json").read_text())
-    # expansion inserts two bias rows; everything else is bit-identical
+    # expansion inserts two bias and two embedding rows; everything else is bit-identical
     for name, values in original["params"].items():
-        if name == "b":
-            assert frozen["params"]["b"][:3] == values[:3]      # base rows
-            assert frozen["params"]["b"][-1] == values[-1]      # background row
+        if name in ("b", "we"):
+            assert frozen["params"][name][:3] == values[:3]      # base rows
+            assert frozen["params"][name][-1] == values[-1]      # background row
         else:
             assert frozen["params"][name] == values
 
@@ -946,14 +964,14 @@ def test_train_with_the_stage_deferred_is_the_projection_heads_base_phase(
     for name, values in shared.items():
         assert state["params"][name] == values, name
     # the maps, which only the srr head has, stay at their init
-    maps = init_maps(GraphMode(graph_mode), len(state["we"]["matrix"][0]), state["dims"]["r"],
+    maps = init_maps(GraphMode(graph_mode), len(state["params"]["we"][0]), state["dims"]["r"],
                      seed=state["seed"], gain=state["attention_gain"])
     assert state["params"].keys() - shared.keys() == maps.keys()
     for name, p in maps.items():
         assert state["params"][name] == p.value.tolist(), name
     assert not np.any(state["params"]["t_l"])
-    # they did not train, so the checkpoint marks them frozen
-    assert [name for name, trains in state["trainable"].items() if not trains] == list(maps)
+    # they did not train, so the checkpoint marks them frozen, as it does the embedding rows
+    assert [name for name, trains in state["trainable"].items() if not trains] == [*maps, "we"]
 
 
 def test_no_base_phase_trains_an_srr_head(corpus, tmp_path, monkeypatch):
@@ -1002,17 +1020,19 @@ def test_the_retired_base_phase_switch_is_ignored_in_a_checkpoint_and_refused_in
     assert capsys.readouterr().err == f"error: {config}: unknown config keys ['{key}']\n"
 
 
-def test_a_checkpoint_with_embedding_provenance_loads_and_saves_without_it(trained, tmp_path):
-    # older checkpoints label each embedding row; the rows and both hashes stay
+def test_a_v1_checkpoint_is_refused_naming_its_format(corpus, trained, tmp_path, capsys):
+    # v1 kept the embedding rows in a top-level block with their own hash
     state = json.loads((trained / "head.json").read_text())
-    state["we"]["provenance"] = [f"tokens:base{i:02d}" for i in range(3)] + [
-        "background:seed=0"]
+    rows = state["params"].pop("we")
+    del state["trainable"]["we"]
+    digest = hashlib.sha256(np.array(rows).tobytes()).hexdigest()
+    state.update(format="semshot-head-v1", we={"matrix": rows, "hash": digest})
     old = tmp_path / "old_head.json"
     old.write_text(json.dumps(state, sort_keys=True) + "\n")
-    head = load_head(old)
-    assert head.param_hash() == state["param_hash"] and head.we_hash() == state["we"]["hash"]
-    save_head(head, tmp_path / "head.json")
-    assert (tmp_path / "head.json").read_bytes() == (trained / "head.json").read_bytes()
+    assert run("eval", "--out-dir", tmp_path / "out", "--checkpoint", old,
+               "--data", corpus / "test.jsonl") == 1
+    assert capsys.readouterr().err == (f"error: {old}: unrecognized checkpoint format "
+                                       "'semshot-head-v1'\n")
 
 
 def test_synth_of_a_single_class_with_sigma_records_no_margin(tmp_path):
@@ -1050,7 +1070,7 @@ def test_a_deleted_option_is_refused_as_a_flag_and_as_a_config_key(
 def test_a_checkpoint_that_names_the_scaled_attention_form_loads_unchanged(corpus, tmp_path):
     assert _train(corpus, tmp_path / "srr") == 0
     state = json.loads((tmp_path / "srr" / "head.json").read_text())
-    # checkpoints once named the attention form; scaled is the form every head computes
+    # v1 checkpoints named the attention form; a key v2 does not read stays unread
     old = tmp_path / "old_head.json"
     old.write_text(json.dumps({**state, "scaled_attention": True}))
     assert head_state(load_head(old)) == state
@@ -1178,9 +1198,9 @@ def test_train_with_random_embeddings_records_their_seed(corpus, tmp_path):
     assert run("train", "--out-dir", out, "--data", corpus / "base_train.jsonl",
                "--registry", corpus / "registry_base.json", "--embeddings", "random",
                "--embed-dim", 6, "--embed-seed", 4, "--proj-dim", 8, "--steps", 2) == 0
-    we = json.loads((out / "head.json").read_text())["we"]
+    we = json.loads((out / "head.json").read_text())["params"]["we"]
     drawn = random_embeddings(load_registry(corpus / "registry_base.json"), 6, 4).matrix
-    assert we["matrix"] == drawn.tolist()  # 3 base rows + background, 6-d
+    assert we == drawn.tolist()  # 3 base rows + background, 6-d
     config = json.loads((out / "meta.json").read_text())["config"]
     assert (config["embeddings"], config["embed.dim"], config["embed.seed"]) == ("random", 6, 4)
 
@@ -1188,8 +1208,8 @@ def test_train_with_random_embeddings_records_their_seed(corpus, tmp_path):
 def test_train_seeds_an_embedding_files_background_row_with_embed_seed(corpus, tmp_path):
     out = tmp_path / "file"
     assert _train(corpus, out, "--embed-seed", 4, mode="ssp") == 0
-    we = json.loads((out / "head.json").read_text())["we"]
-    assert we["matrix"][-1] == compose_background_row(8, 4).tolist()
+    we = json.loads((out / "head.json").read_text())["params"]["we"]
+    assert we[-1] == compose_background_row(8, 4).tolist()
 
 
 def test_finetune_draws_random_rows_at_the_checkpoints_embedding_dim(corpus, trained, tmp_path):
@@ -1198,10 +1218,10 @@ def test_finetune_draws_random_rows_at_the_checkpoints_embedding_dim(corpus, tra
                "--registry", corpus / "registry.json", "--embeddings", "random",
                "--embed-seed", 3, "--base-data", corpus / "base_train.jsonl",
                "--novel-data", corpus / "novel_train.jsonl", "--k", 1, "--steps", 2) == 0
-    we = json.loads((out / "head.json").read_text())["we"]
-    assert [len(row) for row in we["matrix"]] == [8] * 6  # the corpus's rows are 8-d
+    we = json.loads((out / "head.json").read_text())["params"]["we"]
+    assert [len(row) for row in we] == [8] * 6  # the corpus's rows are 8-d
     drawn = random_embeddings(load_registry(corpus / "registry.json"), 8, 3).matrix
-    np.testing.assert_allclose(we["matrix"][3:5], drawn[3:5])
+    np.testing.assert_allclose(we[3:5], drawn[3:5])
 
 
 def test_closure_golden_and_computed(tmp_path, capsys):

@@ -195,6 +195,13 @@ _MISFIT_CASES = {
     "token_override_for_unknown_class": (
         lambda tmp: ClassRegistry(base=("a",), tokens={"zebra": ["z"]}),
         "token override for unknown class 'zebra'"),
+    "token_override_without_tokens": (
+        lambda tmp: ClassRegistry(base=("a",), tokens={"a": []}),
+        "token override for class 'a' lists no token"),
+    "tokens_averaging_to_zero": (
+        lambda tmp: parse_embedding_file(["2 2\n", "x 1 2\n", "y -1 -2\n"], ClassRegistry(
+            base=("x", "b"), tokens={"b": ["x", "y"]})),
+        "cannot normalize zero rows ['b']"),
 }
 
 

@@ -225,6 +225,7 @@ def test_switch_graph_mode_upgrades_ssp_to_identity_relation_stage(base_reg, gra
     v = np.random.default_rng(12).standard_normal((8, 1))
     before = class_scores(head, v)
     old = {n: p.value.copy() for n, p in head.params.items()}
+    old_trainable = head.trainable_names()
     switch_graph_mode(head, graph, seed=3)
     assert (head.mode, head.cfg.graph_mode) == (HeadMode.SRR, rel.GraphMode(graph))
     maps = rel.init_maps(head.cfg.graph_mode, 6, 4, seed=3, gain=4.0)
@@ -234,7 +235,7 @@ def test_switch_graph_mode_upgrades_ssp_to_identity_relation_stage(base_reg, gra
     for name, value in old.items():
         np.testing.assert_array_equal(head.params[name].value, value)
     # the maps have not trained; the flags of the old parameters stay as they were
-    assert head.trainable_names() == list(old)
+    assert head.trainable_names() == old_trainable
     # t_l = 0: the new stage starts as the identity
     np.testing.assert_allclose(class_scores(head, v), before, atol=1e-12)
     assert switch_graph_mode(head, graph, seed=3) is head  # same stage: no change
@@ -414,7 +415,10 @@ def test_checkpoint_round_trip_is_bit_exact(base_reg, tmp_path, mode, graph):
     assert back.cfg == head.cfg
     assert back.registry == head.registry
     assert back.param_hash() == head.param_hash()
-    assert back.we_hash() == head.we_hash()
+    assert ("we" in back.params) == (mode != "baseline")
+    if mode != "baseline":
+        np.testing.assert_array_equal(back.we.matrix, head.we.matrix)
+        assert not back.params["we"].trainable
     if mode == "srr" and graph == "dynamic":
         np.testing.assert_array_equal(relation_graph(back), relation_graph(head))
         x = rng.standard_normal((10, 2))
@@ -542,12 +546,10 @@ def test_non_finite_scores_raise_naming_the_largest_parameter(base_reg, question
     (lambda s: s.update(seed=True), "'seed' must be an integer, got true or false"),
     (lambda s: s.update(attention_gain="16"), "'attention_gain' must be an integer or a number"),
     (lambda s: s["trainable"].update(P=1), "'trainable.P' must be true or false, got an integer"),
-    (lambda s: s["we"].pop("hash"), "checkpoint field 'we.hash' is missing"),
-    (lambda s: s.update(we=[]), "'we' must be an object or null, got a list"),
-    (lambda s: s.update(we=None), "checkpoint field 'we' must be an object for mode 'ssp'"),
-    (lambda s: s["we"]["matrix"].pop(), r"checkpoint field 'we\.matrix': expected 4 rows, found 3"),
-    (lambda s: s["we"].update(hash="0" * 64),
-     r"checkpoint field 'we\.hash' does not match 'we\.matrix'"),
+    (lambda s: s["params"].update(we=[row[:-1] for row in s["params"]["we"]]),
+     r"checkpoint parameter 'P': expected shape \(5, 8\), found shape \(6, 8\); "
+     "'we' holds 5-d rows"),
+    (lambda s: s["trainable"].update(we=True), "checkpoint field 'trainable.we' must be false"),
     (lambda s: s.pop("param_hash"), "checkpoint field 'param_hash' is missing"),
     (lambda s: s.update(param_hash="0" * 64),
      "checkpoint field 'param_hash' does not match 'params'"),
@@ -561,6 +563,18 @@ def test_checkpoint_names_a_missing_or_mistyped_field(base_reg, edit, message):
     state = head_state(make_head("ssp", base_reg, random_embeddings(base_reg, dim=6, seed=16)))
     edit(state)
     with pytest.raises(ValueError, match=message):
+        head_from_state(state)
+
+
+@pytest.mark.parametrize("edit,found", [
+    (lambda s: s["params"].pop("we"), "no such parameter"),
+    (lambda s: s["params"]["we"].pop(), r"shape \(3, 6\)"),
+], ids=["missing", "one_row_short"])
+def test_checkpoint_names_the_embedding_rows_missing_or_misshapen(base_reg, edit, found):
+    state = head_state(make_head("ssp", base_reg, random_embeddings(base_reg, dim=6, seed=16)))
+    edit(state)
+    with pytest.raises(ValueError,
+                       match=rf"checkpoint parameter 'we': expected shape \(4, 6\), found {found}"):
         head_from_state(state)
 
 
@@ -591,31 +605,39 @@ def _field_paths(state) -> list:
 
 
 def _is_matrix(path, value) -> bool:
-    matrix_field = path[0] == "params" or path == ("we", "matrix")
-    return matrix_field and isinstance(value, list)
+    return path[0] == "params" and isinstance(value, list)
 
 
-def _stored_arrays(state) -> list:
-    """(path, the field a failed load names) of every array ``state`` stores."""
-    arrays = [(("params", name), "params") for name in state["params"]]
-    if state["we"] is not None:
-        arrays.append((("we", "matrix"), "we.matrix"))
-    return arrays
+def _matrix_paths(obj, path=()) -> list:
+    """The path of every list of lists in the JSON value ``obj``."""
+    if isinstance(obj, dict):
+        return [p for key, value in obj.items() for p in _matrix_paths(value, path + (key,))]
+    if isinstance(obj, list) and obj and all(isinstance(row, list) for row in obj):
+        return [path]
+    return []
+
+
+def test_a_checkpoint_holds_the_v2_fields_and_every_array_under_params():
+    for state in _STATES:
+        assert state.keys() == {"format", "mode", "graph_mode", "dims", "attention_gain",
+                                "decoupled", "seed", "registry", "params", "param_hash",
+                                "trainable"}
+        assert state["format"] == "semshot-head-v2"
+        assert _matrix_paths(state) == [("params", name) for name in state["params"]]
+        assert ("we" in state["params"]) == (state["mode"] != "baseline")
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_a_one_ulp_edit_of_any_stored_array_fails_naming_its_field(data):
+    # every array is a param, the embedding rows ``params.we`` among them
     which = data.draw(st.integers(0, len(_STATES) - 1))
     state = copy.deepcopy(_STATES[which])
-    path, field = data.draw(st.sampled_from(_stored_arrays(state)))
-    rows = state
-    for key in path:
-        rows = rows[key]
+    rows = state["params"][data.draw(st.sampled_from(sorted(state["params"])))]
     row = rows[data.draw(st.integers(0, len(rows) - 1))]
     j = data.draw(st.integers(0, len(row) - 1))
     row[j] = float(np.nextafter(row[j], data.draw(st.sampled_from([-np.inf, np.inf]))))
-    with pytest.raises(ValueError, match=re.escape(f"'{field}'")):
+    with pytest.raises(ValueError, match="'params'"):
         head_from_state(state)
 
 

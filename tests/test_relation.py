@@ -208,6 +208,36 @@ def test_cooccurrence_graph_counts_and_identity_fallback():
         rel.cooccurrence_graph([["zebra"]], reg)
 
 
+def _pairwise_counts(label_sets, registry) -> np.ndarray:
+    """Co-occurrence counts by a loop over each set's pairs of distinct classes."""
+    counts = np.zeros((registry.n, registry.n))
+    for labels in label_sets:
+        idx = sorted({registry.index(name) for name in labels})
+        for i in idx:
+            counts[i, i] += 1.0
+        for a in range(len(idx)):
+            for b in range(a + 1, len(idx)):
+                counts[idx[a], idx[b]] += 1.0
+                counts[idx[b], idx[a]] += 1.0
+    return counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cooccurrence_graph_matches_the_pairwise_loop_bit_for_bit(data):
+    n_base, n_novel = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 3))
+    reg = ClassRegistry.numbered(n_base, n_novel)
+    # any spelling of a name resolves to its class, repeats included
+    spellings = [s for name in reg.names for s in (name, name.upper())]
+    label_sets = data.draw(st.lists(st.lists(st.sampled_from(spellings), max_size=6),
+                                    max_size=8))
+    counts = _pairwise_counts(label_sets, reg)
+    sums = counts.sum(axis=1)
+    want = np.eye(reg.n)
+    want[sums > 0] = counts[sums > 0] / sums[sums > 0, None]
+    np.testing.assert_array_equal(rel.cooccurrence_graph(label_sets, reg), want)
+
+
 def test_correlation_map_cosines_and_difference(we):
     reg = ClassRegistry(base=("a", "b", "c"), novel=("d",))
     after = we.matrix.copy()

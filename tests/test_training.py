@@ -248,10 +248,12 @@ def test_base_train_rejects_novel_labels(tiny_world):
 def test_base_train_runs_and_loss_falls(tiny_world):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
     head = make_head("ssp", base_reg, we.select_rows(base_rows))
-    we_before = head.we_hash()
+    rows = head.params["we"].value.copy()
     result = base_train(head, base_data, TrainConfig(steps=60, batch_size=8, seed=0))
     assert len(result.trace) == 60
-    assert result.we_hash == we_before == head.we_hash()
+    # the embedding rows are a param no group names: the phase leaves them frozen and put
+    assert "we" not in head.trainable_names()
+    np.testing.assert_array_equal(head.params["we"].value, rows)
     early = np.mean([r.loss for r in result.trace[:10]])
     late = np.mean([r.loss for r in result.trace[-10:]])
     assert late < early
@@ -331,8 +333,8 @@ def test_base_train_fails_when_a_deferred_relation_map_moves(tiny_world, monkeyp
 def test_base_train_fails_when_the_embedding_matrix_moves(tiny_world, monkeypatch):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
     head = make_head("ssp", base_reg, we.select_rows(base_rows))
-    _nudging_sgd_step(monkeypatch, head.we.matrix)
-    with pytest.raises(RuntimeError, match="base_train: the embedding matrix changed"):
+    _nudging_sgd_step(monkeypatch, head.params["we"].value)
+    with pytest.raises(RuntimeError, match="base_train: a frozen parameter moved"):
         base_train(head, base_data, TrainConfig(steps=3, batch_size=4, seed=1))
 
 
@@ -417,8 +419,9 @@ def test_each_param_keeps_one_gradient_buffer_across_phases(tiny_world):
 
 
 def test_a_finetune_gives_frozen_params_no_gradient_buffer(tiny_world, monkeypatch):
-    # trunk not cached (reg trains), relation maps frozen: 8 frozen params,
-    # wrapped once when the step is recorded and rerun on every later step
+    # trunk not cached (reg trains), relation maps and embedding rows frozen:
+    # 9 frozen params, wrapped once when the step is recorded and rerun on
+    # every later step
     registry, base_reg, we, *_ = tiny_world
     wraps, fresh = [], []
     real = Tape.param
@@ -434,7 +437,7 @@ def test_a_finetune_gives_frozen_params_no_gradient_buffer(tiny_world, monkeypat
     monkeypatch.setattr(Tape, "param", param)
     buffers = {name: p.grad for name, p in make_head("srr", registry, we).params.items()}
     head, trace, _ = _srr_finetune(tiny_world, trainable=("P", "b", "reg"))
-    assert len(wraps) == 8 and sum(fresh) == 0 and len(trace) == 12
+    assert len(wraps) == 9 and sum(fresh) == 0 and len(trace) == 12
     for name in wraps:  # zeroed at the phase start, never bound anew or accumulated into
         assert head.params[name].grad.shape == buffers[name].shape
         assert not head.params[name].grad.any()
