@@ -357,12 +357,14 @@ def cmd_train(cfg: dict, run: _Run) -> int:
     head = build_head(base_phase_config(head_cfg), registry, we)
 
     result = base_train(head, data, TrainConfig(**_optim_args(cfg)))
+    trained = head.trainable_names()
     switch_graph_mode(head, head_cfg.graph_mode, seed=cfg["seed"])
     if graph is not None:
         attach_heuristic_graph(head, graph)
     save_head(head, run.path("head.json"))
     save_trace_csv(run.path("trace.csv"), result.trace)
-    run.extra = {"param_hash": head.param_hash(), "final_loss": result.final_loss}
+    run.extra = {"param_hash": head.param_hash(), "final_loss": result.final_loss,
+                 "trainable": trained}
     return 0
 
 
@@ -633,6 +635,8 @@ def cmd_closure(cfg: dict, run: _Run) -> int:
         if not roots:
             raise ValueError(f"--roots holds no synset id, got {cfg['roots']!r}")
         graph = load_hypernym_edges(cfg["edges"])
+        if (missing := next((r for r in roots if r not in graph.nodes), None)) is not None:
+            raise ValueError(f"--roots {missing!r} is not a node of --edges {cfg['edges']}")
         if graph.cyclic:
             print("warning: hypernym graph contains a cycle; closure still terminates",
                   file=sys.stderr)

@@ -497,8 +497,8 @@ def switch_graph_mode(head: Head, graph_mode, seed: int = 0) -> Head:
     """Give an SSP head the relation stage ``graph_mode``, making it SRR.
 
     The new maps start at the identity-module init of ``rel.init_maps``
-    (drawn with ``seed`` and the head's attention gain), frozen, since they
-    have not trained, and are appended after the existing parameters.
+    (drawn with ``seed`` and the head's attention gain) and are appended
+    after the existing parameters.
     Asking any head for the stage it already has (none, for a baseline or
     SSP head) leaves it as it is.
     """
@@ -513,17 +513,15 @@ def switch_graph_mode(head: Head, graph_mode, seed: int = 0) -> Head:
     if head.mode is HeadMode.BASELINE:
         raise ValueError("baseline heads have no relation stage to switch on")
     head.cfg = replace(head.cfg, mode=HeadMode.SRR, graph_mode=target)
-    maps = rel.init_maps(target, head.we.dim, head.cfg.r, seed=seed, gain=head.cfg.attention_gain)
-    for p in maps.values():
-        p.trainable = False
-    head.params.update(maps)
+    head.params.update(rel.init_maps(target, head.we.dim, head.cfg.r, seed=seed,
+                                     gain=head.cfg.attention_gain))
     return head
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 
-_CHECKPOINT_FORMAT = "semshot-head-v2"
+_CHECKPOINT_FORMAT = "semshot-head-v3"
 
 
 def head_state(head: Head) -> dict:
@@ -538,7 +536,6 @@ def head_state(head: Head) -> dict:
         "registry": head.registry.to_json(),
         "params": {name: p.value.tolist() for name, p in head.params.items()},
         "param_hash": head.param_hash(),
-        "trainable": {name: p.trainable for name, p in head.params.items()},
     }
 
 
@@ -604,7 +601,10 @@ def head_from_state(state: dict) -> Head:
              for name, values in _field(state, "params", dict).items()}
     # a freshly built head's shapes are the only valid ones, and a heuristic
     # head's graph; the embedding width is the rows' own, else the projection's
-    width = found["we"].shape[1] if "we" in found else found.get("P", np.zeros((1, 1))).shape[0]
+    width = found["we"].shape[1] if "we" in found else found["P"].shape[0] if "P" in found else 0
+    if not width and cfg.mode is not HeadMode.BASELINE:
+        raise ValueError(f"checkpoint parameter 'we': expected {registry.n} rows, "
+                         "found no such parameter")
     template = build_head(cfg, registry, EmbeddingMatrix(np.zeros((registry.n, width))))
     expected = {name: p.value.shape for name, p in template.params.items()}
     if cfg.graph_mode is rel.GraphMode.HEURISTIC:
@@ -617,16 +617,10 @@ def head_from_state(state: dict) -> Head:
             source = f"; 'we' holds {width}-d rows" if shaped_by_we else ""
             raise ValueError(f"checkpoint parameter {name!r}: expected {_shape_text(want)}, "
                              f"found {_shape_text(got)}{source}")
-    trainable = _field(state, "trainable", dict)
-    params = {
-        name: Param(name, value, trainable=_field(trainable, name, bool, prefix="trainable."))
-        for name, value in found.items()
-    }
-    # a param that no group names (the embedding rows, a heuristic graph) never trains
+    # the flags of a freshly built head: a param that no group names (the
+    # embedding rows, a heuristic graph) is frozen; a phase sets its own
     grouped = template.resolve_groups(template.param_groups())
-    if stray := next((n for n, p in params.items() if p.trainable and n not in grouped), None):
-        raise ValueError(f"checkpoint field 'trainable.{stray}' must be false "
-                         f"(no parameter group names {stray!r})")
+    params = {name: Param(name, value, trainable=name in grouped) for name, value in found.items()}
     head = Head(cfg=cfg, registry=registry, params=params)
     # last, so a malformed field is named rather than reported as a mismatch
     if head.param_hash() != _field(state, "param_hash", str):

@@ -171,12 +171,11 @@ class CorrelationMaps:
         return self.after - self.before
 
 
-def _cosine_block(rows_a, rows_b) -> np.ndarray:
-    na = np.linalg.norm(rows_a, axis=1, keepdims=True)
-    nb = np.linalg.norm(rows_b, axis=1, keepdims=True)
-    if (na < 1e-12).any() or (nb < 1e-12).any():
-        raise ValueError("zero-norm embedding row in correlation map")
-    return (rows_a / na) @ (rows_b / nb).T
+def _cosine_block(rows, registry: ClassRegistry) -> np.ndarray:
+    """Cosines of the novel rows of ``rows`` against its base rows."""
+    novel = dm.l2_normalize_rows(rows[registry.novel_indices()], registry.novel)
+    base = dm.l2_normalize_rows(rows[registry.base_indices()], registry.base)
+    return novel @ base.T
 
 
 def correlation_map(we_before, we_after, registry: ClassRegistry) -> CorrelationMaps:
@@ -189,11 +188,9 @@ def correlation_map(we_before, we_after, registry: ClassRegistry) -> Correlation
         raise ValueError(
             f"embedding rows ({before.shape[0]}) do not match registry size ({registry.n})"
         )
-    bi = registry.base_indices()
-    ni = registry.novel_indices()
     return CorrelationMaps(
         novel_names=tuple(registry.novel),
         base_names=tuple(registry.base),
-        before=_cosine_block(before[ni], before[bi]),
-        after=_cosine_block(after[ni], after[bi]),
+        before=_cosine_block(before, registry),
+        after=_cosine_block(after, registry),
     )

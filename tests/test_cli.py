@@ -637,6 +637,10 @@ def _bad_input_cases(corpus, trained, bad):
         "closure_roots_without_an_id": ("n00000001\tn00000002\n",
                                         ["closure", "--edges", bad, "--roots", ","],
                                         "--roots holds no synset id, got ','"),
+        "closure_root_not_in_the_graph": ("n00000001\tn00000002\n",
+                                          ["closure", "--edges", bad, "--roots",
+                                           "n00000001,n00000009"],
+                                          f"--roots 'n00000009' is not a node of --edges {bad}"),
         # given flags that --golden would ignore
         "closure_golden_with_edges": (
             "", ["closure", "--golden", "--edges", bad.parent / "nonexistent.tsv"],
@@ -724,7 +728,8 @@ def _bad_input_cases(corpus, trained, bad):
     "weight_decay_negative", "reg_weight_nan",
     "trainable_unknown_group", "synth_sigma_negative", "synth_sigma_nan",
     "synth_margin_scale_negative", "synth_spread_negative", "closure_edges",
-    "closure_roots_without_an_id", "closure_golden_with_edges", "closure_golden_with_roots",
+    "closure_roots_without_an_id", "closure_root_not_in_the_graph",
+    "closure_golden_with_edges", "closure_golden_with_roots",
     "closure_golden_with_edges_and_roots", "closure_golden_with_class_name",
     "closure_golden_with_every_closure_flag", "train_baseline_with_embeddings",
     "train_embedding_file_with_embed_dim", "finetune_embeddings_without_registry",
@@ -970,8 +975,10 @@ def test_train_with_the_stage_deferred_is_the_projection_heads_base_phase(
     for name, p in maps.items():
         assert state["params"][name] == p.value.tolist(), name
     assert not np.any(state["params"]["t_l"])
-    # they did not train, so the checkpoint marks them frozen, as it does the embedding rows
-    assert [name for name, trains in state["trainable"].items() if not trains] == [*maps, "we"]
+    # meta.json records what the base phase trained: neither the maps nor the embedding rows
+    trained = json.loads((srr / "meta.json").read_text())["run"]["trainable"]
+    assert trained == json.loads((ssp / "meta.json").read_text())["run"]["trainable"]
+    assert sorted(trained) == sorted(shared.keys() - {"we"})
 
 
 def test_no_base_phase_trains_an_srr_head(corpus, tmp_path, monkeypatch):
@@ -1001,7 +1008,7 @@ def test_no_base_phase_trains_an_srr_head(corpus, tmp_path, monkeypatch):
     assert seen == ["baseline", "ssp", "ssp", "ssp"]
     state = json.loads((tmp_path / "heur" / "head.json").read_text())
     assert (state["mode"], state["graph_mode"]) == ("srr", "heuristic")
-    assert len(state["params"]["g_heur"]) == 4 and state["trainable"]["g_heur"] is False
+    assert len(state["params"]["g_heur"]) == 4
 
 
 def test_the_retired_base_phase_switch_is_ignored_in_a_checkpoint_and_refused_in_a_config(
@@ -1024,7 +1031,6 @@ def test_a_v1_checkpoint_is_refused_naming_its_format(corpus, trained, tmp_path,
     # v1 kept the embedding rows in a top-level block with their own hash
     state = json.loads((trained / "head.json").read_text())
     rows = state["params"].pop("we")
-    del state["trainable"]["we"]
     digest = hashlib.sha256(np.array(rows).tobytes()).hexdigest()
     state.update(format="semshot-head-v1", we={"matrix": rows, "hash": digest})
     old = tmp_path / "old_head.json"
@@ -1033,6 +1039,19 @@ def test_a_v1_checkpoint_is_refused_naming_its_format(corpus, trained, tmp_path,
                "--data", corpus / "test.jsonl") == 1
     assert capsys.readouterr().err == (f"error: {old}: unrecognized checkpoint format "
                                        "'semshot-head-v1'\n")
+
+
+def test_a_v2_checkpoint_is_refused_naming_its_format(corpus, trained, tmp_path, capsys):
+    # v2 also stored each parameter's trainable flag
+    state = json.loads((trained / "head.json").read_text())
+    state.update(format="semshot-head-v2",
+                 trainable={name: name != "we" for name in state["params"]})
+    old = tmp_path / "old_head.json"
+    old.write_text(json.dumps(state, sort_keys=True) + "\n")
+    assert run("eval", "--out-dir", tmp_path / "out", "--checkpoint", old,
+               "--data", corpus / "test.jsonl") == 1
+    assert capsys.readouterr().err == (f"error: {old}: unrecognized checkpoint format "
+                                       "'semshot-head-v2'\n")
 
 
 def test_synth_of_a_single_class_with_sigma_records_no_margin(tmp_path):

@@ -225,7 +225,7 @@ def test_switch_graph_mode_upgrades_ssp_to_identity_relation_stage(base_reg, gra
     v = np.random.default_rng(12).standard_normal((8, 1))
     before = class_scores(head, v)
     old = {n: p.value.copy() for n, p in head.params.items()}
-    old_trainable = head.trainable_names()
+    old_flags = {n: p.trainable for n, p in head.params.items()}
     switch_graph_mode(head, graph, seed=3)
     assert (head.mode, head.cfg.graph_mode) == (HeadMode.SRR, rel.GraphMode(graph))
     maps = rel.init_maps(head.cfg.graph_mode, 6, 4, seed=3, gain=4.0)
@@ -234,8 +234,8 @@ def test_switch_graph_mode_upgrades_ssp_to_identity_relation_stage(base_reg, gra
         np.testing.assert_array_equal(head.params[name].value, p.value)
     for name, value in old.items():
         np.testing.assert_array_equal(head.params[name].value, value)
-    # the maps have not trained; the flags of the old parameters stay as they were
-    assert head.trainable_names() == old_trainable
+    # the flags of the old parameters stay as they were
+    assert {n: head.params[n].trainable for n in old} == old_flags
     # t_l = 0: the new stage starts as the identity
     np.testing.assert_allclose(class_scores(head, v), before, atol=1e-12)
     assert switch_graph_mode(head, graph, seed=3) is head  # same stage: no change
@@ -459,7 +459,6 @@ def test_checkpoint_rejects_extra_and_missing_parameters(base_reg):
     we = random_embeddings(base_reg, dim=6, seed=13)
     state = head_state(make_head("srr", base_reg, we, d=8, r=4))
     state["params"]["bogus"] = [[0.0, 1.0]]
-    state["trainable"]["bogus"] = True
     with pytest.raises(ValueError, match=r"'bogus': expected no such parameter, found shape \(1, 2\)"):
         head_from_state(state)
     del state["params"]["bogus"], state["params"]["t_l"]
@@ -489,20 +488,9 @@ def test_checkpoint_carries_a_graph_exactly_for_heuristic_heads(base_reg):
         head_from_state(state)
     ssp = head_state(make_head("ssp", base_reg, we, d=8))
     ssp["params"]["g_heur"] = np.full((4, 4), 0.25).tolist()
-    ssp["trainable"]["g_heur"] = False
     with pytest.raises(ValueError, match="'g_heur': expected no such parameter, "
                                          r"found shape \(4, 4\)"):
         head_from_state(ssp)
-
-
-def test_checkpoint_refuses_a_trainable_heuristic_graph(base_reg):
-    head = make_head("srr", base_reg, random_embeddings(base_reg, dim=6, seed=14),
-                     graph_mode="heuristic", d=8)
-    attach_heuristic_graph(head, np.full((4, 4), 0.25))
-    state = head_state(head)
-    state["trainable"]["g_heur"] = True
-    with pytest.raises(ValueError, match="checkpoint field 'trainable.g_heur' must be false"):
-        head_from_state(state)
 
 
 def test_checkpoint_of_the_old_heuristic_layout_is_refused_naming_g_heur(base_reg):
@@ -513,7 +501,6 @@ def test_checkpoint_of_the_old_heuristic_layout_is_refused_naming_g_heur(base_re
     attach_heuristic_graph(head, np.full((4, 4), 0.25))
     state = head_state(head)
     state["g_heur"] = state["params"].pop("g_heur")
-    del state["trainable"]["g_heur"]
     with pytest.raises(ValueError, match="'g_heur'"):
         head_from_state(state)
     ssp = head_state(make_head("ssp", base_reg, we, d=8))
@@ -545,11 +532,13 @@ def test_non_finite_scores_raise_naming_the_largest_parameter(base_reg, question
     (lambda s: s.update(dims=[8, 8, 4]), "checkpoint field 'dims' must be an object, got a list"),
     (lambda s: s.update(seed=True), "'seed' must be an integer, got true or false"),
     (lambda s: s.update(attention_gain="16"), "'attention_gain' must be an integer or a number"),
-    (lambda s: s["trainable"].update(P=1), "'trainable.P' must be true or false, got an integer"),
     (lambda s: s["params"].update(we=[row[:-1] for row in s["params"]["we"]]),
      r"checkpoint parameter 'P': expected shape \(5, 8\), found shape \(6, 8\); "
      "'we' holds 5-d rows"),
-    (lambda s: s["trainable"].update(we=True), "checkpoint field 'trainable.we' must be false"),
+    (lambda s: s["params"].update(P=[[1.0] * 8] * 5 + [[1.0] * 7]),
+     "checkpoint field 'params.P' must be a matrix of finite numbers"),
+    (lambda s: [s["params"].pop(name) for name in ("we", "P")],
+     "checkpoint parameter 'we': expected 4 rows, found no such parameter$"),
     (lambda s: s.pop("param_hash"), "checkpoint field 'param_hash' is missing"),
     (lambda s: s.update(param_hash="0" * 64),
      "checkpoint field 'param_hash' does not match 'params'"),
@@ -578,8 +567,8 @@ def test_checkpoint_names_the_embedding_rows_missing_or_misshapen(base_reg, edit
         head_from_state(state)
 
 
-def _checkpoint_states() -> list:
-    """head_state of small heads: every mode and graph mode, a decoupled one
+def _checkpoint_heads() -> list:
+    """Freshly built small heads: every mode and graph mode, a decoupled one
     and a heuristic one with its graph, over a registry with a token override."""
     registry = ClassRegistry(base=("cat", "dog"), novel=("red fox",),
                              tokens={"red fox": ["fox"]})
@@ -590,10 +579,10 @@ def _checkpoint_states() -> list:
              make_head("srr", registry, we, graph_mode="tt", d=4, r=2),
              make_head("srr", registry, we, graph_mode="heuristic", d=4)]
     attach_heuristic_graph(heads[-1], np.full((4, 4), 0.25))
-    return [head_state(h) for h in heads]
+    return heads
 
 
-_STATES = _checkpoint_states()
+_STATES = [head_state(h) for h in _checkpoint_heads()]
 _STATE_HASHES = [head_from_state(copy.deepcopy(s)).param_hash() for s in _STATES]
 _OTHER_TYPES = ["text", 7, 2.5, True, None, {}, ["text"]]
 
@@ -617,14 +606,35 @@ def _matrix_paths(obj, path=()) -> list:
     return []
 
 
-def test_a_checkpoint_holds_the_v2_fields_and_every_array_under_params():
+def test_a_checkpoint_holds_the_v3_fields_and_every_array_under_params():
     for state in _STATES:
         assert state.keys() == {"format", "mode", "graph_mode", "dims", "attention_gain",
-                                "decoupled", "seed", "registry", "params", "param_hash",
-                                "trainable"}
-        assert state["format"] == "semshot-head-v2"
+                                "decoupled", "seed", "registry", "params", "param_hash"}
+        assert state["format"] == "semshot-head-v3"
         assert _matrix_paths(state) == [("params", name) for name in state["params"]]
         assert ("we" in state["params"]) == (state["mode"] != "baseline")
+
+
+def _flags(head) -> dict:
+    return {name: p.trainable for name, p in head.params.items()}
+
+
+def test_a_loaded_head_has_the_flags_of_a_freshly_built_one():
+    # whatever flags the saved head had: they are not stored
+    for head in _checkpoint_heads():
+        fresh = _flags(head)
+        assert [n for n, trains in fresh.items() if not trains] == [
+            n for n in ("we", "g_heur") if n in head.params]
+        for names in ([], ["b"], list(head.params)):
+            head.set_trainable(names)
+            assert _flags(head_from_state(head_state(head))) == fresh
+    # an ssp head given a relation stage loads as the srr head built with it
+    registry = ClassRegistry(base=("cat", "dog"), novel=("fox",))
+    we = random_embeddings(registry, dim=5, seed=20)
+    for graph in ("dynamic", "tt"):
+        switched = switch_graph_mode(make_head("ssp", registry, we, d=4, r=2), graph)
+        built = make_head("srr", registry, we, graph_mode=graph, d=4, r=2)
+        assert _flags(head_from_state(head_state(switched))) == _flags(built)
 
 
 @settings(max_examples=200, deadline=None)

@@ -257,7 +257,7 @@ def test_correlation_map_cosines_and_difference(we):
     pytest.param(lambda m: m, ("a", "b"),
                  r"embedding rows \(5\) do not match registry size \(4\)", id="registry"),
     pytest.param(lambda m: m * [[1.0], [0.0], [1.0], [1.0], [1.0]], ("a", "b", "c"),
-                 "zero-norm embedding row in correlation map", id="zero_norm_row"),
+                 r"cannot normalize zero rows \['b'\]", id="zero_norm_row"),
 ])
 def test_correlation_map_rejects_rows_it_cannot_compare(we, edit, base, message):
     reg = ClassRegistry(base=base, novel=("d",))

@@ -4,6 +4,9 @@ A ``Param`` owns its one gradient buffer for life, and a tape node gets its
 buffer when it is built; nothing else may bind a ``.grad`` attribute.  ``+=``
 on a buffer accumulates in place and is allowed.
 
+A phase decides what trains: a ``Param`` gets its flag when it is built, and
+only ``Head.set_trainable`` changes it; nothing else binds ``.trainable``.
+
 Every op records its backward through ``diffmath._op``; nothing else outside
 ``Tape`` touches the tape's record.
 
@@ -38,31 +41,42 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "semshot"
 
 # (module, class, function) scopes allowed to bind ``.grad``
 GRAD_OWNERS = {("diffmath", "Param", "__init__"), ("diffmath", "Tensor", "__init__")}
+# and ``.trainable``
+TRAINABLE_OWNERS = {("diffmath", "Param", "__init__"), ("head", "Head", "set_trainable")}
 
 
-def grad_bindings(source: str, module: str) -> list:
-    """(module, scope..., line) of every store or delete of a ``.grad``
-    attribute and every ``setattr(obj, "grad", ...)`` outside GRAD_OWNERS."""
+def attr_bindings(source: str, module: str, attr: str, owners: set, in_place=False) -> list:
+    """(module, scope..., line) of every store or delete of an ``attr``
+    attribute and every ``setattr(obj, attr, ...)`` outside ``owners``;
+    with ``in_place`` an augmented assignment does not count."""
     found = []
 
     def visit(node, scope):
-        in_place = {id(node.target)} if isinstance(node, ast.AugAssign) else set()
+        skip = {id(node.target)} if in_place and isinstance(node, ast.AugAssign) else set()
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            binds = (isinstance(child, ast.Attribute) and child.attr == "grad"
-                     and isinstance(child.ctx, (ast.Store, ast.Del)) and id(child) not in in_place)
+            binds = (isinstance(child, ast.Attribute) and child.attr == attr
+                     and isinstance(child.ctx, (ast.Store, ast.Del)) and id(child) not in skip)
             binds = binds or (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
                               and child.func.id == "setattr" and len(child.args) > 1
                               and isinstance(child.args[1], ast.Constant)
-                              and child.args[1].value == "grad")
-            if binds and (module, *scope) not in GRAD_OWNERS:
+                              and child.args[1].value == attr)
+            if binds and (module, *scope) not in owners:
                 found.append((module, *scope, child.lineno))
             visit(child, scope)
 
     visit(ast.parse(source), ())
     return found
+
+
+def grad_bindings(source: str, module: str) -> list:
+    return attr_bindings(source, module, "grad", GRAD_OWNERS, in_place=True)
+
+
+def trainable_bindings(source: str, module: str) -> list:
+    return attr_bindings(source, module, "trainable", TRAINABLE_OWNERS)
 
 
 def test_only_param_and_tensor_constructors_bind_a_grad_attribute():
@@ -97,6 +111,38 @@ def reset(ps):
         ("diffmath", "reset", 17),
     ]
     assert grad_bindings(source, "training")[0] == ("training", "Param", "__init__", 4)
+
+
+def test_only_the_param_constructor_and_set_trainable_bind_a_trainable_flag():
+    files = sorted(SRC.glob("*.py"))
+    assert {"diffmath", "head"} <= {f.stem for f in files}
+    found = [hit for f in files for hit in trainable_bindings(f.read_text(), f.stem)]
+    assert found == []
+
+
+def test_the_trainable_rule_sees_every_kind_of_binding():
+    source = '''
+class Head:
+    def set_trainable(self, names):
+        for p in self.params.values():
+            p.trainable = p.name in names
+
+def switch_graph_mode(head, maps):
+    for p in maps.values():
+        p.trainable = False
+    maps["t_l"].trainable |= True
+    for q.trainable in ():
+        pass
+    del p.trainable
+    setattr(p, "trainable", True)
+    return p.trainable
+'''
+    assert trainable_bindings(source, "head") == [
+        ("head", "switch_graph_mode", 9), ("head", "switch_graph_mode", 10),
+        ("head", "switch_graph_mode", 11), ("head", "switch_graph_mode", 13),
+        ("head", "switch_graph_mode", 14),
+    ]
+    assert trainable_bindings(source, "training")[0] == ("training", "Head", "set_trainable", 5)
 
 
 # (module, top-level scope) pairs allowed to reach the tape's record: the tape
