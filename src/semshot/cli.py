@@ -263,15 +263,15 @@ def _cooccurrence(cfg: dict, registry, graph_mode, carried: bool = False):
     """The graph of ``--cooccurrence`` over ``registry`` for a head of
     ``graph_mode`` (``carried``: one that already holds its graph), or None
     when the head takes none; the flag fails, naming itself, on any other head."""
-    wanted = graph_mode is rel.GraphMode.HEURISTIC and not carried
+    takes = rel.GRAPH in rel.STAGES[graph_mode].frozen
     if not cfg.get("cooccurrence"):
-        if wanted:
+        if takes and not carried:
             raise ValueError("heuristic graph mode needs --cooccurrence label sets")
         return None
-    if graph_mode is not rel.GraphMode.HEURISTIC:
+    if not takes:
         raise ValueError(f"--cooccurrence needs graph mode heuristic, the head's is "
                          f"{graph_mode.value}")
-    if not wanted:
+    if carried:
         raise ValueError("--cooccurrence cannot replace the heuristic graph the head carries")
     return cooccurrence_graph(_load_label_sets(cfg["cooccurrence"], registry), registry)
 
@@ -439,7 +439,7 @@ def cmd_finetune(cfg: dict, run: _Run) -> int:
                     "expansion keeps the checkpoint's background row, not the file's")
         we_full = _load_embeddings(cfg, full, head.we.dim)
     expand_classes(head, full, we_full, seed=cfg["seed"])
-    graph = _cooccurrence(cfg, head.registry, head.cfg.graph_mode, "g_heur" in head.params)
+    graph = _cooccurrence(cfg, head.registry, head.cfg.graph_mode, rel.GRAPH in head.params)
     if graph is not None:
         attach_heuristic_graph(head, graph)
 

@@ -104,9 +104,8 @@ class Head:
         else:
             groups["P"] = ["P"]
         groups["b"] = ["b"]
-        relation_names = rel.map_names(self.cfg.graph_mode)
-        if relation_names:
-            groups["relation"] = list(relation_names)
+        if maps := rel.STAGES[self.cfg.graph_mode].maps:
+            groups["relation"] = list(maps)
         if self.cfg.decoupled:
             groups["cls_trunk"] = self.trunk_names("cls")
             groups["reg_trunk"] = self.trunk_names("reg")
@@ -193,14 +192,16 @@ def build_head(cfg: HeadConfig, registry: ClassRegistry,
 
 
 def attach_heuristic_graph(head: Head, graph: np.ndarray):
-    """Give ``head`` the (n, n) heuristic graph as the param ``g_heur``,
-    frozen: no parameter group names it, so no phase trains it."""
+    """Give ``head`` the (n, n) heuristic graph as the frozen param ``rel.GRAPH``,
+    which no parameter group names; a head whose stage reads no graph refuses it."""
+    if rel.GRAPH not in rel.STAGES[head.cfg.graph_mode].frozen:
+        raise ValueError(f"head mode {head.mode.value!r} with graph mode "
+                         f"{head.cfg.graph_mode.value!r} reads no heuristic graph")
     g = dm.as_matrix(graph)
     if g.shape != (head.n_classes, head.n_classes):
-        raise ValueError(
-            f"heuristic graph shape {g.shape} does not match {head.n_classes} classes"
-        )
-    head.params["g_heur"] = Param("g_heur", g, trainable=False)
+        raise ValueError(f"heuristic graph shape {g.shape} does not match "
+                         f"{head.n_classes} classes")
+    head.params[rel.GRAPH] = Param(rel.GRAPH, g, trainable=False)
 
 
 # ---------------------------------------------------------------------------
@@ -227,21 +228,14 @@ def _trunk_t(tape: Tape, head: Head, branch: str, x_t):
 
 
 def _effective_rows_t(tape: Tape, head: Head):
-    """Class rows on the tape: W, raw We, or relation-refined We."""
+    """Class rows on the tape: W, or We after the head's relation stage."""
     if head.mode is HeadMode.BASELINE:
         return tape.param(head.params["W"])
-    we_t = tape.param(head.params["we"])
-    if head.mode is HeadMode.SSP:
-        return we_t
-    gm = head.cfg.graph_mode
-    if gm is rel.GraphMode.HEURISTIC:
-        if "g_heur" not in head.params:
-            raise ValueError("heuristic graph mode without an attached co-occurrence graph")
-        return dm.matmul(tape.param(head.params["g_heur"]), we_t)
-    maps_t = {n: tape.param(head.params[n]) for n in rel.map_names(gm)}
-    if gm is rel.GraphMode.TRAINABLE_TRANSFORM:
-        return rel.trainable_transform_t(we_t, maps_t)
-    return rel.relation_forward_t(we_t, maps_t)
+    we_t, stage = tape.param(head.params["we"]), rel.STAGES[head.cfg.graph_mode]
+    if missing := [n for n in stage.frozen if n not in head.params]:
+        raise ValueError(f"graph mode {head.cfg.graph_mode.value!r} without an attached "
+                         f"graph {missing[0]!r}")
+    return stage.rows(we_t, {n: tape.param(head.params[n]) for n in stage.maps + stage.frozen})
 
 
 def _class_scores_t(tape: Tape, head: Head, v_t):
@@ -392,16 +386,13 @@ def class_rows(head: Head) -> np.ndarray:
 def relation_graph(head: Head) -> np.ndarray:
     """The row-stochastic class graph of the relation stage: the attached
     heuristic graph, or the dynamic stage's attention graph."""
-    if (g_heur := head.params.get("g_heur")) is not None:
-        return g_heur.value
-    if head.cfg.graph_mode is not rel.GraphMode.DYNAMIC:
-        raise ValueError(
-            f"head mode {head.mode.value!r} with graph mode "
-            f"{head.cfg.graph_mode.value!r} has no relation graph to export"
-        )
-    maps = [head.params[name].value for name in ("t_f", "t_g")]
-    graph = rel.attention(head.we.matrix, maps)[0]
-    return check_finite(head, graph, "relation graph rows")
+    stage = rel.STAGES[head.cfg.graph_mode]
+    if stage.graph is None or not head.params.keys() >= set(stage.frozen):
+        raise ValueError(f"head mode {head.mode.value!r} with graph mode "
+                         f"{head.cfg.graph_mode.value!r} has no relation graph to export")
+    values = {n: head.params[n].value for n in stage.maps + stage.frozen}
+    return check_finite(head, stage.graph(head.params["we"].value, values),
+                        "relation graph rows")
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +452,8 @@ def expand_classes(head: Head, new_registry: ClassRegistry,
     head.params["b"] = Param("b", _insert_rows(b, bg, fill))
     head.registry = new_registry
     # a heuristic graph no longer matches the class count; force a re-attach
-    head.params.pop("g_heur", None)
+    for name in rel.STAGES[head.cfg.graph_mode].frozen:
+        head.params.pop(name, None)
     return head
 
 
@@ -599,16 +591,15 @@ def head_from_state(state: dict) -> Head:
     registry = ClassRegistry.from_json(registry_state)
     found = {name: _matrix(values, f"params.{name}")
              for name, values in _field(state, "params", dict).items()}
-    # a freshly built head's shapes are the only valid ones, and a heuristic
-    # head's graph; the embedding width is the rows' own, else the projection's
+    # a freshly built head's shapes are the only valid ones, and the (n, n)
+    # graphs its stage reads; the embedding width is the rows' own, else the projection's
     width = found["we"].shape[1] if "we" in found else found["P"].shape[0] if "P" in found else 0
     if not width and cfg.mode is not HeadMode.BASELINE:
         raise ValueError(f"checkpoint parameter 'we': expected {registry.n} rows, "
                          "found no such parameter")
     template = build_head(cfg, registry, EmbeddingMatrix(np.zeros((registry.n, width))))
     expected = {name: p.value.shape for name, p in template.params.items()}
-    if cfg.graph_mode is rel.GraphMode.HEURISTIC:
-        expected["g_heur"] = (registry.n, registry.n)
+    expected.update((name, (registry.n, registry.n)) for name in rel.STAGES[cfg.graph_mode].frozen)
     for name in sorted(expected.keys() | found.keys()):
         want = expected.get(name)
         got = found[name].shape if name in found else None

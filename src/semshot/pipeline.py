@@ -247,7 +247,7 @@ def finish_cell(base: BasePart, cfg: PipelineConfig, k: int) -> CellResult:
         raise ValueError(f"the base phase does not fit this cell: {', '.join(differ)} differ")
     head = switch_graph_mode(copy.deepcopy(base.head), cfg.graph_mode, seed=base.seed)
     expand_classes(head, cfg.registry(), base.we_full, seed=base.seed)
-    if cfg.graph_mode is rel.GraphMode.HEURISTIC:
+    if rel.GRAPH in rel.STAGES[cfg.graph_mode].frozen:
         # co-occurrence over single-label records degenerates to identity;
         # use the row-normalized, clipped cosine weights of the embedding rows
         attach_heuristic_graph(head, _similarity_graph(head.we.matrix))

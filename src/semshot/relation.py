@@ -9,10 +9,12 @@ whose forward the array-level ``attention`` starts.
 
 Two ablation variants share the interface: a fixed heuristic graph applied as
 G_h We, and a per-row transform We Th Tl + We that mixes nothing across rows.
+``STAGES`` holds each graph mode's record, and no other module tells them apart.
 """
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,22 +35,14 @@ class GraphMode(enum.Enum):
     TRAINABLE_TRANSFORM = "tt"
 
 
-# the trainable maps each relation stage owns, in checkpoint order
-_MAPS = {
-    GraphMode.DYNAMIC: ("t_f", "t_g", "t_h", "t_l"),
-    GraphMode.TRAINABLE_TRANSFORM: ("t_h", "t_l"),
-}
-
-
-def map_names(mode: GraphMode) -> tuple:
-    """Names of the trainable maps the relation stage ``mode`` owns."""
-    return _MAPS.get(mode, ())
+# the frozen param of the heuristic stage: the (n, n) class graph it mixes rows by
+GRAPH = "g_heur"
 
 
 def init_maps(mode: GraphMode, d_e: int, r: int = DEFAULT_REDUCED_DIM, seed: int = 0,
               gain: float = DEFAULT_ATTENTION_GAIN) -> dict:
     """Identity-module init with a semantic warm start: name -> Param for
-    the maps ``mode`` owns, in ``map_names`` order.
+    the maps the stage ``mode`` trains, in its record's order.
 
     t_l = 0 makes the refinement an exact identity.  The attention maps
     start tied (t_f = t_g), so initial scores are the PSD kernel
@@ -56,8 +50,7 @@ def init_maps(mode: GraphMode, d_e: int, r: int = DEFAULT_REDUCED_DIM, seed: int
     similarity neighborhood over classes instead of uniform mixing, which
     would cancel in the softmax.  ``gain`` sets the initial sharpness.
     """
-    names = map_names(mode)
-    if not names:
+    if not (names := STAGES[mode].maps):
         return {}
     rng = np.random.default_rng([seed, 0x5E])
     # tied maps with entry variance s^2 give scores ~ s^2 r cos(e_i, e_j)
@@ -95,7 +88,7 @@ def relation_forward_t(we_t, maps_t):
     """
     keys = we_t.value.view(np.dtype((np.void, we_t.value[0].nbytes))).ravel()  # a row an item
     order = np.argsort(keys, kind="stable")
-    ts = [maps_t[name] for name in _MAPS[GraphMode.DYNAMIC]]
+    ts = [maps_t[name] for name in STAGES[GraphMode.DYNAMIC].maps]
     r, saved = ts[0].value.shape[1], []
 
     def forward():
@@ -124,10 +117,24 @@ def relation_forward_t(we_t, maps_t):
                              for i, t in enumerate([we_t, *ts])))
 
 
-def trainable_transform_t(we_t, maps_t):
-    """Ablation: per-row transform We Th Tl + We, no cross-row mixing."""
-    transformed = dm.matmul(dm.matmul(we_t, maps_t["t_h"]), maps_t["t_l"])
-    return dm.add(transformed, we_t)
+# a relation stage: the names of the maps it trains, in checkpoint order; the
+# (n, n) class graphs it reads as frozen params; its rows op on the tape,
+# rows(we_t, name -> leaf of those params); its class graph on arrays,
+# graph(we, name -> value), or None when it has none
+Stage = namedtuple("Stage", "maps frozen rows graph",
+                   defaults=((), (), lambda we_t, ins: we_t, None))
+STAGES = {
+    GraphMode.NONE: Stage(),
+    # looked up at call time, so a wrapper of relation_forward_t sees every call
+    GraphMode.DYNAMIC: Stage(
+        ("t_f", "t_g", "t_h", "t_l"), rows=lambda we_t, ins: relation_forward_t(we_t, ins),
+        graph=lambda we, values: attention(we, [values["t_f"], values["t_g"]])[0]),
+    GraphMode.HEURISTIC: Stage(
+        frozen=(GRAPH,), rows=lambda we_t, ins: dm.matmul(ins[GRAPH], we_t),
+        graph=lambda we, values: values[GRAPH]),
+    GraphMode.TRAINABLE_TRANSFORM: Stage(("t_h", "t_l"), rows=lambda we_t, ins: dm.add(
+        dm.matmul(dm.matmul(we_t, ins["t_h"]), ins["t_l"]), we_t)),
+}
 
 
 def cooccurrence_graph(label_sets, registry: ClassRegistry) -> np.ndarray:

@@ -144,6 +144,21 @@ def test_heuristic_graph_mode_mixes_rows_with_fixed_graph(base_reg):
         attach_heuristic_graph(head, np.eye(3))
 
 
+@pytest.mark.parametrize("mode,graph", [
+    ("baseline", None), ("ssp", None), ("srr", "dynamic"), ("srr", "tt"),
+])
+def test_a_head_whose_stage_reads_no_graph_refuses_one(base_reg, mode, graph):
+    head = make_head(mode, base_reg, random_embeddings(base_reg, dim=6, seed=3),
+                     graph_mode=graph, d=8)
+    want = head_state(head)
+    with pytest.raises(ValueError, match=f"graph mode {head.cfg.graph_mode.value!r} "
+                                         "reads no heuristic graph"):
+        attach_heuristic_graph(head, np.full((4, 4), 0.25))
+    # the head is as it was, so its checkpoint still loads
+    assert head_state(head) == want and rel.GRAPH not in head.params
+    assert head_state(head_from_state(want)) == want
+
+
 def test_tt_mode_registers_only_the_per_row_maps(base_reg):
     we = random_embeddings(base_reg, dim=6, seed=4)
     head = make_head("srr", base_reg, we, graph_mode="tt", d=8, r=4)

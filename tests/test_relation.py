@@ -11,7 +11,7 @@ from semshot import diffmath as dm
 from semshot import kernels
 from semshot import relation as rel
 from semshot.embeddings import ClassRegistry, EmbeddingMatrix, random_embeddings
-from semshot.head import HeadConfig, build_head, class_rows, relation_graph
+from semshot.head import HeadConfig, build_head, class_rows, forward_pass, relation_graph
 
 
 @pytest.fixture
@@ -192,6 +192,28 @@ def test_trainable_transform_has_no_cross_row_mixing(we):
     got2 = class_rows(head)
     others = [i for i in range(we.n) if i != 2]
     np.testing.assert_array_equal(got[others], got2[others])
+
+
+def test_every_graph_mode_has_one_stage_record():
+    assert set(rel.STAGES) == set(rel.GraphMode)
+    for mode, stage in rel.STAGES.items():
+        # the record's maps are the ones its init draws, in checkpoint order
+        assert list(rel.init_maps(mode, d_e=10, r=4)) == list(stage.maps)
+        # a stage that reads a frozen graph has a class graph to export
+        assert not stage.frozen or stage.graph is not None
+    assert [m for m, s in rel.STAGES.items() if rel.GRAPH in s.frozen] == [rel.GraphMode.HEURISTIC]
+
+
+@pytest.mark.parametrize("graph_mode, calls", [("dynamic", 1), ("tt", 0)])
+def test_the_dynamic_stage_calls_relation_forward_t_through_the_module(
+        we, monkeypatch, graph_mode, calls):
+    # a wrapper bound to the module attribute, as the benchmark's tracer binds
+    # one, must see every dynamic forward: the record looks the op up per call
+    seen, real = [], rel.relation_forward_t
+    monkeypatch.setattr(rel, "relation_forward_t", lambda *a: seen.append(1) or real(*a))
+    head = _srr(we, graph_mode=graph_mode, seed=2)
+    forward_pass(head, np.random.default_rng(2).standard_normal((6, 3)))
+    assert len(seen) == calls
 
 
 def test_cooccurrence_graph_counts_and_identity_fallback():

@@ -29,6 +29,11 @@ The rule that an srr head's base phase trains its projection head has one
 owner, ``head.base_phase_config``: only ``head.py`` names the projection
 head's mode, as ``HeadMode.SSP`` or ``HeadMode("ssp")``.
 
+The relation stages differ in one place, the table ``relation.STAGES``:
+outside ``relation.py`` no identifier or exact string spells the heuristic
+graph's param name (``relation.GRAPH``), and only ``HeadConfig``, which pairs
+srr with a stage, names a graph mode other than none.
+
 No module reads or writes the environment, save the one default in
 ``__init__.py`` that starts OpenBLAS with one thread: a setting belongs in a
 config field or a flag, where a run's ``meta.json`` records it.
@@ -36,6 +41,8 @@ config field or a flag, where a run's ``meta.json`` records it.
 
 import ast
 from pathlib import Path
+
+from semshot.relation import GRAPH, GraphMode
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "semshot"
 
@@ -514,6 +521,88 @@ class Config:
         ("pipeline", "base_mode", 8), ("pipeline", "base_mode", 9),
     ]
     assert ssp_names(source, "head") == []
+
+
+# the one module that tells the relation stages apart, and the one scope
+# elsewhere that names a graph mode: the rule pairing srr with a stage
+STAGE_OWNER = "relation"
+PAIRING_RULE = ("head", "HeadConfig")
+_STAGE_MEMBERS = {m.name for m in GraphMode} - {GraphMode.NONE.name}
+_STAGE_VALUES = {m.value for m in GraphMode} - {GraphMode.NONE.value}
+_SPELLINGS = ("id", "arg", "name", "asname", "attr", "value")
+
+
+def stage_names(source: str, module: str) -> list:
+    """Sorted (module, scope, line) of every identifier or exact string
+    ``relation.GRAPH`` names, and every graph mode other than NONE named as
+    a ``GraphMode`` attribute or ``GraphMode("...")`` call (the enum reached
+    by any path) outside PAIRING_RULE, all outside STAGE_OWNER."""
+    if module == STAGE_OWNER:
+        return []
+    found = []
+    for top in ast.parse(source).body:
+        scope = getattr(top, "name", "<module>")
+        pairing = (module, scope) == PAIRING_RULE
+        for node in ast.walk(top):
+            # a name, argument, keyword, alias, definition, attribute or string
+            hit = any(getattr(node, f, None) == GRAPH for f in _SPELLINGS)
+            if isinstance(node, ast.Attribute) and not pairing:
+                hit = hit or node.attr in _STAGE_MEMBERS and (
+                    ast.unparse(node.value).split(".")[-1] == "GraphMode")
+            elif isinstance(node, ast.Call) and node.args and not pairing:
+                hit = hit or _callee(node) == "GraphMode" and isinstance(
+                    node.args[0], ast.Constant) and node.args[0].value in _STAGE_VALUES
+            if hit:
+                found.append((module, scope, node.lineno))
+    return sorted(found)
+
+
+def test_only_the_relation_module_tells_the_stages_apart():
+    files = sorted(SRC.glob("*.py"))
+    assert [hit for f in files for hit in stage_names(f.read_text(), f.stem)] == []
+    # read as another module's source, the stage table is caught, and so is
+    # the pairing rule's default read as any other scope
+    relation = (SRC / "relation.py").read_text()
+    assert {"<module>", "relation_forward_t"} <= {
+        scope for _, scope, _ in stage_names(relation, "elsewhere")}
+    head = (SRC / "head.py").read_text().replace("class HeadConfig", "class Config")
+    assert "Config" in {scope for _, scope, _ in stage_names(head, "head")}
+
+
+def test_the_stage_rule_sees_every_kind_of_use():
+    # the sites that branched on the graph mode before the stage table
+    source = '''
+from .relation import GraphMode as g_heur
+
+class HeadConfig:
+    def __post_init__(self):
+        self.graph_mode = rel.GraphMode.DYNAMIC if srr else rel.GraphMode.NONE
+
+def _effective_rows_t(tape, head):
+    if gm is rel.GraphMode.HEURISTIC:
+        return dm.matmul(tape.param(head.params["g_heur"]), we_t)
+    if gm is semshot.relation.GraphMode.TRAINABLE_TRANSFORM:
+        return rel.trainable_transform_t(we_t, maps_t)
+
+def relation_graph(head, g_heur=None):
+    if (g_heur := head.params.get("g_heur")) is not None:
+        return head.g_heur, GraphMode("tt"), GraphMode("none"), GraphMode(mode), "g_heur map"
+
+def cmd_finetune(cfg, run):
+    graph = _cooccurrence(cfg, head.registry, head.cfg.graph_mode, "g_heur" in head.params)
+    return switch(g_heur=1), GraphMode.NONE, Other.HEURISTIC, rel.GraphMode.DYNAMIC.value
+'''
+    assert stage_names(source, "head") == [
+        ("head", "<module>", 2), ("head", "_effective_rows_t", 9),
+        ("head", "_effective_rows_t", 10), ("head", "_effective_rows_t", 11),
+        ("head", "cmd_finetune", 19), ("head", "cmd_finetune", 20),
+        ("head", "cmd_finetune", 20), ("head", "relation_graph", 14),
+        ("head", "relation_graph", 15), ("head", "relation_graph", 15),
+        ("head", "relation_graph", 16), ("head", "relation_graph", 16),
+    ]
+    # elsewhere HeadConfig is one more scope, and the owner may name anything
+    assert ("pipeline", "HeadConfig", 6) in stage_names(source, "pipeline")
+    assert stage_names(source, "relation") == []
 
 
 # the one environment variable semshot sets, as (module, the call that sets it)
