@@ -13,7 +13,7 @@ import os
 # semshot's BLAS products are too small to gain from threads; a pool costs start-up time
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .embeddings import BACKGROUND, ClassRegistry, EmbeddingMatrix
+from .embeddings import BACKGROUND, ClassRegistry
 from .head import Head, HeadConfig, HeadMode, build_head
 from .relation import GraphMode
 
@@ -22,7 +22,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKGROUND",
     "ClassRegistry",
-    "EmbeddingMatrix",
     "GraphMode",
     "Head",
     "HeadConfig",

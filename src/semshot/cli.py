@@ -430,14 +430,14 @@ def cmd_finetune(cfg: dict, run: _Run) -> int:
     we_full = None
     if full.n == head.registry.n:
         _unread(cfg, FINETUNE_OPTS, ("embeddings", "embed.seed"), "the head gains no class")
-    elif head.we is None:
+    elif "we" not in head.params:
         _unread(cfg, FINETUNE_OPTS, ("embeddings", "embed.seed"),
                 "a baseline head has no embedding rows")
     else:
         if cfg["embeddings"] != "random":
             _unread(cfg, FINETUNE_OPTS, ("embed.seed",),
                     "expansion keeps the checkpoint's background row, not the file's")
-        we_full = _load_embeddings(cfg, full, head.we.dim)
+        we_full = _load_embeddings(cfg, full, head.params["we"].value.shape[1])
     expand_classes(head, full, we_full, seed=cfg["seed"])
     graph = _cooccurrence(cfg, head.registry, head.cfg.graph_mode, rel.GRAPH in head.params)
     if graph is not None:
@@ -599,9 +599,9 @@ def cmd_export(cfg: dict, run: _Run) -> int:
         _write_matrix_csv(run.path("graph.csv"), relation_graph(head), names, names)
         return 0
 
-    if head.we is None:
+    if "we" not in head.params:
         raise ValueError("baseline heads have no embedding rows to correlate")
-    cm = correlation_map(head.we.matrix, class_rows(head), head.registry)
+    cm = correlation_map(head.params["we"].value, class_rows(head), head.registry)
     base = list(cm.base_names)
     novel = list(cm.novel_names)
     for name, matrix in (("before", cm.before), ("after", cm.after), ("diff", cm.difference)):
@@ -699,7 +699,7 @@ def cmd_synth(cfg: dict, run: _Run) -> int:
     )
     save_registry(registry, run.path("registry.json"))
     class_names = registry.base + registry.novel
-    save_embedding_file(run.path("embeddings.txt"), class_names, we.matrix[: len(class_names)])
+    save_embedding_file(run.path("embeddings.txt"), class_names, we[: len(class_names)])
     save_records(run.path("base_train.jsonl"), ds.train.with_labels(registry.base))
     save_records(run.path("novel_train.jsonl"), ds.train.with_labels(registry.novel))
     save_records(run.path("test.jsonl"), ds.test)

@@ -198,30 +198,15 @@ def save_registry(registry: ClassRegistry, path):
     save_json(path, registry.to_json())
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingMatrix:
-    """Unit-norm class embedding rows aligned with a registry's name order."""
+    """The read-only view of a head's embedding rows that ``Head.we`` gives:
+    the rows and their sha256.  Everything else passes the rows as an array."""
 
     matrix: np.ndarray
 
-    def __post_init__(self):
-        self.matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
-        if self.matrix.ndim != 2:
-            raise ValueError("embedding matrix must be 2-D")
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
     def content_hash(self) -> str:
         return hashlib.sha256(np.ascontiguousarray(self.matrix).tobytes()).hexdigest()
-
-    def select_rows(self, indices) -> "EmbeddingMatrix":
-        return EmbeddingMatrix(self.matrix[list(indices)].copy())
 
 
 def compose_background_row(dim: int, seed: int = 0) -> np.ndarray:
@@ -235,7 +220,7 @@ def compose_background_row(dim: int, seed: int = 0) -> np.ndarray:
 
 
 def parse_embedding_file(stream, registry: ClassRegistry, background_seed: int = 0):
-    """Read a word2vec-style text stream into an EmbeddingMatrix.
+    """Read a word2vec-style text stream into ``registry``'s (n, dim) rows.
 
     Format: a header line ``<vocab_count> <dim>``, then one line per token:
     the token followed by ``dim`` floats.  Multi-token class names average
@@ -297,7 +282,7 @@ def parse_embedding_file(stream, registry: ClassRegistry, background_seed: int =
 
     matrix = np.vstack(rows)
     matrix[:-1] = l2_normalize_rows(matrix[:-1], registry.base + registry.novel)
-    return EmbeddingMatrix(matrix)
+    return matrix
 
 
 def load_embedding_file(path, registry: ClassRegistry, background_seed: int = 0):
@@ -316,8 +301,8 @@ def save_embedding_file(path, names, matrix):
 
 
 def random_embeddings(registry: ClassRegistry, dim: int = DEFAULT_EMBED_DIM, seed: int = 0):
-    """Seeded random unit rows for every class, plus the background row."""
+    """Seeded random (n, dim) unit rows for every class, plus the background row."""
     rng = np.random.default_rng([seed, _CLASS_STREAM])
     n_classes = len(registry.base) + len(registry.novel)
     rows = l2_normalize_rows(rng.standard_normal((n_classes, dim)))
-    return EmbeddingMatrix(np.vstack([rows, compose_background_row(dim, seed)]))
+    return np.vstack([rows, compose_background_row(dim, seed)])

@@ -76,13 +76,9 @@ class Head:
 
     @property
     def we(self) -> EmbeddingMatrix | None:
-        """The embedding rows: the param ``we``, which no group names, so it
-        stays frozen; None for a baseline head."""
+        """A view of the embedding rows, the param ``we``, for the benchmark
+        tracer; None for a baseline head."""
         return EmbeddingMatrix(self.params["we"].value) if "we" in self.params else None
-
-    @we.setter
-    def we(self, rows: EmbeddingMatrix):
-        self.params["we"] = Param("we", rows.matrix, trainable=False)
 
     @property
     def mode(self) -> HeadMode:
@@ -157,9 +153,9 @@ def _trunk_params(rng, prefix: str, d_in: int, d: int) -> dict:
     }
 
 
-def build_head(cfg: HeadConfig, registry: ClassRegistry,
-               we: EmbeddingMatrix | None = None) -> Head:
-    """Allocate a head. SSP/SRR require an embedding matrix matching the registry."""
+def build_head(cfg: HeadConfig, registry: ClassRegistry, we: np.ndarray | None = None) -> Head:
+    """Allocate a head.  SSP/SRR take ``we``, the (n, d_e) embedding rows of
+    the registry's classes, as the frozen param ``we``, which no group names."""
     rng = np.random.default_rng([cfg.seed, 0x4D])
     n = registry.n
     params = {}
@@ -169,13 +165,13 @@ def build_head(cfg: HeadConfig, registry: ClassRegistry,
     else:
         if we is None:
             raise ValueError(f"mode {cfg.mode.value!r} needs an embedding matrix")
-        if we.n != n:
-            raise ValueError(
-                f"embedding rows ({we.n}) do not match registry size ({n})"
-            )
-        params["we"] = Param("we", we.matrix, trainable=False)
-        params["P"] = Param("P", rng.normal(0.0, 1.0 / np.sqrt(cfg.d), (we.dim, cfg.d)))
-        params.update(rel.init_maps(cfg.graph_mode, we.dim, cfg.r, seed=cfg.seed,
+        if np.ndim(we) != 2 or len(we) != n:
+            raise ValueError(f"embedding rows of shape {np.shape(we)} do not match registry "
+                             f"size ({n}); expected shape ({n}, d_e)")
+        params["we"] = Param("we", we, trainable=False)
+        d_e = params["we"].value.shape[1]
+        params["P"] = Param("P", rng.normal(0.0, 1.0 / np.sqrt(cfg.d), (d_e, cfg.d)))
+        params.update(rel.init_maps(cfg.graph_mode, d_e, cfg.r, seed=cfg.seed,
                                     gain=cfg.attention_gain))
 
     params["b"] = Param("b", np.zeros((n, 1)))
@@ -193,7 +189,8 @@ def build_head(cfg: HeadConfig, registry: ClassRegistry,
 
 def attach_heuristic_graph(head: Head, graph: np.ndarray):
     """Give ``head`` the (n, n) heuristic graph as the frozen param ``rel.GRAPH``,
-    which no parameter group names; a head whose stage reads no graph refuses it."""
+    which no parameter group names.  A head whose stage reads no graph refuses
+    it; every head refuses a graph that is not row-stochastic, naming why."""
     if rel.GRAPH not in rel.STAGES[head.cfg.graph_mode].frozen:
         raise ValueError(f"head mode {head.mode.value!r} with graph mode "
                          f"{head.cfg.graph_mode.value!r} reads no heuristic graph")
@@ -201,6 +198,13 @@ def attach_heuristic_graph(head: Head, graph: np.ndarray):
     if g.shape != (head.n_classes, head.n_classes):
         raise ValueError(f"heuristic graph shape {g.shape} does not match "
                          f"{head.n_classes} classes")
+    for what, bad in (("not finite", ~np.isfinite(g)), ("negative", g < 0)):
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(f"heuristic graph entry ({i}, {j}) is {what}: {g[i, j]}")
+    sums = g.sum(axis=1)  # 1 up to the rounding of a row's n quotients, with room
+    if (off := np.flatnonzero(np.abs(sums - 1.0) > 1e-9)).size:
+        raise ValueError(f"heuristic graph row {off[0]} sums to {sums[off[0]]:.12g}, not 1")
     head.params[rel.GRAPH] = Param(rel.GRAPH, g, trainable=False)
 
 
@@ -412,7 +416,7 @@ def added_classes(registry: ClassRegistry, new_registry: ClassRegistry,
 
 
 def expand_classes(head: Head, new_registry: ClassRegistry,
-                   we_full: EmbeddingMatrix | None = None, seed: int = 0) -> Head:
+                   we_full: np.ndarray | None = None, seed: int = 0) -> Head:
     """Grow a head to ``new_registry``, which appends novel classes to its own.
 
     The added classes slide in at the old background index, and the
@@ -438,15 +442,16 @@ def expand_classes(head: Head, new_registry: ClassRegistry,
         rows = np.random.default_rng([seed, 0xE1]).normal(0.0, std, (len(added), head.cfg.d))
         head.params["W"] = Param("W", _insert_rows(w, bg, rows))
     else:
-        want = (new_registry.n, head.we.dim)
-        if we_full is None or we_full.matrix.shape != want:
-            got = "none" if we_full is None else f"shape {we_full.matrix.shape}"
+        we = head.params["we"].value
+        want = (new_registry.n, we.shape[1])
+        if we_full is None or np.shape(we_full) != want:
+            got = "none" if we_full is None else f"shape {np.shape(we_full)}"
             raise ValueError(
                 f"mode {head.mode.value!r} needs an embedding matrix of shape {want} "
                 f"for the expanded registry, got {got}"
             )
-        rows = dm.l2_normalize_rows(we_full.matrix[bg: bg + len(added)])
-        head.we = EmbeddingMatrix(_insert_rows(head.we.matrix, bg, rows))
+        rows = dm.l2_normalize_rows(we_full[bg: bg + len(added)])
+        head.params["we"] = Param("we", _insert_rows(we, bg, rows), trainable=False)
     b = head.params["b"].value
     fill = np.full((len(added), 1), float(b[:bg].mean()) if bg else 0.0)
     head.params["b"] = Param("b", _insert_rows(b, bg, fill))
@@ -505,8 +510,8 @@ def switch_graph_mode(head: Head, graph_mode, seed: int = 0) -> Head:
     if head.mode is HeadMode.BASELINE:
         raise ValueError("baseline heads have no relation stage to switch on")
     head.cfg = replace(head.cfg, mode=HeadMode.SRR, graph_mode=target)
-    head.params.update(rel.init_maps(target, head.we.dim, head.cfg.r, seed=seed,
-                                     gain=head.cfg.attention_gain))
+    head.params.update(rel.init_maps(target, head.params["we"].value.shape[1], head.cfg.r,
+                                     seed=seed, gain=head.cfg.attention_gain))
     return head
 
 
@@ -597,7 +602,7 @@ def head_from_state(state: dict) -> Head:
     if not width and cfg.mode is not HeadMode.BASELINE:
         raise ValueError(f"checkpoint parameter 'we': expected {registry.n} rows, "
                          "found no such parameter")
-    template = build_head(cfg, registry, EmbeddingMatrix(np.zeros((registry.n, width))))
+    template = build_head(cfg, registry, np.zeros((registry.n, width)))
     expected = {name: p.value.shape for name, p in template.params.items()}
     expected.update((name, (registry.n, registry.n)) for name in rel.STAGES[cfg.graph_mode].frozen)
     for name in sorted(expected.keys() | found.keys()):

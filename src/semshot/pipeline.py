@@ -24,7 +24,7 @@ import numpy as np
 from . import relation as rel
 from .diffmath import l2_normalize_rows
 from .embeddings import (NONNEG, NONNEG_INT, POSITIVE, POSITIVE_INT, UNIT, ClassRegistry,
-                         EmbeddingMatrix, compose_background_row)
+                         compose_background_row)
 from .evaluation import MetricsReport, SweepResult, SweepRow, evaluate
 from .head import (
     Head,
@@ -60,7 +60,7 @@ FINETUNE_LR = 0.005
 REG_WEIGHT = 0.1
 
 
-def noisy_view(we: EmbeddingMatrix, noise: float, seed: int) -> EmbeddingMatrix:
+def noisy_view(we: np.ndarray, noise: float, seed: int) -> np.ndarray:
     """The embeddings a head actually sees: a corrupted copy of `we`.
 
     Real word vectors are imperfect proxies for the semantics that shape
@@ -72,12 +72,11 @@ def noisy_view(we: EmbeddingMatrix, noise: float, seed: int) -> EmbeddingMatrix:
     if NONNEG.check(noise, "embedding noise") == 0:
         return we
     rng = np.random.default_rng([seed, _STREAM_EMBED_NOISE])
-    rows = l2_normalize_rows(we.matrix + noise * rng.standard_normal(we.matrix.shape))
-    return EmbeddingMatrix(rows)
+    return l2_normalize_rows(we + noise * rng.standard_normal(we.shape))
 
 
 def clustered_embeddings(registry: ClassRegistry, dim: int, n_clusters: int,
-                         spread: float, seed: int) -> EmbeddingMatrix:
+                         spread: float, seed: int) -> np.ndarray:
     """Unit class embeddings grouped around shared cluster centers.
 
     Base and novel classes are interleaved across clusters, so each novel
@@ -93,7 +92,7 @@ def clustered_embeddings(registry: ClassRegistry, dim: int, n_clusters: int,
     for i in range(len(names)):
         center = centers[i % n_clusters]
         rows[i] = center + spread * rng.standard_normal(dim)
-    return EmbeddingMatrix(np.vstack([l2_normalize_rows(rows), compose_background_row(dim, seed)]))
+    return np.vstack([l2_normalize_rows(rows), compose_background_row(dim, seed)])
 
 
 @dataclass
@@ -181,7 +180,7 @@ class BasePart:
 
     key: tuple
     seed: int
-    we_full: EmbeddingMatrix
+    we_full: np.ndarray
     base_data: FeatureSet
     novel_pool: FeatureSet
     test: FeatureSet
@@ -214,7 +213,7 @@ def train_base(cfg: PipelineConfig, seed: int) -> BasePart:
 
     base_registry = ClassRegistry(base=full_registry.base)
     base_rows = list(range(len(full_registry.base))) + [full_registry.background_index]
-    we_base = we_full.select_rows(base_rows)
+    we_base = we_full[base_rows]
 
     head_cfg = base_phase_config(HeadConfig(mode=cfg.mode, graph_mode=cfg.graph_mode,
                                             d_in=cfg.d_in, d=cfg.d, r=cfg.r, seed=seed))
@@ -250,7 +249,7 @@ def finish_cell(base: BasePart, cfg: PipelineConfig, k: int) -> CellResult:
     if rel.GRAPH in rel.STAGES[cfg.graph_mode].frozen:
         # co-occurrence over single-label records degenerates to identity;
         # use the row-normalized, clipped cosine weights of the embedding rows
-        attach_heuristic_graph(head, _similarity_graph(head.we.matrix))
+        attach_heuristic_graph(head, _similarity_graph(head.params["we"].value))
 
     episode = sample_episode(base.base_data, base.novel_pool, k, cfg.base_shots, base.seed)
     finetune(

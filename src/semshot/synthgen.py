@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import NONNEG, NONNEG_INT, POSITIVE_INT, UNIT, ClassRegistry, EmbeddingMatrix
+from .embeddings import NONNEG, NONNEG_INT, POSITIVE_INT, UNIT, ClassRegistry
 from .records import REG_DIM, FeatureSet, concat
 
 _STREAM_MAP = 1
@@ -70,19 +70,18 @@ def embedding_map(d_in: int, d_e: int, seed: int) -> np.ndarray:
     return a / np.sqrt(d_e)
 
 
-def class_prototypes(we: EmbeddingMatrix, registry: ClassRegistry,
-                     cfg: SynthConfig) -> np.ndarray:
+def class_prototypes(we: np.ndarray, registry: ClassRegistry, cfg: SynthConfig) -> np.ndarray:
     """Unit prototypes for every non-background class, in registry order."""
     names = registry.base + registry.novel
-    if we.n != registry.n:
-        raise ValueError(f"embedding rows ({we.n}) do not match registry ({registry.n})")
-    m = embedding_map(cfg.d_in, we.dim, cfg.seed)
+    if len(we) != registry.n:
+        raise ValueError(f"embedding rows ({len(we)}) do not match registry ({registry.n})")
+    m = embedding_map(cfg.d_in, we.shape[1], cfg.seed)
     rng_u = np.random.default_rng([cfg.seed, _STREAM_UNIT])
     protos = np.empty((len(names), cfg.d_in))
     for i in range(len(names)):
         u = rng_u.standard_normal(cfg.d_in)
         u /= np.linalg.norm(u)
-        vec = cfg.alpha * (m @ we.matrix[i]) + (1.0 - cfg.alpha) * u
+        vec = cfg.alpha * (m @ we[i]) + (1.0 - cfg.alpha) * u
         norm = np.linalg.norm(vec)
         if norm < 1e-12:
             raise ValueError(f"degenerate prototype for class {names[i]!r}")
@@ -90,7 +89,7 @@ def class_prototypes(we: EmbeddingMatrix, registry: ClassRegistry,
     return protos
 
 
-def generate(we: EmbeddingMatrix, registry: ClassRegistry, cfg: SynthConfig) -> SynthDataset:
+def generate(we: np.ndarray, registry: ClassRegistry, cfg: SynthConfig) -> SynthDataset:
     """Draw a full train/test corpus around the class prototypes."""
     names = registry.base + registry.novel
     protos = class_prototypes(we, registry, cfg)

@@ -256,6 +256,10 @@ def _run_phase(phase: str, head: Head, data: FeatureSet, allowed_indices, defaul
     finally:  # drop the recorded step, also when the phase fails
         if result is not None:
             result.loss.tape.release()
+    # each loss was finite before its update; the last update is checked here
+    if not np.isfinite(block.value).all():
+        raise FloatingPointError(f"{phase}: a parameter is not finite after step {steps} "
+                                 f"(lr {lr:g}); " + divergence_cause(block.params, "trainable"))
     if head.param_hash(frozen) != frozen_hash:
         raise RuntimeError(f"{phase}: a frozen parameter moved")
     return TrainResult(trace=trace, frozen_hash=frozen_hash)

@@ -16,7 +16,7 @@ import semshot.cli as cli
 from criteria_blocks import block_stats
 from semshot import relation as rel
 from semshot.cli import main as cli_main, run_gradcheck
-from semshot.embeddings import ClassRegistry, EmbeddingMatrix, random_embeddings
+from semshot.embeddings import ClassRegistry, random_embeddings
 from semshot.head import (
     HeadConfig,
     build_head,
@@ -96,7 +96,7 @@ def test_criterion_03_composed_path_matches_expanded_algebra():
             head.params[name].value[:] = rng.normal(
                 0.0, 0.5, head.params[name].value.shape
             )
-        w = we.matrix
+        w = we
         tf, tg = head.params["t_f"].value, head.params["t_g"].value
         th, tl = head.params["t_h"].value, head.params["t_l"].value
         p, b = head.params["P"].value, head.params["b"].value
@@ -125,7 +125,7 @@ def test_criterion_04_graph_rows_stochastic_and_permutation_equivariant():
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         registry = ClassRegistry(base=tuple(f"c{j}" for j in range(n - 1)))
         head = build_head(
-            HeadConfig(mode="srr", d_in=10, d=8, r=4, seed=i), registry, EmbeddingMatrix(rows)
+            HeadConfig(mode="srr", d_in=10, d=8, r=4, seed=i), registry, rows
         )
         for name in ("t_f", "t_g", "t_h", "t_l"):
             p = head.params[name]
@@ -135,7 +135,7 @@ def test_criterion_04_graph_rows_stochastic_and_permutation_equivariant():
         refined = class_rows(head)
         for _ in range(5):  # 20 matrices x 5 permutations = 100 checks
             perm = rng.permutation(n)
-            head.we = EmbeddingMatrix(rows[perm])
+            head.params["we"].value = rows[perm]
             assert np.array_equal(
                 class_rows(head), refined[perm]
             ), "row permutation did not commute exactly with the relation stage"
@@ -157,7 +157,7 @@ def test_criterion_05_projection_head_expansion_leaves_base_scores_untouched():
         we_full = random_embeddings(full, dim=16, seed=i)
         head = build_head(
             HeadConfig(mode="ssp", d_in=10, d=8, r=4, seed=i),
-            base_only, we_full.select_rows(keep),
+            base_only, we_full[keep],
         )
         v = np.random.default_rng([i, 5]).standard_normal((8, 1))
         before = class_scores(head, v)
@@ -170,7 +170,7 @@ def test_criterion_05_projection_head_expansion_leaves_base_scores_untouched():
     we_full = random_embeddings(full, dim=16, seed=7)
     srr = build_head(
         HeadConfig(mode="srr", graph_mode="dynamic", d_in=10, d=8, r=4, seed=7),
-        base_only, we_full.select_rows(keep),
+        base_only, we_full[keep],
     )
     srr.params["t_l"].value[:] = np.random.default_rng(8).normal(0.0, 0.5, (4, 16))
     v = np.random.default_rng(9).standard_normal((8, 1))
@@ -367,8 +367,8 @@ def test_criterion_12_shipped_defaults_audit():
     assert DEFAULT_EMBED_DIM == 300
     reg = ClassRegistry(base=("a", "b"))
     we = random_embeddings(reg)
-    assert we.dim == 300
-    np.testing.assert_allclose(np.linalg.norm(we.matrix, axis=1), 1.0, atol=1e-12)
+    assert we.shape[1] == 300
+    np.testing.assert_allclose(np.linalg.norm(we, axis=1), 1.0, atol=1e-12)
 
     assert rel.DEFAULT_REDUCED_DIM == 32
     assert HeadConfig(mode="ssp").r == 32

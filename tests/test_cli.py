@@ -699,6 +699,13 @@ def _bad_input_cases(corpus, trained, bad):
                                              "level from; set --sigma"),
         "synth_seed_not_an_integer": ("", ["synth", "--seed", "abc"],
                                       "argument --seed: invalid int value: 'abc'"),
+        # step 1's loss is finite, and its update overflows: no head.json of
+        # Infinity tokens that the checkpoint loader would refuse
+        "train_last_update_overflows": ("", train() + ["--mode", "ssp", "--steps", 1, "--lr",
+                                                        1e308, "--reg-weight", 1000],
+                                        "base_train: a parameter is not finite after step 1 "
+                                        "(lr 1e+308); trainable parameter 'trunk_w1' holds a "
+                                        "non-finite value"),
     }
 
 
@@ -739,6 +746,8 @@ def _bad_input_cases(corpus, trained, bad):
     "checkpoint_graph_edited", "finetune_embeddings_of_another_dim",
     "finetune_k_above_class_size", "synth_single_class_without_sigma",
     "synth_seed_not_an_integer",
+    pytest.param("train_last_update_overflows", marks=pytest.mark.filterwarnings(
+        "ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")),
 ])
 def test_bad_input_exits_1_with_one_error_line_naming_its_source(
         corpus, trained, tmp_path, capsys, case):
@@ -1218,7 +1227,7 @@ def test_train_with_random_embeddings_records_their_seed(corpus, tmp_path):
                "--registry", corpus / "registry_base.json", "--embeddings", "random",
                "--embed-dim", 6, "--embed-seed", 4, "--proj-dim", 8, "--steps", 2) == 0
     we = json.loads((out / "head.json").read_text())["params"]["we"]
-    drawn = random_embeddings(load_registry(corpus / "registry_base.json"), 6, 4).matrix
+    drawn = random_embeddings(load_registry(corpus / "registry_base.json"), 6, 4)
     assert we == drawn.tolist()  # 3 base rows + background, 6-d
     config = json.loads((out / "meta.json").read_text())["config"]
     assert (config["embeddings"], config["embed.dim"], config["embed.seed"]) == ("random", 6, 4)
@@ -1239,7 +1248,7 @@ def test_finetune_draws_random_rows_at_the_checkpoints_embedding_dim(corpus, tra
                "--novel-data", corpus / "novel_train.jsonl", "--k", 1, "--steps", 2) == 0
     we = json.loads((out / "head.json").read_text())["params"]["we"]
     assert [len(row) for row in we] == [8] * 6  # the corpus's rows are 8-d
-    drawn = random_embeddings(load_registry(corpus / "registry.json"), 8, 3).matrix
+    drawn = random_embeddings(load_registry(corpus / "registry.json"), 8, 3)
     np.testing.assert_allclose(we[3:5], drawn[3:5])
 
 

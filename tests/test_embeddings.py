@@ -17,7 +17,6 @@ from semshot.embeddings import (
     UNIT,
     UNIT_BELOW_1,
     ClassRegistry,
-    EmbeddingMatrix,
     compose_background_row,
     load_registry,
     parse_embedding_file,
@@ -113,18 +112,18 @@ def test_parse_embedding_file_normalizes_and_averages_tokens():
         "monitor 0.0 1.0",
     ])
     we = parse_embedding_file(stream, reg)
-    assert we.n == 3  # two classes + background
-    np.testing.assert_allclose(we.matrix[0], [0.6, 0.8], atol=1e-15)
+    assert len(we) == 3  # two classes + background
+    np.testing.assert_allclose(we[0], [0.6, 0.8], atol=1e-15)
     # mean of tv and monitor is (0.5, 0.5), normalized to unit length
-    np.testing.assert_allclose(we.matrix[1], [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
-    np.testing.assert_allclose(np.linalg.norm(we.matrix, axis=1), 1.0, atol=1e-12)
-    np.testing.assert_array_equal(we.matrix[2], compose_background_row(2, 0))
+    np.testing.assert_allclose(we[1], [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
+    np.testing.assert_allclose(np.linalg.norm(we, axis=1), 1.0, atol=1e-12)
+    np.testing.assert_array_equal(we[2], compose_background_row(2, 0))
 
 
 def test_parse_embedding_file_skips_blank_lines_without_counting_them():
     reg = ClassRegistry(base=("cat",))
     we = parse_embedding_file(_w2v(["2 2", "", "cat 3.0 4.0", "   ", "dog 1.0 0.0", ""]), reg)
-    np.testing.assert_allclose(we.matrix[0], [0.6, 0.8], atol=1e-15)
+    np.testing.assert_allclose(we[0], [0.6, 0.8], atol=1e-15)
     with pytest.raises(ValueError, match="header declares 3 tokens but stream has 2"):
         parse_embedding_file(_w2v(["3 2", "cat 3.0 4.0", "", "dog 1.0 0.0"]), reg)
 
@@ -170,25 +169,24 @@ def test_random_embeddings_are_unit_and_deterministic():
     reg = ClassRegistry(base=("a", "b"), novel=("c",))
     we1 = random_embeddings(reg, dim=16, seed=2)
     we2 = random_embeddings(reg, dim=16, seed=2)
-    assert we1.content_hash() == we2.content_hash()
-    np.testing.assert_allclose(np.linalg.norm(we1.matrix, axis=1), 1.0, atol=1e-12)
-    assert we1.n == reg.n
+    assert we1.tobytes() == we2.tobytes()
+    np.testing.assert_allclose(np.linalg.norm(we1, axis=1), 1.0, atol=1e-12)
+    assert len(we1) == reg.n
 
 
 def test_save_embedding_file_round_trips_exactly(tmp_path):
     reg = ClassRegistry(base=("a", "b"))
     we = random_embeddings(reg, dim=6, seed=9)
     path = tmp_path / "emb.txt"
-    save_embedding_file(path, ("a", "b"), we.matrix[:2])
+    save_embedding_file(path, ("a", "b"), we[:2])
     back = load_embedding_file(path, reg, background_seed=0)
     # repr() round-trips the floats; the parser only renormalizes (a no-op
     # here up to one rounding step since the rows are already unit norm)
-    np.testing.assert_allclose(back.matrix[:2], we.matrix[:2], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(back[:2], we[:2], rtol=0, atol=1e-15)
 
 
 # one call per guard: the call (given a scratch directory) and its message
 _MISFIT_CASES = {
-    "matrix_1d": (lambda tmp: EmbeddingMatrix(np.ones(3)), "embedding matrix must be 2-D"),
     "saved_names_and_rows": (lambda tmp: save_embedding_file(tmp / "emb.txt", ("a", "b"),
                                                              np.ones((3, 2))),
                              "2 names for 3 rows"),
@@ -211,15 +209,6 @@ def test_inputs_that_do_not_fit_are_rejected(tmp_path, name):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(tmp_path)
     assert list(tmp_path.iterdir()) == []  # nothing half written
-
-
-def test_select_rows_copies_the_chosen_rows():
-    reg = ClassRegistry(base=("a", "b"), novel=("c",))
-    we = random_embeddings(reg, dim=4, seed=0)
-    sub = we.select_rows([0, 3])
-    np.testing.assert_array_equal(sub.matrix, we.matrix[[0, 3]])
-    sub.matrix[0, 0] = 99.0
-    assert we.matrix[0, 0] != 99.0
 
 
 @st.composite
@@ -250,8 +239,8 @@ def test_saved_vocabulary_parses_to_its_normalized_rows(emb_path, vocab):
     save_embedding_file(emb_path, tokens, rows)
     we = load_embedding_file(emb_path, ClassRegistry(base=tuple(classes)))
     want = l2_normalize_rows(rows[[tokens.index(c) for c in classes]])
-    np.testing.assert_array_equal(we.matrix[:-1], want)
-    np.testing.assert_array_equal(we.matrix[-1], compose_background_row(rows.shape[1], 0))
+    np.testing.assert_array_equal(we[:-1], want)
+    np.testing.assert_array_equal(we[-1], compose_background_row(rows.shape[1], 0))
 
 
 @settings(max_examples=60, deadline=None)

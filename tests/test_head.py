@@ -68,6 +68,19 @@ def test_build_head_validation(base_reg):
     assert HeadConfig(mode="ssp").graph_mode is rel.GraphMode.NONE
 
 
+@pytest.mark.parametrize("rows", [
+    pytest.param(np.ones(4), id="matrix_1d"),
+    pytest.param(np.ones((4, 6, 2)), id="matrix_3d"),
+    pytest.param(np.ones((3, 6)), id="rows_not_one_per_class"),
+])
+def test_build_head_refuses_rows_that_are_not_one_per_class_naming_their_shape(base_reg, rows):
+    # base_reg's three classes and the background want four rows
+    with pytest.raises(ValueError, match=re.escape(
+            f"embedding rows of shape {rows.shape} do not match registry size (4); "
+            "expected shape (4, d_e)")):
+        build_head(HeadConfig(mode="ssp"), base_reg, rows)
+
+
 @pytest.mark.parametrize("field,value", [("d_in", 0), ("d", 0), ("r", 0), ("r", -3)])
 def test_head_config_rejects_dimensions_below_one(field, value):
     with pytest.raises(ValueError, match=re.escape(
@@ -101,9 +114,9 @@ def test_ssp_logits_project_into_embedding_space(base_reg):
     head = make_head("ssp", base_reg, we, d=8)
     v = np.random.default_rng(1).standard_normal((8, 1))
     got = class_scores(head, v)
-    want = (we.matrix @ head.params["P"].value @ v + head.params["b"].value).reshape(-1)
+    want = (we @ head.params["P"].value @ v + head.params["b"].value).reshape(-1)
     np.testing.assert_allclose(got, want, atol=1e-12)
-    np.testing.assert_array_equal(class_rows(head), we.matrix)
+    np.testing.assert_array_equal(class_rows(head), we)
 
 
 def test_srr_logits_use_refined_rows(base_reg):
@@ -114,7 +127,7 @@ def test_srr_logits_use_refined_rows(base_reg):
         head.params[name].value[:] = rng.standard_normal(head.params[name].value.shape)
     v = rng.standard_normal((8, 1))
     got = class_scores(head, v)
-    w = we.matrix
+    w = we
     tf, tg, th, tl = (head.params[n].value for n in ("t_f", "t_g", "t_h", "t_l"))
     scores = (w @ tf) @ (w @ tg).T / 2.0  # sqrt(r) = 2
     g = np.exp(scores - scores.max(axis=1, keepdims=True))
@@ -138,7 +151,7 @@ def test_heuristic_graph_mode_mixes_rows_with_fixed_graph(base_reg):
     assert relation_graph(head) is head.params["g_heur"].value
     assert not head.params["g_heur"].trainable and "g_heur" not in head.trainable_names()
     got = class_scores(head, v)
-    want = (g @ we.matrix @ head.params["P"].value @ v + head.params["b"].value).reshape(-1)
+    want = (g @ we @ head.params["P"].value @ v + head.params["b"].value).reshape(-1)
     np.testing.assert_allclose(got, want, atol=1e-12)
     with pytest.raises(ValueError, match="does not match"):
         attach_heuristic_graph(head, np.eye(3))
@@ -159,6 +172,39 @@ def test_a_head_whose_stage_reads_no_graph_refuses_one(base_reg, mode, graph):
     assert head_state(head_from_state(want)) == want
 
 
+def _quarters(i, j, value):
+    g = np.full((4, 4), 0.25)
+    g[i, j] = value
+    return g
+
+
+@pytest.mark.parametrize("graph,message", [
+    pytest.param(np.full((4, 4), 5.0), "heuristic graph row 0 sums to 20, not 1",
+                 id="rows_sum_to_20"),
+    pytest.param(_quarters(1, 2, np.nan), "heuristic graph entry (1, 2) is not finite: nan",
+                 id="nan"),
+    pytest.param(_quarters(3, 0, -np.inf), "heuristic graph entry (3, 0) is not finite: -inf",
+                 id="minus_inf"),
+    pytest.param(np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [0.5, -0.25, 0.5, 0.25], [0, 0, 0, 1]]),
+                 "heuristic graph entry (2, 1) is negative: -0.25", id="negative_in_a_unit_row"),
+    pytest.param(_quarters(3, 3, 0.25 + 1e-6), "heuristic graph row 3 sums to 1.000001, not 1",
+                 id="row_off_by_1e-6"),
+])
+def test_a_graph_that_is_not_row_stochastic_is_refused_naming_what_is_wrong(
+        base_reg, graph, message):
+    # attached, such a graph would be exported as the head's class graph, and a
+    # non-finite one saved in a checkpoint that load_head refuses
+    head = make_head("srr", base_reg, random_embeddings(base_reg, dim=6, seed=3),
+                     graph_mode="heuristic", d=8)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        attach_heuristic_graph(head, graph)
+    assert rel.GRAPH not in head.params
+    # rounding of a row's quotients is not refused
+    g = np.random.default_rng(3).random((4, 4))
+    attach_heuristic_graph(head, g / g.sum(axis=1, keepdims=True))
+    assert head_from_state(head_state(head)).param_hash() == head.param_hash()
+
+
 def test_tt_mode_registers_only_the_per_row_maps(base_reg):
     we = random_embeddings(base_reg, dim=6, seed=4)
     head = make_head("srr", base_reg, we, graph_mode="tt", d=8, r=4)
@@ -169,7 +215,7 @@ def test_tt_mode_registers_only_the_per_row_maps(base_reg):
 def test_ssp_expansion_keeps_base_scores_bit_identical(base_reg, full_reg):
     we_full = random_embeddings(full_reg, dim=6, seed=5)
     base_rows = list(range(3)) + [full_reg.background_index]
-    head = make_head("ssp", base_reg, we_full.select_rows(base_rows), d=8)
+    head = make_head("ssp", base_reg, we_full[base_rows], d=8)
     rng = np.random.default_rng(5)
     vs = rng.standard_normal((8, 20))
     before = np.stack([class_scores(head, vs[:, [i]]) for i in range(20)])
@@ -184,16 +230,16 @@ def test_ssp_expansion_keeps_base_scores_bit_identical(base_reg, full_reg):
 def test_expansion_validates_registry_shape(base_reg, full_reg):
     we_full = random_embeddings(full_reg, dim=6, seed=6)
     base_rows = list(range(3)) + [full_reg.background_index]
-    head = make_head("ssp", base_reg, we_full.select_rows(base_rows), d=8)
+    head = make_head("ssp", base_reg, we_full[base_rows], d=8)
     with pytest.raises(ValueError, match="shape"):
-        expand_classes(head, full_reg, we_full.select_rows([0]))
+        expand_classes(head, full_reg, we_full[[0]])
     with pytest.raises(ValueError, match="needs an embedding matrix"):
         expand_classes(head, full_reg)
     other = ClassRegistry(base=("cat", "dog", "pig"), novel=("fox", "owl"))
     with pytest.raises(ValueError, match="same base"):
         expand_classes(head, other, we_full)
     expand_classes(head, ClassRegistry(base=base_reg.base, novel=("fox",)),
-                   we_full.select_rows([0, 1, 2, 3, 5]))
+                   we_full[[0, 1, 2, 3, 5]])
     reordered = ClassRegistry(base=base_reg.base, novel=("owl", "fox"))
     with pytest.raises(ValueError, match="in order"):
         expand_classes(head, reordered, we_full)
@@ -226,7 +272,7 @@ def test_baseline_expansion_matches_trained_row_scale(base_reg, full_reg):
 def test_expansion_drops_stale_heuristic_graph(base_reg, full_reg):
     we_full = random_embeddings(full_reg, dim=6, seed=8)
     base_rows = list(range(3)) + [full_reg.background_index]
-    head = make_head("srr", base_reg, we_full.select_rows(base_rows),
+    head = make_head("srr", base_reg, we_full[base_rows],
                      graph_mode="heuristic", d=8)
     attach_heuristic_graph(head, np.full((4, 4), 0.25))
     expand_classes(head, full_reg, we_full)
@@ -432,7 +478,7 @@ def test_checkpoint_round_trip_is_bit_exact(base_reg, tmp_path, mode, graph):
     assert back.param_hash() == head.param_hash()
     assert ("we" in back.params) == (mode != "baseline")
     if mode != "baseline":
-        np.testing.assert_array_equal(back.we.matrix, head.we.matrix)
+        np.testing.assert_array_equal(back.params["we"].value, head.params["we"].value)
         assert not back.params["we"].trainable
     if mode == "srr" and graph == "dynamic":
         np.testing.assert_array_equal(relation_graph(back), relation_graph(head))

@@ -62,13 +62,13 @@ def test_bundled_benchmark_defaults():
 def test_clustered_embeddings_are_unit_with_background():
     reg = ClassRegistry(base=("a", "b", "c"), novel=("d",))
     we = clustered_embeddings(reg, dim=10, n_clusters=2, spread=0.3, seed=4)
-    assert we.n == 5  # 4 classes + background
-    np.testing.assert_allclose(np.linalg.norm(we.matrix, axis=1), 1.0, atol=1e-12)
+    assert len(we) == 5  # 4 classes + background
+    np.testing.assert_allclose(np.linalg.norm(we, axis=1), 1.0, atol=1e-12)
     again = clustered_embeddings(reg, dim=10, n_clusters=2, spread=0.3, seed=4)
-    np.testing.assert_array_equal(we.matrix, again.matrix)
+    np.testing.assert_array_equal(we, again)
     # classes sharing a cluster (i % n_clusters) sit closer than cross-cluster
-    same = we.matrix[0] @ we.matrix[2]   # both cluster 0
-    cross = we.matrix[0] @ we.matrix[1]  # clusters 0 and 1
+    same = we[0] @ we[2]   # both cluster 0
+    cross = we[0] @ we[1]  # clusters 0 and 1
     assert same > cross
     with pytest.raises(ValueError, match=re.escape("n_clusters must be finite and in [1, inf), "
                                                    "got 0")):
@@ -88,16 +88,16 @@ def test_noisy_view_properties():
                 f"embedding noise must be finite and in [0, inf), got {noise}")):
             noisy_view(we, noise, 1)
     noisy = noisy_view(we, 0.2, 1)
-    np.testing.assert_allclose(np.linalg.norm(noisy.matrix, axis=1), 1.0, atol=1e-12)
-    assert noisy.matrix.shape == we.matrix.shape and not np.allclose(noisy.matrix, we.matrix)
-    np.testing.assert_array_equal(noisy_view(we, 0.2, 1).matrix, noisy.matrix)
-    assert not np.allclose(noisy_view(we, 0.2, 2).matrix, noisy.matrix)
+    np.testing.assert_allclose(np.linalg.norm(noisy, axis=1), 1.0, atol=1e-12)
+    assert noisy.shape == we.shape and not np.allclose(noisy, we)
+    np.testing.assert_array_equal(noisy_view(we, 0.2, 1), noisy)
+    assert not np.allclose(noisy_view(we, 0.2, 2), noisy)
 
 
 def test_similarity_graph_is_row_stochastic():
     reg = ClassRegistry(base=("a", "b", "c"))
     we = random_embeddings(reg, dim=8, seed=1)
-    g = _similarity_graph(we.matrix)
+    g = _similarity_graph(we)
     np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-12)
     assert (g >= 0).all()
 
@@ -206,7 +206,7 @@ def _own_mode_cell(cfg, k, seed):
     part = train_base(cfg, seed)  # only its data and embeddings are used
     registry = cfg.registry()
     srr = cfg.mode.value == "srr"
-    we_base = part.we_full.select_rows(list(range(cfg.n_base)) + [registry.background_index])
+    we_base = part.we_full[list(range(cfg.n_base)) + [registry.background_index]]
     head = build_head(
         HeadConfig(mode="ssp" if srr else cfg.mode, d_in=cfg.d_in, d=cfg.d, r=cfg.r, seed=seed),
         ClassRegistry(base=registry.base), we_base,
@@ -220,7 +220,7 @@ def _own_mode_cell(cfg, k, seed):
         switch_graph_mode(head, cfg.graph_mode, seed=seed)
     expand_classes(head, registry, part.we_full, seed=seed)
     if cfg.graph_mode.value == "heuristic":
-        attach_heuristic_graph(head, _similarity_graph(head.we.matrix))
+        attach_heuristic_graph(head, _similarity_graph(head.params["we"].value))
     episode = sample_episode(part.base_data, part.novel_pool,
                              k=k, base_shots=cfg.base_shots, seed=seed)
     finetune(head, episode, finetune_config(

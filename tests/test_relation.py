@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from semshot import diffmath as dm
 from semshot import kernels
 from semshot import relation as rel
-from semshot.embeddings import ClassRegistry, EmbeddingMatrix, random_embeddings
+from semshot.embeddings import ClassRegistry, random_embeddings
 from semshot.head import HeadConfig, build_head, class_rows, forward_pass, relation_graph
 
 
@@ -47,7 +47,7 @@ def test_initialize_shapes_and_warm_start(we):
 
 
 def test_refinement_is_identity_while_t_l_is_zero(we):
-    np.testing.assert_array_equal(class_rows(_srr(we, seed=3)), we.matrix)
+    np.testing.assert_array_equal(class_rows(_srr(we, seed=3)), we)
 
 
 def test_tied_init_scores_are_gain_times_cosine(we):
@@ -57,7 +57,7 @@ def test_tied_init_scores_are_gain_times_cosine(we):
     # itself concentrates at gain * |e|^2 = gain; check the expectation holds
     reg = ClassRegistry(base=tuple(f"c{i}" for i in range(40)))
     big = random_embeddings(reg, dim=300, seed=5)
-    scores = (big.matrix @ maps["t_f"].value) @ (big.matrix @ maps["t_g"].value).T / np.sqrt(32)
+    scores = (big @ maps["t_f"].value) @ (big @ maps["t_g"].value).T / np.sqrt(32)
     diag = np.diag(scores)[:-1]  # real classes only
     assert abs(diag.mean() - gain) / gain < 0.25
 
@@ -69,7 +69,7 @@ def test_extract_graph_rows_sum_to_one(we):
         p = head.params[name]
         p.value[:] = rng.standard_normal(p.value.shape)
     g = relation_graph(head)
-    assert g.shape == (we.n, we.n)
+    assert g.shape == (len(we), len(we))
     np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-12)
     assert (g > 0).all()
 
@@ -81,8 +81,8 @@ def test_scaled_flag_divides_scores_by_sqrt_r(we):
         head.params[name].value[:] = rng.standard_normal((10, 4))
     # the graph must not depend on the return map
     head.params["t_l"].value[:] = rng.standard_normal((4, 10))
-    q = we.matrix @ head.params["t_f"].value
-    k = we.matrix @ head.params["t_g"].value
+    q = we @ head.params["t_f"].value
+    k = we @ head.params["t_g"].value
     want = np.exp((q @ k.T) / 2.0)  # sqrt(r) = 2
     want /= want.sum(axis=1, keepdims=True)
     np.testing.assert_allclose(relation_graph(head), want, atol=1e-12)
@@ -96,7 +96,7 @@ def test_relation_forward_matches_manual_composition(we):
         p.value[:] = rng.standard_normal(p.value.shape)
     got = class_rows(head)
     g = relation_graph(head)
-    want = g @ (we.matrix @ head.params["t_h"].value @ head.params["t_l"].value) + we.matrix
+    want = g @ (we @ head.params["t_h"].value @ head.params["t_l"].value) + we
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -110,8 +110,7 @@ def test_relation_stage_commutes_bitwise_with_row_permutations_and_duplicates(n,
     for _ in range(dupes):
         rows[rng.integers(n)] = rows[rng.integers(n)]
     registry = ClassRegistry(base=tuple(f"c{j}" for j in range(n - 1)))
-    head = build_head(HeadConfig(mode="srr", d_in=6, d=4, r=4, seed=seed % 97), registry,
-                      EmbeddingMatrix(rows))
+    head = build_head(HeadConfig(mode="srr", d_in=6, d=4, r=4, seed=seed % 97), registry, rows)
     for name in ("t_f", "t_g", "t_h", "t_l"):
         p = head.params[name]
         p.value[:] = rng.normal(0.0, 0.3 if name in ("t_f", "t_g") else 1.0, p.value.shape)
@@ -122,7 +121,7 @@ def test_relation_stage_commutes_bitwise_with_row_permutations_and_duplicates(n,
                 assert np.array_equal(refined[i], refined[j])
     for _ in range(3):
         perm = rng.permutation(n)
-        head.we = EmbeddingMatrix(rows[perm])
+        head.params["we"].value = rows[perm]
         assert np.array_equal(class_rows(head), refined[perm])
 
 
@@ -183,14 +182,14 @@ def test_trainable_transform_has_no_cross_row_mixing(we):
     th[:] = rng.standard_normal(th.shape)
     tl[:] = rng.standard_normal(tl.shape)
     got = class_rows(head)
-    want = we.matrix @ th @ tl + we.matrix
+    want = we @ th @ tl + we
     np.testing.assert_allclose(got, want, atol=1e-12)
     # changing one input row must not move any other output row
-    bumped = we.matrix.copy()
+    bumped = we.copy()
     bumped[2] += 0.5
-    head.we = EmbeddingMatrix(bumped)
+    head.params["we"].value = bumped
     got2 = class_rows(head)
-    others = [i for i in range(we.n) if i != 2]
+    others = [i for i in range(len(we)) if i != 2]
     np.testing.assert_array_equal(got[others], got2[others])
 
 
@@ -262,9 +261,9 @@ def test_cooccurrence_graph_matches_the_pairwise_loop_bit_for_bit(data):
 
 def test_correlation_map_cosines_and_difference(we):
     reg = ClassRegistry(base=("a", "b", "c"), novel=("d",))
-    after = we.matrix.copy()
-    after[3] = we.matrix[0]  # move the novel row onto base row 0
-    cm = rel.correlation_map(we.matrix, after, reg)
+    after = we.copy()
+    after[3] = we[0]  # move the novel row onto base row 0
+    cm = rel.correlation_map(we, after, reg)
     assert cm.base_names == ("a", "b", "c")
     assert cm.novel_names == ("d",)
     assert cm.after[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -284,4 +283,4 @@ def test_correlation_map_cosines_and_difference(we):
 def test_correlation_map_rejects_rows_it_cannot_compare(we, edit, base, message):
     reg = ClassRegistry(base=base, novel=("d",))
     with pytest.raises(ValueError, match=message):
-        rel.correlation_map(we.matrix, edit(we.matrix), reg)
+        rel.correlation_map(we, edit(we), reg)

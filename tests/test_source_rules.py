@@ -37,6 +37,10 @@ srr with a stage, names a graph mode other than none.
 No module reads or writes the environment, save the one default in
 ``__init__.py`` that starts OpenBLAS with one thread: a setting belongs in a
 config field or a flag, where a run's ``meta.json`` records it.
+
+Embedding rows pass as a plain float64 array: outside ``embeddings.py``
+nothing names ``EmbeddingMatrix`` but the property ``Head.we``, the view the
+benchmark tracer reads, and the import that property needs.
 """
 
 import ast
@@ -667,3 +671,102 @@ class Config:
     ]
     # the allowed call is allowed only in the package root
     assert ("kernels", "<module>", 5) in environ_uses(source, "kernels")
+
+
+# the module that defines the embedding view; the one scope elsewhere that
+# builds it, and the top level of its module, which may import it
+VIEW = "EmbeddingMatrix"
+VIEW_OWNER = "embeddings"
+VIEW_BUILDER = ("head", "Head", "we")
+
+
+def view_names(source: str, module: str) -> list:
+    """(module, scope..., line), in line order, of every identifier or exact
+    string that spells VIEW outside VIEW_OWNER, save in VIEW_BUILDER and an
+    import at the top level of its module."""
+    if module == VIEW_OWNER:
+        return []
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope += (node.name,)
+        allowed = (module, *scope) == VIEW_BUILDER or (
+            isinstance(node, ast.alias) and (module, *scope) == VIEW_BUILDER[:1])
+        if not allowed and any(getattr(node, f, None) == VIEW for f in _SPELLINGS):
+            found.append((module, *scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(found, key=lambda hit: hit[-1])
+
+
+def test_only_head_we_names_the_embedding_view():
+    files = sorted(SRC.glob("*.py"))
+    assert {VIEW_OWNER, VIEW_BUILDER[0]} <= {f.stem for f in files}
+    assert [hit for f in files for hit in view_names(f.read_text(), f.stem)] == []
+    # read as another module's source, head.py names the view in exactly the
+    # import and the property, so the rule above is not vacuous
+    head = (SRC / "head.py").read_text()
+    assert {hit[:-1] for hit in view_names(head, "elsewhere")} == {
+        ("elsewhere",), ("elsewhere", "Head", "we")}
+
+
+def test_the_view_rule_sees_every_kind_of_use():
+    # the sites that passed the wrapper before the rows became an array
+    sources = {
+        "head": '''
+from .embeddings import ClassRegistry, EmbeddingMatrix, load_json
+
+class Head:
+    @property
+    def we(self) -> EmbeddingMatrix | None:
+        return EmbeddingMatrix(self.params["we"].value) if "we" in self.params else None
+
+def build_head(cfg, registry, we: EmbeddingMatrix | None = None):
+    return we.matrix
+
+def expand_classes(head, new_registry, we_full: EmbeddingMatrix | None = None, seed=0):
+    head.we = EmbeddingMatrix(_insert_rows(head.we.matrix, bg, rows))
+
+def head_from_state(state):
+    from .embeddings import EmbeddingMatrix as rows
+    return build_head(cfg, registry, embeddings.EmbeddingMatrix(np.zeros((n, width))))
+''',
+        "pipeline": '''
+from .embeddings import (NONNEG, ClassRegistry,
+                         EmbeddingMatrix, compose_background_row)
+
+def noisy_view(we: EmbeddingMatrix, noise, seed) -> "EmbeddingMatrix":
+    return EmbeddingMatrix(rows)
+
+class BasePart:
+    we_full: EmbeddingMatrix
+''',
+        "synthgen": '''
+from .embeddings import ClassRegistry, EmbeddingMatrix
+
+def generate(we: EmbeddingMatrix, registry, cfg):
+    return "an EmbeddingMatrix in a sentence is no name"
+''',
+        "__init__": '''
+from .embeddings import BACKGROUND, ClassRegistry, EmbeddingMatrix
+
+__all__ = ["BACKGROUND", "ClassRegistry", "EmbeddingMatrix"]
+''',
+    }
+    found = {module: view_names(source, module) for module, source in sources.items()}
+    assert found == {
+        "head": [("head", "build_head", 9), ("head", "expand_classes", 12),
+                 ("head", "expand_classes", 13), ("head", "head_from_state", 16),
+                 ("head", "head_from_state", 17)],
+        "pipeline": [("pipeline", 3), ("pipeline", "noisy_view", 5),
+                     ("pipeline", "noisy_view", 5), ("pipeline", "noisy_view", 6),
+                     ("pipeline", "BasePart", 9)],
+        "synthgen": [("synthgen", 2), ("synthgen", "generate", 4)],
+        "__init__": [("__init__", 2), ("__init__", 4)],
+    }
+    # the owner may name it anywhere, and elsewhere the property is one more site
+    assert view_names(sources["head"], VIEW_OWNER) == []
+    assert ("pipeline", "Head", "we", 6) in view_names(sources["head"], "pipeline")

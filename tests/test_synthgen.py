@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semshot.embeddings import ClassRegistry, EmbeddingMatrix, random_embeddings
+from semshot.embeddings import ClassRegistry, random_embeddings
 from semshot.synthgen import (
     REG_DIM,
     SynthConfig,
@@ -55,7 +55,7 @@ def test_prototype_formula(world):
     rng_u = np.random.default_rng([5, 2])
     u0 = rng_u.standard_normal(12)
     u0 /= np.linalg.norm(u0)
-    want = 0.7 * (m @ we.matrix[0]) + 0.3 * u0
+    want = 0.7 * (m @ we[0]) + 0.3 * u0
     want /= np.linalg.norm(want)
     np.testing.assert_allclose(protos[0], want, atol=1e-12)
 
@@ -66,7 +66,7 @@ def test_alpha_extremes(world):
     m = embedding_map(12, 8, 1)
     # at alpha=1 the prototype is the mapped embedding, renormalized
     for i in range(5):
-        mapped = m @ we.matrix[i]
+        mapped = m @ we[i]
         np.testing.assert_allclose(pure[i], mapped / np.linalg.norm(mapped), atol=1e-12)
         # mapped unit embeddings through an orthonormal map keep cosines exactly
         assert pure[i] @ pure[i] == pytest.approx(1.0)
@@ -142,7 +142,7 @@ def test_registry_size_must_match_embeddings(world):
 def test_a_zero_prototype_is_an_error_naming_its_class(world):
     # with full coupling a zero embedding row maps to a zero prototype
     registry, we = world
-    rows = we.matrix.copy()
+    rows = we.copy()
     rows[1] = 0.0
     with pytest.raises(ValueError, match=f"degenerate prototype for class {registry.base[1]!r}"):
-        class_prototypes(EmbeddingMatrix(rows), registry, SynthConfig(d_in=12, alpha=1.0))
+        class_prototypes(rows, registry, SynthConfig(d_in=12, alpha=1.0))

@@ -247,7 +247,7 @@ def test_base_train_rejects_novel_labels(tiny_world):
 
 def test_base_train_runs_and_loss_falls(tiny_world):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
-    head = make_head("ssp", base_reg, we.select_rows(base_rows))
+    head = make_head("ssp", base_reg, we[base_rows])
     rows = head.params["we"].value.copy()
     result = base_train(head, base_data, TrainConfig(steps=60, batch_size=8, seed=0))
     assert len(result.trace) == 60
@@ -266,7 +266,7 @@ def test_base_train_runs_and_loss_falls(tiny_world):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_a_non_finite_trainable_param_stops_the_first_step_naming_it(tiny_world):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
-    head = make_head("ssp", base_reg, we.select_rows(base_rows))
+    head = make_head("ssp", base_reg, we[base_rows])
     head.params["P"].value[0, 0] = np.nan
     with pytest.raises(FloatingPointError, match=r"^base_train: loss is nan at step 1 \(lr .*\); "
                        r"trainable parameter 'P' holds a non-finite value$"):
@@ -275,7 +275,7 @@ def test_a_non_finite_trainable_param_stops_the_first_step_naming_it(tiny_world)
 
 def test_default_finetune_groups_per_mode(tiny_world):
     registry, base_reg, we, base_rows, *_ = tiny_world
-    we_base = we.select_rows(base_rows)
+    we_base = we[base_rows]
     assert default_finetune_groups(make_head("baseline", base_reg)) == ("W", "b")
     assert default_finetune_groups(make_head("ssp", base_reg, we_base)) == ("P", "b")
     assert default_finetune_groups(make_head("srr", base_reg, we_base)) == ("P", "relation", "b")
@@ -323,7 +323,7 @@ def _nudging_sgd_step(monkeypatch, values):
 
 def test_base_train_fails_when_a_deferred_relation_map_moves(tiny_world, monkeypatch):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
-    head = make_head("srr", base_reg, we.select_rows(base_rows))
+    head = make_head("srr", base_reg, we[base_rows])
     _nudging_sgd_step(monkeypatch, head.params["t_l"].value)
     with pytest.raises(RuntimeError, match="base_train: a frozen parameter moved"):
         base_train(head, base_data, TrainConfig(steps=3, batch_size=4, seed=1,
@@ -332,7 +332,7 @@ def test_base_train_fails_when_a_deferred_relation_map_moves(tiny_world, monkeyp
 
 def test_base_train_fails_when_the_embedding_matrix_moves(tiny_world, monkeypatch):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
-    head = make_head("ssp", base_reg, we.select_rows(base_rows))
+    head = make_head("ssp", base_reg, we[base_rows])
     _nudging_sgd_step(monkeypatch, head.params["we"].value)
     with pytest.raises(RuntimeError, match="base_train: a frozen parameter moved"):
         base_train(head, base_data, TrainConfig(steps=3, batch_size=4, seed=1))
@@ -391,7 +391,7 @@ def test_finetune_does_not_step_on_an_earlier_phases_gradient(tiny_world):
     # reg_w trains in both phases, but only the base phase has reg targets:
     # with no momentum or decay, a fine-tune that never touches it leaves it put
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
-    head = make_head("ssp", base_reg, we.select_rows(base_rows))
+    head = make_head("ssp", base_reg, we[base_rows])
     base_train(head, base_data, TrainConfig(steps=4, batch_size=4, seed=1))
     head_module.expand_classes(head, registry, we)
     episode = sample_episode(base_data, novel_data, k=2, base_shots=2, seed=2)
@@ -629,7 +629,7 @@ def test_finetune_rejects_labels_outside_registry(tiny_world):
 
 def test_base_train_resolves_each_distinct_label_once(tiny_world, monkeypatch):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
-    head = make_head("ssp", base_reg, we.select_rows(base_rows))
+    head = make_head("ssp", base_reg, we[base_rows])
     calls = []
     index = ClassRegistry.index
     monkeypatch.setattr(ClassRegistry, "index",
@@ -640,7 +640,7 @@ def test_base_train_resolves_each_distinct_label_once(tiny_world, monkeypatch):
 
 def test_save_trace_csv_format(tmp_path, tiny_world):
     registry, base_reg, we, base_rows, base_data, novel_data = tiny_world
-    head = make_head("ssp", base_reg, we.select_rows(base_rows))
+    head = make_head("ssp", base_reg, we[base_rows])
     result = base_train(head, base_data, TrainConfig(steps=3, batch_size=4, seed=0))
     path = tmp_path / "trace.csv"
     save_trace_csv(path, result.trace)
